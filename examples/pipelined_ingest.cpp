@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   }
 
   // One call: sniff the dialect, infer types, and ingest through the
-  // pipelined executor (the default for every Reader).
+  // pipelined executor (every Reader runs it).
   auto loaded = Reader::FromFile(path)
                     .WithPartitionSize(partition_mb << 20)
                     .ReadDetailed();

@@ -13,7 +13,9 @@
 #   scripts/check.sh faults     # fault-injection: chaos/robustness suites
 #                               # under ASan+UBSan across a fixed seed matrix
 #   scripts/check.sh pipeline   # pipelined-executor differential suite
-#                               # (exec/Reader/chaos) under TSan
+#                               # and the entry points on it (exec/Reader/
+#                               # streaming/loader/dialects/robust/chaos)
+#                               # under TSan
 #   scripts/check.sh transpose  # full suite per TransposeMode
 #                               # (PARPARAW_TRANSPOSE_MODE) plus the
 #                               # symbol-sort vs field-gather differential
@@ -79,8 +81,8 @@ run_tsan() {
   echo "=== TSan: build ==="
   cmake --build build-tsan -j "${JOBS}"
   # The concurrency surface: the worker pool, the lock-free metric shards
-  # and tracer, the streaming pipeline, and the staged ingestion executor
-  # with its bounded queues and admission controller.
+  # and tracer, and the morsel-driven ingestion executor (which the
+  # streaming parser runs on) with its admission controller.
   echo "=== TSan: concurrency-sensitive tests ==="
   TSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \
@@ -122,16 +124,19 @@ run_pipeline() {
     -DPARPARAW_SANITIZE=thread
   echo "=== pipeline: build ==="
   cmake --build build-tsan -j "${JOBS}"
-  # The executor's differential suite (pipelined vs serial, bit-identical
-  # across kernels and error policies), the Reader facade on top of it,
-  # and the chaos sweep — whose schedule space now includes faults at
-  # every exec queue hand-off — all under the thread sanitizer, since the
-  # pipeline is the most schedule-sensitive code in the repo.
+  # The executor's differential suite (bit-identical to one monolithic
+  # Parser::Parse across kernels and error policies), every entry point
+  # that runs on the executor (Reader, StreamingParser, BulkLoader, the
+  # over-budget dialects' scalar walk on scan morsels, the robustness
+  # suite's budget and fault cases), and the chaos sweep — whose schedule
+  # space includes faults at every morsel hand-off — all under the thread
+  # sanitizer, since the executor is the most schedule-sensitive code in
+  # the repo.
   echo "=== pipeline: executor differential + chaos under TSan ==="
   PARPARAW_CHAOS_SCHEDULES=400 \
   TSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \
-      -R 'Exec|Reader|Validate|Chaos'
+      -R 'Exec|Reader|Validate|Chaos|Streaming|BulkLoader|DialectEquivalence|Robust'
 }
 
 run_kernels() {

@@ -74,11 +74,6 @@ Reader&& Reader::WithStatistics(bool enabled) && {
   return std::move(*this);
 }
 
-Reader&& Reader::Pipelined(bool enabled) && {
-  options_.pipelined = enabled;
-  return std::move(*this);
-}
-
 Result<Table> Reader::Read() && {
   LoadOptions options = options_;
   options.collect_statistics = false;  // Read() returns only the table
@@ -96,29 +91,16 @@ Result<LoadResult> Reader::ReadDetailed() && {
 
 Result<exec::IngestStats> Reader::ReadStream(
     const std::function<Status(Table&&)>& sink) && {
-  LoadResult resolution;
-  std::string file_sample;
-  std::string_view sample = buffer_;
-  bool truncated = false;
+  FileHead head;  // stays empty for a buffer, which is its own sample
   if (from_file_) {
-    FileChunkReader head;
-    PARPARAW_RETURN_NOT_OK_CTX(head.Open(path_), "reader.open");
-    if (head.file_size() > 0) {
-      bool eof = false;
-      PARPARAW_RETURN_NOT_OK_CTX(
-          head.ReadNext(std::min<size_t>(
-                            static_cast<size_t>(head.file_size()),
-                            256 * 1024),
-                        &file_sample, &eof),
-          "reader.sample");
-    }
-    sample = file_sample;
-    truncated = static_cast<int64_t>(file_sample.size()) < head.file_size();
+    PARPARAW_ASSIGN_OR_RETURN(head,
+                              ReadFileHead(path_, kHeadSampleBytes, "reader"));
   }
+  LoadResult resolution;
   PARPARAW_ASSIGN_OR_RETURN(
       ParseOptions base,
-      BulkLoader::ResolveBaseOptions(sample, truncated, options_,
-                                     &resolution));
+      BulkLoader::ResolveBaseOptions(from_file_ ? head.bytes : buffer_,
+                                     head.truncated, options_, &resolution));
 
   exec::PipelineExecutor executor;
   exec::ExecOptions exec_options;
@@ -132,29 +114,19 @@ Result<exec::IngestStats> Reader::ReadStream(
 }
 
 Result<plan::ParsePlan> Reader::Explain() && {
-  LoadResult resolution;
-  std::string file_sample;
-  std::string_view sample = buffer_;
-  bool truncated = false;
+  FileHead head;  // stays empty for a buffer, which is its own sample
   if (from_file_) {
-    FileChunkReader head;
-    PARPARAW_RETURN_NOT_OK_CTX(head.Open(path_), "reader.open");
-    if (head.file_size() > 0) {
-      bool eof = false;
-      PARPARAW_RETURN_NOT_OK_CTX(
-          head.ReadNext(
-              std::min<size_t>(static_cast<size_t>(head.file_size()),
-                               std::max<size_t>(256 * 1024,
-                                                options_.tuning.sample_budget)),
-              &file_sample, &eof),
-          "reader.sample");
-    }
-    sample = file_sample;
-    truncated = static_cast<int64_t>(file_sample.size()) < head.file_size();
+    PARPARAW_ASSIGN_OR_RETURN(
+        head, ReadFileHead(path_,
+                           std::max(kHeadSampleBytes,
+                                    options_.tuning.sample_budget),
+                           "reader"));
   }
+  const std::string_view sample = from_file_ ? head.bytes : buffer_;
+  LoadResult resolution;
   PARPARAW_ASSIGN_OR_RETURN(
       ParseOptions base,
-      BulkLoader::ResolveBaseOptions(sample, truncated, options_,
+      BulkLoader::ResolveBaseOptions(sample, head.truncated, options_,
                                      &resolution));
   PARPARAW_RETURN_NOT_OK(base.Validate());
   // The planner wants the packed format a real parse would run with; an
@@ -163,7 +135,7 @@ Result<plan::ParsePlan> Reader::Explain() && {
   PARPARAW_ASSIGN_OR_RETURN(std::optional<dialect::CompiledDialect> fallback,
                             dialect::ResolveParseDialect(&base));
   if (fallback.has_value()) return plan::StaticPlan(base);
-  return plan::PlanStream(sample, truncated, &base);
+  return plan::PlanStream(sample, head.truncated, &base);
 }
 
 }  // namespace parparaw

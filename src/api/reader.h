@@ -31,10 +31,10 @@ namespace parparaw {
 ///       [&](Table&& batch) { return Append(std::move(batch)); });
 ///
 /// Every Read* entry point validates the option combination up front
-/// (ParseOptions::Validate) and runs the pipelined ingestion executor by
-/// default, so reads overlap parsing and type conversion across
-/// partitions. The old entry points remain as the stable low-level API;
-/// new code should start here.
+/// (ParseOptions::Validate) and runs the pipelined ingestion executor, so
+/// reads overlap parsing and type conversion across partitions. The old
+/// entry points remain as the stable low-level API; new code should start
+/// here.
 class Reader {
  public:
   /// Reads a delimiter-separated file from disk, partition by partition.
@@ -70,9 +70,6 @@ class Reader {
   /// Collect per-column statistics into LoadResult (Read() ignores them;
   /// off by default — BulkLoader's default is on).
   Reader&& WithStatistics(bool enabled) &&;
-  /// false = serial partition-at-a-time schedule (differential testing,
-  /// single-thread debugging). Default: pipelined.
-  Reader&& Pipelined(bool enabled) &&;
 
   // --- terminal operations ---
 

@@ -180,10 +180,9 @@ struct ParseOptions : public Tuning {
   /// Parse() whose estimated working set (~16x input, see
   /// robust::EstimateParseMemory) exceeds the budget fails with
   /// kResourceExhausted instead of attempting the allocations; the
-  /// streaming parser, bulk loader and pipelined executor degrade instead
-  /// — smaller partitions / streaming the file / fewer in-flight
-  /// partitions — and never return kResourceExhausted for the budget
-  /// alone.
+  /// pipelined executor, which the streaming parser and bulk loader run
+  /// on, degrades instead — smaller partitions, fewer in flight — and
+  /// never returns kResourceExhausted for the budget alone.
   int64_t memory_budget = 0;
 
   /// Validates the option *combination* without looking at any input.

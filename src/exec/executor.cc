@@ -48,19 +48,38 @@ struct PartitionTask {
   /// Bytes this partition consumed from the stream (excludes the carry,
   /// already counted when its partition was consumed).
   int64_t partition_bytes = 0;
+  /// Bytes this partition carried over into the next one.
+  int64_t carry_bytes = 0;
   bool is_last = false;
   StagedParse parse;
+  /// Output of the scalar dialect walk, which parses the whole partition
+  /// inside the scan morsel (over-budget dialects only).
+  std::optional<ParseOutput> walked;
+
+  bool finished() const { return walked.has_value() || parse.finished(); }
+  int64_t remainder_offset() const {
+    return walked.has_value() ? walked->remainder_offset
+                              : parse.remainder_offset();
+  }
+  ParseOutput TakeOutput() {
+    return walked.has_value() ? std::move(*walked) : parse.TakeOutput();
+  }
 };
 
 /// A converted partition parked until every lower-indexed partition has
 /// been delivered (results must reach the sink / the concatenation in
 /// stream order no matter which worker converted them first).
 struct ConvertedPartition {
+  /// A parse error of this partition. It surfaces when delivery reaches
+  /// the partition, so the ingest fails with the first failing partition
+  /// in stream order no matter which worker failed first.
+  Status status;
   ParseOutput output;
   /// Stream offset of the partition buffer's first byte (quarantine spans
   /// are re-based against it at delivery).
   int64_t buffer_base = 0;
   int64_t partition_bytes = 0;
+  int64_t carry_bytes = 0;
 };
 
 /// Sequential partition source, either disk-backed or an in-memory view.
@@ -88,16 +107,11 @@ class FileSource final : public ChunkSource {
 
   Status SampleHead(size_t max_bytes, std::string* sample,
                     bool* truncated) override {
-    // A throwaway reader keeps the streaming reader's position at byte 0.
-    FileChunkReader sampler;
-    PARPARAW_RETURN_NOT_OK(sampler.Open(path_));
-    sample->clear();
-    if (sampler.file_size() > 0) {
-      bool eof = false;
-      PARPARAW_RETURN_NOT_OK(sampler.ReadNext(max_bytes, sample, &eof));
-    }
-    *truncated =
-        static_cast<int64_t>(sample->size()) < sampler.file_size();
+    // A separate read keeps the streaming reader's position at byte 0.
+    PARPARAW_ASSIGN_OR_RETURN(FileHead head,
+                              ReadFileHead(path_, max_bytes, "exec"));
+    *sample = std::move(head.bytes);
+    *truncated = head.truncated;
     return Status::OK();
   }
 
@@ -191,30 +205,21 @@ class PipelineRun {
       return Status::Invalid("partition size must be positive");
     }
 
-    // Compile a user dialect once per ingest, not once per partition. The
-    // pipelined stages need the packed Dfa, so an over-budget dialect is a
-    // clean refusal here; Parser::Parse and StreamingParser carry the
-    // scalar fallback.
+    // Compile a user dialect once per ingest, not once per partition. An
+    // over-budget dialect keeps its automaton for the scan morsel's
+    // scalar walk.
     base_ = options_.base;
-    {
-      PARPARAW_ASSIGN_OR_RETURN(
-          std::optional<dialect::CompiledDialect> fallback,
-          dialect::ResolveParseDialect(&base_));
-      if (fallback.has_value()) {
-        return Status::Invalid(
-            "dialect '" + fallback->spec.name + "' needs " +
-            std::to_string(fallback->minimized_states) +
-            " DFA states, over the SIMD register budget; the pipelined "
-            "executor cannot run its scalar fallback — use Parser::Parse "
-            "or StreamingParser");
-      }
-    }
+    PARPARAW_ASSIGN_OR_RETURN(fallback_,
+                              dialect::ResolveParseDialect(&base_));
 
     // Plan once for the whole ingest from the stream's head sample; every
-    // partition then parses under the pinned knobs. An I/O failure on the
+    // partition then parses under the pinned knobs. The scalar walk has no
+    // plannable knobs, so it runs the static plan. An I/O failure on the
     // sample is never fatal under kAuto — the static defaults are always
     // correct.
-    {
+    if (fallback_.has_value()) {
+      result_.plan = plan::StaticPlan(base_);
+    } else {
       std::string sample;
       bool truncated = false;
       Status sampled = Status::OK();
@@ -505,16 +510,27 @@ class PipelineRun {
     // partition size and admission are already clamped to fit, so the
     // per-partition parse must not re-apply the monolithic refusal.
     po.memory_budget = 0;
-    const Status scanned = task->parse.Scan(task->buffer, po);
+    Status scanned;
+    if (fallback_.has_value()) {
+      Result<ParseOutput> walked =
+          dialect::FallbackParse(task->buffer, *fallback_, po);
+      scanned = walked.status();
+      if (scanned.ok()) task->walked = std::move(walked).ValueOrDie();
+    } else {
+      scanned = task->parse.Scan(task->buffer, po);
+    }
     if (!scanned.ok()) {
-      Fail(scanned.WithContext("exec.scan"));
+      // The carry-over is unknown, so the scan chain stops here: the scan
+      // token is never passed on and later chunks stay parked until the
+      // error's delivery aborts the run.
+      Park(task->index, scanned.WithContext("exec.scan"));
       return;
     }
     if (!task->is_last) {
-      const int64_t remainder = task->parse.remainder_offset();
+      const int64_t remainder = task->remainder_offset();
       if (remainder < 0 ||
           remainder > static_cast<int64_t>(task->buffer.size())) {
-        Fail(Status::Internal("executor remainder out of range"));
+        Park(task->index, Status::Internal("executor remainder out of range"));
         return;
       }
       // A record larger than a partition simply keeps accumulating into
@@ -524,6 +540,7 @@ class PipelineRun {
     } else {
       carry_.clear();
     }
+    task->carry_bytes = static_cast<int64_t>(carry_.size());
     stream_consumed_ += task->partition_bytes;
     first_ = false;
     if (metrics_ != nullptr && metrics_->enabled()) {
@@ -574,10 +591,10 @@ class PipelineRun {
     obs::TraceSpan span(base_.tracer, "morsel.sort", "sched",
                         static_cast<int64_t>(task->partition_bytes));
     Stopwatch watch;
-    if (!task->parse.finished()) {
+    if (!task->finished()) {
       const Status sorted = task->parse.Partition();
       if (!sorted.ok()) {
-        Fail(sorted.WithContext("exec.sort"));
+        Park(task->index, sorted.WithContext("exec.sort"));
         return;
       }
     }
@@ -607,25 +624,38 @@ class PipelineRun {
     obs::TraceSpan span(base_.tracer, "morsel.convert", "sched",
                         static_cast<int64_t>(task->partition_bytes));
     Stopwatch watch;
-    if (!task->parse.finished()) {
+    if (!task->finished()) {
       const Status converted = task->parse.Convert();
       if (!converted.ok()) {
-        Fail(converted.WithContext("exec.convert"));
+        Park(task->index, converted.WithContext("exec.convert"));
         return;
       }
     }
     ConvertedPartition done;
-    done.output = task->parse.TakeOutput();
+    done.output = task->TakeOutput();
     done.buffer_base = task->buffer_base;
     done.partition_bytes = task->partition_bytes;
+    done.carry_bytes = task->carry_bytes;
     if (metrics_ != nullptr && metrics_->enabled()) {
       obs::RecordMillis(metrics_, "exec.convert_us",
                         watch.ElapsedMillis());
     }
     AddStageSeconds(&result_.stats.convert_seconds, watch.ElapsedSeconds());
+    Complete(task->index, std::move(done));
+  }
+
+  /// Parks a partition's parse error in the reorder window; delivery
+  /// fails the run when it reaches the partition.
+  void Park(int64_t index, Status status) {
+    ConvertedPartition failed;
+    failed.status = std::move(status);
+    Complete(index, std::move(failed));
+  }
+
+  void Complete(int64_t index, ConvertedPartition part) {
     {
       std::lock_guard<std::mutex> lock(state_mu_);
-      completed_.emplace(task->index, std::move(done));
+      completed_.emplace(index, std::move(part));
     }
     TryDeliver();
   }
@@ -664,6 +694,10 @@ class PipelineRun {
   /// — hence the result — is identical to the serial schedule.
   bool DeliverOne(ConvertedPartition part) {
     if (aborted()) return false;  // teardown drains the remaining slots
+    if (!part.status.ok()) {
+      Fail(std::move(part.status));
+      return false;
+    }
     ParseOutput& out = part.output;
     // Re-base quarantined records from partition coordinates to stream
     // coordinates (rows index the concatenated table, spans the logical
@@ -679,6 +713,12 @@ class PipelineRun {
     rows_accumulated_ += out.table.num_rows;
     ++result_.stats.num_partitions;
     result_.stats.bytes += part.partition_bytes;
+    PartitionRecord record;
+    record.bytes = part.partition_bytes;
+    record.carry_bytes = part.carry_bytes;
+    record.output_bytes = out.table.TotalBufferBytes();
+    record.work = out.work;
+    result_.partitions.push_back(record);
     if (sink_ != nullptr) {
       const Status sunk = (*sink_)(std::move(out.table));
       if (!sunk.ok()) {
@@ -704,6 +744,8 @@ class PipelineRun {
   const ExecOptions& options_;
   /// options_.base with any dialect resolved into a packed format.
   ParseOptions base_;
+  /// An over-budget dialect, parsed by the scalar walk; nullopt otherwise.
+  std::optional<dialect::CompiledDialect> fallback_;
   const PartitionSink* sink_;
   obs::MetricsRegistry* metrics_;
 

@@ -33,12 +33,6 @@ struct ExecOptions {
   /// never refuses), otherwise one partition per stage (4).
   int max_inflight_partitions = 0;
 
-  /// Unused since the morsel-driven scheduler replaced the inter-stage
-  /// queues (kept so existing call sites keep compiling). Backpressure is
-  /// now solely the admission controller's: max_inflight_partitions
-  /// bounds everything resident across scan/sort/convert.
-  size_t queue_capacity = 2;
-
   /// Test hook invoked at each stage's entry for each partition:
   /// stage 0 = read, 1 = scan, 2 = sort, 3 = convert. Used by the test
   /// suite to throttle a stage (backpressure) or trigger cancellation at
@@ -72,14 +66,28 @@ struct IngestStats {
   double convert_seconds = 0;
 };
 
-/// Result of a pipelined ingest. Mirrors StreamingResult's data surface
-/// (the executor is the *real* counterpart of the modelled Fig. 7
-/// schedule, so there is no modelled timeline here).
+/// What one partition did, recorded at in-order delivery. StreamingParser
+/// replays these records through its PCIe and device models to build the
+/// modelled Fig. 7 timeline of the ingest.
+struct PartitionRecord {
+  /// Stream bytes the partition consumed (excludes its carry-in).
+  int64_t bytes = 0;
+  /// Bytes of the unterminated trailing record carried into the next
+  /// partition.
+  int64_t carry_bytes = 0;
+  /// Buffer bytes of the partition's table (Table::TotalBufferBytes).
+  int64_t output_bytes = 0;
+  WorkCounters work;
+};
+
+/// Result of a pipelined ingest (the executor is the *real* counterpart of
+/// the modelled Fig. 7 schedule; StreamingParser derives the modelled
+/// timeline from `partitions`).
 struct IngestResult {
   Table table;
   /// Under ErrorPolicy::kQuarantine: malformed records across all
-  /// partitions, rows/spans stream-relative exactly as for
-  /// StreamingParser.
+  /// partitions. Rows index `table`, spans index the logical byte stream;
+  /// record_index stays partition-local.
   robust::QuarantineTable quarantine;
   /// Kernel level every partition's context/bitmap passes ran with.
   simd::KernelLevel kernel_level = simd::KernelLevel::kScalar;
@@ -90,6 +98,8 @@ struct IngestResult {
   StepTimings timings;
   WorkCounters work;
   IngestStats stats;
+  /// One record per delivered partition, in stream order.
+  std::vector<PartitionRecord> partitions;
 };
 
 /// Consumes per-partition tables in stream order (bounded-memory
@@ -126,11 +136,18 @@ using PartitionSink = std::function<Status(Table&&)>;
 /// Several files can be ingested concurrently through one executor; they
 /// share the admission controller, so the budget holds globally.
 ///
+/// A dialect over the SIMD register budget runs the same schedule: its
+/// scan morsel parses the whole partition with the scalar
+/// dialect::FallbackParse walk and the sort/convert morsels pass it
+/// through. A parse error surfaces in stream order, so the ingest fails
+/// with the error of the first failing partition, as a monolithic parse
+/// would.
+///
 /// Cancellation is cooperative: Cancel() aborts every in-flight ingest
 /// at its next stage boundary with StatusCode::kCancelled. Faults from
 /// the failpoint registry (exec.queue.*.push/pop, exec.read,
 /// exec.ingest) surface as clean errors; the chaos suite asserts
-/// clean-error-or-bit-identical against the serial path.
+/// clean-error-or-bit-identical against the fault-free run.
 class PipelineExecutor {
  public:
   PipelineExecutor() = default;
@@ -173,8 +190,8 @@ class PipelineExecutor {
       int max_concurrent_files = 2);
 
   /// Cooperatively cancels every in-flight (and future) ingest on this
-  /// executor: stages stop at their next boundary, queues unblock, and
-  /// the ingest returns kCancelled. One-shot — construct a fresh
+  /// executor: stages stop at their next boundary, admission waits wake,
+  /// and the ingest returns kCancelled. One-shot — construct a fresh
   /// executor to ingest again.
   void Cancel();
 

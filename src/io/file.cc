@@ -1,5 +1,6 @@
 #include "io/file.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -68,6 +69,24 @@ Result<std::string> ReadFileToString(const std::string& path) {
   }
   std::fclose(file);
   return contents;
+}
+
+Result<FileHead> ReadFileHead(const std::string& path, size_t max_bytes,
+                              const std::string& context) {
+  FileChunkReader reader;
+  PARPARAW_RETURN_NOT_OK_CTX(reader.Open(path), context + ".open");
+  FileHead head;
+  head.file_size = reader.file_size();
+  if (head.file_size > 0) {
+    bool eof = false;
+    PARPARAW_RETURN_NOT_OK_CTX(
+        reader.ReadNext(std::min<size_t>(static_cast<size_t>(head.file_size),
+                                         max_bytes),
+                        &head.bytes, &eof),
+        context + ".sample");
+  }
+  head.truncated = static_cast<int64_t>(head.bytes.size()) < head.file_size;
+  return head;
 }
 
 Status WriteStringToFile(const std::string& path, std::string_view contents) {

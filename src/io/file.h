@@ -1,6 +1,7 @@
 #ifndef PARPARAW_IO_FILE_H_
 #define PARPARAW_IO_FILE_H_
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 
@@ -8,17 +9,34 @@
 
 namespace parparaw {
 
+/// Bytes of a file's head read to sniff its dialect, name its header
+/// columns and infer its column types.
+inline constexpr size_t kHeadSampleBytes = 256 * 1024;
+
 /// Reads an entire file into memory.
 Result<std::string> ReadFileToString(const std::string& path);
+
+/// The first bytes of a file.
+struct FileHead {
+  std::string bytes;
+  int64_t file_size = 0;
+  /// True when the file continues past `bytes`.
+  bool truncated = false;
+};
+
+/// Reads the first min(file size, max_bytes) bytes of `path`. An open
+/// failure carries the error context `<context>.open`, a read failure
+/// `<context>.sample`.
+Result<FileHead> ReadFileHead(const std::string& path, size_t max_bytes,
+                              const std::string& context);
 
 /// Writes (truncating) `contents` to `path`.
 Status WriteStringToFile(const std::string& path, std::string_view contents);
 
-/// \brief Sequential chunk reader feeding the streaming parser from disk.
+/// \brief Sequential chunk reader feeding the executor from disk.
 ///
-/// Reads fixed-size partitions; the caller prepends its own carry-over
-/// (the streaming parser does this internally when given whole buffers —
-/// this reader exists so inputs larger than memory can be streamed).
+/// Reads fixed-size partitions; the caller prepends its own carry-over.
+/// This reader exists so inputs larger than memory can be streamed.
 class FileChunkReader {
  public:
   FileChunkReader() = default;

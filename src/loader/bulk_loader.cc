@@ -7,8 +7,6 @@
 #include "exec/executor.h"
 #include "io/file.h"
 #include "robust/failpoint.h"
-#include "robust/resource_guard.h"
-#include "stream/streaming_parser.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
 
@@ -16,30 +14,63 @@ namespace parparaw {
 
 namespace {
 
-// Extracts and unquotes the first raw line's pieces as column names.
+// One header field as a column name: whitespace trimmed, surrounding
+// quotes removed and a doubled quote inside them read as a literal quote.
+std::string HeaderName(std::string_view piece, char quote) {
+  piece = TrimWhitespace(piece);
+  if (quote == 0 || piece.size() < 2 || piece.front() != quote ||
+      piece.back() != quote) {
+    return std::string(piece);
+  }
+  piece = piece.substr(1, piece.size() - 2);
+  std::string name;
+  for (size_t i = 0; i < piece.size(); ++i) {
+    name += piece[i];
+    if (piece[i] == quote && i + 1 < piece.size() && piece[i + 1] == quote) {
+      ++i;
+    }
+  }
+  return name;
+}
+
+// Splits the first record into column names. Quote-aware: a field or
+// record delimiter inside a quoted field belongs to the name.
 std::vector<std::string> HeaderNames(std::string_view input,
                                      const DsvOptions& dialect) {
-  const size_t eol = input.find(static_cast<char>(dialect.record_delimiter));
-  std::string_view header =
-      eol == std::string_view::npos ? input : input.substr(0, eol);
-  if (!header.empty() && header.back() == '\r') header.remove_suffix(1);
+  const char quote = static_cast<char>(dialect.quote);
+  const char field_delimiter = static_cast<char>(dialect.field_delimiter);
+  const char record_delimiter = static_cast<char>(dialect.record_delimiter);
   std::vector<std::string> names;
-  for (std::string_view piece :
-       SplitString(header, static_cast<char>(dialect.field_delimiter))) {
-    piece = TrimWhitespace(piece);
-    if (piece.size() >= 2 && dialect.quote != 0 &&
-        piece.front() == static_cast<char>(dialect.quote) &&
-        piece.back() == static_cast<char>(dialect.quote)) {
-      piece = piece.substr(1, piece.size() - 2);
+  size_t begin = 0;
+  bool quoted_field = false;  // the current field opened with a quote
+  bool quoted = false;        // inside that field's quotes
+  for (size_t i = 0;; ++i) {
+    const bool end_of_record =
+        i == input.size() || (!quoted && input[i] == record_delimiter);
+    if (!end_of_record) {
+      // As in the parser, only a quote at the field's start opens a quoted
+      // field; inside one every quote toggles, so a doubled quote (an
+      // escaped literal) leaves it open.
+      if (quote != 0 && input[i] == quote) {
+        if (i == begin) quoted_field = true;
+        if (quoted_field) quoted = !quoted;
+      }
+      if (quoted || input[i] != field_delimiter) continue;
     }
-    names.emplace_back(piece);
+    std::string_view piece = input.substr(begin, i - begin);
+    if (end_of_record && !piece.empty() && piece.back() == '\r') {
+      piece.remove_suffix(1);
+    }
+    names.push_back(HeaderName(piece, quote));
+    if (end_of_record) return names;
+    begin = i + 1;
+    quoted_field = false;
   }
-  return names;
 }
 
 // Resolves dialect, header names and column types from the input head.
 // `sample` is the start of the input; `sample_truncated` says it is a
-// proper prefix (a disk-streaming load only reads the head), in which case
+// proper prefix (a file load reads only the head), in which case
 // the inference probe excludes the possibly cut-off trailing record.
 // Fills result->dialect and returns the per-partition ParseOptions.
 Result<ParseOptions> ResolveBase(std::string_view sample,
@@ -124,7 +155,7 @@ Result<ParseOptions> ResolveBase(std::string_view sample,
     // sample. The real stream plans downstream.
     sample_options.planner = PlannerMode::kDisabled;
     const std::string_view probe_input =
-        sample.substr(0, std::min<size_t>(sample.size(), 256 * 1024));
+        sample.substr(0, std::min(sample.size(), kHeadSampleBytes));
     // A probe cut off mid-record would see a garbled last row and could
     // widen a column to string; drop the partial trailing record instead.
     sample_options.exclude_trailing_record =
@@ -144,14 +175,21 @@ Result<ParseOptions> ResolveBase(std::string_view sample,
   return base;
 }
 
-// Shared tail of every load path: table, quarantine, rejects, statistics.
-Result<LoadResult> FinishLoad(Table table, robust::QuarantineTable quarantine,
-                              const StepTimings& timings,
+exec::ExecOptions ExecOptionsFor(ParseOptions base,
+                                 const LoadOptions& options) {
+  exec::ExecOptions exec_options;
+  exec_options.base = std::move(base);
+  exec_options.partition_size = options.partition_size;
+  return exec_options;
+}
+
+// Shared tail of both load paths: table, quarantine, rejects, statistics.
+Result<LoadResult> FinishLoad(exec::IngestResult ingested,
                               const LoadOptions& options,
                               const Stopwatch& watch, LoadResult result) {
-  result.table = std::move(table);
-  result.quarantine = std::move(quarantine);
-  result.timings = timings;
+  result.table = std::move(ingested.table);
+  result.quarantine = std::move(ingested.quarantine);
+  result.timings = ingested.timings;
   result.rows_loaded = result.table.num_rows;
   result.rows_rejected = result.table.NumRejected();
 
@@ -163,40 +201,6 @@ Result<LoadResult> FinishLoad(Table table, robust::QuarantineTable quarantine,
   }
   result.seconds = watch.ElapsedSeconds();
   return result;
-}
-
-// Disk-streaming load for files whose monolithic parse would not fit the
-// memory budget: only the head sample plus one (budget-clamped) partition
-// and its carry-over are ever resident.
-Result<LoadResult> LoadFileStreaming(const std::string& path,
-                                     int64_t file_size,
-                                     const LoadOptions& options) {
-  Stopwatch watch;
-  LoadResult result;
-  result.input_bytes = file_size;
-
-  FileChunkReader reader;
-  PARPARAW_RETURN_NOT_OK_CTX(reader.Open(path), "loader.open");
-  std::string sample;
-  bool eof = false;
-  PARPARAW_RETURN_NOT_OK_CTX(
-      reader.ReadNext(std::min<size_t>(static_cast<size_t>(file_size),
-                                       256 * 1024),
-                      &sample, &eof),
-      "loader.sample");
-  PARPARAW_ASSIGN_OR_RETURN(
-      ParseOptions base,
-      ResolveBase(sample, static_cast<int64_t>(sample.size()) < file_size,
-                  options, &result));
-
-  StreamingOptions streaming;
-  streaming.base = base;
-  streaming.partition_size = options.partition_size;
-  PARPARAW_ASSIGN_OR_RETURN_CTX(
-      StreamingResult streamed, StreamingParser::ParseFile(path, streaming),
-      "loader.stream");
-  return FinishLoad(std::move(streamed.table), std::move(streamed.quarantine),
-                    streamed.timings, options, watch, std::move(result));
 }
 
 }  // namespace
@@ -246,89 +250,35 @@ Result<LoadResult> BulkLoader::LoadBuffer(std::string_view input,
   PARPARAW_ASSIGN_OR_RETURN(
       ParseOptions base,
       ResolveBase(input, /*sample_truncated=*/false, options, &result));
-
-  if (options.pipelined) {
-    exec::PipelineExecutor executor;
-    exec::ExecOptions exec_options;
-    exec_options.base = base;
-    exec_options.partition_size = options.partition_size;
-    PARPARAW_ASSIGN_OR_RETURN_CTX(
-        exec::IngestResult ingested,
-        executor.IngestBuffer(input, exec_options), "loader.exec");
-    return FinishLoad(std::move(ingested.table),
-                      std::move(ingested.quarantine), ingested.timings,
-                      options, watch, std::move(result));
-  }
-
-  StreamingOptions streaming;
-  streaming.base = base;
-  streaming.partition_size = options.partition_size;
-  PARPARAW_ASSIGN_OR_RETURN_CTX(StreamingResult streamed,
-                                StreamingParser::Parse(input, streaming),
-                                "loader.stream");
-  return FinishLoad(std::move(streamed.table), std::move(streamed.quarantine),
-                    streamed.timings, options, watch, std::move(result));
+  exec::PipelineExecutor executor;
+  PARPARAW_ASSIGN_OR_RETURN_CTX(
+      exec::IngestResult ingested,
+      executor.IngestBuffer(input, ExecOptionsFor(std::move(base), options)),
+      "loader.exec");
+  return FinishLoad(std::move(ingested), options, watch, std::move(result));
 }
 
 Result<LoadResult> BulkLoader::LoadFile(const std::string& path,
                                         const LoadOptions& options) {
   PARPARAW_FAILPOINT("loader.load");
-  if (options.pipelined) {
-    // The pipelined engine reads the file partition by partition and its
-    // admission controller enforces the memory budget, so there is no
-    // whole-file materialisation and no separate degraded path: only the
-    // head sample (dialect + type resolution) is read twice.
-    Stopwatch watch;
-    LoadResult result;
-    FileChunkReader reader;
-    PARPARAW_RETURN_NOT_OK_CTX(reader.Open(path), "loader.open");
-    result.input_bytes = reader.file_size();
-    std::string sample;
-    if (reader.file_size() > 0) {
-      bool eof = false;
-      PARPARAW_RETURN_NOT_OK_CTX(
-          reader.ReadNext(std::min<size_t>(
-                              static_cast<size_t>(reader.file_size()),
-                              256 * 1024),
-                          &sample, &eof),
-          "loader.sample");
-    }
-    PARPARAW_ASSIGN_OR_RETURN(
-        ParseOptions base,
-        ResolveBase(sample,
-                    static_cast<int64_t>(sample.size()) < result.input_bytes,
-                    options, &result));
-
-    exec::PipelineExecutor executor;
-    exec::ExecOptions exec_options;
-    exec_options.base = base;
-    exec_options.partition_size = options.partition_size;
-    PARPARAW_ASSIGN_OR_RETURN_CTX(exec::IngestResult ingested,
-                                  executor.IngestFile(path, exec_options),
-                                  "loader.exec");
-    return FinishLoad(std::move(ingested.table),
-                      std::move(ingested.quarantine), ingested.timings,
-                      options, watch, std::move(result));
-  }
-
-  if (options.memory_budget > 0) {
-    FileChunkReader reader;
-    PARPARAW_RETURN_NOT_OK_CTX(reader.Open(path), "loader.open");
-    // The whole-file parse would not fit: degrade to streaming straight
-    // from disk instead of failing with kResourceExhausted. LoadOptions
-    // carries no transpose mode, so the envelope is the one the resolved
-    // per-partition options will use (the process default).
-    if (robust::EstimateParseMemory(reader.file_size(),
-                                    ParseWorkingSetFactor(ParseOptions{})) >
-        options.memory_budget) {
-      return LoadFileStreaming(path, reader.file_size(), options);
-    }
-  }
-  PARPARAW_ASSIGN_OR_RETURN_CTX(std::string contents, ReadFileToString(path),
-                                "loader.read");
-  LoadOptions serial = options;
-  serial.pipelined = false;
-  return BulkLoader::LoadBuffer(contents, serial);
+  // The executor reads the file partition by partition and its admission
+  // controller enforces the memory budget, so the file is never
+  // materialised whole: only the head sample (dialect and type
+  // resolution) is read twice.
+  Stopwatch watch;
+  LoadResult result;
+  PARPARAW_ASSIGN_OR_RETURN(FileHead head,
+                            ReadFileHead(path, kHeadSampleBytes, "loader"));
+  result.input_bytes = head.file_size;
+  PARPARAW_ASSIGN_OR_RETURN(
+      ParseOptions base,
+      ResolveBase(head.bytes, head.truncated, options, &result));
+  exec::PipelineExecutor executor;
+  PARPARAW_ASSIGN_OR_RETURN_CTX(
+      exec::IngestResult ingested,
+      executor.IngestFile(path, ExecOptionsFor(std::move(base), options)),
+      "loader.exec");
+  return FinishLoad(std::move(ingested), options, watch, std::move(result));
 }
 
 }  // namespace parparaw

@@ -19,8 +19,7 @@ struct LoadOptions {
   Format format;
   /// A user-defined dialect (src/dialect), compiled at runtime; mutually
   /// exclusive with an explicit format and skips sniffing. Over-budget
-  /// dialects route through the scalar fallback on the serial path and
-  /// are refused by the pipelined executor.
+  /// dialects parse each partition with the scalar fallback walk.
   std::optional<dialect::DialectSpec> dialect;
   /// Header handling: -1 = auto (from the sniffer), 0 = no header,
   /// 1 = first row is a header (its names become the column names).
@@ -36,17 +35,11 @@ struct LoadOptions {
   bool collect_statistics = true;
   /// What to do with malformed records (see robust/quarantine.h).
   robust::ErrorPolicy error_policy = robust::ErrorPolicy::kNull;
-  /// Soft cap on parse working-set bytes; 0 = unlimited. The loader
-  /// degrades instead of failing: partitions shrink to fit, and LoadFile
-  /// switches to a disk-streaming parse (never materialising the whole
-  /// file) when the file itself would blow the budget.
+  /// Soft cap on parse working-set bytes; 0 = unlimited. The executor
+  /// degrades instead of failing: partitions shrink to fit and fewer of
+  /// them are in flight. LoadFile never materialises the whole file.
   int64_t memory_budget = 0;
   ThreadPool* pool = nullptr;
-  /// Run the load through the pipelined execution engine (src/exec):
-  /// partition k's type conversion overlaps k+1's parse and k+2's disk
-  /// read. false = the serial partition-at-a-time path, kept for
-  /// differential testing (both must produce bit-identical tables).
-  bool pipelined = true;
 };
 
 /// Result of a bulk load: the table plus everything an ingest pipeline
@@ -69,8 +62,9 @@ struct LoadResult {
 
 /// \brief Bulk loading — the data-ingestion use case of the paper's
 /// introduction, end to end: dialect sniffing, header/name resolution,
-/// type inference, massively parallel streaming parse with bounded
-/// partition memory, reject accounting, and post-load column statistics.
+/// type inference, the pipelined ingestion executor (src/exec) with
+/// bounded partition memory, reject accounting, and post-load column
+/// statistics.
 class BulkLoader {
  public:
   /// Loads a delimiter-separated file from disk.

@@ -613,30 +613,16 @@ bool Server::HandleParse(Connection* conn, const FrameHeader& header,
 
   // Resolve dialect/header/types from the input head, exactly like
   // parparaw::Reader, so responses are bit-identical to a local read.
-  LoadResult resolution;
-  std::string file_sample;
-  std::string_view sample = config->rest;
-  bool truncated = false;
+  FileHead head;  // stays empty for an inline payload, its own sample
   if (from_file) {
-    FileChunkReader head;
-    const Status opened = head.Open(path);
-    if (!opened.ok()) {
-      return SendError(conn, opened.WithContext("serve.open"));
-    }
-    if (head.file_size() > 0) {
-      bool eof = false;
-      const Status sampled = head.ReadNext(
-          std::min<size_t>(static_cast<size_t>(head.file_size()), 256 * 1024),
-          &file_sample, &eof);
-      if (!sampled.ok()) {
-        return SendError(conn, sampled.WithContext("serve.sample"));
-      }
-    }
-    sample = file_sample;
-    truncated = static_cast<int64_t>(file_sample.size()) < head.file_size();
+    Result<FileHead> read = ReadFileHead(path, kHeadSampleBytes, "serve");
+    if (!read.ok()) return SendError(conn, read.status());
+    head = std::move(*read);
   }
+  LoadResult resolution;
   Result<ParseOptions> base = BulkLoader::ResolveBaseOptions(
-      sample, truncated, config->load, &resolution);
+      from_file ? head.bytes : config->rest, head.truncated, config->load,
+      &resolution);
   if (!base.ok()) {
     return SendError(conn, base.status().WithContext("serve.resolve"));
   }

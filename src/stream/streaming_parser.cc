@@ -1,276 +1,74 @@
 #include "stream/streaming_parser.h"
 
-#include <algorithm>
-#include <string>
+#include <utility>
 #include <vector>
 
-#include "core/parser.h"
-#include "dialect/dialect.h"
-#include "io/file.h"
-#include "obs/obs.h"
-#include "plan/planner.h"
-#include "robust/failpoint.h"
-#include "robust/resource_guard.h"
-#include "util/stopwatch.h"
+#include "exec/executor.h"
 
 namespace parparaw {
 
 namespace {
 
-// Shared per-partition machinery for the in-memory and file-backed entry
-// points: feeds carry-over + partition bytes to the parser, collects the
-// partition table, and derives the Fig. 7 stage durations.
-class PartitionSession {
- public:
-  explicit PartitionSession(const StreamingOptions& options)
-      : options_(options), device_(options.device) {
-    num_states_ = options.base.format.dfa.num_states() > 0
-                      ? options.base.format.dfa.num_states()
-                      : 6;  // RFC 4180 default
-    // Dispatch once per stream (not per partition): every partition parse
-    // runs the same resolved kernel, and the result reports which.
-    result_.kernel_level = simd::ResolveKernelLevel(options.base.kernel);
-  }
+exec::ExecOptions ToExecOptions(const StreamingOptions& options) {
+  exec::ExecOptions exec_options;
+  exec_options.base = options.base;
+  exec_options.partition_size = options.partition_size;
+  return exec_options;
+}
 
-  Status ProcessPartition(std::string_view partition, bool is_last) {
-    PARPARAW_FAILPOINT("stream.chunk");
-    obs::TraceSpan span(options_.base.tracer, "partition", "stream",
-                        static_cast<int64_t>(partition.size()));
-    Stopwatch partition_watch;
-    // Stream offset of buffer[0]: the carry bytes were already counted when
-    // their partition was consumed, so back them out.
-    const int64_t buffer_base =
-        stream_consumed_ - static_cast<int64_t>(carry_.size());
-    std::string buffer;
-    buffer.reserve(carry_.size() + partition.size());
-    buffer.append(carry_);
-    buffer.append(partition);
+// Replays the executor's per-partition records through the PCIe and device
+// models: the modelled Fig. 7 schedule of the ingest that just ran.
+Result<StreamingResult> ModelStream(Result<exec::IngestResult> ingested,
+                                    const StreamingOptions& options) {
+  PARPARAW_RETURN_NOT_OK(ingested.status());
+  exec::IngestResult& run = *ingested;
+  StreamingResult result;
+  result.table = std::move(run.table);
+  result.quarantine = std::move(run.quarantine);
+  result.kernel_level = run.kernel_level;
+  result.wall_seconds = run.stats.wall_seconds;
+  result.num_partitions = run.stats.num_partitions;
+  result.timings = run.timings;
+  result.work = run.work;
 
-    ParseOptions partition_options = options_.base;
-    partition_options.exclude_trailing_record = !is_last;
-    // Leading-row pruning applies to the stream, not to every buffer: only
-    // the first partition skips (previously base.skip_rows silently dropped
-    // records at every partition seam).
-    if (!first_partition_) partition_options.skip_rows = 0;
-    // Streaming *is* the degradation path for the memory budget — the
-    // partition size is already clamped to fit, so the per-partition parse
-    // must not re-apply the monolithic refusal.
-    partition_options.memory_budget = 0;
-    ParseOutput out;
-    if (fallback_ != nullptr) {
-      // Over-budget dialect, compiled once for the whole stream: the
-      // scalar walk honours exclude_trailing_record/remainder_offset, so
-      // the carry-over protocol is unchanged.
-      PARPARAW_ASSIGN_OR_RETURN(
-          out, dialect::FallbackParse(buffer, *fallback_, partition_options));
-    } else {
-      PARPARAW_ASSIGN_OR_RETURN(out, Parser::Parse(buffer, partition_options));
-    }
-    if (!is_last) {
-      if (out.remainder_offset < 0 ||
-          out.remainder_offset > static_cast<int64_t>(buffer.size())) {
-        return Status::Internal("streaming remainder out of range");
-      }
-      // A record larger than a partition simply keeps accumulating into
-      // the carry-over until its delimiter arrives (the skewed-input case
-      // of Fig. 11).
-      carry_ = buffer.substr(static_cast<size_t>(out.remainder_offset));
-    } else {
-      carry_.clear();
-    }
-
+  const DeviceModel device(options.device);
+  const int num_columns = result.table.num_columns();
+  const int num_states = options.base.format.dfa.num_states();
+  std::vector<PartitionStages> stages;
+  stages.reserve(run.partitions.size());
+  for (const exec::PartitionRecord& part : run.partitions) {
     PartitionStages stage;
-    stage.h2d_seconds =
-        options_.pcie.H2dSeconds(static_cast<int64_t>(partition.size()));
-    stage.d2h_seconds =
-        options_.pcie.D2hSeconds(out.table.TotalBufferBytes());
-    stage.carry_copy_seconds =
-        device_.MemorySeconds(2 * static_cast<int64_t>(carry_.size()));
-    if (options_.model_parse_stage) {
-      stage.parse_seconds =
-          device_
-              .ModelPipeline(out.work, out.table.num_columns(), num_states_)
-              .TotalMs() /
-          1e3;
-    } else {
-      stage.parse_seconds = out.timings.TotalMs() / 1e3;
-    }
-    stages_.push_back(stage);
-
-    // Re-base quarantined records from partition coordinates to stream
-    // coordinates: rows index the concatenated table, spans the logical
-    // byte stream (both match what ConcatTables produces below).
-    for (robust::QuarantineEntry& entry : out.quarantine.entries()) {
-      entry.row += rows_accumulated_;
-      entry.begin += buffer_base;
-      entry.end += buffer_base;
-      result_.quarantine.Add(std::move(entry));
-    }
-
-    result_.timings += out.timings;
-    result_.work += out.work;
-    rows_accumulated_ += out.table.num_rows;
-    stream_consumed_ += static_cast<int64_t>(partition.size());
-    first_partition_ = false;
-    tables_.push_back(std::move(out.table));
-    ++result_.num_partitions;
-    if (options_.base.metrics != nullptr && options_.base.metrics->enabled()) {
-      obs::MetricsRegistry* m = options_.base.metrics;
-      obs::AddCount(m, "stream.partitions", 1);
-      obs::AddCount(m, "stream.bytes", static_cast<int64_t>(partition.size()));
-      // Chunk latency: wall time from partition receipt to its table.
-      obs::RecordMillis(m, "stream.partition_us",
-                        partition_watch.ElapsedMillis());
-      // Backlog: bytes carried over into the next partition. Record-larger-
-      // than-partition inputs show up here as a growing level.
-      obs::SetGauge(m, "stream.carry_bytes",
-                    static_cast<int64_t>(carry_.size()));
-    }
-    return Status::OK();
+    stage.h2d_seconds = options.pcie.H2dSeconds(part.bytes);
+    stage.d2h_seconds = options.pcie.D2hSeconds(part.output_bytes);
+    stage.carry_copy_seconds = device.MemorySeconds(2 * part.carry_bytes);
+    stage.parse_seconds =
+        device.ModelPipeline(part.work, num_columns, num_states).TotalMs() /
+        1e3;
+    result.modeled_serial_seconds += stage.h2d_seconds +
+                                     stage.parse_seconds +
+                                     stage.d2h_seconds +
+                                     stage.carry_copy_seconds;
+    stages.push_back(stage);
   }
-
-  void SetDialectFallback(const dialect::CompiledDialect* fallback) {
-    fallback_ = fallback;
-  }
-
-  Result<StreamingResult> Finish(double wall_seconds) {
-    result_.wall_seconds = wall_seconds;
-    for (size_t i = 1; i < tables_.size(); ++i) {
-      if (tables_[i].schema.num_fields() != tables_[0].schema.num_fields()) {
-        return Status::ParseError(
-            "partitions observed different column counts; provide a schema "
-            "for streaming parses");
-      }
-    }
-    result_.table = ConcatTables(tables_);
-    result_.timeline = StreamingTimeline::Schedule(stages_);
-    result_.modeled_end_to_end_seconds = result_.timeline.makespan;
-    for (const PartitionStages& s : stages_) {
-      result_.modeled_serial_seconds += s.h2d_seconds + s.parse_seconds +
-                                        s.d2h_seconds +
-                                        s.carry_copy_seconds;
-    }
-    return std::move(result_);
-  }
-
- private:
-  const StreamingOptions& options_;
-  DeviceModel device_;
-  const dialect::CompiledDialect* fallback_ = nullptr;
-  int num_states_;
-  bool first_partition_ = true;
-  int64_t stream_consumed_ = 0;    // partition bytes fed so far
-  int64_t rows_accumulated_ = 0;   // rows emitted by prior partitions
-  std::string carry_;
-  std::vector<Table> tables_;
-  std::vector<PartitionStages> stages_;
-  StreamingResult result_;
-};
+  result.timeline = StreamingTimeline::Schedule(stages);
+  result.modeled_end_to_end_seconds = result.timeline.makespan;
+  return result;
+}
 
 }  // namespace
 
 Result<StreamingResult> StreamingParser::Parse(
     std::string_view input, const StreamingOptions& options) {
-  PARPARAW_RETURN_NOT_OK_CTX(options.base.Validate(), "stream.options");
-  if (options.partition_size == 0) {
-    return Status::Invalid("partition size must be positive");
-  }
-  // Compile a user dialect once per stream, not once per partition.
-  StreamingOptions resolved = options;
-  PARPARAW_ASSIGN_OR_RETURN(std::optional<dialect::CompiledDialect> fallback,
-                            dialect::ResolveParseDialect(&resolved.base));
-  // Plan once for the whole stream from the input's prefix (the scalar
-  // dialect fallback has no plannable knobs); per-partition parses see
-  // only the pinned knobs.
-  if (!fallback.has_value()) {
-    PARPARAW_ASSIGN_OR_RETURN(
-        const plan::ParsePlan stream_plan,
-        plan::PlanStream(input,
-                         /*sample_truncated=*/input.size() >
-                             resolved.base.sample_budget,
-                         &resolved.base));
-    if (stream_plan.partition_size > 0) {
-      resolved.partition_size = stream_plan.partition_size;
-    }
-  }
-  // Degrade instead of refusing: under a memory budget, shrink partitions
-  // until each one's parse working set (mode-dependent envelope) fits.
-  const size_t partition_size =
-      static_cast<size_t>(robust::ClampPartitionSizeForBudget(
-          static_cast<int64_t>(resolved.partition_size),
-          resolved.base.memory_budget, /*floor_bytes=*/256,
-          ParseWorkingSetFactor(resolved.base)));
-  PartitionSession session(resolved);
-  if (fallback.has_value()) session.SetDialectFallback(&*fallback);
-  Stopwatch wall;
-  if (input.empty()) return session.Finish(0.0);
-  size_t pos = 0;
-  do {
-    const size_t take = std::min(partition_size, input.size() - pos);
-    const bool is_last = (pos + take == input.size());
-    PARPARAW_RETURN_NOT_OK(
-        session.ProcessPartition(input.substr(pos, take), is_last));
-    pos += take;
-    if (is_last) break;
-  } while (true);
-  return session.Finish(wall.ElapsedSeconds());
+  exec::PipelineExecutor executor;
+  return ModelStream(executor.IngestBuffer(input, ToExecOptions(options)),
+                     options);
 }
 
 Result<StreamingResult> StreamingParser::ParseFile(
     const std::string& path, const StreamingOptions& options) {
-  PARPARAW_RETURN_NOT_OK_CTX(options.base.Validate(), "stream.options");
-  if (options.partition_size == 0) {
-    return Status::Invalid("partition size must be positive");
-  }
-  StreamingOptions resolved = options;
-  PARPARAW_ASSIGN_OR_RETURN(std::optional<dialect::CompiledDialect> fallback,
-                            dialect::ResolveParseDialect(&resolved.base));
-  // File-backed planning: read the head sample with a throwaway reader so
-  // the streaming reader below still sees the file from byte 0. Skipped
-  // outright when planning is disabled — no speculative I/O.
-  if (!fallback.has_value() &&
-      resolved.base.planner != PlannerMode::kDisabled) {
-    FileChunkReader sampler;
-    PARPARAW_RETURN_NOT_OK(sampler.Open(path));
-    std::string sample;
-    if (sampler.file_size() > 0) {
-      bool sample_eof = false;
-      PARPARAW_RETURN_NOT_OK(sampler.ReadNext(resolved.base.sample_budget,
-                                              &sample, &sample_eof));
-    }
-    PARPARAW_ASSIGN_OR_RETURN(
-        const plan::ParsePlan stream_plan,
-        plan::PlanStream(sample,
-                         /*sample_truncated=*/static_cast<int64_t>(
-                             sample.size()) < sampler.file_size(),
-                         &resolved.base));
-    if (stream_plan.partition_size > 0) {
-      resolved.partition_size = stream_plan.partition_size;
-    }
-  }
-  const size_t partition_size =
-      static_cast<size_t>(robust::ClampPartitionSizeForBudget(
-          static_cast<int64_t>(resolved.partition_size),
-          resolved.base.memory_budget, /*floor_bytes=*/256,
-          ParseWorkingSetFactor(resolved.base)));
-  FileChunkReader reader;
-  PARPARAW_RETURN_NOT_OK(reader.Open(path));
-  PartitionSession session(resolved);
-  if (fallback.has_value()) session.SetDialectFallback(&*fallback);
-  Stopwatch wall;
-  if (reader.file_size() == 0) return session.Finish(0.0);
-  int64_t consumed = 0;
-  std::string partition;
-  while (true) {
-    bool eof = false;
-    PARPARAW_RETURN_NOT_OK(
-        reader.ReadNext(partition_size, &partition, &eof));
-    consumed += static_cast<int64_t>(partition.size());
-    const bool is_last = eof || consumed >= reader.file_size();
-    PARPARAW_RETURN_NOT_OK(session.ProcessPartition(partition, is_last));
-    if (is_last) break;
-  }
-  return session.Finish(wall.ElapsedSeconds());
+  exec::PipelineExecutor executor;
+  return ModelStream(executor.IngestFile(path, ToExecOptions(options)),
+                     options);
 }
 
 }  // namespace parparaw

@@ -22,10 +22,6 @@ struct StreamingOptions {
   PcieModel pcie;
   /// Device model used for the modelled parse-stage durations.
   DeviceSpec device;
-  /// When true (default), the timeline's parse stages use the analytical
-  /// device model; when false they use the measured CPU wall time of each
-  /// partition's parse (useful for CPU-substrate-relative comparisons).
-  bool model_parse_stage = true;
 };
 
 /// Result of a streaming parse.
@@ -47,7 +43,7 @@ struct StreamingResult {
   /// Sum of the modelled stage times without any overlap (what a
   /// transfer-then-parse-then-return execution would cost).
   double modeled_serial_seconds = 0;
-  /// Actual CPU wall time spent parsing all partitions.
+  /// Actual CPU wall time of the executor's ingest.
   double wall_seconds = 0;
   int num_partitions = 0;
   StepTimings timings;
@@ -56,19 +52,20 @@ struct StreamingResult {
 
 /// \brief End-to-end streaming parser (§4.4, Fig. 7).
 ///
-/// Splits the input into fixed-size partitions. Each partition is parsed
-/// with the trailing incomplete record excluded; those remainder bytes are
-/// prepended to the next partition as the carry-over, exactly like the
-/// double-buffered GPU pipeline. Transfers are modelled with the PCIe
-/// model and the overlapped schedule is computed by StreamingTimeline.
+/// A thin adapter over exec::PipelineExecutor, which cuts the input into
+/// partitions and carries each partition's unterminated trailing record
+/// into the next, exactly like the double-buffered GPU pipeline. The
+/// adapter replays the executor's per-partition records through the PCIe
+/// and device models, and StreamingTimeline computes the overlapped
+/// schedule.
 class StreamingParser {
  public:
   static Result<StreamingResult> Parse(std::string_view input,
                                        const StreamingOptions& options);
 
-  /// Streams a file from disk partition by partition with bounded memory:
-  /// at any time only one partition plus its carry-over is resident (the
-  /// parsed columnar output still accumulates in memory).
+  /// Streams a file from disk partition by partition. Resident input is
+  /// bounded by the executor's admission limit (partitions in flight);
+  /// the parsed columnar output still accumulates in memory.
   static Result<StreamingResult> ParseFile(const std::string& path,
                                            const StreamingOptions& options);
 };

@@ -77,13 +77,17 @@ TEST(ReaderTest, SerialAndPipelinedAreBitIdentical) {
   for (int i = 0; i < 500; ++i) {
     csv += std::to_string(i) + ",row" + std::to_string(i) + "\n";
   }
-  auto pipelined =
-      Reader::FromBuffer(csv).WithPartitionSize(700).Pipelined(true).Read();
-  auto serial =
-      Reader::FromBuffer(csv).WithPartitionSize(700).Pipelined(false).Read();
+  auto pipelined = Reader::FromBuffer(csv).WithPartitionSize(700).Read();
   ASSERT_TRUE(pipelined.ok()) << pipelined.status().ToString();
+  // The serial reference: one monolithic parse under the options the
+  // Reader resolves from the same head.
+  LoadResult resolution;
+  auto base = BulkLoader::ResolveBaseOptions(csv, /*sample_truncated=*/false,
+                                             LoadOptions{}, &resolution);
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  auto serial = Parser::Parse(csv, *base);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  EXPECT_TRUE(pipelined->Equals(*serial));
+  EXPECT_TRUE(pipelined->Equals(serial->table));
 }
 
 TEST(ReaderTest, ReadStreamDeliversAllRowsInBatches) {

@@ -65,8 +65,7 @@ int64_t EnvInt(const char* name, int64_t fallback) {
 // process-wide).
 const char* const kFailpoints[] = {
     "pool.task",       "alloc.context", "alloc.bitmap", "alloc.tag",
-    "alloc.partition", "alloc.gather",  "alloc.convert", "stream.chunk",
-    "loader.load",
+    "alloc.partition", "alloc.gather",  "alloc.convert", "loader.load",
     "io.open",         "io.read",       "io.tell",      "exec.ingest",
     "exec.read",
     "exec.queue.scan.push",    "exec.queue.scan.pop",

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -10,8 +11,10 @@
 #include "dfa/sniffer.h"
 #include "dialect/dialect.h"
 #include "exec/executor.h"
+#include "io/file.h"
 #include "json/json_lines.h"
 #include "obs/metrics.h"
+#include "stream/streaming_parser.h"
 #include "workload/generators.h"
 
 // The dialect compiler's correctness story (see docs/dialects.md): every
@@ -367,16 +370,94 @@ TEST(DialectEquivalenceTest, OverBudgetDialectFallsBackToScalarWalk) {
   ASSERT_NE(fallback, nullptr);
   EXPECT_GE(fallback->Value(), 1);
 
-  // The pipelined executor has no scalar fallback: it refuses cleanly.
+  // The pipelined executor runs the same scalar walk on every partition
+  // and returns the identical table; the second record spans the seam.
   exec::PipelineExecutor executor;
   exec::ExecOptions pipelined;
   pipelined.base.dialect = spec;
-  auto refused = executor.IngestBuffer(input, pipelined);
-  ASSERT_FALSE(refused.ok());
-  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(refused.status().message().find("register budget"),
-            std::string::npos)
-      << refused.status().ToString();
+  pipelined.partition_size = 24;
+  auto ingested = executor.IngestBuffer(input, pipelined);
+  ASSERT_TRUE(ingested.ok()) << ingested.status().ToString();
+  EXPECT_EQ(ingested->stats.num_partitions, 2);
+  EXPECT_TRUE(ingested->table.Equals(result->table));
+}
+
+// An over-budget dialect gives the table of one monolithic Parser::Parse
+// through every entry point that cuts the input into partitions, and the
+// scalar walk keeps refusing kQuarantine.
+TEST(DialectEquivalenceTest, OverBudgetDialectMatchesAcrossEntryPoints) {
+  DialectSpec spec;
+  spec.name = "fixed-wide";
+  spec.fixed_widths = {10, 10};
+  spec.quote = 0;
+  Schema schema;
+  schema.AddField(Field("left", DataType::String()));
+  schema.AddField(Field("right", DataType::String()));
+  std::string input;
+  for (int i = 0; i < 40; ++i) {
+    const std::string left = std::to_string(i * 7919);
+    const std::string right = "row" + std::to_string(i);
+    input += left + std::string(10 - left.size(), ' ') + right +
+             std::string(10 - right.size(), '.') + "\n";
+  }
+  const size_t partition_size = 64;  // 21-byte records straddle seams
+
+  ParseOptions options;
+  options.dialect = spec;
+  options.schema = schema;
+  auto want = Parser::Parse(input, options);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_EQ(want->table.num_rows, 40);
+
+  auto read = Reader::FromBuffer(input)
+                  .WithDialect(spec)
+                  .WithSchema(schema)
+                  .WithHeader(false)
+                  .WithPartitionSize(partition_size)
+                  .Read();
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_TRUE(read->Equals(want->table)) << "Reader::Read";
+
+  const std::string path = "/tmp/parparaw_over_budget_dialect.csv";
+  ASSERT_TRUE(WriteStringToFile(path, input).ok());
+  auto loaded = Reader::FromFile(path)
+                    .WithDialect(spec)
+                    .WithSchema(schema)
+                    .WithHeader(false)
+                    .WithPartitionSize(partition_size)
+                    .Read();
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(loaded->Equals(want->table)) << "Reader::FromFile";
+
+  std::vector<Table> batches;
+  auto streamed = Reader::FromBuffer(input)
+                      .WithDialect(spec)
+                      .WithSchema(schema)
+                      .WithHeader(false)
+                      .WithPartitionSize(partition_size)
+                      .ReadStream([&](Table&& batch) {
+                        batches.push_back(std::move(batch));
+                        return Status::OK();
+                      });
+  ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+  EXPECT_TRUE(ConcatTables(batches).Equals(want->table))
+      << "Reader::ReadStream";
+
+  StreamingOptions streaming;
+  streaming.base = options;
+  streaming.partition_size = partition_size;
+  auto partitioned = StreamingParser::Parse(input, streaming);
+  ASSERT_TRUE(partitioned.ok()) << partitioned.status().ToString();
+  EXPECT_GE(partitioned->num_partitions, 2);
+  EXPECT_TRUE(partitioned->table.Equals(want->table)) << "StreamingParser";
+
+  options.error_policy = robust::ErrorPolicy::kQuarantine;
+  EXPECT_EQ(Parser::Parse(input, options).status().code(),
+            StatusCode::kInvalidArgument);
+  streaming.base = options;
+  EXPECT_EQ(StreamingParser::Parse(input, streaming).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(DialectEquivalenceTest, DialectAndExplicitFormatAreMutuallyExclusive) {

@@ -10,10 +10,8 @@
 #include <vector>
 
 #include "core/parser.h"
-#include "exec/bounded_queue.h"
 #include "io/file.h"
 #include "robust/failpoint.h"
-#include "stream/streaming_parser.h"
 #include "workload/generators.h"
 
 namespace parparaw {
@@ -84,23 +82,18 @@ void ExpectQuarantineEqual(const robust::QuarantineTable& got,
 }
 
 // The pipelined schedule must be invisible in the output: for every kernel
-// and error policy, the table, rejected vector and quarantine are
-// bit-identical to the serial partition-at-a-time parse over the same
-// partition decomposition.
+// and error policy, the table, rejected vector and quarantine spans are
+// bit-identical to one monolithic parse of the whole input.
 TEST(ExecTest, DifferentialAgainstSerialAcrossKernelsAndPolicies) {
   const std::string input = ExecInput();
   for (simd::KernelKind kernel :
        {simd::KernelKind::kScalar, simd::KernelKind::kAuto}) {
     for (ErrorPolicy policy :
          {ErrorPolicy::kNull, ErrorPolicy::kSkip, ErrorPolicy::kQuarantine}) {
+      auto want = Parser::Parse(input, BaseOptions(policy, kernel));
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
       for (size_t partition_size :
            {size_t{257}, size_t{700}, size_t{4096}, size_t{1} << 20}) {
-        StreamingOptions serial;
-        serial.base = BaseOptions(policy, kernel);
-        serial.partition_size = partition_size;
-        auto want = StreamingParser::Parse(input, serial);
-        ASSERT_TRUE(want.ok()) << want.status().ToString();
-
         PipelineExecutor executor;
         ExecOptions options;
         options.base = BaseOptions(policy, kernel);
@@ -114,7 +107,9 @@ TEST(ExecTest, DifferentialAgainstSerialAcrossKernelsAndPolicies) {
             << " partition=" << partition_size;
         EXPECT_EQ(got->table.rejected, want->table.rejected);
         ExpectQuarantineEqual(got->quarantine, want->quarantine);
-        EXPECT_EQ(got->stats.num_partitions, want->num_partitions);
+        EXPECT_EQ(got->stats.num_partitions,
+                  static_cast<int>((input.size() + partition_size - 1) /
+                                   partition_size));
       }
     }
   }
@@ -205,11 +200,11 @@ TEST(ExecTest, MemoryBudgetDerivesAdmissionLimit) {
   // The clamp shrank partitions: the input must have been split.
   EXPECT_GT(result->stats.num_partitions, 1);
 
-  // Differential: the degraded schedule still produces the serial answer.
-  StreamingOptions serial;
-  serial.base = options.base;
-  serial.partition_size = options.partition_size;
-  auto want = StreamingParser::Parse(input, serial);
+  // Differential: the degraded schedule still produces the monolithic
+  // answer.
+  ParseOptions monolithic = options.base;
+  monolithic.memory_budget = 0;
+  auto want = Parser::Parse(input, monolithic);
   ASSERT_TRUE(want.ok()) << want.status().ToString();
   ASSERT_TRUE(result->table.Equals(want->table));
 }
@@ -280,6 +275,37 @@ TEST(ExecTest, StreamSinkErrorCancelsIngest) {
   EXPECT_EQ(seen, 2);
 }
 
+// A parse error surfaces in stream order. Partition 0's conversion is
+// stalled, so partition 1 fails first on another worker, yet the ingest
+// reports partition 0's error: the one a monolithic parse hits first.
+TEST(ExecTest, ParseErrorsSurfaceInStreamOrder) {
+  std::string input;
+  for (int i = 0; i < 8; ++i) {
+    input += (i == 1 || i == 7) ? "x,Z,abc\n" : "x,1,abc\n";
+  }
+  auto want = Parser::Parse(
+      input, BaseOptions(ErrorPolicy::kFail, simd::KernelKind::kScalar));
+  ASSERT_FALSE(want.ok());
+
+  ThreadPool pool(4);
+  PipelineExecutor executor;
+  ExecOptions options;
+  options.base = BaseOptions(ErrorPolicy::kFail, simd::KernelKind::kScalar);
+  options.base.pool = &pool;
+  options.partition_size = 32;  // four 8-byte records per partition
+  options.stage_hook = [](int stage, int64_t partition) {
+    if (stage == 3 && partition == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    }
+  };
+  auto result = executor.IngestBuffer(input, options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), want.status().code());
+  EXPECT_NE(result.status().message().find(want.status().message()),
+            std::string::npos)
+      << result.status().ToString() << " vs " << want.status().ToString();
+}
+
 // Concurrent multi-file ingestion shares one admission controller, so the
 // budget holds across files; results come back in input order.
 TEST(ExecTest, IngestFilesConcurrentlyMatchesPerFileResults) {
@@ -329,44 +355,6 @@ TEST(ExecTest, QueueFailpointsFailCleanly) {
     ASSERT_FALSE(result.ok()) << site;
     EXPECT_EQ(result.status().code(), StatusCode::kIoError) << site;
   }
-}
-
-// Regression: Push() used to accept items after Close(). A consumer that
-// had already observed closed+empty has exited, so the item would be
-// silently dropped — a lost partition. It must be a typed internal error,
-// and a producer blocked on a full closed queue must wake into it rather
-// than hang.
-TEST(ExecTest, BoundedQueuePushAfterCloseIsRejected) {
-  exec::BoundedQueue<int> queue("exec.test.queue", 2);
-  ASSERT_TRUE(queue.Push(1).ok());
-  queue.Close();
-  const Status rejected = queue.Push(2);
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.code(), StatusCode::kInternal);
-  EXPECT_NE(rejected.ToString().find("push after close"), std::string::npos)
-      << rejected.ToString();
-  // The queued item still drains normally; then end-of-stream.
-  auto item = queue.Pop();
-  ASSERT_TRUE(item.has_value());
-  EXPECT_EQ(*item, 1);
-  EXPECT_FALSE(queue.Pop().has_value());
-}
-
-TEST(ExecTest, BoundedQueueCloseWakesBlockedProducer) {
-  exec::BoundedQueue<int> queue("exec.test.queue", 1);
-  ASSERT_TRUE(queue.Push(1).ok());  // queue now full
-  std::atomic<bool> returned{false};
-  Status blocked_push;
-  std::thread producer([&] {
-    blocked_push = queue.Push(2);  // blocks on the full queue
-    returned.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  EXPECT_FALSE(returned.load());
-  queue.Close();
-  producer.join();
-  ASSERT_TRUE(returned.load());
-  EXPECT_EQ(blocked_push.code(), StatusCode::kInternal);
 }
 
 // A record larger than one partition accumulates through the carry-over

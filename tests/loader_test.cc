@@ -88,6 +88,26 @@ TEST(BulkLoaderTest, RejectAccounting) {
   EXPECT_EQ(result->rows_rejected, 2);
 }
 
+// A delimiter inside a quoted header field belongs to the column name, and
+// a doubled quote inside the quotes is a literal quote.
+TEST(BulkLoaderTest, QuotedHeaderNamesKeepDelimitersAndQuotes) {
+  LoadOptions options;
+  options.header = 1;
+  auto result = BulkLoader::LoadBuffer(
+      "\"id\",\"note, extra\",n,\"say \"\"hi\"\"\"\n"
+      "1,\"a, b\",2,x\n"
+      "3,c,4,y\n",
+      options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const Schema& schema = result->table.schema;
+  ASSERT_EQ(schema.num_fields(), 4);
+  EXPECT_EQ(schema.field(0).name, "id");
+  EXPECT_EQ(schema.field(1).name, "note, extra");
+  EXPECT_EQ(schema.field(2).name, "n");
+  EXPECT_EQ(schema.field(3).name, "say \"hi\"");
+  EXPECT_EQ(result->rows_loaded, 2);
+}
+
 TEST(BulkLoaderTest, TsvSniffedEndToEnd) {
   std::string tsv = "k\tcount\n";
   for (int i = 0; i < 50; ++i) {

@@ -594,7 +594,9 @@ TEST_F(RobustTest, StreamChunkFaultFailsCleanly) {
   StreamingOptions streaming;
   streaming.base = base;
   streaming.partition_size = 128;
-  FailpointRegistry::Instance().Arm("stream.chunk", EveryNthTrigger(2));
+  // exec.read fires at each partition boundary of the executor the
+  // streaming parser runs on.
+  FailpointRegistry::Instance().Arm("exec.read", EveryNthTrigger(2));
   const auto result = StreamingParser::Parse(csv, streaming);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kIoError);
