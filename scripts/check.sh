@@ -15,7 +15,7 @@
 #   scripts/check.sh pipeline   # pipelined-executor differential suite
 #                               # and the entry points on it (exec/Reader/
 #                               # streaming/loader/dialects/robust/chaos)
-#                               # under TSan
+#                               # plus the executor-trace tests under TSan
 #   scripts/check.sh transpose  # full suite per TransposeMode
 #                               # (PARPARAW_TRANSPOSE_MODE) plus the
 #                               # symbol-sort vs field-gather differential
@@ -82,7 +82,10 @@ run_tsan() {
   cmake --build build-tsan -j "${JOBS}"
   # The concurrency surface: the worker pool, the lock-free metric shards
   # and tracer, and the morsel-driven ingestion executor (which the
-  # streaming parser runs on) with its admission controller.
+  # streaming parser runs on) with its admission controller. The
+  # ObsIntegration suite also checks the cross-thread span invariant: an
+  # ingest whose morsels hop across workers records no negative span
+  # depth, and every nested span lies inside its parent on its own thread.
   echo "=== TSan: concurrency-sensitive tests ==="
   TSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \
@@ -131,12 +134,13 @@ run_pipeline() {
   # suite's budget and fault cases), and the chaos sweep — whose schedule
   # space includes faults at every morsel hand-off — all under the thread
   # sanitizer, since the executor is the most schedule-sensitive code in
-  # the repo.
+  # the repo. ObsIntegration adds the executor-trace tests: one interval
+  # per stage across every sink, and spans that nest on their own thread.
   echo "=== pipeline: executor differential + chaos under TSan ==="
   PARPARAW_CHAOS_SCHEDULES=400 \
   TSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \
-      -R 'Exec|Reader|Validate|Chaos|Streaming|BulkLoader|DialectEquivalence|Robust'
+      -R 'Exec|Reader|Validate|Chaos|Streaming|BulkLoader|DialectEquivalence|Robust|ObsIntegration'
 }
 
 run_kernels() {

@@ -7,7 +7,6 @@
 #include "robust/resource_guard.h"
 #include "simd/simd_kernels.h"
 #include "text/unicode.h"
-#include "util/stopwatch.h"
 
 namespace parparaw {
 
@@ -24,9 +23,8 @@ inline size_t AdjustBegin(const PipelineState& state, size_t pos) {
 }  // namespace
 
 Status BitmapStep::Run(PipelineState* state, StepTimings* timings) {
-  obs::TraceSpan span(state->options->tracer, "step.bitmap", "pipeline",
-                      static_cast<int64_t>(state->size));
-  Stopwatch watch;
+  obs::TraceSpan probe = StepProbe(*state, "step.bitmap", "step.bitmap_us",
+                                   static_cast<int64_t>(state->size));
   const Dfa& dfa = state->options->format.dfa;
   const size_t chunk_size = state->options->chunk_size;
   const int64_t num_chunks = state->num_chunks;
@@ -148,9 +146,7 @@ Status BitmapStep::Run(PipelineState* state, StepTimings* timings) {
   }
 
   state->first_invalid_offset = first_invalid.load();
-  const double elapsed_ms = watch.ElapsedMillis();
-  timings->tag_ms += elapsed_ms;
-  obs::RecordMillis(state->options->metrics, "step.bitmap_us", elapsed_ms);
+  timings->tag_ms += probe.Stop() * 1e3;
 
   if (state->options->validate && state->first_invalid_offset >= 0) {
     return Status::ParseError(

@@ -19,7 +19,6 @@ namespace parparaw {
 /// first_invalid_offset.
 class BitmapStep {
  public:
-  /// Runs the step; the work is accounted to timings->tag_ms.
   static Status Run(PipelineState* state, StepTimings* timings);
 };
 

@@ -7,7 +7,6 @@
 #include "robust/resource_guard.h"
 #include "simd/simd_kernels.h"
 #include "text/unicode.h"
-#include "util/stopwatch.h"
 
 namespace parparaw {
 
@@ -39,7 +38,8 @@ Status ContextStep::Run(PipelineState* state, StepTimings* timings) {
   state->kernel_level = level;
 
   // Parse: one state-transition vector per chunk (Fig. 3).
-  Stopwatch parse_watch;
+  obs::TraceSpan parse =
+      StepProbe(*state, "step.context.parse", "step.context.parse_us");
   state->transition_vectors.assign(num_chunks,
                                    StateVector::Identity(dfa.num_states()));
   if (level == simd::KernelLevel::kScalar) {
@@ -98,15 +98,13 @@ Status ContextStep::Run(PipelineState* state, StepTimings* timings) {
       }
     }));
   }
-  const double parse_ms = parse_watch.ElapsedMillis();
-  timings->parse_ms += parse_ms;
-  obs::RecordMillis(state->options->metrics, "step.context.parse_us",
-                    parse_ms);
+  timings->parse_ms += parse.Stop() * 1e3;
 
   // Scan: exclusive prefix scan with the composite operator, seeded with
   // the identity vector. Entry i of chunk c's scanned vector is the state
   // the DFA is in at c's start, had the sequential DFA started in state i.
-  Stopwatch scan_watch;
+  obs::TraceSpan scan =
+      StepProbe(*state, "step.context.scan", "step.context.scan_us");
   std::vector<StateVector> scanned(num_chunks,
                                    StateVector::Identity(dfa.num_states()));
   ExclusiveScan(
@@ -129,9 +127,7 @@ Status ContextStep::Run(PipelineState* state, StepTimings* timings) {
   }
   state->has_trailing_record =
       state->options->format.IsMidRecordState(state->final_state);
-  const double scan_ms = scan_watch.ElapsedMillis();
-  timings->scan_ms += scan_ms;
-  obs::RecordMillis(state->options->metrics, "step.context.scan_us", scan_ms);
+  timings->scan_ms += scan.Stop() * 1e3;
   return Status::OK();
 }
 

@@ -16,7 +16,6 @@ namespace parparaw {
 /// has_trailing_record.
 class ContextStep {
  public:
-  /// Runs the step; timings->parse_ms / scan_ms are incremented.
   static Status Run(PipelineState* state, StepTimings* timings);
 };
 

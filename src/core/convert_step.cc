@@ -11,7 +11,6 @@
 #include "obs/obs.h"
 #include "parallel/scan.h"
 #include "robust/resource_guard.h"
-#include "util/stopwatch.h"
 
 namespace parparaw {
 
@@ -100,9 +99,9 @@ struct ColumnPlan {
 
 Status ConvertStep::Run(PipelineState* state, StepTimings* timings,
                         WorkCounters* work, ParseOutput* output) {
-  obs::TraceSpan span(state->options->tracer, "step.convert", "pipeline",
-                      static_cast<int64_t>(state->css.size()));
-  Stopwatch watch;
+  obs::TraceSpan probe =
+      StepProbe(*state, "step.convert", "step.convert_us",
+                static_cast<int64_t>(state->css.size()));
   const ParseOptions& options = *state->options;
   const int64_t rows = state->num_out_rows;
   const bool schema_given = options.schema.num_fields() > 0;
@@ -355,9 +354,7 @@ Status ConvertStep::Run(PipelineState* state, StepTimings* timings,
   output->max_columns = state->max_columns;
   output->records_dropped = state->num_records - rows;
   work->output_bytes += table.TotalBufferBytes();
-  const double elapsed_ms = watch.ElapsedMillis();
-  timings->convert_ms += elapsed_ms;
-  obs::RecordMillis(state->options->metrics, "step.convert_us", elapsed_ms);
+  timings->convert_ms += probe.Stop() * 1e3;
   return Status::OK();
 }
 

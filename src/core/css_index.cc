@@ -1,14 +1,16 @@
 #include "core/css_index.h"
 
 #include "obs/obs.h"
-#include "util/stopwatch.h"
 
 namespace parparaw {
 
 Status BuildCssIndex(const PipelineState& state, uint32_t column,
                      std::vector<FieldEntry>* fields) {
-  obs::TraceSpan span(state.options->tracer, "step.css_index", "pipeline");
-  Stopwatch watch;
+  // Nested inside step.convert, whose interval already covers it: the
+  // probe feeds no StepTimings bucket.
+  obs::TraceSpan probe(state.options->tracer, "step.css_index", "pipeline",
+                       state.options->metrics, "step.css_index_us",
+                       obs::Timing::kUntimed);
   fields->clear();
   if (column >= state.num_partitions) return Status::OK();
   const TaggingMode mode = state.options->tagging_mode;
@@ -41,8 +43,6 @@ Status BuildCssIndex(const PipelineState& state, uint32_t column,
       fields->assign(state.gather_entries.begin() + entry_begin,
                      state.gather_entries.begin() + entry_end);
     }
-    obs::RecordMillis(state.options->metrics, "step.css_index_us",
-                      watch.ElapsedMillis());
     obs::AddCount(state.options->metrics, "css_index.fields",
                   static_cast<int64_t>(fields->size()));
     return Status::OK();
@@ -71,8 +71,6 @@ Status BuildCssIndex(const PipelineState& state, uint32_t column,
           static_cast<int64_t>(state.rec_tags[begin + start]), begin + start,
           stop - start};
     }
-    obs::RecordMillis(state.options->metrics, "step.css_index_us",
-                      watch.ElapsedMillis());
     obs::AddCount(state.options->metrics, "css_index.fields",
                   static_cast<int64_t>(fields->size()));
     return Status::OK();
@@ -105,8 +103,6 @@ Status BuildCssIndex(const PipelineState& state, uint32_t column,
     (*fields)[k] = FieldEntry{static_cast<int64_t>(k), begin + start,
                               ends[k] - start};
   }
-  obs::RecordMillis(state.options->metrics, "step.css_index_us",
-                    watch.ElapsedMillis());
   obs::AddCount(state.options->metrics, "css_index.fields",
                 static_cast<int64_t>(fields->size()));
   return Status::OK();

@@ -2,13 +2,11 @@
 
 #include "obs/obs.h"
 #include "parallel/scan.h"
-#include "util/stopwatch.h"
 
 namespace parparaw {
 
 Status OffsetStep::Run(PipelineState* state, StepTimings* timings) {
-  obs::TraceSpan span(state->options->tracer, "step.offset", "pipeline");
-  Stopwatch watch;
+  obs::TraceSpan probe = StepProbe(*state, "step.offset", "step.offset_us");
   const int64_t num_chunks = state->num_chunks;
 
   // Record offsets: exclusive prefix sum over the per-chunk record counts.
@@ -29,9 +27,7 @@ Status OffsetStep::Run(PipelineState* state, StepTimings* timings) {
   for (int64_t c = 0; c < num_chunks; ++c) {
     state->entry_columns[c] = scanned[c].value;
   }
-  const double elapsed_ms = watch.ElapsedMillis();
-  timings->scan_ms += elapsed_ms;
-  obs::RecordMillis(state->options->metrics, "step.offset_us", elapsed_ms);
+  timings->scan_ms += probe.Stop() * 1e3;
   return Status::OK();
 }
 

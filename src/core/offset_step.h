@@ -15,7 +15,6 @@ namespace parparaw {
 /// adds to it. Fills: record_offsets, entry_columns, num_records.
 class OffsetStep {
  public:
-  /// Runs the step; the work is accounted to timings->scan_ms.
   static Status Run(PipelineState* state, StepTimings* timings);
 };
 

@@ -39,10 +39,19 @@ enum class ColumnCountPolicy : uint8_t {
   kValidate,
 };
 
-/// Wall-clock breakdown of the pipeline steps, the buckets of Fig. 9/11:
-/// parse (multi-DFA simulation), scan (context + offset prefix scans), tag
-/// (bitmaps + symbol tagging/compaction), partition (radix sort by column),
-/// convert (CSS indexing + type conversion).
+/// Wall-clock breakdown of the pipeline steps, the buckets of Fig. 9/11.
+/// Each bucket sums the intervals of its phases' stage probes
+/// (obs::TraceSpan; a phase's span and its `<name>_us` sample are one
+/// interval):
+///
+///   parse      step.context.parse (multi-DFA transition vectors)
+///   scan       step.context.scan + step.offset + step.tag.scan
+///   tag        step.bitmap + step.tag.count + step.tag.write
+///   partition  step.partition (radix sort or field gather by column)
+///   convert    step.convert (CSS indexing incl. step.css_index, values)
+///
+/// dialect::FallbackParse fills parse from dialect.walk and convert from
+/// dialect.convert.
 struct StepTimings {
   double parse_ms = 0;
   double scan_ms = 0;

@@ -2,6 +2,7 @@
 
 #include "core/staged_parse.h"
 #include "dialect/dialect.h"
+#include "obs/trace.h"
 #include "plan/planner.h"
 
 namespace parparaw {
@@ -28,7 +29,11 @@ Result<ParseOutput> Parser::Parse(std::string_view input,
   (void)parse_plan;
   // The monolithic entry point is the staged pipeline run back to back on
   // the calling thread; src/exec overlaps the same stages across
-  // partitions.
+  // partitions. Only here do all three stages share one thread, so only
+  // here is the whole run one probe.
+  obs::TraceSpan probe(resolved.tracer, "parse", "pipeline", resolved.metrics,
+                       "parse.total_us", obs::Timing::kUntimed,
+                       static_cast<int64_t>(input.size()));
   StagedParse staged;
   PARPARAW_RETURN_NOT_OK(staged.Scan(input, resolved));
   if (!staged.finished()) {

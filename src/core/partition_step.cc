@@ -9,7 +9,6 @@
 #include "robust/resource_guard.h"
 #include "text/unicode.h"
 #include "util/bit_util.h"
-#include "util/stopwatch.h"
 
 namespace parparaw {
 
@@ -206,19 +205,16 @@ Status RunFieldGather(PipelineState* state, WorkCounters* work) {
 
 Status PartitionStep::Run(PipelineState* state, StepTimings* timings,
                           WorkCounters* work) {
-  obs::TraceSpan span(state->options->tracer, "step.partition", "pipeline",
-                      static_cast<int64_t>(state->css.size()));
-  Stopwatch watch;
+  obs::TraceSpan probe =
+      StepProbe(*state, "step.partition", "step.partition_us",
+                static_cast<int64_t>(state->css.size()));
 
   if (state->transpose_mode == TransposeMode::kFieldGather) {
     PARPARAW_RETURN_NOT_OK(RunFieldGather(state, work));
     work->transpose_peak_bytes = std::max(work->transpose_peak_bytes,
                                           ModelTransposePeakBytes(*state));
-    const double elapsed_ms = watch.ElapsedMillis();
-    timings->partition_ms += elapsed_ms;
-    obs::RecordMillis(state->options->metrics, "step.partition_us",
-                      elapsed_ms);
-    span.set_bytes(static_cast<int64_t>(state->css.size()));
+    probe.set_bytes(static_cast<int64_t>(state->css.size()));
+    timings->partition_ms += probe.Stop() * 1e3;
     return Status::OK();
   }
 
@@ -226,10 +222,7 @@ Status PartitionStep::Run(PipelineState* state, StepTimings* timings,
   if (n == 0 || state->num_partitions == 0) {
     state->column_histogram.assign(state->num_partitions, 0);
     state->column_css_offsets.assign(state->num_partitions + 1, 0);
-    const double elapsed_ms = watch.ElapsedMillis();
-    timings->partition_ms += elapsed_ms;
-    obs::RecordMillis(state->options->metrics, "step.partition_us",
-                      elapsed_ms);
+    timings->partition_ms += probe.Stop() * 1e3;
     return Status::OK();
   }
 
@@ -280,9 +273,7 @@ Status PartitionStep::Run(PipelineState* state, StepTimings* timings,
   work->sort_bytes_moved += bytes_moved * sort_passes;
   work->transpose_peak_bytes = std::max(work->transpose_peak_bytes,
                                         ModelTransposePeakBytes(*state));
-  const double elapsed_ms = watch.ElapsedMillis();
-  timings->partition_ms += elapsed_ms;
-  obs::RecordMillis(state->options->metrics, "step.partition_us", elapsed_ms);
+  timings->partition_ms += probe.Stop() * 1e3;
   obs::AddCount(state->options->metrics, "partition.sort_bytes_moved",
                 bytes_moved * sort_passes);
   return Status::OK();

@@ -25,8 +25,8 @@ namespace parparaw {
 /// peak footprint.
 class PartitionStep {
  public:
-  /// Runs the step; accounted to timings->partition_ms. Work counters
-  /// record the number of partitioning passes and bytes moved.
+  /// Work counters record the number of partitioning passes and bytes
+  /// moved.
   static Status Run(PipelineState* state, StepTimings* timings,
                     WorkCounters* work);
 };

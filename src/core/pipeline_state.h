@@ -7,6 +7,7 @@
 
 #include "core/options.h"
 #include "dfa/state_vector.h"
+#include "obs/trace.h"
 #include "simd/simd_kernels.h"
 
 namespace parparaw {
@@ -189,6 +190,16 @@ struct PipelineState {
   /// gather_entry_offsets[p+1]) are column p's fields (num_partitions + 1).
   std::vector<int64_t> gather_entry_offsets;
 };
+
+/// The stage probe of one step phase: a "pipeline" span named `name` and a
+/// `histogram` sample on the parse's sinks, timed for the phase's
+/// StepTimings bucket (the mapping is listed at StepTimings).
+inline obs::TraceSpan StepProbe(const PipelineState& state, const char* name,
+                                const char* histogram, int64_t bytes = -1) {
+  return obs::TraceSpan(state.options->tracer, name, "pipeline",
+                        state.options->metrics, histogram,
+                        obs::Timing::kTimed, bytes);
+}
 
 }  // namespace parparaw
 

@@ -261,10 +261,6 @@ Status StagedParse::Scan(std::string_view input, const ParseOptions& options) {
         "-byte budget; use StreamingParser or BulkLoader to degrade");
   }
 
-  parse_span_.emplace(resolved_.tracer, "parse", "pipeline",
-                      static_cast<int64_t>(input.size()));
-  parse_watch_.Restart();
-
   state_.data = reinterpret_cast<const uint8_t*>(input.data());
   state_.size = input.size();
   state_.options = &resolved_;
@@ -348,7 +344,6 @@ Status StagedParse::Convert() {
     obs::AddCount(m, "parse.out_rows", output_.table.num_rows);
     obs::AddCount(m, "parse.css_symbols",
                   static_cast<int64_t>(state_.css.size()));
-    obs::RecordMillis(m, "parse.total_us", parse_watch_.ElapsedMillis());
   }
   return Status::OK();
 }

@@ -1,15 +1,12 @@
 #ifndef PARPARAW_CORE_STAGED_PARSE_H_
 #define PARPARAW_CORE_STAGED_PARSE_H_
 
-#include <optional>
 #include <string>
 #include <string_view>
 
 #include "core/options.h"
 #include "core/pipeline_state.h"
-#include "obs/trace.h"
 #include "util/result.h"
-#include "util/stopwatch.h"
 
 namespace parparaw {
 
@@ -27,8 +24,9 @@ namespace parparaw {
 ///   Convert    CSS indexing + typed value generation + error policy.
 ///
 /// Parser::Parse runs the three stages back to back on one thread; the
-/// executor runs each stage on its own thread with partitions flowing
-/// between them, which is exactly why the split exists. Stage methods
+/// executor runs each stage as a morsel on whichever worker is free, with
+/// partitions flowing between them, which is exactly why the split exists
+/// (and why no probe may span two stages). Stage methods
 /// must be called in order, each at most once. The instance must not
 /// move between Scan and TakeOutput (the pipeline state points into it),
 /// so the executor heap-allocates its per-partition tasks.
@@ -73,8 +71,6 @@ class StagedParse {
   bool finished_ = false;
   PipelineState state_;
   ParseOutput output_;
-  Stopwatch parse_watch_;
-  std::optional<obs::TraceSpan> parse_span_;
 };
 
 }  // namespace parparaw

@@ -7,7 +7,6 @@
 #include "parallel/scan.h"
 #include "robust/resource_guard.h"
 #include "text/unicode.h"
-#include "util/stopwatch.h"
 
 namespace parparaw {
 
@@ -102,6 +101,49 @@ void ForEachEmission(const PipelineState& state,
   }
 }
 
+// Per-chunk output of the field-gather sizing pass.
+struct GatherSizes {
+  std::vector<int64_t> fields;     // field ends inside the chunk
+  std::vector<int64_t> tail_data;  // value bytes after its last field end
+  std::vector<uint8_t> has_end;    // 1 when the chunk ends any field
+};
+
+// --- 3. Field-gather sizing pass: field ends + open-field tail data per
+// chunk (part of the tag step's count phase).
+Status SizeGatherFields(const PipelineState& state, GatherSizes* sizes) {
+  const int64_t num_chunks = state.num_chunks;
+  sizes->fields.assign(num_chunks, 0);
+  sizes->tail_data.assign(num_chunks, 0);
+  sizes->has_end.assign(num_chunks, 0);
+  return ParallelForEach(state.pool, 0, num_chunks, [&](int64_t c) {
+    const size_t chunk_size = state.options->chunk_size;
+    const size_t begin =
+        AdjustBegin(state, static_cast<size_t>(c) * chunk_size);
+    const size_t end =
+        AdjustBegin(state, static_cast<size_t>(c + 1) * chunk_size);
+    int64_t fields = 0;
+    int64_t tail = 0;
+    bool has_end = false;
+    for (size_t i = begin; i < end; ++i) {
+      const uint8_t flags = state.symbol_flags[i];
+      if (flags & (kSymbolRecordDelimiter | kSymbolFieldDelimiter)) {
+        ++fields;
+        tail = 0;
+        has_end = true;
+      } else if (flags & kSymbolControl) {
+        // Quotes, escapes, comment bytes: excluded from field values.
+      } else {
+        ++tail;
+      }
+    }
+    // The trailing unterminated record's final field ends at EOF.
+    if (c == num_chunks - 1 && state.has_trailing_record) ++fields;
+    sizes->fields[c] = fields;
+    sizes->tail_data[c] = tail;
+    sizes->has_end[c] = has_end ? 1 : 0;
+  });
+}
+
 // Field-gather transposition (TransposeMode::kFieldGather): instead of a
 // per-symbol tag sideband for the radix sort, derive one FieldExtent per
 // field — including dropped ones, whose predecessor link recovers field
@@ -110,8 +152,7 @@ void ForEachEmission(const PipelineState& state,
 // column and gathers each column's CSS with whole-field copies.
 Status RunFieldGatherTag(PipelineState* state, StepTimings* timings,
                          const std::vector<uint8_t>& skip_lookup,
-                         uint32_t max_col_index, Stopwatch* watch,
-                         obs::TraceSpan* span) {
+                         uint32_t max_col_index, const GatherSizes& sizes) {
   const ParseOptions& options = *state->options;
   const int64_t num_chunks = state->num_chunks;
   const TaggingMode mode = options.tagging_mode;
@@ -121,64 +162,23 @@ Status RunFieldGatherTag(PipelineState* state, StepTimings* timings,
     return !state->record_dropped.empty() && state->record_dropped[r] != 0;
   };
 
-  // --- 3. Sizing pass: field ends + open-field tail data per chunk. ---
-  std::vector<int64_t> chunk_fields(num_chunks, 0);
-  std::vector<int64_t> chunk_tail_data(num_chunks, 0);
-  std::vector<uint8_t> chunk_has_end(num_chunks, 0);
-  PARPARAW_RETURN_NOT_OK(
-      ParallelForEach(state->pool, 0, num_chunks, [&](int64_t c) {
-        const size_t chunk_size = options.chunk_size;
-        const size_t begin =
-            AdjustBegin(*state, static_cast<size_t>(c) * chunk_size);
-        const size_t end =
-            AdjustBegin(*state, static_cast<size_t>(c + 1) * chunk_size);
-        int64_t fields = 0;
-        int64_t tail = 0;
-        bool has_end = false;
-        for (size_t i = begin; i < end; ++i) {
-          const uint8_t flags = state->symbol_flags[i];
-          if (flags & (kSymbolRecordDelimiter | kSymbolFieldDelimiter)) {
-            ++fields;
-            tail = 0;
-            has_end = true;
-          } else if (flags & kSymbolControl) {
-            // Quotes, escapes, comment bytes: excluded from field values.
-          } else {
-            ++tail;
-          }
-        }
-        // The trailing unterminated record's final field ends at EOF.
-        if (c == num_chunks - 1 && state->has_trailing_record) ++fields;
-        chunk_fields[c] = fields;
-        chunk_tail_data[c] = tail;
-        chunk_has_end[c] = has_end ? 1 : 0;
-      }));
-  {
-    const double elapsed_ms = watch->ElapsedMillis();
-    timings->tag_ms += elapsed_ms;
-    obs::RecordMillis(options.metrics, "step.tag.count_us", elapsed_ms);
-  }
-
-  Stopwatch scan_watch;
+  obs::TraceSpan scan = StepProbe(*state, "step.tag.scan", "step.tag.scan_us");
   std::vector<int64_t> chunk_extent_offsets(num_chunks, 0);
   const int64_t total_fields =
-      ExclusivePrefixSum(state->pool, chunk_fields.data(),
+      ExclusivePrefixSum(state->pool, sizes.fields.data(),
                          chunk_extent_offsets.data(), num_chunks);
   // carry_in[c]: value bytes before chunk c belonging to the field still
   // open at its boundary; the first field end inside c closes them.
   std::vector<int64_t> carry_in(num_chunks, 0);
   for (int64_t c = 1; c < num_chunks; ++c) {
-    carry_in[c] =
-        chunk_tail_data[c - 1] + (chunk_has_end[c - 1] ? 0 : carry_in[c - 1]);
+    carry_in[c] = sizes.tail_data[c - 1] +
+                  (sizes.has_end[c - 1] ? 0 : carry_in[c - 1]);
   }
-  {
-    const double elapsed_ms = scan_watch.ElapsedMillis();
-    timings->scan_ms += elapsed_ms;
-    obs::RecordMillis(options.metrics, "step.tag.scan_us", elapsed_ms);
-  }
+  timings->scan_ms += scan.Stop() * 1e3;
 
   // --- 4. Fill pass. ---
-  watch->Restart();
+  obs::TraceSpan write =
+      StepProbe(*state, "step.tag.write", "step.tag.write_us");
   PARPARAW_RETURN_NOT_OK(robust::GuardedResize(
       "alloc.gather", &state->gather_extents, total_fields));
   std::vector<int64_t> chunk_kept_fields(num_chunks, 0);
@@ -277,11 +277,7 @@ Status RunFieldGatherTag(PipelineState* state, StepTimings* timings,
   state->rec_tags.clear();
   state->field_end.clear();
 
-  const double write_ms = watch->ElapsedMillis();
-  timings->tag_ms += write_ms;
-  obs::RecordMillis(options.metrics, "step.tag.write_us", write_ms);
-  span->set_bytes(static_cast<int64_t>(state->gather_extents.size() *
-                                       sizeof(FieldExtent)));
+  timings->tag_ms += write.Stop() * 1e3;
   return Status::OK();
 }
 
@@ -290,7 +286,8 @@ Status RunFieldGatherTag(PipelineState* state, StepTimings* timings,
 Status TagStep::Run(PipelineState* state, StepTimings* timings) {
   obs::TraceSpan span(state->options->tracer, "step.tag", "pipeline",
                       static_cast<int64_t>(state->size));
-  Stopwatch watch;
+  obs::TraceSpan count =
+      StepProbe(*state, "step.tag.count", "step.tag.count_us");
   const ParseOptions& options = *state->options;
   const int64_t num_chunks = state->num_chunks;
   const int64_t num_records = state->num_records;
@@ -458,8 +455,14 @@ Status TagStep::Run(PipelineState* state, StepTimings* timings) {
 
   state->transpose_mode = EffectiveTransposeMode(options);
   if (state->transpose_mode == TransposeMode::kFieldGather) {
-    return RunFieldGatherTag(state, timings, skip_lookup, max_col_index,
-                             &watch, &span);
+    GatherSizes sizes;
+    PARPARAW_RETURN_NOT_OK(SizeGatherFields(*state, &sizes));
+    timings->tag_ms += count.Stop() * 1e3;
+    PARPARAW_RETURN_NOT_OK(RunFieldGatherTag(state, timings, skip_lookup,
+                                             max_col_index, sizes));
+    span.set_bytes(static_cast<int64_t>(state->gather_extents.size() *
+                                        sizeof(FieldExtent)));
+    return Status::OK();
   }
   state->gather_extents.clear();
   state->gather_entries.clear();
@@ -474,26 +477,17 @@ Status TagStep::Run(PipelineState* state, StepTimings* timings) {
                         [&](uint8_t, uint32_t, int64_t, bool) { ++count; });
         chunk_emit[c] = count;
       }));
-  {
-    const double elapsed_ms = watch.ElapsedMillis();
-    timings->tag_ms += elapsed_ms;
-    obs::RecordMillis(state->options->metrics, "step.tag.count_us",
-                      elapsed_ms);
-  }
+  timings->tag_ms += count.Stop() * 1e3;
 
-  Stopwatch scan_watch;
+  obs::TraceSpan scan = StepProbe(*state, "step.tag.scan", "step.tag.scan_us");
   std::vector<int64_t> chunk_write_offsets(num_chunks, 0);
   const int64_t total_slots = ExclusivePrefixSum(
       state->pool, chunk_emit.data(), chunk_write_offsets.data(), num_chunks);
-  {
-    const double elapsed_ms = scan_watch.ElapsedMillis();
-    timings->scan_ms += elapsed_ms;
-    obs::RecordMillis(state->options->metrics, "step.tag.scan_us",
-                      elapsed_ms);
-  }
+  timings->scan_ms += scan.Stop() * 1e3;
 
   // --- 4. Write pass. ---
-  watch.Restart();
+  obs::TraceSpan write =
+      StepProbe(*state, "step.tag.write", "step.tag.write_us");
   const TaggingMode mode = options.tagging_mode;
   PARPARAW_RETURN_NOT_OK(robust::GuardedAssign("alloc.tag", &state->css,
                                                total_slots, uint8_t{0}));
@@ -545,9 +539,7 @@ Status TagStep::Run(PipelineState* state, StepTimings* timings) {
 
   state->num_partitions =
       total_slots > 0 ? max_col_index + 1 : 0;
-  const double write_ms = watch.ElapsedMillis();
-  timings->tag_ms += write_ms;
-  obs::RecordMillis(state->options->metrics, "step.tag.write_us", write_ms);
+  timings->tag_ms += write.Stop() * 1e3;
   span.set_bytes(static_cast<int64_t>(state->css.size()));
   return Status::OK();
 }

@@ -40,8 +40,6 @@ namespace parparaw {
 /// (kFieldGather).
 class TagStep {
  public:
-  /// Runs the step; the work is accounted to timings->tag_ms (the prefix
-  /// sums to scan_ms).
   static Status Run(PipelineState* state, StepTimings* timings);
 };
 

@@ -7,7 +7,6 @@
 #include "baseline/row_buffer.h"
 #include "obs/obs.h"
 #include "text/unicode.h"
-#include "util/stopwatch.h"
 
 namespace parparaw::dialect {
 
@@ -127,7 +126,9 @@ Result<ParseOutput> FallbackParse(std::string_view input,
     skipped_prefix += aligned;
   }
 
-  Stopwatch watch;
+  obs::TraceSpan walk(resolved.tracer, "dialect.walk", "pipeline", nullptr,
+                      nullptr, obs::Timing::kTimed,
+                      static_cast<int64_t>(input.size()));
   ParseOutput output;
   output.work.input_bytes = static_cast<int64_t>(input.size());
 
@@ -186,12 +187,13 @@ Result<ParseOutput> FallbackParse(std::string_view input,
                                 a.names[state] + "'");
     }
   }
-  output.timings.parse_ms = watch.ElapsedMillis();
+  output.timings.parse_ms = walk.Stop() * 1e3;
 
-  Stopwatch convert_watch;
+  obs::TraceSpan convert(resolved.tracer, "dialect.convert", "pipeline",
+                         nullptr, nullptr, obs::Timing::kTimed);
   PARPARAW_ASSIGN_OR_RETURN(
       output.table, BuildTableFromRecords(records, resolved, &output));
-  output.timings.convert_ms = convert_watch.ElapsedMillis();
+  output.timings.convert_ms = convert.Stop() * 1e3;
   return output;
 }
 

@@ -18,7 +18,6 @@
 #include "robust/failpoint.h"
 #include "robust/resource_guard.h"
 #include "simd/dispatch.h"
-#include "util/stopwatch.h"
 
 namespace parparaw {
 namespace exec {
@@ -276,7 +275,9 @@ class PipelineRun {
       executor_->active_runs_.push_back(&abort_fn);
     }
 
-    Stopwatch wall;
+    obs::TraceSpan ingest(base_.tracer, "exec.ingest", "sched", metrics_,
+                          "exec.ingest_us", obs::Timing::kTimed,
+                          source->total_bytes());
     if (source->total_bytes() > 0) {
       ThreadPool* pool =
           base_.pool != nullptr ? base_.pool : ThreadPool::Default();
@@ -288,7 +289,7 @@ class PipelineRun {
       group.Wait();
       group_ = nullptr;
     }
-    result_.stats.wall_seconds = wall.ElapsedSeconds();
+    result_.stats.wall_seconds = ingest.Stop();
 
     // Return any admission slots a failed morsel still held, so
     // concurrent ingests sharing this executor's controller (other files,
@@ -324,8 +325,6 @@ class PipelineRun {
       obs::AddCount(metrics_, "exec.partitions",
                     result_.stats.num_partitions);
       obs::AddCount(metrics_, "exec.bytes", result_.stats.bytes);
-      obs::RecordMillis(metrics_, "exec.ingest_us",
-                        result_.stats.wall_seconds * 1e3);
     }
     return std::move(result_);
   }
@@ -416,7 +415,6 @@ class PipelineRun {
 
   // --- reader (calling thread): chunked, admission-gated reads ---
   void ReaderLoop(ChunkSource* source) {
-    double busy = 0;
     int64_t index = 0;
     bool eof = false;
     while (!eof) {
@@ -432,9 +430,11 @@ class PipelineRun {
       }
       auto chunk = std::make_shared<RawChunk>();
       chunk->index = index;
-      Stopwatch watch;
+      obs::TraceSpan probe(base_.tracer, "morsel.read", "sched", metrics_,
+                           "exec.read_us", obs::Timing::kTimed);
       const Status read = source->Next(partition_size_, chunk.get(), &eof);
-      busy += watch.ElapsedSeconds();
+      probe.set_bytes(static_cast<int64_t>(chunk->view.size()));
+      AddStageSeconds(&result_.stats.read_seconds, probe.Stop());
       if (!read.ok()) {
         ReleaseSlot();
         Fail(read.WithContext("exec.read"));
@@ -452,7 +452,6 @@ class PipelineRun {
       EnqueueChunk(std::move(chunk));
       ++index;
     }
-    AddStageSeconds(&result_.stats.read_seconds, busy);
   }
 
   /// Parks the chunk behind the scan token. Scans must run one at a time
@@ -485,9 +484,9 @@ class PipelineRun {
     if (aborted()) return;
     if (DeadlineExpired("exec.scan")) return;
     Hook(1, chunk->index);
-    obs::TraceSpan span(base_.tracer, "morsel.scan", "sched",
-                        static_cast<int64_t>(chunk->view.size()));
-    Stopwatch watch;
+    obs::TraceSpan probe(base_.tracer, "morsel.scan", "sched", metrics_,
+                         "exec.scan_us", obs::Timing::kTimed,
+                         static_cast<int64_t>(chunk->view.size()));
     auto task = std::make_shared<PartitionTask>();
     task->index = chunk->index;
     task->is_last = chunk->is_last;
@@ -543,12 +542,9 @@ class PipelineRun {
     task->carry_bytes = static_cast<int64_t>(carry_.size());
     stream_consumed_ += task->partition_bytes;
     first_ = false;
-    if (metrics_ != nullptr && metrics_->enabled()) {
-      obs::RecordMillis(metrics_, "exec.scan_us", watch.ElapsedMillis());
-      obs::SetGauge(metrics_, "exec.carry_bytes",
-                    static_cast<int64_t>(carry_.size()));
-    }
-    AddStageSeconds(&result_.stats.scan_seconds, watch.ElapsedSeconds());
+    obs::SetGauge(metrics_, "exec.carry_bytes",
+                  static_cast<int64_t>(carry_.size()));
+    AddStageSeconds(&result_.stats.scan_seconds, probe.Stop());
 
     // Hand the partition to the sort morsel (the old sort queue's push).
     const Status sort_push =
@@ -588,9 +584,9 @@ class PipelineRun {
     if (aborted()) return;
     if (DeadlineExpired("exec.sort")) return;
     Hook(2, task->index);
-    obs::TraceSpan span(base_.tracer, "morsel.sort", "sched",
-                        static_cast<int64_t>(task->partition_bytes));
-    Stopwatch watch;
+    obs::TraceSpan probe(base_.tracer, "morsel.sort", "sched", metrics_,
+                         "exec.sort_us", obs::Timing::kTimed,
+                         task->partition_bytes);
     if (!task->finished()) {
       const Status sorted = task->parse.Partition();
       if (!sorted.ok()) {
@@ -598,10 +594,7 @@ class PipelineRun {
         return;
       }
     }
-    if (metrics_ != nullptr && metrics_->enabled()) {
-      obs::RecordMillis(metrics_, "exec.sort_us", watch.ElapsedMillis());
-    }
-    AddStageSeconds(&result_.stats.sort_seconds, watch.ElapsedSeconds());
+    AddStageSeconds(&result_.stats.sort_seconds, probe.Stop());
     const Status pushed =
         robust::CheckFailpoint("exec.queue.convert.push");
     if (!pushed.ok()) {
@@ -621,9 +614,9 @@ class PipelineRun {
     if (aborted()) return;
     if (DeadlineExpired("exec.convert")) return;
     Hook(3, task->index);
-    obs::TraceSpan span(base_.tracer, "morsel.convert", "sched",
-                        static_cast<int64_t>(task->partition_bytes));
-    Stopwatch watch;
+    obs::TraceSpan probe(base_.tracer, "morsel.convert", "sched", metrics_,
+                         "exec.convert_us", obs::Timing::kTimed,
+                         task->partition_bytes);
     if (!task->finished()) {
       const Status converted = task->parse.Convert();
       if (!converted.ok()) {
@@ -636,11 +629,7 @@ class PipelineRun {
     done.buffer_base = task->buffer_base;
     done.partition_bytes = task->partition_bytes;
     done.carry_bytes = task->carry_bytes;
-    if (metrics_ != nullptr && metrics_->enabled()) {
-      obs::RecordMillis(metrics_, "exec.convert_us",
-                        watch.ElapsedMillis());
-    }
-    AddStageSeconds(&result_.stats.convert_seconds, watch.ElapsedSeconds());
+    AddStageSeconds(&result_.stats.convert_seconds, probe.Stop());
     Complete(task->index, std::move(done));
   }
 

@@ -6,8 +6,8 @@
 #include "core/parser.h"
 #include "exec/executor.h"
 #include "io/file.h"
+#include "obs/trace.h"
 #include "robust/failpoint.h"
-#include "util/stopwatch.h"
 #include "util/string_util.h"
 
 namespace parparaw {
@@ -186,7 +186,7 @@ exec::ExecOptions ExecOptionsFor(ParseOptions base,
 // Shared tail of both load paths: table, quarantine, rejects, statistics.
 Result<LoadResult> FinishLoad(exec::IngestResult ingested,
                               const LoadOptions& options,
-                              const Stopwatch& watch, LoadResult result) {
+                              obs::TraceSpan* probe, LoadResult result) {
   result.table = std::move(ingested.table);
   result.quarantine = std::move(ingested.quarantine);
   result.timings = ingested.timings;
@@ -199,7 +199,7 @@ Result<LoadResult> FinishLoad(exec::IngestResult ingested,
         ComputeTableStatistics(result.table, options.pool),
         "loader.statistics");
   }
-  result.seconds = watch.ElapsedSeconds();
+  result.seconds = probe->Stop();
   return result;
 }
 
@@ -243,7 +243,9 @@ std::string LoadResult::ReportToString() const {
 Result<LoadResult> BulkLoader::LoadBuffer(std::string_view input,
                                           const LoadOptions& options) {
   PARPARAW_FAILPOINT("loader.load");
-  Stopwatch watch;
+  // LoadOptions carries no sinks: the probe only times LoadResult::seconds.
+  obs::TraceSpan probe(nullptr, "loader.load", "loader", nullptr, nullptr,
+                       obs::Timing::kTimed);
   LoadResult result;
   result.input_bytes = static_cast<int64_t>(input.size());
 
@@ -255,7 +257,7 @@ Result<LoadResult> BulkLoader::LoadBuffer(std::string_view input,
       exec::IngestResult ingested,
       executor.IngestBuffer(input, ExecOptionsFor(std::move(base), options)),
       "loader.exec");
-  return FinishLoad(std::move(ingested), options, watch, std::move(result));
+  return FinishLoad(std::move(ingested), options, &probe, std::move(result));
 }
 
 Result<LoadResult> BulkLoader::LoadFile(const std::string& path,
@@ -265,7 +267,8 @@ Result<LoadResult> BulkLoader::LoadFile(const std::string& path,
   // controller enforces the memory budget, so the file is never
   // materialised whole: only the head sample (dialect and type
   // resolution) is read twice.
-  Stopwatch watch;
+  obs::TraceSpan probe(nullptr, "loader.load", "loader", nullptr, nullptr,
+                       obs::Timing::kTimed);
   LoadResult result;
   PARPARAW_ASSIGN_OR_RETURN(FileHead head,
                             ReadFileHead(path, kHeadSampleBytes, "loader"));
@@ -278,7 +281,7 @@ Result<LoadResult> BulkLoader::LoadFile(const std::string& path,
       exec::IngestResult ingested,
       executor.IngestFile(path, ExecOptionsFor(std::move(base), options)),
       "loader.exec");
-  return FinishLoad(std::move(ingested), options, watch, std::move(result));
+  return FinishLoad(std::move(ingested), options, &probe, std::move(result));
 }
 
 }  // namespace parparaw

@@ -1,6 +1,7 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 
 #include "util/bit_util.h"
@@ -49,8 +50,9 @@ void AtomicMax(std::atomic<int64_t>* slot, int64_t value) {
 int64_t HistogramSnapshot::Quantile(double q) const {
   if (count == 0) return 0;
   q = std::clamp(q, 0.0, 1.0);
-  const int64_t target =
-      std::max<int64_t>(1, static_cast<int64_t>(q * static_cast<double>(count)));
+  // Nearest rank: the ceil(q * count)-th smallest sample.
+  const int64_t target = std::max<int64_t>(
+      1, static_cast<int64_t>(std::ceil(q * static_cast<double>(count))));
   int64_t seen = 0;
   for (int i = 0; i < static_cast<int>(buckets.size()); ++i) {
     seen += buckets[i];

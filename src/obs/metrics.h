@@ -134,7 +134,8 @@ struct HistogramSnapshot {
     return count > 0 ? static_cast<double>(sum) / static_cast<double>(count)
                      : 0.0;
   }
-  /// Upper bound of the bucket containing quantile `q` in [0, 1] — a
+  /// Upper bound of the bucket holding the nearest-rank sample for `q` in
+  /// [0, 1] (the ceil(q * count)-th smallest), clamped into [min, max] — a
   /// log2-resolution estimate, good enough for "p99 partition latency".
   int64_t Quantile(double q) const;
 };

@@ -9,7 +9,7 @@ namespace obs {
 
 /// Convenience umbrella for instrumented code: null-safe, enabled-gated
 /// wrappers so call sites stay one line and cost one branch when
-/// observability is off.
+/// observability is off. Durations come from a stage probe (TraceSpan).
 
 inline void AddCount(MetricsRegistry* metrics, const char* name,
                      int64_t delta) {
@@ -21,18 +21,6 @@ inline void SetGauge(MetricsRegistry* metrics, const char* name,
                      int64_t value) {
   if (metrics == nullptr || !metrics->enabled()) return;
   metrics->SetGauge(name, value);
-}
-
-/// Records a duration histogram sample in whole microseconds.
-inline void RecordUs(MetricsRegistry* metrics, const char* name,
-                     double micros) {
-  if (metrics == nullptr || !metrics->enabled()) return;
-  metrics->RecordHistogram(name, static_cast<int64_t>(micros));
-}
-
-inline void RecordMillis(MetricsRegistry* metrics, const char* name,
-                         double millis) {
-  RecordUs(metrics, name, millis * 1e3);
 }
 
 }  // namespace obs

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <map>
 
+#include "obs/metrics.h"
+
 namespace parparaw {
 namespace obs {
 
@@ -61,9 +63,9 @@ Tracer& Tracer::Global() {
   return tracer;
 }
 
-int64_t Tracer::NowNanos() const {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now() - epoch_)
+int64_t Tracer::NanosSinceEpoch(
+    std::chrono::steady_clock::time_point t) const {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(t - epoch_)
       .count();
 }
 
@@ -175,22 +177,43 @@ std::string Tracer::SummaryText() const {
 }
 
 TraceSpan::TraceSpan(Tracer* tracer, const char* name, const char* category,
-                     int64_t bytes)
+                     MetricsRegistry* metrics, const char* histogram,
+                     Timing timing, int64_t bytes)
     : tracer_(tracer != nullptr && tracer->enabled() ? tracer : nullptr),
+      metrics_(metrics != nullptr && histogram != nullptr &&
+                       metrics->enabled()
+                   ? metrics
+                   : nullptr),
       name_(name),
       category_(category),
+      histogram_(histogram),
       bytes_(bytes) {
-  if (tracer_ == nullptr) return;
-  depth_ = t_span_depth++;
-  start_ns_ = tracer_->NowNanos();
+  running_ = tracer_ != nullptr || metrics_ != nullptr ||
+             timing == Timing::kTimed;
+  if (!running_) return;
+  if (tracer_ != nullptr) depth_ = t_span_depth++;
+  start_ = std::chrono::steady_clock::now();
 }
 
-TraceSpan::~TraceSpan() {
-  if (tracer_ == nullptr) return;
-  const int64_t end_ns = tracer_->NowNanos();
-  --t_span_depth;
-  tracer_->RecordComplete(name_, category_, start_ns_, end_ns - start_ns_,
-                          bytes_, depth_);
+double TraceSpan::Stop() {
+  if (running_) {
+    running_ = false;
+    dur_ns_ = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                  std::chrono::steady_clock::now() - start_)
+                  .count();
+    if (tracer_ != nullptr) {
+      --t_span_depth;
+      tracer_->RecordComplete(name_, category_,
+                              tracer_->NanosSinceEpoch(start_), dur_ns_,
+                              bytes_, depth_);
+    }
+    if (metrics_ != nullptr) {
+      if (Histogram* histogram = metrics_->GetHistogram(histogram_)) {
+        histogram->Record(dur_ns_ / 1000);
+      }
+    }
+  }
+  return static_cast<double>(dur_ns_) * 1e-9;
 }
 
 }  // namespace obs

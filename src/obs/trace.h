@@ -13,7 +13,7 @@ namespace obs {
 
 /// \brief Scoped-span tracing for the parsing pipeline.
 ///
-/// Each pipeline step (and streaming partition, query stage, …) opens a
+/// Each pipeline step (and executor morsel, query stage, …) opens a
 /// TraceSpan; when the span closes, one complete event — name, category,
 /// begin timestamp, duration, small sequential thread id, and an optional
 /// byte count — is appended to the tracer. Events export either as a
@@ -65,8 +65,8 @@ class Tracer {
     enabled_.store(enabled, std::memory_order_relaxed);
   }
 
-  /// Nanoseconds since this tracer's epoch (monotonic clock).
-  int64_t NowNanos() const;
+  /// Nanoseconds from this tracer's epoch to `t` (monotonic clock).
+  int64_t NanosSinceEpoch(std::chrono::steady_clock::time_point t) const;
 
   /// Appends one completed span. `name`/`category` must outlive the
   /// tracer; the instrumentation passes string literals.
@@ -97,17 +97,34 @@ class Tracer {
   std::vector<TraceEvent> events_;
 };
 
-/// \brief RAII span. Opens on construction, records on destruction.
+class MetricsRegistry;
+
+/// Whether the caller consumes a probe's interval through Stop().
+enum class Timing : bool { kUntimed, kTimed };
+
+/// \brief The one stage probe: a RAII span that reads the steady clock
+/// when it opens and when it closes (scope end or the first Stop()). That
+/// one interval feeds the trace event (tracer enabled), one microsecond
+/// sample (dur_ns / 1000) of `histogram` (registry enabled), and Stop()'s
+/// return value, which a kTimed caller adds to its StepTimings bucket or
+/// exec::IngestStats seconds. With no consumer it reads no clock.
 ///
-/// The enabled check happens once, at construction: a span started while
-/// the tracer was enabled records even if tracing is switched off before
-/// it closes (and vice versa), keeping begin/end pairing trivially
-/// consistent.
+/// The enabled checks happen once, at construction, keeping begin/end
+/// pairing trivially consistent. A probe must close on the thread that
+/// opened it: the per-thread nesting depth counts up at open and down at
+/// close.
 class TraceSpan {
  public:
   TraceSpan(Tracer* tracer, const char* name, const char* category,
+            int64_t bytes = -1)
+      : TraceSpan(tracer, name, category, nullptr, nullptr,
+                  Timing::kUntimed, bytes) {}
+
+  /// `histogram` is a string literal, or null for none.
+  TraceSpan(Tracer* tracer, const char* name, const char* category,
+            MetricsRegistry* metrics, const char* histogram, Timing timing,
             int64_t bytes = -1);
-  ~TraceSpan();
+  ~TraceSpan() { Stop(); }
 
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
@@ -115,13 +132,21 @@ class TraceSpan {
   /// Sets/overrides the byte count reported when the span closes.
   void set_bytes(int64_t bytes) { bytes_ = bytes; }
 
+  /// Closes the probe on the first call, feeding its sinks. Every call
+  /// returns the interval in seconds; 0 when the probe read no clock.
+  double Stop();
+
  private:
-  Tracer* tracer_;  // null when tracing was disabled at construction
+  Tracer* tracer_;            // null when tracing was off at construction
+  MetricsRegistry* metrics_;  // null when metrics were off or no histogram
   const char* name_;
   const char* category_;
-  int64_t start_ns_ = 0;
+  const char* histogram_;
   int64_t bytes_;
   int32_t depth_ = 0;
+  bool running_ = false;  // read the clock at open; not yet stopped
+  std::chrono::steady_clock::time_point start_;
+  int64_t dur_ns_ = 0;
 };
 
 }  // namespace obs

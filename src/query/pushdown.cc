@@ -3,7 +3,6 @@
 #include "core/parser.h"
 #include "obs/obs.h"
 #include "query/query.h"
-#include "util/stopwatch.h"
 
 namespace parparaw {
 
@@ -28,7 +27,9 @@ Result<ParseOutput> ParseWithPushdown(std::string_view input,
 
   obs::TraceSpan span(options.tracer, "pushdown", "query",
                       static_cast<int64_t>(input.size()));
-  Stopwatch probe_watch;
+  obs::TraceSpan probe_phase(options.tracer, "pushdown.probe", "query",
+                             options.metrics, "pushdown.probe_us",
+                             obs::Timing::kUntimed);
 
   // Phase 1: parse only the predicate column.
   ParseOptions phase1 = options;
@@ -44,8 +45,7 @@ Result<ParseOutput> ParseWithPushdown(std::string_view input,
   PARPARAW_ASSIGN_OR_RETURN(
       std::vector<uint8_t> selection,
       EvaluatePredicate(probe.table, remapped, options.pool));
-  obs::RecordMillis(options.metrics, "pushdown.probe_us",
-                    probe_watch.ElapsedMillis());
+  probe_phase.Stop();
 
   // With the robust policy and no skip sets, probe rows == records, so
   // row indices are valid skip_records entries for phase 2.
@@ -65,10 +65,10 @@ Result<ParseOutput> ParseWithPushdown(std::string_view input,
   obs::AddCount(options.metrics, "pushdown.records_scanned",
                 probe.table.num_rows);
   obs::AddCount(options.metrics, "pushdown.records_selected", selected);
-  Stopwatch materialise_watch;
+  obs::TraceSpan materialise(options.tracer, "pushdown.materialise", "query",
+                             options.metrics, "pushdown.materialise_us",
+                             obs::Timing::kUntimed);
   PARPARAW_ASSIGN_OR_RETURN(ParseOutput out, Parser::Parse(input, phase2));
-  obs::RecordMillis(options.metrics, "pushdown.materialise_us",
-                    materialise_watch.ElapsedMillis());
   // Fold the probe's work into the reported counters.
   out.work += probe.work;
   out.timings += probe.timings;

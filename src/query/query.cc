@@ -5,7 +5,6 @@
 #include <map>
 
 #include "obs/obs.h"
-#include "util/stopwatch.h"
 
 namespace parparaw {
 
@@ -81,9 +80,9 @@ Result<Table> GatherRows(const Table& table,
   }
   // The query layer records into the process-wide sinks: its entry points
   // carry no options struct (see docs/observability.md).
-  obs::TraceSpan span(&obs::Tracer::Global(), "gather", "query");
   obs::MetricsRegistry* metrics = &obs::MetricsRegistry::Global();
-  Stopwatch watch;
+  obs::TraceSpan probe(&obs::Tracer::Global(), "gather", "query", metrics,
+                       "query.gather_us", obs::Timing::kUntimed);
   // Row index mapping.
   std::vector<int64_t> rows;
   rows.reserve(selection.size());
@@ -131,7 +130,6 @@ Result<Table> GatherRows(const Table& table,
     }
     out.columns.push_back(std::move(dst));
   }
-  obs::RecordMillis(metrics, "query.gather_us", watch.ElapsedMillis());
   obs::AddCount(metrics, "query.rows_gathered", out.num_rows);
   return out;
 }
@@ -142,15 +140,13 @@ Result<Table> RunQuery(const Table& table, const QuerySpec& spec,
   obs::MetricsRegistry* metrics = &obs::MetricsRegistry::Global();
   obs::AddCount(metrics, "query.runs", 1);
   obs::AddCount(metrics, "query.rows_in", table.num_rows);
-  Stopwatch filter_watch;
   Result<std::vector<uint8_t>> filtered = [&] {
-    obs::TraceSpan filter_span(&obs::Tracer::Global(), "filter", "query");
+    obs::TraceSpan probe(&obs::Tracer::Global(), "filter", "query", metrics,
+                         "query.filter_us", obs::Timing::kUntimed);
     return EvaluateFilter(table, spec.filter, pool);
   }();
   PARPARAW_ASSIGN_OR_RETURN(std::vector<uint8_t> selection,
                             std::move(filtered));
-  obs::RecordMillis(metrics, "query.filter_us",
-                    filter_watch.ElapsedMillis());
 
   if (spec.aggregates.empty()) {
     PARPARAW_ASSIGN_OR_RETURN(Table filtered,
@@ -177,8 +173,9 @@ Result<Table> RunQuery(const Table& table, const QuerySpec& spec,
     }
   }
 
-  obs::TraceSpan agg_span(&obs::Tracer::Global(), "aggregate", "query");
-  Stopwatch agg_watch;
+  obs::TraceSpan agg_probe(&obs::Tracer::Global(), "aggregate", "query",
+                           metrics, "query.aggregate_us",
+                           obs::Timing::kUntimed);
   // Group keys: one implicit global group, or the group_by column values.
   std::map<std::string, std::vector<AggState>> groups;
   std::map<std::string, int64_t> group_count_all;
@@ -282,8 +279,6 @@ Result<Table> RunQuery(const Table& table, const QuerySpec& spec,
   }
   out.num_rows = static_cast<int64_t>(groups.size());
   out.rejected.assign(out.num_rows, 0);
-  obs::RecordMillis(metrics, "query.aggregate_us",
-                    agg_watch.ElapsedMillis());
   return out;
 }
 

@@ -14,7 +14,6 @@
 #include "query/pushdown.h"
 #include "robust/failpoint.h"
 #include "robust/resource_guard.h"
-#include "util/stopwatch.h"
 
 namespace parparaw {
 namespace serve {
@@ -604,7 +603,9 @@ bool Server::HandleParse(Connection* conn, const FrameHeader& header,
   SlotReturn slot(&request_slots_, options_.metrics);
   obs::SetGauge(options_.metrics, "serve.inflight_requests",
                 request_slots_.inflight());
-  Stopwatch watch;
+  // ServerOptions carries no tracer: the probe feeds serve.request_us.
+  obs::TraceSpan probe(nullptr, "serve.request", "serve", options_.metrics,
+                       "serve.request_us", obs::Timing::kUntimed);
 
   const bool from_file = header.opcode == Opcode::kParseFile;
   const bool stream = (header.flags & kFlagStream) != 0;
@@ -677,8 +678,7 @@ bool Server::HandleParse(Connection* conn, const FrameHeader& header,
     std::lock_guard<std::mutex> lock(conn->exec_mu);
     conn->active_exec = nullptr;
   }
-  obs::RecordUs(options_.metrics, "serve.request_us",
-                watch.ElapsedMillis() * 1e3);
+  probe.Stop();
 
   if (watchdog.disconnected() || send_failed) {
     {
@@ -784,7 +784,8 @@ bool Server::HandleQuery(Connection* conn, const FrameHeader& header,
   SlotReturn slot(&request_slots_, options_.metrics);
   obs::SetGauge(options_.metrics, "serve.inflight_requests",
                 request_slots_.inflight());
-  Stopwatch watch;
+  obs::TraceSpan probe(nullptr, "serve.request", "serve", options_.metrics,
+                       "serve.request_us", obs::Timing::kUntimed);
 
   const std::string_view rest = config->rest.substr(block->encoded_size);
   std::string file_bytes;
@@ -821,8 +822,7 @@ bool Server::HandleQuery(Connection* conn, const FrameHeader& header,
   PushdownStats stats;
   Result<ParseOutput> output =
       ParseWithPushdown(data, *base, block->predicate, &stats);
-  obs::RecordUs(options_.metrics, "serve.request_us",
-                watch.ElapsedMillis() * 1e3);
+  probe.Stop();
   if (!output.ok()) {
     return SendError(conn, output.status().WithContext("serve.query"));
   }

@@ -2,12 +2,12 @@
 #define PARPARAW_UTIL_STOPWATCH_H_
 
 #include <chrono>
-#include <cstdint>
 
 namespace parparaw {
 
-/// \brief Monotonic wall-clock stopwatch used by the benchmark harnesses and
-/// the per-step breakdown instrumentation (Fig. 9/11).
+/// \brief Monotonic wall-clock stopwatch for the benchmark harnesses, the
+/// examples and the baseline parsers. Pipeline stages are timed by their
+/// stage probe (obs::TraceSpan) instead.
 class Stopwatch {
  public:
   Stopwatch() : start_(Clock::now()) {}
@@ -21,13 +21,6 @@ class Stopwatch {
 
   /// Elapsed time in milliseconds.
   double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
-
-  /// Elapsed time in nanoseconds.
-  int64_t ElapsedNanos() const {
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                                start_)
-        .count();
-  }
 
  private:
   using Clock = std::chrono::steady_clock;

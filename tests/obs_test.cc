@@ -11,6 +11,7 @@
 #include <cstdio>
 
 #include "core/parser.h"
+#include "exec/executor.h"
 #include "io/file.h"
 #include "obs/obs.h"
 #include "parallel/thread_pool.h"
@@ -75,6 +76,21 @@ TEST(MetricsTest, HistogramConcurrentWriters) {
   EXPECT_GE(p50, snap.min);
   EXPECT_LE(p50, p99);
   EXPECT_LE(p99, snap.max);
+}
+
+TEST(MetricsTest, QuantileIsNearestRank) {
+  // The q-quantile is the ceil(q * n)-th smallest sample (its bucket's
+  // upper bound, clamped to the observed range).
+  obs::MetricsRegistry registry;
+  obs::Histogram* two = registry.GetHistogram("two");
+  two->Record(10);
+  two->Record(1000);
+  EXPECT_EQ(two->Snapshot().Quantile(0.99), 1000);
+  obs::Histogram* three = registry.GetHistogram("three");
+  three->Record(1);
+  three->Record(1000);
+  three->Record(1000);
+  EXPECT_EQ(three->Snapshot().Quantile(0.5), 1000);
 }
 
 TEST(MetricsTest, GaugeTracksLevelAndMax) {
@@ -506,6 +522,175 @@ TEST(ObsIntegrationTest, UninstrumentedParseTouchesNoSinks) {
   EXPECT_TRUE(tracer.Events().empty());
   global.SetEnabled(metrics_enabled);
   tracer.SetEnabled(tracer_enabled);
+}
+
+// A multi-partition ingest on an explicit 4-worker pool, so morsels of one
+// partition run on different threads whatever the machine's core count.
+Result<exec::IngestResult> TracedIngest(obs::Tracer* tracer,
+                                        obs::MetricsRegistry* metrics,
+                                        ThreadPool* pool) {
+  std::string csv;
+  for (int i = 0; i < 20000; ++i) {
+    csv += std::to_string(i) + ",\"name, " + std::to_string(i % 97) +
+           "\"," + std::to_string(i % 1000) + ".25\n";
+  }
+  exec::ExecOptions options;
+  options.base.schema.AddField(Field("id", DataType::Int64()));
+  options.base.schema.AddField(Field("name", DataType::String()));
+  options.base.schema.AddField(Field("value", DataType::Float64()));
+  options.base.pool = pool;
+  options.base.tracer = tracer;
+  options.base.metrics = metrics;
+  options.partition_size = 24 * 1024;
+  exec::PipelineExecutor executor;
+  return executor.IngestBuffer(csv, options);
+}
+
+// Per-name totals over a trace: spans, summed nanoseconds, and the
+// microsecond truncation a histogram sample of each span would hold.
+struct SpanTotals {
+  int64_t count = 0;
+  int64_t dur_ns = 0;
+  int64_t sum_us = 0;
+  int64_t min_us = INT64_MAX;
+  int64_t max_us = INT64_MIN;
+};
+
+SpanTotals TotalsOf(const std::vector<obs::TraceEvent>& events,
+                    const std::string& name) {
+  SpanTotals totals;
+  for (const obs::TraceEvent& e : events) {
+    if (name != e.name) continue;
+    ++totals.count;
+    totals.dur_ns += e.dur_ns;
+    totals.sum_us += e.dur_ns / 1000;
+    totals.min_us = std::min(totals.min_us, e.dur_ns / 1000);
+    totals.max_us = std::max(totals.max_us, e.dur_ns / 1000);
+  }
+  return totals;
+}
+
+// Every sample of `histogram` is the interval of one `span`.
+void ExpectSamplesAreSpans(obs::MetricsRegistry* registry,
+                           const std::vector<obs::TraceEvent>& events,
+                           const char* span, const char* histogram) {
+  const SpanTotals totals = TotalsOf(events, span);
+  const obs::HistogramSnapshot samples =
+      registry->GetHistogram(histogram)->Snapshot();
+  EXPECT_GE(totals.count, 1) << span;
+  EXPECT_EQ(samples.count, totals.count) << histogram;
+  EXPECT_EQ(samples.sum, totals.sum_us) << histogram;
+  EXPECT_EQ(samples.min, totals.min_us) << histogram;
+  EXPECT_EQ(samples.max, totals.max_us) << histogram;
+}
+
+TEST(ObsIntegrationTest, ExecutorSpansNestOnTheirOwnThread) {
+  // A span opened on one worker and closed on another drives the closing
+  // thread's depth negative and leaks +1 on the opener; every span must
+  // instead sit inside its parent on its own thread.
+  obs::Tracer tracer;
+  ThreadPool pool(4);
+  Result<exec::IngestResult> ingested = TracedIngest(&tracer, nullptr, &pool);
+  ASSERT_TRUE(ingested.ok()) << ingested.status().ToString();
+  ASSERT_GE(ingested->stats.num_partitions, 8);
+
+  const std::vector<obs::TraceEvent> events = tracer.Events();
+  ASSERT_FALSE(events.empty());
+  int negative = 0;
+  int unnested = 0;
+  for (const obs::TraceEvent& e : events) {
+    if (e.depth < 0) {
+      ++negative;
+      continue;
+    }
+    if (e.depth == 0) continue;
+    const bool nested = std::any_of(
+        events.begin(), events.end(), [&](const obs::TraceEvent& parent) {
+          return parent.tid == e.tid && parent.depth == e.depth - 1 &&
+                 parent.ts_ns <= e.ts_ns &&
+                 e.ts_ns + e.dur_ns <= parent.ts_ns + parent.dur_ns;
+        });
+    if (!nested) {
+      ADD_FAILURE() << e.name << " at depth " << e.depth << " on tid "
+                    << e.tid << " has no enclosing span";
+      if (++unnested > 5) break;
+    }
+  }
+  EXPECT_EQ(negative, 0);
+  EXPECT_EQ(unnested, 0);
+}
+
+TEST(ObsIntegrationTest, StageSinksAgree) {
+  // Executor: each morsel stage's spans, exec.*_us samples and IngestStats
+  // seconds are one interval per morsel.
+  {
+    obs::Tracer tracer;
+    obs::MetricsRegistry registry;
+    ThreadPool pool(4);
+    Result<exec::IngestResult> ingested =
+        TracedIngest(&tracer, &registry, &pool);
+    ASSERT_TRUE(ingested.ok()) << ingested.status().ToString();
+    const exec::IngestStats& stats = ingested->stats;
+    ASSERT_GE(stats.num_partitions, 8);
+    const std::vector<obs::TraceEvent> events = tracer.Events();
+    const struct {
+      const char* span;
+      const char* histogram;
+      double seconds;
+    } stages[] = {
+        {"morsel.read", "exec.read_us", stats.read_seconds},
+        {"morsel.scan", "exec.scan_us", stats.scan_seconds},
+        {"morsel.sort", "exec.sort_us", stats.sort_seconds},
+        {"morsel.convert", "exec.convert_us", stats.convert_seconds},
+        {"exec.ingest", "exec.ingest_us", stats.wall_seconds},
+    };
+    for (const auto& stage : stages) {
+      const SpanTotals totals = TotalsOf(events, stage.span);
+      EXPECT_NEAR(static_cast<double>(totals.dur_ns) * 1e-9, stage.seconds,
+                  1e-9)
+          << stage.span;
+      ExpectSamplesAreSpans(&registry, events, stage.span, stage.histogram);
+    }
+    EXPECT_EQ(TotalsOf(events, "morsel.scan").count, stats.num_partitions);
+  }
+
+  // Parser::Parse: each step phase's span is its step.*_us sample, and each
+  // StepTimings bucket is the sum of its phases (the mapping documented
+  // at StepTimings).
+  obs::Tracer tracer;
+  obs::MetricsRegistry registry;
+  ParseOptions options;
+  options.tracer = &tracer;
+  options.metrics = &registry;
+  std::string csv;
+  for (int i = 0; i < 2000; ++i) csv += "1,\"alice, b\",10.5\n";
+  Result<ParseOutput> parsed = Parser::Parse(csv, options);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const std::vector<obs::TraceEvent> events = tracer.Events();
+  for (const char* phase :
+       {"step.context.parse", "step.context.scan", "step.bitmap",
+        "step.offset", "step.tag.count", "step.tag.scan", "step.tag.write",
+        "step.partition", "step.css_index", "step.convert"}) {
+    ExpectSamplesAreSpans(&registry, events, phase,
+                          (std::string(phase) + "_us").c_str());
+  }
+  ExpectSamplesAreSpans(&registry, events, "parse", "parse.total_us");
+
+  const auto phase_ms = [&](std::initializer_list<const char*> phases) {
+    int64_t dur_ns = 0;
+    for (const char* phase : phases) dur_ns += TotalsOf(events, phase).dur_ns;
+    return static_cast<double>(dur_ns) * 1e-6;
+  };
+  const StepTimings& t = parsed->timings;
+  EXPECT_NEAR(t.parse_ms, phase_ms({"step.context.parse"}), 1e-6);
+  EXPECT_NEAR(t.scan_ms,
+              phase_ms({"step.context.scan", "step.offset", "step.tag.scan"}),
+              1e-6);
+  EXPECT_NEAR(t.tag_ms,
+              phase_ms({"step.bitmap", "step.tag.count", "step.tag.write"}),
+              1e-6);
+  EXPECT_NEAR(t.partition_ms, phase_ms({"step.partition"}), 1e-6);
+  EXPECT_NEAR(t.convert_ms, phase_ms({"step.convert"}), 1e-6);
 }
 
 // ---------------------------------------------------------------------------
