@@ -1,5 +1,7 @@
 #include "columnar/table.h"
 
+#include <utility>
+
 namespace parparaw {
 
 bool Table::Equals(const Table& other) const {
@@ -23,15 +25,11 @@ int64_t Table::TotalBufferBytes() const {
   return total;
 }
 
-Table ConcatTables(const std::vector<Table>& tables) {
-  Table out;
-  bool first = true;
-  for (const Table& t : tables) {
-    if (first) {
-      out = t;
-      first = false;
-      continue;
-    }
+Table ConcatTables(std::vector<Table> tables) {
+  if (tables.empty()) return Table();
+  Table out = std::move(tables.front());
+  for (size_t i = 1; i < tables.size(); ++i) {
+    const Table& t = tables[i];
     out.num_rows += t.num_rows;
     out.rejected.insert(out.rejected.end(), t.rejected.begin(),
                         t.rejected.end());

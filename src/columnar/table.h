@@ -40,8 +40,10 @@ struct Table {
 };
 
 /// Row-wise concatenation of tables with identical schemas (used to merge
-/// streaming partitions).
-Table ConcatTables(const std::vector<Table>& tables);
+/// streaming partitions). The first table is moved into the result, so
+/// passing the vector by move copies nothing for a one-table vector and
+/// only the later tables' buffers otherwise.
+Table ConcatTables(std::vector<Table> tables);
 
 /// Gathers `rows` (indices into `table`, in the given order, repeats
 /// allowed) into a new table with the same schema. Rejected flags travel

@@ -110,8 +110,11 @@ Status BitmapStep::Run(PipelineState* state, StepTimings* timings) {
       if (chunk_invalid >= 0) record_invalid(chunk_invalid);
     }));
   } else {
-    PARPARAW_RETURN_NOT_OK(robust::GuardedAssign(
-        "alloc.bitmap", &state->symbol_flags, state->size, uint8_t{0}));
+    // Every chunk writes each flag of its range; only the bytes before the
+    // first chunk's UTF-8-adjusted begin belong to no chunk.
+    PARPARAW_RETURN_NOT_OK(robust::GuardedResize(
+        "alloc.bitmap", &state->symbol_flags, state->size));
+    std::fill_n(state->symbol_flags.begin(), AdjustBegin(*state, 0), 0);
     PARPARAW_RETURN_NOT_OK(
         ParallelForEach(state->pool, 0, num_chunks, [&](int64_t c) {
       const size_t begin =

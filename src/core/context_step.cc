@@ -55,8 +55,13 @@ Status ContextStep::Run(PipelineState* state, StepTimings* timings) {
   } else {
     state->kernel_plan =
         std::make_shared<simd::KernelPlan>(simd::BuildKernelPlan(dfa));
-    PARPARAW_RETURN_NOT_OK(robust::GuardedAssign(
-        "alloc.context", &state->symbol_flags, state->size, uint8_t{0}));
+    // The flags stay unwritten here: each chunk zeroes its own range in
+    // the parallel loop below, because the kernel (and the bitmap step's
+    // walks after it) skip clean blocks without writing them. The bytes
+    // before the first chunk's UTF-8-adjusted begin belong to no chunk.
+    PARPARAW_RETURN_NOT_OK(robust::GuardedResize(
+        "alloc.context", &state->symbol_flags, state->size));
+    std::fill_n(state->symbol_flags.begin(), AdjustBegin(*state, 0), 0);
     state->spec_offsets.assign(num_chunks, -1);
     state->spec_states.assign(num_chunks, 0);
     state->spec_invalids.assign(num_chunks, -1);
@@ -81,6 +86,8 @@ Status ContextStep::Run(PipelineState* state, StepTimings* timings) {
           AdjustBegin(*state, static_cast<size_t>(c) * chunk_size);
       const size_t end =
           AdjustBegin(*state, static_cast<size_t>(c + 1) * chunk_size);
+      std::fill(state->symbol_flags.begin() + begin,
+                state->symbol_flags.begin() + end, 0);
       const simd::ChunkKernelResult result =
           kernel(plan, state->data, begin, end, state->symbol_flags.data());
       state->transition_vectors[c] = result.vector;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <span>
 
 #include "columnar/table.h"
 #include "convert/inference.h"
@@ -156,10 +157,13 @@ Status ConvertStep::Run(PipelineState* state, StepTimings* timings,
     }
   };
 
-  std::vector<FieldEntry> fields;
+  ScratchVector<FieldEntry> field_storage;
+  std::span<const FieldEntry> fields;
+  // Field-of-row lookup, rewritten in full for every column.
+  ScratchVector<int64_t> field_of_row(static_cast<size_t>(rows));
   for (ColumnPlan& plan : plans) {
     const uint32_t j = static_cast<uint32_t>(plan.source_index);
-    PARPARAW_RETURN_NOT_OK(BuildCssIndex(*state, j, &fields));
+    PARPARAW_RETURN_NOT_OK(BuildCssIndex(*state, j, &field_storage, &fields));
     const int64_t num_fields = static_cast<int64_t>(fields.size());
 
     // Type inference (§4.3): classify each field, then reduce with the
@@ -176,11 +180,23 @@ Status ConvertStep::Run(PipelineState* state, StepTimings* timings,
       plan.field.type = KindToDataType(joined);
     }
 
-    // Field-of-row lookup (rows without a field keep -1).
-    std::vector<int64_t> field_of_row(rows, -1);
-    PARPARAW_RETURN_NOT_OK(
-        ParallelForEach(state->pool, 0, num_fields, [&](int64_t k) {
-          field_of_row[fields[k].row] = k;
+    // Field-of-row lookup (-1 for rows without a field). A column's fields
+    // are in ascending row order, so each row block's fields are one run,
+    // located by binary search.
+    PARPARAW_RETURN_NOT_OK(ParallelOverRowBlocks(
+        state->pool, rows, [&](int64_t b, int64_t e) {
+          size_t k = static_cast<size_t>(
+              std::partition_point(
+                  fields.begin(), fields.end(),
+                  [b](const FieldEntry& f) { return f.row < b; }) -
+              fields.begin());
+          for (int64_t row = b; row < e; ++row) {
+            if (k < fields.size() && fields[k].row == row) {
+              field_of_row[row] = static_cast<int64_t>(k++);
+            } else {
+              field_of_row[row] = -1;
+            }
+          }
         }));
 
     // Typed default value (§4.3 "Default values for empty strings").

@@ -5,13 +5,14 @@
 namespace parparaw {
 
 Status BuildCssIndex(const PipelineState& state, uint32_t column,
-                     std::vector<FieldEntry>* fields) {
+                     ScratchVector<FieldEntry>* storage,
+                     std::span<const FieldEntry>* fields) {
   // Nested inside step.convert, whose interval already covers it: the
   // probe feeds no StepTimings bucket.
   obs::TraceSpan probe(state.options->tracer, "step.css_index", "pipeline",
                        state.options->metrics, "step.css_index_us",
                        obs::Timing::kUntimed);
-  fields->clear();
+  *fields = {};
   if (column >= state.num_partitions) return Status::OK();
   const TaggingMode mode = state.options->tagging_mode;
 
@@ -19,29 +20,28 @@ Status BuildCssIndex(const PipelineState& state, uint32_t column,
     // The partition step already bucketed the field entries by column with
     // offsets relative to the global CSS; slicing them is the whole index.
     const int64_t entry_begin = state.gather_entry_offsets[column];
-    const int64_t entry_end = state.gather_entry_offsets[column + 1];
+    const int64_t count = state.gather_entry_offsets[column + 1] - entry_begin;
+    const std::span<const FieldEntry> slice(
+        state.gather_entries.data() + entry_begin, static_cast<size_t>(count));
+    *fields = slice;
     if (mode == TaggingMode::kRecordTags) {
       // Parity with the run-length encoding of the record tags: an empty
       // field contributes no symbols, hence no run — the convert step
-      // fills it from defaults (§4.3).
-      fields->reserve(static_cast<size_t>(entry_end - entry_begin));
-      for (int64_t k = entry_begin; k < entry_end; ++k) {
-        const FieldEntry& entry = state.gather_entries[k];
-        if (entry.length == 0) continue;
-        fields->push_back(entry);
-      }
-    } else {
-      const int64_t count = entry_end - entry_begin;
-      if (count != state.num_out_rows) {
-        return Status::ParseError(
-            "column " + std::to_string(column) + " has " +
-            std::to_string(count) + " fields for " +
-            std::to_string(state.num_out_rows) +
-            " records; inconsistent column counts require the record-tag "
-            "mode or the reject policy");
-      }
-      fields->assign(state.gather_entries.begin() + entry_begin,
-                     state.gather_entries.begin() + entry_end);
+      // fills it from defaults (§4.3). A column without empty fields keeps
+      // the in-place slice.
+      bool all_kept = false;
+      ParallelCompact(
+          state.pool, count,
+          [&slice](int64_t k) { return slice[k].length != 0; },
+          [&slice](int64_t k) { return slice[k]; }, storage, &all_kept);
+      if (!all_kept) *fields = *storage;
+    } else if (count != state.num_out_rows) {
+      return Status::ParseError(
+          "column " + std::to_string(column) + " has " +
+          std::to_string(count) + " fields for " +
+          std::to_string(state.num_out_rows) +
+          " records; inconsistent column counts require the record-tag "
+          "mode or the reject policy");
     }
     obs::AddCount(state.options->metrics, "css_index.fields",
                   static_cast<int64_t>(fields->size()));
@@ -63,14 +63,15 @@ Status BuildCssIndex(const PipelineState& state, uint32_t column,
                  state.rec_tags[begin + i] != state.rec_tags[begin + i - 1];
         },
         &heads);
-    fields->resize(heads.size());
+    storage->resize(heads.size());
     for (size_t k = 0; k < heads.size(); ++k) {
       const int64_t start = heads[k];
       const int64_t stop = (k + 1 < heads.size()) ? heads[k + 1] : n;
-      (*fields)[k] = FieldEntry{
+      (*storage)[k] = FieldEntry{
           static_cast<int64_t>(state.rec_tags[begin + start]), begin + start,
           stop - start};
     }
+    *fields = *storage;
     obs::AddCount(state.options->metrics, "css_index.fields",
                   static_cast<int64_t>(fields->size()));
     return Status::OK();
@@ -97,14 +98,25 @@ Status BuildCssIndex(const PipelineState& state, uint32_t column,
         " records; inconsistent column counts require the record-tag mode "
         "or the reject policy");
   }
-  fields->resize(ends.size());
+  storage->resize(ends.size());
   for (size_t k = 0; k < ends.size(); ++k) {
     const int64_t start = (k == 0) ? 0 : ends[k - 1] + 1;
-    (*fields)[k] = FieldEntry{static_cast<int64_t>(k), begin + start,
-                              ends[k] - start};
+    (*storage)[k] = FieldEntry{static_cast<int64_t>(k), begin + start,
+                               ends[k] - start};
   }
+  *fields = *storage;
   obs::AddCount(state.options->metrics, "css_index.fields",
                 static_cast<int64_t>(fields->size()));
+  return Status::OK();
+}
+
+Status BuildCssIndex(const PipelineState& state, uint32_t column,
+                     std::vector<FieldEntry>* fields) {
+  fields->clear();
+  ScratchVector<FieldEntry> storage;
+  std::span<const FieldEntry> view;
+  PARPARAW_RETURN_NOT_OK(BuildCssIndex(state, column, &storage, &view));
+  fields->assign(view.begin(), view.end());
   return Status::OK();
 }
 

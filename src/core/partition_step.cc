@@ -57,7 +57,7 @@ Status RunFieldGather(PipelineState* state, WorkCounters* work) {
   const TaggingMode mode = options.tagging_mode;
   const bool slot_per_field = mode != TaggingMode::kRecordTags;
   const uint32_t num_partitions = state->num_partitions;
-  const std::vector<FieldExtent>& extents = state->gather_extents;
+  const ScratchVector<FieldExtent>& extents = state->gather_extents;
   const int64_t n_fields = static_cast<int64_t>(extents.size());
   state->permutation.clear();
 
@@ -238,7 +238,7 @@ Status PartitionStep::Run(PipelineState* state, StepTimings* timings,
   // Move the symbols and their side arrays along with the sort key (§3.3:
   // "the symbols and the record-tags are moved along with the associated
   // sort-key").
-  std::vector<uint8_t> sorted_css;
+  ScratchVector<uint8_t> sorted_css;
   ApplyPermutation(state->pool, state->permutation, state->css, &sorted_css);
   state->css = std::move(sorted_css);
   int64_t bytes_moved = n * (1 + 4);  // symbol + key per pass output

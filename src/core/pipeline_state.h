@@ -1,8 +1,13 @@
 #ifndef PARPARAW_CORE_PIPELINE_STATE_H_
 #define PARPARAW_CORE_PIPELINE_STATE_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
+#include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/options.h"
@@ -11,6 +16,52 @@
 #include "simd/simd_kernels.h"
 
 namespace parparaw {
+
+/// \brief Allocator of the parse scratch buffers: its no-argument construct
+/// leaves trivially copyable elements unwritten, so growing a buffer costs
+/// no zero-fill pass over fresh memory.
+///
+/// The rule that makes this safe: every element of a scratch buffer is
+/// written by exactly one pass before any pass reads it (the passes are
+/// listed in docs/architecture.md, "Memory traffic"). Sanitizer builds fill
+/// fresh storage with a non-zero poison byte instead, so an element some
+/// pass forgot to write breaks the bit-identity tests rather than reading
+/// as the zero a fresh page happens to hold.
+template <typename T>
+struct ScratchAllocator {
+  using value_type = T;
+
+  ScratchAllocator() = default;
+  template <typename U>
+  ScratchAllocator(const ScratchAllocator<U>&) noexcept {}
+
+  T* allocate(size_t n) {
+    T* p = std::allocator<T>().allocate(n);
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+    std::memset(static_cast<void*>(p), 0xA5, n * sizeof(T));
+#endif
+    return p;
+  }
+  void deallocate(T* p, size_t n) noexcept {
+    std::allocator<T>().deallocate(p, n);
+  }
+
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    if constexpr (sizeof...(Args) != 0 || !std::is_trivially_copyable_v<U>) {
+      ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+    }
+  }
+
+  template <typename U>
+  bool operator==(const ScratchAllocator<U>&) const noexcept {
+    return true;
+  }
+};
+
+/// A parse scratch buffer (see ScratchAllocator).
+template <typename T>
+using ScratchVector = std::vector<T, ScratchAllocator<T>>;
 
 /// Per-chunk column-offset contribution (§3.2, Fig. 4). `absolute` is true
 /// when the chunk contains at least one record delimiter, in which case
@@ -67,7 +118,7 @@ inline constexpr uint32_t kDroppedColumn = 0xFFFFFFFFu;
 /// Per-input-byte symbol classification produced by the bitmap step — the
 /// paper's three bitmap indexes (§3.1), stored byte-per-symbol so parallel
 /// chunk writers never share a word. Bit values match SymbolFlags.
-using SymbolFlagsArray = std::vector<uint8_t>;
+using SymbolFlagsArray = ScratchVector<uint8_t>;
 
 /// \brief All intermediate state threaded through the pipeline steps.
 ///
@@ -158,7 +209,7 @@ struct PipelineState {
   // --- tag step outputs (§3.2/§4.1) ---
   /// Concatenated kept symbols (field data; plus one terminator slot per
   /// field in the inline/vector modes).
-  std::vector<uint8_t> css;
+  ScratchVector<uint8_t> css;
   /// Column tag per kept symbol.
   std::vector<uint32_t> col_tags;
   /// Record tag (output row) per kept symbol; filled in kRecordTags mode.
@@ -181,11 +232,11 @@ struct PipelineState {
   /// Every field of the buffer in source order, including dropped ones
   /// (their column is kDroppedColumn); field i starts at
   /// extents[i-1].src_end + 1 (0 for i == 0).
-  std::vector<FieldExtent> gather_extents;
+  ScratchVector<FieldExtent> gather_extents;
   /// Field entries bucketed by column (stable within a column), ready to
   /// slice per partition via gather_entry_offsets. FieldEntry::offset is
   /// already global-CSS-relative, matching the symbol-sort layout.
-  std::vector<FieldEntry> gather_entries;
+  ScratchVector<FieldEntry> gather_entries;
   /// Exclusive prefix: gather_entries[gather_entry_offsets[p] ..
   /// gather_entry_offsets[p+1]) are column p's fields (num_partitions + 1).
   std::vector<int64_t> gather_entry_offsets;

@@ -325,6 +325,13 @@ Status StagedParse::Partition() {
   PARPARAW_RETURN_NOT_OK_CTX(
       PartitionStep::Run(&state_, &output_.timings, &output_.work),
       "step.partition");
+  // The CSS now holds every value byte: free the scratch no later stage
+  // reads. kQuarantine keeps the flags, whose record delimiters
+  // ApplyErrorPolicy walks for the byte spans.
+  state_.gather_extents = ScratchVector<FieldExtent>();
+  if (resolved_.error_policy != robust::ErrorPolicy::kQuarantine) {
+    state_.symbol_flags = SymbolFlagsArray();
+  }
   return Status::OK();
 }
 

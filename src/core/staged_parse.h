@@ -37,8 +37,10 @@ class StagedParse {
   StagedParse& operator=(const StagedParse&) = delete;
 
   /// Runs the scan stage over `input` under `options`. `input` must stay
-  /// alive and unmoved until TakeOutput()/destruction. Empty (or fully
-  /// row-skipped) inputs complete immediately — see finished().
+  /// alive and unmoved until Partition() returns, or until Convert()
+  /// returns under ErrorPolicy::kQuarantine (its spans copy raw bytes).
+  /// Empty (or fully row-skipped) inputs complete immediately — see
+  /// finished().
   Status Scan(std::string_view input, const ParseOptions& options);
 
   /// True when Scan already produced the final output (empty input):
@@ -50,7 +52,9 @@ class StagedParse {
   /// options.exclude_trailing_record was set; -1 otherwise.
   int64_t remainder_offset() const { return output_.remainder_offset; }
 
-  /// Runs the partition stage (radix sort by column tag).
+  /// Runs the partition stage (radix sort by column tag), then frees the
+  /// field extents and, except under ErrorPolicy::kQuarantine, the symbol
+  /// flags: the CSS now holds every value byte.
   Status Partition();
 
   /// Runs the convert stage (CSS indexing, value generation, error

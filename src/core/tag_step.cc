@@ -489,8 +489,8 @@ Status TagStep::Run(PipelineState* state, StepTimings* timings) {
   obs::TraceSpan write =
       StepProbe(*state, "step.tag.write", "step.tag.write_us");
   const TaggingMode mode = options.tagging_mode;
-  PARPARAW_RETURN_NOT_OK(robust::GuardedAssign("alloc.tag", &state->css,
-                                               total_slots, uint8_t{0}));
+  PARPARAW_RETURN_NOT_OK(
+      robust::GuardedResize("alloc.tag", &state->css, total_slots));
   PARPARAW_RETURN_NOT_OK(robust::GuardedAssign("alloc.tag", &state->col_tags,
                                                total_slots, uint32_t{0}));
   if (mode == TaggingMode::kRecordTags) {

@@ -25,12 +25,13 @@ namespace exec {
 namespace {
 
 /// One partition's raw bytes on their way from the reader to the scan
-/// morsel. `view` points into `owned` (file mode) or into the caller's
-/// buffer (buffer mode).
+/// morsel. `view` points into `owned` (file mode) or, when `borrowed`, into
+/// the caller's buffer (buffer mode), which outlives the ingest.
 struct RawChunk {
   int64_t index = 0;
   std::string owned;
   std::string_view view;
+  bool borrowed = false;
   bool is_last = false;
 };
 
@@ -40,8 +41,12 @@ struct RawChunk {
 /// into the task itself, so tasks never move between morsels.
 struct PartitionTask {
   int64_t index = 0;
-  /// Carry-over + partition bytes; what the scan morsel parsed.
-  std::string buffer;
+  /// Carry-over + partition bytes; what the scan morsel parsed. A view of
+  /// the caller's buffer in buffer mode, else of `owned`.
+  std::string_view buffer;
+  /// File mode: the adopted read buffer, or the carry-over copied in front
+  /// of the chunk. Freed after the sort unless a later stage reads it.
+  std::string owned;
   /// Stream offset of buffer[0] (for quarantine-span re-basing).
   int64_t buffer_base = 0;
   /// Bytes this partition consumed from the stream (excludes the carry,
@@ -140,6 +145,7 @@ class BufferSource final : public ChunkSource {
   Status Next(size_t max_bytes, RawChunk* chunk, bool* eof) override {
     const size_t take = std::min(max_bytes, input_.size() - pos_);
     chunk->view = input_.substr(pos_, take);
+    chunk->borrowed = true;
     pos_ += take;
     *eof = pos_ >= input_.size();
     return Status::OK();
@@ -319,7 +325,7 @@ class PipelineRun {
             "for streaming parses");
       }
     }
-    if (sink_ == nullptr) result_.table = ConcatTables(tables_);
+    if (sink_ == nullptr) result_.table = ConcatTables(std::move(tables_));
     if (metrics_ != nullptr && metrics_->enabled()) {
       obs::AddCount(metrics_, "exec.ingests", 1);
       obs::AddCount(metrics_, "exec.partitions",
@@ -495,11 +501,26 @@ class PipelineRun {
     // when their partition was consumed, so back them out.
     task->buffer_base =
         stream_consumed_ - static_cast<int64_t>(carry_.size());
-    task->buffer.reserve(carry_.size() + chunk->view.size());
-    task->buffer.append(carry_);
-    task->buffer.append(chunk->view);
-    chunk->owned.clear();  // raw bytes copied; release the reader's buffer
-    chunk->owned.shrink_to_fit();
+    // Assemble carry-over + chunk. In buffer mode the carry is the input
+    // right before the chunk, so the partition is a view and nothing is
+    // copied; a file chunk with no carry is adopted by move. Only a
+    // carried file partition is copied.
+    int64_t copied = 0;
+    if (chunk->borrowed) {
+      task->buffer = std::string_view(chunk->view.data() - carry_.size(),
+                                      carry_.size() + chunk->view.size());
+    } else if (carry_.empty()) {
+      task->owned = std::move(chunk->owned);
+      task->buffer = task->owned;
+    } else {
+      task->owned.reserve(carry_.size() + chunk->view.size());
+      task->owned.append(carry_);
+      task->owned.append(chunk->view);
+      task->buffer = task->owned;
+      copied = static_cast<int64_t>(task->owned.size());
+      chunk->owned = std::string();  // release the reader's buffer
+    }
+    obs::AddCount(metrics_, "exec.copied_bytes", copied);
 
     ParseOptions po = base_;
     po.exclude_trailing_record = !task->is_last;
@@ -534,10 +555,15 @@ class PipelineRun {
       }
       // A record larger than a partition simply keeps accumulating into
       // the carry-over until its delimiter arrives (the skewed-input
-      // case of Fig. 11).
+      // case of Fig. 11). A file partition's buffer is freed after its
+      // sort, so its carry is copied out.
       carry_ = task->buffer.substr(static_cast<size_t>(remainder));
+      if (!chunk->borrowed) {
+        carry_owned_.assign(carry_);
+        carry_ = carry_owned_;
+      }
     } else {
-      carry_.clear();
+      carry_ = std::string_view();
     }
     task->carry_bytes = static_cast<int64_t>(carry_.size());
     stream_consumed_ += task->partition_bytes;
@@ -592,6 +618,12 @@ class PipelineRun {
       if (!sorted.ok()) {
         Park(task->index, sorted.WithContext("exec.sort"));
         return;
+      }
+      // The CSS now holds every value byte; only quarantine spans still
+      // read the raw partition.
+      if (base_.error_policy != robust::ErrorPolicy::kQuarantine) {
+        task->owned = std::string();
+        task->buffer = std::string_view();
       }
     }
     AddStageSeconds(&result_.stats.sort_seconds, probe.Stop());
@@ -757,8 +789,11 @@ class PipelineRun {
   bool deliver_token_held_ = false;
 
   /// Scan-chain state: owned by whichever morsel holds the scan token
-  /// (hand-offs synchronise through state_mu_ and the scheduler).
-  std::string carry_;
+  /// (hand-offs synchronise through state_mu_ and the scheduler). The
+  /// carry-over views the caller's buffer in buffer mode and
+  /// `carry_owned_` in file mode.
+  std::string_view carry_;
+  std::string carry_owned_;
   int64_t stream_consumed_ = 0;
   bool first_ = true;
 

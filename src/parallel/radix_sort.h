@@ -50,9 +50,12 @@ Status StableRadixSortWithHistogram(ThreadPool* pool,
                                     const RadixSortOptions& options = {});
 
 /// \brief Gathers `in` through `permutation`: out[i] = in[permutation[i]].
-template <typename T>
+/// Either vector may use its own allocator (the parse scratch buffers grow
+/// without a zero fill; every output element is written here).
+template <typename T, typename InAlloc, typename OutAlloc>
 void ApplyPermutation(ThreadPool* pool, const std::vector<uint32_t>& permutation,
-                      const std::vector<T>& in, std::vector<T>* out) {
+                      const std::vector<T, InAlloc>& in,
+                      std::vector<T, OutAlloc>* out) {
   out->resize(permutation.size());
   T* out_data = out->data();
   const T* in_data = in.data();

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "columnar/column.h"
 #include "columnar/schema.h"
 #include "columnar/table.h"
@@ -150,6 +154,35 @@ TEST(TableTest, EqualsAndConcat) {
   EXPECT_EQ(merged.num_rows, 4);
   EXPECT_EQ(merged.columns[0].Value<int64_t>(3), 6);
   EXPECT_EQ(merged.rejected.size(), 4u);
+}
+
+// A one-table vector passed by move is the executor's single-partition
+// result: the table must be moved into the result, not deep-copied.
+TEST(TableTest, ConcatOfOneMovedTableKeepsItsBuffers) {
+  Table t;
+  t.schema.AddField(Field("id", DataType::Int64()));
+  t.schema.AddField(Field("name", DataType::String()));
+  Column id(DataType::Int64());
+  Column name(DataType::String());
+  for (int64_t i = 0; i < 1000; ++i) {
+    id.AppendValue<int64_t>(i);
+    name.AppendString("name" + std::to_string(i));
+  }
+  t.columns.push_back(std::move(id));
+  t.columns.push_back(std::move(name));
+  t.num_rows = 1000;
+  t.rejected.assign(1000, 0);
+  const Table want = t;
+  std::vector<Table> tables;
+  tables.push_back(std::move(t));
+  const uint8_t* id_data = tables[0].columns[0].data().data();
+  const uint8_t* name_data = tables[0].columns[1].string_data().data();
+
+  const Table merged = ConcatTables(std::move(tables));
+  EXPECT_EQ(merged.columns[0].data().data(), id_data);
+  EXPECT_EQ(merged.columns[1].string_data().data(), name_data);
+  EXPECT_TRUE(merged.Equals(want));
+  EXPECT_EQ(merged.rejected, want.rejected);
 }
 
 TEST(TableTest, RowToStringAndBufferBytes) {

@@ -11,6 +11,7 @@
 
 #include "core/parser.h"
 #include "io/file.h"
+#include "obs/metrics.h"
 #include "robust/failpoint.h"
 #include "workload/generators.h"
 
@@ -372,6 +373,93 @@ TEST(ExecTest, RecordLargerThanPartition) {
   auto want = Parser::Parse(input, options.base);
   ASSERT_TRUE(want.ok());
   ASSERT_TRUE(result->table.Equals(want->table));
+}
+
+// Buffer-mode partitions parse the caller's bytes in place: a partition's
+// carry-over is the view of the input right before its chunk. Partitions far
+// smaller than a record (quotes and newlines spanning several partitions)
+// must still quarantine exactly the spans one monolithic parse does.
+TEST(ExecTest, InPlaceCarryViewKeepsQuarantineSpans) {
+  std::string input = "skipped header\n";
+  for (int i = 0; i < 60; ++i) {
+    input += "\"multi\nline, " + std::to_string(i) + "\"," +
+             (i % 3 == 0 ? std::string("bad") + std::to_string(i)
+                         : std::to_string(i)) +
+             ",\"" + std::string(static_cast<size_t>(i % 40), 'z') + "\"\n";
+  }
+  input += "trailing,oops,\"unterminated\nrecord\"";
+  for (simd::KernelKind kernel :
+       {simd::KernelKind::kScalar, simd::KernelKind::kAuto}) {
+    ParseOptions base = BaseOptions(ErrorPolicy::kQuarantine, kernel);
+    base.skip_rows = 1;
+    auto want = Parser::Parse(input, base);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    ASSERT_GT(want->quarantine.size(), 0);
+    for (size_t partition_size : {size_t{16}, size_t{37}, size_t{90}}) {
+      obs::MetricsRegistry metrics;
+      PipelineExecutor executor;
+      ExecOptions options;
+      options.base = base;
+      options.base.metrics = &metrics;
+      options.partition_size = partition_size;
+      auto got = executor.IngestBuffer(input, options);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ASSERT_TRUE(got->table.Equals(want->table))
+          << "partition=" << partition_size;
+      EXPECT_EQ(got->table.rejected, want->table.rejected);
+      ExpectQuarantineEqual(got->quarantine, want->quarantine);
+      EXPECT_EQ(metrics.GetCounter("exec.copied_bytes")->Value(), 0);
+    }
+  }
+}
+
+// exec.copied_bytes counts only the bytes the scan morsel copies to build a
+// partition buffer: none in buffer mode (views) or for a file partition
+// with no carry-over (the read buffer is adopted), carry + chunk bytes for
+// every carried file partition.
+TEST(ExecTest, CopiedBytesCountOnlyCarriedFilePartitions) {
+  const std::string input = ExecInput(300);
+  const std::string path = "/tmp/parparaw_exec_copied_test.csv";
+  ASSERT_TRUE(WriteStringToFile(path, input).ok());
+  auto want = Parser::Parse(
+      input, BaseOptions(ErrorPolicy::kNull, simd::KernelKind::kAuto));
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+
+  const auto ingest = [&](bool from_file, size_t partition_size,
+                          int64_t* copied) {
+    obs::MetricsRegistry metrics;
+    PipelineExecutor executor;
+    ExecOptions options;
+    options.base = BaseOptions(ErrorPolicy::kNull, simd::KernelKind::kAuto);
+    options.base.metrics = &metrics;
+    options.partition_size = partition_size;
+    auto got = from_file ? executor.IngestFile(path, options)
+                         : executor.IngestBuffer(input, options);
+    EXPECT_TRUE(got.ok()) << got.status().ToString();
+    if (!got.ok()) return IngestResult();
+    EXPECT_TRUE(got->table.Equals(want->table))
+        << "file=" << from_file << " partition=" << partition_size;
+    *copied = metrics.GetCounter("exec.copied_bytes")->Value();
+    return std::move(got).ValueOrDie();
+  };
+
+  int64_t copied = -1;
+  ingest(/*from_file=*/false, 500, &copied);
+  EXPECT_EQ(copied, 0);
+  const IngestResult one = ingest(/*from_file=*/true, size_t{1} << 20, &copied);
+  EXPECT_EQ(one.stats.num_partitions, 1);
+  EXPECT_EQ(copied, 0);
+
+  const IngestResult many = ingest(/*from_file=*/true, 500, &copied);
+  ASSERT_GT(many.partitions.size(), 2u);
+  int64_t expected = 0;
+  for (size_t i = 1; i < many.partitions.size(); ++i) {
+    const int64_t carry = many.partitions[i - 1].carry_bytes;
+    if (carry > 0) expected += carry + many.partitions[i].bytes;
+  }
+  EXPECT_GT(expected, 0);
+  EXPECT_EQ(copied, expected);
+  std::remove(path.c_str());
 }
 
 }  // namespace

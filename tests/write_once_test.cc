@@ -1,0 +1,192 @@
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "dfa/formats.h"
+#include "simd/dispatch.h"
+#include "test_util.h"
+
+// The write-once rule of the parse scratch buffers (core/pipeline_state.h,
+// ScratchAllocator): symbol flags, CSS, field extents and field entries grow
+// without a zero fill, so every element must be written by the pass that
+// produces it. A PipelineState that already parsed a larger input holds
+// non-zero junk in all of them; pointing it at a smaller input must still
+// give the state and table of a fresh parse, bit for bit. Sanitizer builds
+// poison fresh scratch storage, so there the fresh side catches an element
+// no pass wrote as well.
+
+namespace parparaw {
+namespace {
+
+using simd::KernelLevel;
+
+class ScopedKernelLevel {
+ public:
+  explicit ScopedKernelLevel(KernelLevel level) {
+    simd::SetForcedKernelLevel(level);
+  }
+  ~ScopedKernelLevel() { simd::SetForcedKernelLevel(std::nullopt); }
+};
+
+/// Scalar reference, portable SWAR, and the best vector level of this CPU.
+std::vector<KernelLevel> Levels() {
+  std::vector<KernelLevel> levels = {KernelLevel::kScalar, KernelLevel::kSwar};
+  const KernelLevel best = simd::DetectBestKernelLevel();
+  if (best != KernelLevel::kSwar) levels.push_back(best);
+  return levels;
+}
+
+/// Dense, delimiter-heavy input: leaves non-zero flags, CSS bytes and
+/// field entries everywhere in the scratch buffers.
+std::string LargeInput() {
+  std::string csv;
+  for (int i = 0; i < 3000; ++i) {
+    csv += "\"big, \xC3\xA9" + std::to_string(i) + "\n\",\"" +
+           std::string(static_cast<size_t>(i % 13), 'x') + "\"\"y\"," +
+           std::to_string(i * 31) + "\n";
+  }
+  return csv;
+}
+
+/// A leading UTF-8 continuation byte (outside every chunk), quoted field and
+/// record delimiters crossing chunk boundaries, multibyte values, empty
+/// fields, and an unterminated trailing record. Three fields per record, so
+/// every tagging mode accepts it.
+std::string SmallInput() {
+  std::string csv = "\xA9";
+  for (int i = 0; i < 24; ++i) {
+    switch (i % 4) {
+      case 0:
+        csv += "a" + std::to_string(i) + ",\"b,\nc\xC3\xBC\",d\n";
+        break;
+      case 1:
+        csv += ",,\n";
+        break;
+      case 2:
+        csv += "\"\xE6\xB1\x89,\xF0\x9F\x9A\x80\"," + std::to_string(i) +
+               ",\"y\"\"z\"\n";
+        break;
+      default:
+        csv += "plain" + std::to_string(i) + ",,\"quoted, "
+               "and long enough to span a chunk\"\n";
+        break;
+    }
+  }
+  csv += "tail,\"q,\n\",end";
+  return csv;
+}
+
+/// Points `h` at `input`, keeping every buffer the previous parse left in
+/// its PipelineState.
+void Retarget(StepHarness* h, const std::string& input) {
+  h->input = input;
+  h->state.data = reinterpret_cast<const uint8_t*>(h->input.data());
+  h->state.size = h->input.size();
+  h->state.num_chunks = static_cast<int64_t>(
+      bit_util::CeilDiv(h->input.size(), h->options.chunk_size));
+}
+
+/// Runs every step, converting into `out`. With `mis_speculate`, every
+/// converged chunk's verification token is corrupted after the context
+/// step, so the bitmap step must detect it and re-walk the suffix.
+void RunSteps(StepHarness* h, bool mis_speculate, ParseOutput* out,
+              int64_t* corrupted) {
+  ASSERT_TRUE(h->RunContext().ok());
+  if (mis_speculate) {
+    for (size_t c = 0; c < h->state.spec_offsets.size(); ++c) {
+      if (h->state.spec_offsets[c] < 0) continue;
+      h->state.spec_states[c] = h->state.spec_states[c] == rfc4180::kEsc
+                                    ? rfc4180::kEof
+                                    : rfc4180::kEsc;
+      ++*corrupted;
+    }
+  }
+  ASSERT_TRUE(BitmapStep::Run(&h->state, &h->timings).ok());
+  ASSERT_TRUE(OffsetStep::Run(&h->state, &h->timings).ok());
+  const Status tagged = TagStep::Run(&h->state, &h->timings);
+  ASSERT_TRUE(tagged.ok()) << tagged.ToString();
+  ASSERT_TRUE(PartitionStep::Run(&h->state, &h->timings, &h->work).ok());
+  const Status converted =
+      ConvertStep::Run(&h->state, &h->timings, &h->work, out);
+  ASSERT_TRUE(converted.ok()) << converted.ToString();
+}
+
+void ExpectEntriesEqual(const ScratchVector<FieldEntry>& got,
+                        const ScratchVector<FieldEntry>& want,
+                        const std::string& context) {
+  ASSERT_EQ(got.size(), want.size()) << context;
+  for (size_t k = 0; k < got.size(); ++k) {
+    EXPECT_EQ(got[k].row, want[k].row) << context << " entry " << k;
+    EXPECT_EQ(got[k].offset, want[k].offset) << context << " entry " << k;
+    EXPECT_EQ(got[k].length, want[k].length) << context << " entry " << k;
+  }
+}
+
+TEST(WriteOnceTest, ReusedStateMatchesFreshHarness) {
+  const std::string large = LargeInput();
+  const std::string small = SmallInput();
+  for (KernelLevel level : Levels()) {
+    ScopedKernelLevel force(level);
+    int64_t corrupted = 0;
+    for (TransposeMode transpose :
+         {TransposeMode::kSymbolSort, TransposeMode::kFieldGather}) {
+      for (TaggingMode tagging :
+           {TaggingMode::kRecordTags, TaggingMode::kInlineTerminated,
+            TaggingMode::kVectorDelimited}) {
+        for (size_t chunk_size : {size_t{7}, size_t{64}}) {
+          const std::string context =
+              std::string(simd::KernelLevelName(level)) + " transpose=" +
+              std::to_string(static_cast<int>(transpose)) + " tagging=" +
+              std::to_string(static_cast<int>(tagging)) +
+              " chunk=" + std::to_string(chunk_size);
+          ParseOptions options;
+          options.transpose_mode = transpose;
+          options.tagging_mode = tagging;
+          options.chunk_size = chunk_size;
+
+          auto reused = StepHarness::Make(large, options);
+          ASSERT_NE(reused, nullptr);
+          ParseOutput junk;
+          int64_t ignored = 0;
+          ASSERT_NO_FATAL_FAILURE(
+              RunSteps(reused.get(), false, &junk, &ignored));
+          Retarget(reused.get(), small);
+          ParseOutput reused_out;
+          ASSERT_NO_FATAL_FAILURE(
+              RunSteps(reused.get(), true, &reused_out, &corrupted));
+          // The buffers were reused, not reallocated: the junk was there.
+          ASSERT_GE(reused->state.symbol_flags.capacity(), large.size())
+              << context;
+
+          auto fresh = StepHarness::Make(small, options);
+          ASSERT_NE(fresh, nullptr);
+          ParseOutput fresh_out;
+          int64_t fresh_corrupted = 0;
+          ASSERT_NO_FATAL_FAILURE(
+              RunSteps(fresh.get(), true, &fresh_out, &fresh_corrupted));
+
+          EXPECT_EQ(reused->state.symbol_flags, fresh->state.symbol_flags)
+              << context;
+          EXPECT_EQ(reused->state.css, fresh->state.css) << context;
+          ExpectEntriesEqual(reused->state.gather_entries,
+                             fresh->state.gather_entries, context);
+          EXPECT_TRUE(reused_out.table.Equals(fresh_out.table)) << context;
+          EXPECT_EQ(reused_out.table.rejected, fresh_out.table.rejected)
+              << context;
+          EXPECT_EQ(fresh_out.table.num_rows, 25) << context;
+        }
+      }
+    }
+    // The vector levels converged somewhere, so the corrupted tokens
+    // really forced mis-speculations on the reused state.
+    if (level != KernelLevel::kScalar) {
+      EXPECT_GT(corrupted, 0) << simd::KernelLevelName(level);
+    }
+  }
+}
+
+}  // namespace
+}  // namespace parparaw
