@@ -86,10 +86,14 @@ run_tsan() {
   # ObsIntegration suite also checks the cross-thread span invariant: an
   # ingest whose morsels hop across workers records no negative span
   # depth, and every nested span lies inside its parent on its own thread.
+  # SymbolIndex, SimdDifferential and WriteOnce drive the core steps, whose
+  # chunks share the bitmap indexes' edge words (the word-ownership rule at
+  # SymbolIndex, core/pipeline_state.h): those words must only ever be
+  # touched through atomic_ref.
   echo "=== TSan: concurrency-sensitive tests ==="
   TSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \
-      -R 'ThreadPool|ParallelFor|Scheduler|TaskGroup|Metrics|Tracer|ObsIntegration|Streaming|Exec|Reader'
+      -R 'ThreadPool|ParallelFor|Scheduler|TaskGroup|Metrics|Tracer|ObsIntegration|Streaming|Exec|Reader|SymbolIndex|SimdDifferential|WriteOnce'
 }
 
 run_scaling() {
@@ -157,7 +161,8 @@ run_kernels() {
   # exercised with the env override active too. Sanitizer builds poison
   # fresh parse scratch (ScratchAllocator, core/pipeline_state.h), so an
   # element no pass wrote breaks these bit-identity tests; WriteOnce also
-  # reruns the steps on a state left full of a larger parse's junk.
+  # reruns the steps on a state left full of a larger parse's junk, and
+  # SymbolIndex checks every mask bit against a sequential DFA walk.
   for kernel in scalar swar simd; do
     echo "=== kernel sweep: full suite, PARPARAW_FORCE_KERNEL=${kernel} ==="
     PARPARAW_FORCE_KERNEL="${kernel}" \
@@ -169,7 +174,7 @@ run_kernels() {
     ASAN_OPTIONS=detect_leaks=1:strict_string_checks=1 \
     UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1 \
       ctest --test-dir build-asan --output-on-failure -j "${JOBS}" \
-        -R 'SimdDifferential|SimdSpeculation|Utf8Boundary|WriteOnce'
+        -R 'SimdDifferential|SimdSpeculation|Utf8Boundary|WriteOnce|SymbolIndex'
   done
 }
 
@@ -207,9 +212,10 @@ run_transpose() {
   # flips what TransposeMode::kAuto resolves to, so every test that does
   # not pin a mode runs both the field-gather default and the paper's
   # symbol-sort path. Then the dedicated differential harness (10k+ seeded
-  # inputs comparing the two bit for bit) with the default resolution, and
+  # inputs comparing the two bit for bit) with the default resolution,
   # WriteOnce, whose reused-state parse must match a fresh one in both
-  # modes while fresh scratch storage is poisoned.
+  # modes while fresh scratch storage is poisoned, and SymbolIndex, the
+  # mask bits both modes read.
   for mode in field_gather symbol_sort; do
     echo "=== transpose sweep: full suite, PARPARAW_TRANSPOSE_MODE=${mode} ==="
     PARPARAW_TRANSPOSE_MODE="${mode}" \
@@ -221,7 +227,7 @@ run_transpose() {
   ASAN_OPTIONS=detect_leaks=1:strict_string_checks=1 \
   UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1 \
     ctest --test-dir build-asan --output-on-failure -j "${JOBS}" \
-      -R 'TransposeDifferential|FieldGather|CssIndex|Tagging|WriteOnce'
+      -R 'TransposeDifferential|FieldGather|CssIndex|Tagging|WriteOnce|SymbolIndex'
 }
 
 run_dialects() {

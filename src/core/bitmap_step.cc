@@ -4,29 +4,14 @@
 #include <atomic>
 
 #include "obs/obs.h"
-#include "robust/resource_guard.h"
 #include "simd/simd_kernels.h"
-#include "text/unicode.h"
 
 namespace parparaw {
-
-namespace {
-
-inline size_t AdjustBegin(const PipelineState& state, size_t pos) {
-  pos = std::min(pos, state.size);
-  if (state.options->encoding == TextEncoding::kUtf8) {
-    return AdjustChunkBeginUtf8(state.data, state.size, pos);
-  }
-  return pos;
-}
-
-}  // namespace
 
 Status BitmapStep::Run(PipelineState* state, StepTimings* timings) {
   obs::TraceSpan probe = StepProbe(*state, "step.bitmap", "step.bitmap_us",
                                    static_cast<int64_t>(state->size));
   const Dfa& dfa = state->options->format.dfa;
-  const size_t chunk_size = state->options->chunk_size;
   const int64_t num_chunks = state->num_chunks;
   const int invalid = dfa.invalid_state();
 
@@ -49,11 +34,11 @@ Status BitmapStep::Run(PipelineState* state, StepTimings* timings) {
       state->spec_offsets.size() == static_cast<size_t>(num_chunks);
 
   if (fused) {
-    // The context step's fused kernel already wrote the flags for every
+    // The context step's fused kernel already wrote the masks of every
     // chunk suffix whose states were entry-state-independent; this pass
     // walks only each chunk's pre-convergence prefix from the now-known
     // entry state, verifies the speculation token, and counts the rest
-    // from the emitted flags. A token mismatch (mis-speculation) falls
+    // from the written masks. A token mismatch (mis-speculation) falls
     // back to re-walking the suffix — results are then still exact.
     const simd::KernelPlan& plan = *state->kernel_plan;
     obs::Counter* mis_speculations = nullptr;
@@ -64,16 +49,13 @@ Status BitmapStep::Run(PipelineState* state, StepTimings* timings) {
     }
     PARPARAW_RETURN_NOT_OK(
         ParallelForEach(state->pool, 0, num_chunks, [&](int64_t c) {
-      const size_t begin =
-          AdjustBegin(*state, static_cast<size_t>(c) * chunk_size);
-      const size_t end =
-          AdjustBegin(*state, static_cast<size_t>(c + 1) * chunk_size);
+      const auto [begin, end] = ChunkRangeOf(*state, c);
       const int64_t spec = state->spec_offsets[c];
       const size_t pre_end =
           spec >= 0 ? std::min(static_cast<size_t>(spec), end) : end;
       simd::FlagWalkResult head = simd::WalkEmitFlags(
           plan, state->data, begin, pre_end, state->entry_states[c],
-          state->symbol_flags.data());
+          state->symbol_index.data());
       uint32_t records = head.records;
       uint32_t fields_since_record = head.fields_since_record;
       bool saw_record_delim = head.saw_record_delimiter;
@@ -82,17 +64,17 @@ Status BitmapStep::Run(PipelineState* state, StepTimings* timings) {
         simd::FlagWalkResult tail;
         int64_t tail_invalid;
         if (head.end_state == state->spec_states[c]) {
-          // Speculation verified: the already-emitted flags are exact.
-          tail = simd::CountEmittedFlags(state->symbol_flags.data(), pre_end,
+          // Speculation verified: the already-written masks are exact.
+          tail = simd::CountEmittedFlags(state->symbol_index.data(), pre_end,
                                          end);
           tail_invalid = state->spec_invalids[c];
         } else {
-          // Mis-speculation detected: discard the speculative flags and
-          // re-walk the suffix from the verified state.
+          // Mis-speculation detected: rewrite the suffix's bits from the
+          // verified state, clearing the speculative ones.
           if (mis_speculations != nullptr) mis_speculations->Increment();
           tail = simd::WalkEmitFlags(plan, state->data, pre_end, end,
                                      head.end_state,
-                                     state->symbol_flags.data());
+                                     state->symbol_index.data());
           tail_invalid = tail.first_invalid;
         }
         records += tail.records;
@@ -110,17 +92,13 @@ Status BitmapStep::Run(PipelineState* state, StepTimings* timings) {
       if (chunk_invalid >= 0) record_invalid(chunk_invalid);
     }));
   } else {
-    // Every chunk writes each flag of its range; only the bytes before the
-    // first chunk's UTF-8-adjusted begin belong to no chunk.
-    PARPARAW_RETURN_NOT_OK(robust::GuardedResize(
-        "alloc.bitmap", &state->symbol_flags, state->size));
-    std::fill_n(state->symbol_flags.begin(), AdjustBegin(*state, 0), 0);
+    // Every chunk writes each bit of its range (the word-ownership rule at
+    // SymbolIndex).
+    PARPARAW_RETURN_NOT_OK(AllocateSymbolIndex(state, "alloc.bitmap"));
     PARPARAW_RETURN_NOT_OK(
         ParallelForEach(state->pool, 0, num_chunks, [&](int64_t c) {
-      const size_t begin =
-          AdjustBegin(*state, static_cast<size_t>(c) * chunk_size);
-      const size_t end =
-          AdjustBegin(*state, static_cast<size_t>(c + 1) * chunk_size);
+      const auto [begin, end] = ChunkRangeOf(*state, c);
+      simd::MaskWriter out(state->symbol_index.data(), begin, end);
       int current = state->entry_states[c];
       uint32_t records = 0;
       uint32_t fields_since_record = 0;
@@ -129,7 +107,7 @@ Status BitmapStep::Run(PipelineState* state, StepTimings* timings) {
         const int group = dfa.SymbolGroup(state->data[i]);
         const uint8_t flags = dfa.Flags(current, group);
         const int next = dfa.NextState(current, group);
-        state->symbol_flags[i] = flags;
+        out.Set(i, flags);
         if (flags & kSymbolRecordDelimiter) {
           ++records;
           fields_since_record = 0;
@@ -142,6 +120,7 @@ Status BitmapStep::Run(PipelineState* state, StepTimings* timings) {
         }
         current = next;
       }
+      out.Finish();
       state->record_counts[c] = records;
       state->column_offsets[c] = ColumnOffset{fields_since_record,
                                               saw_record_delim};

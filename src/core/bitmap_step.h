@@ -15,8 +15,8 @@ namespace parparaw {
 /// indexes; subsequent steps never re-run the DFA). Alongside, the chunk
 /// derives its record-delimiter count and its relative/absolute
 /// column-offset contribution (Fig. 4), and flags invalid transitions for
-/// validation (§4.3). Fills: symbol_flags, record_counts, column_offsets,
-/// first_invalid_offset.
+/// validation (§4.3). Fills: symbol_index (with the context step's fused
+/// kernels), record_counts, column_offsets, first_invalid_offset.
 class BitmapStep {
  public:
   static Status Run(PipelineState* state, StepTimings* timings);

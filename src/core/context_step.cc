@@ -1,38 +1,20 @@
 #include "core/context_step.h"
 
-#include <algorithm>
-
 #include "obs/obs.h"
 #include "parallel/scan.h"
-#include "robust/resource_guard.h"
 #include "simd/simd_kernels.h"
-#include "text/unicode.h"
 
 namespace parparaw {
 
-namespace {
-
-// First symbol boundary at or after `pos` for the configured encoding.
-inline size_t AdjustBegin(const PipelineState& state, size_t pos) {
-  pos = std::min(pos, state.size);
-  if (state.options->encoding == TextEncoding::kUtf8) {
-    return AdjustChunkBeginUtf8(state.data, state.size, pos);
-  }
-  return pos;
-}
-
-}  // namespace
-
 Status ContextStep::Run(PipelineState* state, StepTimings* timings) {
   const Dfa& dfa = state->options->format.dfa;
-  const size_t chunk_size = state->options->chunk_size;
   const int64_t num_chunks = state->num_chunks;
   obs::TraceSpan span(state->options->tracer, "step.context", "pipeline",
                       static_cast<int64_t>(state->size));
 
   // Kernel selection (src/simd): the scalar reference path below, or the
-  // fused vectorized path that also emits speculative bitmap flags for
-  // each chunk's entry-state-independent suffix.
+  // fused vectorized path that also writes the speculative bitmap masks
+  // of each chunk's entry-state-independent suffix.
   simd::KernelLevel level = simd::ResolveKernelLevel(state->options->kernel);
   if (dfa.num_states() == 0) level = simd::KernelLevel::kScalar;
   state->kernel_level = level;
@@ -45,23 +27,16 @@ Status ContextStep::Run(PipelineState* state, StepTimings* timings) {
   if (level == simd::KernelLevel::kScalar) {
     PARPARAW_RETURN_NOT_OK(
         ParallelForEach(state->pool, 0, num_chunks, [&](int64_t c) {
-          const size_t begin =
-              AdjustBegin(*state, static_cast<size_t>(c) * chunk_size);
-          const size_t end =
-              AdjustBegin(*state, static_cast<size_t>(c + 1) * chunk_size);
+          const ChunkRange r = ChunkRangeOf(*state, c);
           state->transition_vectors[c] =
-              dfa.TransitionVector(state->data + begin, end - begin);
+              dfa.TransitionVector(state->data + r.begin, r.end - r.begin);
         }));
   } else {
     state->kernel_plan =
         std::make_shared<simd::KernelPlan>(simd::BuildKernelPlan(dfa));
-    // The flags stay unwritten here: each chunk zeroes its own range in
-    // the parallel loop below, because the kernel (and the bitmap step's
-    // walks after it) skip clean blocks without writing them. The bytes
-    // before the first chunk's UTF-8-adjusted begin belong to no chunk.
-    PARPARAW_RETURN_NOT_OK(robust::GuardedResize(
-        "alloc.context", &state->symbol_flags, state->size));
-    std::fill_n(state->symbol_flags.begin(), AdjustBegin(*state, 0), 0);
+    // Each chunk's kernel writes the masks of its converged suffix and the
+    // bitmap step the rest (the word-ownership rule at SymbolIndex).
+    PARPARAW_RETURN_NOT_OK(AllocateSymbolIndex(state, "alloc.context"));
     state->spec_offsets.assign(num_chunks, -1);
     state->spec_states.assign(num_chunks, 0);
     state->spec_invalids.assign(num_chunks, -1);
@@ -82,14 +57,9 @@ Status ContextStep::Run(PipelineState* state, StepTimings* timings) {
 
     PARPARAW_RETURN_NOT_OK(
         ParallelForEach(state->pool, 0, num_chunks, [&](int64_t c) {
-      const size_t begin =
-          AdjustBegin(*state, static_cast<size_t>(c) * chunk_size);
-      const size_t end =
-          AdjustBegin(*state, static_cast<size_t>(c + 1) * chunk_size);
-      std::fill(state->symbol_flags.begin() + begin,
-                state->symbol_flags.begin() + end, 0);
-      const simd::ChunkKernelResult result =
-          kernel(plan, state->data, begin, end, state->symbol_flags.data());
+      const ChunkRange r = ChunkRangeOf(*state, c);
+      const simd::ChunkKernelResult result = kernel(
+          plan, state->data, r.begin, r.end, state->symbol_index.data());
       state->transition_vectors[c] = result.vector;
       state->spec_offsets[c] = result.spec_offset;
       state->spec_states[c] = result.spec_state;
@@ -97,7 +67,7 @@ Status ContextStep::Run(PipelineState* state, StepTimings* timings) {
       if (result.spec_offset >= 0) {
         if (converged_counter != nullptr) converged_counter->Increment();
         if (fastpath_bytes != nullptr) {
-          fastpath_bytes->Record(static_cast<int64_t>(end) -
+          fastpath_bytes->Record(static_cast<int64_t>(r.end) -
                                  result.spec_offset);
         }
       } else if (unconverged_counter != nullptr) {

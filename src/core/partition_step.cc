@@ -1,25 +1,44 @@
 #include "core/partition_step.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "obs/obs.h"
 #include "parallel/radix_sort.h"
 #include "robust/failpoint.h"
 #include "robust/resource_guard.h"
-#include "text/unicode.h"
 #include "util/bit_util.h"
 
 namespace parparaw {
 
 namespace {
 
-inline size_t AdjustBegin(const PipelineState& state, size_t pos) {
-  pos = std::min(pos, state.size);
-  if (state.options->encoding == TextEncoding::kUtf8) {
-    return AdjustChunkBeginUtf8(state.data, state.size, pos);
+// Copies the value bytes of the window [begin, end) to `out`, at most
+// `length` of them: the runs between its record and control bits, one
+// memcpy each.
+void CopyValueRuns(const simd::SymbolMasks* index, const uint8_t* data,
+                   int64_t begin, int64_t end, uint8_t* out, int64_t length) {
+  int64_t s = begin;
+  while (s < end && length > 0) {
+    // The first record or control bit at or after s, or end.
+    size_t w = static_cast<size_t>(s) >> 6;
+    uint64_t stops = (index[w].record | index[w].control) &
+                     ~simd::BitRange(0, static_cast<unsigned>(s & 63));
+    while (stops == 0 && static_cast<int64_t>(64 * (w + 1)) < end) {
+      ++w;
+      stops = index[w].record | index[w].control;
+    }
+    const int64_t stop =
+        stops == 0 ? end
+                   : std::min<int64_t>(end, static_cast<int64_t>(64 * w) +
+                                                std::countr_zero(stops));
+    const int64_t run = std::min(stop - s, length);
+    std::memcpy(out, data + s, static_cast<size_t>(run));
+    out += run;
+    length -= run;
+    s = stop + 1;
   }
-  return pos;
 }
 
 // Deterministic model of the transposition phase's peak resident bytes,
@@ -50,8 +69,8 @@ int64_t ModelTransposePeakBytes(const PipelineState& state) {
 // field granularity): per-tile histograms of field counts and CSS slot
 // bytes, a bucket-major x tile-major exclusive scan (the same stability
 // argument as the radix sort's), then a stable scatter that copies each
-// field's value bytes into its column's CSS with one memcpy — or a
-// filtered walk when control bytes (quotes, escapes) interleave the field.
+// field's value bytes into its column's CSS with one memcpy — or one per
+// run between the control bytes (quotes, escapes) inside the field.
 Status RunFieldGather(PipelineState* state, WorkCounters* work) {
   const ParseOptions& options = *state->options;
   const TaggingMode mode = options.tagging_mode;
@@ -131,13 +150,13 @@ Status RunFieldGather(PipelineState* state, WorkCounters* work) {
   PARPARAW_RETURN_NOT_OK(robust::GuardedResize(
       "alloc.gather", &state->css, static_cast<size_t>(byte_running)));
   const uint8_t* data = state->data;
-  const uint8_t* flags = state->symbol_flags.data();
+  const simd::SymbolMasks* index = state->symbol_index.data();
   uint8_t* css = state->css.data();
   // The very first field starts where the first chunk starts — under UTF-8
   // chunking that can be past byte 0 (a leading continuation byte is
   // outside every chunk and was never tagged, so it must not be gathered).
   const int64_t input_begin =
-      static_cast<int64_t>(AdjustBegin(*state, 0));
+      static_cast<int64_t>(ChunkRangeOf(*state, 0).begin);
   PARPARAW_RETURN_NOT_OK(
       ParallelForEach(state->pool, 0, num_tiles, [&](int64_t t) {
         const int64_t b = t * tile;
@@ -154,23 +173,20 @@ Status RunFieldGather(PipelineState* state, WorkCounters* work) {
           // kSymbolControl) is the field's last value byte: the copy
           // window extends over it. src_end == size is the trailing
           // record's virtual end, never inclusive.
-          const bool inclusive_end =
-              ex.src_end < static_cast<int64_t>(state->size) &&
-              (flags[ex.src_end] & kSymbolFieldDelimiter) != 0 &&
-              (flags[ex.src_end] & kSymbolControl) == 0;
+          bool inclusive_end = false;
+          if (ex.src_end < static_cast<int64_t>(state->size)) {
+            const simd::SymbolMasks& m = index[ex.src_end >> 6];
+            const unsigned b = static_cast<unsigned>(ex.src_end & 63);
+            inclusive_end = ((m.field >> b) & 1) != 0 &&
+                            ((m.control >> b) & 1) == 0;
+          }
           const int64_t copy_end = ex.src_end + (inclusive_end ? 1 : 0);
           if (copy_end - src_begin == ex.length) {
             std::memcpy(css + out, data + src_begin,
                         static_cast<size_t>(ex.length));
           } else {
-            int64_t w = out;
-            const int64_t w_end = out + ex.length;
-            for (int64_t s = src_begin; s < copy_end && w < w_end; ++s) {
-              if ((flags[s] &
-                   (kSymbolRecordDelimiter | kSymbolControl)) == 0) {
-                css[w++] = data[s];
-              }
-            }
+            CopyValueRuns(index, data, src_begin, copy_end, css + out,
+                          ex.length);
           }
           if (slot_per_field) {
             // The terminator slot the per-symbol path emits at each field

@@ -1,6 +1,8 @@
 #ifndef PARPARAW_CORE_PIPELINE_STATE_H_
 #define PARPARAW_CORE_PIPELINE_STATE_H_
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -13,7 +15,9 @@
 #include "core/options.h"
 #include "dfa/state_vector.h"
 #include "obs/trace.h"
+#include "robust/resource_guard.h"
 #include "simd/simd_kernels.h"
+#include "text/unicode.h"
 
 namespace parparaw {
 
@@ -22,8 +26,9 @@ namespace parparaw {
 /// no zero-fill pass over fresh memory.
 ///
 /// The rule that makes this safe: every element of a scratch buffer is
-/// written by exactly one pass before any pass reads it (the passes are
-/// listed in docs/architecture.md, "Memory traffic"). Sanitizer builds fill
+/// written before any pass reads it (the passes are listed in
+/// docs/architecture.md, "Memory traffic"; the symbol index's shared words
+/// follow the word-ownership rule at SymbolIndex). Sanitizer builds fill
 /// fresh storage with a non-zero poison byte instead, so an element some
 /// pass forgot to write breaks the bit-identity tests rather than reading
 /// as the zero a fresh page happens to hold.
@@ -115,10 +120,48 @@ struct FieldExtent {
 /// FieldExtent::column sentinel: the field is not part of the output.
 inline constexpr uint32_t kDroppedColumn = 0xFFFFFFFFu;
 
-/// Per-input-byte symbol classification produced by the bitmap step — the
-/// paper's three bitmap indexes (§3.1), stored byte-per-symbol so parallel
-/// chunk writers never share a word. Bit values match SymbolFlags.
-using SymbolFlagsArray = ScratchVector<uint8_t>;
+struct PipelineState;
+
+/// The byte range [begin, end) one chunk parses.
+struct ChunkRange {
+  size_t begin = 0;
+  size_t end = 0;
+};
+
+/// Chunk c's byte range: c * chunk_size up to the next chunk's start, each
+/// start moved to the next symbol boundary under UTF-8 (past at most three
+/// continuation bytes). Every step walks the same ranges; the bytes before
+/// chunk 0's begin belong to no chunk.
+inline ChunkRange ChunkRangeOf(const PipelineState& state, int64_t c);
+
+/// \brief The paper's three bitmap indexes (§3.1–3.2), one
+/// simd::SymbolMasks per 64 input bytes: bit b of word w is byte 64w + b.
+/// The context step's fused kernels and the bitmap step write it; the tag
+/// and partition steps and StagedParse read it.
+///
+/// Word-ownership rule. Chunk edges are not word-aligned (7- or 31-byte
+/// chunks, UTF-8-adjusted chunk starts), so neighbouring chunks share
+/// words. Every bit has one owner: the chunk whose ChunkRangeOf holds the
+/// byte, or AllocateSymbolIndex for the bits no chunk holds (the bytes
+/// before chunk 0's begin and the padding past the input), which it writes
+/// zero. Owners write through simd::MaskWriter, which stores a word whole
+/// only when the writer's range covers all 64 bits, and otherwise updates
+/// it with std::atomic_ref operations that clear and set only the writer's
+/// bits. Hence:
+///   - the edge word two neighbouring chunks write concurrently is merged
+///     by both;
+///   - the word holding a chunk's spec_offset gets its suffix bits from the
+///     context step's kernel and its prefix bits from the bitmap step's
+///     walk, each merged, never overwritten;
+///   - the bitmap step's mis-speculation re-walk rewrites [spec_offset,
+///     end) of its chunk, clearing the stale speculative bits of that range
+///     and no others.
+/// A chunk that reads its own bits while its neighbours may still be
+/// writing theirs (simd::CountEmittedFlags, the bitmap step's popcount of a
+/// verified suffix) loads the shared words through std::atomic_ref too.
+/// Every bit is written before a later step reads it, so the index grows
+/// without a zero-fill.
+using SymbolIndex = ScratchVector<simd::SymbolMasks>;
 
 /// \brief All intermediate state threaded through the pipeline steps.
 ///
@@ -160,7 +203,7 @@ struct PipelineState {
   bool has_trailing_record = false;
 
   // --- bitmap step (§3.1/§3.2) ---
-  SymbolFlagsArray symbol_flags;
+  SymbolIndex symbol_index;
   /// Per-chunk number of record delimiters.
   std::vector<uint32_t> record_counts;
   /// Per-chunk column-offset contribution.
@@ -241,6 +284,60 @@ struct PipelineState {
   /// gather_entry_offsets[p+1]) are column p's fields (num_partitions + 1).
   std::vector<int64_t> gather_entry_offsets;
 };
+
+inline ChunkRange ChunkRangeOf(const PipelineState& state, int64_t c) {
+  const size_t chunk_size = state.options->chunk_size;
+  const auto start = [&state](size_t pos) {
+    pos = std::min(pos, state.size);
+    if (state.options->encoding == TextEncoding::kUtf8) {
+      return AdjustChunkBeginUtf8(state.data, state.size, pos);
+    }
+    return pos;
+  };
+  return ChunkRange{start(static_cast<size_t>(c) * chunk_size),
+                    start(static_cast<size_t>(c + 1) * chunk_size)};
+}
+
+/// First / last byte in [begin, end) whose record bit is set in the
+/// index; -1 when there is none.
+inline int64_t FirstRecordDelimiter(const SymbolIndex& index, size_t begin,
+                                    size_t end) {
+  int64_t found = -1;
+  simd::ForEachMaskWord(begin, end, [&](size_t w, uint64_t keep) {
+    const uint64_t bits = index[w].record & keep;
+    if (found < 0 && bits != 0) {
+      found = static_cast<int64_t>(64 * w) + std::countr_zero(bits);
+    }
+  });
+  return found;
+}
+
+inline int64_t LastRecordDelimiter(const SymbolIndex& index, size_t begin,
+                                   size_t end) {
+  int64_t found = -1;
+  simd::ForEachMaskWord(begin, end, [&](size_t w, uint64_t keep) {
+    const uint64_t bits = index[w].record & keep;
+    if (bits != 0) {
+      found = static_cast<int64_t>(64 * w) + 63 - std::countl_zero(bits);
+    }
+  });
+  return found;
+}
+
+/// Sizes state->symbol_index for the input (checking the `failpoint`
+/// allocation site) and writes the bits no chunk owns, per the
+/// word-ownership rule at SymbolIndex.
+inline Status AllocateSymbolIndex(PipelineState* state, const char* failpoint) {
+  const size_t words = simd::MaskWordsFor(state->size);
+  PARPARAW_RETURN_NOT_OK(
+      robust::GuardedResize(failpoint, &state->symbol_index, words));
+  simd::SymbolMasks* masks = state->symbol_index.data();
+  simd::MaskWriter head(masks, 0, ChunkRangeOf(*state, 0).begin);
+  head.Finish();
+  simd::MaskWriter padding(masks, state->size, 64 * words);
+  padding.Finish();
+  return Status::OK();
+}
 
 /// The stage probe of one step phase: a "pipeline" span named `name` and a
 /// `histogram` sample on the parse's sinks, timed for the phase's

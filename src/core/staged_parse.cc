@@ -1,6 +1,7 @@
 #include "core/staged_parse.h"
 
 #include <algorithm>
+#include <bit>
 #include <string>
 #include <vector>
 
@@ -117,10 +118,10 @@ Status ApplyErrorPolicy(PipelineState* state, const ParseOptions& options,
     return Status::OK();
   }
 
-  // kQuarantine: byte-accurate spans for every rejected row. One linear
-  // walk over the symbol flags recovers the record boundaries — the flags
-  // mark only syntactic record delimiters, so quoted delimiters inside
-  // fields cannot split a span.
+  // kQuarantine: byte-accurate spans for every rejected row. One walk over
+  // the record mask recovers the record boundaries — it marks only
+  // syntactic record delimiters, so quoted delimiters inside fields cannot
+  // split a span.
   std::vector<int64_t> rec_of_row(static_cast<size_t>(rows), -1);
   for (int64_t r = 0; r < state->num_records; ++r) {
     if (!state->record_dropped.empty() && state->record_dropped[r]) continue;
@@ -130,11 +131,12 @@ Status ApplyErrorPolicy(PipelineState* state, const ParseOptions& options,
                                static_cast<int64_t>(state->size));
   {
     int64_t rec = 0;
-    for (size_t i = 0; i < state->size && rec < state->num_records; ++i) {
-      if (state->symbol_flags[i] & kSymbolRecordDelimiter) {
-        rec_end[rec++] = static_cast<int64_t>(i);
+    simd::ForEachMaskWord(0, state->size, [&](size_t w, uint64_t keep) {
+      for (uint64_t bits = state->symbol_index[w].record & keep;
+           bits != 0 && rec < state->num_records; bits &= bits - 1) {
+        rec_end[rec++] = static_cast<int64_t>(64 * w) + std::countr_zero(bits);
       }
-    }
+    });
   }
   for (int64_t row = 0; row < rows; ++row) {
     if (!table.rejected[row]) continue;
@@ -281,24 +283,18 @@ Status StagedParse::Scan(std::string_view input, const ParseOptions& options) {
 
   if (resolved_.exclude_trailing_record) {
     // Locate where the (possibly excluded) trailing record starts: one past
-    // the last true record delimiter.
+    // the last true record delimiter, the highest record bit of the last
+    // chunk that holds a record.
     if (!state_.has_trailing_record) {
       output_.remainder_offset = static_cast<int64_t>(state_.size);
     } else {
       output_.remainder_offset = 0;
       for (int64_t c = state_.num_chunks - 1; c >= 0; --c) {
         if (state_.record_counts[c] == 0) continue;
-        const size_t begin = static_cast<size_t>(c) * resolved_.chunk_size;
-        // UTF-8 chunk-boundary adjustment can shift a chunk's effective
-        // range by up to three bytes; include them in the backward scan.
-        const size_t end =
-            std::min(begin + resolved_.chunk_size + 3, state_.size);
-        for (size_t i = end; i > begin; --i) {
-          if (state_.symbol_flags[i - 1] & kSymbolRecordDelimiter) {
-            output_.remainder_offset = static_cast<int64_t>(i);
-            break;
-          }
-        }
+        const ChunkRange range = ChunkRangeOf(state_, c);
+        output_.remainder_offset =
+            LastRecordDelimiter(state_.symbol_index, range.begin, range.end) +
+            1;
         break;
       }
     }
@@ -326,11 +322,11 @@ Status StagedParse::Partition() {
       PartitionStep::Run(&state_, &output_.timings, &output_.work),
       "step.partition");
   // The CSS now holds every value byte: free the scratch no later stage
-  // reads. kQuarantine keeps the flags, whose record delimiters
-  // ApplyErrorPolicy walks for the byte spans.
+  // reads. kQuarantine keeps the index, whose record mask ApplyErrorPolicy
+  // walks for the byte spans.
   state_.gather_extents = ScratchVector<FieldExtent>();
   if (resolved_.error_policy != robust::ErrorPolicy::kQuarantine) {
-    state_.symbol_flags = SymbolFlagsArray();
+    state_.symbol_index = SymbolIndex();
   }
   return Status::OK();
 }

@@ -2,22 +2,25 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 
 #include "obs/obs.h"
 #include "parallel/scan.h"
 #include "robust/resource_guard.h"
-#include "text/unicode.h"
 
 namespace parparaw {
 
 namespace {
 
-inline size_t AdjustBegin(const PipelineState& state, size_t pos) {
-  pos = std::min(pos, state.size);
-  if (state.options->encoding == TextEncoding::kUtf8) {
-    return AdjustChunkBeginUtf8(state.data, state.size, pos);
+// Bits of word w (within `keep`) whose input byte equals `byte`.
+uint64_t ByteMatches(const uint8_t* data, size_t w, uint64_t keep,
+                     uint8_t byte) {
+  uint64_t matches = 0;
+  for (; keep != 0; keep &= keep - 1) {
+    const unsigned b = static_cast<unsigned>(std::countr_zero(keep));
+    if (data[64 * w + b] == byte) matches |= uint64_t{1} << b;
   }
-  return pos;
+  return matches;
 }
 
 // Dense lookup for skipped columns (columns above the largest skipped index
@@ -51,10 +54,8 @@ void ForEachEmission(const PipelineState& state,
   const ParseOptions& options = *state.options;
   const bool slot_per_field =
       options.tagging_mode != TaggingMode::kRecordTags;
-  const size_t chunk_size = options.chunk_size;
-  const size_t begin = AdjustBegin(state, static_cast<size_t>(c) * chunk_size);
-  const size_t end =
-      AdjustBegin(state, static_cast<size_t>(c + 1) * chunk_size);
+  const ChunkRange range = ChunkRangeOf(state, c);
+  const simd::SymbolMasks* index = state.symbol_index.data();
   uint32_t col = state.entry_columns[c];
   int64_t rec = state.record_offsets[c];
   // Symbols past the last record delimiter belong to a trailing record
@@ -65,33 +66,38 @@ void ForEachEmission(const PipelineState& state,
     if (r >= state.num_records) return true;
     return !state.record_dropped.empty() && state.record_dropped[r] != 0;
   };
-  for (size_t i = begin; i < end; ++i) {
-    const uint8_t flags = state.symbol_flags[i];
-    if (flags & kSymbolRecordDelimiter) {
-      if (slot_per_field && !dropped(rec) && !IsSkippedColumn(skip_lookup, col)) {
-        emit(state.data[i], col, rec, true);
-      }
-      ++rec;
-      col = 0;
-    } else if (flags & kSymbolFieldDelimiter) {
-      const bool keep = !dropped(rec) && !IsSkippedColumn(skip_lookup, col);
-      // An inclusive boundary (no control bit, see SymbolFlags) is the
-      // field's last *value* byte as well as its end.
-      if (keep && (flags & kSymbolControl) == 0) {
-        emit(state.data[i], col, rec, false);
-      }
-      if (slot_per_field && keep) {
-        emit(state.data[i], col, rec, true);
-      }
-      ++col;
-    } else if (flags & kSymbolControl) {
-      // Quotes, escapes, comment bytes: not part of any field's value.
-    } else {
-      if (!dropped(rec) && !IsSkippedColumn(skip_lookup, col)) {
-        emit(state.data[i], col, rec, false);
+  simd::ForEachMaskWord(range.begin, range.end, [&](size_t w, uint64_t keep) {
+    const simd::SymbolMasks& m = index[w];
+    // Every byte that emits or moves the cursor: delimiters and value
+    // bytes. Quotes, escapes and comment bytes (control bits alone) are
+    // not part of any field's value.
+    for (uint64_t bits = (m.record | m.field | ~m.control) & keep; bits != 0;
+         bits &= bits - 1) {
+      const unsigned b = static_cast<unsigned>(std::countr_zero(bits));
+      const uint8_t symbol = state.data[64 * w + b];
+      if ((m.record >> b) & 1) {
+        if (slot_per_field && !dropped(rec) &&
+            !IsSkippedColumn(skip_lookup, col)) {
+          emit(symbol, col, rec, true);
+        }
+        ++rec;
+        col = 0;
+      } else if ((m.field >> b) & 1) {
+        const bool kept = !dropped(rec) && !IsSkippedColumn(skip_lookup, col);
+        // An inclusive boundary (no control bit, see SymbolFlags) is the
+        // field's last *value* byte as well as its end.
+        if (kept && ((m.control >> b) & 1) == 0) {
+          emit(symbol, col, rec, false);
+        }
+        if (slot_per_field && kept) {
+          emit(symbol, col, rec, true);
+        }
+        ++col;
+      } else if (!dropped(rec) && !IsSkippedColumn(skip_lookup, col)) {
+        emit(symbol, col, rec, false);
       }
     }
-  }
+  });
   // The last chunk terminates a trailing unterminated record (§3: the
   // record and its final field end at end-of-input).
   if (slot_per_field && c == state.num_chunks - 1 &&
@@ -109,33 +115,34 @@ struct GatherSizes {
 };
 
 // --- 3. Field-gather sizing pass: field ends + open-field tail data per
-// chunk (part of the tag step's count phase).
+// chunk (part of the tag step's count phase), by popcount over the masks.
 Status SizeGatherFields(const PipelineState& state, GatherSizes* sizes) {
   const int64_t num_chunks = state.num_chunks;
   sizes->fields.assign(num_chunks, 0);
   sizes->tail_data.assign(num_chunks, 0);
   sizes->has_end.assign(num_chunks, 0);
+  const simd::SymbolMasks* index = state.symbol_index.data();
   return ParallelForEach(state.pool, 0, num_chunks, [&](int64_t c) {
-    const size_t chunk_size = state.options->chunk_size;
-    const size_t begin =
-        AdjustBegin(state, static_cast<size_t>(c) * chunk_size);
-    const size_t end =
-        AdjustBegin(state, static_cast<size_t>(c + 1) * chunk_size);
+    const ChunkRange range = ChunkRangeOf(state, c);
     int64_t fields = 0;
     int64_t tail = 0;
     bool has_end = false;
-    for (size_t i = begin; i < end; ++i) {
-      const uint8_t flags = state.symbol_flags[i];
-      if (flags & (kSymbolRecordDelimiter | kSymbolFieldDelimiter)) {
-        ++fields;
-        tail = 0;
+    simd::ForEachMaskWord(range.begin, range.end,
+                          [&](size_t w, uint64_t keep) {
+      const simd::SymbolMasks& m = index[w];
+      const uint64_t ends = (m.record | m.field) & keep;
+      // Value bytes: set in none of the three masks. An inclusive boundary
+      // belongs to the field it ends, never to the open tail.
+      uint64_t values = ~(m.record | m.field | m.control) & keep;
+      if (ends != 0) {
+        fields += std::popcount(ends);
         has_end = true;
-      } else if (flags & kSymbolControl) {
-        // Quotes, escapes, comment bytes: excluded from field values.
-      } else {
-        ++tail;
+        tail = 0;
+        values &= ~simd::BitRange(
+            0, 64 - static_cast<unsigned>(std::countl_zero(ends)));
       }
-    }
+      tail += std::popcount(values);
+    });
     // The trailing unterminated record's final field ends at EOF.
     if (c == num_chunks - 1 && state.has_trailing_record) ++fields;
     sizes->fields[c] = fields;
@@ -184,13 +191,11 @@ Status RunFieldGatherTag(PipelineState* state, StepTimings* timings,
   std::vector<int64_t> chunk_kept_fields(num_chunks, 0);
   std::vector<int64_t> chunk_kept_bytes(num_chunks, 0);
   std::atomic<bool> terminator_collision{false};
+  const simd::SymbolMasks* index = state->symbol_index.data();
+  const bool check_terminator = mode == TaggingMode::kInlineTerminated;
   PARPARAW_RETURN_NOT_OK(
       ParallelForEach(state->pool, 0, num_chunks, [&](int64_t c) {
-        const size_t chunk_size = options.chunk_size;
-        const size_t begin =
-            AdjustBegin(*state, static_cast<size_t>(c) * chunk_size);
-        const size_t end =
-            AdjustBegin(*state, static_cast<size_t>(c + 1) * chunk_size);
+        const ChunkRange range = ChunkRangeOf(*state, c);
         uint32_t col = state->entry_columns[c];
         int64_t rec = state->record_offsets[c];
         int64_t out = chunk_extent_offsets[c];
@@ -214,37 +219,54 @@ Status RunFieldGatherTag(PipelineState* state, StepTimings* timings,
             kept_bytes += length;
           }
         };
-        for (size_t i = begin; i < end; ++i) {
-          const uint8_t flags = state->symbol_flags[i];
-          if (flags & kSymbolRecordDelimiter) {
-            emit_extent(static_cast<int64_t>(i));
-            ++rec;
-            col = 0;
-          } else if (flags & kSymbolFieldDelimiter) {
-            // An inclusive boundary is counted into the closing field's
-            // length; src_end still points at the boundary byte, so the
-            // next field's src_begin (src_end + 1) is unchanged.
-            if ((flags & kSymbolControl) == 0) {
-              if (mode == TaggingMode::kInlineTerminated &&
-                  state->data[i] == options.terminator && !dropped(rec) &&
-                  !IsSkippedColumn(skip_lookup, col)) {
-                terminator_collision.store(true, std::memory_order_relaxed);
-              }
-              ++data_count;
-            }
-            emit_extent(static_cast<int64_t>(i));
-            ++col;
-          } else if (flags & kSymbolControl) {
-            // Not part of any field's value.
-          } else {
-            if (mode == TaggingMode::kInlineTerminated &&
-                state->data[i] == options.terminator && !dropped(rec) &&
-                !IsSkippedColumn(skip_lookup, col)) {
-              terminator_collision.store(true, std::memory_order_relaxed);
-            }
-            ++data_count;
+        // In the inline-terminated mode a kept value byte must not be the
+        // terminator; `value_bits` are the current field's value bytes.
+        uint64_t terminators = 0;
+        const auto check_values = [&](uint64_t value_bits) {
+          if ((terminators & value_bits) != 0 && !dropped(rec) &&
+              !IsSkippedColumn(skip_lookup, col)) {
+            terminator_collision.store(true, std::memory_order_relaxed);
           }
-        }
+        };
+        simd::ForEachMaskWord(range.begin, range.end,
+                              [&](size_t w, uint64_t keep) {
+          const simd::SymbolMasks& m = index[w];
+          uint64_t values = ~(m.record | m.field | m.control) & keep;
+          if (check_terminator) {
+            terminators =
+                ByteMatches(state->data, w, keep, options.terminator);
+          }
+          // Each field end closes the value bytes before it: a popcount of
+          // the bits set in none of the three masks.
+          for (uint64_t ends = (m.record | m.field) & keep; ends != 0;
+               ends &= ends - 1) {
+            const unsigned b = static_cast<unsigned>(std::countr_zero(ends));
+            const uint64_t field_values = values & simd::BitRange(0, b);
+            values &= ~field_values;
+            data_count += std::popcount(field_values);
+            const int64_t i = static_cast<int64_t>(64 * w + b);
+            if ((m.record >> b) & 1) {
+              check_values(field_values);
+              emit_extent(i);
+              ++rec;
+              col = 0;
+            } else {
+              // An inclusive boundary (no control bit) is counted into the
+              // closing field's length; src_end still points at the
+              // boundary byte, so the next field's src_begin (src_end + 1)
+              // is unchanged.
+              const uint64_t inclusive = ((m.control >> b) & 1) == 0
+                                             ? uint64_t{1} << b
+                                             : 0;
+              check_values(field_values | inclusive);
+              if (inclusive != 0) ++data_count;
+              emit_extent(i);
+              ++col;
+            }
+          }
+          check_values(values);
+          data_count += std::popcount(values);
+        });
         if (c == num_chunks - 1 && state->has_trailing_record) {
           emit_extent(static_cast<int64_t>(state->size));
         }
@@ -305,32 +327,34 @@ Status TagStep::Run(PipelineState* state, StepTimings* timings) {
   std::vector<uint32_t> chunk_max_col(num_chunks, 0);
   std::vector<int64_t> chunk_violation_rec(num_chunks, -1);
   std::vector<int64_t> chunk_violation_pos(num_chunks, -1);
+  const simd::SymbolMasks* index = state->symbol_index.data();
   PARPARAW_RETURN_NOT_OK(
       ParallelForEach(state->pool, 0, num_chunks, [&](int64_t c) {
-    const size_t chunk_size = options.chunk_size;
-    const size_t begin =
-        AdjustBegin(*state, static_cast<size_t>(c) * chunk_size);
-    const size_t end =
-        AdjustBegin(*state, static_cast<size_t>(c + 1) * chunk_size);
+    const ChunkRange range = ChunkRangeOf(*state, c);
     uint32_t col = state->entry_columns[c];
     int64_t rec = state->record_offsets[c];
     uint32_t max_col = col;
-    for (size_t i = begin; i < end; ++i) {
-      const uint8_t flags = state->symbol_flags[i];
-      if (flags & kSymbolRecordDelimiter) {
-        state->record_column_counts[rec] = col + 1;
-        max_col = std::max(max_col, col);
-        ++rec;
-        col = 0;
-      } else if (flags & kSymbolFieldDelimiter) {
-        ++col;
-        max_col = std::max(max_col, col);
-        if (col >= column_limit && chunk_violation_rec[c] < 0) {
-          chunk_violation_rec[c] = rec;
-          chunk_violation_pos[c] = static_cast<int64_t>(i);
+    simd::ForEachMaskWord(range.begin, range.end,
+                          [&](size_t w, uint64_t keep) {
+      const simd::SymbolMasks& m = index[w];
+      for (uint64_t ends = (m.record | m.field) & keep; ends != 0;
+           ends &= ends - 1) {
+        const unsigned b = static_cast<unsigned>(std::countr_zero(ends));
+        if ((m.record >> b) & 1) {
+          state->record_column_counts[rec] = col + 1;
+          max_col = std::max(max_col, col);
+          ++rec;
+          col = 0;
+        } else {
+          ++col;
+          max_col = std::max(max_col, col);
+          if (col >= column_limit && chunk_violation_rec[c] < 0) {
+            chunk_violation_rec[c] = rec;
+            chunk_violation_pos[c] = static_cast<int64_t>(64 * w + b);
+          }
         }
       }
-    }
+    });
     if (c == num_chunks - 1 && state->has_trailing_record) {
       state->record_column_counts[rec] = col + 1;
       max_col = std::max(max_col, col);
@@ -349,18 +373,15 @@ Status TagStep::Run(PipelineState* state, StepTimings* timings) {
     }
   }
   if (violation_rec >= 0) {
-    // Recover the offending record's byte span for the error: back to the
-    // previous record delimiter, forward to the next one (or EOF).
-    int64_t span_begin = violation_pos;
-    while (span_begin > 0 &&
-           !(state->symbol_flags[span_begin - 1] & kSymbolRecordDelimiter)) {
-      --span_begin;
-    }
-    int64_t span_end = violation_pos;
-    while (span_end < static_cast<int64_t>(state->size) &&
-           !(state->symbol_flags[span_end] & kSymbolRecordDelimiter)) {
-      ++span_end;
-    }
+    // Recover the offending record's byte span for the error from the
+    // record mask: back to the previous record delimiter, forward to the
+    // next one (or EOF).
+    const int64_t span_begin =
+        LastRecordDelimiter(state->symbol_index, 0,
+                            static_cast<size_t>(violation_pos)) + 1;
+    int64_t span_end = FirstRecordDelimiter(
+        state->symbol_index, static_cast<size_t>(violation_pos), state->size);
+    if (span_end < 0) span_end = static_cast<int64_t>(state->size);
     return Status::ParseError(
         "record " + std::to_string(violation_rec) + " (bytes " +
         std::to_string(span_begin) + ".." + std::to_string(span_end) +

@@ -1,6 +1,7 @@
 #include "plan/planner.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <vector>
 
@@ -109,10 +110,10 @@ SampleStats MeasureSample(std::string_view sample, bool truncated,
   // for record/field structure, unaffected by speculation. Capped at a
   // prefix — record shape is established within a few thousand records.
   const size_t walk_bytes = std::min(n, kMaxWalkBytes);
-  std::vector<uint8_t> flags(n, 0);
+  std::vector<simd::SymbolMasks> masks(simd::MaskWordsFor(n));
   simd::WalkEmitFlags(kernel_plan, data, 0, walk_bytes,
                       static_cast<uint8_t>(kernel_plan.start_state),
-                      flags.data());
+                      masks.data());
 
   int64_t special_bytes = 0;
   for (size_t i = 0; i < walk_bytes; ++i) {
@@ -129,24 +130,29 @@ SampleStats MeasureSample(std::string_view sample, bool truncated,
   uint32_t fields_in_record = 0;
   size_t record_start = 0;
   int64_t record_bytes = 0;
-  for (size_t i = 0; i < walk_bytes; ++i) {
-    const uint8_t f = flags[i];
-    if (f & kSymbolFieldDelimiter) ++fields_in_record;
-    if (f & kSymbolRecordDelimiter) {
-      const uint32_t columns = fields_in_record + 1;
-      if (stats.records == 0) {
-        stats.min_columns = stats.max_columns = columns;
-      } else {
-        stats.min_columns = std::min(stats.min_columns, columns);
-        stats.max_columns = std::max(stats.max_columns, columns);
+  simd::ForEachMaskWord(0, walk_bytes, [&](size_t w, uint64_t keep) {
+    const simd::SymbolMasks& m = masks[w];
+    for (uint64_t ends = (m.record | m.field) & keep; ends != 0;
+         ends &= ends - 1) {
+      const unsigned b = static_cast<unsigned>(std::countr_zero(ends));
+      if ((m.field >> b) & 1) ++fields_in_record;
+      if ((m.record >> b) & 1) {
+        const uint32_t columns = fields_in_record + 1;
+        if (stats.records == 0) {
+          stats.min_columns = stats.max_columns = columns;
+        } else {
+          stats.min_columns = std::min(stats.min_columns, columns);
+          stats.max_columns = std::max(stats.max_columns, columns);
+        }
+        ++stats.records;
+        stats.fields += columns;
+        const size_t i = 64 * w + b;
+        record_bytes += static_cast<int64_t>(i + 1 - record_start);
+        record_start = i + 1;
+        fields_in_record = 0;
       }
-      ++stats.records;
-      stats.fields += columns;
-      record_bytes += static_cast<int64_t>(i + 1 - record_start);
-      record_start = i + 1;
-      fields_in_record = 0;
     }
-  }
+  });
   if (stats.records > 0) {
     stats.mean_record_length = static_cast<double>(record_bytes) /
                                static_cast<double>(stats.records);
@@ -162,7 +168,6 @@ SampleStats MeasureSample(std::string_view sample, bool truncated,
   // short tail converges trivially and would skew the fraction — and at
   // most kMaxProbeChunks are run, strided evenly so a large sample is
   // probed across its whole length instead of just its head.
-  std::fill(flags.begin(), flags.end(), 0);
   int64_t depth_sum = 0;
   const size_t full_chunks = n / kProbeChunk;
   const size_t stride =
@@ -172,7 +177,7 @@ SampleStats MeasureSample(std::string_view sample, bool truncated,
     const size_t end = begin + kProbeChunk;
     const simd::ChunkKernelResult result =
         simd::internal::ChunkKernelSwar(kernel_plan, data, begin, end,
-                                        flags.data());
+                                        masks.data());
     ++stats.probe_chunks;
     if (result.spec_offset >= 0) {
       ++stats.converged_chunks;

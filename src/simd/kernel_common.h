@@ -60,15 +60,15 @@ inline StateVector ConvergedVector(const KernelPlan& plan,
   return v;
 }
 
-/// One byte of single-state simulation: writes the symbol's flags, tracks
-/// the earliest transition into the invalid state, advances the state.
-/// Byte-for-byte identical to the scalar BitmapStep inner loop.
+/// One byte of single-state simulation: sets the symbol's mask bits,
+/// tracks the earliest transition into the invalid state, advances the
+/// state. Byte-for-byte identical to the scalar BitmapStep inner loop.
 inline void FusedStepByte(const KernelPlan& plan, const uint8_t* data,
-                          size_t i, uint8_t* flags_out, uint8_t* state,
+                          size_t i, MaskWriter* out, uint8_t* state,
                           int64_t* first_invalid) {
   const unsigned idx =
       (static_cast<unsigned>(*state) << 8) | static_cast<unsigned>(data[i]);
-  flags_out[i] = plan.flags_flat[idx];
+  out->Set(i, plan.flags_flat[idx]);
   const uint8_t next = plan.next_flat[idx];
   if (plan.invalid_state >= 0 && next == plan.invalid_state &&
       *state != plan.invalid_state && *first_invalid < 0) {

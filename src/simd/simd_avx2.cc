@@ -40,8 +40,8 @@ struct Avx2Traits {
 
 ChunkKernelResult ChunkKernelAvx2(const KernelPlan& plan, const uint8_t* data,
                                   size_t begin, size_t end,
-                                  uint8_t* flags_out) {
-  return ChunkKernelX86<Avx2Traits>(plan, data, begin, end, flags_out);
+                                  SymbolMasks* masks_out) {
+  return ChunkKernelX86<Avx2Traits>(plan, data, begin, end, masks_out);
 }
 
 }  // namespace parparaw::simd::internal

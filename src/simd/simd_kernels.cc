@@ -1,5 +1,7 @@
 #include "simd/simd_kernels.h"
 
+#include <atomic>
+#include <bit>
 #include <cstring>
 
 #include "simd/kernel_common.h"
@@ -11,6 +13,19 @@ namespace {
 /// Composes two 16-entry transition tables: out[s] = b[a[s]].
 void ComposeTables(const uint8_t a[16], const uint8_t b[16], uint8_t out[16]) {
   for (int s = 0; s < 16; ++s) out[s] = b[a[s]];
+}
+
+/// Reads mask word w for a reader of its bits `keep` while neighbouring
+/// ranges may still be merging theirs: a shared word (keep is not all
+/// ones) is loaded through std::atomic_ref.
+SymbolMasks LoadMasks(const SymbolMasks* masks, size_t w, uint64_t keep) {
+  if (keep == ~uint64_t{0}) return masks[w];
+  const auto load = [](const uint64_t& word) {
+    return std::atomic_ref<uint64_t>(const_cast<uint64_t&>(word))
+        .load(std::memory_order_relaxed);
+  };
+  return SymbolMasks{load(masks[w].record), load(masks[w].field),
+                     load(masks[w].control)};
 }
 
 }  // namespace
@@ -80,7 +95,7 @@ namespace internal {
 
 ChunkKernelResult ChunkKernelSwar(const KernelPlan& plan, const uint8_t* data,
                                   size_t begin, size_t end,
-                                  uint8_t* flags_out) {
+                                  SymbolMasks* masks_out) {
   ChunkKernelResult result;
   alignas(16) uint8_t lanes[16];
   InitIdentityLanes(plan, lanes);
@@ -99,24 +114,26 @@ ChunkKernelResult ChunkKernelSwar(const KernelPlan& plan, const uint8_t* data,
   }
 
   // Converged: the suffix is entry-state-independent (up to trapped
-  // entries), so fuse the bitmap pass — single-state simulation emitting
-  // flags, with SWAR word probes skipping runs of plain data symbols in
-  // skippable states.
+  // entries), so fuse the bitmap pass — single-state simulation writing
+  // the masks, with SWAR word probes skipping runs of plain data symbols
+  // in skippable states.
   result.spec_offset = static_cast<int64_t>(i);
   result.spec_state = lanes[plan.start_state];
   uint8_t state = lanes[plan.start_state];
+  MaskWriter out(masks_out, i, end);
   while (i < end) {
     if (plan.state_skippable[state] && i + 8 <= end) {
       const uint64_t hits = SpecialMaskSwar(plan, data + i);
       if (hits == 0) {
-        i += 8;  // flags stay zero, state unchanged
+        i += 8;  // bits stay zero, state unchanged
         continue;
       }
       i += CleanPrefixSwar(hits);  // jump to the first special symbol
     }
-    FusedStepByte(plan, data, i, flags_out, &state, &result.first_invalid);
+    FusedStepByte(plan, data, i, &out, &state, &result.first_invalid);
     ++i;
   }
+  out.Finish();
   result.vector = ConvergedVector(plan, lanes, state);
   return result;
 }
@@ -153,8 +170,9 @@ ChunkKernelFn GetChunkKernel(KernelLevel level) {
 
 FlagWalkResult WalkEmitFlags(const KernelPlan& plan, const uint8_t* data,
                              size_t begin, size_t end, uint8_t entry_state,
-                             uint8_t* flags_out) {
+                             SymbolMasks* masks_out) {
   FlagWalkResult result;
+  MaskWriter out(masks_out, begin, end);
   uint8_t state = entry_state;
   size_t i = begin;
   while (i < end) {
@@ -169,7 +187,7 @@ FlagWalkResult WalkEmitFlags(const KernelPlan& plan, const uint8_t* data,
     const unsigned idx =
         (static_cast<unsigned>(state) << 8) | static_cast<unsigned>(data[i]);
     const uint8_t flags = plan.flags_flat[idx];
-    flags_out[i] = flags;
+    out.Set(i, flags);
     if (flags & kSymbolRecordDelimiter) {
       ++result.records;
       result.fields_since_record = 0;
@@ -185,23 +203,29 @@ FlagWalkResult WalkEmitFlags(const KernelPlan& plan, const uint8_t* data,
     state = next;
     ++i;
   }
+  out.Finish();
   result.end_state = state;
   return result;
 }
 
-FlagWalkResult CountEmittedFlags(const uint8_t* flags, size_t begin,
+FlagWalkResult CountEmittedFlags(const SymbolMasks* masks, size_t begin,
                                  size_t end) {
+  // A record bit outranks a field bit on the same byte, as in the walk.
   FlagWalkResult result;
-  for (size_t i = begin; i < end; ++i) {
-    const uint8_t f = flags[i];
-    if (f & kSymbolRecordDelimiter) {
-      ++result.records;
-      result.fields_since_record = 0;
+  ForEachMaskWord(begin, end, [&](size_t w, uint64_t keep) {
+    const SymbolMasks m = LoadMasks(masks, w, keep);
+    const uint64_t records = m.record & keep;
+    uint64_t fields = m.field & ~m.record & keep;
+    if (records != 0) {
+      result.records += static_cast<uint32_t>(std::popcount(records));
       result.saw_record_delimiter = true;
-    } else if (f & kSymbolFieldDelimiter) {
-      ++result.fields_since_record;
+      result.fields_since_record = 0;
+      // Only the field bits above the word's last record bit remain open.
+      const int last = 63 - std::countl_zero(records);
+      fields &= ~BitRange(0, static_cast<unsigned>(last) + 1);
     }
-  }
+    result.fields_since_record += static_cast<uint32_t>(std::popcount(fields));
+  });
   return result;
 }
 

@@ -60,7 +60,7 @@ struct Scanner {
 
 ChunkKernelResult ChunkKernelNeon(const KernelPlan& plan, const uint8_t* data,
                                   size_t begin, size_t end,
-                                  uint8_t* flags_out) {
+                                  SymbolMasks* masks_out) {
   const Scanner scanner(plan);
 
   ChunkKernelResult result;
@@ -101,6 +101,7 @@ ChunkKernelResult ChunkKernelNeon(const KernelPlan& plan, const uint8_t* data,
   result.spec_offset = static_cast<int64_t>(i);
   result.spec_state = lanes[plan.start_state];
   uint8_t state = lanes[plan.start_state];
+  MaskWriter out(masks_out, i, end);
   while (i < end) {
     if (plan.state_skippable[state] && i + kWidth <= end) {
       const uint64_t mask = scanner.SpecialMask(data + i);
@@ -110,9 +111,10 @@ ChunkKernelResult ChunkKernelNeon(const KernelPlan& plan, const uint8_t* data,
       }
       i += static_cast<size_t>(std::countr_zero(mask)) / 4;
     }
-    FusedStepByte(plan, data, i, flags_out, &state, &result.first_invalid);
+    FusedStepByte(plan, data, i, &out, &state, &result.first_invalid);
     ++i;
   }
+  out.Finish();
   result.vector = ConvergedVector(plan, lanes, state);
   return result;
 }

@@ -39,8 +39,8 @@ struct Sse42Traits {
 
 ChunkKernelResult ChunkKernelSse42(const KernelPlan& plan, const uint8_t* data,
                                    size_t begin, size_t end,
-                                   uint8_t* flags_out) {
-  return ChunkKernelX86<Sse42Traits>(plan, data, begin, end, flags_out);
+                                   SymbolMasks* masks_out) {
+  return ChunkKernelX86<Sse42Traits>(plan, data, begin, end, masks_out);
 }
 
 }  // namespace parparaw::simd::internal

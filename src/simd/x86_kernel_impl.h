@@ -43,7 +43,7 @@ inline __m128i AdvanceLanes(const KernelPlan& plan, __m128i v, uint8_t byte) {
 template <typename Traits>
 ChunkKernelResult ChunkKernelX86(const KernelPlan& plan, const uint8_t* data,
                                  size_t begin, size_t end,
-                                 uint8_t* flags_out) {
+                                 SymbolMasks* masks_out) {
   constexpr size_t kWidth = Traits::kWidth;
   const typename Traits::Scanner scanner(plan);
 
@@ -86,12 +86,13 @@ ChunkKernelResult ChunkKernelX86(const KernelPlan& plan, const uint8_t* data,
   }
 
   // Converged: fused single-state phase. Blocks of plain data symbols in a
-  // skippable state are consumed without touching the flags array (it is
-  // pre-zeroed); otherwise the flat LUTs process one byte at a time up to
-  // and across the special symbols.
+  // skippable state are consumed without a per-byte step (their bits stay
+  // zero; the writer stores the clean words whole); otherwise the flat
+  // LUTs process one byte at a time up to and across the special symbols.
   result.spec_offset = static_cast<int64_t>(i);
   result.spec_state = lanes[plan.start_state];
   uint8_t state = lanes[plan.start_state];
+  MaskWriter out(masks_out, i, end);
   while (i < end) {
     if (plan.state_skippable[state] && i + kWidth <= end) {
       const uint64_t mask = scanner.SpecialMask(data + i);
@@ -99,12 +100,13 @@ ChunkKernelResult ChunkKernelX86(const KernelPlan& plan, const uint8_t* data,
         i += kWidth;
         continue;
       }
-      // Jump over the clean prefix; flags stay zero, state unchanged.
+      // Jump over the clean prefix; bits stay zero, state unchanged.
       i += static_cast<size_t>(std::countr_zero(mask));
     }
-    FusedStepByte(plan, data, i, flags_out, &state, &result.first_invalid);
+    FusedStepByte(plan, data, i, &out, &state, &result.first_invalid);
     ++i;
   }
+  out.Finish();
   result.vector = ConvergedVector(plan, lanes, state);
   return result;
 }

@@ -102,7 +102,7 @@ TEST(BitmapStepTest, FlagsMatchSequentialDfa) {
   int state = dfa.start_state();
   for (size_t i = 0; i < input.size(); ++i) {
     const int group = dfa.SymbolGroup(static_cast<uint8_t>(input[i]));
-    EXPECT_EQ(h->state.symbol_flags[i], dfa.Flags(state, group))
+    EXPECT_EQ(FlagsAt(h->state.symbol_index, i), dfa.Flags(state, group))
         << "byte " << i << " '" << input[i] << "'";
     state = dfa.NextState(state, group);
   }

@@ -120,6 +120,9 @@ TEST(PlannerTest, ConvergentCorpusGetsLargeChunks) {
   // A quote-free DSV automaton collapses every speculative lane at the
   // first delimiter, so lineitem-like data is the paper's best case for
   // speculation: expect near-total convergence and the 4096-byte chunk.
+  // Pinned to the best vector level: a forced scalar kernel has no
+  // speculation to price and would take the scalar chunk step instead.
+  ScopedKernelLevel force(simd::DetectBestKernelLevel());
   const std::string input = GenerateLineitemLike(11, 128 * 1024);
   ParseOptions options;
   options.format = PipeFormatNoQuotes();
@@ -136,7 +139,9 @@ TEST(PlannerTest, NonConvergentCorpusStepsChunksDown) {
   // started inside a hypothetical quoted field never exits it and the
   // state vector never fully converges — each chunk's prefix gets
   // re-simulated, so the planner stays one step below the free-speculation
-  // chunk while still amortising the per-chunk scan overhead.
+  // chunk while still amortising the per-chunk scan overhead. Pinned to
+  // the best vector level for the same reason as the convergent case.
+  ScopedKernelLevel force(simd::DetectBestKernelLevel());
   const std::string input = GenerateTaxiLike(5, 128 * 1024);
   ParseOptions options;
   auto planned = plan::PlanParse(input, false, options);
@@ -246,6 +251,8 @@ TEST(PlannerTest, StaticPlanResolvesEveryAutoSentinel) {
 }
 
 TEST(PlannerTest, StaticPlanPassesPinsThrough) {
+  // A forced kernel level outranks the option; pin the one it asserts.
+  ScopedKernelLevel force(KernelLevel::kScalar);
   ParseOptions options;
   options.kernel = simd::KernelKind::kScalar;
   options.chunk_size = 77;

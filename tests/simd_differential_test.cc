@@ -57,7 +57,7 @@ struct PipelineSnapshot {
   std::vector<uint8_t> entry_states;
   uint8_t final_state = 0;
   bool has_trailing_record = false;
-  SymbolFlagsArray symbol_flags;
+  SymbolIndex symbol_index;
   std::vector<uint32_t> record_counts;
   std::vector<ColumnOffset> column_offsets;
   int64_t first_invalid_offset = -1;
@@ -75,7 +75,7 @@ PipelineSnapshot SnapshotThroughBitmaps(const std::string& input,
   snap.entry_states = harness->state.entry_states;
   snap.final_state = harness->state.final_state;
   snap.has_trailing_record = harness->state.has_trailing_record;
-  snap.symbol_flags = harness->state.symbol_flags;
+  snap.symbol_index = harness->state.symbol_index;
   snap.record_counts = harness->state.record_counts;
   snap.column_offsets = harness->state.column_offsets;
   snap.first_invalid_offset = harness->state.first_invalid_offset;
@@ -106,10 +106,14 @@ void ExpectSnapshotsEqual(const PipelineSnapshot& want,
   ASSERT_EQ(want.entry_states, got.entry_states) << context;
   ASSERT_EQ(want.final_state, got.final_state) << context;
   ASSERT_EQ(want.has_trailing_record, got.has_trailing_record) << context;
-  ASSERT_EQ(want.symbol_flags.size(), got.symbol_flags.size()) << context;
-  for (size_t i = 0; i < want.symbol_flags.size(); ++i) {
-    ASSERT_EQ(want.symbol_flags[i], got.symbol_flags[i])
-        << context << " byte " << i << ": symbol flag mismatch";
+  ASSERT_EQ(want.symbol_index.size(), got.symbol_index.size()) << context;
+  for (size_t w = 0; w < want.symbol_index.size(); ++w) {
+    ASSERT_EQ(want.symbol_index[w].record, got.symbol_index[w].record)
+        << context << " word " << w << ": record mask mismatch";
+    ASSERT_EQ(want.symbol_index[w].field, got.symbol_index[w].field)
+        << context << " word " << w << ": field mask mismatch";
+    ASSERT_EQ(want.symbol_index[w].control, got.symbol_index[w].control)
+        << context << " word " << w << ": control mask mismatch";
   }
   ASSERT_EQ(want.record_counts, got.record_counts) << context;
   ASSERT_EQ(want.column_offsets.size(), got.column_offsets.size()) << context;

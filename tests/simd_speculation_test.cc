@@ -71,7 +71,7 @@ void ExpectBitmapsMatchScalar(const std::string& input,
   ASSERT_TRUE(vectorized->RunThroughBitmaps().ok());
   simd::SetForcedKernelLevel(std::nullopt);
 
-  ASSERT_EQ(scalar->state.symbol_flags, vectorized->state.symbol_flags);
+  ASSERT_EQ(scalar->state.symbol_index, vectorized->state.symbol_index);
   ASSERT_EQ(scalar->state.record_counts, vectorized->state.record_counts);
   ASSERT_EQ(scalar->state.first_invalid_offset,
             vectorized->state.first_invalid_offset);
@@ -228,7 +228,7 @@ TEST(SimdSpeculationTest, CorruptedTokensAlwaysDetected) {
 
     // Despite every token being wrong, the fallback re-walk restores the
     // exact scalar results.
-    EXPECT_EQ(scalar->state.symbol_flags, harness->state.symbol_flags);
+    EXPECT_EQ(scalar->state.symbol_index, harness->state.symbol_index);
     EXPECT_EQ(scalar->state.record_counts, harness->state.record_counts);
     EXPECT_EQ(scalar->state.first_invalid_offset,
               harness->state.first_invalid_offset);
@@ -256,7 +256,7 @@ struct SegmentSummary {
 SegmentSummary Summarise(const simd::KernelPlan& plan,
                          const std::string& segment, int num_states) {
   SegmentSummary s;
-  std::vector<uint8_t> scratch(segment.size(), 0);
+  std::vector<simd::SymbolMasks> scratch(simd::MaskWordsFor(segment.size()));
   for (int e = 0; e < num_states; ++e) {
     const simd::FlagWalkResult walk = simd::WalkEmitFlags(
         plan, reinterpret_cast<const uint8_t*>(segment.data()), 0,

@@ -15,6 +15,16 @@
 
 namespace parparaw {
 
+/// Byte i's SymbolFlags, read back from the three masks of the index.
+inline uint8_t FlagsAt(const SymbolIndex& index, size_t i) {
+  const simd::SymbolMasks& m = index[i / 64];
+  const unsigned b = static_cast<unsigned>(i % 64);
+  return static_cast<uint8_t>(
+      (((m.record >> b) & 1) != 0 ? kSymbolRecordDelimiter : 0) |
+      (((m.field >> b) & 1) != 0 ? kSymbolFieldDelimiter : 0) |
+      (((m.control >> b) & 1) != 0 ? kSymbolControl : 0));
+}
+
 /// Drives the pipeline steps one by one over `input`, so tests can inspect
 /// intermediate state. The fixture owns the input and options; `state`
 /// holds borrowed pointers into them.

@@ -130,7 +130,7 @@ TEST(Utf8BoundaryTest, ChunkedParsesMatchSequentialAtTinyChunkSizes) {
 }
 
 // The context and bitmap steps must agree on the adjusted chunk ranges for
-// every level: identical per-chunk transition vectors and per-byte flags
+// every level: identical per-chunk transition vectors and bitmap masks
 // even when a chunk's nominal begin lands mid-sequence and the chunk
 // becomes empty after adjustment.
 TEST(Utf8BoundaryTest, StepsAgreeOnAdjustedChunksAcrossLevels) {
@@ -156,7 +156,7 @@ TEST(Utf8BoundaryTest, StepsAgreeOnAdjustedChunksAcrossLevels) {
                                   simd::KernelLevelName(level);
       ASSERT_EQ(scalar->state.entry_states, harness->state.entry_states)
           << context;
-      ASSERT_EQ(scalar->state.symbol_flags, harness->state.symbol_flags)
+      ASSERT_EQ(scalar->state.symbol_index, harness->state.symbol_index)
           << context;
       ASSERT_EQ(scalar->state.record_counts, harness->state.record_counts)
           << context;

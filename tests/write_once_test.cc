@@ -10,9 +10,9 @@
 #include "test_util.h"
 
 // The write-once rule of the parse scratch buffers (core/pipeline_state.h,
-// ScratchAllocator): symbol flags, CSS, field extents and field entries grow
-// without a zero fill, so every element must be written by the pass that
-// produces it. A PipelineState that already parsed a larger input holds
+// ScratchAllocator): the symbol index, CSS, field extents and field entries
+// grow without a zero fill, so every element must be written by the pass
+// that produces it. A PipelineState that already parsed a larger input holds
 // non-zero junk in all of them; pointing it at a smaller input must still
 // give the state and table of a fresh parse, bit for bit. Sanitizer builds
 // poison fresh scratch storage, so there the fresh side catches an element
@@ -39,7 +39,7 @@ std::vector<KernelLevel> Levels() {
   return levels;
 }
 
-/// Dense, delimiter-heavy input: leaves non-zero flags, CSS bytes and
+/// Dense, delimiter-heavy input: leaves non-zero mask bits, CSS bytes and
 /// field entries everywhere in the scratch buffers.
 std::string LargeInput() {
   std::string csv;
@@ -158,7 +158,8 @@ TEST(WriteOnceTest, ReusedStateMatchesFreshHarness) {
           ASSERT_NO_FATAL_FAILURE(
               RunSteps(reused.get(), true, &reused_out, &corrupted));
           // The buffers were reused, not reallocated: the junk was there.
-          ASSERT_GE(reused->state.symbol_flags.capacity(), large.size())
+          ASSERT_GE(reused->state.symbol_index.capacity(),
+                    simd::MaskWordsFor(large.size()))
               << context;
 
           auto fresh = StepHarness::Make(small, options);
@@ -168,7 +169,7 @@ TEST(WriteOnceTest, ReusedStateMatchesFreshHarness) {
           ASSERT_NO_FATAL_FAILURE(
               RunSteps(fresh.get(), true, &fresh_out, &fresh_corrupted));
 
-          EXPECT_EQ(reused->state.symbol_flags, fresh->state.symbol_flags)
+          EXPECT_EQ(reused->state.symbol_index, fresh->state.symbol_index)
               << context;
           EXPECT_EQ(reused->state.css, fresh->state.css) << context;
           ExpectEntriesEqual(reused->state.gather_entries,
