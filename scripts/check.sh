@@ -89,11 +89,13 @@ run_tsan() {
   # SymbolIndex, SimdDifferential and WriteOnce drive the core steps, whose
   # chunks share the bitmap indexes' edge words (the word-ownership rule at
   # SymbolIndex, core/pipeline_state.h): those words must only ever be
-  # touched through atomic_ref.
+  # touched through atomic_ref. TransposeDifferential drives the field
+  # gather on pools of 1-8 workers, whose tiles write disjoint entry and
+  # CSS ranges concurrently while reading the shared mask words.
   echo "=== TSan: concurrency-sensitive tests ==="
   TSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \
-      -R 'ThreadPool|ParallelFor|Scheduler|TaskGroup|Metrics|Tracer|ObsIntegration|Streaming|Exec|Reader|SymbolIndex|SimdDifferential|WriteOnce'
+      -R 'ThreadPool|ParallelFor|Scheduler|TaskGroup|Metrics|Tracer|ObsIntegration|Streaming|Exec|Reader|SymbolIndex|SimdDifferential|WriteOnce|TransposeDifferential'
 }
 
 run_scaling() {

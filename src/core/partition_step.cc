@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstring>
 
+#include "core/field_walk.h"
 #include "obs/obs.h"
 #include "parallel/radix_sort.h"
 #include "robust/failpoint.h"
@@ -45,12 +46,11 @@ void CopyValueRuns(const simd::SymbolMasks* index, const uint8_t* data,
 // derived from container sizes rather than allocator introspection so it is
 // identical across platforms and runs. Symbol sort: the CSS, the per-symbol
 // tag sidebands, the permutation, and the sort's key/payload scratch all
-// live at once at the final scatter. Field gather: the source-order
-// extents, the bucketed entries with their offsets, and the final CSS.
+// live at once at the final scatter. Field gather: the bucketed entries with
+// their offsets, and the final CSS.
 int64_t ModelTransposePeakBytes(const PipelineState& state) {
   if (state.transpose_mode == TransposeMode::kFieldGather) {
     return static_cast<int64_t>(
-        state.gather_extents.size() * sizeof(FieldExtent) +
         state.gather_entries.size() * sizeof(FieldEntry) +
         state.gather_entry_offsets.size() * sizeof(int64_t) +
         state.css.size());
@@ -65,19 +65,18 @@ int64_t ModelTransposePeakBytes(const PipelineState& state) {
   return n + sideband + n * 4 + n * 4 + n * 4 + n;
 }
 
-// One stable partitioning pass over O(fields) column keys (§3.3 recast at
-// field granularity): per-tile histograms of field counts and CSS slot
-// bytes, a bucket-major x tile-major exclusive scan (the same stability
-// argument as the radix sort's), then a stable scatter that copies each
-// field's value bytes into its column's CSS with one memcpy — or one per
-// run between the control bytes (quotes, escapes) inside the field.
+// One stable partitioning pass at field granularity (§3.3): the tag step's
+// per-(tile, column) histogram of kept fields and CSS slot bytes is scanned
+// bucket-major then tile-major into write cursors (the same stability
+// argument as the radix sort's), then each tile walks its fields again
+// (ForEachField) and copies each kept field's value bytes into its
+// column's CSS with one memcpy — or one per run between the control bytes
+// (quotes, escapes) inside the field.
 Status RunFieldGather(PipelineState* state, WorkCounters* work) {
   const ParseOptions& options = *state->options;
   const TaggingMode mode = options.tagging_mode;
-  const bool slot_per_field = mode != TaggingMode::kRecordTags;
+  const int64_t slot = mode != TaggingMode::kRecordTags ? 1 : 0;
   const uint32_t num_partitions = state->num_partitions;
-  const ScratchVector<FieldExtent>& extents = state->gather_extents;
-  const int64_t n_fields = static_cast<int64_t>(extents.size());
   state->permutation.clear();
 
   if (num_partitions == 0) {
@@ -92,33 +91,13 @@ Status RunFieldGather(PipelineState* state, WorkCounters* work) {
   // models them failing (GuardedResize re-checks it per buffer).
   PARPARAW_FAILPOINT("alloc.gather");
 
-  const int num_workers = state->pool ? state->pool->num_threads() : 1;
-  const int64_t num_tiles = std::max<int64_t>(
-      1, std::min<int64_t>(num_workers, n_fields / 1024 + 1));
-  const int64_t tile = (n_fields + num_tiles - 1) / num_tiles;
-
-  // (1) Per-tile histograms: kept fields and CSS slot bytes per column.
-  std::vector<std::vector<int64_t>> tile_fields(
-      num_tiles, std::vector<int64_t>(num_partitions, 0));
-  std::vector<std::vector<int64_t>> tile_bytes(
-      num_tiles, std::vector<int64_t>(num_partitions, 0));
-  PARPARAW_RETURN_NOT_OK(
-      ParallelForEach(state->pool, 0, num_tiles, [&](int64_t t) {
-        const int64_t b = t * tile;
-        const int64_t e = std::min<int64_t>(b + tile, n_fields);
-        std::vector<int64_t>& fields = tile_fields[t];
-        std::vector<int64_t>& bytes = tile_bytes[t];
-        for (int64_t i = b; i < e; ++i) {
-          const FieldExtent& ex = extents[i];
-          if (ex.column == kDroppedColumn) continue;
-          ++fields[ex.column];
-          bytes[ex.column] += ex.length + (slot_per_field ? 1 : 0);
-        }
-      }));
-
-  // (2) Bucket-major then tile-major exclusive scan, turning the per-tile
-  // counts into stable write cursors and yielding the per-column totals the
-  // CSS offsets come from (the gather's equivalent of the sort histogram).
+  // (1) Bucket-major then tile-major exclusive scan, turning the per-tile
+  // counts into stable write cursors in place and yielding the per-column
+  // totals the CSS offsets come from (the gather's equivalent of the sort
+  // histogram).
+  const int64_t num_tiles =
+      static_cast<int64_t>(state->gather_tiles.size()) - 1;
+  GatherTally* tallies = state->gather_tallies.data();
   state->column_histogram.assign(num_partitions, 0);
   state->column_css_offsets.assign(num_partitions + 1, 0);
   PARPARAW_RETURN_NOT_OK(robust::GuardedAssign(
@@ -130,12 +109,11 @@ Status RunFieldGather(PipelineState* state, WorkCounters* work) {
     state->gather_entry_offsets[p] = entry_running;
     state->column_css_offsets[p] = byte_running;
     for (int64_t t = 0; t < num_tiles; ++t) {
-      const int64_t f = tile_fields[t][p];
-      const int64_t by = tile_bytes[t][p];
-      tile_fields[t][p] = entry_running;
-      tile_bytes[t][p] = byte_running;
-      entry_running += f;
-      byte_running += by;
+      GatherTally& at = tallies[t * num_partitions + p];
+      const GatherTally count = at;
+      at = GatherTally{entry_running, byte_running};
+      entry_running += count.fields;
+      byte_running += count.bytes;
     }
     state->column_histogram[p] =
         static_cast<uint64_t>(byte_running - state->column_css_offsets[p]);
@@ -143,77 +121,62 @@ Status RunFieldGather(PipelineState* state, WorkCounters* work) {
   state->gather_entry_offsets[num_partitions] = entry_running;
   state->column_css_offsets[num_partitions] = byte_running;
 
-  // (3) Stable scatter + whole-field gather copy.
+  // (2) Stable scatter + whole-field gather copy.
   PARPARAW_RETURN_NOT_OK(robust::GuardedResize(
       "alloc.gather", &state->gather_entries,
       static_cast<size_t>(entry_running)));
   PARPARAW_RETURN_NOT_OK(robust::GuardedResize(
       "alloc.gather", &state->css, static_cast<size_t>(byte_running)));
+  const KeptFields kept(*state);
   const uint8_t* data = state->data;
+  const int64_t size = static_cast<int64_t>(state->size);
   const simd::SymbolMasks* index = state->symbol_index.data();
   uint8_t* css = state->css.data();
-  // The very first field starts where the first chunk starts — under UTF-8
-  // chunking that can be past byte 0 (a leading continuation byte is
-  // outside every chunk and was never tagged, so it must not be gathered).
-  const int64_t input_begin =
-      static_cast<int64_t>(ChunkRangeOf(*state, 0).begin);
+  FieldEntry* entries = state->gather_entries.data();
   PARPARAW_RETURN_NOT_OK(
       ParallelForEach(state->pool, 0, num_tiles, [&](int64_t t) {
-        const int64_t b = t * tile;
-        const int64_t e = std::min<int64_t>(b + tile, n_fields);
-        std::vector<int64_t>& entry_cursor = tile_fields[t];
-        std::vector<int64_t>& byte_cursor = tile_bytes[t];
-        for (int64_t i = b; i < e; ++i) {
-          const FieldExtent& ex = extents[i];
-          if (ex.column == kDroppedColumn) continue;
-          const int64_t out = byte_cursor[ex.column];
-          const int64_t src_begin =
-              i == 0 ? input_begin : extents[i - 1].src_end + 1;
-          // An inclusive boundary (kSymbolFieldDelimiter without
-          // kSymbolControl) is the field's last value byte: the copy
-          // window extends over it. src_end == size is the trailing
-          // record's virtual end, never inclusive.
-          bool inclusive_end = false;
-          if (ex.src_end < static_cast<int64_t>(state->size)) {
-            const simd::SymbolMasks& m = index[ex.src_end >> 6];
-            const unsigned b = static_cast<unsigned>(ex.src_end & 63);
-            inclusive_end = ((m.field >> b) & 1) != 0 &&
-                            ((m.control >> b) & 1) == 0;
-          }
-          const int64_t copy_end = ex.src_end + (inclusive_end ? 1 : 0);
-          if (copy_end - src_begin == ex.length) {
-            std::memcpy(css + out, data + src_begin,
-                        static_cast<size_t>(ex.length));
-          } else {
-            CopyValueRuns(index, data, src_begin, copy_end, css + out,
-                          ex.length);
-          }
-          if (slot_per_field) {
-            // The terminator slot the per-symbol path emits at each field
-            // end: the terminator byte inline, the delimiter byte itself in
-            // the vector mode (the trailing record's virtual end uses the
-            // format's record delimiter).
-            css[out + ex.length] =
-                mode == TaggingMode::kInlineTerminated
-                    ? options.terminator
-                    : (ex.src_end < static_cast<int64_t>(state->size)
-                           ? data[ex.src_end]
-                           : options.format.record_delimiter);
-          }
-          state->gather_entries[entry_cursor[ex.column]] =
-              FieldEntry{ex.row, out, ex.length};
-          ++entry_cursor[ex.column];
-          byte_cursor[ex.column] =
-              out + ex.length + (slot_per_field ? 1 : 0);
+        GatherTally* cursor = tallies + t * num_partitions;
+        for (int64_t c = state->gather_tiles[t];
+             c < state->gather_tiles[t + 1]; ++c) {
+          ForEachField(*state, c, [&](const FieldSpan& field) {
+            if (!kept(field.record, field.column)) return;
+            GatherTally& at = cursor[field.column];
+            const int64_t out = at.bytes;
+            // The copy window extends over an inclusive boundary, the
+            // field's last value byte.
+            const int64_t copy_end = field.end + (field.inclusive ? 1 : 0);
+            if (copy_end - field.begin == field.length) {
+              std::memcpy(css + out, data + field.begin,
+                          static_cast<size_t>(field.length));
+            } else {
+              CopyValueRuns(index, data, field.begin, copy_end, css + out,
+                            field.length);
+            }
+            if (slot != 0) {
+              // The terminator slot the per-symbol path emits at each field
+              // end: the terminator byte inline, the delimiter byte itself
+              // in the vector mode (the trailing record's virtual end uses
+              // the format's record delimiter).
+              css[out + field.length] =
+                  mode == TaggingMode::kInlineTerminated
+                      ? options.terminator
+                      : (field.end < size ? data[field.end]
+                                          : options.format.record_delimiter);
+            }
+            entries[at.fields++] = FieldEntry{
+                state->out_row_of_record[field.record], out, field.length};
+            at.bytes = out + field.length + slot;
+          });
         }
       }));
 
+  // CSS bytes plus the FieldEntry written per kept field.
+  const int64_t bytes_moved =
+      byte_running + entry_running * static_cast<int64_t>(sizeof(FieldEntry));
   work->sort_passes += 1;
-  work->sort_bytes_moved +=
-      byte_running + n_fields * static_cast<int64_t>(sizeof(FieldExtent));
+  work->sort_bytes_moved += bytes_moved;
   obs::AddCount(state->options->metrics, "partition.sort_bytes_moved",
-                byte_running +
-                    n_fields * static_cast<int64_t>(sizeof(FieldExtent)));
+                bytes_moved);
   return Status::OK();
 }
 

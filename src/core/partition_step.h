@@ -15,14 +15,16 @@ namespace parparaw {
 /// column_histogram, column_css_offsets, and reorders css / rec_tags /
 /// field_end in place.
 ///
-/// TransposeMode::kFieldGather (default): one stable partitioning pass over
-/// the O(fields) gather_extents buckets field entries by column, then a
-/// parallel whole-field memcpy gather builds the CSS directly from the
-/// source buffer (terminator slots folded into the copy). Fills:
-/// column_histogram, column_css_offsets, gather_entries,
-/// gather_entry_offsets, css. Both modes produce byte-identical CSS
-/// layouts; WorkCounters::transpose_peak_bytes records each mode's modelled
-/// peak footprint.
+/// TransposeMode::kFieldGather (default): the tag step's per-(tile,
+/// column) histogram of kept fields is scanned into stable write cursors;
+/// then each tile walks its chunks' fields over the bitmap indexes again
+/// (ForEachField, core/field_walk.h) and copies every kept field's value
+/// bytes from the input into its column's CSS with whole-field memcpy
+/// (terminator slots folded into the copy). Fills: column_histogram,
+/// column_css_offsets, gather_entries, gather_entry_offsets, css. Both
+/// modes produce byte-identical CSS layouts;
+/// WorkCounters::transpose_peak_bytes records each mode's modelled peak
+/// footprint.
 class PartitionStep {
  public:
   /// Work counters record the number of partitioning passes and bytes

@@ -98,27 +98,13 @@ struct FieldEntry {
   int64_t length = 0;
 };
 
-/// One field of the *source* buffer, in source order — the O(fields) unit of
-/// the TransposeMode::kFieldGather path. Produced by the tag step's extent
-/// pass, consumed by the partition step's column bucketing + gather copy.
-struct FieldExtent {
-  /// Byte offset one past the field's last byte: the delimiter that ended
-  /// it, or the end of input for the trailing field.
-  int64_t src_end = 0;
-  /// Kept value bytes in [src_begin, src_end) (flags==0 bytes only, so
-  /// quotes/escapes/comment bytes are already excluded from the count).
-  int64_t length = 0;
-  /// Output row of the field's record, or -1 when the record was dropped
-  /// (reject policy / skip_records) — dropped extents still occupy a slot
-  /// so src_begin can be derived from the predecessor's src_end.
-  int64_t row = -1;
-  /// Column index, or kDroppedColumn when the field is dropped or its
-  /// column is skipped / beyond the lookup width.
-  uint32_t column = 0;
+/// Kept fields and CSS slot bytes of one column within one gather tile
+/// (TransposeMode::kFieldGather): the tag step counts them, the partition
+/// step turns them into its write cursors.
+struct GatherTally {
+  int64_t fields = 0;
+  int64_t bytes = 0;
 };
-
-/// FieldExtent::column sentinel: the field is not part of the output.
-inline constexpr uint32_t kDroppedColumn = 0xFFFFFFFFu;
 
 struct PipelineState;
 
@@ -272,10 +258,22 @@ struct PipelineState {
   /// The transpose mode the tag step resolved for this parse; the partition
   /// and CSS-index steps follow it so a parse never mixes paths.
   TransposeMode transpose_mode = TransposeMode::kSymbolSort;
-  /// Every field of the buffer in source order, including dropped ones
-  /// (their column is kDroppedColumn); field i starts at
-  /// extents[i-1].src_end + 1 (0 for i == 0).
-  ScratchVector<FieldExtent> gather_extents;
+  /// Per chunk: the first byte of the field still open at the chunk's
+  /// start, and the value bytes it holds before the chunk (the chunk's
+  /// first field end closes them). The carries of ForEachField
+  /// (core/field_walk.h).
+  std::vector<int64_t> open_field_begin;
+  std::vector<int64_t> open_field_length;
+  /// The gather's tiles, contiguous chunk ranges: tile t holds chunks
+  /// [gather_tiles[t], gather_tiles[t+1]). The tag step picks them, and the
+  /// partition step walks the same ones, so its cursors line up with the
+  /// histogram.
+  std::vector<int64_t> gather_tiles;
+  /// Tile-major histogram, num_partitions columns per tile: the kept
+  /// fields and CSS slot bytes each tile holds per column, counted by the
+  /// tag step's field walk and scanned in place into the partition step's
+  /// write cursors.
+  std::vector<GatherTally> gather_tallies;
   /// Field entries bucketed by column (stable within a column), ready to
   /// slice per partition via gather_entry_offsets. FieldEntry::offset is
   /// already global-CSS-relative, matching the symbol-sort layout.

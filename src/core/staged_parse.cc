@@ -247,7 +247,7 @@ Status StagedParse::Scan(std::string_view input, const ParseOptions& options) {
   // (smaller partitions / streaming / fewer in flight) instead of
   // surfacing this.
   // The envelope depends on the transpose mode: the symbol sort carries
-  // per-byte tag metadata (16x), the field gather O(fields) extents (8x).
+  // per-byte tag metadata (16x), the field gather O(fields) entries (8x).
   const int64_t working_set_factor = ParseWorkingSetFactor(resolved_);
   if (resolved_.memory_budget > 0 &&
       robust::EstimateParseMemory(static_cast<int64_t>(input.size()),
@@ -308,10 +308,15 @@ Status StagedParse::Scan(std::string_view input, const ParseOptions& options) {
                              "step.offset");
   PARPARAW_RETURN_NOT_OK_CTX(TagStep::Run(&state_, &output_.timings),
                              "step.tag");
+  // The field gather's tag step writes its per-record arrays and the
+  // tile histogram; the symbol sort writes a tagged CSS slot per symbol.
   output_.work.tag_bytes_written =
       state_.transpose_mode == TransposeMode::kFieldGather
-          ? static_cast<int64_t>(state_.gather_extents.size() *
-                                 sizeof(FieldExtent))
+          ? static_cast<int64_t>(
+                state_.record_column_counts.size() * sizeof(uint32_t) +
+                state_.record_dropped.size() +
+                state_.out_row_of_record.size() * sizeof(int64_t) +
+                state_.gather_tallies.size() * sizeof(GatherTally))
           : static_cast<int64_t>(state_.css.size()) *
                 (resolved_.tagging_mode == TaggingMode::kRecordTags ? 9 : 5);
   return Status::OK();
@@ -324,7 +329,6 @@ Status StagedParse::Partition() {
   // The CSS now holds every value byte: free the scratch no later stage
   // reads. kQuarantine keeps the index, whose record mask ApplyErrorPolicy
   // walks for the byte spans.
-  state_.gather_extents = ScratchVector<FieldExtent>();
   if (resolved_.error_policy != robust::ErrorPolicy::kQuarantine) {
     state_.symbol_index = SymbolIndex();
   }

@@ -20,7 +20,8 @@ namespace parparaw {
 ///              Scan, the carry-over for the *next* partition is known
 ///              (remainder_offset()), so its Scan can start while this
 ///              partition continues downstream.
-///   Partition  the stable radix sort into per-column symbol runs.
+///   Partition  the stable radix sort into per-column symbol runs, or the
+///              field gather into them (TransposeMode).
 ///   Convert    CSS indexing + typed value generation + error policy.
 ///
 /// Parser::Parse runs the three stages back to back on one thread; the
@@ -52,9 +53,10 @@ class StagedParse {
   /// options.exclude_trailing_record was set; -1 otherwise.
   int64_t remainder_offset() const { return output_.remainder_offset; }
 
-  /// Runs the partition stage (radix sort by column tag), then frees the
-  /// field extents and, except under ErrorPolicy::kQuarantine, the symbol
-  /// flags: the CSS now holds every value byte.
+  /// Runs the partition stage (the radix sort by column tag, or the field
+  /// gather straight from the input and its bitmap indexes), then frees
+  /// the bitmap indexes, except under ErrorPolicy::kQuarantine: the CSS now
+  /// holds every value byte.
   Status Partition();
 
   /// Runs the convert stage (CSS indexing, value generation, error

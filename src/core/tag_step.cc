@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <cstring>
 
+#include "core/field_walk.h"
 #include "obs/obs.h"
 #include "parallel/scan.h"
 #include "robust/resource_guard.h"
@@ -12,45 +14,14 @@ namespace parparaw {
 
 namespace {
 
-// Bits of word w (within `keep`) whose input byte equals `byte`.
-uint64_t ByteMatches(const uint8_t* data, size_t w, uint64_t keep,
-                     uint8_t byte) {
-  uint64_t matches = 0;
-  for (; keep != 0; keep &= keep - 1) {
-    const unsigned b = static_cast<unsigned>(std::countr_zero(keep));
-    if (data[64 * w + b] == byte) matches |= uint64_t{1} << b;
-  }
-  return matches;
-}
-
-// Dense lookup for skipped columns (columns above the largest skipped index
-// are never skipped). Bounded by max_record_columns: a column at or beyond
-// the limit cannot survive the count pass, so the lookup never needs to
-// grow past it either.
-std::vector<uint8_t> BuildSkipColumnLookup(const ParseOptions& options) {
-  std::vector<uint8_t> lookup;
-  for (int col : options.skip_columns) {
-    if (col < 0) continue;
-    if (static_cast<uint32_t>(col) >= options.max_record_columns) continue;
-    if (static_cast<size_t>(col) >= lookup.size()) lookup.resize(col + 1, 0);
-    lookup[col] = 1;
-  }
-  return lookup;
-}
-
-inline bool IsSkippedColumn(const std::vector<uint8_t>& lookup, uint32_t col) {
-  return col < lookup.size() && lookup[col];
-}
-
 // Walks chunk `c` over the bitmap indexes and invokes
 // `emit(symbol, col, rec, is_field_end)` for every kept CSS slot: field
 // data always; one terminator slot per field end in the inline/vector
-// modes. Drop flags and skipped columns are applied here so the sizing and
-// write passes stay in exact agreement.
+// modes. The kept-field predicate is applied here so the sizing and write
+// passes stay in exact agreement.
 template <typename Emit>
-void ForEachEmission(const PipelineState& state,
-                     const std::vector<uint8_t>& skip_lookup, int64_t c,
-                     Emit&& emit) {
+void ForEachEmission(const PipelineState& state, const KeptFields& kept,
+                     int64_t c, Emit&& emit) {
   const ParseOptions& options = *state.options;
   const bool slot_per_field =
       options.tagging_mode != TaggingMode::kRecordTags;
@@ -58,14 +29,6 @@ void ForEachEmission(const PipelineState& state,
   const simd::SymbolMasks* index = state.symbol_index.data();
   uint32_t col = state.entry_columns[c];
   int64_t rec = state.record_offsets[c];
-  // Symbols past the last record delimiter belong to a trailing record
-  // only when the input ends in a mid-record state; otherwise (e.g. the
-  // input trails off in the invalid state) they belong to no record at all
-  // and are discarded, matching the sequential semantics.
-  const auto dropped = [&](int64_t r) {
-    if (r >= state.num_records) return true;
-    return !state.record_dropped.empty() && state.record_dropped[r] != 0;
-  };
   simd::ForEachMaskWord(range.begin, range.end, [&](size_t w, uint64_t keep) {
     const simd::SymbolMasks& m = index[w];
     // Every byte that emits or moves the cursor: delimiters and value
@@ -76,24 +39,23 @@ void ForEachEmission(const PipelineState& state,
       const unsigned b = static_cast<unsigned>(std::countr_zero(bits));
       const uint8_t symbol = state.data[64 * w + b];
       if ((m.record >> b) & 1) {
-        if (slot_per_field && !dropped(rec) &&
-            !IsSkippedColumn(skip_lookup, col)) {
+        if (slot_per_field && kept(rec, col)) {
           emit(symbol, col, rec, true);
         }
         ++rec;
         col = 0;
       } else if ((m.field >> b) & 1) {
-        const bool kept = !dropped(rec) && !IsSkippedColumn(skip_lookup, col);
+        const bool is_kept = kept(rec, col);
         // An inclusive boundary (no control bit, see SymbolFlags) is the
         // field's last *value* byte as well as its end.
-        if (kept && ((m.control >> b) & 1) == 0) {
+        if (is_kept && ((m.control >> b) & 1) == 0) {
           emit(symbol, col, rec, false);
         }
-        if (slot_per_field && kept) {
+        if (slot_per_field && is_kept) {
           emit(symbol, col, rec, true);
         }
         ++col;
-      } else if (!dropped(rec) && !IsSkippedColumn(skip_lookup, col)) {
+      } else if (kept(rec, col)) {
         emit(symbol, col, rec, false);
       }
     }
@@ -101,32 +63,29 @@ void ForEachEmission(const PipelineState& state,
   // The last chunk terminates a trailing unterminated record (§3: the
   // record and its final field end at end-of-input).
   if (slot_per_field && c == state.num_chunks - 1 &&
-      state.has_trailing_record && !dropped(rec) &&
-      !IsSkippedColumn(skip_lookup, col)) {
+      state.has_trailing_record && kept(rec, col)) {
     emit(options.format.record_delimiter, col, rec, true);
   }
 }
 
 // Per-chunk output of the field-gather sizing pass.
 struct GatherSizes {
-  std::vector<int64_t> fields;     // field ends inside the chunk
-  std::vector<int64_t> tail_data;  // value bytes after its last field end
-  std::vector<uint8_t> has_end;    // 1 when the chunk ends any field
+  std::vector<int64_t> last_end;   // the chunk's last field end, or -1
+  std::vector<int64_t> tail_data;  // value bytes after it
 };
 
-// --- 3. Field-gather sizing pass: field ends + open-field tail data per
-// chunk (part of the tag step's count phase), by popcount over the masks.
+// --- 3. Field-gather sizing pass: each chunk's last field end and the
+// open-field value bytes after it (part of the tag step's count phase), by
+// popcount over the masks.
 Status SizeGatherFields(const PipelineState& state, GatherSizes* sizes) {
   const int64_t num_chunks = state.num_chunks;
-  sizes->fields.assign(num_chunks, 0);
+  sizes->last_end.assign(num_chunks, -1);
   sizes->tail_data.assign(num_chunks, 0);
-  sizes->has_end.assign(num_chunks, 0);
   const simd::SymbolMasks* index = state.symbol_index.data();
   return ParallelForEach(state.pool, 0, num_chunks, [&](int64_t c) {
     const ChunkRange range = ChunkRangeOf(state, c);
-    int64_t fields = 0;
+    int64_t last_end = -1;
     int64_t tail = 0;
-    bool has_end = false;
     simd::ForEachMaskWord(range.begin, range.end,
                           [&](size_t w, uint64_t keep) {
       const simd::SymbolMasks& m = index[w];
@@ -135,143 +94,112 @@ Status SizeGatherFields(const PipelineState& state, GatherSizes* sizes) {
       // belongs to the field it ends, never to the open tail.
       uint64_t values = ~(m.record | m.field | m.control) & keep;
       if (ends != 0) {
-        fields += std::popcount(ends);
-        has_end = true;
+        const unsigned last =
+            63u - static_cast<unsigned>(std::countl_zero(ends));
+        last_end = static_cast<int64_t>(64 * w + last);
         tail = 0;
-        values &= ~simd::BitRange(
-            0, 64 - static_cast<unsigned>(std::countl_zero(ends)));
+        values &= ~simd::BitRange(0, last + 1);
       }
       tail += std::popcount(values);
     });
-    // The trailing unterminated record's final field ends at EOF.
-    if (c == num_chunks - 1 && state.has_trailing_record) ++fields;
-    sizes->fields[c] = fields;
+    sizes->last_end[c] = last_end;
     sizes->tail_data[c] = tail;
-    sizes->has_end[c] = has_end ? 1 : 0;
   });
 }
 
+// True when a terminator byte is one of `field`'s value bytes, which the
+// inline-terminated mode cannot store: a byte of its window without a
+// control bit.
+bool HoldsTerminator(const PipelineState& state, const FieldSpan& field,
+                     uint8_t terminator) {
+  const uint8_t* data = state.data;
+  const int64_t end = field.end + (field.inclusive ? 1 : 0);
+  for (int64_t i = field.begin; i < end; ++i) {
+    const void* hit = std::memchr(data + i, terminator,
+                                  static_cast<size_t>(end - i));
+    if (hit == nullptr) return false;
+    i = static_cast<const uint8_t*>(hit) - data;
+    if (((state.symbol_index[i >> 6].control >> (i & 63)) & 1) == 0) {
+      return true;
+    }
+  }
+  return false;
+}
+
 // Field-gather transposition (TransposeMode::kFieldGather): instead of a
-// per-symbol tag sideband for the radix sort, derive one FieldExtent per
-// field — including dropped ones, whose predecessor link recovers field
-// starts — with the same chunk-parallel count + exclusive-scan + fill
-// structure as the symbol path. The partition step buckets the extents by
-// column and gathers each column's CSS with whole-field copies.
+// per-symbol tag sideband for the radix sort, walk every field once
+// (ForEachField) and count the kept ones and their CSS slot bytes per
+// (tile, column). That histogram is all the partition step needs to place
+// each field; it walks the same tiles again to gather them. Nothing is
+// stored per field.
 Status RunFieldGatherTag(PipelineState* state, StepTimings* timings,
-                         const std::vector<uint8_t>& skip_lookup,
-                         uint32_t max_col_index, const GatherSizes& sizes) {
+                         const KeptFields& kept, uint32_t max_col_index,
+                         const GatherSizes& sizes) {
   const ParseOptions& options = *state->options;
   const int64_t num_chunks = state->num_chunks;
   const TaggingMode mode = options.tagging_mode;
-  const bool slot_per_field = mode != TaggingMode::kRecordTags;
-  const auto dropped = [state](int64_t r) {
-    if (r >= state->num_records) return true;
-    return !state->record_dropped.empty() && state->record_dropped[r] != 0;
-  };
+  const int64_t slot = mode != TaggingMode::kRecordTags ? 1 : 0;
 
   obs::TraceSpan scan = StepProbe(*state, "step.tag.scan", "step.tag.scan_us");
-  std::vector<int64_t> chunk_extent_offsets(num_chunks, 0);
-  const int64_t total_fields =
-      ExclusivePrefixSum(state->pool, sizes.fields.data(),
-                         chunk_extent_offsets.data(), num_chunks);
-  // carry_in[c]: value bytes before chunk c belonging to the field still
-  // open at its boundary; the first field end inside c closes them.
-  std::vector<int64_t> carry_in(num_chunks, 0);
-  for (int64_t c = 1; c < num_chunks; ++c) {
-    carry_in[c] = sizes.tail_data[c - 1] +
-                  (sizes.has_end[c - 1] ? 0 : carry_in[c - 1]);
+  // The carries of the field open at each chunk's start: a chunk with a
+  // field end opens a new field one past its last end; a chunk without
+  // one passes its predecessor's open field on, grown by its value bytes.
+  state->open_field_begin.resize(num_chunks);
+  state->open_field_length.resize(num_chunks);
+  for (int64_t c = 0; c < num_chunks; ++c) {
+    if (c == 0) {
+      state->open_field_begin[c] =
+          static_cast<int64_t>(ChunkRangeOf(*state, 0).begin);
+      state->open_field_length[c] = 0;
+    } else if (sizes.last_end[c - 1] >= 0) {
+      state->open_field_begin[c] = sizes.last_end[c - 1] + 1;
+      state->open_field_length[c] = sizes.tail_data[c - 1];
+    } else {
+      state->open_field_begin[c] = state->open_field_begin[c - 1];
+      state->open_field_length[c] =
+          state->open_field_length[c - 1] + sizes.tail_data[c - 1];
+    }
+  }
+  // As many tiles as ParallelFor cuts morsels (two per runner, the caller
+  // included), so each tile is one morsel.
+  const int64_t runners =
+      state->pool != nullptr ? state->pool->num_threads() + 1 : 1;
+  const int64_t num_tiles =
+      std::max<int64_t>(1, std::min<int64_t>(2 * runners, num_chunks));
+  state->gather_tiles.resize(num_tiles + 1);
+  for (int64_t t = 0; t <= num_tiles; ++t) {
+    state->gather_tiles[t] = t * num_chunks / num_tiles;
   }
   timings->scan_ms += scan.Stop() * 1e3;
 
-  // --- 4. Fill pass. ---
+  // --- 4. Histogram walk. ---
   obs::TraceSpan write =
       StepProbe(*state, "step.tag.write", "step.tag.write_us");
-  PARPARAW_RETURN_NOT_OK(robust::GuardedResize(
-      "alloc.gather", &state->gather_extents, total_fields));
-  std::vector<int64_t> chunk_kept_fields(num_chunks, 0);
-  std::vector<int64_t> chunk_kept_bytes(num_chunks, 0);
+  const int64_t num_columns = int64_t{max_col_index} + 1;
+  PARPARAW_RETURN_NOT_OK(robust::GuardedAssign(
+      "alloc.gather", &state->gather_tallies,
+      static_cast<size_t>(num_tiles * num_columns), GatherTally{}));
   std::atomic<bool> terminator_collision{false};
-  const simd::SymbolMasks* index = state->symbol_index.data();
   const bool check_terminator = mode == TaggingMode::kInlineTerminated;
   PARPARAW_RETURN_NOT_OK(
-      ParallelForEach(state->pool, 0, num_chunks, [&](int64_t c) {
-        const ChunkRange range = ChunkRangeOf(*state, c);
-        uint32_t col = state->entry_columns[c];
-        int64_t rec = state->record_offsets[c];
-        int64_t out = chunk_extent_offsets[c];
-        int64_t data_count = 0;
-        bool first_end = true;
-        int64_t kept_fields = 0;
-        int64_t kept_bytes = 0;
-        const auto emit_extent = [&](int64_t src_end) {
-          const int64_t length = data_count + (first_end ? carry_in[c] : 0);
-          first_end = false;
-          data_count = 0;
-          const bool keep =
-              !dropped(rec) && !IsSkippedColumn(skip_lookup, col);
-          FieldExtent& ex = state->gather_extents[out++];
-          ex.src_end = src_end;
-          ex.length = length;
-          ex.row = keep ? state->out_row_of_record[rec] : -1;
-          ex.column = keep ? col : kDroppedColumn;
-          if (keep) {
-            ++kept_fields;
-            kept_bytes += length;
-          }
-        };
-        // In the inline-terminated mode a kept value byte must not be the
-        // terminator; `value_bits` are the current field's value bytes.
-        uint64_t terminators = 0;
-        const auto check_values = [&](uint64_t value_bits) {
-          if ((terminators & value_bits) != 0 && !dropped(rec) &&
-              !IsSkippedColumn(skip_lookup, col)) {
-            terminator_collision.store(true, std::memory_order_relaxed);
-          }
-        };
-        simd::ForEachMaskWord(range.begin, range.end,
-                              [&](size_t w, uint64_t keep) {
-          const simd::SymbolMasks& m = index[w];
-          uint64_t values = ~(m.record | m.field | m.control) & keep;
-          if (check_terminator) {
-            terminators =
-                ByteMatches(state->data, w, keep, options.terminator);
-          }
-          // Each field end closes the value bytes before it: a popcount of
-          // the bits set in none of the three masks.
-          for (uint64_t ends = (m.record | m.field) & keep; ends != 0;
-               ends &= ends - 1) {
-            const unsigned b = static_cast<unsigned>(std::countr_zero(ends));
-            const uint64_t field_values = values & simd::BitRange(0, b);
-            values &= ~field_values;
-            data_count += std::popcount(field_values);
-            const int64_t i = static_cast<int64_t>(64 * w + b);
-            if ((m.record >> b) & 1) {
-              check_values(field_values);
-              emit_extent(i);
-              ++rec;
-              col = 0;
-            } else {
-              // An inclusive boundary (no control bit) is counted into the
-              // closing field's length; src_end still points at the
-              // boundary byte, so the next field's src_begin (src_end + 1)
-              // is unchanged.
-              const uint64_t inclusive = ((m.control >> b) & 1) == 0
-                                             ? uint64_t{1} << b
-                                             : 0;
-              check_values(field_values | inclusive);
-              if (inclusive != 0) ++data_count;
-              emit_extent(i);
-              ++col;
+      ParallelForEach(state->pool, 0, num_tiles, [&](int64_t t) {
+        GatherTally* tally = state->gather_tallies.data() + t * num_columns;
+        bool collision = false;
+        for (int64_t c = state->gather_tiles[t];
+             c < state->gather_tiles[t + 1]; ++c) {
+          ForEachField(*state, c, [&](const FieldSpan& field) {
+            if (!kept(field.record, field.column)) return;
+            GatherTally& at = tally[field.column];
+            ++at.fields;
+            at.bytes += field.length + slot;
+            if (check_terminator && !collision) {
+              collision = HoldsTerminator(*state, field, options.terminator);
             }
-          }
-          check_values(values);
-          data_count += std::popcount(values);
-        });
-        if (c == num_chunks - 1 && state->has_trailing_record) {
-          emit_extent(static_cast<int64_t>(state->size));
+          });
         }
-        chunk_kept_fields[c] = kept_fields;
-        chunk_kept_bytes[c] = kept_bytes;
+        if (collision) {
+          terminator_collision.store(true, std::memory_order_relaxed);
+        }
       }));
   if (terminator_collision.load()) {
     return Status::ParseError(
@@ -279,21 +207,17 @@ Status RunFieldGatherTag(PipelineState* state, StepTimings* timings,
         "record-tag mode");
   }
 
-  // Kept totals decide num_partitions exactly as the symbol path's
+  // Kept slots decide num_partitions exactly as the symbol path's
   // total_slots does: value bytes, plus one terminator slot per kept field
   // end in the inline/vector modes.
-  int64_t kept_fields_total = 0;
-  int64_t kept_bytes_total = 0;
-  for (int64_t c = 0; c < num_chunks; ++c) {
-    kept_fields_total += chunk_kept_fields[c];
-    kept_bytes_total += chunk_kept_bytes[c];
+  int64_t total_slots = 0;
+  for (const GatherTally& tally : state->gather_tallies) {
+    total_slots += tally.bytes;
   }
-  const int64_t total_slots =
-      kept_bytes_total + (slot_per_field ? kept_fields_total : 0);
   state->num_partitions = total_slots > 0 ? max_col_index + 1 : 0;
 
-  // The symbol-path sidebands stay empty; the partition step builds the
-  // CSS directly from the extents.
+  // The symbol-path sidebands stay empty; the partition step gathers the
+  // CSS straight from the input.
   state->css.clear();
   state->col_tags.clear();
   state->rec_tags.clear();
@@ -313,7 +237,6 @@ Status TagStep::Run(PipelineState* state, StepTimings* timings) {
   const ParseOptions& options = *state->options;
   const int64_t num_chunks = state->num_chunks;
   const int64_t num_records = state->num_records;
-  const std::vector<uint8_t> skip_lookup = BuildSkipColumnLookup(options);
 
   // --- 1. Count pass: per-record column counts + max column index. ---
   // A record tagging more than max_record_columns columns fails the parse:
@@ -474,18 +397,19 @@ Status TagStep::Run(PipelineState* state, StepTimings* timings) {
   state->max_columns = max_cols;
   (void)dropped_count;
 
+  const KeptFields kept(*state);
   state->transpose_mode = EffectiveTransposeMode(options);
   if (state->transpose_mode == TransposeMode::kFieldGather) {
     GatherSizes sizes;
     PARPARAW_RETURN_NOT_OK(SizeGatherFields(*state, &sizes));
     timings->tag_ms += count.Stop() * 1e3;
-    PARPARAW_RETURN_NOT_OK(RunFieldGatherTag(state, timings, skip_lookup,
-                                             max_col_index, sizes));
-    span.set_bytes(static_cast<int64_t>(state->gather_extents.size() *
-                                        sizeof(FieldExtent)));
+    PARPARAW_RETURN_NOT_OK(
+        RunFieldGatherTag(state, timings, kept, max_col_index, sizes));
+    span.set_bytes(static_cast<int64_t>(state->gather_tallies.size() *
+                                        sizeof(GatherTally)));
     return Status::OK();
   }
-  state->gather_extents.clear();
+  state->gather_tallies.clear();
   state->gather_entries.clear();
   state->gather_entry_offsets.clear();
 
@@ -494,7 +418,7 @@ Status TagStep::Run(PipelineState* state, StepTimings* timings) {
   PARPARAW_RETURN_NOT_OK(
       ParallelForEach(state->pool, 0, num_chunks, [&](int64_t c) {
         int64_t count = 0;
-        ForEachEmission(*state, skip_lookup, c,
+        ForEachEmission(*state, kept, c,
                         [&](uint8_t, uint32_t, int64_t, bool) { ++count; });
         chunk_emit[c] = count;
       }));
@@ -531,7 +455,7 @@ Status TagStep::Run(PipelineState* state, StepTimings* timings) {
       ParallelForEach(state->pool, 0, num_chunks, [&](int64_t c) {
         int64_t out = chunk_write_offsets[c];
         ForEachEmission(
-            *state, skip_lookup, c,
+            *state, kept, c,
             [&](uint8_t symbol, uint32_t col, int64_t rec, bool is_field_end) {
               uint8_t stored = symbol;
               if (mode == TaggingMode::kInlineTerminated) {

@@ -27,17 +27,22 @@ namespace parparaw {
 ///     (kVectorDelimited).
 ///
 /// Passes 3-4 describe TransposeMode::kSymbolSort. Under the default
-/// kFieldGather the step instead derives one FieldExtent per field (the
-/// same count + exclusive-scan + fill structure, but over O(fields) units)
-/// and leaves css/col_tags/rec_tags/field_end empty — the partition step
-/// builds the CSS from the extents. A record tagging more than
+/// kFieldGather the step stores nothing per field. Its sizing pass finds
+/// each chunk's last field end and the open-field value bytes after it; a
+/// serial O(chunks) chain turns them into every chunk's open-field carries
+/// (open_field_begin/open_field_length); it splits the chunks into tiles
+/// (gather_tiles); and its write pass walks every field (ForEachField,
+/// core/field_walk.h) to count the kept fields and their CSS slot bytes per
+/// (tile, column) in gather_tallies. It leaves css/col_tags/rec_tags/
+/// field_end empty: the partition step walks the same fields and gathers
+/// the CSS from the input. A record tagging more than
 /// ParseOptions::max_record_columns columns fails the parse with a
 /// ParseError carrying the record's byte span (both modes).
 ///
 /// Fills: record_column_counts, record_dropped, out_row_of_record,
 /// num_out_rows, min/max_columns, num_partitions, transpose_mode, and
-/// css/col_tags/rec_tags/field_end (kSymbolSort) or gather_extents
-/// (kFieldGather).
+/// css/col_tags/rec_tags/field_end (kSymbolSort) or open_field_begin,
+/// open_field_length, gather_tiles and gather_tallies (kFieldGather).
 class TagStep {
  public:
   static Status Run(PipelineState* state, StepTimings* timings);

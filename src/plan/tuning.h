@@ -45,10 +45,10 @@ enum class TransposeMode : uint8_t {
   /// default for the process (scripts/check.sh transpose sweeps it). An
   /// explicit mode request always wins over the environment.
   kAuto,
-  /// Field-granularity fast path: derive per-field (column, row, offset,
-  /// length) extents from the bitmap indexes, bucket them by column with
-  /// one stable O(fields) partitioning pass, then gather each column's CSS
-  /// with whole-field copies.
+  /// Field-granularity fast path: walk each field's (column, row, byte
+  /// window, length) from the bitmap indexes, count the kept fields per
+  /// column with one stable O(fields) partitioning pass, then walk them
+  /// again to gather each column's CSS with whole-field copies.
   kFieldGather,
   /// The paper's faithful symbol-granularity path: every kept symbol
   /// carries a 4-byte column tag and is moved by a stable LSD radix sort.

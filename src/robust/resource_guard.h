@@ -33,9 +33,12 @@ inline constexpr int64_t kParseMemoryFactor = 16;
 
 /// Envelope for TransposeMode::kFieldGather, whose transposition metadata is
 /// O(fields) instead of O(bytes): the per-byte tag sideband, per-symbol
-/// permutation and sort scratch disappear, leaving the state vectors, symbol
-/// flags, field extents (~40 bytes per *field*) and the output table.
-/// Measured against the same dense workloads, 8x input bounds the peak.
+/// permutation and sort scratch disappear, leaving the state vectors, the
+/// bitmap indexes, one 24-byte FieldEntry per kept field, the CSS and the
+/// output table. On taxi-like data (~6-byte fields) the modelled transpose
+/// peak of an 8 MiB partition (entries, their offsets and the CSS;
+/// perfbench's core.transpose_peak_mib on numeric_stream) is 39.4 MiB,
+/// 4.9x the input; 8x stays the envelope.
 inline constexpr int64_t kParseMemoryFactorFieldGather = 8;
 
 inline int64_t EstimateParseMemory(int64_t input_size,

@@ -192,10 +192,12 @@ std::string GenerateSkewed(uint64_t seed, size_t target_bytes,
   std::string base = yelp_like ? GenerateYelpLike(seed, target_bytes)
                                : GenerateTaxiLike(seed, target_bytes);
   // Insert one record whose text field dwarfs everything else, right after
-  // a record boundary near the middle.
-  size_t insert_at = base.find('\n', base.size() / 2);
-  if (insert_at == std::string::npos) insert_at = base.size() - 1;
-  ++insert_at;
+  // a record boundary near the middle. A yelp-like record ends in its quoted
+  // timestamp; the newlines its review text embeds never follow a quote.
+  const std::string boundary = yelp_like ? "\"\n" : "\n";
+  size_t insert_at = base.find(boundary, base.size() / 2);
+  insert_at = insert_at == std::string::npos ? base.size()
+                                             : insert_at + boundary.size();
   std::string giant;
   if (yelp_like) {
     giant.reserve(giant_field_bytes + 256);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
@@ -8,6 +9,7 @@
 #include "core/parser.h"
 #include "dfa/formats.h"
 #include "dialect/dialect.h"
+#include "parallel/thread_pool.h"
 #include "robust/failpoint.h"
 #include "stream/streaming_parser.h"
 #include "test_util.h"
@@ -90,14 +92,12 @@ std::string RandomBytes(uint64_t seed, size_t size) {
   return out;
 }
 
-std::string InputForSeed(const NamedFormat& format, uint64_t seed) {
-  const uint64_t category = seed % 8;
-  if (category == 6) return RandomBytes(seed, 64 + seed % 512);
-  if (format.name == "extended_log") {
-    return GenerateLogLike(seed, 256 + seed % 512);
-  }
+/// A seeded random CSV of `num_records` records in the format's field
+/// delimiter; the other generator knobs rotate with the seed.
+std::string RandomCsvForSeed(const NamedFormat& format, uint64_t seed,
+                             int num_records) {
   RandomCsvOptions options;
-  options.num_records = 3 + static_cast<int>(seed % 20);
+  options.num_records = num_records;
   options.num_columns = 1 + static_cast<int>(seed % 7);
   options.quote_probability = (seed % 5) * 0.2;
   options.embedded_delimiter_probability = (seed % 3) * 0.3;
@@ -111,6 +111,15 @@ std::string InputForSeed(const NamedFormat& format, uint64_t seed) {
     }
   }
   return input;
+}
+
+std::string InputForSeed(const NamedFormat& format, uint64_t seed) {
+  const uint64_t category = seed % 8;
+  if (category == 6) return RandomBytes(seed, 64 + seed % 512);
+  if (format.name == "extended_log") {
+    return GenerateLogLike(seed, 256 + seed % 512);
+  }
+  return RandomCsvForSeed(format, seed, 3 + static_cast<int>(seed % 20));
 }
 
 size_t ChunkSizeForSeed(uint64_t seed) {
@@ -227,6 +236,186 @@ TEST(TransposeDifferentialTest, CssLayoutsMatchAcrossModes) {
             << context << " css byte " << i;
       }
     }
+  }
+}
+
+// --- The axes the gather's field walk depends on. The tag step counts
+// each tile's kept fields per column and the partition step walks the same
+// tiles again to place them, carrying a field that spans a chunk edge by
+// its first byte and its value bytes so far. So the kept-field predicate
+// (skipped columns and records, an excluded trailing record), the carries
+// (UTF-8 chunk starts, fields spanning many chunks) and the tile edges
+// (the pool's worker count) each get an axis of their own.
+
+/// Explicit pools of 1, 2, 3 and 8 workers: the gather cuts two tiles per
+/// runner, so its tile edges move with the pool.
+ThreadPool* PoolForSeed(uint64_t seed) {
+  static ThreadPool one(1);
+  static ThreadPool two(2);
+  static ThreadPool three(3);
+  static ThreadPool eight(8);
+  static ThreadPool* const kPools[] = {&one, &two, &three, &eight};
+  return kPools[seed % 4];
+}
+
+/// UTF-8 text: a leading continuation byte (which belongs to no chunk),
+/// then the seed's input with letters widened to two-, three- and
+/// four-byte sequences, so small chunks start inside multi-byte symbols.
+std::string Utf8InputForSeed(const NamedFormat& format, uint64_t seed) {
+  std::string out = "\xA9";
+  for (char ch : InputForSeed(format, seed)) {
+    switch (ch) {
+      case 'a':
+        out += "\xC3\xA9";
+        break;
+      case 'e':
+        out += "\xE6\xB1\x89";
+        break;
+      case 'o':
+        out += "\xF0\x9F\x9A\x80";
+        break;
+      default:
+        out.push_back(ch);
+        break;
+    }
+  }
+  return out;
+}
+
+/// Today's inputs, their UTF-8 widening, or a random CSV of 60-300
+/// records, so tiles hold many chunks and many fields.
+std::string GatherInputForSeed(const NamedFormat& format, uint64_t seed) {
+  switch ((seed / 13) % 3) {
+    case 0:
+      return InputForSeed(format, seed);
+    case 1:
+      return Utf8InputForSeed(format, seed);
+    default:
+      break;
+  }
+  if (format.name == "extended_log") {
+    return GenerateLogLike(seed, 4096 + seed % 4096);
+  }
+  return RandomCsvForSeed(format, seed, 60 + static_cast<int>(seed % 241));
+}
+
+/// OptionsForSeed plus the gather axes, each rotating with the seed:
+/// skipped columns, skipped records, an excluded trailing record, the
+/// encoding, and the pool.
+ParseOptions GatherOptionsForSeed(const NamedFormat& format, uint64_t seed) {
+  ParseOptions options = OptionsForSeed(format, seed);
+  static const std::vector<int> kSkipColumns[] = {{}, {0}, {1}, {0, 2}};
+  static const std::vector<int64_t> kSkipRecords[] = {{}, {0}, {1, 3}};
+  options.skip_columns = kSkipColumns[(seed / 5) % 4];
+  options.skip_records = kSkipRecords[(seed / 7) % 3];
+  options.exclude_trailing_record = (seed / 11) % 2 != 0;
+  options.encoding =
+      (seed / 2) % 5 == 0 ? TextEncoding::kAscii : TextEncoding::kUtf8;
+  options.pool = PoolForSeed(seed / 3);
+  return options;
+}
+
+TEST(TransposeDifferentialTest, GatherAxesMatchSymbolSort) {
+  std::vector<NamedFormat> formats;
+  ASSERT_NO_FATAL_FAILURE(formats = RegisteredFormats());
+  for (const NamedFormat& format : formats) {
+    for (uint64_t seed = 0; seed < 768; ++seed) {
+      const std::string input = GatherInputForSeed(format, seed);
+      ParseOptions options = GatherOptionsForSeed(format, seed);
+
+      options.transpose_mode = TransposeMode::kSymbolSort;
+      const Result<ParseOutput> reference = Parser::Parse(input, options);
+      options.transpose_mode = TransposeMode::kFieldGather;
+      const Result<ParseOutput> got = Parser::Parse(input, options);
+
+      const std::string context = format.name + " seed " +
+                                  std::to_string(seed);
+      ASSERT_NO_FATAL_FAILURE(ExpectOutputsEqual(reference, got, context));
+    }
+  }
+}
+
+// The same axes at the step level: identical CSS bytes, offsets and
+// histograms from both modes.
+TEST(TransposeDifferentialTest, GatherAxesCssLayoutsMatch) {
+  std::vector<NamedFormat> formats;
+  ASSERT_NO_FATAL_FAILURE(formats = RegisteredFormats());
+  for (const NamedFormat& format : formats) {
+    for (uint64_t seed = 0; seed < 192; ++seed) {
+      const std::string input = GatherInputForSeed(format, seed * 29 + 3);
+      ParseOptions options = GatherOptionsForSeed(format, seed);
+      options.error_policy = ErrorPolicy::kNull;  // step harness: no repair
+
+      options.transpose_mode = TransposeMode::kSymbolSort;
+      auto hs = StepHarness::Make(input, options);
+      const Status ss = hs->RunThroughPartition();
+      options.transpose_mode = TransposeMode::kFieldGather;
+      auto hg = StepHarness::Make(input, options);
+      const Status sg = hg->RunThroughPartition();
+
+      const std::string context = format.name + " seed " +
+                                  std::to_string(seed);
+      ASSERT_EQ(ss.ok(), sg.ok()) << context;
+      if (!ss.ok()) {
+        ASSERT_EQ(ss.ToString(), sg.ToString()) << context;
+        continue;
+      }
+      ASSERT_EQ(hs->state.num_partitions, hg->state.num_partitions)
+          << context;
+      ASSERT_EQ(hs->state.column_css_offsets, hg->state.column_css_offsets)
+          << context;
+      ASSERT_EQ(hs->state.column_histogram, hg->state.column_histogram)
+          << context;
+      ASSERT_TRUE(hs->state.css == hg->state.css) << context;
+    }
+  }
+}
+
+// Skew axis (Fig. 11 right): one giant quoted field, with embedded
+// delimiters, newlines and escaped quotes, spans many chunks and several
+// gather tiles, so its carries cross chunk and tile edges.
+TEST(TransposeDifferentialTest, SkewedGiantFieldMatchesAcrossModes) {
+  for (uint64_t seed = 0; seed < 16; ++seed) {
+    static const size_t kChunkSizes[] = {31, 64, 7, 256};
+    const size_t giant = (24 << 10) + seed * 97;
+    const std::string input =
+        GenerateSkewed(seed, 16 << 10, giant, /*yelp_like=*/true);
+    ParseOptions options;
+    options.chunk_size = kChunkSizes[seed % 4];
+    options.pool = PoolForSeed(seed / 4);
+    options.tagging_mode = static_cast<TaggingMode>(seed % 3);
+    if (options.tagging_mode != TaggingMode::kRecordTags) {
+      options.column_count_policy = ColumnCountPolicy::kReject;
+    }
+    options.error_policy = static_cast<ErrorPolicy>(seed % 4);
+    const std::string context = "seed " + std::to_string(seed);
+
+    options.transpose_mode = TransposeMode::kSymbolSort;
+    const Result<ParseOutput> reference = Parser::Parse(input, options);
+    options.transpose_mode = TransposeMode::kFieldGather;
+    const Result<ParseOutput> got = Parser::Parse(input, options);
+    ASSERT_TRUE(reference.ok()) << context << ": "
+                                << reference.status().ToString();
+    ASSERT_NO_FATAL_FAILURE(ExpectOutputsEqual(reference, got, context));
+
+    // The giant field really crosses more than one tile edge: it is longer
+    // than two of the largest tiles.
+    options.error_policy = ErrorPolicy::kNull;
+    auto h = StepHarness::Make(input, options);
+    ASSERT_TRUE(h->RunThroughPartition().ok()) << context;
+    int64_t longest = 0;
+    for (const FieldEntry& entry : h->state.gather_entries) {
+      longest = std::max(longest, entry.length);
+    }
+    int64_t widest_tile = 0;
+    for (size_t t = 0; t + 1 < h->state.gather_tiles.size(); ++t) {
+      widest_tile = std::max(
+          widest_tile,
+          h->state.gather_tiles[t + 1] - h->state.gather_tiles[t]);
+    }
+    EXPECT_GT(longest,
+              2 * widest_tile * static_cast<int64_t>(options.chunk_size))
+        << context;
   }
 }
 

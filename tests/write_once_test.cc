@@ -10,9 +10,9 @@
 #include "test_util.h"
 
 // The write-once rule of the parse scratch buffers (core/pipeline_state.h,
-// ScratchAllocator): the symbol index, CSS, field extents and field entries
-// grow without a zero fill, so every element must be written by the pass
-// that produces it. A PipelineState that already parsed a larger input holds
+// ScratchAllocator): the symbol index, CSS and field entries grow without
+// a zero fill, so every element must be written by the pass that produces
+// it. A PipelineState that already parsed a larger input holds
 // non-zero junk in all of them; pointing it at a smaller input must still
 // give the state and table of a fresh parse, bit for bit. Sanitizer builds
 // poison fresh scratch storage, so there the fresh side catches an element
