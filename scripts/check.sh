@@ -92,10 +92,15 @@ run_tsan() {
   # touched through atomic_ref. TransposeDifferential drives the field
   # gather on pools of 1-8 workers, whose tiles write disjoint entry and
   # CSS ranges concurrently while reading the shared mask words.
+  # Of the two sanitizer builds, this one takes ScratchAllocator's mapping
+  # path (core/pipeline_state.h): scratch buffers of 2 MiB and up come
+  # from their own huge-page mappings, poisoned with 0xA5 like the smaller
+  # std::allocator ones. ScratchAllocator checks the mapping path itself,
+  # and WriteOnce's large case parses through mapped scratch.
   echo "=== TSan: concurrency-sensitive tests ==="
   TSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \
-      -R 'ThreadPool|ParallelFor|Scheduler|TaskGroup|Metrics|Tracer|ObsIntegration|Streaming|Exec|Reader|SymbolIndex|SimdDifferential|WriteOnce|TransposeDifferential'
+      -R 'ThreadPool|ParallelFor|Scheduler|TaskGroup|Metrics|Tracer|ObsIntegration|Streaming|Exec|Reader|SymbolIndex|SimdDifferential|WriteOnce|TransposeDifferential|ScratchAllocator'
 }
 
 run_scaling() {
@@ -164,7 +169,10 @@ run_kernels() {
   # fresh parse scratch (ScratchAllocator, core/pipeline_state.h), so an
   # element no pass wrote breaks these bit-identity tests; WriteOnce also
   # reruns the steps on a state left full of a larger parse's junk, and
-  # SymbolIndex checks every mask bit against a sequential DFA walk.
+  # SymbolIndex checks every mask bit against a sequential DFA walk. This
+  # ASan build serves every scratch buffer from std::allocator, large ones
+  # too, so a redzone guards each of them against an overrun; the TSan
+  # pass covers the huge-page mapping path that other builds take.
   for kernel in scalar swar simd; do
     echo "=== kernel sweep: full suite, PARPARAW_FORCE_KERNEL=${kernel} ==="
     PARPARAW_FORCE_KERNEL="${kernel}" \

@@ -4,17 +4,20 @@
 #include <cstdio>
 #include <utility>
 
+#include "util/huge_pages.h"
+
 namespace parparaw {
 
-void Column::Allocate(int64_t num_rows, int64_t data_bytes) {
+void Column::Allocate(int64_t num_rows) {
   length_ = num_rows;
   validity_.Resize(static_cast<size_t>(num_rows));
   if (IsFixedWidth(type_.id)) {
-    data_.assign(static_cast<size_t>(num_rows) * FixedWidth(type_.id), 0);
+    huge_pages::Assign(&data_,
+                       static_cast<size_t>(num_rows) * FixedWidth(type_.id),
+                       uint8_t{0});
   } else {
     offsets_.assign(static_cast<size_t>(num_rows) + 1, 0);
     string_data_.clear();
-    string_data_.reserve(static_cast<size_t>(data_bytes));
   }
 }
 

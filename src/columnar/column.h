@@ -31,10 +31,12 @@ class Column {
   const DataType& type() const { return type_; }
   int64_t length() const { return length_; }
 
-  /// Preallocates `num_rows` slots for positional writes. For string
-  /// columns `data_bytes` reserves the value buffer (it still grows as
-  /// needed on the sequential path; the parallel path sizes it exactly).
-  void Allocate(int64_t num_rows, int64_t data_bytes = 0);
+  /// Preallocates `num_rows` slots for positional writes. A string
+  /// column's value buffer starts empty: the parallel path sizes it once
+  /// the offsets are known, the sequential path grows it by appends. A
+  /// fixed-width buffer larger than huge_pages::kAdviseInPlaceBytes is
+  /// advised for huge pages before its zero-fill (util/huge_pages.h).
+  void Allocate(int64_t num_rows);
 
   // --- positional writes (parallel convert path) ---
 

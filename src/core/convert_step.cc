@@ -286,6 +286,8 @@ Status ConvertStep::Run(PipelineState* state, StepTimings* timings,
       const int64_t total_bytes = ExclusivePrefixSum(
           state->pool, lengths.data(), offsets->data(), rows);
       (*offsets)[rows] = total_bytes;
+      // The zero-fill is the buffer's first write, on huge pages when the
+      // buffer is large (GuardedAssign, util/huge_pages.h).
       PARPARAW_RETURN_NOT_OK(robust::GuardedAssign(
           "alloc.convert", column.mutable_string_data(), total_bytes,
           uint8_t{0}));

@@ -18,6 +18,7 @@
 #include "robust/resource_guard.h"
 #include "simd/simd_kernels.h"
 #include "text/unicode.h"
+#include "util/huge_pages.h"
 
 namespace parparaw {
 
@@ -32,6 +33,13 @@ namespace parparaw {
 /// fresh storage with a non-zero poison byte instead, so an element some
 /// pass forgot to write breaks the bit-identity tests rather than reading
 /// as the zero a fresh page happens to hold.
+///
+/// An allocation of at least huge_pages::kHugePageBytes gets an anonymous
+/// mapping of its own, 2 MiB-aligned and advised for huge pages before its
+/// first write, and unmapped on free (util/huge_pages.h). glibc would serve
+/// the 2–32 MiB ones from an arena once its mmap threshold has climbed,
+/// and advice given to arena memory outlives the buffer. ASan builds keep
+/// std::allocator for every size, so redzones guard every scratch buffer.
 template <typename T>
 struct ScratchAllocator {
   using value_type = T;
@@ -41,14 +49,19 @@ struct ScratchAllocator {
   ScratchAllocator(const ScratchAllocator<U>&) noexcept {}
 
   T* allocate(size_t n) {
-    T* p = std::allocator<T>().allocate(n);
+    T* p = Mapped(n) ? static_cast<T*>(huge_pages::Map(n * sizeof(T)))
+                     : std::allocator<T>().allocate(n);
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
     std::memset(static_cast<void*>(p), 0xA5, n * sizeof(T));
 #endif
     return p;
   }
   void deallocate(T* p, size_t n) noexcept {
-    std::allocator<T>().deallocate(p, n);
+    if (Mapped(n)) {
+      huge_pages::Unmap(p, n * sizeof(T));
+    } else {
+      std::allocator<T>().deallocate(p, n);
+    }
   }
 
   template <typename U, typename... Args>
@@ -61,6 +74,16 @@ struct ScratchAllocator {
   template <typename U>
   bool operator==(const ScratchAllocator<U>&) const noexcept {
     return true;
+  }
+
+ private:
+  static bool Mapped(size_t n) {
+#if defined(__SANITIZE_ADDRESS__)
+    (void)n;
+    return false;
+#else
+    return n * sizeof(T) >= huge_pages::kHugePageBytes;
+#endif
   }
 };
 

@@ -6,6 +6,7 @@
 
 #include "robust/failpoint.h"
 #include "robust/resource_guard.h"
+#include "util/huge_pages.h"
 
 namespace parparaw {
 
@@ -35,39 +36,12 @@ struct TransientRetry {
 }  // namespace
 
 Result<std::string> ReadFileToString(const std::string& path) {
-  PARPARAW_FAILPOINT("io.open");
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    return Status::IoError(ErrnoMessage("cannot open '" + path + "'"));
-  }
+  FileChunkReader reader;
+  PARPARAW_RETURN_NOT_OK(reader.Open(path));
   std::string contents;
-  char buf[1 << 16];
-  TransientRetry retry;
-  while (true) {
-    bool transient = false;
-    const Status injected = robust::CheckFailpoint("io.read", &transient);
-    if (!injected.ok()) {
-      if (transient && retry.Next()) continue;
-      std::fclose(file);
-      return injected;
-    }
-    errno = 0;
-    const size_t n = std::fread(buf, 1, sizeof(buf), file);
-    if (n > 0) contents.append(buf, n);
-    if (n == sizeof(buf)) continue;
-    if (std::ferror(file) != 0) {
-      if (errno == EINTR && retry.Next()) {
-        std::clearerr(file);
-        continue;
-      }
-      const Status st =
-          Status::IoError(ErrnoMessage("error reading '" + path + "'"));
-      std::fclose(file);
-      return st;
-    }
-    break;  // short read without error: end of file
-  }
-  std::fclose(file);
+  bool eof = false;
+  PARPARAW_RETURN_NOT_OK(reader.ReadNext(
+      static_cast<size_t>(reader.file_size()), &contents, &eof));
   return contents;
 }
 
@@ -77,14 +51,9 @@ Result<FileHead> ReadFileHead(const std::string& path, size_t max_bytes,
   PARPARAW_RETURN_NOT_OK_CTX(reader.Open(path), context + ".open");
   FileHead head;
   head.file_size = reader.file_size();
-  if (head.file_size > 0) {
-    bool eof = false;
-    PARPARAW_RETURN_NOT_OK_CTX(
-        reader.ReadNext(std::min<size_t>(static_cast<size_t>(head.file_size),
-                                         max_bytes),
-                        &head.bytes, &eof),
-        context + ".sample");
-  }
+  bool eof = false;
+  PARPARAW_RETURN_NOT_OK_CTX(reader.ReadNext(max_bytes, &head.bytes, &eof),
+                             context + ".sample");
   head.truncated = static_cast<int64_t>(head.bytes.size()) < head.file_size;
   return head;
 }
@@ -140,6 +109,7 @@ Status FileChunkReader::Open(const std::string& path) {
     file_ = nullptr;
   }
   file_size_ = 0;
+  offset_ = 0;
   PARPARAW_FAILPOINT("io.open");
   file_ = std::fopen(path.c_str(), "rb");
   if (file_ == nullptr) {
@@ -170,12 +140,16 @@ Status FileChunkReader::Open(const std::string& path) {
 Status FileChunkReader::ReadNext(size_t max_bytes, std::string* out,
                                  bool* eof) {
   if (file_ == nullptr) return Status::Invalid("reader not open");
-  out->clear();
-  out->resize(max_bytes);
+  // Sized by the bytes left in the file as opened, so a small file never
+  // allocates (and zero-fills) a whole partition; the fill is the buffer's
+  // first write, on huge pages when the buffer is large.
+  const size_t want =
+      std::min(max_bytes, static_cast<size_t>(file_size_ - offset_));
+  huge_pages::Assign(out, want, '\0');
   size_t total = 0;
   bool at_eof = false;
   TransientRetry retry;
-  while (total < max_bytes && !at_eof) {
+  while (total < want && !at_eof) {
     bool transient = false;
     const Status injected = robust::CheckFailpoint("io.read", &transient);
     if (!injected.ok()) {
@@ -183,10 +157,9 @@ Status FileChunkReader::ReadNext(size_t max_bytes, std::string* out,
       return injected;
     }
     errno = 0;
-    const size_t n =
-        std::fread(out->data() + total, 1, max_bytes - total, file_);
+    const size_t n = std::fread(out->data() + total, 1, want - total, file_);
     total += n;
-    if (total == max_bytes) break;
+    if (total == want) break;
     if (std::ferror(file_) != 0) {
       // Short reads are resumed from where they stopped; EINTR-class
       // interruptions retry with backoff instead of failing the stream.
@@ -196,10 +169,11 @@ Status FileChunkReader::ReadNext(size_t max_bytes, std::string* out,
       }
       return Status::IoError(ErrnoMessage("read error"));
     }
-    at_eof = true;  // short read without error: end of file
+    at_eof = true;  // short read without error: the file shrank
   }
   out->resize(total);
-  *eof = at_eof || total == 0;
+  offset_ += static_cast<int64_t>(total);
+  *eof = at_eof || total == 0 || offset_ >= file_size_;
   return Status::OK();
 }
 

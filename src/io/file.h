@@ -13,7 +13,7 @@ namespace parparaw {
 /// columns and infer its column types.
 inline constexpr size_t kHeadSampleBytes = 256 * 1024;
 
-/// Reads an entire file into memory.
+/// Reads an entire file into memory: one read sized by the file.
 Result<std::string> ReadFileToString(const std::string& path);
 
 /// The first bytes of a file.
@@ -48,9 +48,10 @@ class FileChunkReader {
   /// Opens `path` for reading.
   Status Open(const std::string& path);
 
-  /// Reads up to `max_bytes` into `out` (cleared first). Sets `*eof` when
-  /// the file is exhausted; a final partial read still returns data with
-  /// `*eof == true` only when nothing further remains.
+  /// Reads up to `max_bytes` into `out` (cleared first), but never past the
+  /// size the file had when it was opened. Sets `*eof` on the read that
+  /// reaches that size (or finds the file shorter), so the last chunk
+  /// returns data with `*eof == true`.
   Status ReadNext(size_t max_bytes, std::string* out, bool* eof);
 
   /// Total bytes of the open file.
@@ -59,6 +60,8 @@ class FileChunkReader {
  private:
   std::FILE* file_ = nullptr;
   int64_t file_size_ = 0;
+  /// Bytes read since Open.
+  int64_t offset_ = 0;
 };
 
 }  // namespace parparaw

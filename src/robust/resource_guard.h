@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "robust/failpoint.h"
+#include "util/huge_pages.h"
 #include "util/status.h"
 
 namespace parparaw {
@@ -56,13 +57,15 @@ int64_t ClampPartitionSizeForBudget(int64_t requested, int64_t memory_budget,
                                     int64_t factor = kParseMemoryFactor);
 
 /// Assigns `count` copies of `value` into `container` (vector-like), mapping
-/// the `name` failpoint and std::bad_alloc to kResourceExhausted.
+/// the `name` failpoint and std::bad_alloc to kResourceExhausted. Fresh
+/// storage past huge_pages::kAdviseInPlaceBytes is advised for huge pages
+/// before the fill writes it (huge_pages::Assign).
 template <typename Container, typename V>
 Status GuardedAssign(const char* name, Container* container, size_t count,
                      const V& value) {
   PARPARAW_FAILPOINT(name);
   try {
-    container->assign(count, value);
+    huge_pages::Assign(container, count, value);
   } catch (const std::bad_alloc&) {
     return Status::ResourceExhausted(std::string("allocation of ") +
                                      std::to_string(count) +

@@ -129,6 +129,24 @@ TEST(FileTest, ChunkReaderWalksWholeFile) {
   std::remove(path.c_str());
 }
 
+TEST(FileTest, ReadNextIsSizedByTheFile) {
+  // A partition-sized read of a small file allocates (and fills) the
+  // file's bytes, not the partition's, and its one read reports eof.
+  const std::string path = "/tmp/parparaw_small_read_test.txt";
+  std::string payload;
+  for (int i = 0; i < 200; ++i) payload += "row," + std::to_string(i) + "\n";
+  ASSERT_TRUE(WriteStringToFile(path, payload).ok());
+  FileChunkReader reader;
+  ASSERT_TRUE(reader.Open(path).ok());
+  std::string chunk;
+  bool eof = false;
+  ASSERT_TRUE(reader.ReadNext(size_t{64} << 20, &chunk, &eof).ok());
+  EXPECT_EQ(chunk, payload);
+  EXPECT_TRUE(eof);
+  EXPECT_LT(chunk.capacity(), 2 * payload.size());
+  std::remove(path.c_str());
+}
+
 TEST(FileTest, ReadNextWithoutOpenFails) {
   FileChunkReader reader;
   std::string chunk;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -8,6 +9,7 @@
 #include "dfa/formats.h"
 #include "simd/dispatch.h"
 #include "test_util.h"
+#include "util/huge_pages.h"
 
 // The write-once rule of the parse scratch buffers (core/pipeline_state.h,
 // ScratchAllocator): the symbol index, CSS and field entries grow without
@@ -39,14 +41,16 @@ std::vector<KernelLevel> Levels() {
   return levels;
 }
 
-/// Dense, delimiter-heavy input: leaves non-zero mask bits, CSS bytes and
-/// field entries everywhere in the scratch buffers.
-std::string LargeInput() {
+/// Dense, delimiter-heavy input of `records` records: leaves non-zero mask
+/// bits, CSS bytes and field entries everywhere in the scratch buffers.
+/// `salt` shifts the field widths, so two salts lay their bytes out
+/// differently.
+std::string DenseInput(int records, int salt) {
   std::string csv;
-  for (int i = 0; i < 3000; ++i) {
+  for (int i = 0; i < records; ++i) {
     csv += "\"big, \xC3\xA9" + std::to_string(i) + "\n\",\"" +
-           std::string(static_cast<size_t>(i % 13), 'x') + "\"\"y\"," +
-           std::to_string(i * 31) + "\n";
+           std::string(static_cast<size_t>((i + salt) % 13), 'x') +
+           "\"\"y\"," + std::to_string(i * 31 + salt) + "\n";
   }
   return csv;
 }
@@ -125,8 +129,55 @@ void ExpectEntriesEqual(const ScratchVector<FieldEntry>& got,
   }
 }
 
+/// Parses `junk` on a harness, points it at `input`, and checks that the
+/// reused state and table match those of a fresh harness on `input`, bit
+/// for bit. The fresh harness is left in `*fresh_out`.
+void ExpectReusedMatchesFresh(const std::string& junk, const std::string& input,
+                              const ParseOptions& options,
+                              const std::string& context, int64_t rows,
+                              int64_t* corrupted,
+                              std::unique_ptr<StepHarness>* fresh_out) {
+  auto reused = StepHarness::Make(junk, options);
+  ASSERT_NE(reused, nullptr);
+  ParseOutput junk_out;
+  int64_t ignored = 0;
+  ASSERT_NO_FATAL_FAILURE(RunSteps(reused.get(), false, &junk_out, &ignored));
+  Retarget(reused.get(), input);
+  ParseOutput reused_out;
+  ASSERT_NO_FATAL_FAILURE(
+      RunSteps(reused.get(), true, &reused_out, corrupted));
+  // The buffers were reused, not reallocated: the junk was there.
+  ASSERT_GE(reused->state.symbol_index.capacity(),
+            simd::MaskWordsFor(junk.size()))
+      << context;
+
+  auto fresh = StepHarness::Make(input, options);
+  ASSERT_NE(fresh, nullptr);
+  ParseOutput fresh_out_table;
+  int64_t fresh_corrupted = 0;
+  ASSERT_NO_FATAL_FAILURE(
+      RunSteps(fresh.get(), true, &fresh_out_table, &fresh_corrupted));
+
+  EXPECT_EQ(reused->state.symbol_index, fresh->state.symbol_index) << context;
+  EXPECT_EQ(reused->state.css, fresh->state.css) << context;
+  ExpectEntriesEqual(reused->state.gather_entries,
+                     fresh->state.gather_entries, context);
+  EXPECT_TRUE(reused_out.table.Equals(fresh_out_table.table)) << context;
+  EXPECT_EQ(reused_out.table.rejected, fresh_out_table.table.rejected)
+      << context;
+  EXPECT_EQ(fresh_out_table.table.num_rows, rows) << context;
+  *fresh_out = std::move(fresh);
+}
+
+std::string Context(KernelLevel level, const ParseOptions& options) {
+  return std::string(simd::KernelLevelName(level)) + " transpose=" +
+         std::to_string(static_cast<int>(options.transpose_mode)) +
+         " tagging=" + std::to_string(static_cast<int>(options.tagging_mode)) +
+         " chunk=" + std::to_string(options.chunk_size);
+}
+
 TEST(WriteOnceTest, ReusedStateMatchesFreshHarness) {
-  const std::string large = LargeInput();
+  const std::string large = DenseInput(3000, 0);
   const std::string small = SmallInput();
   for (KernelLevel level : Levels()) {
     ScopedKernelLevel force(level);
@@ -137,47 +188,15 @@ TEST(WriteOnceTest, ReusedStateMatchesFreshHarness) {
            {TaggingMode::kRecordTags, TaggingMode::kInlineTerminated,
             TaggingMode::kVectorDelimited}) {
         for (size_t chunk_size : {size_t{7}, size_t{64}}) {
-          const std::string context =
-              std::string(simd::KernelLevelName(level)) + " transpose=" +
-              std::to_string(static_cast<int>(transpose)) + " tagging=" +
-              std::to_string(static_cast<int>(tagging)) +
-              " chunk=" + std::to_string(chunk_size);
           ParseOptions options;
           options.transpose_mode = transpose;
           options.tagging_mode = tagging;
           options.chunk_size = chunk_size;
-
-          auto reused = StepHarness::Make(large, options);
-          ASSERT_NE(reused, nullptr);
-          ParseOutput junk;
-          int64_t ignored = 0;
+          std::unique_ptr<StepHarness> fresh;
           ASSERT_NO_FATAL_FAILURE(
-              RunSteps(reused.get(), false, &junk, &ignored));
-          Retarget(reused.get(), small);
-          ParseOutput reused_out;
-          ASSERT_NO_FATAL_FAILURE(
-              RunSteps(reused.get(), true, &reused_out, &corrupted));
-          // The buffers were reused, not reallocated: the junk was there.
-          ASSERT_GE(reused->state.symbol_index.capacity(),
-                    simd::MaskWordsFor(large.size()))
-              << context;
-
-          auto fresh = StepHarness::Make(small, options);
-          ASSERT_NE(fresh, nullptr);
-          ParseOutput fresh_out;
-          int64_t fresh_corrupted = 0;
-          ASSERT_NO_FATAL_FAILURE(
-              RunSteps(fresh.get(), true, &fresh_out, &fresh_corrupted));
-
-          EXPECT_EQ(reused->state.symbol_index, fresh->state.symbol_index)
-              << context;
-          EXPECT_EQ(reused->state.css, fresh->state.css) << context;
-          ExpectEntriesEqual(reused->state.gather_entries,
-                             fresh->state.gather_entries, context);
-          EXPECT_TRUE(reused_out.table.Equals(fresh_out.table)) << context;
-          EXPECT_EQ(reused_out.table.rejected, fresh_out.table.rejected)
-              << context;
-          EXPECT_EQ(fresh_out.table.num_rows, 25) << context;
+              ExpectReusedMatchesFresh(large, small, options,
+                                       Context(level, options), 25,
+                                       &corrupted, &fresh));
         }
       }
     }
@@ -186,6 +205,38 @@ TEST(WriteOnceTest, ReusedStateMatchesFreshHarness) {
     if (level != KernelLevel::kScalar) {
       EXPECT_GT(corrupted, 0) << simd::KernelLevelName(level);
     }
+  }
+}
+
+TEST(WriteOnceTest, ReusedMappedStateMatchesFreshHarness) {
+  // Large enough that the symbol index (3/8 byte per input byte), the CSS
+  // and the field entries each exceed 2 MiB on both sides, so outside ASan
+  // builds they come from ScratchAllocator's own mappings. One transpose
+  // mode and two kernel levels (the scalar reference and the best vector
+  // level, which mis-speculates here) keep it to seconds under TSan.
+  constexpr int kRecords = 180000;
+  const std::string junk = DenseInput(kRecords + kRecords / 8, 0);
+  const std::string input = DenseInput(kRecords, 5);
+  for (KernelLevel level :
+       {KernelLevel::kScalar, simd::DetectBestKernelLevel()}) {
+    ScopedKernelLevel force(level);
+    ParseOptions options;
+    options.transpose_mode = TransposeMode::kFieldGather;
+    options.chunk_size = 4096;
+    const std::string context = Context(level, options);
+    int64_t corrupted = 0;
+    std::unique_ptr<StepHarness> fresh;
+    ASSERT_NO_FATAL_FAILURE(ExpectReusedMatchesFresh(
+        junk, input, options, context, kRecords, &corrupted, &fresh));
+    const PipelineState& state = fresh->state;
+    EXPECT_GE(state.symbol_index.size() * sizeof(simd::SymbolMasks),
+              huge_pages::kHugePageBytes)
+        << context;
+    EXPECT_GE(state.css.size(), huge_pages::kHugePageBytes) << context;
+    EXPECT_GE(state.gather_entries.size() * sizeof(FieldEntry),
+              huge_pages::kHugePageBytes)
+        << context;
+    if (level != KernelLevel::kScalar) EXPECT_GT(corrupted, 0) << context;
   }
 }
 
