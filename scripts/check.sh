@@ -357,11 +357,15 @@ run_serve() {
   # BUSY shedding paths, cancel-on-disconnect slot return, graceful drain
   # racing in-flight requests, deadline expiry racing completion, the
   # retrying client's kill-and-restart soak, and clean shutdown with
-  # requests in flight.
+  # requests in flight. ServeFailpoint drives the one frame reader and
+  # writer (serve/protocol.h) on both ends at once, through one-byte
+  # writes, short reads, transient read faults and corrupted checksummed
+  # frames, while the connection thread sets its checksum flag and
+  # in_request as each header arrives.
   echo "=== serve: concurrency soak under TSan ==="
   TSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \
-      -R 'ServeConcurrency|ServeConformance|ServeDeadline|ServeDrain|ServeRetry|Admission'
+      -R 'ServeConcurrency|ServeConformance|ServeFailpoint|ServeDeadline|ServeDrain|ServeRetry|Admission'
 }
 
 case "${MODE}" in

@@ -9,12 +9,6 @@ namespace serve {
 
 namespace {
 
-uint64_t ReadU64Le(const char* p) {
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | static_cast<uint8_t>(p[i]);
-  return v;
-}
-
 uint8_t RequestFlags(const RequestOptions& options) {
   uint8_t flags = 0;
   if (options.stream) flags |= kFlagStream;
@@ -48,11 +42,9 @@ Status Client::Transport(Status status) {
 Status Client::SendFrame(Opcode opcode, uint8_t flags,
                          std::string_view payload) {
   last_error_was_transport_ = false;
-  if (checksums_) flags |= kFlagChecksum;
-  std::string frame;
-  frame.reserve(kFrameHeaderSize + payload.size() + kFrameChecksumSize);
-  AppendFrame(opcode, flags, payload, &frame);
-  return Transport(SendAll(sock_.fd(), frame, io_timeout_ms_));
+  return Transport(
+      WriteFrame(sock_.fd(), opcode, flags, checksums_, payload,
+                 io_timeout_ms_));
 }
 
 Status Client::SendRequest(Opcode opcode, uint8_t flags,
@@ -64,31 +56,17 @@ Status Client::SendRequest(Opcode opcode, uint8_t flags,
 }
 
 Result<Client::Frame> Client::ReadFrame() {
-  std::string header_bytes;
-  PARPARAW_RETURN_NOT_OK(Transport(RecvExact(
-      sock_.fd(), kFrameHeaderSize, &header_bytes, nullptr, io_timeout_ms_)));
   Frame frame;
-  {
-    Result<FrameHeader> decoded =
-        DecodeFrameHeader(header_bytes, kDefaultMaxPayload);
-    if (!decoded.ok()) return Transport(decoded.status());
-    frame.header = *decoded;
+  FrameRead read = ReadFrameHeader(sock_.fd(), kDefaultMaxPayload,
+                                   &frame.header, nullptr, io_timeout_ms_);
+  if (read.ok()) {
+    read = ReadFramePayload(sock_.fd(), frame.header, &frame.payload,
+                            io_timeout_ms_);
   }
-  if (frame.header.payload_size > 0) {
-    PARPARAW_RETURN_NOT_OK(Transport(RecvExact(
-        sock_.fd(), static_cast<size_t>(frame.header.payload_size),
-        &frame.payload, nullptr, io_timeout_ms_)));
-  }
-  if ((frame.header.flags & kFlagChecksum) != 0) {
-    std::string trailer;
-    PARPARAW_RETURN_NOT_OK(Transport(RecvExact(
-        sock_.fd(), kFrameChecksumSize, &trailer, nullptr, io_timeout_ms_)));
-    // A mismatch means the stream carried a flipped bit: nothing after
-    // this frame can be trusted, so it is a transport error (the caller
-    // must reconnect), never a silently different table.
-    PARPARAW_RETURN_NOT_OK(Transport(
-        VerifyFrameChecksum(frame.payload, trailer)));
-  }
+  // Every failure is a transport error. A checksum mismatch means the
+  // stream carried a flipped bit: the caller must reconnect, never decode
+  // a silently different table.
+  PARPARAW_RETURN_NOT_OK(Transport(read.status));
   return frame;
 }
 
@@ -144,10 +122,8 @@ Result<ParseReply> Client::DoParse(Opcode opcode, std::string_view body,
         break;
       }
       case Opcode::kEnd: {
-        if (frame.payload.size() != 8) {
-          return Status::IoError("kEnd payload must be 8 bytes");
-        }
-        reply.parts_declared = ReadU64Le(frame.payload.data());
+        PARPARAW_ASSIGN_OR_RETURN(reply.parts_declared,
+                                  DecodeEndPayload(frame.payload));
         if (reply.parts_declared != reply.parts.size()) {
           return Status::IoError(
               "stream declared " + std::to_string(reply.parts_declared) +
@@ -201,17 +177,11 @@ Result<QueryReply> Client::DoQuery(Opcode opcode, std::string_view body,
     case Opcode::kError:
       return DecodeErrorPayload(frame.payload);
     case Opcode::kOkQuery: {
-      if (frame.payload.size() < 16) {
-        return Status::IoError("kOkQuery payload too small");
-      }
-      reply.records_scanned =
-          static_cast<int64_t>(ReadU64Le(frame.payload.data()));
-      reply.records_selected =
-          static_cast<int64_t>(ReadU64Le(frame.payload.data() + 8));
-      PARPARAW_ASSIGN_OR_RETURN(
-          reply.table,
-          DeserializeTable(
-              std::string_view(frame.payload).substr(16)));
+      PARPARAW_ASSIGN_OR_RETURN(const QueryPayload body,
+                                DecodeQueryPayload(frame.payload));
+      reply.records_scanned = body.records_scanned;
+      reply.records_selected = body.records_selected;
+      PARPARAW_ASSIGN_OR_RETURN(reply.table, DeserializeTable(body.table_ipc));
       return reply;
     }
     default:

@@ -2,8 +2,10 @@
 
 #include <cstdio>
 #include <cstring>
+#include <utility>
 
 #include "robust/failpoint.h"
+#include "serve/socket_io.h"
 #include "util/crc32c.h"
 
 namespace parparaw {
@@ -274,6 +276,74 @@ Status DecodeErrorPayload(std::string_view payload) {
   }
   return Status(static_cast<StatusCode>(code),
                 std::string(payload.substr(5, length)));
+}
+
+std::string EncodeEndPayload(uint64_t parts) {
+  std::string out;
+  AppendU64(parts, &out);
+  return out;
+}
+
+std::string EncodeQueryPayload(const QueryPayload& payload) {
+  std::string out;
+  out.reserve(16 + payload.table_ipc.size());
+  AppendU64(static_cast<uint64_t>(payload.records_scanned), &out);
+  AppendU64(static_cast<uint64_t>(payload.records_selected), &out);
+  out.append(payload.table_ipc);
+  return out;
+}
+
+Result<uint64_t> DecodeEndPayload(std::string_view payload) {
+  if (payload.size() != 8) {
+    return Status::IoError("kEnd payload must be 8 bytes");
+  }
+  return ReadU64(payload.data());
+}
+
+Result<QueryPayload> DecodeQueryPayload(std::string_view payload) {
+  if (payload.size() < 16) {
+    return Status::IoError("kOkQuery payload too small");
+  }
+  QueryPayload decoded;
+  decoded.records_scanned = static_cast<int64_t>(ReadU64(payload.data()));
+  decoded.records_selected = static_cast<int64_t>(ReadU64(payload.data() + 8));
+  decoded.table_ipc = payload.substr(16);
+  return decoded;
+}
+
+FrameRead ReadFrameHeader(int fd, uint64_t max_payload, FrameHeader* header,
+                          bool* eof, int timeout_ms) {
+  std::string bytes;
+  Status received = RecvExact(fd, kFrameHeaderSize, &bytes, eof, timeout_ms);
+  if (!received.ok()) return {FrameFault::kReceive, std::move(received)};
+  if (eof != nullptr && *eof) return {};
+  Result<FrameHeader> decoded = DecodeFrameHeader(bytes, max_payload);
+  if (!decoded.ok()) return {FrameFault::kDecode, decoded.status()};
+  *header = *decoded;
+  return {};
+}
+
+FrameRead ReadFramePayload(int fd, const FrameHeader& header,
+                           std::string* payload, int timeout_ms) {
+  Status received = RecvExact(fd, static_cast<size_t>(header.payload_size),
+                              payload, nullptr, timeout_ms);
+  if (!received.ok()) return {FrameFault::kReceive, std::move(received)};
+  if ((header.flags & kFlagChecksum) == 0) return {};
+  std::string trailer;
+  received = RecvExact(fd, kFrameChecksumSize, &trailer, nullptr, timeout_ms);
+  if (!received.ok()) return {FrameFault::kReceive, std::move(received)};
+  Status verified = VerifyFrameChecksum(*payload, trailer);
+  if (!verified.ok()) return {FrameFault::kChecksum, std::move(verified)};
+  return {};
+}
+
+Status WriteFrame(int fd, Opcode opcode, uint8_t flags, bool checksum,
+                  std::string_view payload, int timeout_ms) {
+  if (checksum) flags |= kFlagChecksum;
+  std::string frame;
+  frame.reserve(kFrameHeaderSize + payload.size() + kFrameChecksumSize);
+  AppendFrame(opcode, flags, payload, &frame);
+  return SendAll(fd, frame, timeout_ms);
 }
 
 }  // namespace serve

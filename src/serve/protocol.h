@@ -184,6 +184,60 @@ Result<PredicateBlock> DecodePredicateBlock(std::string_view after_header);
 /// starts with "error payload".
 Status DecodeErrorPayload(std::string_view payload);
 
+// --- response payloads ---
+
+/// kOkQuery payload: u64 records_scanned | u64 records_selected | table IPC.
+struct QueryPayload {
+  int64_t records_scanned = 0;
+  int64_t records_selected = 0;
+  /// The table IPC bytes; decoding leaves a view into the payload.
+  std::string_view table_ipc;
+};
+
+/// kEnd payload: the u64 number of kTablePart frames the stream sent.
+std::string EncodeEndPayload(uint64_t parts);
+std::string EncodeQueryPayload(const QueryPayload& payload);
+
+/// A response payload of the wrong size is an IoError: the client reports
+/// it as a broken response, like a failed receive.
+Result<uint64_t> DecodeEndPayload(std::string_view payload);
+Result<QueryPayload> DecodeQueryPayload(std::string_view payload);
+
+// --- frame I/O: the one reader and writer of both ends ---
+
+/// The step a frame read failed in. An injected serve.read fault can carry
+/// any status code, so the daemon tells its failure classes apart by step:
+///   kReceive   the bytes never arrived (recv error or timeout, injected
+///              fault, EOF mid-frame); there is nothing to answer
+///   kDecode    the header does not decode against the payload cap
+///   kChecksum  the payload does not match its CRC-32C trailer
+enum class FrameFault : uint8_t { kNone, kReceive, kDecode, kChecksum };
+
+/// One step of a frame read: OK, or the failure and the step it failed in.
+struct FrameRead {
+  FrameFault fault = FrameFault::kNone;
+  Status status;
+  bool ok() const { return fault == FrameFault::kNone; }
+};
+
+/// Step one of a frame read: receives the 16-byte header off `fd` and
+/// decodes it against `max_payload`, so an oversized length is refused
+/// before a payload byte is read. A clean EOF before the first byte sets
+/// `*eof` when `eof` is given, and is a receive failure otherwise.
+/// `timeout_ms` bounds each receive attempt as for RecvExact.
+FrameRead ReadFrameHeader(int fd, uint64_t max_payload, FrameHeader* header,
+                          bool* eof = nullptr, int timeout_ms = -1);
+
+/// Step two: receives the payload straight into `*payload`, then, when
+/// `header` carries kFlagChecksum, the CRC-32C trailer, which it verifies.
+FrameRead ReadFramePayload(int fd, const FrameHeader& header,
+                           std::string* payload, int timeout_ms = -1);
+
+/// Writes one frame with SendAll under `timeout_ms`. `checksum` sets
+/// kFlagChecksum in `flags`, so the frame carries a CRC-32C trailer.
+Status WriteFrame(int fd, Opcode opcode, uint8_t flags, bool checksum,
+                  std::string_view payload, int timeout_ms = -1);
+
 }  // namespace serve
 }  // namespace parparaw
 

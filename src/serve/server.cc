@@ -20,12 +20,6 @@ namespace serve {
 
 namespace {
 
-void AppendU64Le(uint64_t v, std::string* out) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
 /// Returns the queue-depth slot on every exit path and keeps the
 /// serve.inflight_requests gauge honest (it must drain to zero).
 class SlotReturn {
@@ -116,8 +110,9 @@ struct Server::Connection {
   /// True while a request frame is being served; Drain() closes only
   /// idle connections and lets these finish their response.
   std::atomic<bool> in_request{false};
-  /// The in-flight request declared kFlagChecksum, so every response
-  /// frame mirrors it (connection thread only).
+  /// Whether the frame being answered declared kFlagChecksum, which every
+  /// response frame mirrors. Each decoded header sets it and a header that
+  /// does not decode clears it (connection thread only).
   bool checksum = false;
   std::mutex exec_mu;
   exec::PipelineExecutor* active_exec = nullptr;  // guarded by exec_mu
@@ -237,11 +232,7 @@ bool Server::Drain(int deadline_ms) {
   }
   const int remaining = inflight_requests();
   if (remaining > 0) {
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      stats_.drain_cancelled += remaining;
-    }
-    Count("serve.drain_cancelled", remaining);
+    Tally(&ServerStats::drain_cancelled, "serve.drain_cancelled", remaining);
   }
   Stop();
   return remaining == 0;
@@ -254,6 +245,15 @@ ServerStats Server::stats() const {
 
 void Server::Count(const char* name, int64_t delta) {
   obs::AddCount(options_.metrics, name, delta);
+}
+
+void Server::Tally(int64_t ServerStats::*field, const char* counter,
+                   int64_t delta) {
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    stats_.*field += delta;
+  }
+  Count(counter, delta);
 }
 
 void Server::AcceptLoop() {
@@ -289,30 +289,19 @@ void Server::AcceptLoop() {
       // not kill the daemon; keep listening.
       continue;
     }
+    auto conn = std::make_unique<Connection>();
+    conn->sock = std::move(*accepted);
     if (open_conns_.load(std::memory_order_acquire) >=
         options_.max_connections) {
       // Over the connection cap: one BUSY frame, then the door.
-      std::string frame;
-      AppendFrame(Opcode::kBusy, 0, {}, &frame);
-      (void)SendAll(accepted->fd(), frame);
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.busy_shed;
-      }
-      Count("serve.busy", 1);
-      continue;  // Socket destructor closes
+      (void)Shed(conn.get());
+      continue;  // the socket closes with conn
     }
-    auto conn = std::make_unique<Connection>();
-    conn->sock = std::move(*accepted);
     Connection* raw = conn.get();
     open_conns_.fetch_add(1, std::memory_order_acq_rel);
     obs::SetGauge(options_.metrics, "serve.connections",
                   open_conns_.load(std::memory_order_acquire));
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.connections_accepted;
-    }
-    Count("serve.accepted", 1);
+    Tally(&ServerStats::connections_accepted, "serve.accepted");
     conn->thread = std::thread([this, raw] { ConnectionLoop(raw); });
     std::lock_guard<std::mutex> lock(conns_mu_);
     conns_.push_back(std::move(conn));
@@ -321,77 +310,48 @@ void Server::AcceptLoop() {
 
 void Server::ConnectionLoop(Connection* conn) {
   while (!stopping_.load(std::memory_order_acquire)) {
-    std::string header_bytes;
+    FrameHeader header;
     bool eof = false;
-    const Status received =
-        RecvExact(conn->sock.fd(), kFrameHeaderSize, &header_bytes, &eof);
-    if (!received.ok() || eof) {
-      if (!received.ok() && !stopping_.load(std::memory_order_acquire)) {
+    FrameRead read =
+        ReadFrameHeader(conn->sock.fd(), options_.max_payload, &header, &eof);
+    if (eof) break;  // orderly disconnect
+    if (read.fault == FrameFault::kReceive) {
+      if (!stopping_.load(std::memory_order_acquire)) {
         Count("serve.read_errors", 1);
       }
-      break;  // orderly disconnect, mid-header truncation, or shutdown
+      break;  // mid-header truncation, or shutdown
     }
-    Result<FrameHeader> header =
-        DecodeFrameHeader(header_bytes, options_.max_payload);
-    if (header.ok() && !IsRequestOpcode(header->opcode)) {
-      header = Status::Invalid(
-          "opcode " +
-          std::to_string(static_cast<int>(header->opcode)) +
-          " is not a request");
+    conn->checksum = read.ok() && (header.flags & kFlagChecksum) != 0;
+    if (read.ok() && !IsRequestOpcode(header.opcode)) {
+      read = {FrameFault::kDecode,
+              Status::Invalid("opcode " +
+                              std::to_string(static_cast<int>(header.opcode)) +
+                              " is not a request")};
     }
-    if (!header.ok()) {
+    if (!read.ok()) {
       // Unframeable garbage: answer (best-effort) and close — there is
       // no way to resynchronise a length-prefixed stream.
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.protocol_errors;
-      }
-      Count("serve.protocol_errors", 1);
-      (void)SendError(conn, header.status());  // best-effort
+      Tally(&ServerStats::protocol_errors, "serve.protocol_errors");
+      (void)SendError(conn, read.status);  // best-effort
       break;
     }
     conn->in_request.store(true, std::memory_order_release);
     std::string payload;
-    if (header->payload_size > 0) {
-      const Status body = RecvExact(
-          conn->sock.fd(), static_cast<size_t>(header->payload_size),
-          &payload);
-      if (!body.ok()) {
-        // Mid-frame disconnect or injected fault: nothing to answer.
-        Count("serve.read_errors", 1);
-        conn->in_request.store(false, std::memory_order_release);
-        break;
-      }
+    read = ReadFramePayload(conn->sock.fd(), header, &payload);
+    bool keep = false;
+    if (read.fault == FrameFault::kReceive) {
+      // Mid-frame disconnect or injected fault: nothing to answer.
+      Count("serve.read_errors", 1);
+    } else if (read.fault == FrameFault::kChecksum) {
+      // A CRC mismatch means the stream is corrupt — there is nothing
+      // trustworthy left to parse, so it is a protocol error and the
+      // connection closes.
+      Tally(&ServerStats::protocol_errors, "serve.protocol_errors");
+      Tally(&ServerStats::checksum_errors, "serve.checksum_errors");
+      (void)SendError(conn, read.status);  // best-effort
+    } else {
+      keep = Dispatch(conn, header, payload);
     }
-    // v2 integrity: a checksummed request carries a CRC-32C trailer; the
-    // response frames mirror the flag. A mismatch means the stream is
-    // corrupt — there is nothing trustworthy left to parse, so it is a
-    // protocol error and the connection closes.
-    conn->checksum = (header->flags & kFlagChecksum) != 0;
-    if (conn->checksum) {
-      std::string trailer;
-      const Status got =
-          RecvExact(conn->sock.fd(), kFrameChecksumSize, &trailer);
-      if (!got.ok()) {
-        Count("serve.read_errors", 1);
-        conn->in_request.store(false, std::memory_order_release);
-        break;
-      }
-      const Status verified = VerifyFrameChecksum(payload, trailer);
-      if (!verified.ok()) {
-        {
-          std::lock_guard<std::mutex> lock(stats_mu_);
-          ++stats_.protocol_errors;
-          ++stats_.checksum_errors;
-        }
-        Count("serve.protocol_errors", 1);
-        Count("serve.checksum_errors", 1);
-        (void)SendError(conn, verified);  // best-effort
-        conn->in_request.store(false, std::memory_order_release);
-        break;
-      }
-    }
-    const bool keep = Dispatch(conn, *header, payload);
     conn->in_request.store(false, std::memory_order_release);
     if (!keep) break;
     // A drain lets the in-flight response finish, then closes; the
@@ -409,16 +369,12 @@ void Server::ConnectionLoop(Connection* conn) {
 
 bool Server::SendFrame(Connection* conn, Opcode opcode, uint8_t flags,
                        std::string_view payload) {
-  if (conn->checksum) flags |= kFlagChecksum;
-  std::string frame;
-  frame.reserve(kFrameHeaderSize + payload.size() + kFrameChecksumSize);
-  AppendFrame(opcode, flags, payload, &frame);
-  const Status sent = SendAll(conn->sock.fd(), frame);
-  if (!sent.ok()) {
-    Count("serve.write_errors", 1);
-    return false;
+  if (WriteFrame(conn->sock.fd(), opcode, flags, conn->checksum, payload)
+          .ok()) {
+    return true;
   }
-  return true;
+  Count("serve.write_errors", 1);
+  return false;
 }
 
 bool Server::SendError(Connection* conn, const Status& status) {
@@ -426,30 +382,24 @@ bool Server::SendError(Connection* conn, const Status& status) {
 }
 
 bool Server::SendDeadlineExceeded(Connection* conn, const std::string& what) {
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.deadline_exceeded;
-  }
-  Count("serve.deadline_exceeded", 1);
+  Tally(&ServerStats::deadline_exceeded, "serve.deadline_exceeded");
   return SendError(conn, Status::DeadlineExceeded(what));
 }
 
+bool Server::Shed(Connection* conn) {
+  Tally(&ServerStats::busy_shed, "serve.busy");
+  return SendFrame(conn, Opcode::kBusy, 0, {});
+}
+
 void Server::CountDrained() {
-  if (!draining_.load(std::memory_order_acquire)) return;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.drained;
+  if (draining_.load(std::memory_order_acquire)) {
+    Tally(&ServerStats::drained, "serve.drained");
   }
-  Count("serve.drained", 1);
 }
 
 bool Server::Dispatch(Connection* conn, const FrameHeader& header,
                       std::string_view payload) {
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.requests;
-  }
-  Count("serve.requests", 1);
+  Tally(&ServerStats::requests, "serve.requests");
   switch (header.opcode) {
     case Opcode::kPing:
       return SendFrame(conn, Opcode::kPong, 0, payload);
@@ -462,37 +412,23 @@ bool Server::Dispatch(Connection* conn, const FrameHeader& header,
     case Opcode::kParseBuffer:
     case Opcode::kParseFile:
     case Opcode::kQueryBuffer:
-    case Opcode::kQueryFile: {
-      if (draining_.load(std::memory_order_acquire)) {
-        // Raced the drain: shed like a queue-full BUSY (the client's
-        // retry lands on the restarted daemon) and close.
-        {
-          std::lock_guard<std::mutex> lock(stats_mu_);
-          ++stats_.busy_shed;
-        }
-        Count("serve.busy", 1);
-        (void)SendFrame(conn, Opcode::kBusy, 0, {});
-        return false;
-      }
-      if (header.opcode == Opcode::kParseBuffer ||
-          header.opcode == Opcode::kParseFile) {
-        return HandleParse(conn, header, payload);
-      }
-      return HandleQuery(conn, header, payload);
-    }
+    case Opcode::kQueryFile:
+      return Admit(conn, header, payload);
     default:
       // Unreachable: Dispatch is gated on IsRequestOpcode.
       return SendError(conn, Status::Internal("unhandled opcode"));
   }
 }
 
-namespace {
-
-/// Per-request parse configuration: the request header resolved against
-/// the server's defaults and budget slices.
-struct RequestConfig {
+/// A parse or query request payload, decoded and resolved against the
+/// server's defaults and budget slices.
+struct Server::RequestConfig {
   LoadOptions load;
-  std::string_view rest;  // payload after the request header
+  /// Query opcodes only: the PredicateBlock's predicate.
+  Predicate predicate;
+  /// The inline data or server-local path that follows the request header
+  /// (and, for queries, the predicate block).
+  std::string_view body;
   /// v2 deadline: resolved to an absolute steady_clock point at decode
   /// time so admission waits, the executor and the watchdog all race the
   /// same instant. max() = no deadline (v1 requests, deadline_ms == 0).
@@ -502,10 +438,13 @@ struct RequestConfig {
   bool has_deadline() const {
     return deadline != std::chrono::steady_clock::time_point::max();
   }
+
+  static Result<RequestConfig> Decode(std::string_view payload, bool query,
+                                      const ServeOptions& server);
 };
 
-Result<RequestConfig> ResolveRequest(std::string_view payload,
-                                     const ServeOptions& server) {
+Result<Server::RequestConfig> Server::RequestConfig::Decode(
+    std::string_view payload, bool query, const ServeOptions& server) {
   PARPARAW_ASSIGN_OR_RETURN(RequestHeader header,
                             DecodeRequestHeader(payload));
   RequestConfig config;
@@ -536,35 +475,42 @@ Result<RequestConfig> ResolveRequest(std::string_view payload,
                       std::chrono::milliseconds(header.deadline_ms);
   }
   // The header is version-sized: v1 frames carry 20 bytes, v2 24.
-  config.rest = payload.substr(header.encoded_size);
+  config.body = payload.substr(header.encoded_size);
+  if (query) {
+    PARPARAW_ASSIGN_OR_RETURN(PredicateBlock block,
+                              DecodePredicateBlock(config.body));
+    config.predicate = std::move(block.predicate);
+    config.body = config.body.substr(block.encoded_size);
+  }
   return config;
 }
 
-/// The serve.deadline failpoint makes a request behave as if its
-/// deadline had already expired at admission, deterministically.
-bool DeadlineForced() {
-  return !robust::CheckFailpoint("serve.deadline").ok();
-}
-
-}  // namespace
-
-bool Server::HandleParse(Connection* conn, const FrameHeader& header,
-                         std::string_view payload) {
-  const auto config = ResolveRequest(payload, options_);
-  if (!config.ok()) {
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.protocol_errors;
-    }
-    Count("serve.protocol_errors", 1);
-    (void)SendError(conn, config.status());
+bool Server::Admit(Connection* conn, const FrameHeader& header,
+                   std::string_view payload) {
+  if (draining_.load(std::memory_order_acquire)) {
+    // Raced the drain: shed like a queue-full BUSY (the client's retry
+    // lands on the restarted daemon) and close.
+    (void)Shed(conn);
+    return false;
+  }
+  // Decoding comes first, so a malformed request is a protocol error
+  // even when every slot is taken.
+  const bool query = header.opcode == Opcode::kQueryBuffer ||
+                     header.opcode == Opcode::kQueryFile;
+  const Result<RequestConfig> request =
+      RequestConfig::Decode(payload, query, options_);
+  if (!request.ok()) {
+    Tally(&ServerStats::protocol_errors, "serve.protocol_errors");
+    (void)SendError(conn, request.status());
     return false;  // malformed request payload: close
   }
-  if (DeadlineForced()) {
+  // The serve.deadline failpoint makes a request behave as if its
+  // deadline had already expired at admission, deterministically.
+  if (!robust::CheckFailpoint("serve.deadline").ok()) {
     return SendDeadlineExceeded(
         conn, "serve.admission: deadline expired before admission");
   }
-  if (config->has_deadline()) {
+  if (request->has_deadline()) {
     // Deadlined requests may wait for a slot — but only until their
     // deadline, which they then report as kDeadlineExceeded.
     const int acquired = request_slots_.AcquireFor(
@@ -573,44 +519,40 @@ bool Server::HandleParse(Connection* conn, const FrameHeader& header,
           return stopping_.load(std::memory_order_acquire) ||
                  draining_.load(std::memory_order_acquire);
         },
-        config->deadline);
+        request->deadline);
     if (acquired == exec::AdmissionController::kStopped) {
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.busy_shed;
-      }
-      Count("serve.busy", 1);
-      (void)SendFrame(conn, Opcode::kBusy, 0, {});
+      (void)Shed(conn);
       return false;  // shutting down or draining
     }
     if (acquired == exec::AdmissionController::kTimedOut) {
       return SendDeadlineExceeded(
           conn,
           "serve.admission: deadline expired after waiting " +
-              std::to_string(config->deadline_ms) +
+              std::to_string(request->deadline_ms) +
               "ms for a request slot");
     }
   } else if (request_slots_.TryAcquire(options_.max_inflight_requests) < 0) {
     // Queue-depth shedding: without a deadline the daemon answers BUSY
     // immediately instead of queueing unbounded work.
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.busy_shed;
-    }
-    Count("serve.busy", 1);
-    return SendFrame(conn, Opcode::kBusy, 0, {});
+    return Shed(conn);
   }
   SlotReturn slot(&request_slots_, options_.metrics);
   obs::SetGauge(options_.metrics, "serve.inflight_requests",
                 request_slots_.inflight());
-  // ServerOptions carries no tracer: the probe feeds serve.request_us.
+  // ServeOptions carries no tracer: the probe feeds serve.request_us.
   obs::TraceSpan probe(nullptr, "serve.request", "serve", options_.metrics,
                        "serve.request_us", obs::Timing::kUntimed);
+  return query ? HandleQuery(conn, header, *request, &probe)
+               : HandleParse(conn, header, *request, &probe);
+}
 
+bool Server::HandleParse(Connection* conn, const FrameHeader& header,
+                         const RequestConfig& request,
+                         obs::TraceSpan* probe) {
   const bool from_file = header.opcode == Opcode::kParseFile;
   const bool stream = (header.flags & kFlagStream) != 0;
   const bool want_quarantine = (header.flags & kFlagQuarantine) != 0;
-  const std::string path(from_file ? config->rest : std::string_view());
+  const std::string path(from_file ? request.body : std::string_view());
 
   // Resolve dialect/header/types from the input head, exactly like
   // parparaw::Reader, so responses are bit-identical to a local read.
@@ -622,7 +564,7 @@ bool Server::HandleParse(Connection* conn, const FrameHeader& header,
   }
   LoadResult resolution;
   Result<ParseOptions> base = BulkLoader::ResolveBaseOptions(
-      from_file ? head.bytes : config->rest, head.truncated, config->load,
+      from_file ? head.bytes : request.body, head.truncated, request.load,
       &resolution);
   if (!base.ok()) {
     return SendError(conn, base.status().WithContext("serve.resolve"));
@@ -635,14 +577,14 @@ bool Server::HandleParse(Connection* conn, const FrameHeader& header,
   // request's options at the server registry makes the plan.* counters —
   // alongside parse.*/exec.* — visible through the kStats opcode.
   exec_options.base.metrics = options_.metrics;
-  exec_options.partition_size = config->load.partition_size;
+  exec_options.partition_size = request.load.partition_size;
   // All requests draw from ONE admission controller; this limit caps the
   // daemon-wide resident partitions, not this request's.
   exec_options.max_inflight_partitions = exec_partition_limit_;
   // The executor races the same absolute deadline: expiry at any
   // partition hand-off or admission wait fails the ingest with
   // kDeadlineExceeded and returns the request's slots.
-  exec_options.deadline = config->deadline;
+  exec_options.deadline = request.deadline;
 
   exec::PipelineExecutor executor(&exec_admission_);
   {
@@ -650,14 +592,14 @@ bool Server::HandleParse(Connection* conn, const FrameHeader& header,
     conn->active_exec = &executor;
   }
   RequestWatchdog watchdog(conn->sock.fd(), &executor,
-                           options_.watchdog_interval_ms, config->deadline);
+                           options_.watchdog_interval_ms, request.deadline);
 
   bool send_failed = false;
   uint64_t parts = 0;
   Result<exec::IngestResult> ingested = [&]() -> Result<exec::IngestResult> {
     if (!stream) {
       return from_file ? executor.IngestFile(path, exec_options)
-                       : executor.IngestBuffer(config->rest, exec_options);
+                       : executor.IngestBuffer(request.body, exec_options);
     }
     const exec::PartitionSink sink = [&](Table&& part) -> Status {
       PARPARAW_ASSIGN_OR_RETURN(const std::string ipc,
@@ -670,7 +612,7 @@ bool Server::HandleParse(Connection* conn, const FrameHeader& header,
       return Status::OK();
     };
     return from_file ? executor.StreamFile(path, exec_options, sink)
-                     : executor.StreamBuffer(config->rest, exec_options, sink);
+                     : executor.StreamBuffer(request.body, exec_options, sink);
   }();
 
   watchdog.Finish();
@@ -678,14 +620,10 @@ bool Server::HandleParse(Connection* conn, const FrameHeader& header,
     std::lock_guard<std::mutex> lock(conn->exec_mu);
     conn->active_exec = nullptr;
   }
-  probe.Stop();
+  probe->Stop();
 
   if (watchdog.disconnected() || send_failed) {
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.cancelled_disconnects;
-    }
-    Count("serve.cancelled_disconnects", 1);
+    Tally(&ServerStats::cancelled_disconnects, "serve.cancelled_disconnects");
     return false;  // peer is gone; nothing to answer
   }
   if (!ingested.ok()) {
@@ -704,9 +642,8 @@ bool Server::HandleParse(Connection* conn, const FrameHeader& header,
 
   const uint8_t response_flags = want_quarantine ? kFlagQuarantine : 0;
   if (stream) {
-    std::string end_payload;
-    AppendU64Le(parts, &end_payload);
-    if (!SendFrame(conn, Opcode::kEnd, response_flags, end_payload)) {
+    if (!SendFrame(conn, Opcode::kEnd, response_flags,
+                   EncodeEndPayload(parts))) {
       return false;
     }
   } else {
@@ -731,67 +668,12 @@ bool Server::HandleParse(Connection* conn, const FrameHeader& header,
 }
 
 bool Server::HandleQuery(Connection* conn, const FrameHeader& header,
-                         std::string_view payload) {
-  const auto config = ResolveRequest(payload, options_);
-  Result<PredicateBlock> block =
-      config.ok() ? DecodePredicateBlock(config->rest)
-                  : Result<PredicateBlock>(config.status());
-  if (!block.ok()) {
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.protocol_errors;
-    }
-    Count("serve.protocol_errors", 1);
-    (void)SendError(conn, block.status());
-    return false;
-  }
-  if (DeadlineForced()) {
-    return SendDeadlineExceeded(
-        conn, "serve.admission: deadline expired before admission");
-  }
-  if (config->has_deadline()) {
-    const int acquired = request_slots_.AcquireFor(
-        options_.max_inflight_requests,
-        [this] {
-          return stopping_.load(std::memory_order_acquire) ||
-                 draining_.load(std::memory_order_acquire);
-        },
-        config->deadline);
-    if (acquired == exec::AdmissionController::kStopped) {
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.busy_shed;
-      }
-      Count("serve.busy", 1);
-      (void)SendFrame(conn, Opcode::kBusy, 0, {});
-      return false;
-    }
-    if (acquired == exec::AdmissionController::kTimedOut) {
-      return SendDeadlineExceeded(
-          conn,
-          "serve.admission: deadline expired after waiting " +
-              std::to_string(config->deadline_ms) +
-              "ms for a request slot");
-    }
-  } else if (request_slots_.TryAcquire(options_.max_inflight_requests) < 0) {
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.busy_shed;
-    }
-    Count("serve.busy", 1);
-    return SendFrame(conn, Opcode::kBusy, 0, {});
-  }
-  SlotReturn slot(&request_slots_, options_.metrics);
-  obs::SetGauge(options_.metrics, "serve.inflight_requests",
-                request_slots_.inflight());
-  obs::TraceSpan probe(nullptr, "serve.request", "serve", options_.metrics,
-                       "serve.request_us", obs::Timing::kUntimed);
-
-  const std::string_view rest = config->rest.substr(block->encoded_size);
+                         const RequestConfig& request,
+                         obs::TraceSpan* probe) {
   std::string file_bytes;
-  std::string_view data = rest;
+  std::string_view data = request.body;
   if (header.opcode == Opcode::kQueryFile) {
-    Result<std::string> read = ReadFileToString(std::string(rest));
+    Result<std::string> read = ReadFileToString(std::string(request.body));
     if (!read.ok()) {
       return SendError(conn, read.status().WithContext("serve.open"));
     }
@@ -804,16 +686,16 @@ bool Server::HandleQuery(Connection* conn, const FrameHeader& header,
   // predicate column in phase 1 (query/pushdown.h).
   LoadResult resolution;
   Result<ParseOptions> base = BulkLoader::ResolveBaseOptions(
-      data, /*sample_truncated=*/false, config->load, &resolution);
+      data, /*sample_truncated=*/false, request.load, &resolution);
   if (!base.ok()) {
     return SendError(conn, base.status().WithContext("serve.resolve"));
   }
   base->column_count_policy = ColumnCountPolicy::kRobust;
-  if (block->predicate.column < 0 ||
-      block->predicate.column >= base->schema.num_fields()) {
+  const Predicate& predicate = request.predicate;
+  if (predicate.column < 0 || predicate.column >= base->schema.num_fields()) {
     return SendError(conn, Status::Invalid(
                                "predicate column " +
-                               std::to_string(block->predicate.column) +
+                               std::to_string(predicate.column) +
                                " out of range for " +
                                std::to_string(base->schema.num_fields()) +
                                " resolved columns"));
@@ -821,16 +703,16 @@ bool Server::HandleQuery(Connection* conn, const FrameHeader& header,
 
   PushdownStats stats;
   Result<ParseOutput> output =
-      ParseWithPushdown(data, *base, block->predicate, &stats);
-  probe.Stop();
+      ParseWithPushdown(data, *base, predicate, &stats);
+  probe->Stop();
   if (!output.ok()) {
     return SendError(conn, output.status().WithContext("serve.query"));
   }
   // Queries run on the pushdown path (no executor), so the deadline is
   // enforced at completion: a result computed past its deadline is
   // answered as expired, never returned late as success.
-  if (config->has_deadline() &&
-      std::chrono::steady_clock::now() >= config->deadline) {
+  if (request.has_deadline() &&
+      std::chrono::steady_clock::now() >= request.deadline) {
     return SendDeadlineExceeded(
         conn, "serve.query: deadline expired during pushdown");
   }
@@ -838,10 +720,8 @@ bool Server::HandleQuery(Connection* conn, const FrameHeader& header,
   if (!ipc.ok()) {
     return SendError(conn, ipc.status().WithContext("serve.serialize"));
   }
-  std::string response;
-  AppendU64Le(static_cast<uint64_t>(stats.records_scanned), &response);
-  AppendU64Le(static_cast<uint64_t>(stats.records_selected), &response);
-  response.append(*ipc);
+  const std::string response = EncodeQueryPayload(
+      {stats.records_scanned, stats.records_selected, *ipc});
   if (!SendFrame(conn, Opcode::kOkQuery, 0, response)) return false;
   CountDrained();
   return true;

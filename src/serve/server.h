@@ -16,6 +16,10 @@
 #include "util/result.h"
 
 namespace parparaw {
+namespace obs {
+class TraceSpan;
+}  // namespace obs
+
 namespace serve {
 
 /// Configuration of a parparawd instance.
@@ -146,6 +150,7 @@ class Server {
 
  private:
   struct Connection;
+  struct RequestConfig;
 
   void AcceptLoop();
   void ConnectionLoop(Connection* conn);
@@ -153,14 +158,26 @@ class Server {
   /// connection must close (protocol error or peer gone).
   bool Dispatch(Connection* conn, const FrameHeader& header,
                 std::string_view payload);
+  /// The one admission step of parse and query requests: decodes the
+  /// payload (a malformed one is a protocol error), takes a queue-depth
+  /// slot or answers kBusy / kDeadlineExceeded, then runs the handler
+  /// while it holds the slot and the serve.request probe.
+  bool Admit(Connection* conn, const FrameHeader& header,
+             std::string_view payload);
   bool HandleParse(Connection* conn, const FrameHeader& header,
-                   std::string_view payload);
+                   const RequestConfig& request, obs::TraceSpan* probe);
   bool HandleQuery(Connection* conn, const FrameHeader& header,
-                   std::string_view payload);
+                   const RequestConfig& request, obs::TraceSpan* probe);
   bool SendFrame(Connection* conn, Opcode opcode, uint8_t flags,
                  std::string_view payload);
   bool SendError(Connection* conn, const Status& status);
+  /// Answers kBusy, the daemon's one way to shed, and counts it.
+  bool Shed(Connection* conn);
   void Count(const char* name, int64_t delta);
+  /// Adds `delta` to one ServerStats field and to the serve.* counter
+  /// that mirrors it.
+  void Tally(int64_t ServerStats::*field, const char* counter,
+             int64_t delta = 1);
   /// Answers kError{kDeadlineExceeded} and bumps the stat. Returns
   /// whether the connection is still usable (a deadline is a request
   /// error, not a protocol error).

@@ -234,6 +234,11 @@ TEST(ServeConcurrencyTest, BusyShedIsDeterministicAtQueueDepthLimit) {
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_TRUE(reply->busy);
   EXPECT_GE(server.stats().busy_shed, 1);
+  // A query takes the same admission step and is shed the same way.
+  auto query = client->Query("a,b\n1,2\n", Predicate(0, CompareOp::kIsNotNull));
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  EXPECT_TRUE(query->busy);
+  EXPECT_EQ(server.stats().busy_shed, 2);
   // BUSY is shedding, not punishment: the connection still works, and
   // ping (no admission needed) answers even at the limit.
   EXPECT_TRUE(client->Ping().ok());
@@ -328,6 +333,8 @@ TEST(ServeConcurrencyTest, CancelOnDisconnectReleasesAdmissionSlots) {
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_TRUE(reply->table.Equals(*expected));
   server.Stop();
+  EXPECT_EQ(server.stats().cancelled_disconnects,
+            metrics.GetCounter("serve.cancelled_disconnects")->Value());
 }
 
 TEST(ServeConcurrencyTest, StopWhileRequestsInFlightJoinsCleanly) {

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "api/reader.h"
+#include "obs/metrics.h"
 #include "robust/failpoint.h"
 #include "serve/client.h"
 #include "serve/retry.h"
@@ -132,6 +133,15 @@ TEST(ServeDeadlineTest, FailpointForcesExpiryDeterministically) {
   EXPECT_EQ(reply.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_TRUE(client->Ping().ok());
   EXPECT_EQ(server.stats().deadline_exceeded, 1);
+  // A query takes the same admission step and expires the same way.
+  robust::FailpointRegistry::Instance().Arm("serve.deadline",
+                                            robust::CountTrigger(1));
+  auto query = client->Query(SmallCsv(), Predicate(0, CompareOp::kIsNotNull));
+  robust::FailpointRegistry::Instance().DisarmAll();
+  ASSERT_FALSE(query.ok());
+  EXPECT_EQ(query.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_TRUE(client->Ping().ok());
+  EXPECT_EQ(server.stats().deadline_exceeded, 2);
   ExpectGaugesDrain(&server);
   server.Stop();
 }
@@ -243,6 +253,115 @@ TEST(ServeDrainTest, NewRequestsDuringDrainAreShedBusy) {
   EXPECT_TRUE(client->last_error_was_transport());
   robust::FailpointRegistry::Instance().DisarmAll();
   server.Stop();
+}
+
+TEST(ServeDrainTest, EveryStatEqualsItsServeCounter) {
+  // Each ServerStats field is bumped together with the serve.* counter
+  // that mirrors it. Move every field, then compare each pair.
+  // (cancelled_disconnects is compared by ServeConcurrencyTest.
+  // CancelOnDisconnectReleasesAdmissionSlots.)
+  obs::MetricsRegistry metrics;
+  ServeOptions options;
+  options.max_inflight_requests = 2;
+  options.metrics = &metrics;
+  Server server(options);
+  auto port = server.Start();
+  ASSERT_TRUE(port.ok());
+  exec::AdmissionController* slots = server.request_admission();
+
+  auto client = Client::Connect(*port);
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(client->Ping().ok());
+
+  // A shed: every request slot is taken.
+  ASSERT_EQ(slots->TryAcquire(2), 1);
+  ASSERT_EQ(slots->TryAcquire(2), 2);
+  auto shed = client->Parse(SmallCsv());
+  ASSERT_TRUE(shed.ok()) << shed.status().ToString();
+  EXPECT_TRUE(shed->busy);
+  slots->Release(2);
+
+  // A deadline forced at admission.
+  robust::FailpointRegistry::Instance().Arm("serve.deadline",
+                                            robust::CountTrigger(1));
+  auto expired = client->Parse(SmallCsv());
+  robust::FailpointRegistry::Instance().DisarmAll();
+  ASSERT_FALSE(expired.ok());
+  EXPECT_EQ(expired.status().code(), StatusCode::kDeadlineExceeded);
+
+  // A frame that does not decode, then one whose checksum does not match:
+  // two protocol errors, one of them a checksum error.
+  std::string corrupt;
+  AppendFrame(Opcode::kPing, kFlagChecksum, "ping", &corrupt);
+  corrupt[kFrameHeaderSize] ^= 0x01;
+  for (const std::string& frame :
+       {std::string(kFrameHeaderSize, 'G'), corrupt}) {
+    auto sock = ConnectLoopback(*port);
+    ASSERT_TRUE(sock.ok());
+    ASSERT_TRUE(SendAll(sock->fd(), frame).ok());
+    FrameHeader header;
+    ASSERT_TRUE(ReadFrameHeader(sock->fd(), kDefaultMaxPayload, &header).ok());
+    EXPECT_EQ(header.opcode, Opcode::kError);
+  }
+
+  // A drain that one request completes through and one slot outlives. The
+  // test holds the other request slot, and more partition slots than the
+  // daemon admits (4 per request slot), so the parse stays in flight
+  // until the drain has begun.
+  constexpr int kHeldPartitions = 64;
+  ASSERT_EQ(slots->TryAcquire(2), 1);
+  for (int i = 0; i < kHeldPartitions; ++i) {
+    ASSERT_GT(server.exec_admission()->TryAcquire(kHeldPartitions), 0);
+  }
+  std::atomic<bool> parsed{false};
+  std::thread inflight([&] {
+    auto drained = Client::Connect(*port);
+    if (!drained.ok()) return;
+    auto reply = drained->Parse(SmallCsv());
+    parsed.store(reply.ok() && !reply->busy, std::memory_order_release);
+  });
+  const auto admitted_by =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.inflight_requests() < 2 &&
+         std::chrono::steady_clock::now() < admitted_by) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(server.inflight_requests(), 2);
+  bool clean = true;
+  std::thread drain([&] { clean = server.Drain(/*deadline_ms=*/1000); });
+  while (!server.draining()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  server.exec_admission()->Release(kHeldPartitions);
+  inflight.join();
+  drain.join();
+  slots->Release();
+  EXPECT_TRUE(parsed.load(std::memory_order_acquire));
+  EXPECT_FALSE(clean);
+
+  const ServerStats stats = server.stats();
+  const struct {
+    int64_t field;
+    const char* counter;
+    int64_t expected;
+  } mirrored[] = {
+      // The client, two raw sockets, and the drained parse's client.
+      {stats.connections_accepted, "serve.accepted", 4},
+      // The ping and the three parses; undecodable frames are no request.
+      {stats.requests, "serve.requests", 4},
+      {stats.busy_shed, "serve.busy", 1},
+      {stats.protocol_errors, "serve.protocol_errors", 2},
+      {stats.checksum_errors, "serve.checksum_errors", 1},
+      {stats.deadline_exceeded, "serve.deadline_exceeded", 1},
+      {stats.drained, "serve.drained", 1},
+      {stats.drain_cancelled, "serve.drain_cancelled", 1},
+      {stats.cancelled_disconnects, "serve.cancelled_disconnects", 0},
+  };
+  for (const auto& stat : mirrored) {
+    EXPECT_EQ(stat.field, stat.expected) << stat.counter;
+    EXPECT_EQ(stat.field, metrics.GetCounter(stat.counter)->Value())
+        << stat.counter;
+  }
 }
 
 // --- retry policy ---

@@ -204,6 +204,134 @@ TEST(ServeProtocolTest, ErrorPayloadRoundTrip) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(ServeProtocolTest, ResponsePayloadsRoundTrip) {
+  auto parts = DecodeEndPayload(EncodeEndPayload(0x0102030405060708ull));
+  ASSERT_TRUE(parts.ok()) << parts.status().ToString();
+  EXPECT_EQ(*parts, 0x0102030405060708ull);
+
+  const std::string encoded = EncodeQueryPayload({1234, 56, "PPRW-ipc"});
+  ASSERT_EQ(encoded.size(), 16u + 8u);
+  auto query = DecodeQueryPayload(encoded);
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  EXPECT_EQ(query->records_scanned, 1234);
+  EXPECT_EQ(query->records_selected, 56);
+  EXPECT_EQ(query->table_ipc, "PPRW-ipc");
+  // An empty table IPC still carries both counts.
+  auto counts_only = DecodeQueryPayload(EncodeQueryPayload({7, 0, ""}));
+  ASSERT_TRUE(counts_only.ok());
+  EXPECT_EQ(counts_only->records_scanned, 7);
+  EXPECT_TRUE(counts_only->table_ipc.empty());
+}
+
+TEST(ServeProtocolTest, ResponsePayloadsRejectWrongSizes) {
+  const std::string end = EncodeEndPayload(3);
+  for (const std::string& bad : {std::string(), end.substr(0, 7), end + "x"}) {
+    auto decoded = DecodeEndPayload(bad);
+    ASSERT_FALSE(decoded.ok()) << bad.size() << " bytes";
+    EXPECT_EQ(decoded.status().code(), StatusCode::kIoError);
+    EXPECT_EQ(decoded.status().message(), "kEnd payload must be 8 bytes");
+  }
+  auto query = DecodeQueryPayload(EncodeQueryPayload({1, 1, ""}).substr(0, 15));
+  ASSERT_FALSE(query.ok());
+  EXPECT_EQ(query.status().code(), StatusCode::kIoError);
+  EXPECT_EQ(query.status().message(), "kOkQuery payload too small");
+}
+
+// --- the shared frame reader and writer, over a socketpair ---
+
+class ServeProtocolFrameIoTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    writer_ = Socket(fds[0]);
+    reader_ = Socket(fds[1]);
+  }
+  void TearDown() override {
+    robust::FailpointRegistry::Instance().DisarmAll();
+  }
+
+  Socket writer_;
+  Socket reader_;
+};
+
+TEST_F(ServeProtocolFrameIoTest, PlainAndChecksummedFramesRoundTrip) {
+  for (const bool checksum : {false, true}) {
+    ASSERT_TRUE(WriteFrame(writer_.fd(), Opcode::kTablePart, kFlagQuarantine,
+                           checksum, "partition bytes")
+                    .ok());
+    FrameHeader header;
+    bool eof = false;
+    FrameRead read =
+        ReadFrameHeader(reader_.fd(), kDefaultMaxPayload, &header, &eof);
+    ASSERT_TRUE(read.ok()) << read.status.ToString();
+    EXPECT_FALSE(eof);
+    EXPECT_EQ(header.opcode, Opcode::kTablePart);
+    EXPECT_EQ(header.flags,
+              kFlagQuarantine | (checksum ? kFlagChecksum : 0));
+    EXPECT_EQ(header.payload_size, 15u);
+    std::string payload;
+    read = ReadFramePayload(reader_.fd(), header, &payload);
+    ASSERT_TRUE(read.ok()) << read.status.ToString();
+    EXPECT_EQ(payload, "partition bytes");
+  }
+  // A clean close on a frame boundary is EOF, not a failure.
+  writer_.Close();
+  FrameHeader header;
+  bool eof = false;
+  EXPECT_TRUE(
+      ReadFrameHeader(reader_.fd(), kDefaultMaxPayload, &header, &eof).ok());
+  EXPECT_TRUE(eof);
+}
+
+TEST_F(ServeProtocolFrameIoTest,
+       ChecksumMismatchIsToldApartFromReceiveFailure) {
+  std::string frame;
+  AppendFrame(Opcode::kParseBuffer, kFlagChecksum, "sensitive payload",
+              &frame);
+  frame[kFrameHeaderSize + 3] ^= 0x01;  // the honest CRC now disagrees
+  ASSERT_TRUE(SendAll(writer_.fd(), frame).ok());
+  FrameHeader header;
+  ASSERT_TRUE(ReadFrameHeader(reader_.fd(), kDefaultMaxPayload, &header).ok());
+  std::string payload;
+  FrameRead read = ReadFramePayload(reader_.fd(), header, &payload);
+  EXPECT_EQ(read.fault, FrameFault::kChecksum);
+  EXPECT_EQ(read.status.code(), StatusCode::kInvalidArgument);
+
+  // An injected receive fault carrying the very same status code is still
+  // a receive failure: the step tells the classes apart, not the code.
+  robust::FailpointTrigger fault = robust::CountTrigger(1);
+  fault.code = StatusCode::kInvalidArgument;
+  robust::FailpointRegistry::Instance().Arm("serve.read", fault);
+  read = ReadFrameHeader(reader_.fd(), kDefaultMaxPayload, &header);
+  robust::FailpointRegistry::Instance().DisarmAll();
+  EXPECT_EQ(read.fault, FrameFault::kReceive);
+  EXPECT_EQ(read.status.code(), StatusCode::kInvalidArgument);
+
+  // The same frame cut short mid-payload: a receive failure too.
+  ASSERT_TRUE(
+      SendAll(writer_.fd(), std::string_view(frame).substr(0, 20)).ok());
+  writer_.Close();
+  ASSERT_TRUE(ReadFrameHeader(reader_.fd(), kDefaultMaxPayload, &header).ok());
+  read = ReadFramePayload(reader_.fd(), header, &payload);
+  EXPECT_EQ(read.fault, FrameFault::kReceive);
+}
+
+TEST_F(ServeProtocolFrameIoTest, OversizedLengthIsRefusedBeforeThePayload) {
+  std::string frame;
+  AppendFrame(Opcode::kParseBuffer, 0, "payload", &frame);
+  ASSERT_TRUE(SendAll(writer_.fd(), frame).ok());
+  FrameHeader header;
+  const FrameRead read = ReadFrameHeader(reader_.fd(), /*max_payload=*/6,
+                                         &header);
+  EXPECT_EQ(read.fault, FrameFault::kDecode);
+  EXPECT_EQ(read.status.code(), StatusCode::kInvalidArgument);
+  // Not one payload byte was consumed.
+  std::string rest;
+  ASSERT_TRUE(RecvExact(reader_.fd(), 7, &rest).ok());
+  EXPECT_EQ(rest, "payload");
+}
+
 // --- live-daemon conformance ---
 
 class ServeConformanceTest : public ::testing::Test {
@@ -365,6 +493,33 @@ TEST_F(ServeConformanceTest, GarbageBytesGetErrorThenClose) {
   bool eof = false;
   ASSERT_TRUE(RecvExact(sock->fd(), 1, &rest, &eof).ok());
   EXPECT_TRUE(eof);
+
+  // Garbage after a checksummed request: the kError answers the garbage,
+  // which declared no checksum, so it must not carry the flag.
+  auto second = ConnectLoopback(port_);
+  ASSERT_TRUE(second.ok());
+  std::string ping;
+  AppendFrame(Opcode::kPing, kFlagChecksum, "ping", &ping);
+  ASSERT_TRUE(SendAll(second->fd(), ping).ok());
+  ASSERT_TRUE(RecvExact(second->fd(), kFrameHeaderSize, &header_bytes).ok());
+  auto pong = DecodeFrameHeader(header_bytes, kDefaultMaxPayload);
+  ASSERT_TRUE(pong.ok());
+  EXPECT_EQ(pong->opcode, Opcode::kPong);
+  EXPECT_NE(pong->flags & kFlagChecksum, 0);
+  ASSERT_TRUE(RecvExact(second->fd(), pong->payload_size + kFrameChecksumSize,
+                        &payload)
+                  .ok());
+  ASSERT_TRUE(
+      SendAll(second->fd(), std::string(kFrameHeaderSize, 'G')).ok());
+  ASSERT_TRUE(RecvExact(second->fd(), kFrameHeaderSize, &header_bytes).ok());
+  auto error = DecodeFrameHeader(header_bytes, kDefaultMaxPayload);
+  ASSERT_TRUE(error.ok());
+  EXPECT_EQ(error->opcode, Opcode::kError);
+  EXPECT_EQ(error->flags & kFlagChecksum, 0);
+  ASSERT_TRUE(RecvExact(second->fd(), error->payload_size, &payload).ok());
+  EXPECT_EQ(DecodeErrorPayload(payload).code(), StatusCode::kInvalidArgument);
+  ASSERT_TRUE(RecvExact(second->fd(), 1, &rest, &eof).ok());
+  EXPECT_TRUE(eof);
 }
 
 TEST_F(ServeConformanceTest, ResponseOpcodeAsRequestIsRejected) {
@@ -396,6 +551,44 @@ TEST_F(ServeConformanceTest, OversizedDeclaredLengthIsNeverAllocated) {
   // And the daemon still accepts new work.
   Client client = MustConnect();
   EXPECT_TRUE(client.Ping().ok());
+}
+
+TEST_F(ServeConformanceTest, MalformedQueryAtTheLimitIsAProtocolError) {
+  // Decoding comes before admission: with every request slot taken, a
+  // query whose predicate block is truncated still gets kError and a
+  // close, never kBusy.
+  const int limit = ServeOptions{}.max_inflight_requests;
+  int held = 0;
+  while (server_->request_admission()->TryAcquire(limit) > 0) ++held;
+  ASSERT_EQ(held, limit);
+
+  std::string payload = EncodeRequestHeader(RequestHeader{});
+  payload.append(
+      EncodePredicateBlock(Predicate(0, CompareOp::kEq, "1")).substr(0, 3));
+  std::string frame;
+  AppendFrame(Opcode::kQueryBuffer, 0, payload, &frame);
+  auto sock = ConnectLoopback(port_);
+  ASSERT_TRUE(sock.ok());
+  ASSERT_TRUE(SendAll(sock->fd(), frame).ok());
+  std::string header_bytes;
+  ASSERT_TRUE(RecvExact(sock->fd(), kFrameHeaderSize, &header_bytes).ok());
+  auto header = DecodeFrameHeader(header_bytes, kDefaultMaxPayload);
+  ASSERT_TRUE(header.ok());
+  EXPECT_EQ(header->opcode, Opcode::kError);
+  std::string body;
+  ASSERT_TRUE(RecvExact(sock->fd(), header->payload_size, &body).ok());
+  const Status error = DecodeErrorPayload(body);
+  EXPECT_EQ(error.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(error.message(), "predicate block truncated");
+  std::string rest;
+  bool eof = false;
+  ASSERT_TRUE(RecvExact(sock->fd(), 1, &rest, &eof).ok());
+  EXPECT_TRUE(eof);
+
+  server_->request_admission()->Release(held);
+  const ServerStats stats = server_->stats();
+  EXPECT_EQ(stats.protocol_errors, 1);
+  EXPECT_EQ(stats.busy_shed, 0);
 }
 
 TEST_F(ServeConformanceTest, ByteAtATimeRequestStillParses) {
