@@ -142,7 +142,8 @@ run_pipeline() {
   # Parser::Parse across kernels and error policies), every entry point
   # that runs on the executor (Reader, StreamingParser, BulkLoader, the
   # over-budget dialects' scalar walk on scan morsels, the robustness
-  # suite's budget and fault cases), and the chaos sweep — whose schedule
+  # suite's budget and fault cases), the pushdown suite (a query's two
+  # phases run inside scan morsels), and the chaos sweep — whose schedule
   # space includes faults at every morsel hand-off — all under the thread
   # sanitizer, since the executor is the most schedule-sensitive code in
   # the repo. ObsIntegration adds the executor-trace tests: one interval
@@ -151,7 +152,7 @@ run_pipeline() {
   PARPARAW_CHAOS_SCHEDULES=400 \
   TSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \
-      -R 'Exec|Reader|Validate|Chaos|Streaming|BulkLoader|DialectEquivalence|Robust|ObsIntegration'
+      -R 'Exec|Reader|Validate|Chaos|Streaming|BulkLoader|DialectEquivalence|Robust|ObsIntegration|Pushdown'
 }
 
 run_kernels() {
@@ -361,7 +362,11 @@ run_serve() {
   # writer (serve/protocol.h) on both ends at once, through one-byte
   # writes, short reads, transient read faults and corrupted checksummed
   # frames, while the connection thread sets its checksum flag and
-  # in_request as each header arrives.
+  # in_request as each header arrives. Queries run on the same executor
+  # path as parses: their budget-slice and cancel-on-disconnect cases sit
+  # in ServeConcurrency, the server-local file query in ServeConformance
+  # and the mid-ingest expiry in ServeDeadline, so the filter below
+  # already covers them.
   echo "=== serve: concurrency soak under TSan ==="
   TSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \

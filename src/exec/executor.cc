@@ -56,8 +56,10 @@ struct PartitionTask {
   int64_t carry_bytes = 0;
   bool is_last = false;
   StagedParse parse;
-  /// Output of the scalar dialect walk, which parses the whole partition
-  /// inside the scan morsel (over-budget dialects only).
+  /// Output of a whole-partition parse inside the scan morsel, which the
+  /// sort and convert morsels pass through. Its two users: a query's
+  /// pushdown (ExecOptions::predicate) and an over-budget dialect's scalar
+  /// walk.
   std::optional<ParseOutput> walked;
 
   bool finished() const { return walked.has_value() || parse.finished(); }
@@ -206,13 +208,19 @@ class PipelineRun {
   Result<IngestResult> Run(ChunkSource* source) {
     PARPARAW_FAILPOINT("exec.ingest");
     PARPARAW_RETURN_NOT_OK_CTX(options_.base.Validate(), "exec.options");
+    if (!options_.base.skip_records.empty()) {
+      return Status::Invalid(
+          "skip_records numbers the records of one buffer, and every "
+          "partition would skip its own; use Parser::Parse");
+    }
     if (options_.partition_size == 0) {
       return Status::Invalid("partition size must be positive");
     }
 
     // Compile a user dialect once per ingest, not once per partition. An
     // over-budget dialect keeps its automaton for the scan morsel's
-    // scalar walk.
+    // scalar walk; only a query's pushdown phases, which go through
+    // Parser::Parse, compile it again.
     base_ = options_.base;
     PARPARAW_ASSIGN_OR_RETURN(fallback_,
                               dialect::ResolveParseDialect(&base_));
@@ -531,7 +539,20 @@ class PipelineRun {
     // per-partition parse must not re-apply the monolithic refusal.
     po.memory_budget = 0;
     Status scanned;
-    if (fallback_.has_value()) {
+    if (options_.predicate.has_value()) {
+      // Both pushdown phases take the scalar walk when the dialect is over
+      // budget. Scans run in stream order, so the counts add up in it too.
+      if (fallback_.has_value()) po.dialect = fallback_->spec;
+      PushdownStats counts;
+      Result<ParseOutput> pushed =
+          ParseWithPushdown(task->buffer, po, *options_.predicate, &counts);
+      scanned = pushed.status();
+      if (scanned.ok()) {
+        task->walked = std::move(pushed).ValueOrDie();
+        result_.pushdown.records_scanned += counts.records_scanned;
+        result_.pushdown.records_selected += counts.records_selected;
+      }
+    } else if (fallback_.has_value()) {
       Result<ParseOutput> walked =
           dialect::FallbackParse(task->buffer, *fallback_, po);
       scanned = walked.status();

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "core/options.h"
 #include "exec/admission.h"
 #include "plan/planner.h"
+#include "query/pushdown.h"
 #include "util/result.h"
 
 namespace parparaw {
@@ -22,7 +24,16 @@ namespace exec {
 struct ExecOptions {
   /// Per-partition parse configuration. A schema is recommended (without
   /// one, every partition must observe the same column count).
+  /// skip_records is refused: it numbers the records of one buffer, and
+  /// every partition would skip its own record r (use Parser::Parse).
   ParseOptions base;
+
+  /// A query's WHERE clause; nullopt = a plain parse. When set, each
+  /// partition's scan morsel runs the two-phase selection pushdown
+  /// (ParseWithPushdown, query/pushdown.h) over the whole partition, so
+  /// `base` needs its requirements: a schema and the robust column-count
+  /// policy. parparawd's query requests set it.
+  std::optional<Predicate> predicate;
 
   /// Bytes per partition (before any memory-budget clamp).
   size_t partition_size = 64 * 1024 * 1024;
@@ -100,6 +111,9 @@ struct IngestResult {
   IngestStats stats;
   /// One record per delivered partition, in stream order.
   std::vector<PartitionRecord> partitions;
+  /// Query ingests (ExecOptions::predicate): records scanned and selected,
+  /// summed over the partitions in stream order.
+  PushdownStats pushdown;
 };
 
 /// Consumes per-partition tables in stream order (bounded-memory
@@ -139,9 +153,10 @@ using PartitionSink = std::function<Status(Table&&)>;
 /// A dialect over the SIMD register budget runs the same schedule: its
 /// scan morsel parses the whole partition with the scalar
 /// dialect::FallbackParse walk and the sort/convert morsels pass it
-/// through. A parse error surfaces in stream order, so the ingest fails
-/// with the error of the first failing partition, as a monolithic parse
-/// would.
+/// through. A query (ExecOptions::predicate) does the same with both
+/// pushdown phases, on the scalar walk when its dialect is over budget.
+/// A parse error surfaces in stream order, so the ingest fails with the
+/// error of the first failing partition, as a monolithic parse would.
 ///
 /// Cancellation is cooperative: Cancel() aborts every in-flight ingest
 /// at its next stage boundary with StatusCode::kCancelled. Faults from

@@ -73,19 +73,6 @@ bool EnvSimdDisabled() {
 
 }  // namespace plan
 
-Tuning Tuning::FromEnv() {
-  Tuning tuning;
-  if (std::optional<simd::KernelLevel> forced = plan::EnvForcedKernelLevel()) {
-    tuning.kernel = *forced == simd::KernelLevel::kScalar
-                        ? simd::KernelKind::kScalar
-                        : simd::KernelKind::kSimd;
-  }
-  if (std::optional<TransposeMode> mode = plan::EnvTransposeMode()) {
-    tuning.transpose_mode = *mode;
-  }
-  return tuning;
-}
-
 Status Tuning::ValidateTuning() const {
   if (chunk_size > kMaxChunkSize) {
     return Status::Invalid(

@@ -124,15 +124,6 @@ struct Tuning {
   /// and type resolution, so file-backed planning costs no extra I/O.
   size_t sample_budget = 256 * 1024;
 
-  /// The process environment's tuning pins, parsed once: PARPARAW_FORCE_KERNEL
-  /// pins `kernel` (scalar -> kScalar, anything else -> kSimd; the exact
-  /// level force stays in simd::ResolveKernelLevel, which outranks any
-  /// plan), PARPARAW_TRANSPOSE_MODE pins `transpose_mode`. Every other
-  /// field keeps its default. PARPARAW_DISABLE_SIMD has no KernelKind
-  /// representation — it caps the detected level at the portable SWAR
-  /// fallback inside the dispatcher (see plan::EnvSimdDisabled).
-  static Tuning FromEnv();
-
   /// Validates the tuning combination: chunk_size bounds and the
   /// PlannerMode contradiction taxonomy (kForce with any pinned knob is an
   /// InvalidArgument — a forced planner has nothing to decide). Called by

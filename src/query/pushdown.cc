@@ -31,8 +31,14 @@ Result<ParseOutput> ParseWithPushdown(std::string_view input,
                              options.metrics, "pushdown.probe_us",
                              obs::Timing::kUntimed);
 
-  // Phase 1: parse only the predicate column.
+  // Phase 1: parse only the predicate column. Phase 2 reads probe rows as
+  // record numbers, so phase 1 keeps every record: under kSkip a malformed
+  // predicate value becomes NULL instead of dropping its record (phase 2
+  // still skips it).
   ParseOptions phase1 = options;
+  if (phase1.error_policy == robust::ErrorPolicy::kSkip) {
+    phase1.error_policy = robust::ErrorPolicy::kNull;
+  }
   for (int j = 0; j < options.schema.num_fields(); ++j) {
     if (j != predicate.column) phase1.skip_columns.push_back(j);
   }

@@ -34,7 +34,8 @@ struct PushdownStats {
 ///
 /// Requirements: a schema, the robust column-count policy, and empty
 /// skip_records/skip_columns in `options` (they would change record
-/// numbering between the phases).
+/// numbering between the phases). For the same reason phase 1 runs
+/// ErrorPolicy::kSkip as kNull; phase 2 still skips malformed records.
 Result<ParseOutput> ParseWithPushdown(std::string_view input,
                                       const ParseOptions& options,
                                       const Predicate& predicate,

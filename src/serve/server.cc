@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <utility>
 
 #include "columnar/ipc.h"
@@ -11,7 +12,6 @@
 #include "io/file.h"
 #include "loader/bulk_loader.h"
 #include "obs/obs.h"
-#include "query/pushdown.h"
 #include "robust/failpoint.h"
 #include "robust/resource_guard.h"
 
@@ -425,7 +425,7 @@ bool Server::Dispatch(Connection* conn, const FrameHeader& header,
 struct Server::RequestConfig {
   LoadOptions load;
   /// Query opcodes only: the PredicateBlock's predicate.
-  Predicate predicate;
+  std::optional<Predicate> predicate;
   /// The inline data or server-local path that follows the request header
   /// (and, for queries, the predicate block).
   std::string_view body;
@@ -542,16 +542,19 @@ bool Server::Admit(Connection* conn, const FrameHeader& header,
   // ServeOptions carries no tracer: the probe feeds serve.request_us.
   obs::TraceSpan probe(nullptr, "serve.request", "serve", options_.metrics,
                        "serve.request_us", obs::Timing::kUntimed);
-  return query ? HandleQuery(conn, header, *request, &probe)
-               : HandleParse(conn, header, *request, &probe);
+  return HandleRequest(conn, header, *request, &probe);
 }
 
-bool Server::HandleParse(Connection* conn, const FrameHeader& header,
-                         const RequestConfig& request,
-                         obs::TraceSpan* probe) {
-  const bool from_file = header.opcode == Opcode::kParseFile;
-  const bool stream = (header.flags & kFlagStream) != 0;
-  const bool want_quarantine = (header.flags & kFlagQuarantine) != 0;
+bool Server::HandleRequest(Connection* conn, const FrameHeader& header,
+                           const RequestConfig& request,
+                           obs::TraceSpan* probe) {
+  const bool query = request.predicate.has_value();
+  const bool from_file = header.opcode == Opcode::kParseFile ||
+                         header.opcode == Opcode::kQueryFile;
+  // A query answers one kOkQuery frame, whatever its flags ask for.
+  const bool stream = !query && (header.flags & kFlagStream) != 0;
+  const bool want_quarantine =
+      !query && (header.flags & kFlagQuarantine) != 0;
   const std::string path(from_file ? request.body : std::string_view());
 
   // Resolve dialect/header/types from the input head, exactly like
@@ -572,6 +575,22 @@ bool Server::HandleParse(Connection* conn, const FrameHeader& header,
 
   exec::ExecOptions exec_options;
   exec_options.base = std::move(*base);
+  if (query) {
+    // The pushdown numbers records across its two phases, so no record
+    // may be dropped for its column count.
+    exec_options.base.column_count_policy = ColumnCountPolicy::kRobust;
+    const int columns = exec_options.base.schema.num_fields();
+    if (request.predicate->column < 0 ||
+        request.predicate->column >= columns) {
+      return SendError(
+          conn, Status::Invalid("predicate column " +
+                                std::to_string(request.predicate->column) +
+                                " out of range for " +
+                                std::to_string(columns) +
+                                " resolved columns"));
+    }
+    exec_options.predicate = request.predicate;
+  }
   // Per-request adaptive planning happens inside the executor (each
   // request's stream is sampled and planned independently); pointing the
   // request's options at the server registry makes the plan.* counters —
@@ -631,13 +650,14 @@ bool Server::HandleParse(Connection* conn, const FrameHeader& header,
     // checks, or as kCancelled when the watchdog fired Cancel(). Both
     // are the same event and answer the same typed error; the
     // connection stays usable.
-    const StatusCode code = ingested.status().code();
+    const Status failed = ingested.status().WithContext(
+        query ? "serve.query" : "serve.parse");
+    const StatusCode code = failed.code();
     if (code == StatusCode::kDeadlineExceeded ||
         (watchdog.deadline_fired() && code == StatusCode::kCancelled)) {
-      return SendDeadlineExceeded(
-          conn, "serve.parse: " + std::string(ingested.status().message()));
+      return SendDeadlineExceeded(conn, failed.message());
     }
-    return SendError(conn, ingested.status().WithContext("serve.parse"));
+    return SendError(conn, failed);
   }
 
   const uint8_t response_flags = want_quarantine ? kFlagQuarantine : 0;
@@ -651,9 +671,13 @@ bool Server::HandleParse(Connection* conn, const FrameHeader& header,
     if (!ipc.ok()) {
       return SendError(conn, ipc.status().WithContext("serve.serialize"));
     }
-    if (!SendFrame(conn, Opcode::kOkTable, response_flags, *ipc)) {
-      return false;
-    }
+    const bool sent =
+        query ? SendFrame(conn, Opcode::kOkQuery, 0,
+                          EncodeQueryPayload(
+                              {ingested->pushdown.records_scanned,
+                               ingested->pushdown.records_selected, *ipc}))
+              : SendFrame(conn, Opcode::kOkTable, response_flags, *ipc);
+    if (!sent) return false;
   }
   if (want_quarantine) {
     const Result<std::string> ppqr =
@@ -663,66 +687,6 @@ bool Server::HandleParse(Connection* conn, const FrameHeader& header,
     }
     if (!SendFrame(conn, Opcode::kQuarantine, 0, *ppqr)) return false;
   }
-  CountDrained();
-  return true;
-}
-
-bool Server::HandleQuery(Connection* conn, const FrameHeader& header,
-                         const RequestConfig& request,
-                         obs::TraceSpan* probe) {
-  std::string file_bytes;
-  std::string_view data = request.body;
-  if (header.opcode == Opcode::kQueryFile) {
-    Result<std::string> read = ReadFileToString(std::string(request.body));
-    if (!read.ok()) {
-      return SendError(conn, read.status().WithContext("serve.open"));
-    }
-    file_bytes = std::move(*read);
-    data = file_bytes;
-  }
-
-  // Pushdown needs a schema: resolve one from the head (types inferred)
-  // with the same machinery as the parse path, then parse only the
-  // predicate column in phase 1 (query/pushdown.h).
-  LoadResult resolution;
-  Result<ParseOptions> base = BulkLoader::ResolveBaseOptions(
-      data, /*sample_truncated=*/false, request.load, &resolution);
-  if (!base.ok()) {
-    return SendError(conn, base.status().WithContext("serve.resolve"));
-  }
-  base->column_count_policy = ColumnCountPolicy::kRobust;
-  const Predicate& predicate = request.predicate;
-  if (predicate.column < 0 || predicate.column >= base->schema.num_fields()) {
-    return SendError(conn, Status::Invalid(
-                               "predicate column " +
-                               std::to_string(predicate.column) +
-                               " out of range for " +
-                               std::to_string(base->schema.num_fields()) +
-                               " resolved columns"));
-  }
-
-  PushdownStats stats;
-  Result<ParseOutput> output =
-      ParseWithPushdown(data, *base, predicate, &stats);
-  probe->Stop();
-  if (!output.ok()) {
-    return SendError(conn, output.status().WithContext("serve.query"));
-  }
-  // Queries run on the pushdown path (no executor), so the deadline is
-  // enforced at completion: a result computed past its deadline is
-  // answered as expired, never returned late as success.
-  if (request.has_deadline() &&
-      std::chrono::steady_clock::now() >= request.deadline) {
-    return SendDeadlineExceeded(
-        conn, "serve.query: deadline expired during pushdown");
-  }
-  const Result<std::string> ipc = SerializeTable(output->table);
-  if (!ipc.ok()) {
-    return SendError(conn, ipc.status().WithContext("serve.serialize"));
-  }
-  const std::string response = EncodeQueryPayload(
-      {stats.records_scanned, stats.records_selected, *ipc});
-  if (!SendFrame(conn, Opcode::kOkQuery, 0, response)) return false;
   CountDrained();
   return true;
 }

@@ -33,10 +33,10 @@ struct ServeOptions {
   int max_connections = 64;
 
   /// Parse/query requests admitted at once across all connections — the
-  /// daemon's queue depth. A request arriving at the limit is shed with
-  /// kBusy instead of queueing (the client decides whether to retry), so
-  /// a saturated daemon degrades by refusing work, never by growing an
-  /// unbounded backlog.
+  /// daemon's queue depth. At the limit, a request with a deadline waits
+  /// for a slot until that deadline; any other request is shed with kBusy
+  /// (the client decides whether to retry), so a saturated daemon never
+  /// grows an unbounded backlog.
   int max_inflight_requests = 8;
 
   /// Global parse working-set budget in bytes, 0 = unlimited. Split two
@@ -97,12 +97,11 @@ struct ServerStats {
 /// PipelineExecutor bound to ONE shared exec::AdmissionController, so
 /// the global number of resident partitions — and with it the working
 /// set — respects `memory_budget` no matter how many clients push at
-/// once. Above that sits queue-depth shedding (kBusy at
-/// max_inflight_requests) and per-connection budget slices. A client
-/// that disconnects mid-request is detected by a watchdog poll; the
-/// request's executor is cancelled and its admission slots return to the
-/// pool (tests/serve_concurrency_test.cc asserts the gauge drains to
-/// zero).
+/// once. Above that sit the request slots (max_inflight_requests) and
+/// per-connection budget slices. A client that disconnects mid-request is
+/// detected by a watchdog poll; the request's executor is cancelled and
+/// its admission slots return to the pool
+/// (tests/serve_concurrency_test.cc asserts the gauge drains to zero).
 class Server {
  public:
   // Out-of-line: Connection is incomplete here and the members need it.
@@ -164,10 +163,11 @@ class Server {
   /// while it holds the slot and the serve.request probe.
   bool Admit(Connection* conn, const FrameHeader& header,
              std::string_view payload);
-  bool HandleParse(Connection* conn, const FrameHeader& header,
-                   const RequestConfig& request, obs::TraceSpan* probe);
-  bool HandleQuery(Connection* conn, const FrameHeader& header,
-                   const RequestConfig& request, obs::TraceSpan* probe);
+  /// The one handler of admitted parse and query requests: resolves the
+  /// input head, runs a PipelineExecutor bound to exec_admission_ under
+  /// the watchdog and the request deadline, and sends the response.
+  bool HandleRequest(Connection* conn, const FrameHeader& header,
+                     const RequestConfig& request, obs::TraceSpan* probe);
   bool SendFrame(Connection* conn, Opcode opcode, uint8_t flags,
                  std::string_view payload);
   bool SendError(Connection* conn, const Status& status);

@@ -12,6 +12,7 @@
 #include "core/parser.h"
 #include "io/file.h"
 #include "obs/metrics.h"
+#include "query/pushdown.h"
 #include "robust/failpoint.h"
 #include "workload/generators.h"
 
@@ -156,6 +157,109 @@ TEST(ExecTest, InvalidOptionsRejectedUpFront) {
   auto result = executor.IngestBuffer("a,b,c\n", options);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
+// skip_records numbers the records of one buffer: each partition would skip
+// its own record 1 (here `1` and `5`), so the executor refuses it.
+TEST(ExecTest, SkipRecordsRejectedUpFront) {
+  std::string input;
+  for (int i = 0; i < 8; ++i) input += std::to_string(i) + "\n";
+  PipelineExecutor executor;
+  ExecOptions options;
+  options.base.schema.AddField(Field("v", DataType::Int64()));
+  options.base.skip_records = {1};
+  options.partition_size = 8;
+  auto result = executor.IngestBuffer(input, options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("Parser::Parse"),
+            std::string::npos)
+      << result.status().ToString();
+}
+
+// A query runs both pushdown phases inside each partition's scan morsel;
+// the partitioned answer and its counts must equal one pushdown over the
+// whole input, from a buffer or a file, under every keeping policy.
+TEST(ExecTest, QueryMatchesWholeInputPushdown) {
+  const std::string input = ExecInput(600);
+  const std::string path = "/tmp/parparaw_exec_query_test.csv";
+  ASSERT_TRUE(WriteStringToFile(path, input).ok());
+  const Predicate predicate(1, CompareOp::kGt, "1000");
+  for (ErrorPolicy policy :
+       {ErrorPolicy::kNull, ErrorPolicy::kSkip, ErrorPolicy::kQuarantine}) {
+    ParseOptions base = BaseOptions(policy, simd::KernelKind::kAuto);
+    base.column_count_policy = ColumnCountPolicy::kRobust;
+    PushdownStats want_counts;
+    auto want = ParseWithPushdown(input, base, predicate, &want_counts);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    ASSERT_GT(want_counts.records_selected, 0);
+    ASSERT_LT(want_counts.records_selected, want_counts.records_scanned);
+    for (size_t partition_size : {size_t{257}, size_t{700}, size_t{1} << 20}) {
+      for (bool from_file : {false, true}) {
+        PipelineExecutor executor;
+        ExecOptions options;
+        options.base = base;
+        options.predicate = predicate;
+        options.partition_size = partition_size;
+        auto got = from_file ? executor.IngestFile(path, options)
+                             : executor.IngestBuffer(input, options);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        ASSERT_TRUE(got->table.Equals(want->table))
+            << "policy=" << static_cast<int>(policy)
+            << " partition=" << partition_size << " file=" << from_file;
+        EXPECT_EQ(got->table.rejected, want->table.rejected);
+        ExpectQuarantineEqual(got->quarantine, want->quarantine);
+        EXPECT_EQ(got->pushdown.records_scanned, want_counts.records_scanned);
+        EXPECT_EQ(got->pushdown.records_selected,
+                  want_counts.records_selected);
+      }
+    }
+  }
+  std::remove(path.c_str());
+}
+
+// A query under a dialect over the SIMD register budget still answers:
+// both pushdown phases of every partition take the scalar walk.
+TEST(ExecTest, QueryUnderOverBudgetDialectWalksBothPhases) {
+  dialect::DialectSpec spec;
+  spec.name = "fixed-wide";
+  spec.fixed_widths = {10, 10};  // 20 positions + EOL + INV > 16 states
+  spec.quote = 0;
+  std::string input;
+  for (int i = 0; i < 40; ++i) {
+    const std::string left = std::to_string(i * 7919);
+    const std::string right = "row" + std::to_string(i);
+    input += left + std::string(10 - left.size(), ' ') + right +
+             std::string(10 - right.size(), '.') + "\n";
+  }
+  ParseOptions base;
+  base.dialect = spec;
+  base.schema.AddField(Field("left", DataType::String()));
+  base.schema.AddField(Field("right", DataType::String()));
+  base.column_count_policy = ColumnCountPolicy::kRobust;
+  const Predicate predicate(1, CompareOp::kContains, "row1");
+  PushdownStats want_counts;
+  auto want = ParseWithPushdown(input, base, predicate, &want_counts);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_EQ(want_counts.records_scanned, 40);
+  ASSERT_EQ(want_counts.records_selected, 11);  // row1, row10..row19
+
+  obs::MetricsRegistry metrics;
+  PipelineExecutor executor;
+  ExecOptions options;
+  options.base = base;
+  options.base.metrics = &metrics;
+  options.predicate = predicate;
+  options.partition_size = 64;  // 21-byte records straddle seams
+  auto got = executor.IngestBuffer(input, options);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_TRUE(got->table.Equals(want->table));
+  EXPECT_EQ(got->pushdown.records_scanned, 40);
+  EXPECT_EQ(got->pushdown.records_selected, 11);
+  // One fallback for the ingest, then one per phase of every partition.
+  ASSERT_GT(got->stats.num_partitions, 1);
+  EXPECT_EQ(metrics.GetCounter("dialect.fallback")->Value(),
+            1 + 2 * got->stats.num_partitions);
 }
 
 // Backpressure: with a stalled convert stage, the admission controller

@@ -66,6 +66,24 @@ TEST(PushdownTest, InvalidConfigurations) {
       ParseWithPushdown("a\n", options, {0, CompareOp::kEq, "a"}).ok());
 }
 
+// Phase 2 reads phase 1's rows as record numbers, so under kSkip phase 1
+// must keep a record whose predicate value is malformed.
+TEST(PushdownTest, SkipPolicyKeepsRecordNumbering) {
+  ParseOptions options;
+  options.schema.AddField(Field("a", DataType::Int64()));
+  options.schema.AddField(Field("b", DataType::Int64()));
+  options.error_policy = robust::ErrorPolicy::kSkip;
+  PushdownStats stats;
+  auto pushed = ParseWithPushdown("x,1\n2,2\n3,3\n", options,
+                                  {0, CompareOp::kEq, "3"}, &stats);
+  ASSERT_TRUE(pushed.ok()) << pushed.status().ToString();
+  ASSERT_EQ(pushed->table.num_rows, 1);
+  EXPECT_EQ(pushed->table.columns[0].Value<int64_t>(0), 3);
+  EXPECT_EQ(pushed->table.columns[1].Value<int64_t>(0), 3);
+  EXPECT_EQ(stats.records_scanned, 3);
+  EXPECT_EQ(stats.records_selected, 1);
+}
+
 TEST(PushdownTest, NoMatches) {
   ParseOptions options;
   options.schema.AddField(Field("a", DataType::Int64()));

@@ -337,6 +337,86 @@ TEST(ServeConcurrencyTest, CancelOnDisconnectReleasesAdmissionSlots) {
             metrics.GetCounter("serve.cancelled_disconnects")->Value());
 }
 
+// A query degrades under its budget slice like a parse: 8 MiB over 8 slots
+// leaves each request 1 MiB, so the 512 KiB query runs on partitions that
+// fit it instead of being refused, and answers a whole-input pushdown.
+TEST(ServeConcurrencyTest, QueryDegradesUnderItsBudgetSlice) {
+  obs::MetricsRegistry metrics;
+  ServeOptions options;
+  options.memory_budget = 8 * 1024 * 1024;
+  options.max_inflight_requests = 8;
+  options.metrics = &metrics;
+  Server server(options);
+  auto port = server.Start();
+  ASSERT_TRUE(port.ok()) << port.status().ToString();
+
+  const std::string csv = GenerateTaxiLike(8, 512 * 1024);
+  const Predicate predicate(0, CompareOp::kGt, "1");
+  auto client = Client::Connect(*port);
+  ASSERT_TRUE(client.ok());
+  auto reply = client->Query(csv, predicate);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  ASSERT_FALSE(reply->busy);
+
+  LoadOptions load;
+  load.collect_statistics = false;
+  LoadResult resolution;
+  auto base = BulkLoader::ResolveBaseOptions(csv, false, load, &resolution);
+  ASSERT_TRUE(base.ok());
+  base->column_count_policy = ColumnCountPolicy::kRobust;
+  PushdownStats stats;
+  auto local = ParseWithPushdown(csv, *base, predicate, &stats);
+  ASSERT_TRUE(local.ok()) << local.status().ToString();
+  EXPECT_EQ(reply->records_scanned, stats.records_scanned);
+  EXPECT_EQ(reply->records_selected, stats.records_selected);
+  EXPECT_TRUE(reply->table.Equals(local->table));
+  EXPECT_GT(metrics.GetCounter("exec.partitions")->Value(), 1);
+  server.Stop();
+}
+
+// A query's client that vanishes mid-ingest is noticed by the watchdog: the
+// executor is cancelled and every admission slot returns.
+TEST(ServeConcurrencyTest, QueryCancelOnDisconnectReleasesAdmissionSlots) {
+  obs::MetricsRegistry metrics;
+  ServeOptions options;
+  options.metrics = &metrics;
+  options.watchdog_interval_ms = 1;
+  options.partition_size = 8 * 1024;  // long-running: many partitions
+  Server server(options);
+  auto port = server.Start();
+  ASSERT_TRUE(port.ok());
+
+  const std::string big = GenerateTaxiLike(98, 2 * 1024 * 1024);
+  std::string payload = EncodeRequestHeader(RequestHeader{});
+  payload.append(EncodePredicateBlock(SoakPredicate()));
+  payload.append(big);
+  std::string frame;
+  AppendFrame(Opcode::kQueryBuffer, 0, payload, &frame);
+
+  for (int round = 0; round < 3; ++round) {
+    auto sock = ConnectLoopback(*port);
+    ASSERT_TRUE(sock.ok());
+    ASSERT_TRUE(SendAll(sock->fd(), frame).ok());
+    sock->Close();  // vanish without reading a byte of the response
+  }
+
+  EXPECT_TRUE(WaitFor(
+      [&] { return server.stats().cancelled_disconnects >= 3; }, 15000))
+      << "cancelled " << server.stats().cancelled_disconnects << " of 3";
+  EXPECT_TRUE(WaitFor([&] { return server.inflight_requests() == 0; }, 10000));
+  EXPECT_TRUE(
+      WaitFor([&] { return server.exec_admission()->inflight() == 0; }, 10000));
+  EXPECT_TRUE(WaitFor(
+      [&] {
+        obs::Gauge* gauge = metrics.GetGauge("serve.inflight_requests");
+        return gauge != nullptr && gauge->Value() == 0;
+      },
+      10000));
+  server.Stop();
+  EXPECT_EQ(server.stats().cancelled_disconnects,
+            metrics.GetCounter("serve.cancelled_disconnects")->Value());
+}
+
 TEST(ServeConcurrencyTest, StopWhileRequestsInFlightJoinsCleanly) {
   ServeOptions options;
   options.partition_size = 8 * 1024;

@@ -104,6 +104,13 @@ TEST(ServeDeadlineTest, ExpiresMidIngestAndReturnsEverySlot) {
   EXPECT_EQ(reply.status().code(), StatusCode::kDeadlineExceeded)
       << reply.status().ToString();
   EXPECT_TRUE(client->Ping().ok());
+  // A query runs on the same executor path and expires the same way.
+  auto query =
+      client->Query(csv, Predicate(0, CompareOp::kIsNotNull), request);
+  ASSERT_FALSE(query.ok());
+  EXPECT_EQ(query.status().code(), StatusCode::kDeadlineExceeded)
+      << query.status().ToString();
+  EXPECT_TRUE(client->Ping().ok());
 
   // Without a deadline the same parse succeeds bit-identically.
   auto expected = Reader::FromBuffer(csv).Read();
@@ -112,7 +119,7 @@ TEST(ServeDeadlineTest, ExpiresMidIngestAndReturnsEverySlot) {
   ASSERT_TRUE(full.ok()) << full.status().ToString();
   EXPECT_TRUE(full->table.Equals(*expected));
 
-  EXPECT_GE(server.stats().deadline_exceeded, 1);
+  EXPECT_GE(server.stats().deadline_exceeded, 2);
   ExpectGaugesDrain(&server);
   server.Stop();
 }

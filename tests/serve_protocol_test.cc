@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "api/reader.h"
+#include "io/file.h"
 #include "query/pushdown.h"
 #include "robust/failpoint.h"
 #include "serve/client.h"
@@ -453,6 +454,41 @@ TEST_F(ServeConformanceTest, QueryMatchesLocalPushdown) {
   EXPECT_EQ(reply->records_selected, stats.records_selected);
   EXPECT_TRUE(reply->table.Equals(local->table));
   EXPECT_GT(reply->records_scanned, reply->records_selected);
+}
+
+// A server-local file is queried partition by partition, its types
+// resolved from its head like a Reader's: the answer equals one pushdown
+// over the file's bytes under the same resolution.
+TEST_F(ServeConformanceTest, QueryFileMatchesLocalPushdown) {
+  const std::string csv = GenerateTaxiLike(17, kHeadSampleBytes + 64 * 1024);
+  const std::string path = "/tmp/parparaw_serve_query_file.csv";
+  ASSERT_TRUE(WriteStringToFile(path, csv).ok());
+  const Predicate predicate(0, CompareOp::kGt, "1");
+
+  Client client = MustConnect();
+  RequestOptions options;
+  options.partition_size = 48 * 1024;  // several partitions
+  auto reply = client.QueryFile(path, predicate, options);
+  std::remove(path.c_str());
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  ASSERT_FALSE(reply->busy);
+
+  LoadOptions load;
+  load.collect_statistics = false;
+  LoadResult resolution;
+  auto base = BulkLoader::ResolveBaseOptions(
+      std::string_view(csv).substr(0, kHeadSampleBytes),
+      /*sample_truncated=*/true, load, &resolution);
+  ASSERT_TRUE(base.ok());
+  base->column_count_policy = ColumnCountPolicy::kRobust;
+  PushdownStats stats;
+  auto local = ParseWithPushdown(csv, *base, predicate, &stats);
+  ASSERT_TRUE(local.ok()) << local.status().ToString();
+  EXPECT_EQ(reply->records_scanned, stats.records_scanned);
+  EXPECT_EQ(reply->records_selected, stats.records_selected);
+  EXPECT_TRUE(reply->table.Equals(local->table));
+  EXPECT_GT(reply->records_scanned, reply->records_selected);
+  EXPECT_GT(reply->records_selected, 0);
 }
 
 TEST_F(ServeConformanceTest, RequestErrorKeepsConnectionUsable) {
