@@ -5,7 +5,8 @@
 //  * the composite-operator scan over state-transition vectors;
 //  * `--transpose-mode`: the symbol-sort vs field-gather transposition
 //    head-to-head on the yelp-like workload (wall time, transpose-phase
-//    time, modelled peak bytes; --json-out= for BENCH_transpose.json);
+//    time from tagging to the table, modelled peak bytes; --json-out= for
+//    BENCH_transpose.json);
 //  * `--dialect`: the runtime dialect compiler — compile+minimise+prove
 //    latency per spec shape, compiled-CSV-twin vs built-in RFC 4180 parse
 //    throughput, and the scalar-fallback walk's cost relative to the
@@ -22,6 +23,7 @@
 #include <iterator>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -140,8 +142,9 @@ BENCHMARK(BM_RadixSortBitsPerPass)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 // --transpose-mode: head-to-head of the two TransposeMode implementations
 // on the yelp-like workload (quoted text fields — the shape the paper's §5
 // string-heavy dataset stresses). Reports wall time, the transpose-phase
-// share (tag + partition), and the modelled peak bytes resident for the
-// transposition; the field gather should be >= 4x lighter and faster.
+// share (tag + partition + convert: the field gather writes the columns
+// in its partition step, the symbol sort in its convert step), and the
+// modelled peak bytes resident for the transposition.
 struct TransposeRun {
   double seconds = 0;
   double transpose_ms = 0;
@@ -154,7 +157,12 @@ int RunTransposeAblation(int argc, char** argv) {
   const size_t bytes = BenchBytes(8);
   const std::string data = GenerateYelpLike(42, bytes);
   PrintHeader("transpose mode ablation (yelp-like)");
-  std::printf("%zu MB input, best of 3 runs\n\n", bytes >> 20);
+  const unsigned cores = std::thread::hardware_concurrency();
+  std::printf("%zu MB input, %u hardware threads, best of 3 runs\n\n",
+              bytes >> 20, cores);
+  report.Add("transpose/host",
+             {{"hardware_concurrency", static_cast<double>(cores)},
+              {"input_bytes", static_cast<double>(bytes)}});
   std::printf("%-14s %10s %8s %14s %18s\n", "mode", "seconds", "GB/s",
               "transpose ms", "transpose peak");
 
@@ -176,8 +184,9 @@ int RunTransposeAblation(int argc, char** argv) {
       }
       if (seconds < best.seconds) {
         best.seconds = seconds;
-        best.transpose_ms =
-            result->timings.tag_ms + result->timings.partition_ms;
+        best.transpose_ms = result->timings.tag_ms +
+                            result->timings.partition_ms +
+                            result->timings.convert_ms;
       }
       best.peak_bytes = result->work.transpose_peak_bytes;
     }

@@ -90,8 +90,10 @@ run_tsan() {
   # chunks share the bitmap indexes' edge words (the word-ownership rule at
   # SymbolIndex, core/pipeline_state.h): those words must only ever be
   # touched through atomic_ref. TransposeDifferential drives the field
-  # gather on pools of 1-8 workers, whose tiles write disjoint entry and
-  # CSS ranges concurrently while reading the shared mask words.
+  # gather on pools of 1-8 workers, whose tiles write disjoint column
+  # slots, offsets and string bytes concurrently, clear NULLs in shared
+  # validity words atomically, and read the shared mask words; Validate
+  # holds the option checks that keep the walk's copies finite.
   # Of the two sanitizer builds, this one takes ScratchAllocator's mapping
   # path (core/pipeline_state.h): scratch buffers of 2 MiB and up come
   # from their own huge-page mappings, poisoned with 0xA5 like the smaller
@@ -100,7 +102,7 @@ run_tsan() {
   echo "=== TSan: concurrency-sensitive tests ==="
   TSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \
-      -R 'ThreadPool|ParallelFor|Scheduler|TaskGroup|Metrics|Tracer|ObsIntegration|Streaming|Exec|Reader|SymbolIndex|SimdDifferential|WriteOnce|TransposeDifferential|ScratchAllocator'
+      -R 'ThreadPool|ParallelFor|Scheduler|TaskGroup|Metrics|Tracer|ObsIntegration|Streaming|Exec|Reader|SymbolIndex|SimdDifferential|WriteOnce|TransposeDifferential|ScratchAllocator|Validate'
 }
 
 run_scaling() {
@@ -221,12 +223,14 @@ run_transpose() {
   cmake --build build-asan -j "${JOBS}"
   # The full suite once per transposition implementation: the env override
   # flips what TransposeMode::kAuto resolves to, so every test that does
-  # not pin a mode runs both the field-gather default and the paper's
-  # symbol-sort path. Then the dedicated differential harness (10k+ seeded
-  # inputs comparing the two bit for bit) with the default resolution,
-  # WriteOnce, whose reused-state parse must match a fresh one in both
-  # modes while fresh scratch storage is poisoned, and SymbolIndex, the
-  # mask bits both modes read.
+  # not pin a mode runs both the field-gather default (which writes the
+  # columns in its partition walk and builds no CSS) and the paper's
+  # symbol-sort path (CSS, then convert). Then the dedicated differential
+  # harness (10k+ seeded inputs comparing the two bit for bit, typed
+  # schemas included) with the default resolution, WriteOnce, whose
+  # reused-state parse must match a fresh one in both modes while fresh
+  # scratch storage is poisoned, SymbolIndex, the mask bits both modes
+  # read, and Validate, the option checks both modes rely on.
   for mode in field_gather symbol_sort; do
     echo "=== transpose sweep: full suite, PARPARAW_TRANSPOSE_MODE=${mode} ==="
     PARPARAW_TRANSPOSE_MODE="${mode}" \
@@ -238,7 +242,7 @@ run_transpose() {
   ASAN_OPTIONS=detect_leaks=1:strict_string_checks=1 \
   UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1 \
     ctest --test-dir build-asan --output-on-failure -j "${JOBS}" \
-      -R 'TransposeDifferential|FieldGather|CssIndex|Tagging|WriteOnce|SymbolIndex'
+      -R 'TransposeDifferential|FieldGather|CssIndex|Tagging|WriteOnce|SymbolIndex|Validate'
 }
 
 run_dialects() {

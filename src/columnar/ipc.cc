@@ -61,8 +61,31 @@ Status Truncated() { return Status::IoError("truncated table bytes"); }
 
 }  // namespace
 
+size_t SerializedTableSize(const Table& table) {
+  // A length-prefixed buffer: its u64 length, then its bytes.
+  const auto bytes = [](size_t size) { return sizeof(uint64_t) + size; };
+  const size_t validity_words =
+      (static_cast<size_t>(table.num_rows) + 63) / 64;
+  size_t size = sizeof(kMagic) + sizeof(uint32_t) + sizeof(uint32_t) +
+                sizeof(int64_t) + bytes(table.rejected.size());
+  for (int c = 0; c < table.num_columns(); ++c) {
+    const Field& field = table.schema.field(c);
+    const Column& column = table.columns[c];
+    size += bytes(field.name.size()) + sizeof(uint8_t) + sizeof(int32_t) +
+            sizeof(uint8_t) + bytes(validity_words * sizeof(uint64_t));
+    if (IsFixedWidth(field.type.id)) {
+      size += bytes(column.data().size());
+    } else {
+      size += bytes(column.offsets().size() * sizeof(int64_t)) +
+              bytes(column.string_data().size());
+    }
+  }
+  return size;
+}
+
 Result<std::string> SerializeTable(const Table& table) {
   std::string out;
+  out.reserve(SerializedTableSize(table));
   out.append(kMagic, sizeof(kMagic));
   PutScalar<uint32_t>(kVersion, &out);
   PutScalar<uint32_t>(static_cast<uint32_t>(table.num_columns()), &out);

@@ -23,15 +23,19 @@ namespace parparaw {
 ///   magic "PPRW" | version u32 | num_columns u32 | num_rows i64
 ///   rejected: u64 byte-length, bytes
 ///   per column:
-///     name  : u32 length, bytes
+///     name  : u64 byte-length, bytes
 ///     type  : u8 TypeId, i32 scale, u8 nullable
-///     validity: u64 word-count, u64 words
+///     validity: u64 byte-length, u64 words    (exactly ceil(rows / 64))
 ///     data  : u64 byte-length, bytes          (fixed-width types)
-///     offsets: u64 count, i64 values          (string type)
+///     offsets: u64 byte-length, i64 values    (string type)
 ///     strdata: u64 byte-length, bytes         (string type)
 
-/// Serialises `table` into a self-contained byte string.
+/// Serialises `table` into a self-contained byte string, sized once
+/// (SerializedTableSize).
 Result<std::string> SerializeTable(const Table& table);
+
+/// The exact byte count SerializeTable writes for `table`.
+size_t SerializedTableSize(const Table& table);
 
 /// Parses bytes produced by SerializeTable. Validates framing, buffer
 /// sizes, and offset monotonicity before constructing the table.

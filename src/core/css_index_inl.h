@@ -7,12 +7,11 @@
 
 namespace parparaw {
 
-template <typename Vec, typename Pred, typename Value>
-void ParallelCompact(ThreadPool* pool, int64_t n, Pred pred, Value value,
-                     Vec* out, bool* all_kept) {
-  if (all_kept != nullptr) *all_kept = false;
+template <typename Pred>
+void CollectPositions(ThreadPool* pool, int64_t n, Pred pred,
+                      std::vector<int64_t>* positions) {
   if (n <= 0) {
-    out->clear();
+    positions->clear();
     return;
   }
   const int num_workers = pool ? pool->num_threads() : 1;
@@ -30,17 +29,13 @@ void ParallelCompact(ThreadPool* pool, int64_t n, Pred pred, Value value,
   std::vector<int64_t> offsets(num_tiles, 0);
   const int64_t total =
       ExclusivePrefixSum(pool, counts.data(), offsets.data(), num_tiles);
-  if (all_kept != nullptr && total == n) {
-    *all_kept = true;
-    return;
-  }
-  out->resize(total);
+  positions->resize(total);
   ParallelForEach(pool, 0, num_tiles, [&](int64_t t) {
     const int64_t b = t * tile;
     const int64_t e = std::min(b + tile, n);
     int64_t k = offsets[t];
     for (int64_t i = b; i < e; ++i) {
-      if (pred(i)) (*out)[k++] = value(i);
+      if (pred(i)) (*positions)[k++] = i;
     }
   });
 }

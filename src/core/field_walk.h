@@ -1,8 +1,12 @@
 #ifndef PARPARAW_CORE_FIELD_WALK_H_
 #define PARPARAW_CORE_FIELD_WALK_H_
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstring>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/pipeline_state.h"
@@ -13,9 +17,9 @@ namespace parparaw {
 /// past the last record delimiter of an input that does not end mid-record
 /// belong to no record), is not dropped (skip_records, the column-count
 /// policy, an excluded trailing record), and its column is not skipped.
-/// The tag step's symbol emission and gather histogram and the partition
-/// step's gather scatter all ask this one predicate, so they agree on
-/// every field. Valid once the tag step has resolved the drops.
+/// The tag step's symbol emission and gather tallies and the partition
+/// step's gather walk all ask this one predicate, so they agree on every
+/// field. Valid once the tag step has resolved the drops.
 class KeptFields {
  public:
   explicit KeptFields(const PipelineState& state) : state_(state) {
@@ -34,8 +38,15 @@ class KeptFields {
   }
 
   bool operator()(int64_t record, uint32_t column) const {
-    return record < state_.num_records && state_.record_dropped[record] == 0 &&
-           (column >= skipped_.size() || skipped_[column] == 0);
+    return record_kept(record) && column_kept(column);
+  }
+  /// The record half: it exists and is not dropped.
+  bool record_kept(int64_t record) const {
+    return record < state_.num_records && state_.record_dropped[record] == 0;
+  }
+  /// The column half: it is not skipped.
+  bool column_kept(uint32_t column) const {
+    return column >= skipped_.size() || skipped_[column] == 0;
   }
 
  private:
@@ -59,6 +70,14 @@ struct FieldSpan {
   /// `end` is a field delimiter without a control bit (a fixed-width
   /// boundary): the field's last value byte as well as its end.
   bool inclusive = false;
+  /// The field is its record's last: `end` is a record delimiter, or the
+  /// end of input.
+  bool record_end = false;
+
+  /// One past the field's value window: `end`, or past an inclusive end.
+  int64_t window_end() const { return end + (inclusive ? 1 : 0); }
+  /// The window holds no control byte: its value bytes are contiguous.
+  bool contiguous() const { return window_end() - begin == length; }
 };
 
 /// \brief The field walk of TransposeMode::kFieldGather: calls
@@ -71,8 +90,8 @@ struct FieldSpan {
 /// A field open at the chunk's start began in an earlier chunk: its first
 /// byte and the value bytes it holds before the chunk are the chunk's
 /// open_field_begin / open_field_length, which the tag step computes. The
-/// tag step's histogram and the partition step's scatter both walk with
-/// this one function, so they cannot disagree on what a field is.
+/// tag step's tallies and the partition step's column writes both walk
+/// with this one function, so they cannot disagree on what a field is.
 template <typename Fn>
 void ForEachField(const PipelineState& state, int64_t c, Fn&& fn) {
   const ChunkRange range = ChunkRangeOf(state, c);
@@ -93,6 +112,7 @@ void ForEachField(const PipelineState& state, int64_t c, Fn&& fn) {
       values &= ~before;
       field.end = static_cast<int64_t>(64 * w + b);
       field.inclusive = !record_end && ((m.control >> b) & 1) == 0;
+      field.record_end = record_end;
       field.length =
           open_length + std::popcount(before) + (field.inclusive ? 1 : 0);
       fn(static_cast<const FieldSpan&>(field));
@@ -110,9 +130,67 @@ void ForEachField(const PipelineState& state, int64_t c, Fn&& fn) {
   if (c == state.num_chunks - 1 && state.has_trailing_record) {
     field.end = static_cast<int64_t>(state.size);
     field.inclusive = false;
+    field.record_end = true;
     field.length = open_length;
     fn(static_cast<const FieldSpan&>(field));
   }
+}
+
+/// Copies the value bytes of the window [begin, end) to `out`, at most
+/// `length` of them: the runs between its record and control bits, one
+/// memcpy each.
+inline void CopyValueRuns(const simd::SymbolMasks* index, const uint8_t* data,
+                          int64_t begin, int64_t end, uint8_t* out,
+                          int64_t length) {
+  int64_t s = begin;
+  while (s < end && length > 0) {
+    // The first record or control bit at or after s, or end.
+    size_t w = static_cast<size_t>(s) >> 6;
+    uint64_t stops = (index[w].record | index[w].control) &
+                     ~simd::BitRange(0, static_cast<unsigned>(s & 63));
+    while (stops == 0 && static_cast<int64_t>(64 * (w + 1)) < end) {
+      ++w;
+      stops = index[w].record | index[w].control;
+    }
+    const int64_t stop =
+        stops == 0 ? end
+                   : std::min<int64_t>(end, static_cast<int64_t>(64 * w) +
+                                                std::countr_zero(stops));
+    const int64_t run = std::min(stop - s, length);
+    std::memcpy(out, data + s, static_cast<size_t>(run));
+    out += run;
+    length -= run;
+    s = stop + 1;
+  }
+}
+
+/// Copies `field`'s value bytes to `out`: one memcpy when its window is
+/// contiguous, else one per run between its control bytes (quotes,
+/// escapes).
+inline void CopyFieldValue(const PipelineState& state, const FieldSpan& field,
+                           uint8_t* out) {
+  if (field.contiguous()) {
+    std::memcpy(out, state.data + field.begin,
+                static_cast<size_t>(field.length));
+  } else {
+    CopyValueRuns(state.symbol_index.data(), state.data, field.begin,
+                  field.window_end(), out, field.length);
+  }
+}
+
+/// `field`'s value bytes as one view: its input window when that is
+/// contiguous, else its value runs copied to `*scratch`.
+inline std::string_view FieldValue(const PipelineState& state,
+                                   const FieldSpan& field,
+                                   std::string* scratch) {
+  if (field.contiguous()) {
+    return std::string_view(
+        reinterpret_cast<const char*>(state.data) + field.begin,
+        static_cast<size_t>(field.length));
+  }
+  scratch->resize(static_cast<size_t>(field.length));
+  CopyFieldValue(state, field, reinterpret_cast<uint8_t*>(scratch->data()));
+  return *scratch;
 }
 
 }  // namespace parparaw

@@ -56,6 +56,11 @@ Status ParseOptions::Validate() const {
     return Status::Invalid("memory_budget must be non-negative, got " +
                            std::to_string(memory_budget));
   }
+  if (block_collaboration_threshold == 0) {
+    return Status::Invalid(
+        "block_collaboration_threshold must be positive; it is the segment "
+        "size of the block-level value copy (§3.3)");
+  }
   if (block_collaboration_threshold > device_collaboration_threshold) {
     return Status::Invalid(
         "block_collaboration_threshold (" +

@@ -47,8 +47,10 @@ enum class ColumnCountPolicy : uint8_t {
 ///   parse      step.context.parse (multi-DFA transition vectors)
 ///   scan       step.context.scan + step.offset + step.tag.scan
 ///   tag        step.bitmap + step.tag.count + step.tag.write
-///   partition  step.partition (radix sort or field gather by column)
-///   convert    step.convert (CSS indexing incl. step.css_index, values)
+///   partition  step.partition (radix sort by column, or the field
+///              gather's walk, which writes the output columns)
+///   convert    step.convert (CSS indexing incl. step.css_index and
+///              values; table assembly alone under the field gather)
 ///
 /// dialect::FallbackParse fills parse from dialect.walk and convert from
 /// dialect.convert.
@@ -81,10 +83,12 @@ struct WorkCounters {
   int64_t scan_elements = 0;
   int64_t convert_bytes = 0;
   int64_t output_bytes = 0;
-  /// Peak bytes resident for the transposition phase (tag sideband +
-  /// partition metadata + CSS), modelled deterministically from container
-  /// sizes by PartitionStep. Combined with max() under operator+= — the
-  /// partitions of a streaming parse reuse the footprint, they do not sum.
+  /// Peak bytes resident for the transposition phase, modelled
+  /// deterministically from container sizes by PartitionStep: tag
+  /// sidebands, sort scratch and CSS (symbol sort), or the output columns
+  /// the walk writes plus its tallies (field gather). Combined with max()
+  /// under operator+= — the partitions of a streaming parse reuse the
+  /// footprint, they do not sum.
   int64_t transpose_peak_bytes = 0;
 
   WorkCounters& operator+=(const WorkCounters& other);
@@ -155,7 +159,8 @@ struct ParseOptions : public Tuning {
 
   /// Field length thresholds selecting the collaboration level for value
   /// generation (§3.3): fields longer than block_collaboration_threshold
-  /// use the block-level path; longer than device_collaboration_threshold
+  /// use the block-level path, which copies in segments of that many bytes
+  /// (so it must be positive); longer than device_collaboration_threshold
   /// the device-level path.
   size_t block_collaboration_threshold = 256;
   size_t device_collaboration_threshold = 64 * 1024;
@@ -199,11 +204,12 @@ struct ParseOptions : public Tuning {
   /// would otherwise discover midway (or silently mis-handle): chunk_size
   /// bounds and the tuning contradiction taxonomy (Tuning::ValidateTuning
   /// — a forced planner with pinned knobs), inline-terminator collisions
-  /// with the format's delimiters, negative skips/budget,
-  /// collaboration-threshold ordering, and policy pairs that contradict
-  /// each other. Every entry point (Parser::Parse, StreamingParser,
-  /// BulkLoader, Reader, exec::PipelineExecutor) calls this exactly once
-  /// up front, so deeper layers can assume a coherent configuration.
+  /// with the format's delimiters, negative skips/budget, a zero block
+  /// threshold, collaboration-threshold ordering, and policy pairs that
+  /// contradict each other. Every entry point (Parser::Parse,
+  /// StreamingParser, BulkLoader, Reader, exec::PipelineExecutor) calls
+  /// this exactly once up front, so deeper layers can assume a coherent
+  /// configuration.
   Status Validate() const;
 };
 

@@ -15,16 +15,19 @@ namespace parparaw {
 /// column_histogram, column_css_offsets, and reorders css / rec_tags /
 /// field_end in place.
 ///
-/// TransposeMode::kFieldGather (default): the tag step's per-(tile,
-/// column) histogram of kept fields is scanned into stable write cursors;
+/// TransposeMode::kFieldGather (default): the partition step writes the
+/// output columns. The tag step's per-(tile, column) byte tallies are
+/// scanned into stable write cursors and every column is allocated once;
 /// then each tile walks its chunks' fields over the bitmap indexes again
-/// (ForEachField, core/field_walk.h) and copies every kept field's value
-/// bytes from the input into its column's CSS with whole-field memcpy
-/// (terminator slots folded into the copy). Fills: column_histogram,
-/// column_css_offsets, gather_entries, gather_entry_offsets, css. Both
-/// modes produce byte-identical CSS layouts;
-/// WorkCounters::transpose_peak_bytes records each mode's modelled peak
-/// footprint.
+/// (ForEachField, core/field_walk.h) and writes each kept value into its
+/// column: a string's bytes at its cursor (the row's offset), a
+/// fixed-width value parsed from its input window. Empty and missing
+/// fields take their default, NULL or reject in the same walk (the value
+/// rule, core/column_plan.h); values longer than
+/// device_collaboration_threshold are copied device-wide after the walk.
+/// Fills: gathered_columns, gather_rejects. No CSS is built; both modes
+/// produce bit-identical tables. WorkCounters::transpose_peak_bytes
+/// records each mode's modelled peak footprint.
 class PartitionStep {
  public:
   /// Work counters record the number of partitioning passes and bytes

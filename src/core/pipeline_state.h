@@ -12,6 +12,8 @@
 #include <utility>
 #include <vector>
 
+#include "columnar/column.h"
+#include "core/column_plan.h"
 #include "core/options.h"
 #include "dfa/state_vector.h"
 #include "obs/trace.h"
@@ -111,22 +113,12 @@ inline ColumnOffset CombineColumnOffsets(const ColumnOffset& a,
   return ColumnOffset{a.value + b.value, a.absolute};
 }
 
-/// One field inside a column's concatenated symbol string (§3.3, Fig. 5).
-struct FieldEntry {
-  /// Output row this field belongs to.
+/// A (row, column) the field gather's walk rejected: the convert step
+/// merges them into reject_kind / reject_column in tile order.
+struct RowReject {
   int64_t row = 0;
-  /// Offset of the field's first symbol in the global CSS buffer.
-  int64_t offset = 0;
-  /// Number of value symbols (terminator slots excluded).
-  int64_t length = 0;
-};
-
-/// Kept fields and CSS slot bytes of one column within one gather tile
-/// (TransposeMode::kFieldGather): the tag step counts them, the partition
-/// step turns them into its write cursors.
-struct GatherTally {
-  int64_t fields = 0;
-  int64_t bytes = 0;
+  int32_t column = 0;
+  uint8_t kind = kNotRejected;
 };
 
 struct PipelineState;
@@ -248,17 +240,19 @@ struct PipelineState {
   /// mismatched records are *kept* (marked rejected, quarantined for
   /// repair) instead of dropped.
   std::vector<uint8_t> record_column_mismatch;
+  /// The output columns (SelectColumns, checked by CheckColumnPlans), in
+  /// source order. Type inference retypes them: the field gather's tag
+  /// step, or the symbol sort's convert step.
+  std::vector<ColumnPlan> column_plans;
 
   // --- error provenance (ErrorPolicy machinery; convert step + facade) ---
-  /// Why output row r was rejected: 0 = not rejected, 1 = malformed value,
-  /// 2 = NULL in a non-nullable column, 3 = wrong column count. First
-  /// error per row wins.
+  /// Why output row r was rejected (RejectKind). First error per row wins.
   std::vector<uint8_t> reject_kind;
   /// Source column index of row r's first error; -1 for record-level
   /// problems.
   std::vector<int32_t> reject_column;
 
-  // --- tag step outputs (§3.2/§4.1) ---
+  // --- tag step outputs (§3.2/§4.1; TransposeMode::kSymbolSort) ---
   /// Concatenated kept symbols (field data; plus one terminator slot per
   /// field in the inline/vector modes).
   ScratchVector<uint8_t> css;
@@ -269,7 +263,7 @@ struct PipelineState {
   /// Field-end marker per kept symbol; filled in kVectorDelimited mode.
   std::vector<uint8_t> field_end;
 
-  // --- partition step (§3.3) ---
+  // --- partition step (§3.3; TransposeMode::kSymbolSort) ---
   /// Stable order after sorting by column tag.
   std::vector<uint32_t> permutation;
   /// Symbols per column (the sort's histogram, reused for CSS offsets).
@@ -279,7 +273,7 @@ struct PipelineState {
 
   // --- field-gather transposition (TransposeMode::kFieldGather) ---
   /// The transpose mode the tag step resolved for this parse; the partition
-  /// and CSS-index steps follow it so a parse never mixes paths.
+  /// and convert steps follow it so a parse never mixes paths.
   TransposeMode transpose_mode = TransposeMode::kSymbolSort;
   /// Per chunk: the first byte of the field still open at the chunk's
   /// start, and the value bytes it holds before the chunk (the chunk's
@@ -290,20 +284,20 @@ struct PipelineState {
   /// The gather's tiles, contiguous chunk ranges: tile t holds chunks
   /// [gather_tiles[t], gather_tiles[t+1]). The tag step picks them, and the
   /// partition step walks the same ones, so its cursors line up with the
-  /// histogram.
+  /// tallies.
   std::vector<int64_t> gather_tiles;
-  /// Tile-major histogram, num_partitions columns per tile: the kept
-  /// fields and CSS slot bytes each tile holds per column, counted by the
-  /// tag step's field walk and scanned in place into the partition step's
-  /// write cursors.
-  std::vector<GatherTally> gather_tallies;
-  /// Field entries bucketed by column (stable within a column), ready to
-  /// slice per partition via gather_entry_offsets. FieldEntry::offset is
-  /// already global-CSS-relative, matching the symbol-sort layout.
-  ScratchVector<FieldEntry> gather_entries;
-  /// Exclusive prefix: gather_entries[gather_entry_offsets[p] ..
-  /// gather_entry_offsets[p+1]) are column p's fields (num_partitions + 1).
-  std::vector<int64_t> gather_entry_offsets;
+  /// Tile-major tallies, one per (tile, column plan): the bytes the tile's
+  /// rows take in a string column, defaults included, counted by the tag
+  /// step's field walk and scanned in place into the partition step's
+  /// write cursors (0 for fixed-width columns).
+  std::vector<int64_t> gather_tallies;
+  /// The output columns the partition step's walk writes, one per column
+  /// plan; the convert step moves them into the table.
+  std::vector<Column> gathered_columns;
+  /// The rows each tile rejected, in walk order (RowReject).
+  std::vector<std::vector<RowReject>> gather_rejects;
+  /// Value bytes of the kept fields the walk read.
+  int64_t gathered_value_bytes = 0;
 };
 
 inline ChunkRange ChunkRangeOf(const PipelineState& state, int64_t c) {

@@ -48,16 +48,16 @@ Status RowError(const PipelineState& state, const ParseOptions& options,
   std::string where = "row " + std::to_string(row);
   if (col >= 0) where += ", column " + std::to_string(col);
   switch (kind) {
-    case 1: {
+    case kRejectMalformed: {
       std::string type = "string";
       if (col >= 0 && col < options.schema.num_fields()) {
         type = options.schema.field(col).type.ToString();
       }
       return Status::ParseError(where + ": value is not a valid " + type);
     }
-    case 2:
+    case kRejectNull:
       return Status::TypeError(where + ": NULL in non-nullable column");
-    case 3:
+    case kRejectColumnCount:
       return Status::ParseError(where + ": wrong number of columns");
     default:
       return Status::ParseError(where + ": record rejected");
@@ -85,8 +85,8 @@ Status ApplyErrorPolicy(PipelineState* state, const ParseOptions& options,
       if (!state->record_dropped.empty() && state->record_dropped[r]) continue;
       const int64_t row = state->out_row_of_record[r];
       table.rejected[row] = 1;
-      if (state->reject_kind[row] == 0) {
-        state->reject_kind[row] = 3;
+      if (state->reject_kind[row] == kNotRejected) {
+        state->reject_kind[row] = kRejectColumnCount;
         state->reject_column[row] = -1;
       }
     }
@@ -156,7 +156,7 @@ Status ApplyErrorPolicy(PipelineState* state, const ParseOptions& options,
     const uint8_t kind = state->reject_kind.empty()
                              ? 0
                              : state->reject_kind[static_cast<size_t>(row)];
-    entry.stage = kind == 3 ? "tag" : "convert";
+    entry.stage = kind == kRejectColumnCount ? "tag" : "convert";
     const Status why = RowError(*state, options, row);
     entry.code = why.code();
     entry.message = why.message();
@@ -309,14 +309,14 @@ Status StagedParse::Scan(std::string_view input, const ParseOptions& options) {
   PARPARAW_RETURN_NOT_OK_CTX(TagStep::Run(&state_, &output_.timings),
                              "step.tag");
   // The field gather's tag step writes its per-record arrays and the
-  // tile histogram; the symbol sort writes a tagged CSS slot per symbol.
+  // tile tallies; the symbol sort writes a tagged CSS slot per symbol.
   output_.work.tag_bytes_written =
       state_.transpose_mode == TransposeMode::kFieldGather
           ? static_cast<int64_t>(
                 state_.record_column_counts.size() * sizeof(uint32_t) +
                 state_.record_dropped.size() +
                 state_.out_row_of_record.size() * sizeof(int64_t) +
-                state_.gather_tallies.size() * sizeof(GatherTally))
+                state_.gather_tallies.size() * sizeof(int64_t))
           : static_cast<int64_t>(state_.css.size()) *
                 (resolved_.tagging_mode == TaggingMode::kRecordTags ? 9 : 5);
   return Status::OK();
@@ -326,9 +326,9 @@ Status StagedParse::Partition() {
   PARPARAW_RETURN_NOT_OK_CTX(
       PartitionStep::Run(&state_, &output_.timings, &output_.work),
       "step.partition");
-  // The CSS now holds every value byte: free the scratch no later stage
-  // reads. kQuarantine keeps the index, whose record mask ApplyErrorPolicy
-  // walks for the byte spans.
+  // The CSS or the gathered columns now hold every value: free the scratch
+  // no later stage reads. kQuarantine keeps the index, whose record mask
+  // ApplyErrorPolicy walks for the byte spans.
   if (resolved_.error_policy != robust::ErrorPolicy::kQuarantine) {
     state_.symbol_index = SymbolIndex();
   }
@@ -350,7 +350,9 @@ Status StagedParse::Convert() {
     obs::AddCount(m, "parse.records", state_.num_records);
     obs::AddCount(m, "parse.out_rows", output_.table.num_rows);
     obs::AddCount(m, "parse.css_symbols",
-                  static_cast<int64_t>(state_.css.size()));
+                  state_.transpose_mode == TransposeMode::kFieldGather
+                      ? state_.gathered_value_bytes
+                      : static_cast<int64_t>(state_.css.size()));
   }
   return Status::OK();
 }

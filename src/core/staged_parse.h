@@ -21,8 +21,10 @@ namespace parparaw {
 ///              (remainder_offset()), so its Scan can start while this
 ///              partition continues downstream.
 ///   Partition  the stable radix sort into per-column symbol runs, or the
-///              field gather into them (TransposeMode).
-///   Convert    CSS indexing + typed value generation + error policy.
+///              field gather's walk, which writes the output columns
+///              (TransposeMode).
+///   Convert    CSS indexing + typed value generation (symbol sort) or
+///              table assembly (field gather) + error policy.
 ///
 /// Parser::Parse runs the three stages back to back on one thread; the
 /// executor runs each stage as a morsel on whichever worker is free, with
@@ -54,13 +56,15 @@ class StagedParse {
   int64_t remainder_offset() const { return output_.remainder_offset; }
 
   /// Runs the partition stage (the radix sort by column tag, or the field
-  /// gather straight from the input and its bitmap indexes), then frees
-  /// the bitmap indexes, except under ErrorPolicy::kQuarantine: the CSS now
-  /// holds every value byte.
+  /// gather's walk, which writes the columns straight from the input and
+  /// its bitmap indexes), then frees the bitmap indexes, except under
+  /// ErrorPolicy::kQuarantine: the CSS or the columns now hold every
+  /// value.
   Status Partition();
 
-  /// Runs the convert stage (CSS indexing, value generation, error
-  /// policy) and finalises metrics.
+  /// Runs the convert stage (CSS indexing and value generation, or the
+  /// gathered table's assembly; then the error policy) and finalises
+  /// metrics.
   Status Convert();
 
   /// Moves the accumulated output out. Call once, after Convert (or after

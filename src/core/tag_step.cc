@@ -4,7 +4,10 @@
 #include <atomic>
 #include <bit>
 #include <cstring>
+#include <string>
 
+#include "convert/inference.h"
+#include "core/column_plan.h"
 #include "core/field_walk.h"
 #include "obs/obs.h"
 #include "parallel/scan.h"
@@ -128,10 +131,12 @@ bool HoldsTerminator(const PipelineState& state, const FieldSpan& field,
 
 // Field-gather transposition (TransposeMode::kFieldGather): instead of a
 // per-symbol tag sideband for the radix sort, walk every field once
-// (ForEachField) and count the kept ones and their CSS slot bytes per
-// (tile, column). That histogram is all the partition step needs to place
-// each field; it walks the same tiles again to gather them. Nothing is
-// stored per field.
+// (ForEachField) and tally the bytes each tile's rows take in each string
+// column, defaults included; without a schema, also join each tile's
+// inferred kinds per column, so every column type is known before the
+// partition step allocates it. The tallies are all that step needs to place
+// each value: it walks the same tiles again and writes the columns. Nothing
+// is stored per field.
 Status RunFieldGatherTag(PipelineState* state, StepTimings* timings,
                          const KeptFields& kept, uint32_t max_col_index,
                          const GatherSizes& sizes) {
@@ -172,31 +177,68 @@ Status RunFieldGatherTag(PipelineState* state, StepTimings* timings,
   }
   timings->scan_ms += scan.Stop() * 1e3;
 
-  // --- 4. Histogram walk. ---
+  // --- 4. Tally walk. ---
   obs::TraceSpan write =
       StepProbe(*state, "step.tag.write", "step.tag.write_us");
-  const int64_t num_columns = int64_t{max_col_index} + 1;
+  std::vector<ColumnPlan>& plans = state->column_plans;
+  const int64_t num_plans = static_cast<int64_t>(plans.size());
+  const PlanIndex plan_index(plans);
   PARPARAW_RETURN_NOT_OK(robust::GuardedAssign(
       "alloc.gather", &state->gather_tallies,
-      static_cast<size_t>(num_tiles * num_columns), GatherTally{}));
+      static_cast<size_t>(num_tiles * num_plans), int64_t{0}));
+  const bool infer = options.schema.num_fields() == 0 && options.infer_types;
+  std::vector<InferredKind> kinds(
+      infer ? static_cast<size_t>(num_tiles * num_plans) : 0,
+      InferredKind::kEmpty);
+  // The bytes a missing field takes per string column: its default's.
+  std::vector<int64_t> missing_bytes(plans.size(), 0);
+  bool any_missing_bytes = false;
+  for (size_t p = 0; p < plans.size(); ++p) {
+    if (!plans[p].is_string()) continue;
+    missing_bytes[p] = StringLength(plans[p], FieldPresence::kMissing, 0);
+    any_missing_bytes |= missing_bytes[p] > 0;
+  }
+  std::vector<int64_t> tile_slots(num_tiles, 0);
   std::atomic<bool> terminator_collision{false};
   const bool check_terminator = mode == TaggingMode::kInlineTerminated;
   PARPARAW_RETURN_NOT_OK(
       ParallelForEach(state->pool, 0, num_tiles, [&](int64_t t) {
-        GatherTally* tally = state->gather_tallies.data() + t * num_columns;
+        int64_t* tally = state->gather_tallies.data() + t * num_plans;
+        InferredKind* kind = infer ? kinds.data() + t * num_plans : nullptr;
+        int64_t slots = 0;
         bool collision = false;
+        std::string scratch;
         for (int64_t c = state->gather_tiles[t];
              c < state->gather_tiles[t + 1]; ++c) {
           ForEachField(*state, c, [&](const FieldSpan& field) {
-            if (!kept(field.record, field.column)) return;
-            GatherTally& at = tally[field.column];
-            ++at.fields;
-            at.bytes += field.length + slot;
-            if (check_terminator && !collision) {
-              collision = HoldsTerminator(*state, field, options.terminator);
+            if (!kept.record_kept(field.record)) return;
+            if (kept.column_kept(field.column)) {
+              slots += field.length + slot;
+              if (check_terminator && !collision) {
+                collision = HoldsTerminator(*state, field, options.terminator);
+              }
+              const int32_t p = plan_index.Of(field.column);
+              if (p >= 0 && plans[p].is_string()) {
+                const FieldPresence presence = field.length > 0
+                                                   ? FieldPresence::kValue
+                                                   : FieldPresence::kEmpty;
+                tally[p] += StringLength(plans[p], presence, field.length);
+                if (infer && field.length > 0) {
+                  kind[p] = Join(kind[p], ClassifyField(FieldValue(
+                                              *state, field, &scratch)));
+                }
+              }
+            }
+            // The columns a short record lacks take their defaults' bytes.
+            if (field.record_end && any_missing_bytes) {
+              for (size_t q = plan_index.After(field.column); q < plans.size();
+                   ++q) {
+                tally[q] += missing_bytes[q];
+              }
             }
           });
         }
+        tile_slots[t] = slots;
         if (collision) {
           terminator_collision.store(true, std::memory_order_relaxed);
         }
@@ -211,13 +253,22 @@ Status RunFieldGatherTag(PipelineState* state, StepTimings* timings,
   // total_slots does: value bytes, plus one terminator slot per kept field
   // end in the inline/vector modes.
   int64_t total_slots = 0;
-  for (const GatherTally& tally : state->gather_tallies) {
-    total_slots += tally.bytes;
-  }
+  for (int64_t slots : tile_slots) total_slots += slots;
   state->num_partitions = total_slots > 0 ? max_col_index + 1 : 0;
+  // Type inference (§4.3): each tile's lattice joins, reduced per column.
+  if (infer) {
+    for (int64_t p = 0; p < num_plans; ++p) {
+      InferredKind joined = InferredKind::kEmpty;
+      for (int64_t t = 0; t < num_tiles; ++t) {
+        joined = Join(joined, kinds[t * num_plans + p]);
+      }
+      plans[p].field.type = KindToDataType(joined);
+    }
+  }
+  PARPARAW_RETURN_NOT_OK(CheckColumnPlans(*state, &plans));
 
-  // The symbol-path sidebands stay empty; the partition step gathers the
-  // CSS straight from the input.
+  // The symbol-path sidebands stay empty; the partition step writes the
+  // columns straight from the input.
   state->css.clear();
   state->col_tags.clear();
   state->rec_tags.clear();
@@ -398,6 +449,7 @@ Status TagStep::Run(PipelineState* state, StepTimings* timings) {
   (void)dropped_count;
 
   const KeptFields kept(*state);
+  state->column_plans = SelectColumns(*state);
   state->transpose_mode = EffectiveTransposeMode(options);
   if (state->transpose_mode == TransposeMode::kFieldGather) {
     GatherSizes sizes;
@@ -406,12 +458,12 @@ Status TagStep::Run(PipelineState* state, StepTimings* timings) {
     PARPARAW_RETURN_NOT_OK(
         RunFieldGatherTag(state, timings, kept, max_col_index, sizes));
     span.set_bytes(static_cast<int64_t>(state->gather_tallies.size() *
-                                        sizeof(GatherTally)));
+                                        sizeof(int64_t)));
     return Status::OK();
   }
   state->gather_tallies.clear();
-  state->gather_entries.clear();
-  state->gather_entry_offsets.clear();
+  state->gathered_columns.clear();
+  state->gather_rejects.clear();
 
   // --- 3. Sizing pass + exclusive prefix sum. ---
   std::vector<int64_t> chunk_emit(num_chunks, 0);
@@ -484,6 +536,7 @@ Status TagStep::Run(PipelineState* state, StepTimings* timings) {
 
   state->num_partitions =
       total_slots > 0 ? max_col_index + 1 : 0;
+  PARPARAW_RETURN_NOT_OK(CheckColumnPlans(*state, &state->column_plans));
   timings->tag_ms += write.Stop() * 1e3;
   span.set_bytes(static_cast<int64_t>(state->css.size()));
   return Status::OK();

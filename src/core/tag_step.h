@@ -32,17 +32,25 @@ namespace parparaw {
 /// serial O(chunks) chain turns them into every chunk's open-field carries
 /// (open_field_begin/open_field_length); it splits the chunks into tiles
 /// (gather_tiles); and its write pass walks every field (ForEachField,
-/// core/field_walk.h) to count the kept fields and their CSS slot bytes per
-/// (tile, column) in gather_tallies. It leaves css/col_tags/rec_tags/
-/// field_end empty: the partition step walks the same fields and gathers
-/// the CSS from the input. A record tagging more than
+/// core/field_walk.h) to tally the bytes each (tile, column plan) takes in
+/// a string column, defaults included, in gather_tallies. Without a schema
+/// and with infer_types, the same walk joins each tile's inferred kinds
+/// per column and retypes the plans. It leaves css/col_tags/rec_tags/
+/// field_end empty: the partition step walks the same fields and writes
+/// the columns from the input. A record tagging more than
 /// ParseOptions::max_record_columns columns fails the parse with a
 /// ParseError carrying the record's byte span (both modes).
 ///
+/// Both modes select the output columns (SelectColumns) after the drops
+/// and check them once num_partitions is known (CheckColumnPlans): an
+/// inline- or vector-mode column some kept record lacks, or an invalid
+/// default, fails the parse here.
+///
 /// Fills: record_column_counts, record_dropped, out_row_of_record,
-/// num_out_rows, min/max_columns, num_partitions, transpose_mode, and
-/// css/col_tags/rec_tags/field_end (kSymbolSort) or open_field_begin,
-/// open_field_length, gather_tiles and gather_tallies (kFieldGather).
+/// num_out_rows, min/max_columns, num_partitions, column_plans,
+/// transpose_mode, and css/col_tags/rec_tags/field_end (kSymbolSort) or
+/// open_field_begin, open_field_length, gather_tiles and gather_tallies
+/// (kFieldGather).
 class TagStep {
  public:
   static Status Run(PipelineState* state, StepTimings* timings);

@@ -32,13 +32,14 @@ enum class TaggingMode : uint8_t {
   kAuto,
 };
 
-/// How tagged symbols are transposed into per-column concatenated symbol
-/// strings (§3.3). The paper radix-sorts every *symbol* by its column tag —
-/// the right shape for a GPU scatter, but on the CPU substrate it
-/// materialises ~16 bytes of sort metadata per input byte. The
-/// field-granularity gather reaches the same CSS layout with O(fields)
-/// metadata and whole-field memcpy moves (the Instant-Loading-style CPU
-/// idiom), and is the default.
+/// How tagged symbols are transposed into columns (§3.3). The paper
+/// radix-sorts every *symbol* by its column tag into per-column
+/// concatenated symbol strings (CSS), then converts each CSS — the right
+/// shape for a GPU scatter, but on the CPU substrate it materialises ~16
+/// bytes of sort metadata per input byte. The field-granularity gather
+/// writes every value straight into its output column with O(fields)
+/// bookkeeping (the Instant-Loading-style CPU idiom), and is the
+/// default.
 enum class TransposeMode : uint8_t {
   /// Resolve to kFieldGather, unless the PARPARAW_TRANSPOSE_MODE
   /// environment variable ("field_gather" / "symbol_sort") overrides the
@@ -46,9 +47,9 @@ enum class TransposeMode : uint8_t {
   /// explicit mode request always wins over the environment.
   kAuto,
   /// Field-granularity fast path: walk each field's (column, row, byte
-  /// window, length) from the bitmap indexes, count the kept fields per
-  /// column with one stable O(fields) partitioning pass, then walk them
-  /// again to gather each column's CSS with whole-field copies.
+  /// window, length) from the bitmap indexes, tally each column's output
+  /// bytes per tile, then walk the fields again and write every value
+  /// straight into its output column; no CSS is built.
   kFieldGather,
   /// The paper's faithful symbol-granularity path: every kept symbol
   /// carries a 4-byte column tag and is moved by a stable LSD radix sort.

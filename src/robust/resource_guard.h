@@ -34,12 +34,14 @@ inline constexpr int64_t kParseMemoryFactor = 16;
 
 /// Envelope for TransposeMode::kFieldGather, whose transposition metadata is
 /// O(fields) instead of O(bytes): the per-byte tag sideband, per-symbol
-/// permutation and sort scratch disappear, leaving the state vectors, the
-/// bitmap indexes, one 24-byte FieldEntry per kept field, the CSS and the
-/// output table. On taxi-like data (~6-byte fields) the modelled transpose
-/// peak of an 8 MiB partition (entries, their offsets and the CSS;
-/// perfbench's core.transpose_peak_mib on numeric_stream) is 39.4 MiB,
-/// 4.9x the input; 8x stays the envelope.
+/// permutation and sort scratch disappear, and so do the CSS and any
+/// per-field record, leaving the state vectors, the bitmap indexes, the
+/// per-tile tallies and the output table, which the partition step's walk
+/// writes directly. On taxi-like data (~6-byte fields) the modelled
+/// transpose peak of an 8 MiB partition (the output columns and the
+/// tallies; perfbench's core.transpose_peak_mib on numeric_stream) is
+/// 11.2 MiB, 1.4x the input. 8x stays the envelope until the budgeted
+/// admission limit is re-derived from measured peaks (ROADMAP).
 inline constexpr int64_t kParseMemoryFactorFieldGather = 8;
 
 inline int64_t EstimateParseMemory(int64_t input_size,

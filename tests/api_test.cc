@@ -149,6 +149,24 @@ TEST(ValidateTest, RejectsInvertedCollaborationThresholds) {
   EXPECT_EQ(options.Validate().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(ValidateTest, RejectsZeroBlockCollaborationThreshold) {
+  // A zero-byte block segment would never advance the block-level copy of
+  // a value of 1..device_collaboration_threshold bytes.
+  ParseOptions options;
+  options.block_collaboration_threshold = 0;
+  options.device_collaboration_threshold = 1024;
+  const Status status = options.Validate();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("block_collaboration_threshold"),
+            std::string::npos)
+      << status.message();
+  // Every entry point refuses it before parsing.
+  EXPECT_EQ(Parser::Parse("abc,de\n", options).status().code(),
+            StatusCode::kInvalidArgument);
+  options.block_collaboration_threshold = 1;
+  EXPECT_TRUE(options.Validate().ok());
+}
+
 TEST(ValidateTest, RejectsInlineTerminatorCollidingWithDelimiter) {
   ParseOptions options;
   options.tagging_mode = TaggingMode::kInlineTerminated;

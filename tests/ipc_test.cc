@@ -83,6 +83,29 @@ TEST(IpcTest, ConcatenatedTableRoundTrips) {
   EXPECT_EQ(restored->rejected, merged.rejected);
 }
 
+TEST(IpcTest, SerializedSizeIsExact) {
+  // SerializeTable reserves SerializedTableSize up front, so the count
+  // must be the byte count it writes: plain, empty, parsed and
+  // concatenated tables (whose validity buffers are over-allocated).
+  Table empty;
+  empty.schema.AddField(Field("a", DataType::String()));
+  Column a(DataType::String());
+  a.Allocate(0);
+  empty.columns.push_back(std::move(a));
+  ParseOptions options;
+  options.schema = TaxiSchema();
+  auto parsed = Parser::Parse(GenerateTaxiLike(17, 64 * 1024), options);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const Table part = MakeTable();
+  for (const Table& table :
+       {part, empty, parsed->table, ConcatTables({part, part, part}),
+        ConcatTables({parsed->table, parsed->table})}) {
+    auto bytes = SerializeTable(table);
+    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+    EXPECT_EQ(SerializedTableSize(table), bytes->size());
+  }
+}
+
 TEST(IpcTest, RejectsGarbage) {
   EXPECT_FALSE(DeserializeTable("").ok());
   EXPECT_FALSE(DeserializeTable("NOPE").ok());

@@ -472,37 +472,50 @@ TEST(TracerTest, ChromeTraceJsonMatchesSchema) {
 // ---------------------------------------------------------------------------
 
 TEST(ObsIntegrationTest, InstrumentedParsePopulatesStepHistograms) {
-  obs::MetricsRegistry registry;
-  obs::Tracer tracer;
-  ParseOptions options;
-  options.metrics = &registry;
-  options.tracer = &tracer;
-  std::string csv;
-  for (int i = 0; i < 500; ++i) csv += "1,alice,10.5\n";
-  auto parsed = Parser::Parse(csv, options);
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->table.num_rows, 500);
+  // Both transpose modes. Only the symbol sort builds a CSS index; the
+  // field gather writes its columns in step.partition and has no
+  // step.css_index phase.
+  for (TransposeMode mode :
+       {TransposeMode::kSymbolSort, TransposeMode::kFieldGather}) {
+    const bool sort = mode == TransposeMode::kSymbolSort;
+    obs::MetricsRegistry registry;
+    obs::Tracer tracer;
+    ParseOptions options;
+    options.metrics = &registry;
+    options.tracer = &tracer;
+    options.transpose_mode = mode;
+    std::string csv;
+    for (int i = 0; i < 500; ++i) csv += "1,alice,10.5\n";
+    auto parsed = Parser::Parse(csv, options);
+    ASSERT_TRUE(parsed.ok());
+    EXPECT_EQ(parsed->table.num_rows, 500);
 
-  for (const char* hist :
-       {"step.context.parse_us", "step.context.scan_us", "step.bitmap_us",
-        "step.offset_us", "step.tag.count_us", "step.tag.scan_us",
-        "step.tag.write_us", "step.partition_us", "step.css_index_us",
-        "step.convert_us", "parse.total_us"}) {
-    EXPECT_GE(registry.GetHistogram(hist)->Snapshot().count, 1) << hist;
-  }
-  EXPECT_EQ(registry.GetCounter("parse.runs")->Value(), 1);
-  EXPECT_EQ(registry.GetCounter("parse.bytes")->Value(),
-            static_cast<int64_t>(csv.size()));
-  EXPECT_EQ(registry.GetCounter("parse.out_rows")->Value(), 500);
+    for (const char* hist :
+         {"step.context.parse_us", "step.context.scan_us", "step.bitmap_us",
+          "step.offset_us", "step.tag.count_us", "step.tag.scan_us",
+          "step.tag.write_us", "step.partition_us", "step.convert_us",
+          "parse.total_us"}) {
+      EXPECT_GE(registry.GetHistogram(hist)->Snapshot().count, 1) << hist;
+    }
+    EXPECT_EQ(registry.GetHistogram("step.css_index_us")->Snapshot().count,
+              sort ? 3 : 0);
+    EXPECT_EQ(registry.GetCounter("parse.runs")->Value(), 1);
+    EXPECT_EQ(registry.GetCounter("parse.bytes")->Value(),
+              static_cast<int64_t>(csv.size()));
+    EXPECT_EQ(registry.GetCounter("parse.out_rows")->Value(), 500);
 
-  // Every pipeline step shows up as a span.
-  std::vector<std::string> names;
-  for (const obs::TraceEvent& e : tracer.Events()) names.push_back(e.name);
-  for (const char* span :
-       {"parse", "step.context", "step.bitmap", "step.offset", "step.tag",
-        "step.partition", "step.convert", "step.css_index"}) {
-    EXPECT_NE(std::find(names.begin(), names.end(), span), names.end())
-        << span;
+    // Every pipeline step shows up as a span.
+    std::vector<std::string> names;
+    for (const obs::TraceEvent& e : tracer.Events()) names.push_back(e.name);
+    for (const char* span :
+         {"parse", "step.context", "step.bitmap", "step.offset", "step.tag",
+          "step.partition", "step.convert"}) {
+      EXPECT_NE(std::find(names.begin(), names.end(), span), names.end())
+          << span;
+    }
+    EXPECT_EQ(std::find(names.begin(), names.end(), "step.css_index") !=
+                  names.end(),
+              sort);
   }
 }
 
@@ -656,41 +669,48 @@ TEST(ObsIntegrationTest, StageSinksAgree) {
 
   // Parser::Parse: each step phase's span is its step.*_us sample, and each
   // StepTimings bucket is the sum of its phases (the mapping documented
-  // at StepTimings).
-  obs::Tracer tracer;
-  obs::MetricsRegistry registry;
-  ParseOptions options;
-  options.tracer = &tracer;
-  options.metrics = &registry;
-  std::string csv;
-  for (int i = 0; i < 2000; ++i) csv += "1,\"alice, b\",10.5\n";
-  Result<ParseOutput> parsed = Parser::Parse(csv, options);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  const std::vector<obs::TraceEvent> events = tracer.Events();
-  for (const char* phase :
-       {"step.context.parse", "step.context.scan", "step.bitmap",
-        "step.offset", "step.tag.count", "step.tag.scan", "step.tag.write",
-        "step.partition", "step.css_index", "step.convert"}) {
-    ExpectSamplesAreSpans(&registry, events, phase,
-                          (std::string(phase) + "_us").c_str());
-  }
-  ExpectSamplesAreSpans(&registry, events, "parse", "parse.total_us");
+  // at StepTimings). Both transpose modes; only the symbol sort has a
+  // step.css_index phase.
+  for (TransposeMode mode :
+       {TransposeMode::kSymbolSort, TransposeMode::kFieldGather}) {
+    obs::Tracer tracer;
+    obs::MetricsRegistry registry;
+    ParseOptions options;
+    options.tracer = &tracer;
+    options.metrics = &registry;
+    options.transpose_mode = mode;
+    std::string csv;
+    for (int i = 0; i < 2000; ++i) csv += "1,\"alice, b\",10.5\n";
+    Result<ParseOutput> parsed = Parser::Parse(csv, options);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    const std::vector<obs::TraceEvent> events = tracer.Events();
+    std::vector<const char*> phases = {
+        "step.context.parse", "step.context.scan", "step.bitmap",
+        "step.offset",        "step.tag.count",    "step.tag.scan",
+        "step.tag.write",     "step.partition",    "step.convert"};
+    if (mode == TransposeMode::kSymbolSort) phases.push_back("step.css_index");
+    for (const char* phase : phases) {
+      ExpectSamplesAreSpans(&registry, events, phase,
+                            (std::string(phase) + "_us").c_str());
+    }
+    ExpectSamplesAreSpans(&registry, events, "parse", "parse.total_us");
 
-  const auto phase_ms = [&](std::initializer_list<const char*> phases) {
-    int64_t dur_ns = 0;
-    for (const char* phase : phases) dur_ns += TotalsOf(events, phase).dur_ns;
-    return static_cast<double>(dur_ns) * 1e-6;
-  };
-  const StepTimings& t = parsed->timings;
-  EXPECT_NEAR(t.parse_ms, phase_ms({"step.context.parse"}), 1e-6);
-  EXPECT_NEAR(t.scan_ms,
-              phase_ms({"step.context.scan", "step.offset", "step.tag.scan"}),
-              1e-6);
-  EXPECT_NEAR(t.tag_ms,
-              phase_ms({"step.bitmap", "step.tag.count", "step.tag.write"}),
-              1e-6);
-  EXPECT_NEAR(t.partition_ms, phase_ms({"step.partition"}), 1e-6);
-  EXPECT_NEAR(t.convert_ms, phase_ms({"step.convert"}), 1e-6);
+    const auto phase_ms = [&](std::initializer_list<const char*> names) {
+      int64_t dur_ns = 0;
+      for (const char* name : names) dur_ns += TotalsOf(events, name).dur_ns;
+      return static_cast<double>(dur_ns) * 1e-6;
+    };
+    const StepTimings& t = parsed->timings;
+    EXPECT_NEAR(t.parse_ms, phase_ms({"step.context.parse"}), 1e-6);
+    EXPECT_NEAR(t.scan_ms,
+                phase_ms({"step.context.scan", "step.offset", "step.tag.scan"}),
+                1e-6);
+    EXPECT_NEAR(t.tag_ms,
+                phase_ms({"step.bitmap", "step.tag.count", "step.tag.write"}),
+                1e-6);
+    EXPECT_NEAR(t.partition_ms, phase_ms({"step.partition"}), 1e-6);
+    EXPECT_NEAR(t.convert_ms, phase_ms({"step.convert"}), 1e-6);
+  }
 }
 
 // ---------------------------------------------------------------------------

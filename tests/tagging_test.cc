@@ -76,11 +76,13 @@ INSTANTIATE_TEST_SUITE_P(ChunkSizes, TaggingChunkSweep,
 
 TEST(TagStepTest, InlineTerminatedModeFigure6) {
   // Fig. 6's sample: 0,"Apples"\n1,\n2,"Pears"\n — column 1's CSS is
-  // Apples\x1F\x1FPears\x1F (empty field = bare terminator).
+  // Apples\x1F\x1FPears\x1F (empty field = bare terminator). Only the
+  // symbol sort builds a CSS.
   const std::string input = "0,\"Apples\"\n1,\n2,\"Pears\"\n";
   ParseOptions options;
   options.chunk_size = 5;
   options.tagging_mode = TaggingMode::kInlineTerminated;
+  options.transpose_mode = TransposeMode::kSymbolSort;
   auto h = StepHarness::Make(input, options);
   ASSERT_TRUE(h->RunThroughPartition().ok());
 
@@ -237,12 +239,15 @@ TEST(PartitionStepTest, EmptyInputProducesEmptyPartitions) {
 
 // --- TransposeMode::kFieldGather step-level tests. The differential suite
 // (transpose_differential_test.cc) proves whole-table equivalence; these
-// pin the intermediate layout the gather path promises. ---
+// pin the columns the gather's walk writes in the partition step. ---
 
-// Runs the same input through both transpose modes and asserts the CSS
-// buffer and its per-column offsets come out byte-identical.
-void ExpectGatherCssMatchesSymbolSort(const std::string& input,
-                                      ParseOptions options) {
+// Runs the same input through both transpose modes. In the record-tag mode
+// the symbol sort's CSS holds exactly each column's non-empty values in row
+// order, which is what a string column's bytes are: the gather's string
+// columns must hold that CSS slice byte for byte. Then both convert steps
+// must produce the same table.
+void ExpectGatherMatchesSymbolSort(const std::string& input,
+                                   ParseOptions options) {
   options.transpose_mode = TransposeMode::kSymbolSort;
   auto symbol = StepHarness::Make(input, options);
   ASSERT_NE(symbol, nullptr);
@@ -254,10 +259,34 @@ void ExpectGatherCssMatchesSymbolSort(const std::string& input,
   ASSERT_TRUE(gather->RunThroughPartition().ok());
 
   EXPECT_EQ(gather->state.num_partitions, symbol->state.num_partitions);
-  EXPECT_EQ(gather->state.column_css_offsets,
-            symbol->state.column_css_offsets);
-  EXPECT_EQ(gather->state.column_histogram, symbol->state.column_histogram);
-  EXPECT_EQ(gather->state.css, symbol->state.css);
+  EXPECT_TRUE(gather->state.css.empty());
+  const std::vector<ColumnPlan>& plans = gather->state.column_plans;
+  ASSERT_EQ(gather->state.gathered_columns.size(), plans.size());
+  if (gather->options.tagging_mode == TaggingMode::kRecordTags) {
+    for (size_t p = 0; p < plans.size(); ++p) {
+      const uint32_t j = plans[p].source;
+      std::vector<uint8_t> slice;
+      if (j < symbol->state.num_partitions) {
+        slice.assign(
+            symbol->state.css.begin() + symbol->state.column_css_offsets[j],
+            symbol->state.css.begin() +
+                symbol->state.column_css_offsets[j + 1]);
+      }
+      EXPECT_EQ(gather->state.gathered_columns[p].string_data(), slice)
+          << "column " << j;
+    }
+  }
+
+  ParseOutput want;
+  ParseOutput got;
+  ASSERT_TRUE(ConvertStep::Run(&symbol->state, &symbol->timings,
+                               &symbol->work, &want)
+                  .ok());
+  ASSERT_TRUE(
+      ConvertStep::Run(&gather->state, &gather->timings, &gather->work, &got)
+          .ok());
+  EXPECT_TRUE(want.table.Equals(got.table));
+  EXPECT_EQ(want.table.rejected, got.table.rejected);
 }
 
 TEST(FieldGatherTest, CssMatchesSymbolSortOnFigure4) {
@@ -266,7 +295,7 @@ TEST(FieldGatherTest, CssMatchesSymbolSortOnFigure4) {
       "black\"\n";
   ParseOptions options;
   options.chunk_size = 10;
-  ExpectGatherCssMatchesSymbolSort(input, options);
+  ExpectGatherMatchesSymbolSort(input, options);
 }
 
 TEST(FieldGatherTest, CssMatchesSymbolSortAcrossTaggingModes) {
@@ -277,7 +306,7 @@ TEST(FieldGatherTest, CssMatchesSymbolSortAcrossTaggingModes) {
     ParseOptions options;
     options.chunk_size = 5;
     options.tagging_mode = mode;
-    ExpectGatherCssMatchesSymbolSort(input, options);
+    ExpectGatherMatchesSymbolSort(input, options);
   }
 }
 
@@ -289,10 +318,12 @@ TEST(FieldGatherTest, CssMatchesSymbolSortWithDropsAndSkips) {
   options.skip_columns = {1};
   options.column_count_policy = ColumnCountPolicy::kReject;
   options.exclude_trailing_record = true;
-  ExpectGatherCssMatchesSymbolSort(input, options);
+  ExpectGatherMatchesSymbolSort(input, options);
 }
 
 TEST(FieldGatherTest, EntriesGroupByColumnInRecordOrder) {
+  // The walk writes each column's values in record order, each string
+  // value at its column's cursor, which is the row's offset.
   const std::string input = "a1,b1\na2,b2\na3,b3\n";
   ParseOptions options;
   options.chunk_size = 3;
@@ -300,19 +331,18 @@ TEST(FieldGatherTest, EntriesGroupByColumnInRecordOrder) {
   auto h = StepHarness::Make(input, options);
   ASSERT_TRUE(h->RunThroughPartition().ok());
 
-  ASSERT_EQ(h->state.gather_entry_offsets.size(), 3u);
-  EXPECT_EQ(h->state.gather_entry_offsets[0], 0);
-  EXPECT_EQ(h->state.gather_entry_offsets[1], 3);
-  EXPECT_EQ(h->state.gather_entry_offsets[2], 6);
-  std::string col0(h->state.css.begin(), h->state.css.begin() + 6);
-  std::string col1(h->state.css.begin() + 6, h->state.css.end());
-  EXPECT_EQ(col0, "a1a2a3");
-  EXPECT_EQ(col1, "b1b2b3");
-  for (int64_t k = 0; k < 3; ++k) {
-    const FieldEntry& entry = h->state.gather_entries[k];
-    EXPECT_EQ(entry.row, k);
-    EXPECT_EQ(entry.offset, k * 2);
-    EXPECT_EQ(entry.length, 2);
+  ASSERT_EQ(h->state.gathered_columns.size(), 2u);
+  const Column& col0 = h->state.gathered_columns[0];
+  const Column& col1 = h->state.gathered_columns[1];
+  EXPECT_EQ(std::string(col0.string_data().begin(), col0.string_data().end()),
+            "a1a2a3");
+  EXPECT_EQ(std::string(col1.string_data().begin(), col1.string_data().end()),
+            "b1b2b3");
+  EXPECT_EQ(col0.offsets(), (std::vector<int64_t>{0, 2, 4, 6}));
+  EXPECT_EQ(col1.offsets(), (std::vector<int64_t>{0, 2, 4, 6}));
+  for (int64_t row = 0; row < 3; ++row) {
+    EXPECT_TRUE(col0.IsValid(row));
+    EXPECT_EQ(col1.StringValue(row), "b" + std::to_string(row + 1));
   }
 }
 
@@ -330,13 +360,18 @@ TEST(FieldGatherTest, ChunkSizeInvariant) {
     options.transpose_mode = TransposeMode::kFieldGather;
     auto h = StepHarness::Make(input, options);
     ASSERT_TRUE(h->RunThroughPartition().ok()) << "chunk=" << chunk;
-    EXPECT_EQ(h->state.css, reference->state.css) << "chunk=" << chunk;
-    EXPECT_EQ(h->state.column_css_offsets,
-              reference->state.column_css_offsets)
+    ASSERT_EQ(h->state.gathered_columns.size(),
+              reference->state.gathered_columns.size())
         << "chunk=" << chunk;
-    EXPECT_EQ(h->state.gather_entry_offsets,
-              reference->state.gather_entry_offsets)
-        << "chunk=" << chunk;
+    for (size_t p = 0; p < h->state.gathered_columns.size(); ++p) {
+      const Column& got = h->state.gathered_columns[p];
+      const Column& want = reference->state.gathered_columns[p];
+      EXPECT_EQ(got.string_data(), want.string_data())
+          << "chunk=" << chunk << " column " << p;
+      EXPECT_EQ(got.offsets(), want.offsets())
+          << "chunk=" << chunk << " column " << p;
+      EXPECT_TRUE(got.Equals(want)) << "chunk=" << chunk << " column " << p;
+    }
   }
 }
 

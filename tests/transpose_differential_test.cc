@@ -169,7 +169,66 @@ void ExpectOutputsEqual(const Result<ParseOutput>& want,
         << context << " quarantine entry " << q;
     ASSERT_EQ(want->quarantine.entries()[q].raw, got->quarantine.entries()[q].raw)
         << context << " quarantine entry " << q;
+    ASSERT_EQ(want->quarantine.entries()[q].row, got->quarantine.entries()[q].row)
+        << context << " quarantine entry " << q;
+    ASSERT_EQ(want->quarantine.entries()[q].column,
+              got->quarantine.entries()[q].column)
+        << context << " quarantine entry " << q;
+    ASSERT_EQ(want->quarantine.entries()[q].message,
+              got->quarantine.entries()[q].message)
+        << context << " quarantine entry " << q;
   }
+}
+
+/// The value bytes of column `j`'s CSS: the slice without its terminator
+/// slots (the inline mode's terminator bytes, the vector mode's marked
+/// delimiter bytes).
+std::vector<uint8_t> CssValues(const PipelineState& state, uint32_t j) {
+  std::vector<uint8_t> values;
+  if (j >= state.num_partitions) return values;
+  const TaggingMode mode = state.options->tagging_mode;
+  for (int64_t i = state.column_css_offsets[j];
+       i < state.column_css_offsets[j + 1]; ++i) {
+    const bool slot =
+        (mode == TaggingMode::kInlineTerminated &&
+         state.css[i] == state.options->terminator) ||
+        (mode == TaggingMode::kVectorDelimited && state.field_end[i] != 0);
+    if (!slot) values.push_back(state.css[i]);
+  }
+  return values;
+}
+
+/// The step-level comparison of a symbol-sort harness `hs` and a
+/// field-gather harness `hg`, both run through the partition step: the
+/// same partitions and column plans; each string column the gather wrote
+/// holds its column's CSS values byte for byte (no schema here, so no
+/// defaults); and both convert steps give the same table and rejects.
+void ExpectStepOutputsMatch(StepHarness* hs, StepHarness* hg,
+                            const std::string& context) {
+  ASSERT_EQ(hs->state.num_partitions, hg->state.num_partitions) << context;
+  ASSERT_TRUE(hg->state.css.empty()) << context;
+  const std::vector<ColumnPlan>& plans = hg->state.column_plans;
+  ASSERT_EQ(hs->state.column_plans.size(), plans.size()) << context;
+  ASSERT_EQ(hg->state.gathered_columns.size(), plans.size()) << context;
+  for (size_t p = 0; p < plans.size(); ++p) {
+    ASSERT_EQ(hs->state.column_plans[p].source, plans[p].source) << context;
+    ASSERT_TRUE(plans[p].is_string() && !plans[p].has_default()) << context;
+    ASSERT_TRUE(hg->state.gathered_columns[p].string_data() ==
+                CssValues(hs->state, plans[p].source))
+        << context << " column " << plans[p].source;
+  }
+  ParseOutput want;
+  ParseOutput got;
+  const Status ws =
+      ConvertStep::Run(&hs->state, &hs->timings, &hs->work, &want);
+  const Status gs =
+      ConvertStep::Run(&hg->state, &hg->timings, &hg->work, &got);
+  ASSERT_TRUE(ws.ok()) << context << ": " << ws.ToString();
+  ASSERT_TRUE(gs.ok()) << context << ": " << gs.ToString();
+  ASSERT_TRUE(want.table.Equals(got.table)) << context;
+  ASSERT_EQ(want.table.rejected, got.table.rejected) << context;
+  ASSERT_EQ(hs->state.reject_kind, hg->state.reject_kind) << context;
+  ASSERT_EQ(hs->state.reject_column, hg->state.reject_column) << context;
 }
 
 // The headline sweep: >= 10k seeded inputs, every registered format,
@@ -197,10 +256,10 @@ TEST(TransposeDifferentialTest, GatherMatchesSymbolSortOnSeededInputs) {
   }
 }
 
-// The intermediate state, not just the final table: both modes must build
-// byte-identical concatenated symbol strings with identical per-column
-// offsets and histograms — the CSS layout equivalence the convert step
-// relies on.
+// The intermediate state, not just the final table: after the partition
+// step, each string column the field gather wrote must hold exactly the
+// values of the symbol sort's concatenated symbol string for that column,
+// and the two convert steps must agree (ExpectStepOutputsMatch).
 TEST(TransposeDifferentialTest, CssLayoutsMatchAcrossModes) {
   std::vector<NamedFormat> formats;
   ASSERT_NO_FATAL_FAILURE(formats = RegisteredFormats());
@@ -224,17 +283,8 @@ TEST(TransposeDifferentialTest, CssLayoutsMatchAcrossModes) {
         ASSERT_EQ(ss.ToString(), sg.ToString()) << context;
         continue;
       }
-      ASSERT_EQ(hs->state.num_partitions, hg->state.num_partitions)
-          << context;
-      ASSERT_EQ(hs->state.column_css_offsets, hg->state.column_css_offsets)
-          << context;
-      ASSERT_EQ(hs->state.column_histogram, hg->state.column_histogram)
-          << context;
-      ASSERT_EQ(hs->state.css.size(), hg->state.css.size()) << context;
-      for (size_t i = 0; i < hs->state.css.size(); ++i) {
-        ASSERT_EQ(hs->state.css[i], hg->state.css[i])
-            << context << " css byte " << i;
-      }
+      ASSERT_NO_FATAL_FAILURE(
+          ExpectStepOutputsMatch(hs.get(), hg.get(), context));
     }
   }
 }
@@ -335,8 +385,8 @@ TEST(TransposeDifferentialTest, GatherAxesMatchSymbolSort) {
   }
 }
 
-// The same axes at the step level: identical CSS bytes, offsets and
-// histograms from both modes.
+// The same axes at the step level: the gather's string columns hold the
+// symbol sort's CSS values, and the convert steps agree.
 TEST(TransposeDifferentialTest, GatherAxesCssLayoutsMatch) {
   std::vector<NamedFormat> formats;
   ASSERT_NO_FATAL_FAILURE(formats = RegisteredFormats());
@@ -360,20 +410,17 @@ TEST(TransposeDifferentialTest, GatherAxesCssLayoutsMatch) {
         ASSERT_EQ(ss.ToString(), sg.ToString()) << context;
         continue;
       }
-      ASSERT_EQ(hs->state.num_partitions, hg->state.num_partitions)
-          << context;
-      ASSERT_EQ(hs->state.column_css_offsets, hg->state.column_css_offsets)
-          << context;
-      ASSERT_EQ(hs->state.column_histogram, hg->state.column_histogram)
-          << context;
-      ASSERT_TRUE(hs->state.css == hg->state.css) << context;
+      ASSERT_NO_FATAL_FAILURE(
+          ExpectStepOutputsMatch(hs.get(), hg.get(), context));
     }
   }
 }
 
 // Skew axis (Fig. 11 right): one giant quoted field, with embedded
 // delimiters, newlines and escaped quotes, spans many chunks and several
-// gather tiles, so its carries cross chunk and tile edges.
+// gather tiles, so its carries cross chunk and tile edges. Every other
+// seed lowers the device threshold below the field's length, so the
+// gather copies its value runs device-wide, in pieces.
 TEST(TransposeDifferentialTest, SkewedGiantFieldMatchesAcrossModes) {
   for (uint64_t seed = 0; seed < 16; ++seed) {
     static const size_t kChunkSizes[] = {31, 64, 7, 256};
@@ -383,6 +430,7 @@ TEST(TransposeDifferentialTest, SkewedGiantFieldMatchesAcrossModes) {
     ParseOptions options;
     options.chunk_size = kChunkSizes[seed % 4];
     options.pool = PoolForSeed(seed / 4);
+    if (seed % 2 != 0) options.device_collaboration_threshold = 4096;
     options.tagging_mode = static_cast<TaggingMode>(seed % 3);
     if (options.tagging_mode != TaggingMode::kRecordTags) {
       options.column_count_policy = ColumnCountPolicy::kReject;
@@ -398,14 +446,18 @@ TEST(TransposeDifferentialTest, SkewedGiantFieldMatchesAcrossModes) {
                                 << reference.status().ToString();
     ASSERT_NO_FATAL_FAILURE(ExpectOutputsEqual(reference, got, context));
 
-    // The giant field really crosses more than one tile edge: it is longer
-    // than two of the largest tiles.
+    // The giant field really crosses more than one tile edge: its value,
+    // the longest the gather wrote, is longer than two of the largest
+    // tiles.
     options.error_policy = ErrorPolicy::kNull;
     auto h = StepHarness::Make(input, options);
     ASSERT_TRUE(h->RunThroughPartition().ok()) << context;
     int64_t longest = 0;
-    for (const FieldEntry& entry : h->state.gather_entries) {
-      longest = std::max(longest, entry.length);
+    for (const Column& column : h->state.gathered_columns) {
+      const std::vector<int64_t>& offsets = column.offsets();
+      for (size_t r = 0; r + 1 < offsets.size(); ++r) {
+        longest = std::max(longest, offsets[r + 1] - offsets[r]);
+      }
     }
     int64_t widest_tile = 0;
     for (size_t t = 0; t + 1 < h->state.gather_tiles.size(); ++t) {
@@ -416,6 +468,271 @@ TEST(TransposeDifferentialTest, SkewedGiantFieldMatchesAcrossModes) {
     EXPECT_GT(longest,
               2 * widest_tile * static_cast<int64_t>(options.chunk_size))
         << context;
+  }
+}
+
+// --- The schema axis: typed conversion. Under the field gather the
+// partition step's walk parses, defaults, NULLs and rejects every value
+// itself, while the symbol sort converts its CSS in the convert step; both
+// apply one value rule (core/column_plan.h), and these cases compare them
+// with schemas, defaults, non-nullable columns, malformed and quoted
+// numerics, ragged rows, skipped columns and inferred types. ---
+
+/// The types the axis rotates through, every output type of the parser.
+const DataType kAxisTypes[] = {
+    DataType::Bool(),    DataType::Int32(),  DataType::Int64(),
+    DataType::Float64(), DataType::Decimal64(2), DataType::Date32(),
+    DataType::TimestampMicros(), DataType::String()};
+
+std::string TwoDigits(uint64_t v) {
+  return std::string(1, static_cast<char>('0' + v / 10 % 10)) +
+         static_cast<char>('0' + v % 10);
+}
+
+/// A well-formed literal of `type`. One string in eight is longer than the
+/// small device threshold the axis sets.
+std::string LiteralOf(const DataType& type, Rng& rng) {
+  switch (type.id) {
+    case TypeId::kBool:
+      return rng.Next() % 2 != 0 ? "true" : "f";
+    case TypeId::kInt32:
+      return std::to_string(static_cast<int64_t>(rng.Next() % 200001) -
+                            100000);
+    case TypeId::kInt64:
+      return std::to_string(static_cast<int64_t>(rng.Next() % 20000000001) -
+                            10000000000);
+    case TypeId::kFloat64:
+      return (rng.Next() % 3 == 0 ? "-" : "") +
+             std::to_string(rng.Next() % 100000) + "." +
+             std::to_string(rng.Next() % 1000) +
+             (rng.Next() % 4 == 0 ? "e3" : "");
+    case TypeId::kDecimal64:
+      return std::to_string(rng.Next() % 100000) + "." +
+             TwoDigits(rng.Next() % 100);
+    case TypeId::kDate32:
+      return "20" + TwoDigits(rng.Next() % 40) + "-" +
+             TwoDigits(1 + rng.Next() % 12) + "-" +
+             TwoDigits(1 + rng.Next() % 28);
+    case TypeId::kTimestampMicros:
+      return "19" + TwoDigits(70 + rng.Next() % 30) + "-0" +
+             std::to_string(1 + rng.Next() % 9) + "-1" +
+             std::to_string(rng.Next() % 10) + " " +
+             TwoDigits(rng.Next() % 24) + ":" + TwoDigits(rng.Next() % 60) +
+             ":" + TwoDigits(rng.Next() % 60);
+    case TypeId::kString:
+      break;
+  }
+  std::string value;
+  const uint64_t length =
+      rng.Next() % 8 == 0 ? 17 + rng.Next() % 40 : 1 + rng.Next() % 9;
+  for (uint64_t i = 0; i < length; ++i) {
+    value.push_back(static_cast<char>('a' + rng.Next() % 26));
+  }
+  return value;
+}
+
+/// One cell: mostly a literal, sometimes empty, malformed, padded with
+/// spaces, quoted, or quoted with an escaped quote or a delimiter inside.
+std::string CellOf(const DataType& type, Rng& rng, uint64_t quote_percent) {
+  const uint64_t roll = rng.Next() % 100;
+  if (roll < 8) return "";
+  if (roll < 13) return "x" + LiteralOf(type, rng);
+  if (roll < 16) return " " + LiteralOf(type, rng) + " ";
+  if (roll < 19) return "\"" + LiteralOf(type, rng) + "\"\"1\"";
+  if (roll < 21) return "\"" + LiteralOf(type, rng) + ",\n\"";
+  if (roll < 21 + quote_percent) return "\"" + LiteralOf(type, rng) + "\"";
+  return LiteralOf(type, rng);
+}
+
+struct TypedCase {
+  std::string input;
+  ParseOptions options;
+};
+
+/// The seed's typed case. Each knob rotates with the seed on its own
+/// divisor: the error policy, the tagging mode, inferred types (no
+/// schema), defaults (a string one longer than the device threshold, under
+/// small collaboration thresholds), non-nullable columns, skipped columns,
+/// ragged rows, the quoting rate, an invalid default, the chunk size and
+/// the pool.
+TypedCase TypedCaseForSeed(const NamedFormat& format, uint64_t seed) {
+  Rng rng(seed * 131 + 7);
+  TypedCase c;
+  ParseOptions& options = c.options;
+  options.format = format.format;
+  options.chunk_size = ChunkSizeForSeed(seed / 3);
+  options.pool = PoolForSeed(seed / 2);
+  options.error_policy = static_cast<ErrorPolicy>(seed % 4);
+  options.tagging_mode = static_cast<TaggingMode>((seed / 4) % 3);
+  if (options.tagging_mode != TaggingMode::kRecordTags && seed % 5 != 0) {
+    options.column_count_policy = ColumnCountPolicy::kReject;
+  }
+  const bool infer = (seed / 5) % 5 == 0;
+  const bool defaults = (seed / 6) % 2 != 0;
+  const bool non_nullable = (seed / 7) % 3 == 0;
+  const bool ragged = (seed / 9) % 2 != 0;
+  const uint64_t quote_percent = 10 * ((seed / 11) % 4);
+  static const std::vector<int> kSkipColumns[] = {{}, {1}, {0, 2}, {3}};
+  options.skip_columns = kSkipColumns[(seed / 13) % 4];
+  if ((seed / 17) % 2 != 0) {
+    options.block_collaboration_threshold = 4;
+    options.device_collaboration_threshold = 16;
+  }
+
+  const int num_columns = 2 + static_cast<int>(seed % 7);
+  std::vector<DataType> types;
+  for (int j = 0; j < num_columns; ++j) {
+    types.push_back(kAxisTypes[(seed + static_cast<uint64_t>(j) * 3) % 8]);
+  }
+  if (infer) {
+    options.infer_types = true;
+  } else {
+    for (int j = 0; j < num_columns; ++j) {
+      Field field("c" + std::to_string(j), types[j],
+                  !(non_nullable && j % 2 == 0));
+      if (defaults && j % 3 != 1) {
+        field.default_value =
+            types[j].id == TypeId::kString && j % 2 == 0
+                ? "a-default-longer-than-the-device-threshold"
+                : LiteralOf(types[j], rng);
+      }
+      options.schema.AddField(std::move(field));
+    }
+    if (seed % 29 == 0) {
+      // A default that is not a valid value of its column.
+      Field* field = options.schema.mutable_field(num_columns - 1);
+      if (field->type.id != TypeId::kString) field->default_value = "zz";
+    }
+  }
+
+  const int records = 10 + static_cast<int>(rng.Next() % 120);
+  for (int r = 0; r < records; ++r) {
+    int cells = num_columns;
+    if (ragged && rng.Next() % 4 == 0) {
+      cells = rng.Next() % 3 == 0 ? num_columns + 1
+                                  : 1 + static_cast<int>(rng.Next() %
+                                                         num_columns);
+    }
+    for (int j = 0; j < cells; ++j) {
+      if (j > 0) c.input.push_back(static_cast<char>(format.format.field_delimiter));
+      c.input += CellOf(types[static_cast<size_t>(j) % types.size()], rng,
+                        quote_percent);
+    }
+    if (r + 1 < records || seed % 3 != 0) c.input.push_back('\n');
+  }
+  if (format.format.field_delimiter != ',') {
+    // The quoted cells' embedded delimiter follows the format.
+    for (char& ch : c.input) {
+      if (ch == ',') ch = static_cast<char>(format.format.field_delimiter);
+    }
+  }
+  return c;
+}
+
+TEST(TransposeDifferentialTest, SchemaAxisMatchesSymbolSort) {
+  std::vector<NamedFormat> formats;
+  ASSERT_NO_FATAL_FAILURE(formats = RegisteredFormats());
+  int typed_tables = 0;
+  int failed_parses = 0;
+  for (const NamedFormat& format : formats) {
+    if (format.name != "rfc4180" && format.name != "pipe") continue;
+    for (uint64_t seed = 0; seed < 384; ++seed) {
+      TypedCase c = TypedCaseForSeed(format, seed);
+      c.options.transpose_mode = TransposeMode::kSymbolSort;
+      const Result<ParseOutput> reference = Parser::Parse(c.input, c.options);
+      c.options.transpose_mode = TransposeMode::kFieldGather;
+      const Result<ParseOutput> got = Parser::Parse(c.input, c.options);
+
+      const std::string context = format.name + " seed " +
+                                  std::to_string(seed);
+      ASSERT_NO_FATAL_FAILURE(ExpectOutputsEqual(reference, got, context));
+      if (!reference.ok()) {
+        ++failed_parses;
+        continue;
+      }
+      for (const Column& column : reference->table.columns) {
+        if (column.type().id != TypeId::kString) {
+          ++typed_tables;
+          break;
+        }
+      }
+    }
+  }
+  // The axis reaches typed columns and the error paths alike.
+  EXPECT_GT(typed_tables, 300);
+  EXPECT_GT(failed_parses, 20);
+}
+
+// The first reject of a row is its lowest column's, in both modes, also
+// when the row's fields lie in different gather tiles: row 150 is
+// malformed in columns 1 and 3, 400 bytes apart, and an 8-worker pool
+// cuts ~140-byte tiles.
+TEST(TransposeDifferentialTest, FirstRejectOfARowIsItsLowestColumn) {
+  std::string input;
+  for (int r = 0; r < 200; ++r) {
+    input += r == 150 ? "1,x," + std::string(400, 'a') + ",y\n"
+                      : "1,2,abc,4\n";
+  }
+  for (TransposeMode mode :
+       {TransposeMode::kSymbolSort, TransposeMode::kFieldGather}) {
+    ParseOptions options;
+    options.transpose_mode = mode;
+    options.pool = PoolForSeed(3);
+    options.chunk_size = 7;
+    options.schema.AddField(Field("a", DataType::Int64()));
+    options.schema.AddField(Field("b", DataType::Int64()));
+    options.schema.AddField(Field("c", DataType::String()));
+    options.schema.AddField(Field("d", DataType::Int64()));
+    const std::string context =
+        mode == TransposeMode::kSymbolSort ? "sort" : "gather";
+
+    options.error_policy = ErrorPolicy::kFail;
+    const Result<ParseOutput> failed = Parser::Parse(input, options);
+    ASSERT_FALSE(failed.ok()) << context;
+    EXPECT_NE(failed.status().message().find(
+                  "row 150, column 1: value is not a valid int64"),
+              std::string::npos)
+        << context << ": " << failed.status().ToString();
+
+    options.error_policy = ErrorPolicy::kQuarantine;
+    const Result<ParseOutput> quarantined = Parser::Parse(input, options);
+    ASSERT_TRUE(quarantined.ok()) << context;
+    ASSERT_EQ(quarantined->quarantine.entries().size(), 1u) << context;
+    EXPECT_EQ(quarantined->quarantine.entries()[0].row, 150) << context;
+    EXPECT_EQ(quarantined->quarantine.entries()[0].column, 1) << context;
+  }
+}
+
+// Regression: a row that takes a string default longer than
+// device_collaboration_threshold is copied at the device level from the
+// default, in both modes (the CSS path used to read the copy's source
+// from the row's field, which a defaulted row does not have).
+TEST(TransposeDifferentialTest, LongStringDefaultsTakeTheDeviceLevelCopy) {
+  for (TransposeMode mode :
+       {TransposeMode::kSymbolSort, TransposeMode::kFieldGather}) {
+    for (ThreadPool* pool : {PoolForSeed(0), PoolForSeed(3)}) {
+      ParseOptions options;
+      options.transpose_mode = mode;
+      options.pool = pool;
+      options.block_collaboration_threshold = 2;
+      options.device_collaboration_threshold = 4;
+      options.schema.AddField(Field("a", DataType::String()));
+      Field b("b", DataType::String());
+      b.default_value = "abcdefgh";
+      options.schema.AddField(b);
+      const Result<ParseOutput> result =
+          Parser::Parse("x,\ny,zz\nw\n", options);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      const Table& table = result->table;
+      ASSERT_EQ(table.num_rows, 3);
+      EXPECT_EQ(table.columns[1].StringValue(0), "abcdefgh");
+      EXPECT_EQ(table.columns[1].StringValue(1), "zz");
+      EXPECT_EQ(table.columns[1].StringValue(2), "abcdefgh");
+      for (int64_t row = 0; row < 3; ++row) {
+        EXPECT_TRUE(table.columns[1].IsValid(row)) << row;
+      }
+      EXPECT_EQ(table.NumRejected(), 0);
+    }
   }
 }
 

@@ -12,13 +12,14 @@
 #include "util/huge_pages.h"
 
 // The write-once rule of the parse scratch buffers (core/pipeline_state.h,
-// ScratchAllocator): the symbol index, CSS and field entries grow without
-// a zero fill, so every element must be written by the pass that produces
-// it. A PipelineState that already parsed a larger input holds
-// non-zero junk in all of them; pointing it at a smaller input must still
-// give the state and table of a fresh parse, bit for bit. Sanitizer builds
-// poison fresh scratch storage, so there the fresh side catches an element
-// no pass wrote as well.
+// ScratchAllocator): the symbol index and the symbol sort's CSS grow
+// without a zero fill, so every element must be written by the pass that
+// produces it. The field gather writes the output columns instead, which
+// the table comparison covers. A PipelineState that already parsed a
+// larger input holds non-zero junk in all of them; pointing it at a
+// smaller input must still give the state and table of a fresh parse, bit
+// for bit. Sanitizer builds poison fresh scratch storage, so there the
+// fresh side catches an element no pass wrote as well.
 
 namespace parparaw {
 namespace {
@@ -42,7 +43,7 @@ std::vector<KernelLevel> Levels() {
 }
 
 /// Dense, delimiter-heavy input of `records` records: leaves non-zero mask
-/// bits, CSS bytes and field entries everywhere in the scratch buffers.
+/// bits and CSS bytes everywhere in the scratch buffers.
 /// `salt` shifts the field widths, so two salts lay their bytes out
 /// differently.
 std::string DenseInput(int records, int salt) {
@@ -118,17 +119,6 @@ void RunSteps(StepHarness* h, bool mis_speculate, ParseOutput* out,
   ASSERT_TRUE(converted.ok()) << converted.ToString();
 }
 
-void ExpectEntriesEqual(const ScratchVector<FieldEntry>& got,
-                        const ScratchVector<FieldEntry>& want,
-                        const std::string& context) {
-  ASSERT_EQ(got.size(), want.size()) << context;
-  for (size_t k = 0; k < got.size(); ++k) {
-    EXPECT_EQ(got[k].row, want[k].row) << context << " entry " << k;
-    EXPECT_EQ(got[k].offset, want[k].offset) << context << " entry " << k;
-    EXPECT_EQ(got[k].length, want[k].length) << context << " entry " << k;
-  }
-}
-
 /// Parses `junk` on a harness, points it at `input`, and checks that the
 /// reused state and table match those of a fresh harness on `input`, bit
 /// for bit. The fresh harness is left in `*fresh_out`.
@@ -160,8 +150,6 @@ void ExpectReusedMatchesFresh(const std::string& junk, const std::string& input,
 
   EXPECT_EQ(reused->state.symbol_index, fresh->state.symbol_index) << context;
   EXPECT_EQ(reused->state.css, fresh->state.css) << context;
-  ExpectEntriesEqual(reused->state.gather_entries,
-                     fresh->state.gather_entries, context);
   EXPECT_TRUE(reused_out.table.Equals(fresh_out_table.table)) << context;
   EXPECT_EQ(reused_out.table.rejected, fresh_out_table.table.rejected)
       << context;
@@ -209,11 +197,12 @@ TEST(WriteOnceTest, ReusedStateMatchesFreshHarness) {
 }
 
 TEST(WriteOnceTest, ReusedMappedStateMatchesFreshHarness) {
-  // Large enough that the symbol index (3/8 byte per input byte), the CSS
-  // and the field entries each exceed 2 MiB on both sides, so outside ASan
-  // builds they come from ScratchAllocator's own mappings. One transpose
-  // mode and two kernel levels (the scalar reference and the best vector
-  // level, which mis-speculates here) keep it to seconds under TSan.
+  // Large enough that the symbol index (3/8 byte per input byte) exceeds
+  // 2 MiB on both sides, so outside ASan builds it comes from
+  // ScratchAllocator's own mapping; the field gather allocates no other
+  // scratch buffer. One transpose mode and two kernel levels (the scalar
+  // reference and the best vector level, which mis-speculates here) keep
+  // it to seconds under TSan.
   constexpr int kRecords = 180000;
   const std::string junk = DenseInput(kRecords + kRecords / 8, 0);
   const std::string input = DenseInput(kRecords, 5);
@@ -232,10 +221,7 @@ TEST(WriteOnceTest, ReusedMappedStateMatchesFreshHarness) {
     EXPECT_GE(state.symbol_index.size() * sizeof(simd::SymbolMasks),
               huge_pages::kHugePageBytes)
         << context;
-    EXPECT_GE(state.css.size(), huge_pages::kHugePageBytes) << context;
-    EXPECT_GE(state.gather_entries.size() * sizeof(FieldEntry),
-              huge_pages::kHugePageBytes)
-        << context;
+    EXPECT_TRUE(state.css.empty()) << context;
     if (level != KernelLevel::kScalar) EXPECT_GT(corrupted, 0) << context;
   }
 }
