@@ -9,8 +9,8 @@
 //    BENCH_transpose.json);
 //  * `--dialect`: the runtime dialect compiler — compile+minimise+prove
 //    latency per spec shape, compiled-CSV-twin vs built-in RFC 4180 parse
-//    throughput, and the scalar-fallback walk's cost relative to the
-//    pipeline (--json-out= for BENCH_dialect.json);
+//    throughput, and two fixed-width layouts over the SIMD register budget
+//    parsed on 1- and 4-worker pools (--json-out= for BENCH_dialect.json);
 //  * `--planner`: the adaptive runtime planner (src/plan) against every
 //    static kernel/chunk configuration on the bundled corpora, asserting
 //    kAuto lands within 5% of the best static choice and never loses to
@@ -233,9 +233,9 @@ int RunTransposeAblation(int argc, char** argv) {
 // Dialect-compiler ablation: what the runtime construction costs (compile
 // + minimise + equivalence proof, per spec shape), and what using a
 // compiled dialect costs at parse time — the twin must match the built-in
-// within noise since both pack into the identical Dfa representation,
-// while the scalar fallback walk shows the price an over-budget dialect
-// pays.
+// within noise since both pack into the identical Dfa representation —
+// and how a dialect over the register budget scales with workers, its
+// context step walking the entry states sequentially.
 int RunDialectAblation(int argc, char** argv) {
   using namespace parparaw::bench;  // NOLINT
   JsonReport report(argc, argv);
@@ -264,12 +264,11 @@ int RunDialectAblation(int argc, char** argv) {
     fixed.quote = 0;
     specs.push_back(fixed);
   }
-  std::printf("%-24s %12s %8s %8s %8s\n", "spec", "compile us", "wide",
-              "minimal", "packed");
+  std::printf("%-24s %12s %8s %8s\n", "spec", "compile us", "wide",
+              "minimal");
   for (const dialect::DialectSpec& spec : specs) {
     double best_us = 1e100;
     int original = 0, minimal = 0;
-    bool packed = false;
     for (int rep = 0; rep < 16; ++rep) {
       Stopwatch watch;
       auto compiled = dialect::Compile(spec, Pool());
@@ -282,36 +281,37 @@ int RunDialectAblation(int argc, char** argv) {
       best_us = std::min(best_us, us);
       original = compiled->original_states;
       minimal = compiled->minimized_states;
-      packed = compiled->within_budget;
     }
-    std::printf("%-24s %12.1f %8d %8d %8s\n", spec.name.c_str(), best_us,
-                original, minimal, packed ? "yes" : "fallback");
+    std::printf("%-24s %12.1f %8d %8d\n", spec.name.c_str(), best_us,
+                original, minimal);
     report.Add("dialect/compile/" + spec.name,
                {{"compile_us", best_us},
                 {"original_states", static_cast<double>(original)},
-                {"minimized_states", static_cast<double>(minimal)},
-                {"within_budget", packed ? 1.0 : 0.0}});
+                {"minimized_states", static_cast<double>(minimal)}});
   }
 
-  // (2) Parse throughput: built-in RFC 4180 vs its compiled twin vs the
-  // scalar fallback walk, same yelp-like input and schema.
+  // (2) Parse throughput: built-in RFC 4180 vs its compiled twin, same
+  // yelp-like input and schema.
   const size_t bytes = BenchBytes(8);
   const std::string data = GenerateYelpLike(42, bytes);
-  auto twin = dialect::Compile(specs[0], Pool());
-  if (!twin.ok()) return 1;
   std::printf("\n%zu MB yelp-like input, best of 3 runs\n", bytes >> 20);
   std::printf("%-24s %10s %8s\n", "path", "seconds", "GB/s");
-  double builtin_seconds = 0, twin_seconds = 0, fallback_seconds = 0;
-  auto run_path = [&](const char* name, double* out,
-                      auto&& parse) -> bool {
+  auto best_of_3 = [](auto&& parse) -> double {
     double best = 1e100;
     for (int rep = 0; rep < 3; ++rep) {
       Stopwatch watch;
-      if (!parse()) {
-        std::printf("%-24s failed\n", name);
-        return false;
-      }
+      if (!parse()) return -1;
       best = std::min(best, watch.ElapsedSeconds());
+    }
+    return best;
+  };
+  double builtin_seconds = 0, twin_seconds = 0;
+  auto run_path = [&](const char* name, double* out,
+                      auto&& parse) -> bool {
+    const double best = best_of_3(parse);
+    if (best < 0) {
+      std::printf("%-24s failed\n", name);
+      return false;
     }
     std::printf("%-24s %10.3f %8.2f\n", name, best, Gbps(bytes, best));
     report.Add(std::string("dialect/parse/") + name,
@@ -326,29 +326,81 @@ int RunDialectAblation(int argc, char** argv) {
                  options.schema = YelpSchema();
                  return Parser::Parse(data, options).ok();
                }) &&
-      run_path("compiled_twin", &twin_seconds,
-               [&] {
-                 ParseOptions options;
-                 options.schema = YelpSchema();
-                 options.dialect = specs[0];
-                 return Parser::Parse(data, options).ok();
-               }) &&
-      run_path("scalar_fallback_walk", &fallback_seconds, [&] {
+      run_path("compiled_twin", &twin_seconds, [&] {
         ParseOptions options;
         options.schema = YelpSchema();
-        return dialect::FallbackParse(data, *twin, options).ok();
+        options.dialect = specs[0];
+        return Parser::Parse(data, options).ok();
       });
   if (!ok) return 1;
   const double twin_overhead =
       builtin_seconds > 0 ? twin_seconds / builtin_seconds : 0;
-  const double fallback_slowdown =
-      twin_seconds > 0 ? fallback_seconds / twin_seconds : 0;
-  std::printf(
-      "\ncompiled twin vs built-in: %.2fx; scalar fallback vs pipeline: "
-      "%.2fx\n",
-      twin_overhead, fallback_slowdown);
-  report.Add("dialect/ratio", {{"twin_overhead", twin_overhead},
-                               {"fallback_slowdown", fallback_slowdown}});
+  std::printf("\ncompiled twin vs built-in: %.2fx\n", twin_overhead);
+  report.Add("dialect/ratio", {{"twin_overhead", twin_overhead}});
+
+  // (3) Fixed-width layouts over the SIMD register budget (one DFA state
+  // per record byte), each parsed through Parser::Parse on an explicit
+  // 1-worker and 4-worker pool.
+  struct Layout {
+    const char* name;
+    std::vector<int> widths;
+  };
+  const Layout layouts[] = {
+      {"fixed_width_50", {8, 12, 10, 6, 13}},      // 49 B + '\n'
+      {"fixed_width_300", {20, 40, 60, 80, 100}},  // 300 B + '\n'
+  };
+  ThreadPool pool1(1);
+  ThreadPool pool4(4);
+  std::printf("\n%zu MB fixed-width input, best of 3 runs\n", bytes >> 20);
+  std::printf("%-24s %8s %10s %10s %8s\n", "layout", "states", "1w s",
+              "4w s", "speedup");
+  for (const Layout& layout : layouts) {
+    dialect::DialectSpec spec;
+    spec.name = layout.name;
+    spec.fixed_widths = layout.widths;
+    spec.quote = 0;
+    auto compiled = dialect::Compile(spec, Pool());
+    if (!compiled.ok()) {
+      std::printf("%-24s failed: %s\n", layout.name,
+                  compiled.status().ToString().c_str());
+      return 1;
+    }
+    int record_width = 0;
+    for (int w : layout.widths) record_width += w;
+    std::mt19937_64 rng(7);
+    std::string input;
+    input.reserve(bytes + static_cast<size_t>(record_width) + 1);
+    while (input.size() < bytes) {
+      for (int i = 0; i < record_width; ++i) {
+        input.push_back(static_cast<char>('!' + rng() % 94));
+      }
+      input.push_back('\n');
+    }
+    auto parse_on = [&](ThreadPool* pool) {
+      return [&, pool] {
+        ParseOptions options;
+        options.dialect = spec;
+        options.pool = pool;
+        return Parser::Parse(input, options).ok();
+      };
+    };
+    const double seconds_1w = best_of_3(parse_on(&pool1));
+    const double seconds_4w = best_of_3(parse_on(&pool4));
+    if (seconds_1w < 0 || seconds_4w < 0) {
+      std::printf("%-24s failed\n", layout.name);
+      return 1;
+    }
+    const double speedup = seconds_1w / seconds_4w;
+    std::printf("%-24s %8d %10.3f %10.3f %7.2fx\n", layout.name,
+                compiled->minimized_states, seconds_1w, seconds_4w, speedup);
+    report.Add(std::string("dialect/parse/") + layout.name,
+               {{"states", static_cast<double>(compiled->minimized_states)},
+                {"seconds_1w", seconds_1w},
+                {"seconds_4w", seconds_4w},
+                {"gbps_1w", Gbps(input.size(), seconds_1w)},
+                {"gbps_4w", Gbps(input.size(), seconds_4w)},
+                {"speedup_4w", speedup}});
+  }
   report.Flush();
   return 0;
 }

@@ -36,7 +36,10 @@ int main() {
 
   // Optional: inspect what the compiler produced. Compile() builds the
   // wide automaton, minimises it, proves the result equivalent, and packs
-  // it into the 4-bit-per-state SIMD representation when it fits.
+  // it into the Dfa the pipeline parses with. Within the SIMD register
+  // budget (16 states, 16 symbols) the context step runs the vector
+  // kernels; over it, one DFA instance walks the chunks' entry states
+  // sequentially and every later step still runs chunk-parallel.
   auto compiled = dialect::Compile(euro);
   if (!compiled.ok()) {
     std::fprintf(stderr, "dialect rejected: %s\n",
@@ -46,8 +49,9 @@ int main() {
   std::printf("dialect '%s': %d states minimised to %d, %s\n",
               euro.name.c_str(), compiled->original_states,
               compiled->minimized_states,
-              compiled->within_budget ? "within the SIMD register budget"
-                                      : "scalar fallback");
+              compiled->format.dfa.fits_register_budget()
+                  ? "within the SIMD register budget"
+                  : "over the SIMD register budget (sequential context walk)");
 
   Schema schema;
   schema.AddField(Field("article_id", DataType::Int64()));

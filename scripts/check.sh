@@ -143,13 +143,16 @@ run_pipeline() {
   # The executor's differential suite (bit-identical to one monolithic
   # Parser::Parse across kernels and error policies), every entry point
   # that runs on the executor (Reader, StreamingParser, BulkLoader, the
-  # over-budget dialects' scalar walk on scan morsels, the robustness
-  # suite's budget and fault cases), the pushdown suite (a query's two
-  # phases run inside scan morsels), and the chaos sweep — whose schedule
-  # space includes faults at every morsel hand-off — all under the thread
-  # sanitizer, since the executor is the most schedule-sensitive code in
-  # the repo. ObsIntegration adds the executor-trace tests: one interval
-  # per stage across every sink, and spans that nest on their own thread.
+  # robustness suite's budget and fault cases), the dialects over the
+  # SIMD register budget (DialectEquivalence: their sequential
+  # entry-state walk in each scan morsel, then chunk-parallel steps,
+  # across partition sizes and all four error policies), the pushdown
+  # suite (a query's two phases run inside scan morsels), and the chaos
+  # sweep — whose schedule space includes faults at every morsel
+  # hand-off — all under the thread sanitizer, since the executor is the
+  # most schedule-sensitive code in the repo. ObsIntegration adds the
+  # executor-trace tests: one interval per stage across every sink, and
+  # spans that nest on their own thread.
   echo "=== pipeline: executor differential + chaos under TSan ==="
   PARPARAW_CHAOS_SCHEDULES=400 \
   TSAN_OPTIONS=halt_on_error=1 \

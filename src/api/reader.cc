@@ -129,12 +129,8 @@ Result<plan::ParsePlan> Reader::Explain() && {
       BulkLoader::ResolveBaseOptions(sample, head.truncated, options_,
                                      &resolution));
   PARPARAW_RETURN_NOT_OK(base.Validate());
-  // The planner wants the packed format a real parse would run with; an
-  // over-budget dialect parses on the scalar fallback, which has no
-  // plannable knobs.
-  PARPARAW_ASSIGN_OR_RETURN(std::optional<dialect::CompiledDialect> fallback,
-                            dialect::ResolveParseDialect(&base));
-  if (fallback.has_value()) return plan::StaticPlan(base);
+  // The planner wants the packed format a real parse would run with.
+  PARPARAW_RETURN_NOT_OK(dialect::ResolveParseDialect(&base).status());
   return plan::PlanStream(sample, head.truncated, &base);
 }
 

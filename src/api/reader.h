@@ -89,8 +89,8 @@ class Reader {
   /// What *would* this read do? Resolves dialect/schema from the head
   /// sample and runs the adaptive planner without executing the parse.
   /// The returned plan's Explain() renders the decision, its evidence and
-  /// the per-knob reasoning; with planning disabled (or a scalar dialect
-  /// fallback) the static resolution is reported instead.
+  /// the per-knob reasoning; with planning disabled the static resolution
+  /// is reported instead.
   Result<plan::ParsePlan> Explain() &&;
 
  private:

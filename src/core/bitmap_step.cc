@@ -54,7 +54,8 @@ Status BitmapStep::Run(PipelineState* state, StepTimings* timings) {
       const size_t pre_end =
           spec >= 0 ? std::min(static_cast<size_t>(spec), end) : end;
       simd::FlagWalkResult head = simd::WalkEmitFlags(
-          plan, state->data, begin, pre_end, state->entry_states[c],
+          plan, state->data, begin, pre_end,
+          static_cast<uint8_t>(state->entry_states[c]),
           state->symbol_index.data());
       uint32_t records = head.records;
       uint32_t fields_since_record = head.fields_since_record;

@@ -12,6 +12,28 @@ Status ContextStep::Run(PipelineState* state, StepTimings* timings) {
   obs::TraceSpan span(state->options->tracer, "step.context", "pipeline",
                       static_cast<int64_t>(state->size));
 
+  if (!dfa.fits_register_budget()) {
+    // Over the register budget there are no |S|-lane vectors to build and
+    // no kernel to run, whatever the requested level: one instance walks
+    // the chunks in order and records each one's entry state. The chunk
+    // steps after this one run in parallel as for any DFA.
+    state->kernel_level = simd::KernelLevel::kScalar;
+    obs::TraceSpan walk =
+        StepProbe(*state, "step.context.parse", "step.context.parse_us");
+    state->entry_states.resize(num_chunks);
+    int current = dfa.start_state();
+    for (int64_t c = 0; c < num_chunks; ++c) {
+      const ChunkRange r = ChunkRangeOf(*state, c);
+      state->entry_states[c] = current;
+      current = dfa.Run(current, state->data + r.begin, r.end - r.begin);
+    }
+    state->final_state = current;
+    state->has_trailing_record =
+        state->options->format.IsMidRecordState(current);
+    timings->parse_ms += walk.Stop() * 1e3;
+    return Status::OK();
+  }
+
   // Kernel selection (src/simd): the scalar reference path below, or the
   // fused vectorized path that also writes the speculative bitmap masks
   // of each chunk's entry-state-independent suffix.
@@ -100,7 +122,7 @@ Status ContextStep::Run(PipelineState* state, StepTimings* timings) {
         Compose(scanned[num_chunks - 1], state->transition_vectors[num_chunks - 1]);
     state->final_state = last.Get(start);
   } else {
-    state->final_state = static_cast<uint8_t>(start);
+    state->final_state = start;
   }
   state->has_trailing_record =
       state->options->format.IsMidRecordState(state->final_state);

@@ -14,6 +14,12 @@ namespace parparaw {
 /// entry state without any sequential pass over the input (the "scan"
 /// work). Fills: transition_vectors, entry_states, final_state,
 /// has_trailing_record.
+///
+/// A DFA over the SIMD register budget (Dfa::fits_register_budget) has no
+/// state-transition vectors: a single instance walks the chunks in order
+/// instead, one transition per byte, and fills entry_states, final_state
+/// and has_trailing_record (transition_vectors stays empty). Every later
+/// step runs chunk-parallel either way.
 class ContextStep {
  public:
   static Status Run(PipelineState* state, StepTimings* timings);

@@ -44,16 +44,14 @@ enum class ColumnCountPolicy : uint8_t {
 /// (obs::TraceSpan; a phase's span and its `<name>_us` sample are one
 /// interval):
 ///
-///   parse      step.context.parse (multi-DFA transition vectors)
+///   parse      step.context.parse (multi-DFA transition vectors, or the
+///              sequential entry-state walk over the register budget)
 ///   scan       step.context.scan + step.offset + step.tag.scan
 ///   tag        step.bitmap + step.tag.count + step.tag.write
 ///   partition  step.partition (radix sort by column, or the field
 ///              gather's walk, which writes the output columns)
 ///   convert    step.convert (CSS indexing incl. step.css_index and
 ///              values; table assembly alone under the field gather)
-///
-/// dialect::FallbackParse fills parse from dialect.walk and convert from
-/// dialect.convert.
 struct StepTimings {
   double parse_ms = 0;
   double scan_ms = 0;
@@ -112,9 +110,9 @@ struct ParseOptions : public Tuning {
   /// src/dialect). Mutually exclusive with an explicit format: every entry
   /// point resolves an engaged dialect exactly once — compiling, minimising
   /// and equivalence-proving it — before parsing, replacing `format` with
-  /// the packed result or falling back to the scalar wide-automaton walk
-  /// when the minimised state count exceeds the SIMD register budget
-  /// (counted by the "dialect.fallback" metric).
+  /// the packed result. A dialect of any size parses through the same
+  /// pipeline; over the SIMD register budget its context step walks the
+  /// entry states sequentially (core/context_step.h).
   std::optional<dialect::DialectSpec> dialect;
 
   /// Output schema. Empty schema: the number of columns is inferred and

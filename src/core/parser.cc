@@ -10,14 +10,9 @@ namespace parparaw {
 Result<ParseOutput> Parser::Parse(std::string_view input,
                                   const ParseOptions& options) {
   PARPARAW_RETURN_NOT_OK(options.Validate());
-  // A user dialect compiles into the format here; a dialect over the SIMD
-  // register budget parses on the scalar wide-automaton fallback instead.
+  // A user dialect compiles into the format here.
   ParseOptions resolved = options;
-  PARPARAW_ASSIGN_OR_RETURN(std::optional<dialect::CompiledDialect> fallback,
-                            dialect::ResolveParseDialect(&resolved));
-  if (fallback.has_value()) {
-    return dialect::FallbackParse(input, *fallback, resolved);
-  }
+  PARPARAW_RETURN_NOT_OK(dialect::ResolveParseDialect(&resolved).status());
   // Adaptive planning over the input's own prefix: the monolithic parse
   // holds the whole buffer, so the sample is never I/O.
   PARPARAW_ASSIGN_OR_RETURN(

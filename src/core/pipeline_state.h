@@ -194,12 +194,14 @@ struct PipelineState {
   std::vector<int64_t> spec_invalids;
 
   // --- context step (§3.1) ---
-  /// Per-chunk state-transition vectors (the "parse" bucket of Fig. 9).
+  /// Per-chunk state-transition vectors (the "parse" bucket of Fig. 9);
+  /// empty for a DFA over the register budget.
   std::vector<StateVector> transition_vectors;
-  /// Per-chunk DFA entry state after the composite-operator scan.
-  std::vector<uint8_t> entry_states;
+  /// Per-chunk DFA entry state after the composite-operator scan (or the
+  /// sequential walk of a DFA over the register budget).
+  std::vector<int32_t> entry_states;
   /// DFA state after the whole input.
-  uint8_t final_state = 0;
+  int32_t final_state = 0;
   /// True when the input ends inside an unterminated record.
   bool has_trailing_record = false;
 

@@ -187,22 +187,9 @@ ParseOutput EmptyOutput(const ParseOptions& options) {
 Status StagedParse::Scan(std::string_view input, const ParseOptions& options) {
   // Resolve defaults that the options struct cannot carry statically.
   resolved_ = options;
-  if (resolved_.dialect.has_value()) {
-    // Entry points resolve dialects up front (Parser::Parse routes
-    // over-budget dialects to the scalar fallback); this defensive path
-    // covers direct StagedParse users, for whom an over-budget dialect is
-    // an error rather than a silent fallback.
-    PARPARAW_ASSIGN_OR_RETURN(
-        std::optional<dialect::CompiledDialect> fallback,
-        dialect::ResolveParseDialect(&resolved_));
-    if (fallback.has_value()) {
-      return Status::Invalid(
-          "dialect '" + fallback->spec.name + "' needs " +
-          std::to_string(fallback->minimized_states) +
-          " DFA states, over the SIMD register budget; use Parser::Parse, "
-          "which falls back to the scalar dialect walk");
-    }
-  }
+  // Entry points resolve dialects up front; direct StagedParse users get
+  // theirs compiled here.
+  PARPARAW_RETURN_NOT_OK(dialect::ResolveParseDialect(&resolved_).status());
   if (resolved_.format.dfa.num_states() == 0) {
     PARPARAW_ASSIGN_OR_RETURN(resolved_.format, Rfc4180Format());
   }
@@ -272,8 +259,12 @@ Status StagedParse::Scan(std::string_view input, const ParseOptions& options) {
 
   output_.work.input_bytes = static_cast<int64_t>(input.size());
   output_.work.parse_bytes_read = static_cast<int64_t>(input.size());
-  output_.work.dfa_transitions = static_cast<int64_t>(input.size()) *
-                                 resolved_.format.dfa.num_states();
+  // |S| instances per byte, or the one instance of the sequential walk
+  // over the register budget.
+  const Dfa& dfa = resolved_.format.dfa;
+  output_.work.dfa_transitions =
+      static_cast<int64_t>(input.size()) *
+      (dfa.fits_register_budget() ? dfa.num_states() : 1);
   output_.work.scan_elements = state_.num_chunks * 3;  // context + 2 offsets
 
   PARPARAW_RETURN_NOT_OK_CTX(ContextStep::Run(&state_, &output_.timings),

@@ -39,21 +39,15 @@ Result<Dfa> DfaBuilder::Build() const {
   if (num_states == 0) {
     return Status::Invalid("DFA requires at least one state");
   }
-  if (num_states > kMaxDfaStates) {
-    return Status::Invalid("DFA supports at most 16 states");
-  }
   if (start_state_ < 0 || start_state_ >= num_states) {
     return Status::Invalid("start state out of range");
   }
-  if (symbols_.size() > 16) {
-    return Status::Invalid("DFA supports at most 16 distinct symbols");
-  }
-  for (size_t i = 0; i < symbols_.size(); ++i) {
-    for (size_t j = i + 1; j < symbols_.size(); ++j) {
-      if (symbols_[i] == symbols_[j]) {
-        return Status::Invalid("duplicate symbol in DFA definition");
-      }
+  std::array<bool, 256> registered{};
+  for (uint8_t symbol : symbols_) {
+    if (registered[symbol]) {
+      return Status::Invalid("duplicate symbol in DFA definition");
     }
+    registered[symbol] = true;
   }
 
   Dfa dfa;
@@ -61,17 +55,22 @@ Result<Dfa> DfaBuilder::Build() const {
   dfa.start_state_ = start_state_;
   dfa.invalid_state_ = invalid_state_;
   dfa.num_groups_ = num_groups_ + 1;  // + catch-all
+  dfa.num_symbols_ = static_cast<int>(symbols_.size());
   dfa.state_names_ = state_names_;
   dfa.state_names_.shrink_to_fit();
   dfa.accepting_ = accepting_;
-  dfa.matcher_ = SwarMatcher(symbols_);
-  // matcher index -> group; the matcher's catch-all maps to the catch-all
-  // group.
-  dfa.group_of_symbol_ = group_of_symbol_;
-  dfa.group_of_symbol_.push_back(num_groups_);
+  // Unregistered bytes fall into the catch-all group, stored last.
+  dfa.group_of_byte_.fill(static_cast<uint16_t>(num_groups_));
+  for (size_t i = 0; i < symbols_.size(); ++i) {
+    dfa.group_of_byte_[symbols_[i]] =
+        static_cast<uint16_t>(group_of_symbol_[i]);
+  }
 
-  dfa.rows_.assign(dfa.num_groups_, 0);
-  dfa.flags_.assign(dfa.num_groups_ * kMaxDfaStates, 0);
+  const size_t entries = static_cast<size_t>(dfa.num_groups_) * num_states;
+  dfa.next_.assign(entries, 0);
+  dfa.flags_.assign(entries, 0);
+  const bool packed = dfa.fits_register_budget();
+  if (packed) dfa.rows_.assign(dfa.num_groups_, 0);
   for (int g = 0; g < dfa.num_groups_; ++g) {
     for (int s = 0; s < num_states; ++s) {
       const Transition& t = (g == num_groups_) ? default_transitions_[s]
@@ -81,8 +80,10 @@ Result<Dfa> DfaBuilder::Build() const {
                                state_names_[s] + "', symbol group " +
                                std::to_string(g));
       }
-      dfa.rows_[g] |= static_cast<Dfa::Row>(t.to_state) << (s * 4);
-      dfa.flags_[g * kMaxDfaStates + s] = t.flags;
+      const size_t idx = static_cast<size_t>(g) * num_states + s;
+      dfa.next_[idx] = t.to_state;
+      dfa.flags_[idx] = t.flags;
+      if (packed) dfa.rows_[g] |= static_cast<Dfa::Row>(t.to_state) << (s * 4);
     }
   }
   return dfa;

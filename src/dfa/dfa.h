@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "dfa/state_vector.h"
-#include "mfira/swar.h"
 #include "util/result.h"
 #include "util/status.h"
 
@@ -36,12 +35,15 @@ enum SymbolFlags : uint8_t {
 /// \brief A deterministic finite automaton describing a delimiter-separated
 /// format's parsing rules (§3.1, Fig. 2, Table 1).
 ///
-/// The transition table is organised with one row per *symbol group*
-/// (distinct symbols with identical transition behaviour are collapsed,
-/// Table 1) and one 4-bit slot per state within a row, so that a thread can
-/// fetch the whole row for a read symbol at once and transition all its DFA
-/// instances with bit-field extracts. Symbols are mapped to groups by the
-/// branchless SWAR matcher (Table 2). Instances are immutable after Build().
+/// Symbols are mapped to *symbol groups* (distinct symbols with identical
+/// transition behaviour are collapsed, Table 1) through a 256-entry
+/// byte-to-group table, and the next-state and flag tables hold one entry
+/// per (group, state), so a DFA of any state and symbol count walks the
+/// same way. A DFA within the SIMD register budget (fits_register_budget())
+/// also carries the paper's packed rows: one 4-bit slot per state per
+/// group, so a thread fetches the whole row for a read symbol at once and
+/// transitions all its DFA instances with bit-field extracts (Step,
+/// TransitionVector). Instances are immutable after Build().
 class Dfa {
  public:
   /// Row type: 16 states x 4 bits, the "coalesced" row of Table 1.
@@ -55,40 +57,52 @@ class Dfa {
   int start_state() const { return start_state_; }
   /// Number of symbol groups including the trailing catch-all group.
   int num_symbol_groups() const { return num_groups_; }
+  /// Number of registered symbols: the bytes outside the catch-all group.
+  int num_symbols() const { return num_symbols_; }
   /// The designated trap state for invalid inputs, or -1 when the format
   /// defines none.
   int invalid_state() const { return invalid_state_; }
+
+  /// True when the DFA fits the SIMD register budget: at most
+  /// kMaxDfaStates states and kMaxDfaSymbols registered symbols. Only such
+  /// a DFA has the packed rows (row, Step, TransitionVector), a
+  /// StateVector and a simd::KernelPlan; the context step walks any other
+  /// DFA sequentially (core/context_step.h), and the planner plans it for
+  /// that walk.
+  bool fits_register_budget() const {
+    return num_states_ <= kMaxDfaStates && num_symbols_ <= kMaxDfaSymbols;
+  }
 
   const std::string& state_name(int state) const {
     return state_names_[state];
   }
 
-  /// Maps a raw input symbol to its symbol-group index (branchless SWAR).
-  int SymbolGroup(uint8_t symbol) const {
-    return group_of_symbol_[matcher_.Match(symbol)];
-  }
+  /// Maps a raw input symbol to its symbol-group index.
+  int SymbolGroup(uint8_t symbol) const { return group_of_byte_[symbol]; }
 
-  /// The packed transition row for a symbol group.
+  /// The packed transition row for a symbol group. Requires
+  /// fits_register_budget().
   Row row(int group) const { return rows_[group]; }
 
-  /// Next state for (state, group); a single shift+mask on the packed row.
-  uint8_t NextState(int state, int group) const {
-    return static_cast<uint8_t>((rows_[group] >> (state * 4)) & 0xF);
+  /// Next state for (state, group).
+  int NextState(int state, int group) const {
+    return next_[static_cast<size_t>(group) * num_states_ + state];
   }
 
   /// Convenience: next state for a raw symbol.
-  uint8_t NextStateForSymbol(int state, uint8_t symbol) const {
+  int NextStateForSymbol(int state, uint8_t symbol) const {
     return NextState(state, SymbolGroup(symbol));
   }
 
   /// Classification flags for consuming `group` while in `state`.
   uint8_t Flags(int state, int group) const {
-    return flags_[group * kMaxDfaStates + state];
+    return flags_[static_cast<size_t>(group) * num_states_ + state];
   }
 
   bool IsAccepting(int state) const { return accepting_[state]; }
 
-  /// Runs every DFA instance of a state-transition vector one step.
+  /// Runs every DFA instance of a state-transition vector one step through
+  /// the packed row. Requires fits_register_budget().
   void Step(StateVector* vector, uint8_t symbol) const {
     const Row row_bits = rows_[SymbolGroup(symbol)];
     for (int i = 0; i < vector->size(); ++i) {
@@ -98,16 +112,16 @@ class Dfa {
   }
 
   /// Simulates one DFA instance over `data`, returning the end state.
-  uint8_t Run(int state, const uint8_t* data, size_t size) const {
-    uint8_t s = static_cast<uint8_t>(state);
+  int Run(int state, const uint8_t* data, size_t size) const {
     for (size_t i = 0; i < size; ++i) {
-      s = NextStateForSymbol(s, data[i]);
+      state = NextStateForSymbol(state, data[i]);
     }
-    return s;
+    return state;
   }
 
   /// Computes the state-transition vector of a chunk: entry i is the end
   /// state of the instance that started in state i (§3.1, Fig. 3).
+  /// Requires fits_register_budget().
   StateVector TransitionVector(const uint8_t* data, size_t size) const {
     StateVector v = StateVector::Identity(num_states_);
     for (size_t i = 0; i < size; ++i) Step(&v, data[i]);
@@ -121,13 +135,16 @@ class Dfa {
   int start_state_ = 0;
   int invalid_state_ = -1;
   int num_groups_ = 0;
+  int num_symbols_ = 0;
   std::vector<std::string> state_names_;
   std::vector<bool> accepting_;
-  SwarMatcher matcher_;
-  /// matcher index (symbol position or catch-all) -> symbol group.
-  std::vector<int> group_of_symbol_;
-  std::vector<Row> rows_;
+  /// byte value -> symbol group; unregistered bytes map to the catch-all.
+  std::array<uint16_t, 256> group_of_byte_ = {};
+  /// [group * num_states + state] next states and SymbolFlags.
+  std::vector<int32_t> next_;
   std::vector<uint8_t> flags_;
+  /// Packed Table 1 rows, one per group; empty over the register budget.
+  std::vector<Row> rows_;
 };
 
 /// \brief Incremental builder for Dfa instances.
@@ -144,7 +161,7 @@ class DfaBuilder {
  public:
   DfaBuilder() = default;
 
-  /// Adds a state; returns its index. At most kMaxDfaStates states.
+  /// Adds a state; returns its index.
   int AddState(std::string name, bool accepting);
 
   /// Marks the start state (default: state 0).
@@ -179,7 +196,7 @@ class DfaBuilder {
 
   std::vector<std::string> state_names_;
   std::vector<bool> accepting_;
-  std::vector<uint8_t> symbols_;          // matcher order
+  std::vector<uint8_t> symbols_;          // registration order
   std::vector<int> group_of_symbol_;      // per symbol
   int num_groups_ = 0;
   int start_state_ = 0;

@@ -71,8 +71,7 @@ Result<Format> Rfc4180Format() {
   format.dfa = std::move(dfa);
   format.record_delimiter = '\n';
   format.field_delimiter = ',';
-  format.mid_record_state_mask = static_cast<uint16_t>(
-      (1u << kFld) | (1u << kEof) | (1u << kEsc) | (1u << kEnc));
+  for (int s : {kFld, kEof, kEsc, kEnc}) format.MarkMidRecordState(s);
   format.name = "rfc4180";
   return format;
 }
@@ -220,10 +219,13 @@ Result<Format> DsvFormat(const DsvOptions& options) {
   format.dfa = std::move(dfa);
   format.record_delimiter = options.record_delimiter;
   format.field_delimiter = options.field_delimiter;
-  uint16_t mask = static_cast<uint16_t>((1u << fld) | (1u << eof));
-  if (quoting) mask |= static_cast<uint16_t>((1u << enc) | (1u << esc));
-  if (escapes) mask |= static_cast<uint16_t>(1u << bsl);
-  format.mid_record_state_mask = mask;
+  format.MarkMidRecordState(fld);
+  format.MarkMidRecordState(eof);
+  if (quoting) {
+    format.MarkMidRecordState(enc);
+    format.MarkMidRecordState(esc);
+  }
+  if (escapes) format.MarkMidRecordState(bsl);
   format.name = "dsv";
   return format;
 }

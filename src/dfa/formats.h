@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "dfa/dfa.h"
 #include "util/result.h"
@@ -18,14 +19,22 @@ struct Format {
   uint8_t record_delimiter = '\n';
   /// The canonical field-delimiter symbol.
   uint8_t field_delimiter = ',';
-  /// Bitmask over states: bit s set means ending the input in state s
-  /// leaves an unterminated trailing record that the parser must still
-  /// emit (e.g. FLD/EOF/ESC for RFC 4180, but not EOR).
-  uint16_t mid_record_state_mask = 0;
+  /// Per DFA state: non-zero means ending the input in that state leaves
+  /// an unterminated trailing record that the parser must still emit (e.g.
+  /// FLD/EOF/ESC for RFC 4180, but not EOR). States past the end are not
+  /// mid-record.
+  std::vector<uint8_t> mid_record_states;
   std::string name;
 
   bool IsMidRecordState(int state) const {
-    return (mid_record_state_mask >> state) & 1;
+    return static_cast<size_t>(state) < mid_record_states.size() &&
+           mid_record_states[state] != 0;
+  }
+  void MarkMidRecordState(int state) {
+    if (static_cast<size_t>(state) >= mid_record_states.size()) {
+      mid_record_states.resize(static_cast<size_t>(state) + 1, 0);
+    }
+    mid_record_states[state] = 1;
   }
 };
 

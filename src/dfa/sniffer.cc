@@ -103,13 +103,12 @@ Result<SniffResult> SniffDsvFormat(std::string_view sample, int max_rows) {
     }
   }
 
-  // User-registered dialects compete on the same score. Only dialects
-  // within the register budget are scored (the packed format drives the
-  // same reference walk as the DSV candidates); a spec that no longer
-  // compiles is skipped rather than failing the sniff.
+  // User-registered dialects compete on the same score: the packed format
+  // drives the same reference walk as the DSV candidates. A spec that no
+  // longer compiles is skipped rather than failing the sniff.
   for (const dialect::DialectSpec& spec : dialect::RegisteredDialects()) {
     Result<dialect::CompiledDialect> compiled = dialect::Compile(spec);
-    if (!compiled.ok() || !compiled->within_budget) continue;
+    if (!compiled.ok()) continue;
     Candidate candidate;
     candidate.options.field_delimiter = spec.field_delimiter != 0
                                             ? spec.field_delimiter

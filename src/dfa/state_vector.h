@@ -6,9 +6,14 @@
 
 namespace parparaw {
 
-/// Upper bound on DFA states supported by the packed representations
-/// (4 bits per state in transition-table rows and MFIRA-backed vectors).
+/// The SIMD register budget: the DFA states the packed representations
+/// hold (4 bits per state in transition-table rows, MFIRA-backed vectors,
+/// the 16-lane shuffle kernels' state vectors) ...
 inline constexpr int kMaxDfaStates = 16;
+/// ... and the registered symbols the kernels' special-symbol matchers
+/// hold. A DFA over either bound parses through the context step's
+/// sequential walk instead (Dfa::fits_register_budget).
+inline constexpr int kMaxDfaSymbols = 16;
 
 /// \brief State-transition vector (§3.1).
 ///

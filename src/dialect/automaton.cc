@@ -5,7 +5,6 @@
 #include <queue>
 #include <utility>
 
-#include "dfa/state_vector.h"
 #include "robust/failpoint.h"
 
 namespace parparaw::dialect {
@@ -569,35 +568,16 @@ Automaton FromFormat(const Format& format) {
 
 Result<Format> PackFormat(const Automaton& automaton,
                           const DialectSpec& spec) {
-  if (automaton.num_states > kMaxDfaStates) {
-    return Status::Invalid(
-        "dialect '" + spec.name + "' needs " +
-        std::to_string(automaton.num_states) +
-        " DFA states after minimisation, over the " +
-        std::to_string(kMaxDfaStates) +
-        "-state SIMD register budget (4-bit packed rows / 16-lane shuffle "
-        "tables); the parse falls back to the scalar wide-automaton walk");
-  }
   const ByteClasses classes = ComputeByteClasses(automaton);
   const int num_classes = static_cast<int>(classes.representative.size());
 
   // The most populous class becomes the catch-all "*" row; every byte of
-  // every other class is registered as an explicit symbol with the SWAR
-  // matcher, which holds at most 16.
+  // every other class is registered as an explicit symbol.
   std::array<int, 256> class_sizes{};
   for (int byte = 0; byte < 256; ++byte) ++class_sizes[classes.of_byte[byte]];
   int catch_all = 0;
   for (int c = 1; c < num_classes; ++c) {
     if (class_sizes[c] > class_sizes[catch_all]) catch_all = c;
-  }
-  const int explicit_symbols = 256 - class_sizes[catch_all];
-  if (explicit_symbols > 16) {
-    return Status::Invalid(
-        "dialect '" + spec.name + "' distinguishes " +
-        std::to_string(explicit_symbols) +
-        " symbols beyond its catch-all class, over the 16-symbol SWAR "
-        "matcher budget; the parse falls back to the scalar wide-automaton "
-        "walk");
   }
 
   DfaBuilder builder;
@@ -638,11 +618,9 @@ Result<Format> PackFormat(const Automaton& automaton,
   format.field_delimiter = spec.field_delimiter != 0
                                ? spec.field_delimiter
                                : spec.record_delimiter_final();
-  uint16_t mask = 0;
   for (int s = 0; s < automaton.num_states; ++s) {
-    if (automaton.mid_record[s]) mask |= static_cast<uint16_t>(1u << s);
+    if (automaton.mid_record[s]) format.MarkMidRecordState(s);
   }
-  format.mid_record_state_mask = mask;
   format.name = spec.name;
   return format;
 }

@@ -17,9 +17,9 @@ namespace parparaw::dialect {
 ///
 /// This is the compiler's intermediate form: DialectSpec compiles into a
 /// (possibly wide) Automaton, partition-refinement minimisation shrinks it,
-/// and PackFormat() packs the result into the 4-bit/16-state Dfa when it
-/// fits the SIMD register budget. Like the packed Dfa it is a Mealy
-/// machine: SymbolFlags classify each (state, byte) transition.
+/// and PackFormat() packs the result into the symbol-group Dfa the
+/// pipeline parses with. Like the Dfa it is a Mealy machine: SymbolFlags
+/// classify each (state, byte) transition.
 struct Automaton {
   int num_states = 0;
   int start = 0;
@@ -29,7 +29,7 @@ struct Automaton {
   /// Per state: valid end-of-input state (ParseOptions::validate).
   std::vector<uint8_t> accepting;
   /// Per state: ending the input here leaves an unterminated trailing
-  /// record that must still be emitted (Format::mid_record_state_mask).
+  /// record that must still be emitted (Format::mid_record_states).
   std::vector<uint8_t> mid_record;
   /// Row-major [state * 256 + byte] transition and flag tables.
   std::vector<int> next;
@@ -80,11 +80,10 @@ EquivalenceResult CheckEquivalent(const Automaton& a, const Automaton& b);
 /// built-in DFAs against compiled dialects.
 Automaton FromFormat(const Format& format);
 
-/// Packs a (minimised) automaton into the 16-state/16-symbol Dfa
-/// representation the SIMD kernels consume. Fails with kInvalidArgument
-/// when the automaton exceeds the register budget (more than
-/// kMaxDfaStates states, or more distinguishable symbols than the SWAR
-/// matcher holds).
+/// Packs a (minimised) automaton into the Dfa representation: its
+/// byte-equivalence classes become symbol groups, the most populous one
+/// the catch-all. Any state and symbol count packs; whether the result
+/// fits the SIMD register budget is Dfa::fits_register_budget().
 Result<Format> PackFormat(const Automaton& automaton, const DialectSpec& spec);
 
 }  // namespace parparaw::dialect

@@ -2,7 +2,6 @@
 #define PARPARAW_DIALECT_DIALECT_H_
 
 #include <optional>
-#include <string_view>
 #include <vector>
 
 #include "core/options.h"
@@ -12,17 +11,15 @@
 namespace parparaw::dialect {
 
 /// \brief A dialect compiled end-to-end: the minimised wide automaton plus
-/// (when it fits the SIMD register budget) the packed Format the parallel
-/// pipeline consumes.
+/// the packed Format the pipeline parses with.
 struct CompiledDialect {
   DialectSpec spec;
-  /// The minimised automaton — always valid, drives the scalar fallback.
+  /// The minimised automaton.
   Automaton automaton;
-  /// The packed Format; only valid when within_budget.
+  /// The packed Format. Over the SIMD register budget
+  /// (Dfa::fits_register_budget) it parses through the context step's
+  /// sequential walk, through the same pipeline otherwise.
   Format format;
-  /// True when the minimised automaton packs into the 16-state/16-symbol
-  /// Dfa, so the full SIMD pipeline applies. False forces FallbackParse().
-  bool within_budget = false;
   int original_states = 0;
   int minimized_states = 0;
 };
@@ -31,33 +28,20 @@ struct CompiledDialect {
 /// failpoint) -> parallel minimisation ("dialect.minimise" failpoint) ->
 /// product-construction equivalence proof that minimisation preserved the
 /// language and every SymbolFlags annotation (an Internal error would be a
-/// compiler bug, never user error) -> packing into the Dfa representation
-/// when the state count fits the register budget. Metrics (null-safe):
-/// "dialect.compiled" count, "dialect.states" gauge.
+/// compiler bug, never user error) -> packing into the Dfa representation.
+/// Metrics (null-safe): "dialect.compiled" count, "dialect.states" gauge.
 Result<CompiledDialect> Compile(const DialectSpec& spec,
                                 ThreadPool* pool = nullptr,
                                 obs::MetricsRegistry* metrics = nullptr);
 
-/// Resolves ParseOptions::dialect in place for an entry point:
-///  - no dialect set: returns nullopt, options untouched;
-///  - dialect within budget: options->format becomes the compiled Format,
-///    options->dialect is cleared, returns nullopt — the normal parallel
-///    pipeline runs unchanged;
-///  - dialect over budget: returns the CompiledDialect for FallbackParse()
-///    and bumps the "dialect.fallback" counter.
-/// Setting both a dialect and a non-empty format is an InvalidArgument.
+/// Resolves ParseOptions::dialect in place for an entry point: with a
+/// dialect set, options->format becomes the compiled Format and
+/// options->dialect is cleared; without one, options stay untouched. Every
+/// dialect then parses through the one pipeline, so the result is always
+/// nullopt (the optional is kept for source compatibility). Setting both a
+/// dialect and a non-empty format is an InvalidArgument.
 Result<std::optional<CompiledDialect>> ResolveParseDialect(
     ParseOptions* options);
-
-/// Scalar reference parse for dialects over the register budget: walks the
-/// minimised wide automaton sequentially (honouring inclusive field
-/// boundaries) and materialises the table with the same convert semantics
-/// as the parallel pipeline. exclude_trailing_record is honoured
-/// (remainder_offset reported); ErrorPolicy::kQuarantine is not available
-/// on this path and returns InvalidArgument.
-Result<ParseOutput> FallbackParse(std::string_view input,
-                                  const CompiledDialect& dialect,
-                                  const ParseOptions& options);
 
 /// Registers a dialect for format sniffing (dfa/sniffer.h): Sniff() scores
 /// registered dialects against its sample alongside the built-in DSV

@@ -57,9 +57,9 @@ struct PartitionTask {
   bool is_last = false;
   StagedParse parse;
   /// Output of a whole-partition parse inside the scan morsel, which the
-  /// sort and convert morsels pass through. Its two users: a query's
-  /// pushdown (ExecOptions::predicate) and an over-budget dialect's scalar
-  /// walk.
+  /// sort and convert morsels pass through. Its one user is a query's
+  /// pushdown (ExecOptions::predicate), which runs both of its phases
+  /// there.
   std::optional<ParseOutput> walked;
 
   bool finished() const { return walked.has_value() || parse.finished(); }
@@ -217,40 +217,31 @@ class PipelineRun {
       return Status::Invalid("partition size must be positive");
     }
 
-    // Compile a user dialect once per ingest, not once per partition. An
-    // over-budget dialect keeps its automaton for the scan morsel's
-    // scalar walk; only a query's pushdown phases, which go through
-    // Parser::Parse, compile it again.
+    // Compile a user dialect once per ingest, not once per partition.
     base_ = options_.base;
-    PARPARAW_ASSIGN_OR_RETURN(fallback_,
-                              dialect::ResolveParseDialect(&base_));
+    PARPARAW_RETURN_NOT_OK(dialect::ResolveParseDialect(&base_).status());
 
     // Plan once for the whole ingest from the stream's head sample; every
-    // partition then parses under the pinned knobs. The scalar walk has no
-    // plannable knobs, so it runs the static plan. An I/O failure on the
+    // partition then parses under the pinned knobs. An I/O failure on the
     // sample is never fatal under kAuto — the static defaults are always
     // correct.
-    if (fallback_.has_value()) {
-      result_.plan = plan::StaticPlan(base_);
+    std::string sample;
+    bool truncated = false;
+    Status sampled = Status::OK();
+    if (base_.planner != PlannerMode::kDisabled) {
+      sampled = source->SampleHead(base_.sample_budget, &sample, &truncated);
+    }
+    if (sampled.ok()) {
+      PARPARAW_ASSIGN_OR_RETURN(result_.plan,
+                                plan::PlanStream(sample, truncated, &base_));
+    } else if (base_.planner == PlannerMode::kForce) {
+      return sampled.WithContext("plan.sample");
     } else {
-      std::string sample;
-      bool truncated = false;
-      Status sampled = Status::OK();
-      if (base_.planner != PlannerMode::kDisabled) {
-        sampled = source->SampleHead(base_.sample_budget, &sample, &truncated);
-      }
-      if (sampled.ok()) {
-        PARPARAW_ASSIGN_OR_RETURN(result_.plan,
-                                  plan::PlanStream(sample, truncated, &base_));
-      } else if (base_.planner == PlannerMode::kForce) {
-        return sampled.WithContext("plan.sample");
-      } else {
-        obs::AddCount(metrics_, "plan.fallback", 1);
-        result_.plan = plan::StaticPlan(base_);
-        result_.plan.fallback = true;
-        result_.plan.reason = sampled.ToString();
-        plan::ApplyPlan(result_.plan, &base_);
-      }
+      obs::AddCount(metrics_, "plan.fallback", 1);
+      result_.plan = plan::StaticPlan(base_);
+      result_.plan.fallback = true;
+      result_.plan.reason = sampled.ToString();
+      plan::ApplyPlan(result_.plan, &base_);
     }
 
     // Degrade instead of refusing, in two independent ways: partitions
@@ -276,7 +267,7 @@ class PipelineRun {
         admission_limit_ = 4;  // read + scan + sort + convert in flight
       }
     }
-    result_.kernel_level = simd::ResolveKernelLevel(base_.kernel);
+    result_.kernel_level = result_.plan.kernel_level;
     result_.stats.admission_limit = admission_limit_;
 
     // Register with the executor so Cancel() reaches this run.
@@ -540,9 +531,7 @@ class PipelineRun {
     po.memory_budget = 0;
     Status scanned;
     if (options_.predicate.has_value()) {
-      // Both pushdown phases take the scalar walk when the dialect is over
-      // budget. Scans run in stream order, so the counts add up in it too.
-      if (fallback_.has_value()) po.dialect = fallback_->spec;
+      // Scans run in stream order, so the counts add up in it too.
       PushdownStats counts;
       Result<ParseOutput> pushed =
           ParseWithPushdown(task->buffer, po, *options_.predicate, &counts);
@@ -552,11 +541,6 @@ class PipelineRun {
         result_.pushdown.records_scanned += counts.records_scanned;
         result_.pushdown.records_selected += counts.records_selected;
       }
-    } else if (fallback_.has_value()) {
-      Result<ParseOutput> walked =
-          dialect::FallbackParse(task->buffer, *fallback_, po);
-      scanned = walked.status();
-      if (scanned.ok()) task->walked = std::move(walked).ValueOrDie();
     } else {
       scanned = task->parse.Scan(task->buffer, po);
     }
@@ -786,8 +770,6 @@ class PipelineRun {
   const ExecOptions& options_;
   /// options_.base with any dialect resolved into a packed format.
   ParseOptions base_;
-  /// An over-budget dialect, parsed by the scalar walk; nullopt otherwise.
-  std::optional<dialect::CompiledDialect> fallback_;
   const PartitionSink* sink_;
   obs::MetricsRegistry* metrics_;
 

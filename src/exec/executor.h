@@ -150,11 +150,11 @@ using PartitionSink = std::function<Status(Table&&)>;
 /// Several files can be ingested concurrently through one executor; they
 /// share the admission controller, so the budget holds globally.
 ///
-/// A dialect over the SIMD register budget runs the same schedule: its
-/// scan morsel parses the whole partition with the scalar
-/// dialect::FallbackParse walk and the sort/convert morsels pass it
-/// through. A query (ExecOptions::predicate) does the same with both
-/// pushdown phases, on the scalar walk when its dialect is over budget.
+/// Every dialect runs this schedule, one over the SIMD register budget
+/// too: its scan morsel's context step walks the entry states
+/// sequentially, and everything after runs chunk-parallel as usual. A
+/// query (ExecOptions::predicate) runs both pushdown phases inside the
+/// scan morsel and the sort/convert morsels pass the result through.
 /// A parse error surfaces in stream order, so the ingest fails with the
 /// error of the first failing partition, as a monolithic parse would.
 ///

@@ -52,8 +52,7 @@ Result<Format> JsonLinesFormat() {
   format.dfa = std::move(dfa);
   format.record_delimiter = '\n';
   format.field_delimiter = '\n';  // single-column records
-  format.mid_record_state_mask =
-      static_cast<uint16_t>((1u << rec) | (1u << str) | (1u << esc));
+  for (int s : {rec, str, esc}) format.MarkMidRecordState(s);
   format.name = "json-lines";
   return format;
 }

@@ -137,7 +137,7 @@ Result<ParseOptions> ResolveBase(std::string_view sample,
   static_cast<Tuning&>(base) = options.tuning;
   if (options.dialect.has_value()) {
     // Left as a dialect: every downstream entry point (Parser, streaming,
-    // exec) resolves it, keeping the scalar-fallback decision theirs.
+    // exec) compiles it once.
     base.dialect = options.dialect;
   } else if (sniffed && result->dialect.dialect_spec.has_value()) {
     base.dialect = result->dialect.dialect_spec;

@@ -18,8 +18,8 @@ struct LoadOptions {
   /// Explicit format; unset (0 states) = sniff from the file head.
   Format format;
   /// A user-defined dialect (src/dialect), compiled at runtime; mutually
-  /// exclusive with an explicit format and skips sniffing. Over-budget
-  /// dialects parse each partition with the scalar fallback walk.
+  /// exclusive with an explicit format and skips sniffing. Every dialect
+  /// parses through the pipeline, over the register budget too.
   std::optional<dialect::DialectSpec> dialect;
   /// Header handling: -1 = auto (from the sniffer), 0 = no header,
   /// 1 = first row is a header (its names become the column names).

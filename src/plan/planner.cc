@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cstdio>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "dfa/formats.h"
@@ -94,11 +96,22 @@ void AppendReason(std::string* reason, const std::string& line) {
   reason->append(line);
 }
 
-/// Measures the sampled prefix with the portable SWAR kernel and the exact
-/// flag walk. Everything here is counted, never timed, so the stats — and
-/// every decision derived from them — are reproducible.
+/// The level a kernel request resolves to for `dfa`: a DFA over the
+/// register budget always takes the context step's sequential walk, which
+/// is the scalar level.
+simd::KernelLevel KernelLevelFor(const Dfa& dfa, simd::KernelKind kernel) {
+  return dfa.fits_register_budget() ? simd::ResolveKernelLevel(kernel)
+                                    : simd::KernelLevel::kScalar;
+}
+
+/// Measures the sampled prefix with the exact flag walk over the DFA's
+/// tables and, for a DFA within the register budget (kernel_plan
+/// non-null), the portable SWAR kernel's convergence probe. Everything
+/// here is counted, never timed, so the stats — and every decision derived
+/// from them — are reproducible.
 SampleStats MeasureSample(std::string_view sample, bool truncated,
-                          const simd::KernelPlan& kernel_plan) {
+                          const Dfa& dfa,
+                          const simd::KernelPlan* kernel_plan) {
   SampleStats stats;
   stats.sample_bytes = static_cast<int64_t>(sample.size());
   stats.truncated = truncated;
@@ -111,15 +124,19 @@ SampleStats MeasureSample(std::string_view sample, bool truncated,
   // prefix — record shape is established within a few thousand records.
   const size_t walk_bytes = std::min(n, kMaxWalkBytes);
   std::vector<simd::SymbolMasks> masks(simd::MaskWordsFor(n));
-  simd::WalkEmitFlags(kernel_plan, data, 0, walk_bytes,
-                      static_cast<uint8_t>(kernel_plan.start_state),
-                      masks.data());
+  simd::MaskWriter out(masks.data(), 0, walk_bytes);
+  int state = dfa.start_state();
+  for (size_t i = 0; i < walk_bytes; ++i) {
+    const int group = dfa.SymbolGroup(data[i]);
+    out.Set(i, dfa.Flags(state, group));
+    state = dfa.NextState(state, group);
+  }
+  out.Finish();
 
+  const int catchall_group = dfa.num_symbol_groups() - 1;
   int64_t special_bytes = 0;
   for (size_t i = 0; i < walk_bytes; ++i) {
-    if (kernel_plan.group_of_byte[data[i]] != kernel_plan.catchall_group) {
-      ++special_bytes;
-    }
+    if (dfa.SymbolGroup(data[i]) != catchall_group) ++special_bytes;
   }
   stats.special_density = static_cast<double>(special_bytes) /
                           static_cast<double>(walk_bytes);
@@ -167,7 +184,9 @@ SampleStats MeasureSample(std::string_view sample, bool truncated,
   // the measurement machine-independent. Only full probe chunks count — a
   // short tail converges trivially and would skew the fraction — and at
   // most kMaxProbeChunks are run, strided evenly so a large sample is
-  // probed across its whole length instead of just its head.
+  // probed across its whole length instead of just its head. A DFA over
+  // the register budget has no kernel to probe.
+  if (kernel_plan == nullptr) return stats;
   int64_t depth_sum = 0;
   const size_t full_chunks = n / kProbeChunk;
   const size_t stride =
@@ -176,7 +195,7 @@ SampleStats MeasureSample(std::string_view sample, bool truncated,
   for (size_t begin = 0; begin + kProbeChunk <= n; begin += stride) {
     const size_t end = begin + kProbeChunk;
     const simd::ChunkKernelResult result =
-        simd::internal::ChunkKernelSwar(kernel_plan, data, begin, end,
+        simd::internal::ChunkKernelSwar(*kernel_plan, data, begin, end,
                                         masks.data());
     ++stats.probe_chunks;
     if (result.spec_offset >= 0) {
@@ -244,7 +263,7 @@ ParsePlan StaticPlan(const ParseOptions& options) {
   plan.kernel = options.kernel == simd::KernelKind::kAuto
                     ? simd::KernelKind::kSimd
                     : options.kernel;
-  plan.kernel_level = simd::ResolveKernelLevel(plan.kernel);
+  plan.kernel_level = KernelLevelFor(options.format.dfa, plan.kernel);
   plan.chunk_size = options.chunk_size == 0 ? 31 : options.chunk_size;
   plan.tagging_mode = EffectiveTaggingMode(options);
   plan.transpose_mode = EffectiveTransposeMode(options);
@@ -264,7 +283,10 @@ Result<ParsePlan> PlanParse(std::string_view sample, bool sample_truncated,
   if (format.dfa.num_states() == 0) {
     PARPARAW_ASSIGN_OR_RETURN(format, Rfc4180Format());
   }
-  const simd::KernelPlan kernel_plan = simd::BuildKernelPlan(format.dfa);
+  const Dfa& dfa = format.dfa;
+  const bool in_budget = dfa.fits_register_budget();
+  std::optional<simd::KernelPlan> kernel_plan;
+  if (in_budget) kernel_plan.emplace(simd::BuildKernelPlan(dfa));
 
   const size_t budget = options.sample_budget;
   const bool clipped = sample.size() > budget;
@@ -273,8 +295,8 @@ Result<ParsePlan> PlanParse(std::string_view sample, bool sample_truncated,
 
   ParsePlan plan = StaticPlan(options);
   plan.planned = true;
-  plan.stats = MeasureSample(clipped_sample, sample_truncated || clipped,
-                             kernel_plan);
+  plan.stats = MeasureSample(clipped_sample, sample_truncated || clipped, dfa,
+                             kernel_plan ? &*kernel_plan : nullptr);
   const SampleStats& stats = plan.stats;
 
   PARPARAW_FAILPOINT("plan.decide");
@@ -286,7 +308,14 @@ Result<ParsePlan> PlanParse(std::string_view sample, bool sample_truncated,
   // word skipping (0.63x on yelp/taxi vs 5.9x on lineitem).
   if (options.kernel == simd::KernelKind::kAuto) {
     const simd::KernelLevel best = simd::DetectBestKernelLevel();
-    if (best != simd::KernelLevel::kSwar &&
+    if (!in_budget) {
+      plan.kernel = simd::KernelKind::kScalar;
+      AppendReason(&plan.reason,
+                   "kernel=scalar: " + std::to_string(dfa.num_states()) +
+                       " states / " + std::to_string(dfa.num_symbols()) +
+                       " symbols exceed the register budget, so the "
+                       "context step walks the entry states sequentially");
+    } else if (best != simd::KernelLevel::kSwar &&
         best != simd::KernelLevel::kScalar) {
       plan.kernel = simd::KernelKind::kSimd;
       AppendReason(&plan.reason,
@@ -312,7 +341,7 @@ Result<ParsePlan> PlanParse(std::string_view sample, bool sample_truncated,
                     stats.special_density * 100.0);
       AppendReason(&plan.reason, line);
     }
-    plan.kernel_level = simd::ResolveKernelLevel(plan.kernel);
+    plan.kernel_level = KernelLevelFor(dfa, plan.kernel);
   }
 
   // Chunk size: chunks are both the speculation granularity and the unit
@@ -328,7 +357,11 @@ Result<ParsePlan> PlanParse(std::string_view sample, bool sample_truncated,
   if (options.chunk_size == 0) {
     size_t chunk = 31;
     const char* why = "sample shorter than one probe chunk: paper default 31";
-    if (stats.probe_chunks == 0) {
+    if (!in_budget) {
+      chunk = 1024;
+      why = "sequential entry-state walk: amortise the per-chunk overhead "
+            "of the chunk-parallel steps";
+    } else if (stats.probe_chunks == 0) {
       // Keep the default reason.
     } else if (plan.kernel_level == simd::KernelLevel::kScalar) {
       chunk = 1024;

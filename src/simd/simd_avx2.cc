@@ -13,7 +13,7 @@ struct Avx2Traits {
   static constexpr size_t kWidth = 32;
 
   struct Scanner {
-    __m256i specials[kMaxSpecialSymbols];
+    __m256i specials[kMaxDfaSymbols];
     int num_specials;
 
     explicit Scanner(const KernelPlan& plan)

@@ -54,17 +54,18 @@ KernelPlan BuildKernelPlan(const Dfa& dfa) {
     const int group = dfa.SymbolGroup(static_cast<uint8_t>(b));
     plan.group_of_byte[b] = static_cast<uint8_t>(group);
     if (group != plan.catchall_group &&
-        plan.num_specials < kMaxSpecialSymbols) {
+        plan.num_specials < kMaxDfaSymbols) {
       plan.special_symbols[plan.num_specials++] = static_cast<uint8_t>(b);
     }
   }
 
   for (int g = 0; g < dfa.num_symbol_groups(); ++g) {
     for (int s = 0; s < 16; ++s) {
-      // Entries past num_states read zero nibbles of the packed row; they
-      // are never used as lookup indices (lanes only ever hold live
-      // states) but keep the table total.
-      plan.group_tables[g][s] = dfa.NextState(s, g);
+      // Entries past num_states stay zero; they are never used as lookup
+      // indices (lanes only ever hold live states) but keep the table
+      // total.
+      plan.group_tables[g][s] =
+          s < plan.num_states ? static_cast<uint8_t>(dfa.NextState(s, g)) : 0;
     }
   }
 
@@ -81,7 +82,8 @@ KernelPlan BuildKernelPlan(const Dfa& dfa) {
   for (int s = 0; s < plan.num_states; ++s) {
     for (int b = 0; b < 256; ++b) {
       const int group = plan.group_of_byte[b];
-      plan.next_flat[(s << 8) | b] = dfa.NextState(s, group);
+      plan.next_flat[(s << 8) | b] =
+          static_cast<uint8_t>(dfa.NextState(s, group));
       plan.flags_flat[(s << 8) | b] = dfa.Flags(s, group);
     }
     plan.state_skippable[s] =

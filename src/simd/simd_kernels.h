@@ -11,12 +11,8 @@
 
 namespace parparaw::simd {
 
-/// Registered (non-catch-all) symbols a DFA can have; bounded by the
-/// DfaBuilder's 16-symbol limit.
-inline constexpr int kMaxSpecialSymbols = 16;
-
 /// Symbol groups including the trailing catch-all group.
-inline constexpr int kMaxSymbolGroups = kMaxSpecialSymbols + 1;
+inline constexpr int kMaxSymbolGroups = kMaxDfaSymbols + 1;
 
 /// \brief Precomputed, DFA-derived lookup tables shared by every kernel
 /// level for one parse.
@@ -26,8 +22,7 @@ inline constexpr int kMaxSymbolGroups = kMaxSpecialSymbols + 1;
 /// as the index operand advances *all* DFA instances by one symbol — the
 /// vector realisation of the packed Table 1 row. The flat [state<<8|byte]
 /// LUTs serve the single-state (converged / bitmap) walks; group_of_byte is
-/// the SwarMatcher's classification materialised per byte value so the hot
-/// loops pay one L1 load instead of the register scan.
+/// the DFA's byte classification narrowed to one byte per entry.
 struct KernelPlan {
   int num_states = 0;
   int invalid_state = -1;
@@ -41,9 +36,8 @@ struct KernelPlan {
   int catchall_group = 0;
   int num_specials = 0;
   /// Symbols whose group is not the catch-all, ascending byte order.
-  uint8_t special_symbols[kMaxSpecialSymbols] = {};
-  /// byte value -> symbol group (built via Dfa::SymbolGroup, i.e. the SWAR
-  /// matcher of Table 2).
+  uint8_t special_symbols[kMaxDfaSymbols] = {};
+  /// byte value -> symbol group (Dfa::SymbolGroup).
   uint8_t group_of_byte[256] = {};
   /// Per-group shuffle tables: byte s = NextState(s, g).
   alignas(16) uint8_t group_tables[kMaxSymbolGroups][16] = {};
@@ -59,7 +53,8 @@ struct KernelPlan {
   bool state_skippable[kMaxDfaStates] = {};
 };
 
-/// Derives the plan from a built DFA. Cheap (a few KB of table fills); the
+/// Derives the plan from a built DFA within the register budget
+/// (Dfa::fits_register_budget). Cheap (a few KB of table fills); the
 /// pipeline builds one per parse and shares it across chunks.
 KernelPlan BuildKernelPlan(const Dfa& dfa);
 

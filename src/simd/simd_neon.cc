@@ -33,7 +33,7 @@ uint8x16_t AdvanceLanesNeon(const KernelPlan& plan, uint8x16_t v,
 }
 
 struct Scanner {
-  uint8x16_t specials[kMaxSpecialSymbols];
+  uint8x16_t specials[kMaxDfaSymbols];
   int num_specials;
 
   explicit Scanner(const KernelPlan& plan) : num_specials(plan.num_specials) {

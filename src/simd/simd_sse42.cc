@@ -12,7 +12,7 @@ struct Sse42Traits {
   static constexpr size_t kWidth = 16;
 
   struct Scanner {
-    __m128i specials[kMaxSpecialSymbols];
+    __m128i specials[kMaxDfaSymbols];
     int num_specials;
 
     explicit Scanner(const KernelPlan& plan)

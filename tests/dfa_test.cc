@@ -52,16 +52,29 @@ TEST(StateVectorTest, IdentityIsNeutral) {
   EXPECT_TRUE(Compose(a, id) == a);
 }
 
-TEST(DfaBuilderTest, RejectsEmptyAndOversized) {
+TEST(DfaBuilderTest, RejectsEmptyAndBuildsPastTheRegisterBudget) {
   DfaBuilder empty;
   EXPECT_FALSE(empty.Build().ok());
 
-  DfaBuilder too_many;
+  // 17 states: one past the register budget, so no packed rows, but the
+  // next-state and flag tables cover every state.
+  DfaBuilder wide;
+  for (int i = 0; i < 17; ++i) wide.AddState("s" + std::to_string(i), true);
+  const int g = wide.AddSymbol('x');
   for (int i = 0; i < 17; ++i) {
-    too_many.AddState("s" + std::to_string(i), true);
+    wide.SetTransition(i, g, (i + 1) % 17, kSymbolFieldDelimiter);
+    wide.SetDefaultTransition(i, i, kSymbolData);
   }
-  for (int i = 0; i < 17; ++i) too_many.SetDefaultTransition(i, 0, 0);
-  EXPECT_FALSE(too_many.Build().ok());
+  auto dfa = wide.Build();
+  ASSERT_TRUE(dfa.ok()) << dfa.status().ToString();
+  EXPECT_FALSE(dfa->fits_register_budget());
+  EXPECT_EQ(dfa->NextStateForSymbol(16, 'x'), 0);
+  EXPECT_EQ(dfa->NextStateForSymbol(16, 'y'), 16);
+  EXPECT_EQ(dfa->Flags(16, g), kSymbolFieldDelimiter);
+  const std::string input(20, 'x');
+  EXPECT_EQ(dfa->Run(0, reinterpret_cast<const uint8_t*>(input.data()),
+                     input.size()),
+            3);
 }
 
 TEST(DfaBuilderTest, RejectsMissingTransition) {

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -10,10 +11,12 @@
 #include "dfa/formats.h"
 #include "dfa/sniffer.h"
 #include "dialect/dialect.h"
+#include "dialect_oracle.h"
 #include "exec/executor.h"
 #include "io/file.h"
 #include "json/json_lines.h"
 #include "obs/metrics.h"
+#include "simd/dispatch.h"
 #include "stream/streaming_parser.h"
 #include "workload/generators.h"
 
@@ -258,7 +261,7 @@ TEST(DialectEquivalenceTest, MultiByteRecordDelimiterDialect) {
   // Within the register budget: CSV's six states plus one chain state.
   auto compiled = dialect::Compile(spec);
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-  EXPECT_TRUE(compiled->within_budget);
+  EXPECT_TRUE(compiled->format.dfa.fits_register_budget());
   EXPECT_LE(compiled->minimized_states, kMaxDfaStates);
 
   const std::string input =
@@ -291,7 +294,7 @@ TEST(DialectEquivalenceTest, BackslashEscapeDialect) {
 
   auto compiled = dialect::Compile(spec);
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-  EXPECT_TRUE(compiled->within_budget);
+  EXPECT_TRUE(compiled->format.dfa.fits_register_budget());
 
   const std::string input =
       "one;\"two \\\" escaped\";three\n"
@@ -310,10 +313,10 @@ TEST(DialectEquivalenceTest, FixedWidthDialectWithinBudget) {
   spec.fixed_widths = {3, 2, 4};
   spec.quote = 0;  // fixed-width fields have no quoting layer
 
-  // 9 position states + EOL + INV = 11 states: packs into the Dfa.
+  // 9 position states + EOL + INV = 11 states: within the register budget.
   auto compiled = dialect::Compile(spec);
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-  EXPECT_TRUE(compiled->within_budget);
+  EXPECT_TRUE(compiled->format.dfa.fits_register_budget());
   EXPECT_EQ(compiled->minimized_states, 11);
 
   const std::string input =
@@ -340,20 +343,70 @@ TEST(DialectEquivalenceTest, FixedWidthDialectWithinBudget) {
   EXPECT_FALSE(Parser::Parse("abc12def\n", validate).ok());
 }
 
-TEST(DialectEquivalenceTest, OverBudgetDialectFallsBackToScalarWalk) {
+// A fixed-width layout over the register budget: one DFA state per record
+// byte, 20 positions + EOL + INV.
+DialectSpec WideFixedSpec() {
   DialectSpec spec;
   spec.name = "fixed-wide";
-  spec.fixed_widths = {10, 10};  // 20 positions + EOL + INV > 16 states
+  spec.fixed_widths = {10, 10};
   spec.quote = 0;
+  return spec;
+}
 
+// A {6, 14} layout: a zero-padded id, then a name.
+DialectSpec TypedWideFixedSpec() {
+  DialectSpec spec;
+  spec.name = "fixed-typed";
+  spec.fixed_widths = {6, 14};
+  spec.quote = 0;
+  return spec;
+}
+
+Schema TypedWideFixedSchema() {
+  Schema schema;
+  schema.AddField(Field("id", DataType::Int64()));
+  schema.AddField(Field("name", DataType::String()));
+  return schema;
+}
+
+// `records` records of TypedWideFixedSpec, 21 bytes each with the
+// delimiter; every seventh id is malformed, so its row is rejected.
+std::string TypedWideFixedInput(int records) {
+  std::string input;
+  for (int i = 0; i < records; ++i) {
+    std::string id = std::to_string(100000 + i * 37);
+    if (i % 7 == 3) id[2] = 'x';
+    std::string name = "row" + std::to_string(i);
+    name += std::string(14 - name.size(), '.');
+    input += id + name + "\n";
+  }
+  return input;
+}
+
+OracleParse WalkOracle(const std::string& input, const DialectSpec& spec,
+                       const ParseOptions& options) {
+  auto compiled = dialect::Compile(spec);
+  EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
+  auto oracle = AutomatonWalkParse(input, compiled->automaton,
+                                   spec.record_delimiter_final(), options);
+  EXPECT_TRUE(oracle.ok()) << oracle.status().ToString();
+  return std::move(oracle).ValueOrDie();
+}
+
+const robust::ErrorPolicy kAllPolicies[] = {
+    robust::ErrorPolicy::kNull, robust::ErrorPolicy::kFail,
+    robust::ErrorPolicy::kSkip, robust::ErrorPolicy::kQuarantine};
+
+TEST(DialectEquivalenceTest, OverBudgetDialectParsesOnThePipeline) {
+  const DialectSpec spec = WideFixedSpec();
   obs::MetricsRegistry metrics;
   auto compiled = dialect::Compile(spec, nullptr, &metrics);
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-  EXPECT_FALSE(compiled->within_budget);
+  EXPECT_FALSE(compiled->format.dfa.fits_register_budget());
   EXPECT_GT(compiled->minimized_states, kMaxDfaStates);
 
-  // Parser::Parse transparently runs the scalar wide-automaton walk and
-  // counts the fallback.
+  // Parser::Parse runs the staged pipeline: the context step walks the
+  // entry states with one instance, one transition per byte.
   ParseOptions options;
   options.dialect = spec;
   options.metrics = &metrics;
@@ -366,12 +419,12 @@ TEST(DialectEquivalenceTest, OverBudgetDialectFallsBackToScalarWalk) {
   ASSERT_EQ(static_cast<int>(result->table.columns.size()), 2);
   EXPECT_EQ(result->table.columns[0].StringValue(0), "0123456789");
   EXPECT_EQ(result->table.columns[1].StringValue(1), "klmnopqrst");
-  obs::Counter* fallback = metrics.GetCounter("dialect.fallback");
-  ASSERT_NE(fallback, nullptr);
-  EXPECT_GE(fallback->Value(), 1);
+  EXPECT_EQ(result->work.dfa_transitions,
+            static_cast<int64_t>(input.size()));
+  EXPECT_EQ(metrics.GetCounter("parse.runs")->Value(), 1);
 
-  // The pipelined executor runs the same scalar walk on every partition
-  // and returns the identical table; the second record spans the seam.
+  // The pipelined executor gives the identical table, plans the scalar
+  // level and reports it; the second record spans the seam.
   exec::PipelineExecutor executor;
   exec::ExecOptions pipelined;
   pipelined.base.dialect = spec;
@@ -380,84 +433,308 @@ TEST(DialectEquivalenceTest, OverBudgetDialectFallsBackToScalarWalk) {
   ASSERT_TRUE(ingested.ok()) << ingested.status().ToString();
   EXPECT_EQ(ingested->stats.num_partitions, 2);
   EXPECT_TRUE(ingested->table.Equals(result->table));
+  EXPECT_EQ(ingested->kernel_level, simd::KernelLevel::kScalar);
+  EXPECT_EQ(ingested->plan.kernel_level, simd::KernelLevel::kScalar);
 }
 
-// An over-budget dialect gives the table of one monolithic Parser::Parse
-// through every entry point that cuts the input into partitions, and the
-// scalar walk keeps refusing kQuarantine.
+// An over-budget dialect gives the oracle's table through every entry
+// point that cuts the input into partitions, records straddling the
+// seams, and quarantines through each of them.
 TEST(DialectEquivalenceTest, OverBudgetDialectMatchesAcrossEntryPoints) {
-  DialectSpec spec;
-  spec.name = "fixed-wide";
-  spec.fixed_widths = {10, 10};
-  spec.quote = 0;
-  Schema schema;
-  schema.AddField(Field("left", DataType::String()));
-  schema.AddField(Field("right", DataType::String()));
-  std::string input;
-  for (int i = 0; i < 40; ++i) {
-    const std::string left = std::to_string(i * 7919);
-    const std::string right = "row" + std::to_string(i);
-    input += left + std::string(10 - left.size(), ' ') + right +
-             std::string(10 - right.size(), '.') + "\n";
-  }
-  const size_t partition_size = 64;  // 21-byte records straddle seams
-
+  const DialectSpec spec = TypedWideFixedSpec();
+  const Schema schema = TypedWideFixedSchema();
+  const std::string input = TypedWideFixedInput(40);
   ParseOptions options;
-  options.dialect = spec;
   options.schema = schema;
-  auto want = Parser::Parse(input, options);
-  ASSERT_TRUE(want.ok()) << want.status().ToString();
-  ASSERT_EQ(want->table.num_rows, 40);
+  const OracleParse want = WalkOracle(input, spec, options);
+  ASSERT_EQ(want.output.table.num_rows, 40);
+  options.dialect = spec;
 
-  auto read = Reader::FromBuffer(input)
-                  .WithDialect(spec)
-                  .WithSchema(schema)
-                  .WithHeader(false)
-                  .WithPartitionSize(partition_size)
-                  .Read();
-  ASSERT_TRUE(read.ok()) << read.status().ToString();
-  EXPECT_TRUE(read->Equals(want->table)) << "Reader::Read";
+  for (size_t partition_size : {size_t{24}, size_t{64}, size_t{100}}) {
+    const std::string context =
+        "partition " + std::to_string(partition_size);
+    // Every partition parses its own records: a wrong entry state would
+    // leave them unparsed and carry them on to the last partition, whose
+    // table alone would still match.
+    exec::PipelineExecutor executor;
+    exec::ExecOptions pipelined;
+    pipelined.base = options;
+    pipelined.partition_size = partition_size;
+    auto ingested = executor.IngestBuffer(input, pipelined);
+    ASSERT_TRUE(ingested.ok()) << context << ": "
+                               << ingested.status().ToString();
+    EXPECT_TRUE(ingested->table.Equals(want.output.table))
+        << context << " IngestBuffer";
+    for (const exec::PartitionRecord& part : ingested->partitions) {
+      EXPECT_LT(part.carry_bytes, 21) << context;
+    }
 
-  const std::string path = "/tmp/parparaw_over_budget_dialect.csv";
-  ASSERT_TRUE(WriteStringToFile(path, input).ok());
-  auto loaded = Reader::FromFile(path)
+    auto read = Reader::FromBuffer(input)
                     .WithDialect(spec)
                     .WithSchema(schema)
                     .WithHeader(false)
                     .WithPartitionSize(partition_size)
                     .Read();
-  std::remove(path.c_str());
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_TRUE(loaded->Equals(want->table)) << "Reader::FromFile";
+    ASSERT_TRUE(read.ok()) << context << ": " << read.status().ToString();
+    EXPECT_TRUE(read->Equals(want.output.table))
+        << context << " Reader::Read";
 
-  std::vector<Table> batches;
-  auto streamed = Reader::FromBuffer(input)
+    const std::string path = "/tmp/parparaw_over_budget_dialect.csv";
+    ASSERT_TRUE(WriteStringToFile(path, input).ok());
+    auto loaded = Reader::FromFile(path)
                       .WithDialect(spec)
                       .WithSchema(schema)
                       .WithHeader(false)
                       .WithPartitionSize(partition_size)
-                      .ReadStream([&](Table&& batch) {
-                        batches.push_back(std::move(batch));
-                        return Status::OK();
-                      });
-  ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
-  EXPECT_TRUE(ConcatTables(batches).Equals(want->table))
-      << "Reader::ReadStream";
+                      .Read();
+    std::remove(path.c_str());
+    ASSERT_TRUE(loaded.ok()) << context << ": " << loaded.status().ToString();
+    EXPECT_TRUE(loaded->Equals(want.output.table))
+        << context << " Reader::FromFile";
 
-  StreamingOptions streaming;
-  streaming.base = options;
-  streaming.partition_size = partition_size;
-  auto partitioned = StreamingParser::Parse(input, streaming);
-  ASSERT_TRUE(partitioned.ok()) << partitioned.status().ToString();
-  EXPECT_GE(partitioned->num_partitions, 2);
-  EXPECT_TRUE(partitioned->table.Equals(want->table)) << "StreamingParser";
+    std::vector<Table> batches;
+    auto streamed = Reader::FromBuffer(input)
+                        .WithDialect(spec)
+                        .WithSchema(schema)
+                        .WithHeader(false)
+                        .WithPartitionSize(partition_size)
+                        .ReadStream([&](Table&& batch) {
+                          batches.push_back(std::move(batch));
+                          return Status::OK();
+                        });
+    ASSERT_TRUE(streamed.ok()) << context << ": "
+                               << streamed.status().ToString();
+    EXPECT_TRUE(ConcatTables(batches).Equals(want.output.table))
+        << context << " Reader::ReadStream";
 
-  options.error_policy = robust::ErrorPolicy::kQuarantine;
-  EXPECT_EQ(Parser::Parse(input, options).status().code(),
-            StatusCode::kInvalidArgument);
-  streaming.base = options;
-  EXPECT_EQ(StreamingParser::Parse(input, streaming).status().code(),
-            StatusCode::kInvalidArgument);
+    for (robust::ErrorPolicy policy : kAllPolicies) {
+      StreamingOptions streaming;
+      streaming.base = options;
+      streaming.base.error_policy = policy;
+      streaming.partition_size = partition_size;
+      auto partitioned = StreamingParser::Parse(input, streaming);
+      const std::string where =
+          context + " StreamingParser " + robust::ErrorPolicyToString(policy);
+      if (partitioned.ok()) EXPECT_GE(partitioned->num_partitions, 2) << where;
+      ASSERT_NO_FATAL_FAILURE(ExpectMatchesOracle(
+          partitioned.status(),
+          partitioned.ok() ? partitioned->table : Table(),
+          partitioned.ok() ? partitioned->quarantine
+                           : robust::QuarantineTable(),
+          want, policy, input, where));
+    }
+  }
+}
+
+// All four error policies on an over-budget dialect, through Parser::Parse
+// across chunk sizes (chunk seams inside records, so the sequential walk's
+// per-chunk entry states matter) and through the executor across
+// partition sizes: tables, rejects and quarantine spans match the oracle
+// byte for byte.
+TEST(DialectEquivalenceTest, OverBudgetDialectErrorPoliciesMatchOracle) {
+  const DialectSpec spec = TypedWideFixedSpec();
+  const std::string input = TypedWideFixedInput(60);
+  ParseOptions base;
+  base.schema = TypedWideFixedSchema();
+  const OracleParse want = WalkOracle(input, spec, base);
+  int64_t rejected = 0;
+  for (uint8_t r : want.output.table.rejected) rejected += r;
+  ASSERT_EQ(rejected, 9);
+  base.dialect = spec;
+
+  for (robust::ErrorPolicy policy : kAllPolicies) {
+    const std::string name = robust::ErrorPolicyToString(policy);
+    for (size_t chunk : {size_t{7}, size_t{31}, size_t{64}, size_t{1024}}) {
+      ParseOptions options = base;
+      options.error_policy = policy;
+      options.chunk_size = chunk;
+      ASSERT_NO_FATAL_FAILURE(ExpectMatchesOracle(
+          Parser::Parse(input, options), want, policy, input,
+          name + " chunk " + std::to_string(chunk)));
+    }
+    for (size_t partition : {size_t{64}, size_t{250}, size_t{1} << 20}) {
+      exec::PipelineExecutor executor;
+      exec::ExecOptions exec_options;
+      exec_options.base = base;
+      exec_options.base.error_policy = policy;
+      exec_options.partition_size = partition;
+      auto got = executor.IngestBuffer(input, exec_options);
+      ASSERT_NO_FATAL_FAILURE(ExpectMatchesOracle(
+          got.status(), got.ok() ? got->table : Table(),
+          got.ok() ? got->quarantine : robust::QuarantineTable(), want,
+          policy, input, name + " partition " + std::to_string(partition)));
+    }
+  }
+}
+
+// The widest layout the spec allows: 4096-byte records, one DFA state per
+// byte. Minimising that automaton takes seconds, so the spec compiles
+// once for the oracle and the monolithic parses and once more inside the
+// executor.
+TEST(DialectEquivalenceTest, FixedWidth4096ByteRecordsMatchOracle) {
+  DialectSpec spec;
+  spec.name = "fixed-4096";
+  spec.fixed_widths = {1000, 2000, 1096};
+  spec.quote = 0;
+  auto compiled = dialect::Compile(spec);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  EXPECT_GT(compiled->minimized_states, 4096);
+
+  std::string input;
+  for (int r = 0; r < 12; ++r) {
+    for (int i = 0; i < 4096; ++i) {
+      input.push_back(static_cast<char>('a' + (r * 7 + i) % 26));
+    }
+    input.push_back('\n');
+  }
+  input.resize(input.size() - 100);  // an unterminated trailing record
+
+  auto oracle = AutomatonWalkParse(input, compiled->automaton, '\n',
+                                   ParseOptions());
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  const OracleParse& want = *oracle;
+  ASSERT_EQ(want.output.table.num_rows, 12);
+  for (size_t chunk : {size_t{31}, size_t{4096}}) {
+    ParseOptions options;
+    options.format = compiled->format;
+    options.chunk_size = chunk;
+    ASSERT_NO_FATAL_FAILURE(ExpectMatchesOracle(
+        Parser::Parse(input, options), want, robust::ErrorPolicy::kNull,
+        input, "chunk " + std::to_string(chunk)));
+  }
+  exec::PipelineExecutor executor;
+  exec::ExecOptions pipelined;
+  pipelined.base.dialect = spec;
+  pipelined.partition_size = 10000;  // records straddle every seam
+  auto ingested = executor.IngestBuffer(input, pipelined);
+  ASSERT_TRUE(ingested.ok()) << ingested.status().ToString();
+  EXPECT_GT(ingested->stats.num_partitions, 2);
+  EXPECT_TRUE(ingested->table.Equals(want.output.table));
+}
+
+// A hand-built DFA over both bounds of the register budget — 21 states
+// and 19 symbols in 20 groups — parses through the pipeline like a
+// compiled dialect.
+TEST(DialectEquivalenceTest, BuilderDfaBeyondTheRegisterBudget) {
+  // EOR, then F0..F19: the index of the current field modulo 20. Each of
+  // 'A'..'R' is a field delimiter in its own group, '\n' ends the record.
+  DfaBuilder b;
+  const int eor = b.AddState("EOR", true);
+  std::vector<int> field;
+  for (int k = 0; k < 20; ++k) {
+    field.push_back(b.AddState("F" + std::to_string(k), true));
+  }
+  const int g_nl = b.AddSymbol('\n');
+  std::vector<int> delimiter_groups;
+  for (char c = 'A'; c <= 'R'; ++c) {
+    delimiter_groups.push_back(b.AddSymbol(static_cast<uint8_t>(c)));
+  }
+  const uint8_t kRec = kSymbolRecordDelimiter | kSymbolControl;
+  const uint8_t kFld = kSymbolFieldDelimiter | kSymbolControl;
+  b.SetTransition(eor, g_nl, eor, kRec);
+  b.SetDefaultTransition(eor, field[0], kSymbolData);
+  for (int g : delimiter_groups) b.SetTransition(eor, g, field[1], kFld);
+  for (int k = 0; k < 20; ++k) {
+    b.SetTransition(field[k], g_nl, eor, kRec);
+    b.SetDefaultTransition(field[k], field[k], kSymbolData);
+    for (int g : delimiter_groups) {
+      b.SetTransition(field[k], g, field[(k + 1) % 20], kFld);
+    }
+  }
+  auto dfa = b.Build();
+  ASSERT_TRUE(dfa.ok()) << dfa.status().ToString();
+  EXPECT_EQ(dfa->num_states(), 21);
+  EXPECT_EQ(dfa->num_symbols(), 19);
+  EXPECT_EQ(dfa->num_symbol_groups(), 20);
+  EXPECT_FALSE(dfa->fits_register_budget());
+
+  Format format;
+  format.dfa = *dfa;
+  format.record_delimiter = '\n';
+  format.field_delimiter = 'A';
+  for (int k : field) format.MarkMidRecordState(k);
+
+  std::string input;
+  for (int r = 0; r < 50; ++r) {
+    for (int f = 0; f < 1 + r % 5; ++f) {
+      if (f > 0) input.push_back(static_cast<char>('A' + (r + f) % 18));
+      input += "v" + std::to_string(r * 10 + f);
+    }
+    input.push_back('\n');
+  }
+  input += "tailAend";  // an unterminated trailing record
+
+  ParseOptions options;
+  options.format = format;
+  const dialect::Automaton automaton = FromFormat(format);
+  auto oracle = AutomatonWalkParse(input, automaton, '\n', options);
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  ASSERT_EQ(oracle->output.table.num_rows, 51);
+  ASSERT_EQ(oracle->output.table.num_columns(), 5);
+  for (size_t chunk : {size_t{5}, size_t{64}}) {
+    options.chunk_size = chunk;
+    auto got = Parser::Parse(input, options);
+    ASSERT_NO_FATAL_FAILURE(ExpectMatchesOracle(
+        got, *oracle, robust::ErrorPolicy::kNull, input,
+        "chunk " + std::to_string(chunk)));
+    EXPECT_EQ(got->table.columns[1].StringValue(50), "end");
+  }
+}
+
+// A forced vector level does not reach an over-budget DFA: the context
+// step walks sequentially and reports the scalar level, with the oracle's
+// output.
+TEST(DialectEquivalenceTest, ForcedAvx2ParsesOverBudgetDialect) {
+  const DialectSpec spec = TypedWideFixedSpec();
+  const std::string input = TypedWideFixedInput(30);
+  ParseOptions options;
+  options.schema = TypedWideFixedSchema();
+  const OracleParse want = WalkOracle(input, spec, options);
+  options.dialect = spec;
+  options.chunk_size = 16;
+
+  simd::SetForcedKernelLevel(simd::KernelLevel::kAvx2);
+  auto parsed = Parser::Parse(input, options);
+  exec::PipelineExecutor executor;
+  exec::ExecOptions pipelined;
+  pipelined.base = options;
+  pipelined.partition_size = 64;
+  auto ingested = executor.IngestBuffer(input, pipelined);
+  simd::SetForcedKernelLevel(std::nullopt);
+
+  ASSERT_NO_FATAL_FAILURE(ExpectMatchesOracle(
+      parsed, want, robust::ErrorPolicy::kNull, input, "forced avx2"));
+  ASSERT_TRUE(ingested.ok()) << ingested.status().ToString();
+  EXPECT_TRUE(ingested->table.Equals(want.output.table));
+  EXPECT_EQ(ingested->kernel_level, simd::KernelLevel::kScalar);
+}
+
+TEST(DialectEquivalenceTest, SnifferPicksRegisteredOverBudgetDialect) {
+  dialect::ClearRegisteredDialects();
+  const DialectSpec spec = WideFixedSpec();
+  dialect::RegisterDialect(spec);
+
+  std::string sample;
+  for (int i = 0; i < 12; ++i) {
+    const std::string left = "id" + std::to_string(1000 + i);
+    const std::string right = "value" + std::to_string(i);
+    sample += left + std::string(10 - left.size(), '.') + right +
+              std::string(10 - right.size(), '.') + "\n";
+  }
+  auto sniffed = SniffDsvFormat(sample);
+  auto read = Reader::FromBuffer(sample).WithHeader(false).Read();
+  dialect::ClearRegisteredDialects();
+  ASSERT_TRUE(sniffed.ok()) << sniffed.status().ToString();
+  ASSERT_TRUE(sniffed->dialect_spec.has_value());
+  EXPECT_EQ(sniffed->dialect_spec->name, "fixed-wide");
+  EXPECT_EQ(sniffed->num_columns, 2u);
+
+  // The sniffed dialect drives the whole read.
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  ASSERT_EQ(read->num_rows, 12);
+  ASSERT_EQ(read->num_columns(), 2);
+  EXPECT_EQ(read->columns[0].StringValue(3), "id1003....");
+  EXPECT_EQ(read->columns[1].StringValue(11), "value11...");
 }
 
 TEST(DialectEquivalenceTest, DialectAndExplicitFormatAreMutuallyExclusive) {

@@ -219,7 +219,8 @@ TEST(ExecTest, QueryMatchesWholeInputPushdown) {
 }
 
 // A query under a dialect over the SIMD register budget still answers:
-// both pushdown phases of every partition take the scalar walk.
+// both pushdown phases of every partition run the staged pipeline, whose
+// context step walks the entry states sequentially.
 TEST(ExecTest, QueryUnderOverBudgetDialectWalksBothPhases) {
   dialect::DialectSpec spec;
   spec.name = "fixed-wide";
@@ -256,10 +257,11 @@ TEST(ExecTest, QueryUnderOverBudgetDialectWalksBothPhases) {
   EXPECT_TRUE(got->table.Equals(want->table));
   EXPECT_EQ(got->pushdown.records_scanned, 40);
   EXPECT_EQ(got->pushdown.records_selected, 11);
-  // One fallback for the ingest, then one per phase of every partition.
+  // One pipeline parse per phase of every partition, on the scalar level.
   ASSERT_GT(got->stats.num_partitions, 1);
-  EXPECT_EQ(metrics.GetCounter("dialect.fallback")->Value(),
-            1 + 2 * got->stats.num_partitions);
+  EXPECT_EQ(metrics.GetCounter("parse.runs")->Value(),
+            2 * got->stats.num_partitions);
+  EXPECT_EQ(got->kernel_level, simd::KernelLevel::kScalar);
 }
 
 // Backpressure: with a stalled convert stage, the admission controller

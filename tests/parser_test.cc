@@ -350,12 +350,12 @@ TEST(ParserTest, CollapsedSymbolGroupsViaBuilder) {
   format.dfa = *dfa;
   format.record_delimiter = '\n';
   format.field_delimiter = ';';
-  format.mid_record_state_mask = 1u << rec;
+  format.MarkMidRecordState(rec);
   ParseOptions options;
   options.format = format;
   // No trailing newline: the single-state DFA cannot distinguish "just
   // after a delimiter" from "mid-record", so a trailing '\n' would add an
-  // empty trailing record under the coarse mid-record mask above.
+  // empty trailing record under the coarse mid-record set above.
   auto result = Parser::Parse("a;b|c\nd|e;f", options);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->table.num_columns(), 3);

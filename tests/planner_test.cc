@@ -8,6 +8,7 @@
 
 #include "core/parser.h"
 #include "dfa/formats.h"
+#include "dialect/dialect.h"
 #include "obs/metrics.h"
 #include "plan/tuning.h"
 #include "robust/failpoint.h"
@@ -173,6 +174,34 @@ TEST(PlannerTest, ShortSampleKeepsPaperChunk) {
   ASSERT_TRUE(planned.ok());
   EXPECT_EQ(planned->stats.probe_chunks, 0);
   EXPECT_EQ(planned->chunk_size, 31u);
+}
+
+TEST(PlannerTest, OverBudgetDfaPlansTheSequentialWalk) {
+  // A DFA over the register budget: the planner takes the context step's
+  // predicate, plans the scalar level even with a vector level forced,
+  // runs no convergence probe, and still measures the record structure.
+  ScopedKernelLevel force(KernelLevel::kAvx2);
+  dialect::DialectSpec spec;
+  spec.name = "fixed-wide";
+  spec.fixed_widths = {10, 10};
+  spec.quote = 0;
+  auto compiled = dialect::Compile(spec);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  ASSERT_FALSE(compiled->format.dfa.fits_register_budget());
+  std::string input;
+  for (int i = 0; i < 200; ++i) input += "0123456789abcdefghij\n";
+  ParseOptions options;
+  options.format = compiled->format;
+  auto planned = plan::PlanParse(input, false, options);
+  ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+  EXPECT_EQ(planned->kernel, simd::KernelKind::kScalar);
+  EXPECT_EQ(planned->kernel_level, KernelLevel::kScalar);
+  EXPECT_EQ(planned->chunk_size, 1024u);
+  EXPECT_EQ(planned->stats.probe_chunks, 0);
+  EXPECT_EQ(planned->stats.records, 200);
+  EXPECT_EQ(planned->stats.max_columns, 2u);
+  EXPECT_TRUE(planned->stats.uniform_columns);
+  EXPECT_EQ(plan::StaticPlan(options).kernel_level, KernelLevel::kScalar);
 }
 
 TEST(PlannerTest, PinnedKnobsAreRespected) {

@@ -9,6 +9,7 @@
 #include "core/parser.h"
 #include "dfa/formats.h"
 #include "dialect/dialect.h"
+#include "dialect_oracle.h"
 #include "parallel/thread_pool.h"
 #include "robust/failpoint.h"
 #include "stream/streaming_parser.h"
@@ -864,7 +865,7 @@ dialect::DialectSpec DialectSpecForSeed(uint64_t seed) {
   if (rng.Next() % 4 == 0) {
     const int fields = 1 + static_cast<int>(rng.Next() % 3);
     for (int f = 0; f < fields; ++f) {
-      spec.fixed_widths.push_back(1 + static_cast<int>(rng.Next() % 4));
+      spec.fixed_widths.push_back(1 + static_cast<int>(rng.Next() % 16));
     }
     spec.quote = 0;
     return spec;
@@ -935,7 +936,6 @@ TEST(TransposeDifferentialTest, GeneratedDialectsAgreeAcrossModes) {
     auto compiled = dialect::Compile(spec);
     ASSERT_TRUE(compiled.ok()) << spec.name << ": "
                                << compiled.status().ToString();
-    if (!compiled->within_budget) continue;  // fallback bypasses transpose
     const std::string input = DialectInputForSeed(spec, seed);
     ParseOptions options;
     options.dialect = spec;
@@ -952,41 +952,38 @@ TEST(TransposeDifferentialTest, GeneratedDialectsAgreeAcrossModes) {
   EXPECT_GT(swept, static_cast<int>(seeds / 2));
 }
 
-// Oracle axis: for within-budget dialects the scalar wide-automaton walk
-// (dialect::FallbackParse — the path over-budget dialects take) and the
-// full parallel pipeline under both transpose modes must produce the same
-// table from the same spec. This pins the packed Dfa, the SymbolFlags
-// conventions and both transposition paths to one reference semantics.
-TEST(TransposeDifferentialTest, FallbackWalkMatchesPipelineOnDialects) {
+// Oracle axis: for every generated dialect, within the register budget or
+// over it, the sequential walk of the minimised wide automaton
+// (AutomatonWalkParse, tests/dialect_oracle.h) and the full parallel
+// pipeline under both transpose modes must produce the same table from the
+// same spec. This pins the packed Dfa, the SymbolFlags conventions, the
+// context step's sequential entry-state walk and both transposition paths
+// to one reference semantics.
+TEST(TransposeDifferentialTest, AutomatonWalkMatchesPipelineOnDialects) {
   const uint64_t seeds = DialectSeedCount();
   for (uint64_t seed = 0; seed < seeds; ++seed) {
     const dialect::DialectSpec spec = DialectSpecForSeed(seed * 7 + 1);
     auto compiled = dialect::Compile(spec);
     ASSERT_TRUE(compiled.ok()) << spec.name;
-    if (!compiled->within_budget) continue;
     const std::string input = DialectInputForSeed(spec, seed);
 
     ParseOptions options;  // defaults: kRecordTags, kRobust, kNull policy
-    const Result<ParseOutput> walked =
-        dialect::FallbackParse(input, *compiled, options);
+    const Result<OracleParse> walked = AutomatonWalkParse(
+        input, compiled->automaton, spec.record_delimiter_final(), options);
+    ASSERT_TRUE(walked.ok()) << spec.name << ": "
+                             << walked.status().ToString();
 
     for (TransposeMode mode :
          {TransposeMode::kSymbolSort, TransposeMode::kFieldGather}) {
       ParseOptions pipeline;
       pipeline.dialect = spec;
       pipeline.transpose_mode = mode;
-      const Result<ParseOutput> piped = Parser::Parse(input, pipeline);
       const std::string context =
           spec.name + (mode == TransposeMode::kSymbolSort ? " sort"
                                                           : " gather");
-      ASSERT_EQ(walked.ok(), piped.ok())
-          << context << ": "
-          << (walked.ok() ? piped.status().ToString()
-                          : walked.status().ToString());
-      if (!walked.ok()) continue;
-      ASSERT_TRUE(walked->table.Equals(piped->table)) << context;
-      ASSERT_EQ(walked->min_columns, piped->min_columns) << context;
-      ASSERT_EQ(walked->max_columns, piped->max_columns) << context;
+      ASSERT_NO_FATAL_FAILURE(ExpectMatchesOracle(
+          Parser::Parse(input, pipeline), *walked,
+          robust::ErrorPolicy::kNull, input, context));
     }
   }
 }
