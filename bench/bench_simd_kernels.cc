@@ -3,25 +3,31 @@
 // quote-free pipe-separated dataset (the speculation fast path's best case).
 //
 // Measures the context step (multi-DFA simulation + composite-operator scan)
-// and the bitmap step (symbol-class bitmap emission, fused with the
-// speculative single-state walk on converged chunks) separately, because the
-// two techniques land in different stages: shuffle-as-gather accelerates the
-// multi-state phase, convergence speculation moves work from "walk all
-// states" to "walk one state and verify".
+// and the bitmap step (symbol-class bitmap emission) separately, because the
+// techniques land in different stages: shuffle-as-gather accelerates the
+// multi-state phase, and once a chunk's lanes are down to a few live states
+// the context step walks each on its own and writes the chunk's masks, so
+// the bitmap step only walks each chunk's head and verifies its token.
 //
-// Convergence behaviour differs by workload (see docs/simd.md):
+// How the chunks end differs by workload (see docs/simd.md):
 //   - yelp-like (quoted CSV): chunks converge once a quote collapses the
-//     out-of-quote state family; speculation engages on most chunks.
+//     out-of-quote state family, or are speculated until it does.
 //   - taxi-like (unquoted CSV under the quoting RFC 4180 DFA): quote parity
-//     keeps the ENC lane alive, chunks never converge; the win comes from
-//     the vectorized multi-state phase alone.
+//     keeps the ENC lane alive and no chunk converges, but two live states
+//     remain (FLD's family and ENC), so every chunk is speculated from the
+//     start lane's guess, outside quotes, which is right.
 //   - lineitem-like (pipe DSV, quoting disabled): every chunk converges at
-//     its first delimiter; near-pure speculation.
+//     its first delimiter.
+// Every walk takes whole runs of bytes between its state's stops from the
+// block's symbol masks, so the single-state walks cost per delimiter at
+// most, and per block on data without the stops.
 //
-// Run with --json-out=<file> to record the results (BENCH_simd.json).
+// Run with --json-out=<file> to record the results (BENCH_simd.json), and
+// --commit=<id> to stamp them with the revision measured.
 
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -129,8 +135,8 @@ void RunWorkload(const char* key, const char* title, const std::string& data,
     }
   }
 
-  // One instrumented pass (not timed) records how often speculation engaged
-  // at the larger chunk size, for the best available level.
+  // One instrumented pass (not timed) records how the chunks ended at the
+  // larger chunk size, for the best available level.
   {
     obs::MetricsRegistry registry;
     ParseOptions options;
@@ -141,17 +147,22 @@ void RunWorkload(const char* key, const char* title, const std::string& data,
     RunSteps(data, options);
     const int64_t converged =
         registry.GetCounter("simd.chunks_converged")->Value();
+    const int64_t speculated =
+        registry.GetCounter("simd.chunks_speculated")->Value();
     const int64_t unconverged =
         registry.GetCounter("simd.chunks_unconverged")->Value();
     const int64_t mis =
         registry.GetCounter("simd.mis_speculations")->Value();
-    std::printf("  speculation @4096: %lld/%lld chunks converged, "
-                "%lld mis-speculations\n",
+    std::printf("  speculation @4096: %lld converged, %lld speculated, "
+                "%lld unconverged of %lld chunks, %lld mis-speculations\n",
                 static_cast<long long>(converged),
-                static_cast<long long>(converged + unconverged),
+                static_cast<long long>(speculated),
+                static_cast<long long>(unconverged),
+                static_cast<long long>(converged + speculated + unconverged),
                 static_cast<long long>(mis));
     report->Add(std::string(key) + "/speculation",
                 {{"chunks_converged", static_cast<double>(converged)},
+                 {"chunks_speculated", static_cast<double>(speculated)},
                  {"chunks_unconverged", static_cast<double>(unconverged)},
                  {"mis_speculations", static_cast<double>(mis)}});
   }
@@ -161,6 +172,8 @@ void RunWorkload(const char* key, const char* title, const std::string& data,
 
 int main(int argc, char** argv) {
   JsonReport report(argc, argv);
+  report.Stamp(std::thread::hardware_concurrency(),
+               simd::KernelLevelName(simd::DetectBestKernelLevel()));
   PrintHeader("SIMD kernel stages: scalar vs vectorized vs speculative");
   const size_t bytes = BenchBytes(8);
 

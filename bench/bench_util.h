@@ -99,15 +99,27 @@ inline void PrintStageBreakdown(obs::MetricsRegistry* registry) {
 /// record into it unconditionally.
 class JsonReport {
  public:
+  /// Reads --json-out=<file>, and --commit=<id>, the source revision the
+  /// binary was built from, which Stamp()ed reports record.
   JsonReport(int argc, char** argv) {
     constexpr const char kFlag[] = "--json-out=";
+    constexpr const char kCommit[] = "--commit=";
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
       if (arg.rfind(kFlag, 0) == 0) path_ = arg.substr(sizeof(kFlag) - 1);
+      if (arg.rfind(kCommit, 0) == 0) commit_ = arg.substr(sizeof(kCommit) - 1);
     }
   }
 
   bool enabled() const { return !path_.empty(); }
+
+  /// Records the host the numbers were measured on as a top-level "host"
+  /// object: its core count, the best kernel level of its CPU and the
+  /// --commit revision.
+  void Stamp(unsigned cores, const std::string& isa) {
+    host_ = "{\"cores\": " + std::to_string(cores) + ", \"isa\": \"" + isa +
+            "\", \"commit\": \"" + commit_ + "\"}";
+  }
 
   void Add(const std::string& name,
            std::initializer_list<std::pair<const char*, double>> metrics) {
@@ -121,7 +133,9 @@ class JsonReport {
   /// when disabled (does nothing).
   void Flush() const {
     if (path_.empty()) return;
-    std::string json = "{\n  \"benchmarks\": [";
+    std::string json = "{\n";
+    if (!host_.empty()) json += "  \"host\": " + host_ + ",\n";
+    json += "  \"benchmarks\": [";
     for (size_t i = 0; i < entries_.size(); ++i) {
       json += i == 0 ? "\n" : ",\n";
       json += "    {\"name\": \"" + entries_[i].name + "\", \"metrics\": {";
@@ -151,6 +165,8 @@ class JsonReport {
     std::vector<std::pair<std::string, double>> metrics;
   };
   std::string path_;
+  std::string commit_;
+  std::string host_;
   std::vector<Entry> entries_;
 };
 

@@ -86,10 +86,13 @@ run_tsan() {
   # ObsIntegration suite also checks the cross-thread span invariant: an
   # ingest whose morsels hop across workers records no negative span
   # depth, and every nested span lies inside its parent on its own thread.
-  # SymbolIndex, SimdDifferential and WriteOnce drive the core steps, whose
-  # chunks share the bitmap indexes' edge words (the word-ownership rule at
-  # SymbolIndex, core/pipeline_state.h): those words must only ever be
-  # touched through atomic_ref. TransposeDifferential drives the field
+  # SymbolIndex, SimdDifferential, SimdSpeculation and WriteOnce drive the
+  # core steps, whose chunks share the bitmap indexes' edge words (the
+  # word-ownership rule at SymbolIndex, core/pipeline_state.h): those words
+  # must only ever be touched through atomic_ref. SimdSpeculation runs the
+  # speculated chunks, whose kernels write their suffix's masks while their
+  # neighbours' walks merge into the shared words, and whose wrong guesses
+  # the bitmap step rewrites. TransposeDifferential drives the field
   # gather on pools of 1-8 workers, whose tiles write disjoint column
   # slots, offsets and string bytes concurrently, clear NULLs in shared
   # validity words atomically, and read the shared mask words; Validate
@@ -102,7 +105,7 @@ run_tsan() {
   echo "=== TSan: concurrency-sensitive tests ==="
   TSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \
-      -R 'ThreadPool|ParallelFor|Scheduler|TaskGroup|Metrics|Tracer|ObsIntegration|Streaming|Exec|Reader|SymbolIndex|SimdDifferential|WriteOnce|TransposeDifferential|ScratchAllocator|Validate'
+      -R 'ThreadPool|ParallelFor|Scheduler|TaskGroup|Metrics|Tracer|ObsIntegration|Streaming|Exec|Reader|SymbolIndex|SimdDifferential|SimdSpeculation|WriteOnce|TransposeDifferential|ScratchAllocator|Validate'
 }
 
 run_scaling() {

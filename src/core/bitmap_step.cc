@@ -35,12 +35,13 @@ Status BitmapStep::Run(PipelineState* state, StepTimings* timings) {
 
   if (fused) {
     // The context step's fused kernel already wrote the masks of every
-    // chunk suffix whose states were entry-state-independent; this pass
-    // walks only each chunk's pre-convergence prefix from the now-known
+    // chunk suffix from its spec_offset on, from the converged or guessed
+    // state; this pass walks only each chunk's prefix from the now-known
     // entry state, verifies the speculation token, and counts the rest
     // from the written masks. A token mismatch (mis-speculation) falls
     // back to re-walking the suffix — results are then still exact.
     const simd::KernelPlan& plan = *state->kernel_plan;
+    const simd::FlagWalkFn walk = simd::GetFlagWalk(state->kernel_level);
     obs::Counter* mis_speculations = nullptr;
     if (state->options->metrics != nullptr &&
         state->options->metrics->enabled()) {
@@ -53,7 +54,7 @@ Status BitmapStep::Run(PipelineState* state, StepTimings* timings) {
       const int64_t spec = state->spec_offsets[c];
       const size_t pre_end =
           spec >= 0 ? std::min(static_cast<size_t>(spec), end) : end;
-      simd::FlagWalkResult head = simd::WalkEmitFlags(
+      simd::FlagWalkResult head = walk(
           plan, state->data, begin, pre_end,
           static_cast<uint8_t>(state->entry_states[c]),
           state->symbol_index.data());
@@ -73,9 +74,8 @@ Status BitmapStep::Run(PipelineState* state, StepTimings* timings) {
           // Mis-speculation detected: rewrite the suffix's bits from the
           // verified state, clearing the speculative ones.
           if (mis_speculations != nullptr) mis_speculations->Increment();
-          tail = simd::WalkEmitFlags(plan, state->data, pre_end, end,
-                                     head.end_state,
-                                     state->symbol_index.data());
+          tail = walk(plan, state->data, pre_end, end, head.end_state,
+                      state->symbol_index.data());
           tail_invalid = tail.first_invalid;
         }
         records += tail.records;

@@ -56,8 +56,9 @@ Status ContextStep::Run(PipelineState* state, StepTimings* timings) {
   } else {
     state->kernel_plan =
         std::make_shared<simd::KernelPlan>(simd::BuildKernelPlan(dfa));
-    // Each chunk's kernel writes the masks of its converged suffix and the
-    // bitmap step the rest (the word-ownership rule at SymbolIndex).
+    // Each chunk's kernel writes the masks of its suffix from spec_offset
+    // on, converged or speculated, and the bitmap step the rest (the
+    // word-ownership rule at SymbolIndex).
     PARPARAW_RETURN_NOT_OK(AllocateSymbolIndex(state, "alloc.context"));
     state->spec_offsets.assign(num_chunks, -1);
     state->spec_states.assign(num_chunks, 0);
@@ -68,10 +69,12 @@ Status ContextStep::Run(PipelineState* state, StepTimings* timings) {
     // Hot-path instruments resolved once (name lookup takes a mutex).
     obs::MetricsRegistry* metrics = state->options->metrics;
     obs::Counter* converged_counter = nullptr;
+    obs::Counter* speculated_counter = nullptr;
     obs::Counter* unconverged_counter = nullptr;
     obs::Histogram* fastpath_bytes = nullptr;
     if (metrics != nullptr && metrics->enabled()) {
       converged_counter = metrics->GetCounter("simd.chunks_converged");
+      speculated_counter = metrics->GetCounter("simd.chunks_speculated");
       unconverged_counter = metrics->GetCounter("simd.chunks_unconverged");
       fastpath_bytes = metrics->GetHistogram("simd.fastpath_bytes");
       metrics->SetGauge("simd.kernel_level", static_cast<int64_t>(level));
@@ -87,7 +90,9 @@ Status ContextStep::Run(PipelineState* state, StepTimings* timings) {
       state->spec_states[c] = result.spec_state;
       state->spec_invalids[c] = result.first_invalid;
       if (result.spec_offset >= 0) {
-        if (converged_counter != nullptr) converged_counter->Increment();
+        obs::Counter* counter =
+            result.speculated ? speculated_counter : converged_counter;
+        if (counter != nullptr) counter->Increment();
         if (fastpath_bytes != nullptr) {
           fastpath_bytes->Record(static_cast<int64_t>(r.end) -
                                  result.spec_offset);

@@ -72,8 +72,12 @@ struct StepTimings {
 struct WorkCounters {
   int64_t input_bytes = 0;
   int64_t parse_bytes_read = 0;
-  /// Multi-DFA transitions executed (input bytes x DFA states): the
-  /// "constant factor" of extra work §3.1 trades for scalability.
+  /// Multi-DFA transitions of the paper's model (input bytes x DFA states,
+  /// or x 1 for the sequential walk of a DFA over the register budget):
+  /// the "constant factor" of extra work §3.1 trades for scalability, as
+  /// the device model (src/sim) sizes it. It is not a count of executed
+  /// transitions: the kernels advance the lanes a run of data symbols per
+  /// shuffle and walk converged or speculated chunks one state at a time.
   int64_t dfa_transitions = 0;
   int64_t tag_bytes_written = 0;
   int64_t sort_passes = 0;

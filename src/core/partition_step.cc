@@ -4,6 +4,7 @@
 #include <atomic>
 #include <bit>
 #include <cstring>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -151,33 +152,54 @@ Status RunFieldGather(PipelineState* state, WorkCounters* work) {
     column_bytes[p] = running;
   }
 
-  // (2) The output columns, every row preset valid.
+  // (2) The output columns, every row preset valid. The string buffers'
+  // failpoints fire in column order, as one guarded allocation after
+  // another would; the allocations and fills then run one column per
+  // morsel.
   state->gathered_columns.clear();
   state->gathered_columns.reserve(static_cast<size_t>(num_plans));
-  std::vector<ColumnWriter> writers(static_cast<size_t>(num_plans));
   int64_t bytes_written = 0;
   for (int64_t p = 0; p < num_plans; ++p) {
-    Column& column = state->gathered_columns.emplace_back(plans[p].field.type);
-    column.Allocate(rows);
-    PresetValid(&column, rows);
-    ColumnWriter& writer = writers[p];
-    writer.validity = column.mutable_validity_words()->data();
+    state->gathered_columns.emplace_back(plans[p].field.type);
     if (plans[p].is_string()) {
-      // The zero-fill is the buffer's first write, on huge pages when the
-      // buffer is large (GuardedAssign, util/huge_pages.h).
-      PARPARAW_RETURN_NOT_OK(robust::GuardedAssign(
-          "alloc.convert", column.mutable_string_data(),
-          static_cast<size_t>(column_bytes[p]), uint8_t{0}));
-      (*column.mutable_offsets())[rows] = column_bytes[p];
-      writer.offsets = column.mutable_offsets()->data();
-      writer.bytes = column.mutable_string_data()->data();
+      PARPARAW_FAILPOINT("alloc.convert");
       bytes_written += column_bytes[p] + (rows + 1) * 8;
     } else {
-      writer.slots = column.mutable_data()->data();
-      writer.width = FixedWidth(plans[p].field.type.id);
-      bytes_written += rows * writer.width;
+      bytes_written += rows * FixedWidth(plans[p].field.type.id);
     }
   }
+  std::vector<ColumnWriter> writers(static_cast<size_t>(num_plans));
+  std::vector<Status> allocated(static_cast<size_t>(num_plans));
+  PARPARAW_RETURN_NOT_OK(
+      ParallelForEach(state->pool, 0, num_plans, [&](int64_t p) {
+        Column& column = state->gathered_columns[p];
+        try {
+          column.Allocate(rows);
+        } catch (const std::bad_alloc&) {
+          allocated[p] = Status::ResourceExhausted(
+              "allocation of " + std::to_string(rows) +
+              " rows failed at 'alloc.gather'");
+          return;
+        }
+        PresetValid(&column, rows);
+        ColumnWriter& writer = writers[p];
+        writer.validity = column.mutable_validity_words()->data();
+        if (!plans[p].is_string()) {
+          writer.slots = column.mutable_data()->data();
+          writer.width = FixedWidth(plans[p].field.type.id);
+          return;
+        }
+        // The zero-fill is the buffer's first write, on huge pages when
+        // the buffer is large (util/huge_pages.h).
+        allocated[p] = robust::AssignOrExhausted(
+            "alloc.convert", column.mutable_string_data(),
+            static_cast<size_t>(column_bytes[p]), uint8_t{0});
+        if (!allocated[p].ok()) return;
+        (*column.mutable_offsets())[rows] = column_bytes[p];
+        writer.offsets = column.mutable_offsets()->data();
+        writer.bytes = column.mutable_string_data()->data();
+      }));
+  for (const Status& status : allocated) PARPARAW_RETURN_NOT_OK(status);
 
   // (3) The walk. Tiles write disjoint rows' slots and offsets and
   // disjoint byte ranges; only validity words are shared.

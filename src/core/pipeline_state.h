@@ -145,10 +145,10 @@ inline ChunkRange ChunkRangeOf(const PipelineState& state, int64_t c);
 /// words. Every bit has one owner: the chunk whose ChunkRangeOf holds the
 /// byte, or AllocateSymbolIndex for the bits no chunk holds (the bytes
 /// before chunk 0's begin and the padding past the input), which it writes
-/// zero. Owners write through simd::MaskWriter, which stores a word whole
-/// only when the writer's range covers all 64 bits, and otherwise updates
-/// it with std::atomic_ref operations that clear and set only the writer's
-/// bits. Hence:
+/// zero. Owners write through simd::MaskWriter or the kernels' block walks,
+/// which store a word whole only when the writer's range covers all 64
+/// bits, and otherwise update it with std::atomic_ref operations that clear
+/// and set only the writer's bits (simd::MergeMaskWord). Hence:
 ///   - the edge word two neighbouring chunks write concurrently is merged
 ///     by both;
 ///   - the word holding a chunk's spec_offset gets its suffix bits from the
@@ -183,11 +183,13 @@ struct PipelineState {
   simd::KernelLevel kernel_level = simd::KernelLevel::kScalar;
   /// DFA-derived lookup tables shared by the context and bitmap steps.
   std::shared_ptr<const simd::KernelPlan> kernel_plan;
-  /// Per-chunk absolute byte offset where the fused kernel's lanes
-  /// converged and speculative flag emission began; -1 when they never did.
+  /// Per-chunk absolute byte offset from which the fused kernel wrote the
+  /// masks, its lanes converged or speculated (simd::ChunkKernelResult);
+  /// -1 when it wrote none.
   std::vector<int64_t> spec_offsets;
-  /// Converged state at spec_offsets[c] — the bitmap step's verification
-  /// token: its own walk must arrive there in exactly this state.
+  /// The writing walk's state at spec_offsets[c] — the bitmap step's
+  /// verification token: its own walk must arrive there in exactly this
+  /// state.
   std::vector<uint8_t> spec_states;
   /// Earliest invalid transition the fused kernel saw at/after
   /// spec_offsets[c], or -1.

@@ -68,6 +68,22 @@ std::vector<std::string> HeaderNames(std::string_view input,
   }
 }
 
+// Cuts the first record of a fixed-width dialect into column names by the
+// field widths; the dialect has no field delimiter and no quoting.
+std::vector<std::string> FixedWidthHeaderNames(std::string_view input,
+                                               const std::vector<int>& widths) {
+  std::vector<std::string> names;
+  size_t begin = 0;
+  for (int width : widths) {
+    const std::string_view piece =
+        begin < input.size() ? input.substr(begin, static_cast<size_t>(width))
+                             : std::string_view();
+    names.push_back(HeaderName(piece, 0));
+    begin += static_cast<size_t>(width);
+  }
+  return names;
+}
+
 // Resolves dialect, header names and column types from the input head.
 // `sample` is the start of the input; `sample_truncated` says it is a
 // proper prefix (a file load reads only the head), in which case
@@ -112,8 +128,16 @@ Result<ParseOptions> ResolveBase(std::string_view sample,
   const bool header =
       options.header >= 0 ? options.header != 0 : sniffed_header;
 
+  const dialect::DialectSpec* spec =
+      options.dialect.has_value() ? &*options.dialect
+      : sniffed && result->dialect.dialect_spec.has_value()
+          ? &*result->dialect.dialect_spec
+          : nullptr;
   std::vector<std::string> names;
-  if (header && !sample.empty()) {
+  if (header && !sample.empty() && spec != nullptr &&
+      !spec->fixed_widths.empty()) {
+    names = FixedWidthHeaderNames(sample, spec->fixed_widths);
+  } else if (header && !sample.empty()) {
     // When the caller pinned a format, the sniffer never ran and
     // result->dialect holds defaults — split the header with the pinned
     // format's delimiters, not with ','/'\n' regardless of dialect.

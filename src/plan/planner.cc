@@ -180,7 +180,8 @@ SampleStats MeasureSample(std::string_view sample, bool truncated,
   }
 
   // Convergence probe: run the SWAR kernel chunk by chunk and record where
-  // (and whether) the speculative lanes merged. The portable kernel keeps
+  // (and whether) the lanes merged into one live state; a chunk the kernel
+  // only speculated on does not count. The portable kernel keeps
   // the measurement machine-independent. Only full probe chunks count — a
   // short tail converges trivially and would skew the fraction — and at
   // most kMaxProbeChunks are run, strided evenly so a large sample is
@@ -198,7 +199,7 @@ SampleStats MeasureSample(std::string_view sample, bool truncated,
         simd::internal::ChunkKernelSwar(*kernel_plan, data, begin, end,
                                         masks.data());
     ++stats.probe_chunks;
-    if (result.spec_offset >= 0) {
+    if (result.spec_offset >= 0 && !result.speculated) {
       ++stats.converged_chunks;
       depth_sum += result.spec_offset - static_cast<int64_t>(begin);
     }

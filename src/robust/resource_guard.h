@@ -58,14 +58,12 @@ int64_t ClampPartitionSizeForBudget(int64_t requested, int64_t memory_budget,
                                     int64_t floor_bytes = 256,
                                     int64_t factor = kParseMemoryFactor);
 
-/// Assigns `count` copies of `value` into `container` (vector-like), mapping
-/// the `name` failpoint and std::bad_alloc to kResourceExhausted. Fresh
-/// storage past huge_pages::kAdviseInPlaceBytes is advised for huge pages
-/// before the fill writes it (huge_pages::Assign).
+/// The allocation half of GuardedAssign, for a caller that checks the
+/// `name` failpoint itself (in a fixed order ahead of parallel fills):
+/// maps std::bad_alloc to kResourceExhausted.
 template <typename Container, typename V>
-Status GuardedAssign(const char* name, Container* container, size_t count,
-                     const V& value) {
-  PARPARAW_FAILPOINT(name);
+Status AssignOrExhausted(const char* name, Container* container, size_t count,
+                         const V& value) {
   try {
     huge_pages::Assign(container, count, value);
   } catch (const std::bad_alloc&) {
@@ -74,6 +72,17 @@ Status GuardedAssign(const char* name, Container* container, size_t count,
                                      " elements failed at '" + name + "'");
   }
   return Status::OK();
+}
+
+/// Assigns `count` copies of `value` into `container` (vector-like), mapping
+/// the `name` failpoint and std::bad_alloc to kResourceExhausted. Fresh
+/// storage past huge_pages::kAdviseInPlaceBytes is advised for huge pages
+/// before the fill writes it (huge_pages::Assign).
+template <typename Container, typename V>
+Status GuardedAssign(const char* name, Container* container, size_t count,
+                     const V& value) {
+  PARPARAW_FAILPOINT(name);
+  return AssignOrExhausted(name, container, count, value);
 }
 
 /// Resize flavour of GuardedAssign for containers grown without a fill

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <bit>
-#include <cstring>
 
 #include "simd/kernel_common.h"
 
@@ -13,6 +12,33 @@ namespace {
 /// Composes two 16-entry transition tables: out[s] = b[a[s]].
 void ComposeTables(const uint8_t a[16], const uint8_t b[16], uint8_t out[16]) {
   for (int s = 0; s < 16; ++s) out[s] = b[a[s]];
+}
+
+/// True when state s has a uniform run over the group set `groups` (bit g
+/// for group g; see UniformRun): every state reachable from s on those
+/// groups moves and flags each of them as s does.
+bool RunIsUniform(const Dfa& dfa, int s, uint32_t groups) {
+  bool reached[kMaxDfaStates] = {};
+  int queue[kMaxDfaStates];
+  int size = 0;
+  reached[s] = true;
+  queue[size++] = s;
+  for (int head = 0; head < size; ++head) {
+    const int r = queue[head];
+    for (uint32_t g = groups; g != 0; g &= g - 1) {
+      const int group = std::countr_zero(g);
+      if (dfa.NextState(r, group) != dfa.NextState(s, group) ||
+          dfa.Flags(r, group) != dfa.Flags(s, group)) {
+        return false;
+      }
+      const int next = dfa.NextState(r, group);
+      if (!reached[next]) {
+        reached[next] = true;
+        queue[size++] = next;
+      }
+    }
+  }
+  return true;
 }
 
 /// Reads mask word w for a reader of its bits `keep` while neighbouring
@@ -55,6 +81,7 @@ KernelPlan BuildKernelPlan(const Dfa& dfa) {
     plan.group_of_byte[b] = static_cast<uint8_t>(group);
     if (group != plan.catchall_group &&
         plan.num_specials < kMaxDfaSymbols) {
+      plan.special_groups[plan.num_specials] = static_cast<uint8_t>(group);
       plan.special_symbols[plan.num_specials++] = static_cast<uint8_t>(b);
     }
   }
@@ -69,15 +96,14 @@ KernelPlan BuildKernelPlan(const Dfa& dfa) {
     }
   }
 
-  // Catch-all transition powers for the whole-block fast path.
-  uint8_t pow[16];
-  std::memcpy(pow, plan.group_tables[plan.catchall_group], 16);
-  for (int doubling = 0; doubling < 4; ++doubling) {  // T^2, T^4, T^8, T^16
-    ComposeTables(pow, pow, pow);
+  // Catch-all powers for the runs of data symbols between specials.
+  for (int s = 0; s < 16; ++s) {
+    plan.catchall_pow[0][s] = static_cast<uint8_t>(s);
   }
-  std::memcpy(plan.catchall_pow16, pow, 16);
-  ComposeTables(pow, pow, pow);  // T^32
-  std::memcpy(plan.catchall_pow32, pow, 16);
+  for (int k = 1; k <= 64; ++k) {
+    ComposeTables(plan.catchall_pow[k - 1],
+                  plan.group_tables[plan.catchall_group], plan.catchall_pow[k]);
+  }
 
   for (int s = 0; s < plan.num_states; ++s) {
     for (int b = 0; b < 256; ++b) {
@@ -86,11 +112,55 @@ KernelPlan BuildKernelPlan(const Dfa& dfa) {
           static_cast<uint8_t>(dfa.NextState(s, group));
       plan.flags_flat[(s << 8) | b] = dfa.Flags(s, group);
     }
-    plan.state_skippable[s] =
-        dfa.NextState(s, plan.catchall_group) == s &&
-        dfa.Flags(s, plan.catchall_group) == 0;
+  }
+
+  // Uniform runs: grow each state's group set greedily, in group order.
+  // Only a state that stays put on data gets one: a state that data moves
+  // (EOF, ESC) would mostly run zero bytes, and steps its one byte into a
+  // state that has a run for less.
+  const uint32_t catchall = uint32_t{1} << plan.catchall_group;
+  for (int s = 0; s < plan.num_states; ++s) {
+    plan.uniform_run[s] = -1;
+    if (dfa.NextState(s, plan.catchall_group) != s ||
+        !RunIsUniform(dfa, s, catchall)) {
+      continue;
+    }
+    uint32_t groups = catchall;
+    for (int g = 0; g < plan.catchall_group; ++g) {
+      if (RunIsUniform(dfa, s, groups | uint32_t{1} << g)) {
+        groups |= uint32_t{1} << g;
+      }
+    }
+    UniformRun run;
+    run.stops = (catchall - 1) & ~groups;
+    for (int g = 0; g <= plan.catchall_group; ++g) {
+      if ((groups >> g & 1) == 0) continue;
+      const uint32_t bit = uint32_t{1} << g;
+      const uint8_t flags = dfa.Flags(s, g);
+      if (flags & kSymbolRecordDelimiter) run.record |= bit;
+      if (flags & kSymbolFieldDelimiter) run.field |= bit;
+      if (flags & kSymbolControl) run.control |= bit;
+      if (dfa.NextState(s, g) == plan.invalid_state) run.invalid |= bit;
+    }
+    int r = 0;
+    while (r < plan.num_runs && !(plan.runs[r] == run)) ++r;
+    if (r == plan.num_runs) plan.runs[plan.num_runs++] = run;
+    plan.uniform_run[s] = static_cast<int8_t>(r);
   }
   return plan;
+}
+
+void MergeMaskWord(SymbolMasks* word, uint64_t own, const SymbolMasks& bits) {
+  const auto merge = [own](uint64_t& mask, uint64_t set) {
+    std::atomic_ref<uint64_t> ref(mask);
+    uint64_t old = ref.load(std::memory_order_relaxed);
+    while (!ref.compare_exchange_weak(old, (old & ~own) | set,
+                                      std::memory_order_relaxed)) {
+    }
+  };
+  merge(word->record, bits.record);
+  merge(word->field, bits.field);
+  merge(word->control, bits.control);
 }
 
 namespace internal {
@@ -98,46 +168,8 @@ namespace internal {
 ChunkKernelResult ChunkKernelSwar(const KernelPlan& plan, const uint8_t* data,
                                   size_t begin, size_t end,
                                   SymbolMasks* masks_out) {
-  ChunkKernelResult result;
-  alignas(16) uint8_t lanes[16];
-  InitIdentityLanes(plan, lanes);
-
-  // Multi-state phase: advance all lanes per byte until they converge.
-  size_t i = begin;
-  while (i < end && !LanesConverged(plan, lanes)) {
-    const uint8_t* table = plan.group_tables[plan.group_of_byte[data[i]]];
-    for (int l = 0; l < 16; ++l) lanes[l] = table[lanes[l]];
-    ++i;
-  }
-
-  if (!LanesConverged(plan, lanes)) {
-    result.vector = LanesToVector(plan, lanes);
-    return result;
-  }
-
-  // Converged: the suffix is entry-state-independent (up to trapped
-  // entries), so fuse the bitmap pass — single-state simulation writing
-  // the masks, with SWAR word probes skipping runs of plain data symbols
-  // in skippable states.
-  result.spec_offset = static_cast<int64_t>(i);
-  result.spec_state = lanes[plan.start_state];
-  uint8_t state = lanes[plan.start_state];
-  MaskWriter out(masks_out, i, end);
-  while (i < end) {
-    if (plan.state_skippable[state] && i + 8 <= end) {
-      const uint64_t hits = SpecialMaskSwar(plan, data + i);
-      if (hits == 0) {
-        i += 8;  // bits stay zero, state unchanged
-        continue;
-      }
-      i += CleanPrefixSwar(hits);  // jump to the first special symbol
-    }
-    FusedStepByte(plan, data, i, &out, &state, &result.first_invalid);
-    ++i;
-  }
-  out.Finish();
-  result.vector = ConvergedVector(plan, lanes, state);
-  return result;
+  return ChunkKernelImpl<SwarClassifier, SwarLaneOps>(plan, data, begin, end,
+                                                      masks_out);
 }
 
 }  // namespace internal
@@ -170,63 +202,46 @@ ChunkKernelFn GetChunkKernel(KernelLevel level) {
   return internal::ChunkKernelSwar;
 }
 
+FlagWalkFn GetFlagWalk(KernelLevel level) {
+  switch (level) {
+    case KernelLevel::kScalar:
+    case KernelLevel::kSwar:
+      return WalkEmitFlags;
+    case KernelLevel::kSse42:
+#ifdef PARPARAW_HAVE_SSE42_KERNEL
+      return internal::WalkEmitFlagsSse42;
+#else
+      return WalkEmitFlags;
+#endif
+    case KernelLevel::kAvx2:
+#ifdef PARPARAW_HAVE_AVX2_KERNEL
+      return internal::WalkEmitFlagsAvx2;
+#else
+      return WalkEmitFlags;
+#endif
+    case KernelLevel::kNeon:
+#ifdef PARPARAW_HAVE_NEON_KERNEL
+      return internal::WalkEmitFlagsNeon;
+#else
+      return WalkEmitFlags;
+#endif
+  }
+  return WalkEmitFlags;
+}
+
 FlagWalkResult WalkEmitFlags(const KernelPlan& plan, const uint8_t* data,
                              size_t begin, size_t end, uint8_t entry_state,
                              SymbolMasks* masks_out) {
-  FlagWalkResult result;
-  MaskWriter out(masks_out, begin, end);
-  uint8_t state = entry_state;
-  size_t i = begin;
-  while (i < end) {
-    if (plan.state_skippable[state] && i + 8 <= end) {
-      const uint64_t hits = internal::SpecialMaskSwar(plan, data + i);
-      if (hits == 0) {
-        i += 8;
-        continue;
-      }
-      i += internal::CleanPrefixSwar(hits);
-    }
-    const unsigned idx =
-        (static_cast<unsigned>(state) << 8) | static_cast<unsigned>(data[i]);
-    const uint8_t flags = plan.flags_flat[idx];
-    out.Set(i, flags);
-    if (flags & kSymbolRecordDelimiter) {
-      ++result.records;
-      result.fields_since_record = 0;
-      result.saw_record_delimiter = true;
-    } else if (flags & kSymbolFieldDelimiter) {
-      ++result.fields_since_record;
-    }
-    const uint8_t next = plan.next_flat[idx];
-    if (plan.invalid_state >= 0 && next == plan.invalid_state &&
-        state != plan.invalid_state && result.first_invalid < 0) {
-      result.first_invalid = static_cast<int64_t>(i);
-    }
-    state = next;
-    ++i;
-  }
-  out.Finish();
-  result.end_state = state;
-  return result;
+  return internal::WalkEmitFlagsImpl<internal::SwarClassifier>(
+      plan, data, begin, end, entry_state, masks_out);
 }
 
 FlagWalkResult CountEmittedFlags(const SymbolMasks* masks, size_t begin,
                                  size_t end) {
-  // A record bit outranks a field bit on the same byte, as in the walk.
   FlagWalkResult result;
   ForEachMaskWord(begin, end, [&](size_t w, uint64_t keep) {
     const SymbolMasks m = LoadMasks(masks, w, keep);
-    const uint64_t records = m.record & keep;
-    uint64_t fields = m.field & ~m.record & keep;
-    if (records != 0) {
-      result.records += static_cast<uint32_t>(std::popcount(records));
-      result.saw_record_delimiter = true;
-      result.fields_since_record = 0;
-      // Only the field bits above the word's last record bit remain open.
-      const int last = 63 - std::countl_zero(records);
-      fields &= ~BitRange(0, static_cast<unsigned>(last) + 1);
-    }
-    result.fields_since_record += static_cast<uint32_t>(std::popcount(fields));
+    internal::CountMaskWord(m.record & keep, m.field & keep, &result);
   });
   return result;
 }

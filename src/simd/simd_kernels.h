@@ -1,7 +1,6 @@
 #ifndef PARPARAW_SIMD_SIMD_KERNELS_H_
 #define PARPARAW_SIMD_SIMD_KERNELS_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 
@@ -14,6 +13,39 @@ namespace parparaw::simd {
 /// Symbol groups including the trailing catch-all group.
 inline constexpr int kMaxSymbolGroups = kMaxDfaSymbols + 1;
 
+/// Most DFA states the fused kernel walks one by one when a chunk's lanes
+/// have not converged (see ChunkKernelResult). A chunk whose lanes hold
+/// more distinct live states keeps stepping all of them through the
+/// |S|-lane vector and leaves its bitmap masks to the bitmap step.
+inline constexpr int kMaxSpeculatedStates = 4;
+
+/// \brief The symbol groups on which one DFA state's walk can take a whole
+/// run of bytes at once.
+///
+/// A state s has a uniform run over a set P of special symbol groups when,
+/// over every state reachable from s by reading P or catch-all bytes, each
+/// such group's next state and flags are the same. The run's flags are then
+/// a function of each byte's group alone, and its end state is s's
+/// transition on its last byte, so the walk takes the run from the block's
+/// group masks without a per-byte step. A state that self-loops on
+/// catch-all input with zero flags is the simplest case (its run stops only
+/// at the symbols that move it); RFC 4180's FLD has a run that stops only
+/// at a quote, passing field and record delimiters through EOF and EOR.
+/// Each field is a set of group indices, bit g for group g; the catch-all
+/// group is always in the run.
+struct UniformRun {
+  /// Groups outside P: the walk steps these bytes one at a time.
+  uint32_t stops = 0;
+  /// Groups whose bytes set each mask inside the run.
+  uint32_t record = 0;
+  uint32_t field = 0;
+  uint32_t control = 0;
+  /// Groups whose bytes move the run into the DFA's invalid state.
+  uint32_t invalid = 0;
+
+  friend bool operator==(const UniformRun&, const UniformRun&) = default;
+};
+
 /// \brief Precomputed, DFA-derived lookup tables shared by every kernel
 /// level for one parse.
 ///
@@ -21,8 +53,8 @@ inline constexpr int kMaxSymbolGroups = kMaxDfaSymbols + 1;
 /// NextState(s, g), so one PSHUFB/TBL with the current 16-lane state vector
 /// as the index operand advances *all* DFA instances by one symbol — the
 /// vector realisation of the packed Table 1 row. The flat [state<<8|byte]
-/// LUTs serve the single-state (converged / bitmap) walks; group_of_byte is
-/// the DFA's byte classification narrowed to one byte per entry.
+/// LUTs serve the single-state walks; group_of_byte is the DFA's byte
+/// classification narrowed to one byte per entry.
 struct KernelPlan {
   int num_states = 0;
   int invalid_state = -1;
@@ -35,22 +67,29 @@ struct KernelPlan {
   uint8_t trap_state = 0xFF;
   int catchall_group = 0;
   int num_specials = 0;
-  /// Symbols whose group is not the catch-all, ascending byte order.
+  /// Symbols whose group is not the catch-all, ascending byte order, and
+  /// the group of each.
   uint8_t special_symbols[kMaxDfaSymbols] = {};
+  uint8_t special_groups[kMaxDfaSymbols] = {};
   /// byte value -> symbol group (Dfa::SymbolGroup).
   uint8_t group_of_byte[256] = {};
   /// Per-group shuffle tables: byte s = NextState(s, g).
   alignas(16) uint8_t group_tables[kMaxSymbolGroups][16] = {};
-  /// The catch-all transition composed with itself 16x / 32x: advances a
-  /// whole vector block of data symbols with a single shuffle.
-  alignas(16) uint8_t catchall_pow16[16] = {};
-  alignas(16) uint8_t catchall_pow32[16] = {};
+  /// catchall_pow[k]: the catch-all transition composed k times, 0 <= k <=
+  /// 64, so one shuffle advances the lanes over a run of k data symbols.
+  /// Every power is stored: the powers of a fixed-width DFA's catch-all
+  /// row cycle with its record length and never settle.
+  alignas(16) uint8_t catchall_pow[65][16] = {};
   /// Flat single-state LUTs indexed [state << 8 | byte].
   uint8_t next_flat[kMaxDfaStates * 256] = {};
   uint8_t flags_flat[kMaxDfaStates * 256] = {};
-  /// state_skippable[s]: s self-loops on catch-all input with zero flags,
-  /// so a block with no special symbols can be skipped outright while in s.
-  bool state_skippable[kMaxDfaStates] = {};
+  /// uniform_run[s] indexes runs, or is -1 when s has none: data moves s
+  /// to another state (RFC 4180's EOR, EOF and ESC, every state of a
+  /// fixed-width layout), so it steps its byte through the flat LUTs.
+  /// States with equal runs share one entry.
+  int8_t uniform_run[kMaxDfaStates] = {};
+  int num_runs = 0;
+  UniformRun runs[kMaxDfaStates] = {};
 };
 
 /// Derives the plan from a built DFA within the register budget
@@ -97,6 +136,12 @@ inline void ForEachMaskWord(size_t begin, size_t end, Fn&& fn) {
   }
 }
 
+/// Writes `bits` into the bits `own` of mask word `word`, leaving its other
+/// bits to their owners: a std::atomic_ref compare-and-swap per mask (the
+/// word-ownership rule at SymbolIndex, core/pipeline_state.h). Out of line
+/// so the per-ISA kernels share one copy.
+void MergeMaskWord(SymbolMasks* word, uint64_t own, const SymbolMasks& bits);
+
 /// \brief Writes the symbol classes of one byte range [begin, end) into a
 /// SymbolMasks array, following the word-ownership rule at SymbolIndex
 /// (core/pipeline_state.h): words wholly inside the range are stored, the
@@ -129,14 +174,6 @@ class MaskWriter {
   }
 
  private:
-  static void Merge(uint64_t* word, uint64_t own, uint64_t bits) {
-    std::atomic_ref<uint64_t> ref(*word);
-    uint64_t old = ref.load(std::memory_order_relaxed);
-    while (!ref.compare_exchange_weak(old, (old & ~own) | bits,
-                                      std::memory_order_relaxed)) {
-    }
-  }
-
   // Writes the current word, then stores the clean words before w whole
   // (every word strictly between two range words lies inside the range).
   void MoveTo(size_t w) {
@@ -153,14 +190,12 @@ class MaskWriter {
     const unsigned hi =
         end_ < base + 64 ? static_cast<unsigned>(end_ - base) : 64;
     const uint64_t own = BitRange(lo, hi);
-    SymbolMasks& out = masks_[word_];
     if (own == ~uint64_t{0}) {
-      out = SymbolMasks{record_, field_, control_};
-      return;
+      masks_[word_] = SymbolMasks{record_, field_, control_};
+    } else {
+      MergeMaskWord(&masks_[word_], own,
+                    SymbolMasks{record_, field_, control_});
     }
-    Merge(&out.record, own, record_);
-    Merge(&out.field, own, field_);
-    Merge(&out.control, own, control_);
   }
 
   SymbolMasks* masks_;
@@ -175,29 +210,47 @@ class MaskWriter {
 /// \brief Result of the fused context+bitmap kernel over one chunk.
 ///
 /// The kernel always produces the chunk's exact state-transition vector.
-/// Speculation: once every live lane of the vector holds the same state
-/// (lanes in the absorbing trap state are wildcards — their outcome is
-/// fixed), the chunk's suffix is entry-state-independent for every entry
-/// that has not already trapped, so the kernel drops to single-state
-/// simulation and writes the symbol-class masks of the remaining bytes in
-/// the same pass. spec_offset records where that fused region starts (-1:
-/// the lanes never converged and no bits were written); spec_state is the
-/// converged state there, which the bitmap step uses as its verification
-/// token — an entry whose true path trapped earlier arrives in the trap
-/// state instead, fails the token check, and takes the exact re-walk.
+/// It first advances all |S| lanes, a run of data symbols per shuffle.
+/// Lanes in the absorbing trap state are wildcards: their outcome is
+/// fixed. Once the live lanes hold at most kMaxSpeculatedStates distinct
+/// states (tested after each special symbol for one state, and at the end
+/// of each 64-byte block for several), the kernel walks each distinct
+/// state on its own from there, so the vector stays exact, and one of the
+/// walks writes the symbol-class masks of the rest of the chunk:
+///   - converged: one live state is left, so the suffix's masks are the
+///     same for every entry that has not trapped;
+///   - speculated: several are left (unquoted data under a quoting DFA,
+///     where the lane that entered inside quotes never meets a quote). The
+///     start lane's state writes the masks, or the first live state when
+///     the start lane has trapped. A walk whose state traps is dropped, a
+///     mask-writing walk included when another one is live: the survivor
+///     writes from the start of that block. Walks that reach the same
+///     state merge; when the mask-writing walk merges, the written region
+///     restarts after that block from the merged state, which every live
+///     entry shares.
+/// spec_offset records where the written region starts (-1: no bits were
+/// written); spec_state is the writing walk's state there, which the
+/// bitmap step uses as its verification token. An entry whose true path
+/// arrives in another state (a wrong guess, or a path that trapped
+/// earlier) fails the token check and takes the exact re-walk.
 struct ChunkKernelResult {
   StateVector vector;
   int64_t spec_offset = -1;
   uint8_t spec_state = 0;
+  /// True when spec_offset was set while more than one live state was
+  /// left: the token is a guess.
+  bool speculated = false;
   /// Earliest in-chunk offset >= spec_offset whose transition enters the
-  /// DFA's invalid state from a non-invalid state, or -1.
+  /// DFA's invalid state from a non-invalid state on the writing walk's
+  /// path, or -1.
   int64_t first_invalid = -1;
 };
 
-/// Fused kernel signature: simulates [begin, end) of `data` and, once the
-/// lanes converge, writes the masks of [spec_offset, end) into masks_out
-/// (absolute indexing, through a MaskWriter). Bits before the convergence
-/// point are left to the bitmap step.
+/// Fused kernel signature: simulates [begin, end) of `data` and writes the
+/// masks of [spec_offset, end) into masks_out (absolute indexing, under the
+/// word-ownership rule at SymbolIndex). Bits before spec_offset are left to
+/// the bitmap step. The kernels classify whole 64-byte blocks, so they may
+/// read any byte of `data` before `begin`, but none at or past `end`.
 using ChunkKernelFn = ChunkKernelResult (*)(const KernelPlan& plan,
                                             const uint8_t* data, size_t begin,
                                             size_t end,
@@ -218,9 +271,23 @@ struct FlagWalkResult {
   int64_t first_invalid = -1;
 };
 
-/// Walks [begin, end) from `entry_state` with the flat LUTs, writing the
-/// range's masks and counting record/field delimiters. Skips runs of
-/// non-special symbols in skippable states via SWAR word probes.
+/// Single-state flag walk signature: walks [begin, end) of `data` from
+/// `entry_state`, writing the range's masks and counting record and field
+/// delimiters. Like a chunk kernel, it may read any byte of `data` before
+/// `begin`, but none at or past `end`.
+using FlagWalkFn = FlagWalkResult (*)(const KernelPlan& plan,
+                                      const uint8_t* data, size_t begin,
+                                      size_t end, uint8_t entry_state,
+                                      SymbolMasks* masks_out);
+
+/// The walk for a level, classifying blocks with that level's compares.
+/// kScalar and unavailable arch levels get the portable walk.
+FlagWalkFn GetFlagWalk(KernelLevel level);
+
+/// The portable single-state walk. Each 64-byte block is classified once
+/// into a mask per symbol group; the state then takes each of its uniform
+/// runs (UniformRun) from the masks in one step, and steps the bytes
+/// between runs through the flat LUTs.
 FlagWalkResult WalkEmitFlags(const KernelPlan& plan, const uint8_t* data,
                              size_t begin, size_t end, uint8_t entry_state,
                              SymbolMasks* masks_out);
@@ -235,14 +302,13 @@ FlagWalkResult CountEmittedFlags(const SymbolMasks* masks, size_t begin,
 
 namespace internal {
 
-/// Portable fallback kernel (no vector intrinsics).
+/// Per-level kernels and walks. The portable SWAR pair is defined in
+/// simd_kernels.cc; the arch pairs only in their per-ISA translation units
+/// (see src/CMakeLists.txt), reachable through GetChunkKernel/GetFlagWalk
+/// after the runtime CPU check.
 ChunkKernelResult ChunkKernelSwar(const KernelPlan& plan, const uint8_t* data,
                                   size_t begin, size_t end,
                                   SymbolMasks* masks_out);
-
-/// Arch kernels; defined only in their per-ISA translation units (see
-/// src/CMakeLists.txt) and only reachable through GetChunkKernel after the
-/// runtime CPU check.
 ChunkKernelResult ChunkKernelSse42(const KernelPlan& plan, const uint8_t* data,
                                    size_t begin, size_t end,
                                    SymbolMasks* masks_out);
@@ -252,6 +318,15 @@ ChunkKernelResult ChunkKernelAvx2(const KernelPlan& plan, const uint8_t* data,
 ChunkKernelResult ChunkKernelNeon(const KernelPlan& plan, const uint8_t* data,
                                   size_t begin, size_t end,
                                   SymbolMasks* masks_out);
+FlagWalkResult WalkEmitFlagsSse42(const KernelPlan& plan, const uint8_t* data,
+                                  size_t begin, size_t end,
+                                  uint8_t entry_state, SymbolMasks* masks_out);
+FlagWalkResult WalkEmitFlagsAvx2(const KernelPlan& plan, const uint8_t* data,
+                                 size_t begin, size_t end, uint8_t entry_state,
+                                 SymbolMasks* masks_out);
+FlagWalkResult WalkEmitFlagsNeon(const KernelPlan& plan, const uint8_t* data,
+                                 size_t begin, size_t end, uint8_t entry_state,
+                                 SymbolMasks* masks_out);
 
 }  // namespace internal
 

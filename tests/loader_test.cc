@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "api/reader.h"
+#include "dialect/spec.h"
 #include "io/file.h"
 #include "loader/bulk_loader.h"
 #include "workload/generators.h"
@@ -106,6 +108,37 @@ TEST(BulkLoaderTest, QuotedHeaderNamesKeepDelimitersAndQuotes) {
   EXPECT_EQ(schema.field(2).name, "n");
   EXPECT_EQ(schema.field(3).name, "say \"hi\"");
   EXPECT_EQ(result->rows_loaded, 2);
+}
+
+// A fixed-width dialect has no field delimiter: its header row is cut by
+// the field widths, like every other record.
+TEST(BulkLoaderTest, FixedWidthHeaderSplitsByWidths) {
+  dialect::DialectSpec spec;
+  spec.fixed_widths = {10, 10};
+  spec.quote = 0;
+  const std::string input =
+      "left      right     \n"
+      "aaaaaaaaaa0123456789\n"
+      "bbbbbbbbbb9876543210\n";
+  auto table =
+      Reader::FromBuffer(input).WithDialect(spec).WithHeader(true).Read();
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  ASSERT_EQ(table->num_columns(), 2);
+  EXPECT_EQ(table->schema.field(0).name, "left");
+  EXPECT_EQ(table->schema.field(1).name, "right");
+  EXPECT_EQ(table->num_rows, 2);
+
+  LoadOptions options;
+  options.header = 1;
+  options.dialect = spec;
+  auto loaded =
+      BulkLoader::LoadBuffer("left......right.....\n0123456789abcdefghij\n",
+                             options);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_EQ(loaded->table.schema.num_fields(), 2);
+  EXPECT_EQ(loaded->table.schema.field(0).name, "left......");
+  EXPECT_EQ(loaded->table.schema.field(1).name, "right.....");
+  EXPECT_EQ(loaded->rows_loaded, 1);
 }
 
 TEST(BulkLoaderTest, TsvSniffedEndToEnd) {

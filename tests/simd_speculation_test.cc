@@ -13,16 +13,20 @@
 #include "test_util.h"
 #include "workload/generators.h"
 
-// Properties of the convergence speculation in the fused context+bitmap
-// kernels (src/simd):
+// Properties of the speculation in the fused context+bitmap kernels
+// (src/simd):
 //
-//  - Chunks whose state lanes never converge (the in-quote / out-of-quote
-//    ambiguity of unquoted data under a quoting DFA, unterminated quotes
-//    spanning chunks) take the non-speculative path and still match the
-//    scalar pipeline bit for bit.
+//  - Chunks whose state lanes never collapse to one live state (the
+//    in-quote / out-of-quote ambiguity of unquoted data under a quoting
+//    DFA) are speculated: the kernel walks each live state on its own and
+//    writes the masks from the start lane's state, and they still match
+//    the scalar pipeline bit for bit. Chunks too short to leave a block
+//    after the first, and unterminated quotes spanning chunks, take the
+//    non-speculative path.
 //  - The bitmap step's verification token always detects a speculation
 //    whose assumed entry arrival state is wrong, falls back to the exact
-//    re-walk, and reports the event through simd.mis_speculations.
+//    re-walk, and reports the event through simd.mis_speculations; a
+//    chunk costs at most one re-walk however wrong the guess.
 //  - The fused operator's per-chunk summaries obey the monoid laws the
 //    paper's scan (§3.1/§3.2) depends on: associativity, identity, and
 //    homomorphism over input concatenation.
@@ -80,30 +84,182 @@ void ExpectBitmapsMatchScalar(const std::string& input,
 
 // Unquoted data under the quoting RFC 4180 DFA never converges: the lane
 // that entered the chunk inside a quoted field stays in ENC on plain data
-// forever, and ENC is not the trap state. Every chunk must report
-// spec_offset == -1, count as unconverged, and the non-speculative path
-// must still match scalar exactly.
+// forever, and ENC is not the trap state. Once a chunk leaves at least a
+// block after its first, the kernel speculates: it walks the two live
+// states (FLD's family and ENC) on their own, and the start lane's guess,
+// outside quotes, is right. Every such chunk counts as speculated, none
+// mis-speculates, and the bitmaps match scalar exactly. At the paper's
+// 31-byte chunks no chunk leaves a block, so every chunk keeps the
+// non-speculative path.
 TEST(SimdSpeculationTest, UnquotedDataNeverConverges) {
   std::string input;
   for (int r = 0; r < 200; ++r) {
     input += "alpha,beta,gamma,delta\n";
   }
   for (KernelLevel level : AvailableVectorLevels()) {
+    for (size_t chunk_size : {size_t{31}, size_t{256}, size_t{4096}}) {
+      const std::string context = std::string(simd::KernelLevelName(level)) +
+                                  " chunk=" + std::to_string(chunk_size);
+      const bool speculates = chunk_size > 31;
+      obs::MetricsRegistry metrics;
+      ParseOptions options = Rfc4180Options(chunk_size);
+      options.metrics = &metrics;
+      {
+        ScopedKernelLevel force(level);
+        auto harness = StepHarness::Make(input, options);
+        ASSERT_NE(harness, nullptr);
+        ASSERT_TRUE(harness->RunThroughBitmaps().ok());
+        const int64_t chunks = harness->state.num_chunks;
+        for (int64_t c = 0; c < chunks; ++c) {
+          EXPECT_EQ(harness->state.spec_offsets[c] >= 0, speculates)
+              << context << " chunk " << c;
+        }
+        EXPECT_EQ(metrics.GetCounter("simd.chunks_speculated")->Value(),
+                  speculates ? chunks : 0)
+            << context;
+        EXPECT_EQ(metrics.GetCounter("simd.chunks_unconverged")->Value(),
+                  speculates ? 0 : chunks)
+            << context;
+        EXPECT_EQ(metrics.GetCounter("simd.chunks_converged")->Value(), 0)
+            << context;
+        EXPECT_EQ(metrics.GetCounter("simd.mis_speculations")->Value(), 0)
+            << context;
+      }
+      ASSERT_NO_FATAL_FAILURE(ExpectBitmapsMatchScalar(input, options, level))
+          << context;
+    }
+  }
+}
+
+/// An input whose every chunk after the first starts inside a quoted field
+/// and closes it with its first byte: the start lane takes that quote for
+/// an opening one and guesses ENC for the unquoted fields that follow,
+/// while the true path is outside quotes. Each chunk then reopens a quote;
+/// with `keep_guess_alive` the quote is followed by doubled quotes only, so
+/// the wrong walk never traps and every guess survives to the bitmap step;
+/// without, quoted text follows and the wrong walk traps in the chunk's
+/// last block.
+std::string QuoteAfterEveryChunkStart(size_t chunk_size, int chunks,
+                                      bool keep_guess_alive) {
+  // Chunk 0 ends inside a quoted field: "xx,\"" and doubled quotes.
+  std::string input = "xx,\"";
+  while (input.size() < chunk_size) input += "\"\"";
+  EXPECT_EQ(input.size(), chunk_size);
+  for (int c = 1; c < chunks; ++c) {
+    std::string chunk = "\",";
+    const size_t tail = keep_guess_alive ? 2 + 2 * 20 : 2 + 40;
+    for (int f = 0; chunk.size() < chunk_size - tail; ++f) {
+      chunk += f % 4 == 3 ? '\n' : f % 2 == 0 ? ',' : 'a';
+      chunk += "bcd";
+    }
+    chunk.resize(chunk_size - tail, 'x');
+    chunk += ",\"";
+    while (chunk.size() < chunk_size) {
+      chunk += keep_guess_alive ? "\"\"" : "tt";
+    }
+    EXPECT_EQ(chunk.size(), chunk_size);
+    input += chunk;
+  }
+  return input;
+}
+
+// Adversarial input for the start lane's guess: a quote right after every
+// chunk start. Where the wrong walk stays live, every chunk after the
+// first is speculated wrongly, is caught by the token check and costs
+// exactly one re-walk; where it traps, the surviving walk writes the masks
+// from the start of that block on, the token is right and nothing is
+// re-walked. Both stay bit-identical to scalar.
+TEST(SimdSpeculationTest, QuoteAfterEveryChunkStartCostsOneReWalk) {
+  constexpr size_t kChunk = 256;
+  constexpr int kChunks = 40;
+  for (bool keep_guess_alive : {true, false}) {
+    const std::string input =
+        QuoteAfterEveryChunkStart(kChunk, kChunks, keep_guess_alive);
+    for (KernelLevel level : AvailableVectorLevels()) {
+      const std::string context =
+          std::string(simd::KernelLevelName(level)) +
+          (keep_guess_alive ? " guess alive" : " guess traps");
+      obs::MetricsRegistry metrics;
+      ParseOptions options = Rfc4180Options(kChunk);
+      options.metrics = &metrics;
+      {
+        ScopedKernelLevel force(level);
+        auto harness = StepHarness::Make(input, options);
+        ASSERT_NE(harness, nullptr);
+        ASSERT_TRUE(harness->RunThroughBitmaps().ok());
+        ASSERT_EQ(harness->state.num_chunks, kChunks);
+        for (int64_t c = 1; c < kChunks; ++c) {
+          ASSERT_EQ(harness->state.entry_states[c], rfc4180::kEnc)
+              << context << " chunk " << c;
+          ASSERT_GE(harness->state.spec_offsets[c], 0)
+              << context << " chunk " << c;
+          if (!keep_guess_alive) {
+            // The writer moved past the chunk's first block.
+            EXPECT_GE(harness->state.spec_offsets[c],
+                      static_cast<int64_t>(kChunk * c + 128))
+                << context << " chunk " << c;
+          }
+        }
+        EXPECT_EQ(metrics.GetCounter("simd.chunks_speculated")->Value(),
+                  kChunks)
+            << context;
+        EXPECT_EQ(metrics.GetCounter("simd.mis_speculations")->Value(),
+                  keep_guess_alive ? kChunks - 1 : 0)
+            << context;
+      }
+      ASSERT_NO_FATAL_FAILURE(ExpectBitmapsMatchScalar(input, options, level))
+          << context;
+    }
+  }
+}
+
+// Under a DSV format with lenient quotes, a quote in an unquoted field is
+// data, so the out-of-quote walk does not trap where the in-quote one
+// closes its field: the two merge at the next delimiter. Every chunk after
+// the first starts inside quoted text, where the start lane guesses wrong;
+// once its walk merges with the right one, the written region restarts
+// after that block from the merged state, so no chunk is re-walked and
+// each counts as converged there.
+TEST(SimdSpeculationTest, MergedGuessRestartsAfterTheMerge) {
+  DsvOptions dsv;
+  dsv.strict_quotes = false;
+  auto format = DsvFormat(dsv);
+  ASSERT_TRUE(format.ok());
+  constexpr size_t kChunk = 256;
+  constexpr int kChunks = 24;
+  // Chunk 0 opens a quoted field; every later chunk closes it 150 bytes
+  // in (past its first block), holds two fields and reopens one.
+  std::string input = "a,\"";
+  for (int c = 0; c < kChunks; ++c) {
+    const size_t start = kChunk * c;
+    while (input.size() < start + kChunk) input += "quoted text ";
+    input.resize(start + kChunk);
+    if (c > 0) input.replace(start + 150, 9, "\",\"x\",y,\"");
+  }
+  for (KernelLevel level : AvailableVectorLevels()) {
     obs::MetricsRegistry metrics;
-    ParseOptions options = Rfc4180Options(31);
+    ParseOptions options;
+    options.format = *format;
+    options.chunk_size = kChunk;
     options.metrics = &metrics;
     {
       ScopedKernelLevel force(level);
       auto harness = StepHarness::Make(input, options);
       ASSERT_NE(harness, nullptr);
-      ASSERT_TRUE(harness->RunContext().ok());
-      for (int64_t c = 0; c < harness->state.num_chunks; ++c) {
-        EXPECT_EQ(harness->state.spec_offsets[c], -1)
-            << "chunk " << c << " level " << simd::KernelLevelName(level);
+      ASSERT_TRUE(harness->RunThroughBitmaps().ok());
+      ASSERT_EQ(harness->state.num_chunks, kChunks);
+      for (int64_t c = 1; c < kChunks; ++c) {
+        ASSERT_EQ(format->dfa.state_name(harness->state.entry_states[c]),
+                  "ENC")
+            << simd::KernelLevelName(level) << " chunk " << c;
+        EXPECT_GE(harness->state.spec_offsets[c],
+                  static_cast<int64_t>(kChunk * c + 150))
+            << simd::KernelLevelName(level) << " chunk " << c;
       }
-      EXPECT_EQ(metrics.GetCounter("simd.chunks_unconverged")->Value(),
-                harness->state.num_chunks);
-      EXPECT_EQ(metrics.GetCounter("simd.chunks_converged")->Value(), 0);
+      EXPECT_EQ(metrics.GetCounter("simd.chunks_converged")->Value(), kChunks)
+          << simd::KernelLevelName(level);
+      EXPECT_EQ(metrics.GetCounter("simd.mis_speculations")->Value(), 0)
+          << simd::KernelLevelName(level);
     }
     ASSERT_NO_FATAL_FAILURE(ExpectBitmapsMatchScalar(input, options, level));
   }
@@ -135,6 +291,7 @@ TEST(SimdSpeculationTest, UnterminatedQuoteSpanningChunks) {
         EXPECT_EQ(harness->state.spec_offsets[c], -1) << "chunk " << c;
       }
       EXPECT_EQ(metrics.GetCounter("simd.chunks_converged")->Value(), 1);
+      EXPECT_EQ(metrics.GetCounter("simd.chunks_speculated")->Value(), 0);
       EXPECT_EQ(metrics.GetCounter("simd.chunks_unconverged")->Value(),
                 harness->state.num_chunks - 1);
       EXPECT_GT(
@@ -213,15 +370,7 @@ TEST(SimdSpeculationTest, CorruptedTokensAlwaysDetected) {
     auto harness = StepHarness::Make(input, options);
     ASSERT_NE(harness, nullptr);
     ASSERT_TRUE(harness->RunContext().ok());
-    int64_t corrupted = 0;
-    for (int64_t c = 0; c < harness->state.num_chunks; ++c) {
-      if (harness->state.spec_offsets[c] < 0) continue;
-      // A state the true walk cannot arrive in at the convergence point.
-      harness->state.spec_states[c] =
-          harness->state.spec_states[c] == rfc4180::kEsc ? rfc4180::kEof
-                                                         : rfc4180::kEsc;
-      ++corrupted;
-    }
+    const int64_t corrupted = CorruptSpeculationTokens(&harness->state);
     ASSERT_GT(corrupted, 0) << simd::KernelLevelName(level);
     ASSERT_TRUE(BitmapStep::Run(&harness->state, &harness->timings).ok());
     EXPECT_EQ(metrics.GetCounter("simd.mis_speculations")->Value(), corrupted);

@@ -25,6 +25,22 @@ inline uint8_t FlagsAt(const SymbolIndex& index, size_t i) {
       (((m.control >> b) & 1) != 0 ? kSymbolControl : 0));
 }
 
+/// Replaces the verification token of every chunk whose kernel wrote masks
+/// (converged or speculated) with a state no walk can arrive in, so the
+/// bitmap step must detect a mis-speculation and re-walk each such suffix.
+/// Returns how many tokens it replaced.
+inline int64_t CorruptSpeculationTokens(PipelineState* state) {
+  const auto impossible =
+      static_cast<uint8_t>(state->options->format.dfa.num_states());
+  int64_t corrupted = 0;
+  for (size_t c = 0; c < state->spec_offsets.size(); ++c) {
+    if (state->spec_offsets[c] < 0) continue;
+    state->spec_states[c] = impossible;
+    ++corrupted;
+  }
+  return corrupted;
+}
+
 /// Drives the pipeline steps one by one over `input`, so tests can inspect
 /// intermediate state. The fixture owns the input and options; `state`
 /// holds borrowed pointers into them.

@@ -95,20 +95,13 @@ void Retarget(StepHarness* h, const std::string& input) {
 }
 
 /// Runs every step, converting into `out`. With `mis_speculate`, every
-/// converged chunk's verification token is corrupted after the context
-/// step, so the bitmap step must detect it and re-walk the suffix.
+/// converged or speculated chunk's verification token is corrupted after
+/// the context step, so the bitmap step must detect it and re-walk the
+/// suffix.
 void RunSteps(StepHarness* h, bool mis_speculate, ParseOutput* out,
               int64_t* corrupted) {
   ASSERT_TRUE(h->RunContext().ok());
-  if (mis_speculate) {
-    for (size_t c = 0; c < h->state.spec_offsets.size(); ++c) {
-      if (h->state.spec_offsets[c] < 0) continue;
-      h->state.spec_states[c] = h->state.spec_states[c] == rfc4180::kEsc
-                                    ? rfc4180::kEof
-                                    : rfc4180::kEsc;
-      ++*corrupted;
-    }
-  }
+  if (mis_speculate) *corrupted += CorruptSpeculationTokens(&h->state);
   ASSERT_TRUE(BitmapStep::Run(&h->state, &h->timings).ok());
   ASSERT_TRUE(OffsetStep::Run(&h->state, &h->timings).ok());
   const Status tagged = TagStep::Run(&h->state, &h->timings);
