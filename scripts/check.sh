@@ -102,10 +102,12 @@ run_tsan() {
   # from their own huge-page mappings, poisoned with 0xA5 like the smaller
   # std::allocator ones. ScratchAllocator checks the mapping path itself,
   # and WriteOnce's large case parses through mapped scratch.
+  # Pushdown runs StagedParse::Select, which a query's sort morsel runs
+  # next to the following partition's scan morsel.
   echo "=== TSan: concurrency-sensitive tests ==="
   TSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \
-      -R 'ThreadPool|ParallelFor|Scheduler|TaskGroup|Metrics|Tracer|ObsIntegration|Streaming|Exec|Reader|SymbolIndex|SimdDifferential|SimdSpeculation|WriteOnce|TransposeDifferential|ScratchAllocator|Validate'
+      -R 'ThreadPool|ParallelFor|Scheduler|TaskGroup|Metrics|Tracer|ObsIntegration|Streaming|Exec|Reader|SymbolIndex|SimdDifferential|SimdSpeculation|WriteOnce|TransposeDifferential|ScratchAllocator|Validate|Pushdown'
 }
 
 run_scaling() {
@@ -150,7 +152,7 @@ run_pipeline() {
   # SIMD register budget (DialectEquivalence: their sequential
   # entry-state walk in each scan morsel, then chunk-parallel steps,
   # across partition sizes and all four error policies), the pushdown
-  # suite (a query's two phases run inside scan morsels), and the chaos
+  # suite (a query's select stage runs inside sort morsels), and the chaos
   # sweep — whose schedule space includes faults at every morsel
   # hand-off — all under the thread sanitizer, since the executor is the
   # most schedule-sensitive code in the repo. ObsIntegration adds the

@@ -9,6 +9,13 @@ namespace parparaw {
 
 Result<ParseOutput> Parser::Parse(std::string_view input,
                                   const ParseOptions& options) {
+  return RunStagedParse(input, options, nullptr, nullptr);
+}
+
+Result<ParseOutput> RunStagedParse(std::string_view input,
+                                   const ParseOptions& options,
+                                   const Predicate* predicate,
+                                   PushdownStats* stats) {
   PARPARAW_RETURN_NOT_OK(options.Validate());
   // A user dialect compiles into the format here.
   ParseOptions resolved = options;
@@ -22,15 +29,16 @@ Result<ParseOutput> Parser::Parse(std::string_view input,
                            resolved.sample_budget,
                        &resolved));
   (void)parse_plan;
-  // The monolithic entry point is the staged pipeline run back to back on
-  // the calling thread; src/exec overlaps the same stages across
-  // partitions. Only here do all three stages share one thread, so only
-  // here is the whole run one probe.
+  // Only here do all the stages share one thread (src/exec overlaps them
+  // across partitions), so only here is the whole run one probe.
   obs::TraceSpan probe(resolved.tracer, "parse", "pipeline", resolved.metrics,
                        "parse.total_us", obs::Timing::kUntimed,
                        static_cast<int64_t>(input.size()));
   StagedParse staged;
   PARPARAW_RETURN_NOT_OK(staged.Scan(input, resolved));
+  if (predicate != nullptr) {
+    PARPARAW_RETURN_NOT_OK(staged.Select(*predicate, stats));
+  }
   if (!staged.finished()) {
     PARPARAW_RETURN_NOT_OK(staged.Partition());
     PARPARAW_RETURN_NOT_OK(staged.Convert());

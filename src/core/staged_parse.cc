@@ -297,11 +297,15 @@ Status StagedParse::Scan(std::string_view input, const ParseOptions& options) {
 
   PARPARAW_RETURN_NOT_OK_CTX(OffsetStep::Run(&state_, &output_.timings),
                              "step.offset");
+  return Status::OK();
+}
+
+Status StagedParse::TagAndPartition() {
   PARPARAW_RETURN_NOT_OK_CTX(TagStep::Run(&state_, &output_.timings),
                              "step.tag");
   // The field gather's tag step writes its per-record arrays and the
   // tile tallies; the symbol sort writes a tagged CSS slot per symbol.
-  output_.work.tag_bytes_written =
+  output_.work.tag_bytes_written +=
       state_.transpose_mode == TransposeMode::kFieldGather
           ? static_cast<int64_t>(
                 state_.record_column_counts.size() * sizeof(uint32_t) +
@@ -310,13 +314,76 @@ Status StagedParse::Scan(std::string_view input, const ParseOptions& options) {
                 state_.gather_tallies.size() * sizeof(int64_t))
           : static_cast<int64_t>(state_.css.size()) *
                 (resolved_.tagging_mode == TaggingMode::kRecordTags ? 9 : 5);
+  PARPARAW_RETURN_NOT_OK_CTX(
+      PartitionStep::Run(&state_, &output_.timings, &output_.work),
+      "step.partition");
+  return Status::OK();
+}
+
+Status StagedParse::Select(const Predicate& predicate,
+                           PushdownStats* stats) {
+  const int num_fields = resolved_.schema.num_fields();
+  if (num_fields == 0) return Status::Invalid("pushdown requires a schema");
+  if (predicate.column < 0 || predicate.column >= num_fields) {
+    return Status::Invalid(
+        "predicate column " + std::to_string(predicate.column) +
+        " out of range for " + std::to_string(num_fields) + " columns");
+  }
+  if (!resolved_.skip_records.empty() || !resolved_.skip_columns.empty()) {
+    return Status::Invalid(
+        "pushdown cannot be combined with explicit skip sets");
+  }
+  if (resolved_.column_count_policy != ColumnCountPolicy::kRobust) {
+    return Status::Invalid("pushdown requires the robust column policy");
+  }
+  if (stats != nullptr) *stats = PushdownStats();
+  if (finished_) return Status::OK();
+  obs::TraceSpan probe(resolved_.tracer, "pushdown.probe", "query",
+                       resolved_.metrics, "pushdown.probe_us",
+                       obs::Timing::kUntimed);
+
+  // Phase 1: the predicate column alone. Its rows stay record numbers: a
+  // malformed value is NULL under kSkip (phase 2 still skips it). The steps
+  // run directly, as Partition() would free the bitmap indexes.
+  const robust::ErrorPolicy policy = resolved_.error_policy;
+  if (policy == robust::ErrorPolicy::kSkip) {
+    resolved_.error_policy = robust::ErrorPolicy::kNull;
+  }
+  for (int j = 0; j < num_fields; ++j) {
+    if (j != predicate.column) resolved_.skip_columns.push_back(j);
+  }
+  ParseOutput column;
+  const Status probed = [&]() -> Status {
+    PARPARAW_RETURN_NOT_OK(TagAndPartition());
+    PARPARAW_RETURN_NOT_OK_CTX(ConvertStep::Run(&state_, &output_.timings,
+                                                &output_.work, &column),
+                               "step.convert");
+    return ApplyErrorPolicy(&state_, resolved_, input_, skip_offset_,
+                            &column);
+  }();
+  resolved_.skip_columns.clear();
+  resolved_.error_policy = policy;
+  PARPARAW_RETURN_NOT_OK(probed);
+
+  Predicate remapped = predicate;
+  remapped.column = 0;
+  PARPARAW_ASSIGN_OR_RETURN(
+      const std::vector<uint8_t> selection,
+      EvaluatePredicate(column.table, remapped, resolved_.pool));
+  const int64_t rows = column.table.num_rows;
+  for (int64_t r = 0; r < rows; ++r) {
+    if (!selection[r]) resolved_.skip_records.push_back(r);
+  }
+  const int64_t selected =
+      rows - static_cast<int64_t>(resolved_.skip_records.size());
+  if (stats != nullptr) *stats = PushdownStats{rows, selected};
+  obs::AddCount(resolved_.metrics, "pushdown.records_scanned", rows);
+  obs::AddCount(resolved_.metrics, "pushdown.records_selected", selected);
   return Status::OK();
 }
 
 Status StagedParse::Partition() {
-  PARPARAW_RETURN_NOT_OK_CTX(
-      PartitionStep::Run(&state_, &output_.timings, &output_.work),
-      "step.partition");
+  PARPARAW_RETURN_NOT_OK(TagAndPartition());
   // The CSS or the gathered columns now hold every value: free the scratch
   // no later stage reads. kQuarantine keeps the index, whose record mask
   // ApplyErrorPolicy walks for the byte spans.

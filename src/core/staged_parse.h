@@ -6,33 +6,35 @@
 
 #include "core/options.h"
 #include "core/pipeline_state.h"
+#include "query/pushdown.h"
 #include "util/result.h"
 
 namespace parparaw {
 
-/// \brief The parse pipeline cut into its three coarse stages, so the
-/// pipelined executor (src/exec) can overlap them across partitions the
-/// way the paper's Fig. 7 schedule overlaps its GPU streams:
+/// \brief The parse pipeline cut into its coarse stages, so the pipelined
+/// executor (src/exec) can overlap them across partitions the way the
+/// paper's Fig. 7 schedule overlaps its GPU streams:
 ///
 ///   Scan       context resolution + bitmap indexes (+ remainder offset)
-///              + record/column offset scans + symbol tagging —
-///              everything that must see the partition's raw bytes. After
-///              Scan, the carry-over for the *next* partition is known
-///              (remainder_offset()), so its Scan can start while this
-///              partition continues downstream.
-///   Partition  the stable radix sort into per-column symbol runs, or the
-///              field gather's walk, which writes the output columns
-///              (TransposeMode).
+///              + record/column offset scans: what the carry-over needs.
+///              After Scan, the carry-over for the *next* partition is
+///              known (remainder_offset()), so its Scan can start while
+///              this partition continues downstream.
+///   Select     (queries only) the predicate decides which records the
+///              later stages build (§4.3 "Skipping records").
+///   Partition  symbol tagging, then the stable radix sort into per-column
+///              symbol runs, or the field gather's walk, which writes the
+///              output columns (TransposeMode).
 ///   Convert    CSS indexing + typed value generation (symbol sort) or
 ///              table assembly (field gather) + error policy.
 ///
-/// Parser::Parse runs the three stages back to back on one thread; the
-/// executor runs each stage as a morsel on whichever worker is free, with
-/// partitions flowing between them, which is exactly why the split exists
-/// (and why no probe may span two stages). Stage methods
-/// must be called in order, each at most once. The instance must not
-/// move between Scan and TakeOutput (the pipeline state points into it),
-/// so the executor heap-allocates its per-partition tasks.
+/// RunStagedParse runs the stages back to back on one thread; the executor
+/// runs Scan, then Select and Partition, then Convert as three morsels on
+/// whichever worker is free, with partitions flowing between them, which is
+/// exactly why the split exists (and why no probe may span two morsels).
+/// Stage methods must be called in the order above, each at most once. The
+/// instance must not move between Scan and TakeOutput (the pipeline state
+/// points into it), so the executor heap-allocates its per-partition tasks.
 class StagedParse {
  public:
   StagedParse() = default;
@@ -55,11 +57,19 @@ class StagedParse {
   /// options.exclude_trailing_record was set; -1 otherwise.
   int64_t remainder_offset() const { return output_.remainder_offset; }
 
-  /// Runs the partition stage (the radix sort by column tag, or the field
-  /// gather's walk, which writes the columns straight from the input and
-  /// its bitmap indexes), then frees the bitmap indexes, except under
-  /// ErrorPolicy::kQuarantine: the CSS or the columns now hold every
-  /// value.
+  /// A query's select stage (the pushdown, query/pushdown.h): tags,
+  /// partitions and converts the predicate column alone from Scan's bitmap
+  /// indexes, evaluates the predicate, and skips the records that do not
+  /// match; its work and timings join the output, and `stats` (optional)
+  /// gets the counts. Refuses (InvalidArgument) the options the pushdown
+  /// cannot number records under, listed at ParseWithPushdown.
+  Status Select(const Predicate& predicate, PushdownStats* stats);
+
+  /// Runs the partition stage (the tag step, then the radix sort by
+  /// column tag or the field gather's walk, which writes the columns
+  /// straight from the input and its bitmap indexes), then frees the
+  /// bitmap indexes, except under ErrorPolicy::kQuarantine: the CSS or
+  /// the columns now hold every value.
   Status Partition();
 
   /// Runs the convert stage (CSS indexing and value generation, or the
@@ -72,6 +82,8 @@ class StagedParse {
   ParseOutput TakeOutput() { return std::move(output_); }
 
  private:
+  Status TagAndPartition();  // the steps Select and Partition share
+
   ParseOptions resolved_;
   /// Owns the UTF-8 bytes when the input needed transcoding (§4.2).
   std::string transcoded_;
@@ -82,6 +94,14 @@ class StagedParse {
   PipelineState state_;
   ParseOutput output_;
 };
+
+/// The driver behind Parser::Parse and ParseWithPushdown: validate, resolve
+/// the dialect, plan, then the stages on the calling thread, with Select
+/// when `predicate` is set.
+Result<ParseOutput> RunStagedParse(std::string_view input,
+                                   const ParseOptions& options,
+                                   const Predicate* predicate,
+                                   PushdownStats* stats);
 
 }  // namespace parparaw
 

@@ -56,20 +56,7 @@ struct PartitionTask {
   int64_t carry_bytes = 0;
   bool is_last = false;
   StagedParse parse;
-  /// Output of a whole-partition parse inside the scan morsel, which the
-  /// sort and convert morsels pass through. Its one user is a query's
-  /// pushdown (ExecOptions::predicate), which runs both of its phases
-  /// there.
-  std::optional<ParseOutput> walked;
-
-  bool finished() const { return walked.has_value() || parse.finished(); }
-  int64_t remainder_offset() const {
-    return walked.has_value() ? walked->remainder_offset
-                              : parse.remainder_offset();
-  }
-  ParseOutput TakeOutput() {
-    return walked.has_value() ? std::move(*walked) : parse.TakeOutput();
-  }
+  PushdownStats pushdown;  // a query's counts, from the sort morsel
 };
 
 /// A converted partition parked until every lower-indexed partition has
@@ -86,6 +73,7 @@ struct ConvertedPartition {
   int64_t buffer_base = 0;
   int64_t partition_bytes = 0;
   int64_t carry_bytes = 0;
+  PushdownStats pushdown;
 };
 
 /// Sequential partition source, either disk-backed or an in-memory view.
@@ -167,35 +155,32 @@ class BufferSource final : public ChunkSource {
 
 }  // namespace
 
-/// \brief One ingest's worth of morsel machinery.
+/// \brief One ingest's worth of morsel machinery: a morsel graph on the
+/// shared work-stealing pool. The calling thread performs the sequential
+/// admission-gated reads, and each partition then flows through chained
+/// scan -> sort -> convert morsels that ANY worker (or the caller, under
+/// caller-runs) may execute. Dependencies are encoded in the chaining, not
+/// in threads:
 ///
-/// The old stage-per-thread SPSC chain (one dedicated thread each for
-/// scan, sort and convert) capped speedup at the stage count and left
-/// workers idle whenever one stage starved. It is replaced by a morsel
-/// graph on the shared work-stealing pool: the calling thread performs
-/// the sequential admission-gated reads, and each partition then flows
-/// through chained scan -> sort -> convert morsels that ANY worker (or
-/// the caller, under caller-runs) may execute. Dependencies are encoded
-/// in the chaining, not in threads:
-///
-///   * Scan is the only sequentially-dependent stage (partition k+1's
-///     carry-over bytes are known only after k's scan, the paper's carry
-///     dependency) — a single "scan token" serialises scan morsels in
-///     stream order while everything downstream overlaps freely.
-///   * Sort and convert morsels for different partitions run wherever a
-///     worker is idle, so partition k's convert overlaps k+1's sort and
-///     k+2's scan without any thread being pinned to a stage.
+///   * Scan (context, bitmap, offset) is the only sequentially-dependent
+///     stage (partition k+1's carry-over bytes are known only after k's
+///     scan, the paper's carry dependency) — a single "scan token"
+///     serialises scan morsels in stream order while everything downstream
+///     overlaps freely.
+///   * Sort (a query's select, tag, then sort or gather) and convert
+///     morsels for different partitions run wherever a worker is idle, so
+///     partition k's convert overlaps k+1's sort and k+2's scan without any
+///     thread being pinned to a stage.
 ///   * Converted partitions park in a reorder window and are delivered
 ///     (sink call / table concatenation, quarantine re-basing, stats) in
 ///     stream order under a delivery token — the output is bit-identical
 ///     to the serial schedule by construction.
 ///
-/// Memory stays bounded by the admission controller exactly as before:
-/// the reader acquires one slot per partition and delivery releases it,
-/// so at most admission_limit partitions exist across the whole graph.
-/// The old exec.queue.{scan,sort,convert}.{push,pop} failpoints fire at
-/// the equivalent morsel hand-offs (push = submitting the next morsel,
-/// pop = entering it), keeping the chaos schedule space intact.
+/// The reader acquires one admission slot per partition and delivery
+/// releases it, so at most admission_limit partitions exist across the
+/// whole graph. The exec.queue.{scan,sort,convert}.{push,pop} failpoints
+/// fire at the morsel hand-offs (push = submitting the next morsel, pop =
+/// entering it).
 class PipelineRun {
  public:
   PipelineRun(PipelineExecutor* executor, const ExecOptions& options,
@@ -479,7 +464,7 @@ class PipelineRun {
     }
   }
 
-  // --- scan morsel: carry-over assembly + context/bitmap/offset/tag ---
+  // --- scan morsel: carry-over assembly + context/bitmap/offset ---
   void ScanMorsel(const std::shared_ptr<RawChunk>& chunk) {
     Status injected = robust::CheckFailpoint("exec.queue.scan.pop");
     if (!injected.ok()) {
@@ -529,21 +514,7 @@ class PipelineRun {
     // partition size and admission are already clamped to fit, so the
     // per-partition parse must not re-apply the monolithic refusal.
     po.memory_budget = 0;
-    Status scanned;
-    if (options_.predicate.has_value()) {
-      // Scans run in stream order, so the counts add up in it too.
-      PushdownStats counts;
-      Result<ParseOutput> pushed =
-          ParseWithPushdown(task->buffer, po, *options_.predicate, &counts);
-      scanned = pushed.status();
-      if (scanned.ok()) {
-        task->walked = std::move(pushed).ValueOrDie();
-        result_.pushdown.records_scanned += counts.records_scanned;
-        result_.pushdown.records_selected += counts.records_selected;
-      }
-    } else {
-      scanned = task->parse.Scan(task->buffer, po);
-    }
+    const Status scanned = task->parse.Scan(task->buffer, po);
     if (!scanned.ok()) {
       // The carry-over is unknown, so the scan chain stops here: the scan
       // token is never passed on and later chunks stay parked until the
@@ -552,7 +523,7 @@ class PipelineRun {
       return;
     }
     if (!task->is_last) {
-      const int64_t remainder = task->remainder_offset();
+      const int64_t remainder = task->parse.remainder_offset();
       if (remainder < 0 ||
           remainder > static_cast<int64_t>(task->buffer.size())) {
         Park(task->index, Status::Internal("executor remainder out of range"));
@@ -605,7 +576,7 @@ class PipelineRun {
     }
   }
 
-  // --- sort morsel: radix-sort partition by column tag ---
+  // --- sort morsel: a query's select, then tag + sort or gather ---
   void SortMorsel(const std::shared_ptr<PartitionTask>& task) {
     Status injected = robust::CheckFailpoint("exec.queue.sort.pop");
     if (!injected.ok()) {
@@ -618,18 +589,22 @@ class PipelineRun {
     obs::TraceSpan probe(base_.tracer, "morsel.sort", "sched", metrics_,
                          "exec.sort_us", obs::Timing::kTimed,
                          task->partition_bytes);
-    if (!task->finished()) {
-      const Status sorted = task->parse.Partition();
-      if (!sorted.ok()) {
-        Park(task->index, sorted.WithContext("exec.sort"));
-        return;
-      }
-      // The CSS now holds every value byte; only quarantine spans still
-      // read the raw partition.
-      if (base_.error_policy != robust::ErrorPolicy::kQuarantine) {
-        task->owned = std::string();
-        task->buffer = std::string_view();
-      }
+    Status sorted = Status::OK();
+    if (options_.predicate.has_value()) {
+      sorted = task->parse.Select(*options_.predicate, &task->pushdown);
+    }
+    if (sorted.ok() && !task->parse.finished()) {
+      sorted = task->parse.Partition();
+    }
+    if (!sorted.ok()) {
+      Park(task->index, sorted.WithContext("exec.sort"));
+      return;
+    }
+    // The CSS or the columns now hold every value byte; only quarantine
+    // spans still read the raw partition.
+    if (base_.error_policy != robust::ErrorPolicy::kQuarantine) {
+      task->owned = std::string();
+      task->buffer = std::string_view();
     }
     AddStageSeconds(&result_.stats.sort_seconds, probe.Stop());
     const Status pushed =
@@ -654,7 +629,7 @@ class PipelineRun {
     obs::TraceSpan probe(base_.tracer, "morsel.convert", "sched", metrics_,
                          "exec.convert_us", obs::Timing::kTimed,
                          task->partition_bytes);
-    if (!task->finished()) {
+    if (!task->parse.finished()) {
       const Status converted = task->parse.Convert();
       if (!converted.ok()) {
         Park(task->index, converted.WithContext("exec.convert"));
@@ -662,10 +637,11 @@ class PipelineRun {
       }
     }
     ConvertedPartition done;
-    done.output = task->TakeOutput();
+    done.output = task->parse.TakeOutput();
     done.buffer_base = task->buffer_base;
     done.partition_bytes = task->partition_bytes;
     done.carry_bytes = task->carry_bytes;
+    done.pushdown = task->pushdown;
     AddStageSeconds(&result_.stats.convert_seconds, probe.Stop());
     Complete(task->index, std::move(done));
   }
@@ -736,6 +712,8 @@ class PipelineRun {
     }
     result_.timings += out.timings;
     result_.work += out.work;
+    result_.pushdown.records_scanned += part.pushdown.records_scanned;
+    result_.pushdown.records_selected += part.pushdown.records_selected;
     rows_accumulated_ += out.table.num_rows;
     ++result_.stats.num_partitions;
     result_.stats.bytes += part.partition_bytes;

@@ -29,10 +29,9 @@ struct ExecOptions {
   ParseOptions base;
 
   /// A query's WHERE clause; nullopt = a plain parse. When set, each
-  /// partition's scan morsel runs the two-phase selection pushdown
-  /// (ParseWithPushdown, query/pushdown.h) over the whole partition, so
-  /// `base` needs its requirements: a schema and the robust column-count
-  /// policy. parparawd's query requests set it.
+  /// partition's sort morsel selects (StagedParse::Select, the pushdown of
+  /// query/pushdown.h) before it tags, so `base` needs the pushdown's
+  /// requirements. parparawd's query requests set it.
   std::optional<Predicate> predicate;
 
   /// Bytes per partition (before any memory-budget clamp).
@@ -112,7 +111,7 @@ struct IngestResult {
   /// One record per delivered partition, in stream order.
   std::vector<PartitionRecord> partitions;
   /// Query ingests (ExecOptions::predicate): records scanned and selected,
-  /// summed over the partitions in stream order.
+  /// summed over the partitions at delivery, in stream order.
   PushdownStats pushdown;
 };
 
@@ -135,13 +134,14 @@ using PartitionSink = std::function<Status(Table&&)>;
 /// overlaps partition k+1's radix sort, k+2's scan and k+3's read on
 /// whatever worker is idle — no thread is pinned to a stage, and several
 /// concurrent ingests (multi-file, parparawd) interleave fairly on one
-/// pool. The scan stage is the only sequentially-dependent one
-/// (partition k+1's carry-over is known only after partition k's scan),
-/// exactly like the carry dependency of the GPU pipeline; a scan token
-/// serialises it in stream order while everything downstream overlaps
-/// freely. Converted partitions are re-ordered and delivered in stream
-/// order, so results are bit-identical to the serial schedule. Each
-/// stage's data-parallel inner work still fans out over the same pool.
+/// pool. The scan stage (context, bitmap and offset steps) is the only
+/// sequentially-dependent one (partition k+1's carry-over is known only
+/// after partition k's scan), exactly like the carry dependency of the GPU
+/// pipeline; a scan token serialises it in stream order while everything
+/// downstream, the tag step included, overlaps freely. Converted
+/// partitions are re-ordered and delivered in stream order, so results are
+/// bit-identical to the serial schedule. Each stage's data-parallel inner
+/// work still fans out over the same pool.
 ///
 /// An admission controller clamps the number of partitions resident
 /// across all stages so the total working set respects
@@ -153,8 +153,8 @@ using PartitionSink = std::function<Status(Table&&)>;
 /// Every dialect runs this schedule, one over the SIMD register budget
 /// too: its scan morsel's context step walks the entry states
 /// sequentially, and everything after runs chunk-parallel as usual. A
-/// query (ExecOptions::predicate) runs both pushdown phases inside the
-/// scan morsel and the sort/convert morsels pass the result through.
+/// query (ExecOptions::predicate) runs the same morsels, its sort morsel
+/// selecting before it tags.
 /// A parse error surfaces in stream order, so the ingest fails with the
 /// error of the first failing partition, as a monolithic parse would.
 ///

@@ -24,13 +24,13 @@ struct PushdownStats {
 /// \brief Selection pushdown into the parser (§4.3 "Skipping records and
 /// selecting columns" turned into a WHERE clause).
 ///
-/// Phase 1 parses *only* the predicate column (every other column's
-/// symbols are dropped right after tagging, so their conversion cost is
-/// never paid) and evaluates the predicate. Phase 2 re-parses with the
-/// non-matching records in the skip set, materialising full rows only for
-/// matches. For selective predicates this avoids converting the bulk of
-/// the data — the same economics as the raw prefilter, but exact and
-/// format-agnostic (quoted fields, comments, any DFA).
+/// Phase 1 (StagedParse::Select) tags, partitions and converts *only* the
+/// predicate column from the parse's bitmap indexes and evaluates the
+/// predicate; phase 2, the same parse's Partition and Convert, builds full
+/// rows only for the matches. For selective predicates this avoids
+/// converting the bulk of the data — the same economics as the raw
+/// prefilter, but exact and format-agnostic (quoted fields, comments, any
+/// DFA).
 ///
 /// Requirements: a schema, the robust column-count policy, and empty
 /// skip_records/skip_columns in `options` (they would change record

@@ -577,18 +577,9 @@ bool Server::HandleRequest(Connection* conn, const FrameHeader& header,
   exec_options.base = std::move(*base);
   if (query) {
     // The pushdown numbers records across its two phases, so no record
-    // may be dropped for its column count.
+    // may be dropped for its column count. StagedParse::Select refuses a
+    // predicate column outside the resolved schema.
     exec_options.base.column_count_policy = ColumnCountPolicy::kRobust;
-    const int columns = exec_options.base.schema.num_fields();
-    if (request.predicate->column < 0 ||
-        request.predicate->column >= columns) {
-      return SendError(
-          conn, Status::Invalid("predicate column " +
-                                std::to_string(request.predicate->column) +
-                                " out of range for " +
-                                std::to_string(columns) +
-                                " resolved columns"));
-    }
     exec_options.predicate = request.predicate;
   }
   // Per-request adaptive planning happens inside the executor (each

@@ -126,7 +126,7 @@ Schema ChaosSchema() {
   return schema;
 }
 
-enum class Entry { kParse, kStreaming, kLoader, kExec, kServe };
+enum class Entry { kParse, kStreaming, kLoader, kExec, kServe, kQuery };
 
 struct Config {
   Entry entry;
@@ -223,6 +223,18 @@ Result<Table> RunEntry(const Config& config, const std::string& input) {
                                 executor.IngestBuffer(input, options));
       return std::move(out.table);
     }
+    case Entry::kQuery: {
+      // A query on the executor: each partition's sort morsel selects on
+      // column n (StagedParse::Select) before it tags and partitions.
+      exec::PipelineExecutor executor;
+      exec::ExecOptions options;
+      options.base = BaseOptions(config);
+      options.predicate = Predicate(1, CompareOp::kGt, "300");
+      options.partition_size = 700;
+      PARPARAW_ASSIGN_OR_RETURN(exec::IngestResult out,
+                                executor.IngestBuffer(input, options));
+      return std::move(out.table);
+    }
     case Entry::kServe: {
       // Round-trip through a loopback parparawd: serialise, serve,
       // deserialise. Started lazily on the first (fault-free) serve
@@ -277,7 +289,7 @@ TEST(ChaosTest, EveryScheduleFailsCleanOrMatchesFaultFree) {
     rng.Next();
 
     Config config;
-    config.entry = static_cast<Entry>(rng.Uniform(5));
+    config.entry = static_cast<Entry>(rng.Uniform(6));
     config.scalar_kernel = rng.Uniform(2) == 0;
     config.policy = std::array<ErrorPolicy, 3>{
         ErrorPolicy::kNull, ErrorPolicy::kSkip,
@@ -345,6 +357,55 @@ TEST(ChaosTest, EveryScheduleFailsCleanOrMatchesFaultFree) {
   EXPECT_GT(identical, 0);
 
   StopChaosServerIfStarted();
+}
+
+// Every allocation and hand-off on a query's select path fails clean: the
+// phase-1 tag, gather and convert allocations of both transpose modes (on
+// an Int64 and a string predicate column) and the sort morsel's hand-offs.
+TEST(ChaosTest, QuerySelectFaultsFailCleanOrMatchFaultFree) {
+  const std::string input = ChaosInput();
+  FailpointRegistry& registry = FailpointRegistry::Instance();
+  for (TransposeMode transpose :
+       {TransposeMode::kSymbolSort, TransposeMode::kFieldGather}) {
+    for (const Predicate& predicate :
+         {Predicate(1, CompareOp::kGt, "300"),
+          Predicate(2, CompareOp::kContains, "tail1")}) {
+      const auto run = [&]() -> Result<Table> {
+        exec::PipelineExecutor executor;
+        exec::ExecOptions options;
+        options.base.schema = ChaosSchema();
+        options.base.transpose_mode = transpose;
+        options.predicate = predicate;
+        options.partition_size = 700;
+        PARPARAW_ASSIGN_OR_RETURN(exec::IngestResult out,
+                                  executor.IngestBuffer(input, options));
+        return std::move(out.table);
+      };
+      const Result<Table> reference = run();
+      ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+      ASSERT_GT(reference->num_rows, 0);
+      const bool sort = transpose == TransposeMode::kSymbolSort;
+      for (const char* site :
+           {"alloc.tag", "alloc.gather", "alloc.convert",
+            "exec.queue.sort.push", "exec.queue.sort.pop"}) {
+        if (std::string(site) == "alloc.tag" && !sort) continue;
+        if (std::string(site) == "alloc.gather" && sort) continue;
+        for (int nth = 1; nth <= 4; ++nth) {
+          registry.Arm(site, robust::EveryNthTrigger(nth));
+          const Result<Table> faulted = run();
+          const int64_t hits = registry.hits(site);
+          registry.DisarmAll();
+          EXPECT_GT(hits, 0) << site << " never reached";
+          if (faulted.ok()) {
+            ASSERT_TRUE(faulted->Equals(*reference)) << site << " n=" << nth;
+            ASSERT_EQ(faulted->rejected, reference->rejected) << site;
+          } else {
+            ASSERT_FALSE(faulted.status().message().empty()) << site;
+          }
+        }
+      }
+    }
+  }
 }
 
 // Quarantine recovery must keep working when the file was parsed under a

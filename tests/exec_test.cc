@@ -12,7 +12,8 @@
 #include "core/parser.h"
 #include "io/file.h"
 #include "obs/metrics.h"
-#include "query/pushdown.h"
+#include "obs/trace.h"
+#include "pushdown_oracle.h"
 #include "robust/failpoint.h"
 #include "workload/generators.h"
 
@@ -177,9 +178,10 @@ TEST(ExecTest, SkipRecordsRejectedUpFront) {
       << result.status().ToString();
 }
 
-// A query runs both pushdown phases inside each partition's scan morsel;
-// the partitioned answer and its counts must equal one pushdown over the
-// whole input, from a buffer or a file, under every keeping policy.
+// A query selects inside each partition's sort morsel; the partitioned
+// answer and its counts must equal the two-parse pushdown over the whole
+// input, from a buffer or a file, under every keeping policy, with records
+// straddling partition seams.
 TEST(ExecTest, QueryMatchesWholeInputPushdown) {
   const std::string input = ExecInput(600);
   const std::string path = "/tmp/parparaw_exec_query_test.csv";
@@ -190,11 +192,12 @@ TEST(ExecTest, QueryMatchesWholeInputPushdown) {
     ParseOptions base = BaseOptions(policy, simd::KernelKind::kAuto);
     base.column_count_policy = ColumnCountPolicy::kRobust;
     PushdownStats want_counts;
-    auto want = ParseWithPushdown(input, base, predicate, &want_counts);
+    auto want = TwoParsePushdown(input, base, predicate, &want_counts);
     ASSERT_TRUE(want.ok()) << want.status().ToString();
     ASSERT_GT(want_counts.records_selected, 0);
     ASSERT_LT(want_counts.records_selected, want_counts.records_scanned);
-    for (size_t partition_size : {size_t{257}, size_t{700}, size_t{1} << 20}) {
+    for (size_t partition_size :
+         {size_t{64}, size_t{257}, size_t{700}, size_t{1} << 20}) {
       for (bool from_file : {false, true}) {
         PipelineExecutor executor;
         ExecOptions options;
@@ -219,9 +222,9 @@ TEST(ExecTest, QueryMatchesWholeInputPushdown) {
 }
 
 // A query under a dialect over the SIMD register budget still answers:
-// both pushdown phases of every partition run the staged pipeline, whose
-// context step walks the entry states sequentially.
-TEST(ExecTest, QueryUnderOverBudgetDialectWalksBothPhases) {
+// every partition's one staged parse walks the entry states sequentially
+// in its context step, and its select stage reads the same indexes.
+TEST(ExecTest, QueryUnderOverBudgetDialectScansEachPartitionOnce) {
   dialect::DialectSpec spec;
   spec.name = "fixed-wide";
   spec.fixed_widths = {10, 10};  // 20 positions + EOL + INV > 16 states
@@ -240,7 +243,7 @@ TEST(ExecTest, QueryUnderOverBudgetDialectWalksBothPhases) {
   base.column_count_policy = ColumnCountPolicy::kRobust;
   const Predicate predicate(1, CompareOp::kContains, "row1");
   PushdownStats want_counts;
-  auto want = ParseWithPushdown(input, base, predicate, &want_counts);
+  auto want = TwoParsePushdown(input, base, predicate, &want_counts);
   ASSERT_TRUE(want.ok()) << want.status().ToString();
   ASSERT_EQ(want_counts.records_scanned, 40);
   ASSERT_EQ(want_counts.records_selected, 11);  // row1, row10..row19
@@ -257,11 +260,46 @@ TEST(ExecTest, QueryUnderOverBudgetDialectWalksBothPhases) {
   EXPECT_TRUE(got->table.Equals(want->table));
   EXPECT_EQ(got->pushdown.records_scanned, 40);
   EXPECT_EQ(got->pushdown.records_selected, 11);
-  // One pipeline parse per phase of every partition, on the scalar level.
+  // One pipeline parse per partition, on the scalar level.
   ASSERT_GT(got->stats.num_partitions, 1);
   EXPECT_EQ(metrics.GetCounter("parse.runs")->Value(),
-            2 * got->stats.num_partitions);
+            got->stats.num_partitions);
   EXPECT_EQ(got->kernel_level, simd::KernelLevel::kScalar);
+}
+
+// A query scans each partition once: one staged parse and one context step
+// per partition, and the same multi-DFA work as the plain ingest of the
+// same input.
+TEST(ExecTest, QueryScansEachPartitionOnce) {
+  const std::string input = ExecInput(600);
+  const auto ingest = [&](bool query, obs::MetricsRegistry* metrics,
+                          obs::Tracer* tracer) {
+    PipelineExecutor executor;
+    ExecOptions options;
+    options.base = BaseOptions(ErrorPolicy::kNull, simd::KernelKind::kAuto);
+    options.base.metrics = metrics;
+    options.base.tracer = tracer;
+    if (query) options.predicate = Predicate(1, CompareOp::kGt, "1000");
+    options.partition_size = 4096;
+    return executor.IngestBuffer(input, options);
+  };
+  obs::MetricsRegistry metrics;
+  obs::Tracer tracer;
+  auto query = ingest(true, &metrics, &tracer);
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  auto plain = ingest(false, nullptr, nullptr);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+
+  const int partitions = query->stats.num_partitions;
+  ASSERT_GE(partitions, 3);
+  EXPECT_GT(query->pushdown.records_selected, 0);
+  EXPECT_EQ(metrics.GetCounter("parse.runs")->Value(), partitions);
+  int context_spans = 0;
+  for (const obs::TraceEvent& e : tracer.Events()) {
+    context_spans += std::string(e.name) == "step.context" ? 1 : 0;
+  }
+  EXPECT_EQ(context_spans, partitions);
+  EXPECT_EQ(query->work.dfa_transitions, plain->work.dfa_transitions);
 }
 
 // Backpressure: with a stalled convert stage, the admission controller

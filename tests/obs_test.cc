@@ -633,6 +633,30 @@ TEST(ObsIntegrationTest, ExecutorSpansNestOnTheirOwnThread) {
   EXPECT_EQ(unnested, 0);
 }
 
+// The scan morsel holds the scan token, so it runs only the steps the
+// carry-over needs; the tag step runs in the sort morsel.
+TEST(ObsIntegrationTest, TagRunsInTheSortMorsel) {
+  obs::Tracer tracer;
+  ThreadPool pool(4);
+  Result<exec::IngestResult> ingested = TracedIngest(&tracer, nullptr, &pool);
+  ASSERT_TRUE(ingested.ok()) << ingested.status().ToString();
+  const std::vector<obs::TraceEvent> events = tracer.Events();
+  int tags = 0;
+  for (const obs::TraceEvent& e : events) {
+    if (std::string(e.name) != "step.tag") continue;
+    ++tags;
+    const bool in_sort = std::any_of(
+        events.begin(), events.end(), [&](const obs::TraceEvent& sort) {
+          return std::string(sort.name) == "morsel.sort" &&
+                 sort.tid == e.tid && sort.ts_ns <= e.ts_ns &&
+                 e.ts_ns + e.dur_ns <= sort.ts_ns + sort.dur_ns;
+        });
+    EXPECT_TRUE(in_sort) << "step.tag on tid " << e.tid
+                         << " outside every morsel.sort";
+  }
+  EXPECT_EQ(tags, ingested->stats.num_partitions);
+}
+
 TEST(ObsIntegrationTest, StageSinksAgree) {
   // Executor: each morsel stage's spans, exec.*_us samples and IngestStats
   // seconds are one interval per morsel.
