@@ -11,10 +11,10 @@
 //    latency per spec shape, compiled-CSV-twin vs built-in RFC 4180 parse
 //    throughput, and two fixed-width layouts over the SIMD register budget
 //    parsed on 1- and 4-worker pools (--json-out= for BENCH_dialect.json);
-//  * `--planner`: the adaptive runtime planner (src/plan) against every
-//    static kernel/chunk configuration on the bundled corpora, asserting
-//    kAuto lands within 5% of the best static choice and never loses to
-//    the worst (--json-out= for BENCH_autotune.json).
+//  * `--planner`: the runtime planner (src/plan) against every static
+//    kernel/chunk configuration on the bundled corpora, asserting kAuto
+//    lands within 5% of the best static choice and never loses to the
+//    worst (--json-out= and --commit= for BENCH_autotune.json).
 
 #include <benchmark/benchmark.h>
 
@@ -405,15 +405,16 @@ int RunDialectAblation(int argc, char** argv) {
   return 0;
 }
 
-// --planner: the adaptive planner's kAuto against the static grid on the
-// bundled corpora. The interesting corners from BENCH_simd.json: the SWAR
-// kernel is slower than scalar on yelp/taxi but ~6x faster on quote-free
-// lineitem, and chunk 31 vs 4096 swings throughput ~10x depending on
-// whether speculation converges — so no single static row wins everywhere,
-// and the planner must land on (or near) the per-corpus winner.
+// --planner: the planner's kAuto against the static grid on the bundled
+// corpora. The planner reads no input byte: it picks the best kernel level
+// and 4096-byte chunks for every corpus, so the grid checks that no static
+// row beats that choice, and its swar_4096 row shows what a host without
+// a vector ISA runs.
 int RunPlannerAblation(int argc, char** argv) {
   using namespace parparaw::bench;  // NOLINT
   JsonReport report(argc, argv);
+  report.Stamp(std::thread::hardware_concurrency(),
+               simd::KernelLevelName(simd::DetectBestKernelLevel()));
   const size_t bytes = BenchBytes(8);
 
   DsvOptions pipe;
@@ -453,11 +454,12 @@ int RunPlannerAblation(int argc, char** argv) {
       {"simd_2048", simd::KernelKind::kSimd, 2048, false},
       {"simd_4096", simd::KernelKind::kSimd, 4096, false},
       {"swar_31", simd::KernelKind::kSimd, 31, true},
+      {"swar_4096", simd::KernelKind::kSimd, 4096, true},
   };
 
   constexpr int kReps = 5;
   constexpr int kAttempts = 3;
-  PrintHeader("adaptive planner ablation");
+  PrintHeader("planner ablation");
   std::printf("%zu MB per corpus, median of %d interleaved runs\n",
               bytes >> 20, kReps);
 
@@ -502,7 +504,7 @@ int RunPlannerAblation(int argc, char** argv) {
           const bool is_auto = c == kNumStatic;
           if (!is_auto) {
             // The auto slot keeps the planner engaged, so its timing
-            // honestly includes the sampling pass.
+            // includes the planning pass.
             options.planner = PlannerMode::kDisabled;
             options.kernel = static_configs[c].kernel;
             options.chunk_size = static_configs[c].chunk;
@@ -566,13 +568,9 @@ int RunPlannerAblation(int argc, char** argv) {
     auto_options.format = corpus.format;
     auto_options.schema = corpus.schema;
 
-    auto planned = plan::PlanParse(
-        std::string_view(corpus.data).substr(
-            0, std::min(corpus.data.size(), auto_options.sample_budget)),
-        corpus.data.size() > auto_options.sample_budget, auto_options);
-    if (planned.ok()) {
-      std::printf("%s\n", planned->Explain().c_str());
-    }
+    const plan::ParsePlan planned = plan::PlanParse(
+        static_cast<int64_t>(corpus.data.size()), auto_options);
+    std::printf("%s\n", planned.Explain().c_str());
 
     const double vs_best = auto_seconds > 0 ? best_static / auto_seconds : 0;
     const double vs_worst =
@@ -588,15 +586,10 @@ int RunPlannerAblation(int argc, char** argv) {
                 {"gbps", Gbps(bytes, auto_seconds)},
                 {"vs_best_static", vs_best},
                 {"vs_worst_static", vs_worst},
-                {"planned_chunk",
-                 planned.ok() ? static_cast<double>(planned->chunk_size) : -1},
+                {"planned_chunk", static_cast<double>(planned.chunk_size)},
                 {"planned_scalar_kernel",
-                 planned.ok() && planned->kernel == simd::KernelKind::kScalar
-                     ? 1.0
-                     : 0.0},
-                {"convergence_pct",
-                 planned.ok() ? planned->stats.convergence_fraction * 100.0
-                              : -1}});
+                 planned.kernel_level == simd::KernelLevel::kScalar ? 1.0
+                                                                    : 0.0}});
   }
 
   report.Flush();

@@ -282,19 +282,26 @@ run_tuning() {
     -DPARPARAW_SANITIZE=address,undefined
   echo "=== tuning: build ==="
   cmake --build build-asan -j "${JOBS}"
-  # The adaptive-planner surface (see docs/tuning.md): plan determinism and
-  # the decision table, static resolution of every kAuto sentinel, the
-  # Tuning env vocabulary, the Validate() contradiction matrix for
-  # PlannerMode::kForce, Reader::WithTuning/Explain, the plan.sample/
-  # plan.decide failpoints inside the chaos schedule space, and the
-  # planner axes of both differential harnesses (planned parses must be
-  # bit-identical to their static equivalents) — all under ASan+UBSan,
-  # since sampling walks raw input prefixes with its own bounds logic.
+  # The planner surface (see docs/tuning.md): the decision table from the
+  # DFA, the pins and the stream's length, static resolution of every kAuto
+  # sentinel, the Tuning env vocabulary, Validate(), Reader::WithTuning/
+  # Explain, the chaos schedule space, and the planner axes of both
+  # differential harnesses (planned parses must be bit-identical to their
+  # static equivalents) — under ASan+UBSan, since a planned chunk size
+  # moves every chunk boundary the steps index by.
   echo "=== tuning: planner suites + differential harnesses ==="
   ASAN_OPTIONS=detect_leaks=1:strict_string_checks=1 \
   UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1 \
     ctest --test-dir build-asan --output-on-failure -j "${JOBS}" \
       -R 'Planner|Validate|Reader|Tuning|Chaos|SimdDifferential|TransposeDifferential'
+  # A host without a vector ISA plans the portable SWAR level; the kernel
+  # rule is checked there too, not only on this host's best level.
+  echo "=== tuning: planner suites, PARPARAW_DISABLE_SIMD=1 ==="
+  PARPARAW_DISABLE_SIMD=1 \
+  ASAN_OPTIONS=detect_leaks=1:strict_string_checks=1 \
+  UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1 \
+    ctest --test-dir build-asan --output-on-failure -j "${JOBS}" \
+      -R 'Planner|SimdDifferential'
   echo "=== tuning: configure (TSan) ==="
   cmake -B build-tsan -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -309,14 +316,15 @@ run_tuning() {
     ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \
       -R 'Planner|Reader|Exec|ServeConcurrency|ServeConformance'
   # The ablation bench runs in the regular (unsanitized) tree: kAuto must
-  # land within 5% of the best static row and >=2x the worst somewhere.
+  # land within 5% of the best static row and not lose to the worst one.
   # The bench itself retries a corpus whose measurement hits a host
   # throughput dip, so a FAIL exit here is a real planner regression.
   echo "=== tuning: planner ablation bench (BENCH_autotune.json) ==="
   cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build -j "${JOBS}" --target bench_ablation_primitives
   ./build/bench/bench_ablation_primitives --planner \
-    --json-out=BENCH_autotune.json
+    --json-out=BENCH_autotune.json \
+    --commit="$(git describe --always --dirty 2>/dev/null)"
 }
 
 run_serve() {

@@ -1,6 +1,5 @@
 #include "api/reader.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "dialect/dialect.h"
@@ -116,11 +115,8 @@ Result<exec::IngestStats> Reader::ReadStream(
 Result<plan::ParsePlan> Reader::Explain() && {
   FileHead head;  // stays empty for a buffer, which is its own sample
   if (from_file_) {
-    PARPARAW_ASSIGN_OR_RETURN(
-        head, ReadFileHead(path_,
-                           std::max(kHeadSampleBytes,
-                                    options_.tuning.sample_budget),
-                           "reader"));
+    PARPARAW_ASSIGN_OR_RETURN(head,
+                              ReadFileHead(path_, kHeadSampleBytes, "reader"));
   }
   const std::string_view sample = from_file_ ? head.bytes : buffer_;
   LoadResult resolution;
@@ -131,7 +127,9 @@ Result<plan::ParsePlan> Reader::Explain() && {
   PARPARAW_RETURN_NOT_OK(base.Validate());
   // The planner wants the packed format a real parse would run with.
   PARPARAW_RETURN_NOT_OK(dialect::ResolveParseDialect(&base).status());
-  return plan::PlanStream(sample, head.truncated, &base);
+  return plan::PlanStream(
+      from_file_ ? head.file_size : static_cast<int64_t>(buffer_.size()),
+      &base);
 }
 
 }  // namespace parparaw

@@ -65,7 +65,7 @@ class Reader {
   /// Assigns the consolidated tuning surface (plan/tuning.h) wholesale:
   /// kernel, chunk size, tagging/transpose modes, planner engagement.
   /// The default Tuning leaves every knob at its auto sentinel, so the
-  /// adaptive planner decides them from the input's head sample.
+  /// planner decides them from the DFA and the input's length.
   Reader&& WithTuning(Tuning tuning) &&;
   /// Collect per-column statistics into LoadResult (Read() ignores them;
   /// off by default — BulkLoader's default is on).
@@ -87,10 +87,10 @@ class Reader {
       const std::function<Status(Table&&)>& sink) &&;
 
   /// What *would* this read do? Resolves dialect/schema from the head
-  /// sample and runs the adaptive planner without executing the parse.
-  /// The returned plan's Explain() renders the decision, its evidence and
-  /// the per-knob reasoning; with planning disabled the static resolution
-  /// is reported instead.
+  /// sample and plans the stream without executing the parse. The
+  /// returned plan's Explain() renders the decision and the per-knob
+  /// reasoning; with planning disabled the static resolution is reported
+  /// instead.
   Result<plan::ParsePlan> Explain() &&;
 
  private:

@@ -142,7 +142,8 @@ Status CheckColumnPlans(const PipelineState& state,
             "column " + std::to_string(plan.source) + " has " +
             std::to_string(fields) + " fields for " + std::to_string(rows) +
             " records; inconsistent column counts require the record-tag "
-            "mode or the reject policy");
+            "mode, or the reject column-count policy without the "
+            "quarantine error policy");
       }
     }
     if (plan.has_default() && !plan.is_string() &&

@@ -99,13 +99,12 @@ struct WorkCounters {
 /// \brief Everything configurable about a parse (§3, §4.1, §4.3).
 ///
 /// Inherits the consolidated tuning surface (plan/tuning.h): `kernel`,
-/// `chunk_size`, `tagging_mode`, `transpose_mode`, `partition_size`,
-/// `planner` and `sample_budget` are Tuning members, accessed exactly as
-/// before. With every tuning knob at its auto sentinel (the default), the
-/// adaptive planner samples a bounded input prefix at each entry point and
-/// decides them per stream; pin any knob to take it out of the planner's
-/// hands, or set `planner = PlannerMode::kDisabled` for the static
-/// defaults.
+/// `chunk_size`, `tagging_mode`, `transpose_mode`, `partition_size` and
+/// `planner` are Tuning members, accessed exactly as before. With every
+/// tuning knob at its auto sentinel (the default), each entry point plans
+/// them once per stream from the DFA and the stream's length
+/// (plan::PlanParse); pin any knob to take it out of the planner's hands,
+/// or set `planner = PlannerMode::kDisabled` for the static defaults.
 struct ParseOptions : public Tuning {
   /// Parsing rules; defaults to RFC 4180 CSV when left empty (no states).
   Format format;
@@ -223,11 +222,8 @@ struct ParseOptions : public Tuning {
 /// of the environment.
 TransposeMode EffectiveTransposeMode(const ParseOptions& options);
 
-/// Resolves TaggingMode::kAuto to its static default (kRecordTags); an
-/// explicitly requested mode is returned unchanged. The adaptive planner
-/// may instead resolve kAuto to kVectorDelimited when the sampled prefix
-/// proves it safe — this helper is the planless fallback every direct
-/// StagedParse/Parser user gets.
+/// Resolves TaggingMode::kAuto to kRecordTags; an explicitly requested
+/// mode is returned unchanged.
 TaggingMode EffectiveTaggingMode(const ParseOptions& options);
 
 /// Multiplier over input bytes for the parse's peak working set under the

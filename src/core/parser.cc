@@ -20,15 +20,7 @@ Result<ParseOutput> RunStagedParse(std::string_view input,
   // A user dialect compiles into the format here.
   ParseOptions resolved = options;
   PARPARAW_RETURN_NOT_OK(dialect::ResolveParseDialect(&resolved).status());
-  // Adaptive planning over the input's own prefix: the monolithic parse
-  // holds the whole buffer, so the sample is never I/O.
-  PARPARAW_ASSIGN_OR_RETURN(
-      const plan::ParsePlan parse_plan,
-      plan::PlanStream(input,
-                       /*sample_truncated=*/input.size() >
-                           resolved.sample_budget,
-                       &resolved));
-  (void)parse_plan;
+  plan::PlanStream(static_cast<int64_t>(input.size()), &resolved);
   // Only here do all the stages share one thread (src/exec overlaps them
   // across partitions), so only here is the whole run one probe.
   obs::TraceSpan probe(resolved.tracer, "parse", "pipeline", resolved.metrics,

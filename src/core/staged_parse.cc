@@ -343,10 +343,13 @@ Status StagedParse::Select(const Predicate& predicate,
                        obs::Timing::kUntimed);
 
   // Phase 1: the predicate column alone. Its rows stay record numbers: a
-  // malformed value is NULL under kSkip (phase 2 still skips it). The steps
-  // run directly, as Partition() would free the bitmap indexes.
+  // malformed value is NULL under kSkip and kQuarantine, so it matches no
+  // predicate and phase 2 never sees it (nothing to skip, nothing to
+  // quarantine). The steps run directly, as Partition() would free the
+  // bitmap indexes.
   const robust::ErrorPolicy policy = resolved_.error_policy;
-  if (policy == robust::ErrorPolicy::kSkip) {
+  if (policy == robust::ErrorPolicy::kSkip ||
+      policy == robust::ErrorPolicy::kQuarantine) {
     resolved_.error_policy = robust::ErrorPolicy::kNull;
   }
   for (int j = 0; j < num_fields; ++j) {

@@ -84,30 +84,12 @@ class ChunkSource {
   /// Fills `chunk` with up to `max_bytes`; sets *eof on the chunk that
   /// exhausts the stream (so no empty trailing chunk is ever produced).
   virtual Status Next(size_t max_bytes, RawChunk* chunk, bool* eof) = 0;
-  /// Reads up to `max_bytes` from the head of the stream *without*
-  /// consuming it (the planner's sample); *truncated reports whether the
-  /// stream continues past the sample.
-  virtual Status SampleHead(size_t max_bytes, std::string* sample,
-                            bool* truncated) = 0;
 };
 
 class FileSource final : public ChunkSource {
  public:
-  Status Open(const std::string& path) {
-    path_ = path;
-    return reader_.Open(path);
-  }
+  Status Open(const std::string& path) { return reader_.Open(path); }
   int64_t total_bytes() const override { return reader_.file_size(); }
-
-  Status SampleHead(size_t max_bytes, std::string* sample,
-                    bool* truncated) override {
-    // A separate read keeps the streaming reader's position at byte 0.
-    PARPARAW_ASSIGN_OR_RETURN(FileHead head,
-                              ReadFileHead(path_, max_bytes, "exec"));
-    *sample = std::move(head.bytes);
-    *truncated = head.truncated;
-    return Status::OK();
-  }
 
   Status Next(size_t max_bytes, RawChunk* chunk, bool* eof) override {
     bool read_eof = false;
@@ -120,7 +102,6 @@ class FileSource final : public ChunkSource {
   }
 
  private:
-  std::string path_;
   FileChunkReader reader_;
   int64_t consumed_ = 0;
 };
@@ -138,13 +119,6 @@ class BufferSource final : public ChunkSource {
     chunk->borrowed = true;
     pos_ += take;
     *eof = pos_ >= input_.size();
-    return Status::OK();
-  }
-
-  Status SampleHead(size_t max_bytes, std::string* sample,
-                    bool* truncated) override {
-    sample->assign(input_.substr(0, std::min(max_bytes, input_.size())));
-    *truncated = input_.size() > max_bytes;
     return Status::OK();
   }
 
@@ -206,28 +180,9 @@ class PipelineRun {
     base_ = options_.base;
     PARPARAW_RETURN_NOT_OK(dialect::ResolveParseDialect(&base_).status());
 
-    // Plan once for the whole ingest from the stream's head sample; every
-    // partition then parses under the pinned knobs. An I/O failure on the
-    // sample is never fatal under kAuto — the static defaults are always
-    // correct.
-    std::string sample;
-    bool truncated = false;
-    Status sampled = Status::OK();
-    if (base_.planner != PlannerMode::kDisabled) {
-      sampled = source->SampleHead(base_.sample_budget, &sample, &truncated);
-    }
-    if (sampled.ok()) {
-      PARPARAW_ASSIGN_OR_RETURN(result_.plan,
-                                plan::PlanStream(sample, truncated, &base_));
-    } else if (base_.planner == PlannerMode::kForce) {
-      return sampled.WithContext("plan.sample");
-    } else {
-      obs::AddCount(metrics_, "plan.fallback", 1);
-      result_.plan = plan::StaticPlan(base_);
-      result_.plan.fallback = true;
-      result_.plan.reason = sampled.ToString();
-      plan::ApplyPlan(result_.plan, &base_);
-    }
+    // Plan once for the whole ingest from the stream's length; every
+    // partition then parses under the pinned knobs.
+    result_.plan = plan::PlanStream(source->total_bytes(), &base_);
 
     // Degrade instead of refusing, in two independent ways: partitions
     // shrink until one parse fits the budget, and the admission limit

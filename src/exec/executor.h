@@ -101,9 +101,9 @@ struct IngestResult {
   robust::QuarantineTable quarantine;
   /// Kernel level every partition's context/bitmap passes ran with.
   simd::KernelLevel kernel_level = simd::KernelLevel::kScalar;
-  /// The per-stream tuning decision every partition ran under: sampled by
-  /// the adaptive planner (plan.planned), the static defaults when planning
-  /// was disabled, or the fallback after an injected sampling fault.
+  /// The per-stream tuning decision every partition ran under: planned
+  /// from the stream's length (plan.planned), or the static defaults when
+  /// planning was disabled or every knob was pinned.
   plan::ParsePlan plan;
   StepTimings timings;
   WorkCounters work;

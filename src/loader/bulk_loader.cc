@@ -175,9 +175,6 @@ Result<ParseOptions> ResolveBase(std::string_view sample,
   } else {
     ParseOptions sample_options = base;
     sample_options.infer_types = true;
-    // The probe is a tiny bounded parse; planning it would sample the
-    // sample. The real stream plans downstream.
-    sample_options.planner = PlannerMode::kDisabled;
     const std::string_view probe_input =
         sample.substr(0, std::min(sample.size(), kHeadSampleBytes));
     // A probe cut off mid-record would see a garbled last row and could

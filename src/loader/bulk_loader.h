@@ -28,8 +28,8 @@ struct LoadOptions {
   size_t partition_size = 64 * 1024 * 1024;
   /// Performance tuning (plan/tuning.h), assigned wholesale onto the
   /// resolved per-partition ParseOptions. The defaults leave every knob at
-  /// its auto sentinel, so the adaptive planner decides them from the same
-  /// head sample the loader already reads for dialect and type resolution.
+  /// its auto sentinel, so the planner decides them from the DFA and the
+  /// stream's length.
   Tuning tuning;
   /// Compute per-column statistics after the load.
   bool collect_statistics = true;

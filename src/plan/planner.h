@@ -10,49 +10,8 @@
 
 namespace parparaw::plan {
 
-/// \brief What the planner measured over the sampled prefix.
-///
-/// Every statistic is a *counted* property of the bytes (measured with the
-/// portable SWAR kernel and the exact flag walk, never wall clock), so the
-/// same bytes always produce the same stats — and therefore the same plan —
-/// regardless of the machine's vector ISA or current load.
-struct SampleStats {
-  /// Bytes actually sampled (min of input size and Tuning::sample_budget).
-  int64_t sample_bytes = 0;
-  /// True when the sample is a proper prefix of the stream.
-  bool truncated = false;
-
-  /// Convergence probe (the speculative-DFA membership test of Ko et al.):
-  /// chunks of the probe size whose state-vector lanes converged, and how
-  /// deep into the chunk convergence happened on average. High convergence
-  /// at shallow depth is the regime where speculation makes large chunks
-  /// nearly free (lineitem: 100% converged; taxi: 0%).
-  int64_t probe_chunks = 0;
-  int64_t converged_chunks = 0;
-  double convergence_fraction = 0;
-  double mean_convergence_depth = 0;
-
-  /// Fraction of sampled bytes classified into a non-catch-all symbol
-  /// group — the density of work the SWAR special-symbol skipping cannot
-  /// skip.
-  double special_density = 0;
-
-  /// Structure of the sampled records (complete records only; a truncated
-  /// trailing record never pollutes the counts).
-  int64_t records = 0;
-  int64_t fields = 0;
-  double mean_record_length = 0;
-  double mean_field_length = 0;
-  uint32_t min_columns = 0;
-  uint32_t max_columns = 0;
-  /// min == max over at least kMinRecordsForUniformity complete records.
-  bool uniform_columns = false;
-
-  std::string ToString() const;
-};
-
 /// \brief A resolved per-stream configuration: every tuning knob concrete,
-/// plus the evidence and reasoning that produced it.
+/// plus the reasoning that produced it.
 struct ParsePlan {
   simd::KernelKind kernel = simd::KernelKind::kSimd;
   /// The concrete level `kernel` resolves to on this machine/environment
@@ -65,17 +24,11 @@ struct ParsePlan {
   /// clamped); non-zero overrides it.
   size_t partition_size = 0;
 
-  /// True when the configuration was decided from a sampled prefix; false
-  /// for the static defaults (planner disabled, nothing to decide, or
-  /// fallback).
+  /// True when PlanParse decided the configuration; false for the static
+  /// defaults (planner disabled, or nothing left to decide).
   bool planned = false;
-  /// True when a sampling pass failed and the static defaults were used
-  /// instead (counted by the "plan.fallback" metric).
-  bool fallback = false;
-  /// One line per decided knob: what was chosen and which statistic drove
-  /// the choice.
+  /// One line per decided knob: what was chosen and why.
   std::string reason;
-  SampleStats stats;
 
   /// Human-readable multi-line report (the Reader::Explain() payload).
   std::string Explain() const;
@@ -88,16 +41,15 @@ struct ParsePlan {
 /// Pinned knobs pass through unchanged.
 ParsePlan StaticPlan(const ParseOptions& options);
 
-/// Measures `sample` and decides every knob still at its auto sentinel.
-/// Deterministic: the same bytes and options produce the same plan (on the
-/// same machine and environment — the measured statistics themselves are
-/// machine-independent). `options` must be Validate()d with any dialect
-/// already resolved into the format; knobs the caller pinned are respected.
-/// Fails only on injected faults (plan.sample / plan.decide failpoints) or
-/// an unresolved dialect; callers normally go through PlanStream, which
-/// handles the fallback policy.
-Result<ParsePlan> PlanParse(std::string_view sample, bool sample_truncated,
-                            const ParseOptions& options);
+/// Decides every knob still at its auto sentinel from what is known before
+/// the first byte is read: the DFA, the caller's pins and the stream's
+/// length. The kernel, tagging, transpose and partition knobs resolve as
+/// StaticPlan resolves them; chunk size 0 becomes 1024 for a DFA over the
+/// register budget, 31 for a stream shorter than 256 bytes and 4096 for
+/// any other stream. No decision changes the output. `options` must carry
+/// any dialect already resolved into its format, since the chunk rule
+/// reads its DFA.
+ParsePlan PlanParse(int64_t stream_bytes, const ParseOptions& options);
 
 /// Pins the plan's decisions into *options and sets
 /// planner = PlannerMode::kDisabled, so a downstream entry point (the
@@ -105,12 +57,15 @@ Result<ParsePlan> PlanParse(std::string_view sample, bool sample_truncated,
 /// to the executor) never plans the same stream twice.
 void ApplyPlan(const ParsePlan& plan, ParseOptions* options);
 
-/// The per-stream entry-point helper: samples and applies a plan when
-/// options->planner engages (kAuto / kForce with at least one knob at its
-/// auto sentinel), records plan.* metrics/trace, and handles failure —
-/// kAuto falls back to the static defaults with a "plan.fallback" count,
-/// kForce propagates the error. With planning disabled (or nothing left to
-/// decide) returns the static resolution without touching *options.
+/// The per-stream entry-point helper: when options->planner is kAuto and
+/// at least one knob is at its auto sentinel, plans the stream, records
+/// the plan.* metrics and trace span, and applies the plan. Otherwise
+/// returns the static resolution without touching *options.
+ParsePlan PlanStream(int64_t stream_bytes, ParseOptions* options);
+
+/// PlanStream for a caller that holds a head sample of the stream: plans
+/// from the sample's length, where a truncated sample stands for a longer
+/// stream. Never fails.
 Result<ParsePlan> PlanStream(std::string_view sample, bool sample_truncated,
                              ParseOptions* options);
 

@@ -14,10 +14,6 @@ namespace {
 // per-chunk uint32 delimiter counters on dense inputs.
 constexpr size_t kMaxChunkSize = size_t{1} << 24;
 
-// The planner reads at most this much prefix; sampling more buys no
-// decision accuracy and starts to cost like the parse it is planning.
-constexpr size_t kMaxSampleBudget = size_t{16} << 20;
-
 }  // namespace
 
 namespace plan {
@@ -80,55 +76,6 @@ Status Tuning::ValidateTuning() const {
         std::to_string(kMaxChunkSize) +
         "-byte maximum; chunks are per-logical-thread work units "
         "(the paper uses 31; 0 lets the planner choose)");
-  }
-  if (planner != PlannerMode::kDisabled) {
-    if (sample_budget == 0) {
-      return Status::Invalid(
-          "tuning: the planner needs a positive sample_budget (set "
-          "planner = PlannerMode::kDisabled to skip sampling entirely)");
-    }
-    if (sample_budget > kMaxSampleBudget) {
-      return Status::Invalid(
-          "tuning: sample_budget " + std::to_string(sample_budget) +
-          " exceeds the " + std::to_string(kMaxSampleBudget) +
-          "-byte cap; sampling more prefix buys no decision accuracy");
-    }
-  }
-  if (planner == PlannerMode::kForce) {
-    // A forced planner with a pinned knob is a contradiction, not a
-    // preference: the caller asked the sampler to decide and then decided
-    // for it. Each conflict names the knob so the fix is obvious.
-    if (kernel != simd::KernelKind::kAuto) {
-      return Status::Invalid(
-          "tuning: PlannerMode::kForce contradicts a pinned kernel (" +
-          std::string(kernel == simd::KernelKind::kScalar ? "kScalar"
-                                                          : "kSimd") +
-          "); leave kernel = kAuto or use PlannerMode::kAuto");
-    }
-    if (chunk_size != 0) {
-      return Status::Invalid(
-          "tuning: PlannerMode::kForce contradicts a fixed chunk_size (" +
-          std::to_string(chunk_size) +
-          "); leave chunk_size = 0 (auto) or use PlannerMode::kAuto");
-    }
-    if (tagging_mode != TaggingMode::kAuto) {
-      return Status::Invalid(
-          "tuning: PlannerMode::kForce contradicts a pinned tagging_mode; "
-          "leave tagging_mode = TaggingMode::kAuto or use "
-          "PlannerMode::kAuto");
-    }
-    if (transpose_mode != TransposeMode::kAuto) {
-      return Status::Invalid(
-          "tuning: PlannerMode::kForce contradicts a pinned transpose_mode; "
-          "leave transpose_mode = TransposeMode::kAuto or use "
-          "PlannerMode::kAuto");
-    }
-    if (partition_size != 0) {
-      return Status::Invalid(
-          "tuning: PlannerMode::kForce contradicts a fixed partition_size (" +
-          std::to_string(partition_size) +
-          "); leave partition_size = 0 (auto) or use PlannerMode::kAuto");
-    }
   }
   return Status::OK();
 }

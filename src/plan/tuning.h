@@ -24,11 +24,10 @@ enum class TaggingMode : uint8_t {
   /// Field ends are marked in an auxiliary boolean vector; supports data
   /// containing the terminator byte, same consistency requirement.
   kVectorDelimited,
-  /// Let the runtime decide: resolves to kRecordTags statically; the
-  /// adaptive planner (src/plan) may pick kVectorDelimited instead when the
-  /// sampled prefix proves uniform column counts under the reject policy.
-  /// Appended last so existing code addressing the concrete modes by value
-  /// (0..2) is unaffected.
+  /// Resolves to kRecordTags, planned or not: the one mode that keeps
+  /// every record under every column-count and error policy. Appended last
+  /// so existing code addressing the concrete modes by value (0..2) is
+  /// unaffected.
   kAuto,
 };
 
@@ -57,25 +56,18 @@ enum class TransposeMode : uint8_t {
   kSymbolSort,
 };
 
-/// Whether and how the adaptive runtime planner (src/plan) engages on a
-/// parse. The planner samples a bounded input prefix, measures
-/// DFA-convergence and field-density statistics, and fills in every tuning
-/// knob still at its auto sentinel. Decisions are deterministic for the
-/// same input bytes (on the same machine and environment).
+/// Whether the runtime planner (src/plan) engages on a parse. The planner
+/// reads no input byte: it resolves every tuning knob still at its auto
+/// sentinel from the DFA and the stream's length, once per stream.
 enum class PlannerMode : uint8_t {
-  /// Default: plan when a prefix is available; knobs the caller pinned are
-  /// respected, auto knobs are decided from the sample. A failed sampling
-  /// pass falls back to the static defaults (counted by "plan.fallback").
+  /// Default: knobs the caller pinned are respected, auto knobs are planned
+  /// (plan::PlanParse).
   kAuto,
-  /// Never sample: every auto sentinel resolves to its static default
-  /// (kernel -> best vectorized level, chunk -> 31, tagging ->
-  /// kRecordTags, transpose -> kFieldGather). This is the pre-planner
-  /// behaviour, and what differential tests pin one side to.
+  /// Every auto sentinel resolves to its static default (kernel -> best
+  /// vectorized level, chunk -> 31, tagging -> kRecordTags, transpose ->
+  /// kFieldGather). This is the pre-planner behaviour, and what
+  /// differential tests pin one side to.
   kDisabled,
-  /// Require planning: every plannable knob must be at its auto sentinel
-  /// (ParseOptions::Validate rejects pins as contradictions) and a failed
-  /// sampling pass is an error instead of a silent fallback.
-  kForce,
 };
 
 /// \brief The one place every performance-tuning knob of a parse lives.
@@ -88,21 +80,21 @@ enum class PlannerMode : uint8_t {
 /// assign the whole struct at once.
 struct Tuning {
   /// Inner-loop kernel for the context and bitmap passes (src/simd):
-  /// kAuto lets the planner choose between the vectorized path and the
-  /// scalar reference from sampled convergence statistics (resolving to
-  /// the best vectorized level when planning is disabled); kSimd pins the
-  /// best vectorized level, kScalar the byte-at-a-time reference. The
-  /// PARPARAW_FORCE_KERNEL environment variable overrides any of these per
-  /// process (see docs/simd.md and docs/tuning.md).
+  /// kAuto resolves to the best vectorized level, planned or not (a DFA
+  /// over the register budget runs the scalar level either way); kSimd
+  /// pins the best vectorized level, kScalar the byte-at-a-time reference.
+  /// The PARPARAW_FORCE_KERNEL environment variable overrides any of these
+  /// per process (see docs/simd.md and docs/tuning.md).
   simd::KernelKind kernel = simd::KernelKind::kAuto;
 
-  /// Bytes per chunk / per logical GPU thread. 0 = auto: the planner
-  /// chooses from sampled convergence depth; without planning it resolves
-  /// to the paper's 31 bytes (Fig. 9). Any non-zero value is a pin.
+  /// Bytes per chunk / per logical GPU thread. 0 = auto: the planner picks
+  /// 4096, or 1024 for a DFA over the register budget, or 31 for a stream
+  /// shorter than 256 bytes; without planning it resolves to the paper's
+  /// 31 bytes (Fig. 9). Any non-zero value is a pin.
   size_t chunk_size = 0;
 
-  /// How field boundaries are materialised; kAuto resolves to kRecordTags
-  /// unless the planner proves a cheaper mode safe. See TaggingMode.
+  /// How field boundaries are materialised; kAuto resolves to
+  /// kRecordTags. See TaggingMode.
   TaggingMode tagging_mode = TaggingMode::kAuto;
 
   /// How tagged symbols are moved into per-column CSS buffers; see
@@ -113,21 +105,19 @@ struct Tuning {
 
   /// Bytes per streaming partition. 0 = auto: the streaming parser, bulk
   /// loader and executor use their documented 64 MB default (budget-
-  /// clamped); the planner records the effective choice in the plan. A
-  /// non-zero value overrides the entry point's partition_size field.
+  /// clamped); the plan passes the value through. A non-zero value
+  /// overrides the entry point's partition_size field.
   size_t partition_size = 0;
 
   /// Planner engagement; see PlannerMode.
   PlannerMode planner = PlannerMode::kAuto;
 
-  /// Upper bound on the bytes the planner samples from the input prefix.
-  /// Matches the 256 KB head sample the loader already reads for dialect
-  /// and type resolution, so file-backed planning costs no extra I/O.
+  /// Bytes of head sample for a caller that reads one itself before it
+  /// plans (perfbench hands it to the plan::PlanStream sample overload).
+  /// No library code reads it: the planner plans from the stream's length.
   size_t sample_budget = 256 * 1024;
 
-  /// Validates the tuning combination: chunk_size bounds and the
-  /// PlannerMode contradiction taxonomy (kForce with any pinned knob is an
-  /// InvalidArgument — a forced planner has nothing to decide). Called by
+  /// Validates the tuning combination (chunk_size bounds). Called by
   /// ParseOptions::Validate, so every entry point checks it exactly once.
   Status ValidateTuning() const;
 };

@@ -35,7 +35,10 @@ struct PushdownStats {
 /// Requirements: a schema, the robust column-count policy, and empty
 /// skip_records/skip_columns in `options` (they would change record
 /// numbering between the phases). For the same reason phase 1 runs
-/// ErrorPolicy::kSkip as kNull; phase 2 still skips malformed records.
+/// ErrorPolicy::kSkip and kQuarantine as kNull: a malformed predicate value
+/// is NULL, matches no predicate and never reaches phase 2, so it is
+/// neither skipped nor quarantined. Phase 2 applies the policy to the
+/// matching records.
 Result<ParseOutput> ParseWithPushdown(std::string_view input,
                                       const ParseOptions& options,
                                       const Predicate& predicate,

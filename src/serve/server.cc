@@ -582,10 +582,10 @@ bool Server::HandleRequest(Connection* conn, const FrameHeader& header,
     exec_options.base.column_count_policy = ColumnCountPolicy::kRobust;
     exec_options.predicate = request.predicate;
   }
-  // Per-request adaptive planning happens inside the executor (each
-  // request's stream is sampled and planned independently); pointing the
-  // request's options at the server registry makes the plan.* counters —
-  // alongside parse.*/exec.* — visible through the kStats opcode.
+  // Per-request planning happens inside the executor (each request's
+  // stream is planned independently); pointing the request's options at
+  // the server registry makes the plan.* counters — alongside
+  // parse.*/exec.* — visible through the kStats opcode.
   exec_options.base.metrics = options_.metrics;
   exec_options.partition_size = request.load.partition_size;
   // All requests draw from ONE admission controller; this limit caps the

@@ -179,42 +179,6 @@ TEST(ValidateTest, RejectsInlineTerminatorCollidingWithDelimiter) {
   EXPECT_TRUE(options.Validate().ok());
 }
 
-TEST(ValidateTest, ForcedPlannerContradictionMatrix) {
-  // PlannerMode::kForce means "the sampler decides everything": pinning any
-  // plannable knob alongside it is a contradiction, not a preference.
-  using Pin = void (*)(ParseOptions*);
-  const Pin pins[] = {
-      [](ParseOptions* o) { o->kernel = simd::KernelKind::kScalar; },
-      [](ParseOptions* o) { o->kernel = simd::KernelKind::kSimd; },
-      [](ParseOptions* o) { o->chunk_size = 31; },
-      [](ParseOptions* o) { o->tagging_mode = TaggingMode::kRecordTags; },
-      [](ParseOptions* o) { o->transpose_mode = TransposeMode::kFieldGather; },
-      [](ParseOptions* o) { o->partition_size = 1 << 20; },
-  };
-  int idx = 0;
-  for (const Pin pin : pins) {
-    ParseOptions forced;
-    forced.planner = PlannerMode::kForce;
-    pin(&forced);
-    EXPECT_EQ(forced.Validate().code(), StatusCode::kInvalidArgument)
-        << "pin #" << idx;
-    // The same pin is legal under kAuto (it just shrinks the decision) and
-    // under kDisabled (static resolution).
-    ParseOptions auto_mode;
-    pin(&auto_mode);
-    EXPECT_TRUE(auto_mode.Validate().ok()) << "pin #" << idx;
-    ParseOptions disabled;
-    disabled.planner = PlannerMode::kDisabled;
-    pin(&disabled);
-    EXPECT_TRUE(disabled.Validate().ok()) << "pin #" << idx;
-    ++idx;
-  }
-  // All knobs auto: kForce is coherent.
-  ParseOptions forced;
-  forced.planner = PlannerMode::kForce;
-  EXPECT_TRUE(forced.Validate().ok());
-}
-
 TEST(ValidateTest, RejectsValidatePolicyWithQuarantine) {
   ParseOptions options;
   options.column_count_policy = ColumnCountPolicy::kValidate;
@@ -247,10 +211,9 @@ TEST(ReaderTest, WithTuningPinsTheParseConfiguration) {
 }
 
 TEST(ReaderTest, WithTuningSurfacesContradictionsBeforeReading) {
-  Tuning contradiction;
-  contradiction.planner = PlannerMode::kForce;
-  contradiction.chunk_size = 31;
-  auto table = Reader::FromBuffer(kCsv).WithTuning(contradiction).Read();
+  Tuning oversized;
+  oversized.chunk_size = (size_t{16} << 20) + 1;
+  auto table = Reader::FromBuffer(kCsv).WithTuning(oversized).Read();
   EXPECT_EQ(table.status().code(), StatusCode::kInvalidArgument);
 }
 
@@ -263,7 +226,6 @@ TEST(ReaderTest, ExplainReportsThePlanWithoutParsing) {
   EXPECT_NE(plan->transpose_mode, TransposeMode::kAuto);
   EXPECT_NE(plan->Explain().find("[planned]"), std::string::npos)
       << plan->Explain();
-  EXPECT_GT(plan->stats.records, 0);
 }
 
 TEST(ReaderTest, ExplainMatchesBetweenFileAndBuffer) {

@@ -80,9 +80,6 @@ const char* const kFailpoints[] = {
     // process-wide), and a deadline firing at an executor hand-off.
     "serve.deadline",  "serve.drain",   "serve.corrupt",
     "exec.deadline",
-    // Adaptive-planner sites: a failed head sample or a fault mid-decision
-    // must degrade to the static plan (plan.fallback), never corrupt output.
-    "plan.sample",     "plan.decide",
     // Scheduler schedule-perturbation sites: sched.submit diverts a task
     // to inline execution on the submitter, sched.steal makes a thief
     // skip one steal attempt. Neither is an error — arming them must

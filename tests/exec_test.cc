@@ -140,6 +140,26 @@ TEST(ExecTest, FileIngestMatchesBufferIngest) {
   std::remove(path.c_str());
 }
 
+TEST(ExecTest, FileIngestOpensItsFileOnce) {
+  // The plan needs only the file's length, which the streaming reader
+  // already has: no second open for a head sample.
+  const std::string path = "/tmp/parparaw_exec_open_once.csv";
+  ASSERT_TRUE(WriteStringToFile(path, ExecInput(200)).ok());
+  robust::FailpointRegistry& registry = robust::FailpointRegistry::Instance();
+  registry.Arm("io.open", robust::CountTrigger(0));  // counts, never fires
+  PipelineExecutor executor;
+  ExecOptions options;
+  options.base = BaseOptions(ErrorPolicy::kNull, simd::KernelKind::kAuto);
+  options.partition_size = 1000;
+  auto ingested = executor.IngestFile(path, options);
+  const int64_t opens = registry.hits("io.open");
+  registry.Disarm("io.open");
+  std::remove(path.c_str());
+  ASSERT_TRUE(ingested.ok()) << ingested.status().ToString();
+  EXPECT_TRUE(ingested->plan.planned);
+  EXPECT_EQ(opens, 1);
+}
+
 TEST(ExecTest, EmptyInputYieldsEmptyTable) {
   PipelineExecutor executor;
   ExecOptions options;

@@ -7,6 +7,7 @@
 #include "baseline/sequential_parser.h"
 #include "columnar/dictionary.h"
 #include "core/parser.h"
+#include "obs/metrics.h"
 #include "pushdown_oracle.h"
 #include "query/pushdown.h"
 #include "query/query.h"
@@ -87,6 +88,27 @@ TEST(PushdownTest, SkipPolicyKeepsRecordNumbering) {
   EXPECT_EQ(pushed->table.columns[1].Value<int64_t>(0), 3);
   EXPECT_EQ(stats.records_scanned, 3);
   EXPECT_EQ(stats.records_selected, 1);
+}
+
+TEST(PushdownTest, QuarantineCountsNoUnmatchedRecord) {
+  // A malformed predicate value is NULL and matches no predicate, so under
+  // kQuarantine its record is neither returned nor quarantined nor counted.
+  std::string csv;
+  for (int i = 0; i < 120; ++i) {
+    csv += (i % 5 == 0 ? "x" : "") + std::to_string(i) + ",v" +
+           std::to_string(i) + "\n";
+  }
+  obs::MetricsRegistry metrics;
+  ParseOptions options;
+  options.schema.AddField(Field("k", DataType::Int64()));
+  options.schema.AddField(Field("v", DataType::String()));
+  options.error_policy = robust::ErrorPolicy::kQuarantine;
+  options.metrics = &metrics;
+  auto pushed = ParseWithPushdown(csv, options, {0, CompareOp::kGt, "50"});
+  ASSERT_TRUE(pushed.ok()) << pushed.status().ToString();
+  EXPECT_EQ(pushed->table.num_rows, 56);
+  EXPECT_EQ(pushed->quarantine.entries().size(), 0u);
+  EXPECT_EQ(metrics.GetCounter("robust.quarantined_rows")->Value(), 0);
 }
 
 TEST(PushdownTest, NoMatches) {

@@ -472,11 +472,9 @@ TEST(SimdDifferentialTest, GeneratedDialectsMatchScalarAcrossLevels) {
 }
 
 // Planner axis: a planned parse (every knob at its auto sentinel, knobs
-// decided from the input's own prefix) must be bit-identical to the
-// planner-disabled static defaults on every seeded input — the plan is a
-// performance decision, never a semantic one. kForce turns a silent
-// sampling fallback into a hard error, so a planner that stopped engaging
-// would fail here instead of degenerating into static-vs-static.
+// decided from the DFA and the input's length) must be bit-identical to
+// the planner-disabled static defaults on every seeded input — the plan is
+// a performance decision, never a semantic one.
 TEST(SimdDifferentialTest, PlannedParsesMatchStaticDefaults) {
   std::vector<NamedFormat> formats;
   ASSERT_NO_FATAL_FAILURE(formats = RegisteredFormats());
@@ -485,8 +483,8 @@ TEST(SimdDifferentialTest, PlannedParsesMatchStaticDefaults) {
       const std::string input = InputForSeed(format, seed * 7 + 3);
       ParseOptions options;
       options.format = format.format;
-      // Alternate the reject policy so the planner's vector_delimited
-      // tagging upgrade engages on the uniform-column seeds.
+      // Alternate the reject policy: the planned tagging must keep every
+      // record the static defaults keep under both policies.
       options.column_count_policy = (seed % 2) != 0
                                         ? ColumnCountPolicy::kReject
                                         : ColumnCountPolicy::kRobust;
@@ -494,7 +492,7 @@ TEST(SimdDifferentialTest, PlannedParsesMatchStaticDefaults) {
       ParseOptions unplanned = options;
       unplanned.planner = PlannerMode::kDisabled;
       ParseOptions planned = options;
-      planned.planner = PlannerMode::kForce;
+      planned.planner = PlannerMode::kAuto;
 
       const Result<ParseOutput> want = Parser::Parse(input, unplanned);
       const Result<ParseOutput> got = Parser::Parse(input, planned);

@@ -806,11 +806,11 @@ TEST(TransposeDifferentialTest, StreamingPartitionsMatchAcrossModes) {
   }
 }
 
-// Planner axis: the adaptive planner decides the per-stream tuning
-// (kernel, chunk size, tagging, transpose) from the stream's head sample;
-// whatever it chooses must be bit-identical to the planner-disabled static
+// Planner axis: the planner decides the per-stream tuning (kernel, chunk
+// size, tagging, transpose) from the DFA and the stream's length; whatever
+// it chooses must be bit-identical to the planner-disabled static
 // defaults — monolithically and across streaming partition seams, where a
-// planned chunk/tagging choice interacts with carry-over splitting.
+// planned chunk choice interacts with carry-over splitting.
 TEST(TransposeDifferentialTest, PlannedStreamsMatchStaticDefaults) {
   std::vector<NamedFormat> formats;
   ASSERT_NO_FATAL_FAILURE(formats = RegisteredFormats());
@@ -829,7 +829,7 @@ TEST(TransposeDifferentialTest, PlannedStreamsMatchStaticDefaults) {
       streaming.base.planner = PlannerMode::kDisabled;
       const Result<StreamingResult> want =
           StreamingParser::Parse(input, streaming);
-      streaming.base.planner = PlannerMode::kForce;
+      streaming.base.planner = PlannerMode::kAuto;
       const Result<StreamingResult> got =
           StreamingParser::Parse(input, streaming);
 
