@@ -12,18 +12,21 @@
 //    throughput, and two fixed-width layouts over the SIMD register budget
 //    parsed on 1- and 4-worker pools (--json-out= for BENCH_dialect.json);
 //  * `--planner`: the runtime planner (src/plan) against every static
-//    kernel/chunk configuration on the bundled corpora, asserting kAuto
-//    lands within 5% of the best static choice and never loses to the
-//    worst (--json-out= and --commit= for BENCH_autotune.json).
+//    kernel/chunk configuration on the bundled corpora, asserting the
+//    planned configuration lands within 5% of the best other one and
+//    never loses to the worst (--json-out= and --commit= for
+//    BENCH_autotune.json).
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstring>
 #include <iterator>
+#include <optional>
 #include <random>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -405,11 +408,14 @@ int RunDialectAblation(int argc, char** argv) {
   return 0;
 }
 
-// --planner: the planner's kAuto against the static grid on the bundled
+// --planner: the planner's choice against the static grid on the bundled
 // corpora. The planner reads no input byte: it picks the best kernel level
-// and 4096-byte chunks for every corpus, so the grid checks that no static
-// row beats that choice, and its swar_4096 row shows what a host without
-// a vector ISA runs.
+// and 4096-byte chunks for every corpus, so the grid checks that no other
+// configuration beats that choice, and its swar_4096 row shows what a
+// host without a vector ISA runs. Rows that resolve to the same (level,
+// chunk) configuration as auto or as each other run the same parse, so
+// each distinct configuration is timed once and auto is compared with the
+// configurations other than its own.
 int RunPlannerAblation(int argc, char** argv) {
   using namespace parparaw::bench;  // NOLINT
   JsonReport report(argc, argv);
@@ -439,7 +445,7 @@ int RunPlannerAblation(int argc, char** argv) {
   };
 
   // The static grid: the rows a user without a planner would have to pick
-  // blind. kSwarForced pins the portable SWAR level underneath the simd
+  // blind. force_swar pins the portable SWAR level underneath the kAuto
   // kernel so the grid covers machines without a vector ISA too.
   struct Config {
     const char* name;
@@ -449,12 +455,12 @@ int RunPlannerAblation(int argc, char** argv) {
   };
   const Config static_configs[] = {
       {"scalar_31", simd::KernelKind::kScalar, 31, false},
-      {"simd_31", simd::KernelKind::kSimd, 31, false},
-      {"simd_1024", simd::KernelKind::kSimd, 1024, false},
-      {"simd_2048", simd::KernelKind::kSimd, 2048, false},
-      {"simd_4096", simd::KernelKind::kSimd, 4096, false},
-      {"swar_31", simd::KernelKind::kSimd, 31, true},
-      {"swar_4096", simd::KernelKind::kSimd, 4096, true},
+      {"simd_31", simd::KernelKind::kAuto, 31, false},
+      {"simd_1024", simd::KernelKind::kAuto, 1024, false},
+      {"simd_2048", simd::KernelKind::kAuto, 2048, false},
+      {"simd_4096", simd::KernelKind::kAuto, 4096, false},
+      {"swar_31", simd::KernelKind::kAuto, 31, true},
+      {"swar_4096", simd::KernelKind::kAuto, 4096, true},
   };
 
   constexpr int kReps = 5;
@@ -463,129 +469,180 @@ int RunPlannerAblation(int argc, char** argv) {
   std::printf("%zu MB per corpus, median of %d interleaved runs\n",
               bytes >> 20, kReps);
 
+  // Row kNumStatic is auto: every knob at its sentinel.
   constexpr size_t kNumStatic = std::size(static_configs);
+  constexpr size_t kAuto = kNumStatic;
   bool all_pass = true;
   for (const Corpus& corpus : corpora) {
     std::printf("\n--- %s ---\n", corpus.name);
-    std::printf("%-12s %10s %8s\n", "config", "seconds", "GB/s");
+
+    const auto options_for = [&](size_t row) {
+      ParseOptions options;
+      options.format = corpus.format;
+      options.schema = corpus.schema;
+      if (row != kAuto) {
+        options.kernel = static_configs[row].kernel;
+        options.chunk_size = static_configs[row].chunk;
+      }
+      return options;
+    };
+    const auto force_swar = [&](size_t row) {
+      return row != kAuto && static_configs[row].force_swar;
+    };
+    const auto plan_row = [&](size_t row) {
+      if (force_swar(row)) {
+        simd::SetForcedKernelLevel(simd::KernelLevel::kSwar);
+      }
+      const plan::ParsePlan plan = plan::PlanParse(
+          static_cast<int64_t>(corpus.data.size()), options_for(row));
+      simd::SetForcedKernelLevel(std::nullopt);
+      return plan;
+    };
+    const auto row_name = [&](size_t row) {
+      return row == kAuto ? "auto" : static_configs[row].name;
+    };
+
+    // Group the rows by the (level, chunk) they resolve to. Auto's group
+    // comes first and runs auto's own options, so its timing includes the
+    // planning pass; every other group runs its first row.
+    std::vector<std::pair<simd::KernelLevel, size_t>> resolved;
+    std::vector<size_t> runner;           // group -> the row it runs
+    std::vector<size_t> group_of(kAuto + 1);  // row -> group
+    for (size_t step = 0; step <= kAuto; ++step) {
+      const size_t row = step == 0 ? kAuto : step - 1;
+      const plan::ParsePlan plan = plan_row(row);
+      const std::pair<simd::KernelLevel, size_t> key(plan.kernel_level,
+                                                     plan.chunk_size);
+      const auto found = std::find(resolved.begin(), resolved.end(), key);
+      group_of[row] = static_cast<size_t>(found - resolved.begin());
+      if (found == resolved.end()) {
+        resolved.push_back(key);
+        runner.push_back(row);
+      }
+    }
+    const size_t num_groups = resolved.size();
+    const size_t auto_group = group_of[kAuto];
 
     // Timing discipline, learned the hard way on a noisy shared host:
-    //  - round-robin across rows per rep, so machine drift spreads evenly;
-    //  - an untimed warmup parse before every timed one, so each row is
-    //    measured with caches and predictors trained on ITS OWN config
-    //    (back-to-back rows otherwise inherit their neighbour's state);
-    //  - median per row, not min: best_static takes a min ACROSS rows, and
-    //    comparing mins over unequal draw counts has an extreme-value bias
-    //    that penalises whichever single row (auto) it is compared to;
+    //  - round-robin across configurations per rep, so machine drift
+    //    spreads evenly;
+    //  - an untimed warmup parse before every timed one, so each
+    //    configuration is measured with caches and predictors trained on
+    //    ITS OWN parse (back-to-back runs otherwise inherit their
+    //    neighbour's state);
+    //  - median per configuration, not min, and one draw per distinct
+    //    configuration: a min across rows that run the same parse as
+    //    auto has an extreme-value bias that penalises auto;
     //  - retry a failing corpus: a multi-second throughput dip on a shared
     //    host fakes a FAIL but never fakes auto being competitive, so keep
     //    the best of up to kAttempts measurements.
-    double best_seconds[kNumStatic + 1];
+    std::vector<double> seconds(num_groups);
     auto measure = [&]() -> bool {
-      double samples[kNumStatic + 1][kReps];
+      std::vector<std::vector<double>> samples(num_groups,
+                                               std::vector<double>(kReps));
       auto run_once = [&](const ParseOptions& options, bool timed,
                           double* out) -> bool {
         Stopwatch watch;
         auto result = Parser::Parse(corpus.data, options);
-        const double seconds = watch.ElapsedSeconds();
+        const double elapsed = watch.ElapsedSeconds();
         if (!result.ok()) {
           std::fprintf(stderr, "parse failed: %s\n",
                        result.status().ToString().c_str());
           return false;
         }
-        if (timed) *out = seconds;
+        if (timed) *out = elapsed;
         return true;
       };
       for (int rep = 0; rep < kReps; ++rep) {
-        for (size_t c = 0; c <= kNumStatic; ++c) {
-          ParseOptions options;
-          options.format = corpus.format;
-          options.schema = corpus.schema;
-          const bool is_auto = c == kNumStatic;
-          if (!is_auto) {
-            // The auto slot keeps the planner engaged, so its timing
-            // includes the planning pass.
-            options.planner = PlannerMode::kDisabled;
-            options.kernel = static_configs[c].kernel;
-            options.chunk_size = static_configs[c].chunk;
-            if (static_configs[c].force_swar) {
-              simd::SetForcedKernelLevel(simd::KernelLevel::kSwar);
-            }
+        for (size_t g = 0; g < num_groups; ++g) {
+          const ParseOptions options = options_for(runner[g]);
+          if (force_swar(runner[g])) {
+            simd::SetForcedKernelLevel(simd::KernelLevel::kSwar);
           }
           const bool ok = run_once(options, /*timed=*/false, nullptr) &&
-                          run_once(options, /*timed=*/true, &samples[c][rep]);
-          if (!is_auto && static_configs[c].force_swar) {
-            simd::SetForcedKernelLevel(std::nullopt);
-          }
+                          run_once(options, /*timed=*/true, &samples[g][rep]);
+          simd::SetForcedKernelLevel(std::nullopt);
           if (!ok) return false;
         }
       }
-      for (size_t c = 0; c <= kNumStatic; ++c) {
-        std::sort(samples[c], samples[c] + kReps);
-        best_seconds[c] = samples[c][kReps / 2];
+      for (size_t g = 0; g < num_groups; ++g) {
+        std::sort(samples[g].begin(), samples[g].end());
+        seconds[g] = samples[g][kReps / 2];
       }
       return true;
     };
-    auto ratio_vs_best = [&]() -> double {
-      double best_static = 1e100;
-      for (size_t c = 0; c < kNumStatic; ++c) {
-        best_static = std::min(best_static, best_seconds[c]);
+    // The fastest and slowest configurations other than auto's own.
+    auto best_other = [&]() {
+      double best = 1e100;
+      for (size_t g = 0; g < num_groups; ++g) {
+        if (g != auto_group) best = std::min(best, seconds[g]);
       }
-      return best_seconds[kNumStatic] > 0
-                 ? best_static / best_seconds[kNumStatic]
-                 : 0;
+      return best;
+    };
+    auto ratio_vs_best = [&]() -> double {
+      return seconds[auto_group] > 0 ? best_other() / seconds[auto_group]
+                                     : 0;
     };
     if (!measure()) return 1;
     for (int attempt = 1; attempt < kAttempts && ratio_vs_best() < 0.95;
          ++attempt) {
-      std::printf("auto vs best static %.2fx — remeasuring (attempt %d)\n",
+      std::printf("auto vs best other %.2fx — remeasuring (attempt %d)\n",
                   ratio_vs_best(), attempt + 1);
-      double kept[kNumStatic + 1];
-      std::copy(best_seconds, best_seconds + kNumStatic + 1, kept);
+      const std::vector<double> kept = seconds;
       const double kept_ratio = ratio_vs_best();
       if (!measure()) return 1;
-      if (ratio_vs_best() < kept_ratio) {
-        std::copy(kept, kept + kNumStatic + 1, best_seconds);
+      if (ratio_vs_best() < kept_ratio) seconds = kept;
+    }
+
+    std::printf("%-12s %-14s %10s %8s\n", "config", "resolves to",
+                "seconds", "GB/s");
+    for (size_t row = 0; row <= kAuto; ++row) {
+      const size_t g = group_of[row];
+      const std::string config =
+          std::string(simd::KernelLevelName(resolved[g].first)) + "/" +
+          std::to_string(resolved[g].second);
+      std::printf("%-12s %-14s %10.3f %8.2f", row_name(row), config.c_str(),
+                  seconds[g], Gbps(bytes, seconds[g]));
+      if (runner[g] != row) std::printf("  (runs as %s)", row_name(runner[g]));
+      std::printf("\n");
+      if (row == kAuto) continue;
+      report.Add(std::string("planner/") + corpus.name + "/" +
+                     static_configs[row].name,
+                 {{"seconds", seconds[g]},
+                  {"gbps", Gbps(bytes, seconds[g])},
+                  {"same_as_auto", g == auto_group ? 1.0 : 0.0}});
+    }
+    for (size_t g = 0; g < num_groups; ++g) {
+      std::string alike;
+      for (size_t row = 0; row <= kAuto; ++row) {
+        if (group_of[row] != g) continue;
+        alike += alike.empty() ? "" : " = ";
+        alike += row_name(row);
+      }
+      if (alike.find(" = ") != std::string::npos) {
+        std::printf("resolve alike: %s\n", alike.c_str());
       }
     }
 
-    double best_static = 1e100, worst_static = 0;
-    for (size_t c = 0; c < kNumStatic; ++c) {
-      best_static = std::min(best_static, best_seconds[c]);
-      worst_static = std::max(worst_static, best_seconds[c]);
-      std::printf("%-12s %10.3f %8.2f\n", static_configs[c].name,
-                  best_seconds[c], Gbps(bytes, best_seconds[c]));
-      report.Add(std::string("planner/") + corpus.name + "/" +
-                     static_configs[c].name,
-                 {{"seconds", best_seconds[c]},
-                  {"gbps", Gbps(bytes, best_seconds[c])}});
-    }
-    const double auto_seconds = best_seconds[kNumStatic];
-    std::printf("%-12s %10.3f %8.2f\n", "auto", auto_seconds,
-                Gbps(bytes, auto_seconds));
-
-    ParseOptions auto_options;
-    auto_options.format = corpus.format;
-    auto_options.schema = corpus.schema;
-
-    const plan::ParsePlan planned = plan::PlanParse(
-        static_cast<int64_t>(corpus.data.size()), auto_options);
+    const plan::ParsePlan planned = plan_row(kAuto);
     std::printf("%s\n", planned.Explain().c_str());
 
-    const double vs_best = auto_seconds > 0 ? best_static / auto_seconds : 0;
-    const double vs_worst =
-        auto_seconds > 0 ? worst_static / auto_seconds : 0;
-    // The acceptance bar: within 5% of the best static row, and never
-    // beaten by the worst one (5% noise margin on a timing bench).
+    const double auto_seconds = seconds[auto_group];
+    const double worst =
+        *std::max_element(seconds.begin(), seconds.end());
+    const double vs_best = auto_seconds > 0 ? best_other() / auto_seconds : 0;
+    const double vs_worst = auto_seconds > 0 ? worst / auto_seconds : 0;
+    // The acceptance bar: within 5% of the best other configuration, and
+    // never beaten by the worst one (5% noise margin on a timing bench).
     const bool pass = vs_best >= 0.95 && vs_worst >= 0.95;
     all_pass = all_pass && pass;
-    std::printf("auto vs best static: %.2fx, vs worst static: %.2fx  [%s]\n",
+    std::printf("auto vs best other: %.2fx, vs worst: %.2fx  [%s]\n",
                 vs_best, vs_worst, pass ? "PASS" : "FAIL");
     report.Add(std::string("planner/") + corpus.name + "/auto",
                {{"seconds", auto_seconds},
                 {"gbps", Gbps(bytes, auto_seconds)},
-                {"vs_best_static", vs_best},
-                {"vs_worst_static", vs_worst},
+                {"vs_best_other", vs_best},
+                {"vs_worst", vs_worst},
                 {"planned_chunk", static_cast<double>(planned.chunk_size)},
                 {"planned_scalar_kernel",
                  planned.kernel_level == simd::KernelLevel::kScalar ? 1.0

@@ -36,9 +36,8 @@ void RunDataset(const char* name, const std::string& data,
       continue;
     }
     const StepTimings& t = result->timings;
-    const StepTimings modeled = device.ModelPipeline(
-        result->work, result->table.num_columns(),
-        options.format.dfa.num_states() ? options.format.dfa.num_states() : 6);
+    const StepTimings modeled =
+        device.ModelPipeline(result->work, result->table.num_columns());
     std::printf(
         "%6zuB %8.1fms %8.1fms %8.1fms %8.1fms %8.1fms %8.1fms | %9.2fms\n",
         chunk, t.parse_ms, t.scan_ms, t.tag_ms, t.partition_ms, t.convert_ms,

@@ -40,7 +40,7 @@ void RunDataset(const char* name, bool yelp) {
       continue;
     }
     const double modeled = device.ModelParsingRateGbps(
-        result->work, result->table.num_columns(), 6);
+        result->work, result->table.num_columns());
     std::printf("%8zuMB %10.1fms %11.3fGB/s %11.2fGB/s\n", bytes >> 20,
                 seconds * 1e3, Gbps(bytes, seconds), modeled);
   }

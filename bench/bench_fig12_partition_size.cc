@@ -10,7 +10,8 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "stream/streaming_parser.h"
+#include "exec/executor.h"
+#include "stream/stream_model.h"
 
 namespace {
 
@@ -25,20 +26,22 @@ void RunDataset(const char* name, const std::string& data,
               "modeled-e2e", "modeled-serial", "wall-parse");
   for (size_t partition = 256 * 1024; partition <= data.size() * 2;
        partition *= 2) {
-    StreamingOptions options;
+    exec::ExecOptions options;
     options.base.schema = schema;
     options.partition_size = partition;
-    auto result = StreamingParser::Parse(data, options);
+    exec::PipelineExecutor executor;
+    auto result = executor.IngestBuffer(data, options);
     if (!result.ok()) {
       std::printf("%10zuKB failed: %s\n", partition >> 10,
                   result.status().ToString().c_str());
       continue;
     }
+    const StreamModel model = ModelStream(*result);
     std::printf("%10zuKB %6d %11.2fms %11.2fms %9.1fms\n", partition >> 10,
-                result->num_partitions,
-                result->modeled_end_to_end_seconds * 1e3,
-                result->modeled_serial_seconds * 1e3,
-                result->wall_seconds * 1e3);
+                result->stats.num_partitions,
+                model.modeled_end_to_end_seconds * 1e3,
+                model.modeled_serial_seconds * 1e3,
+                result->stats.wall_seconds * 1e3);
   }
 }
 

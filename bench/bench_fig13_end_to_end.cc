@@ -27,7 +27,8 @@
 #include "baseline/sequential_parser.h"
 #include "bench_util.h"
 #include "exec/executor.h"
-#include "stream/streaming_parser.h"
+#include "simd/dispatch.h"
+#include "stream/stream_model.h"
 #include "util/stopwatch.h"
 
 namespace {
@@ -83,22 +84,24 @@ void RunDataset(const char* key, const char* name, const std::string& data,
   // registry and tracer so the per-stage breakdown below comes from the
   // observability subsystem, not ad-hoc stopwatches.
   {
-    StreamingOptions options;
+    exec::ExecOptions options;
     options.base = base;
     EnableObservability(&options.base);
     obs::MetricsRegistry::Global().Reset();
     obs::Tracer::Global().Clear();
     options.partition_size = 4 << 20;
-    auto result = StreamingParser::Parse(data, options);
+    exec::PipelineExecutor executor;
+    auto result = executor.IngestBuffer(data, options);
     if (result.ok()) {
+      const bool correct = result->table.Equals(expected->table);
       Record(report, key, "ParPaRaw (modeled GPU e2e)",
-             result->modeled_end_to_end_seconds, result->table.num_rows,
-             result->table.Equals(expected->table), data.size());
-      Record(report, key, "ParPaRaw (CPU substrate)", result->wall_seconds,
-             result->table.num_rows, result->table.Equals(expected->table),
+             ModelStream(*result).modeled_end_to_end_seconds,
+             result->table.num_rows, correct, data.size());
+      Record(report, key, "ParPaRaw (CPU substrate)",
+             result->stats.wall_seconds, result->table.num_rows, correct,
              data.size());
       std::printf("\nper-stage breakdown (CPU substrate, %d partitions):\n",
-                  result->num_partitions);
+                  result->stats.num_partitions);
       PrintStageBreakdown(&obs::MetricsRegistry::Global());
     }
     MaybeDumpTrace();
@@ -258,6 +261,8 @@ void RunPipelineMode(JsonReport* report) {
 
 int main(int argc, char** argv) {
   JsonReport report(argc, argv);
+  report.Stamp(std::thread::hardware_concurrency(),
+               simd::KernelLevelName(simd::DetectBestKernelLevel()));
   bool pipeline = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--pipeline") == 0) pipeline = true;

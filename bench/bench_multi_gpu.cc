@@ -8,10 +8,10 @@
 #include <cstdio>
 
 #include "bench_util.h"
+#include "exec/executor.h"
 #include "sim/device_model.h"
 #include "sim/pcie_model.h"
 #include "sim/timeline.h"
-#include "stream/streaming_parser.h"
 
 namespace {
 
@@ -26,17 +26,18 @@ int main() {
   const std::string data = GenerateYelpLike(77, bytes);
 
   // Derive per-partition stage durations once from a real streaming parse.
-  StreamingOptions options;
+  exec::ExecOptions options;
   options.base.schema = YelpSchema();
   options.partition_size = 1 << 20;
-  auto result = StreamingParser::Parse(data, options);
+  exec::PipelineExecutor executor;
+  auto result = executor.IngestBuffer(data, options);
   if (!result.ok()) {
     std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
     return 1;
   }
   const PcieModel pcie;
   const DeviceModel device;
-  const int parts = result->num_partitions;
+  const int parts = result->stats.num_partitions;
   std::printf("input %.1f MB, %d partitions of 1 MB\n",
               static_cast<double>(data.size()) / (1 << 20), parts);
 
@@ -47,7 +48,7 @@ int main() {
     const double h2d = pcie.H2dSeconds(1 << 20);
     const double parse_each =
         regime == 0
-            ? device.ModelPipeline(result->work, 9, 6).TotalMs() / 1e3 / parts
+            ? device.ModelPipeline(result->work, 9).TotalMs() / 1e3 / parts
             : h2d / 8;
     for (auto& s : stages) {
       s.h2d_seconds = h2d;

@@ -138,9 +138,8 @@ int main(int argc, char** argv) {
     DeviceSpec spec;
     spec.cores = cores;
     const DeviceModel model(spec);
-    const StepTimings t = model.ModelPipeline(work, num_columns, 6);
-    const double modeled_gbps =
-        model.ModelParsingRateGbps(work, num_columns, 6);
+    const StepTimings t = model.ModelPipeline(work, num_columns);
+    const double modeled_gbps = model.ModelParsingRateGbps(work, num_columns);
     std::printf("%8d %11.2fms %11.2fGB/s\n", cores, t.TotalMs(),
                 modeled_gbps);
     report.Add("scalability/device_model/cores=" + std::to_string(cores),

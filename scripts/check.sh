@@ -24,15 +24,18 @@
 #                               # proofs, minimiser properties, widened
 #                               # generated-dialect differential sweeps,
 #                               # chaos) under ASan+UBSan
-#   scripts/check.sh tuning     # adaptive planner: determinism/decision
-#                               # suites, the Tuning/Validate contradiction
-#                               # matrix, Reader Explain/WithTuning, chaos
-#                               # with plan.* failpoints, and the planner
-#                               # axes of both differential harnesses under
-#                               # ASan+UBSan; per-request planning against
-#                               # the daemon's shared state under TSan;
-#                               # then the --planner ablation bench in the
-#                               # regular build emitting BENCH_autotune.json
+#   scripts/check.sh tuning     # planner: the one resolution of every auto
+#                               # sentinel (plan::PlanParse), its
+#                               # determinism and decision suites, Tuning
+#                               # validation, Reader Explain/WithTuning,
+#                               # the chaos sweep, and the planner axes of
+#                               # both differential harnesses (default
+#                               # options against pinned 31-byte chunks)
+#                               # under ASan+UBSan; per-request planning
+#                               # against the daemon's shared state under
+#                               # TSan; then the --planner ablation bench
+#                               # in the regular build tree (its build type
+#                               # untouched) emitting BENCH_autotune.json
 #   scripts/check.sh scaling    # morsel scheduler: forward-progress
 #                               # regressions (nested ParallelFor,
 #                               # concurrent decoupled-lookback scans on
@@ -147,7 +150,7 @@ run_pipeline() {
   cmake --build build-tsan -j "${JOBS}"
   # The executor's differential suite (bit-identical to one monolithic
   # Parser::Parse across kernels and error policies), every entry point
-  # that runs on the executor (Reader, StreamingParser, BulkLoader, the
+  # that runs on the executor (Reader, the streaming suite, BulkLoader, the
   # robustness suite's budget and fault cases), the dialects over the
   # SIMD register budget (DialectEquivalence: their sequential
   # entry-state walk in each scan morsel, then chunk-parallel steps,
@@ -282,13 +285,14 @@ run_tuning() {
     -DPARPARAW_SANITIZE=address,undefined
   echo "=== tuning: build ==="
   cmake --build build-asan -j "${JOBS}"
-  # The planner surface (see docs/tuning.md): the decision table from the
-  # DFA, the pins and the stream's length, static resolution of every kAuto
-  # sentinel, the Tuning env vocabulary, Validate(), Reader::WithTuning/
-  # Explain, the chaos schedule space, and the planner axes of both
-  # differential harnesses (planned parses must be bit-identical to their
-  # static equivalents) — under ASan+UBSan, since a planned chunk size
-  # moves every chunk boundary the steps index by.
+  # The planner surface (see docs/tuning.md): plan::PlanParse, the one
+  # place every auto sentinel resolves, from the DFA, the pins and the
+  # stream's length; the Tuning env vocabulary, Validate(),
+  # Reader::WithTuning/Explain, the chaos schedule space, and the planner
+  # axes of both differential harnesses (the default options must be
+  # bit-identical to the same options with 31-byte chunks pinned) — under
+  # ASan+UBSan, since a planned chunk size moves every chunk boundary the
+  # steps index by.
   echo "=== tuning: planner suites + differential harnesses ==="
   ASAN_OPTIONS=detect_leaks=1:strict_string_checks=1 \
   UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1 \
@@ -315,12 +319,15 @@ run_tuning() {
   TSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \
       -R 'Planner|Reader|Exec|ServeConcurrency|ServeConformance'
-  # The ablation bench runs in the regular (unsanitized) tree: kAuto must
-  # land within 5% of the best static row and not lose to the worst one.
-  # The bench itself retries a corpus whose measurement hits a host
-  # throughput dip, so a FAIL exit here is a real planner regression.
+  # The ablation bench runs in the regular (unsanitized) tree, at the build
+  # type the tier-1 build gave it (Release by default; overriding it here
+  # would stay in the CMake cache for the next tier-1 build). The planned
+  # configuration must land within 5% of the best other configuration and
+  # not lose to the worst one. The bench itself retries a corpus whose
+  # measurement hits a host throughput dip, so a FAIL exit here is a real
+  # planner regression.
   echo "=== tuning: planner ablation bench (BENCH_autotune.json) ==="
-  cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
+  cmake -B build -S .
   cmake --build build -j "${JOBS}" --target bench_ablation_primitives
   ./build/bench/bench_ablation_primitives --planner \
     --json-out=BENCH_autotune.json \

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "dialect/dialect.h"
 #include "io/file.h"
 #include "plan/planner.h"
 
@@ -125,8 +124,8 @@ Result<plan::ParsePlan> Reader::Explain() && {
       BulkLoader::ResolveBaseOptions(sample, head.truncated, options_,
                                      &resolution));
   PARPARAW_RETURN_NOT_OK(base.Validate());
-  // The planner wants the packed format a real parse would run with.
-  PARPARAW_RETURN_NOT_OK(dialect::ResolveParseDialect(&base).status());
+  // The base carries the packed format a real parse runs with, any
+  // dialect already compiled, which the planner's chunk rule reads.
   return plan::PlanStream(
       from_file_ ? head.file_size : static_cast<int64_t>(buffer_.size()),
       &base);

@@ -15,7 +15,7 @@ namespace parparaw {
 ///
 /// Unifies what used to require picking between Parser::Parse (in-memory,
 /// no dialect resolution), BulkLoader::LoadFile/LoadBuffer (sniffing +
-/// statistics) and StreamingParser/PipelineExecutor (bounded memory)
+/// statistics) and exec::PipelineExecutor (bounded memory)
 /// behind a single options-validated builder:
 ///
 ///   PARPARAW_ASSIGN_OR_RETURN(Table table,
@@ -63,9 +63,10 @@ class Reader {
   Reader&& WithPartitionSize(size_t bytes) &&;
   Reader&& WithThreadPool(ThreadPool* pool) &&;
   /// Assigns the consolidated tuning surface (plan/tuning.h) wholesale:
-  /// kernel, chunk size, tagging/transpose modes, planner engagement.
-  /// The default Tuning leaves every knob at its auto sentinel, so the
-  /// planner decides them from the DFA and the input's length.
+  /// kernel, chunk size and tagging/transpose modes. The default Tuning
+  /// leaves every knob at its auto sentinel, so the planner decides them
+  /// from the DFA and the input's length. The partition size is this
+  /// builder's own (WithPartitionSize).
   Reader&& WithTuning(Tuning tuning) &&;
   /// Collect per-column statistics into LoadResult (Read() ignores them;
   /// off by default — BulkLoader's default is on).
@@ -88,9 +89,8 @@ class Reader {
 
   /// What *would* this read do? Resolves dialect/schema from the head
   /// sample and plans the stream without executing the parse. The
-  /// returned plan's Explain() renders the decision and the per-knob
-  /// reasoning; with planning disabled the static resolution is reported
-  /// instead.
+  /// returned plan's Explain() renders the decision and the reasoning for
+  /// each knob the planner decided (pinned knobs pass through).
   Result<plan::ParsePlan> Explain() &&;
 
  private:

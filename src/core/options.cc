@@ -6,6 +6,7 @@
 #include <cstring>
 #include <string>
 
+#include "plan/planner.h"
 #include "robust/resource_guard.h"
 
 namespace parparaw {
@@ -33,8 +34,7 @@ Status ParseOptions::Validate() const {
     }
     PARPARAW_RETURN_NOT_OK(dialect->Validate());
   }
-  // Chunk bounds and the planner contradiction taxonomy live with the
-  // consolidated tuning surface.
+  // Chunk bounds live with the consolidated tuning surface.
   PARPARAW_RETURN_NOT_OK(ValidateTuning());
   if (skip_rows < 0) {
     return Status::Invalid("skip_rows must be non-negative, got " +
@@ -146,23 +146,9 @@ WorkCounters& WorkCounters::operator+=(const WorkCounters& other) {
   return *this;
 }
 
-TransposeMode EffectiveTransposeMode(const ParseOptions& options) {
-  if (options.transpose_mode != TransposeMode::kAuto) {
-    return options.transpose_mode;
-  }
-  // Centralized, once-per-process env parsing (plan/tuning.h): the sweep
-  // scripts set this for a whole process, and a per-parse getenv would be
-  // a race under TSan anyway.
-  return plan::EnvTransposeMode().value_or(TransposeMode::kFieldGather);
-}
-
-TaggingMode EffectiveTaggingMode(const ParseOptions& options) {
-  return options.tagging_mode == TaggingMode::kAuto ? TaggingMode::kRecordTags
-                                                    : options.tagging_mode;
-}
-
 int64_t ParseWorkingSetFactor(const ParseOptions& options) {
-  return EffectiveTransposeMode(options) == TransposeMode::kSymbolSort
+  return plan::PlanParse(0, options).transpose_mode ==
+                 TransposeMode::kSymbolSort
              ? robust::kParseMemoryFactor
              : robust::kParseMemoryFactorFieldGather;
 }

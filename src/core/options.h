@@ -23,9 +23,8 @@ class MetricsRegistry;
 class Tracer;
 }  // namespace obs
 
-// TaggingMode, TransposeMode, PlannerMode and the Tuning struct (the
-// consolidated performance-tuning surface ParseOptions inherits) live in
-// plan/tuning.h.
+// TaggingMode, TransposeMode and the Tuning struct (the consolidated
+// performance-tuning surface ParseOptions inherits) live in plan/tuning.h.
 
 /// How records with an inconsistent number of columns are handled (§4.1,
 /// §4.3 "Inferring or validating number of columns").
@@ -99,12 +98,12 @@ struct WorkCounters {
 /// \brief Everything configurable about a parse (§3, §4.1, §4.3).
 ///
 /// Inherits the consolidated tuning surface (plan/tuning.h): `kernel`,
-/// `chunk_size`, `tagging_mode`, `transpose_mode`, `partition_size` and
-/// `planner` are Tuning members, accessed exactly as before. With every
-/// tuning knob at its auto sentinel (the default), each entry point plans
-/// them once per stream from the DFA and the stream's length
-/// (plan::PlanParse); pin any knob to take it out of the planner's hands,
-/// or set `planner = PlannerMode::kDisabled` for the static defaults.
+/// `chunk_size`, `tagging_mode` and `transpose_mode` are Tuning members,
+/// accessed exactly as before. Each entry point resolves the knobs still at
+/// their auto sentinels (the default) once per stream, in
+/// plan::PlanParse, from the DFA and the stream's length; pin any knob to
+/// take it out of the planner's hands. A direct StagedParse resolves what
+/// is left the same way.
 struct ParseOptions : public Tuning {
   /// Parsing rules; defaults to RFC 4180 CSV when left empty (no states).
   Format format;
@@ -195,39 +194,25 @@ struct ParseOptions : public Tuning {
   /// Parse() whose estimated working set (~16x input, see
   /// robust::EstimateParseMemory) exceeds the budget fails with
   /// kResourceExhausted instead of attempting the allocations; the
-  /// pipelined executor, which the streaming parser and bulk loader run
-  /// on, degrades instead — smaller partitions, fewer in flight — and
-  /// never returns kResourceExhausted for the budget alone.
+  /// pipelined executor, which the bulk loader and Reader run on, degrades
+  /// instead — smaller partitions, fewer in flight — and never returns
+  /// kResourceExhausted for the budget alone.
   int64_t memory_budget = 0;
 
   /// Validates the option *combination* without looking at any input.
   /// Returns an actionable InvalidArgument for conflicts that a parse
   /// would otherwise discover midway (or silently mis-handle): chunk_size
-  /// bounds and the tuning contradiction taxonomy (Tuning::ValidateTuning
-  /// — a forced planner with pinned knobs), inline-terminator collisions
-  /// with the format's delimiters, negative skips/budget, a zero block
-  /// threshold, collaboration-threshold ordering, and policy pairs that
-  /// contradict each other. Every entry point (Parser::Parse,
-  /// StreamingParser, BulkLoader, Reader, exec::PipelineExecutor) calls
-  /// this exactly once up front, so deeper layers can assume a coherent
-  /// configuration.
+  /// bounds (Tuning::ValidateTuning), inline-terminator collisions with the
+  /// format's delimiters, negative skips/budget, a zero block threshold,
+  /// collaboration-threshold ordering, and policy pairs that contradict
+  /// each other. Every entry point (Parser::Parse, BulkLoader, Reader,
+  /// exec::PipelineExecutor) calls this exactly once up front, so deeper
+  /// layers can assume a coherent configuration.
   Status Validate() const;
 };
 
-/// Resolves TransposeMode::kAuto to a concrete mode. kAuto picks
-/// kFieldGather unless the PARPARAW_TRANSPOSE_MODE environment variable
-/// ("field_gather" / "symbol_sort", read once per process via
-/// plan::EnvTransposeMode) says otherwise; an explicitly requested mode is
-/// returned unchanged so differential tests can pin both sides regardless
-/// of the environment.
-TransposeMode EffectiveTransposeMode(const ParseOptions& options);
-
-/// Resolves TaggingMode::kAuto to kRecordTags; an explicitly requested
-/// mode is returned unchanged.
-TaggingMode EffectiveTaggingMode(const ParseOptions& options);
-
 /// Multiplier over input bytes for the parse's peak working set under the
-/// options' effective transpose mode: robust::kParseMemoryFactor (16) for
+/// transpose mode plan::PlanParse resolves for the options: robust::kParseMemoryFactor (16) for
 /// kSymbolSort — per-symbol tags, permutation and scratch — and
 /// robust::kParseMemoryFactorFieldGather (8) for kFieldGather, whose
 /// metadata is O(fields) rather than O(bytes). Feed the result to

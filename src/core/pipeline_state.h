@@ -276,8 +276,9 @@ struct PipelineState {
   std::vector<int64_t> column_css_offsets;
 
   // --- field-gather transposition (TransposeMode::kFieldGather) ---
-  /// The transpose mode the tag step resolved for this parse; the partition
-  /// and convert steps follow it so a parse never mixes paths.
+  /// The transpose mode the tag step recorded for this parse (the options'
+  /// planned, concrete mode); the partition and convert steps follow it so
+  /// a parse never mixes paths.
   TransposeMode transpose_mode = TransposeMode::kSymbolSort;
   /// Per chunk: the first byte of the field still open at the chunk's
   /// start, and the value bytes it holds before the chunk (the chunk's

@@ -13,6 +13,7 @@
 #include "core/tag_step.h"
 #include "dialect/dialect.h"
 #include "obs/obs.h"
+#include "plan/planner.h"
 #include "robust/resource_guard.h"
 #include "text/unicode.h"
 #include "util/bit_util.h"
@@ -194,11 +195,9 @@ Status StagedParse::Scan(std::string_view input, const ParseOptions& options) {
     PARPARAW_ASSIGN_OR_RETURN(resolved_.format, Rfc4180Format());
   }
   if (resolved_.pool == nullptr) resolved_.pool = ThreadPool::Default();
-  // Auto sentinels an upstream planner did not fill resolve to the static
-  // defaults here, so direct StagedParse users and planner fallbacks run
-  // the pre-planner configuration.
-  if (resolved_.chunk_size == 0) resolved_.chunk_size = 31;
-  resolved_.tagging_mode = EffectiveTaggingMode(resolved_);
+  // Entry points have planned and pinned every knob already; a direct
+  // StagedParse plans its input exactly as Parser::Parse would.
+  plan::PlanStream(static_cast<int64_t>(input.size()), &resolved_);
 
   // UTF-16 input: data-parallel transcode pre-pass (§4.2), then parse the
   // UTF-8 bytes.
@@ -230,7 +229,7 @@ Status StagedParse::Scan(std::string_view input, const ParseOptions& options) {
   }
 
   // Resource guard: refuse up front when the monolithic working set cannot
-  // fit the budget. The streaming parser, bulk loader and executor degrade
+  // fit the budget. The bulk loader and the executor degrade
   // (smaller partitions / streaming / fewer in flight) instead of
   // surfacing this.
   // The envelope depends on the transpose mode: the symbol sort carries
@@ -247,7 +246,8 @@ Status StagedParse::Scan(std::string_view input, const ParseOptions& options) {
                                         working_set_factor)) +
         " working-set bytes, over the " +
         std::to_string(resolved_.memory_budget) +
-        "-byte budget; use StreamingParser or BulkLoader to degrade");
+        "-byte budget; use BulkLoader or exec::PipelineExecutor to "
+        "degrade");
   }
 
   state_.data = reinterpret_cast<const uint8_t*>(input.data());
@@ -291,7 +291,7 @@ Status StagedParse::Scan(std::string_view input, const ParseOptions& options) {
     }
     // Like the quarantine spans, the remainder offset is reported in the
     // caller's coordinate space, including any skipped leading rows — the
-    // streaming parser slices its carry-over from the original buffer.
+    // executor slices its carry-over from the original buffer.
     output_.remainder_offset += skip_offset_;
   }
 

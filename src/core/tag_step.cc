@@ -450,7 +450,7 @@ Status TagStep::Run(PipelineState* state, StepTimings* timings) {
 
   const KeptFields kept(*state);
   state->column_plans = SelectColumns(*state);
-  state->transpose_mode = EffectiveTransposeMode(options);
+  state->transpose_mode = options.transpose_mode;
   if (state->transpose_mode == TransposeMode::kFieldGather) {
     GatherSizes sizes;
     PARPARAW_RETURN_NOT_OK(SizeGatherFields(*state, &sizes));

@@ -190,9 +190,7 @@ class PipelineRun {
     const int64_t working_set_factor = ParseWorkingSetFactor(base_);
     partition_size_ = static_cast<size_t>(
         robust::ClampPartitionSizeForBudget(
-            static_cast<int64_t>(result_.plan.partition_size > 0
-                                     ? result_.plan.partition_size
-                                     : options_.partition_size),
+            static_cast<int64_t>(options_.partition_size),
             options_.base.memory_budget, /*floor_bytes=*/256,
             working_set_factor));
     admission_limit_ = options_.max_inflight_partitions;
@@ -207,7 +205,6 @@ class PipelineRun {
         admission_limit_ = 4;  // read + scan + sort + convert in flight
       }
     }
-    result_.kernel_level = result_.plan.kernel_level;
     result_.stats.admission_limit = admission_limit_;
 
     // Register with the executor so Cancel() reaches this run.

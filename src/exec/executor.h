@@ -76,9 +76,9 @@ struct IngestStats {
   double convert_seconds = 0;
 };
 
-/// What one partition did, recorded at in-order delivery. StreamingParser
-/// replays these records through its PCIe and device models to build the
-/// modelled Fig. 7 timeline of the ingest.
+/// What one partition did, recorded at in-order delivery. ModelStream
+/// (stream/stream_model.h) replays these records through the PCIe and
+/// device models to build the modelled Fig. 7 timeline of the ingest.
 struct PartitionRecord {
   /// Stream bytes the partition consumed (excludes its carry-in).
   int64_t bytes = 0;
@@ -91,19 +91,17 @@ struct PartitionRecord {
 };
 
 /// Result of a pipelined ingest (the executor is the *real* counterpart of
-/// the modelled Fig. 7 schedule; StreamingParser derives the modelled
-/// timeline from `partitions`).
+/// the modelled Fig. 7 schedule; ModelStream derives the modelled timeline
+/// from `partitions`).
 struct IngestResult {
   Table table;
   /// Under ErrorPolicy::kQuarantine: malformed records across all
   /// partitions. Rows index `table`, spans index the logical byte stream;
   /// record_index stays partition-local.
   robust::QuarantineTable quarantine;
-  /// Kernel level every partition's context/bitmap passes ran with.
-  simd::KernelLevel kernel_level = simd::KernelLevel::kScalar;
-  /// The per-stream tuning decision every partition ran under: planned
-  /// from the stream's length (plan.planned), or the static defaults when
-  /// planning was disabled or every knob was pinned.
+  /// The per-stream tuning decision every partition ran under (PlanParse
+  /// of the stream's length and the caller's pins); plan.kernel_level is
+  /// the level every partition's context/bitmap passes ran with.
   plan::ParsePlan plan;
   StepTimings timings;
   WorkCounters work;

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "baseline/row_buffer.h"
 #include "core/parser.h"
+#include "dialect/dialect.h"
 #include "exec/executor.h"
 #include "io/file.h"
 #include "obs/trace.h"
@@ -14,72 +16,20 @@ namespace parparaw {
 
 namespace {
 
-// One header field as a column name: whitespace trimmed, surrounding
-// quotes removed and a doubled quote inside them read as a literal quote.
-std::string HeaderName(std::string_view piece, char quote) {
-  piece = TrimWhitespace(piece);
-  if (quote == 0 || piece.size() < 2 || piece.front() != quote ||
-      piece.back() != quote) {
-    return std::string(piece);
-  }
-  piece = piece.substr(1, piece.size() - 2);
-  std::string name;
-  for (size_t i = 0; i < piece.size(); ++i) {
-    name += piece[i];
-    if (piece[i] == quote && i + 1 < piece.size() && piece[i + 1] == quote) {
-      ++i;
-    }
-  }
-  return name;
-}
-
-// Splits the first record into column names. Quote-aware: a field or
-// record delimiter inside a quoted field belongs to the name.
-std::vector<std::string> HeaderNames(std::string_view input,
-                                     const DsvOptions& dialect) {
-  const char quote = static_cast<char>(dialect.quote);
-  const char field_delimiter = static_cast<char>(dialect.field_delimiter);
-  const char record_delimiter = static_cast<char>(dialect.record_delimiter);
+// The header line (the raw line skip_rows = 1 removes) as column names:
+// the format's own walk splits it exactly as it splits every record, and
+// each name is whitespace trimmed.
+std::vector<std::string> HeaderNames(std::string_view sample,
+                                     const Format& format) {
+  const size_t eol = sample.find(static_cast<char>(format.record_delimiter));
+  const size_t end = eol == std::string_view::npos ? sample.size() : eol + 1;
+  RecordBuffer header;
+  AppendParsedRange(format, reinterpret_cast<const uint8_t*>(sample.data()),
+                    0, end, /*emit_trailing=*/true, &header);
   std::vector<std::string> names;
-  size_t begin = 0;
-  bool quoted_field = false;  // the current field opened with a quote
-  bool quoted = false;        // inside that field's quotes
-  for (size_t i = 0;; ++i) {
-    const bool end_of_record =
-        i == input.size() || (!quoted && input[i] == record_delimiter);
-    if (!end_of_record) {
-      // As in the parser, only a quote at the field's start opens a quoted
-      // field; inside one every quote toggles, so a doubled quote (an
-      // escaped literal) leaves it open.
-      if (quote != 0 && input[i] == quote) {
-        if (i == begin) quoted_field = true;
-        if (quoted_field) quoted = !quoted;
-      }
-      if (quoted || input[i] != field_delimiter) continue;
-    }
-    std::string_view piece = input.substr(begin, i - begin);
-    if (end_of_record && !piece.empty() && piece.back() == '\r') {
-      piece.remove_suffix(1);
-    }
-    names.push_back(HeaderName(piece, quote));
-    if (end_of_record) return names;
-    begin = i + 1;
-    quoted_field = false;
-  }
-}
-
-// Cuts the first record of a fixed-width dialect into column names by the
-// field widths; the dialect has no field delimiter and no quoting.
-std::vector<std::string> FixedWidthHeaderNames(std::string_view input,
-                                               const std::vector<int>& widths) {
-  std::vector<std::string> names;
-  size_t begin = 0;
-  for (int width : widths) {
-    const std::string_view piece =
-        begin < input.size() ? input.substr(begin, static_cast<size_t>(width))
-                             : std::string_view();
-    names.push_back(HeaderName(piece, 0));
-    begin += static_cast<size_t>(width);
+  if (header.num_records() == 0) return names;
+  for (int64_t f = 0; f < header.FieldCount(0); ++f) {
+    names.emplace_back(TrimWhitespace(header.FieldValue(f)));
   }
   return names;
 }
@@ -116,8 +66,8 @@ Result<ParseOptions> ResolveBase(std::string_view sample,
               0, std::min<size_t>(sample.size(), 64 * 1024))),
           "loader.sniff");
       if (!result->dialect.dialect_spec.has_value()) {
-        // A winning registered dialect stays a dialect (compiled by the
-        // downstream entry point); a DSV winner resolves here.
+        // A winning registered dialect compiles below with a user one; a
+        // DSV winner resolves here.
         PARPARAW_ASSIGN_OR_RETURN(format,
                                   DsvFormat(result->dialect.options));
       }
@@ -128,40 +78,12 @@ Result<ParseOptions> ResolveBase(std::string_view sample,
   const bool header =
       options.header >= 0 ? options.header != 0 : sniffed_header;
 
-  const dialect::DialectSpec* spec =
-      options.dialect.has_value() ? &*options.dialect
-      : sniffed && result->dialect.dialect_spec.has_value()
-          ? &*result->dialect.dialect_spec
-          : nullptr;
-  std::vector<std::string> names;
-  if (header && !sample.empty() && spec != nullptr &&
-      !spec->fixed_widths.empty()) {
-    names = FixedWidthHeaderNames(sample, spec->fixed_widths);
-  } else if (header && !sample.empty()) {
-    // When the caller pinned a format, the sniffer never ran and
-    // result->dialect holds defaults — split the header with the pinned
-    // format's delimiters, not with ','/'\n' regardless of dialect.
-    DsvOptions header_dialect = result->dialect.options;
-    if (options.dialect.has_value()) {
-      header_dialect.field_delimiter = options.dialect->field_delimiter;
-      header_dialect.record_delimiter =
-          options.dialect->record_delimiter_final();
-      header_dialect.quote = options.dialect->quote;
-    } else if (!sniffed) {
-      header_dialect.field_delimiter = format.field_delimiter;
-      header_dialect.record_delimiter = format.record_delimiter;
-    }
-    names = HeaderNames(sample, header_dialect);
-  }
-
   // Type resolution: explicit schema wins; otherwise parse a sample with
   // inference to fix the column types, then stream with that schema so all
   // partitions agree.
   ParseOptions base;
   static_cast<Tuning&>(base) = options.tuning;
   if (options.dialect.has_value()) {
-    // Left as a dialect: every downstream entry point (Parser, streaming,
-    // exec) compiles it once.
     base.dialect = options.dialect;
   } else if (sniffed && result->dialect.dialect_spec.has_value()) {
     base.dialect = result->dialect.dialect_spec;
@@ -169,6 +91,11 @@ Result<ParseOptions> ResolveBase(std::string_view sample,
     base.format = format;
   }
   base.pool = options.pool;
+  // Compile a dialect once for the whole load: the header walk, the
+  // inference probe and every partition parse with the packed format.
+  PARPARAW_RETURN_NOT_OK(dialect::ResolveParseDialect(&base).status());
+  std::vector<std::string> names;
+  if (header && !sample.empty()) names = HeaderNames(sample, base.format);
   base.skip_rows = header ? 1 : 0;
   if (options.schema.num_fields() > 0) {
     base.schema = options.schema;

@@ -77,8 +77,9 @@ class BulkLoader {
 
   /// Resolves dialect, header names and column types from the input head
   /// (`sample_truncated` = sample is a proper prefix of the input) into
-  /// the per-partition ParseOptions; fills result->dialect. Shared by the
-  /// load paths and parparaw::Reader's streaming mode.
+  /// the per-partition ParseOptions, whose format is packed: a dialect is
+  /// compiled here, once per load. Fills result->dialect. Shared by the
+  /// load paths, parparaw::Reader's streaming mode and parparawd.
   static Result<ParseOptions> ResolveBaseOptions(std::string_view sample,
                                                  bool sample_truncated,
                                                  const LoadOptions& options,

@@ -21,8 +21,6 @@ const char* KernelKindName(simd::KernelKind kind) {
       return "auto";
     case simd::KernelKind::kScalar:
       return "scalar";
-    case simd::KernelKind::kSimd:
-      return "simd";
   }
   return "unknown";
 }
@@ -54,10 +52,11 @@ const char* TransposeModeName(TransposeMode mode) {
 }
 
 /// True when at least one knob is still at its auto sentinel, i.e. the
-/// planner has something to decide.
+/// planner has something to decide. An applied plan pins every one of
+/// them, so this is what keeps a stream from being planned twice. The
+/// kernel's kAuto is a request, not a sentinel: it stays kAuto.
 bool AnyKnobAuto(const ParseOptions& options) {
-  return options.kernel == simd::KernelKind::kAuto ||
-         options.chunk_size == 0 ||
+  return options.chunk_size == 0 ||
          options.tagging_mode == TaggingMode::kAuto ||
          options.transpose_mode == TransposeMode::kAuto;
 }
@@ -65,14 +64,6 @@ bool AnyKnobAuto(const ParseOptions& options) {
 void AppendReason(std::string* reason, const std::string& line) {
   if (!reason->empty()) reason->push_back('\n');
   reason->append(line);
-}
-
-/// The level a kernel request resolves to for `dfa`: a DFA over the
-/// register budget always takes the context step's sequential walk, which
-/// is the scalar level.
-simd::KernelLevel KernelLevelFor(const Dfa& dfa, simd::KernelKind kernel) {
-  return dfa.fits_register_budget() ? simd::ResolveKernelLevel(kernel)
-                                    : simd::KernelLevel::kScalar;
 }
 
 }  // namespace
@@ -88,29 +79,11 @@ std::string ParsePlan::Explain() const {
   out += TaggingModeName(tagging_mode);
   out += " transpose=";
   out += TransposeModeName(transpose_mode);
-  out += " partition=";
-  out += partition_size == 0 ? std::string("default")
-                             : std::to_string(partition_size);
-  out += planned ? " [planned]" : " [static]";
   if (!reason.empty()) {
     out += "\nreason: ";
     out += reason;
   }
   return out;
-}
-
-ParsePlan StaticPlan(const ParseOptions& options) {
-  ParsePlan plan;
-  plan.kernel = options.kernel == simd::KernelKind::kAuto
-                    ? simd::KernelKind::kSimd
-                    : options.kernel;
-  plan.kernel_level = KernelLevelFor(options.format.dfa, plan.kernel);
-  plan.chunk_size = options.chunk_size == 0 ? 31 : options.chunk_size;
-  plan.tagging_mode = EffectiveTaggingMode(options);
-  plan.transpose_mode = EffectiveTransposeMode(options);
-  plan.partition_size = options.partition_size;
-  plan.planned = false;
-  return plan;
 }
 
 ParsePlan PlanParse(int64_t stream_bytes, const ParseOptions& options) {
@@ -123,13 +96,16 @@ ParsePlan PlanParse(int64_t stream_bytes, const ParseOptions& options) {
                     " symbols exceed the register budget, so the context "
                     "step walks the entry states sequentially";
   }
-  ParsePlan plan = StaticPlan(options);
-  plan.planned = true;
-
+  ParsePlan plan;
+  plan.kernel = options.kernel;
+  // A DFA over the register budget always takes the context step's
+  // sequential walk, which is the scalar level.
+  plan.kernel_level = in_budget ? simd::ResolveKernelLevel(options.kernel)
+                                : simd::KernelLevel::kScalar;
   if (options.kernel == simd::KernelKind::kAuto) {
     AppendReason(&plan.reason,
-                 in_budget ? "kernel=simd: the best available level"
-                           : "kernel=simd(scalar): " + budget_reason);
+                 in_budget ? "kernel=auto: the best available level"
+                           : "kernel=auto(scalar): " + budget_reason);
   }
 
   // Chunks are the speculation granularity and the unit the
@@ -138,6 +114,7 @@ ParsePlan PlanParse(int64_t stream_bytes, const ParseOptions& options) {
   // on yelp-, taxi-, lineitem- and log-like data, and at the scalar level
   // 1024 and 4096 measured about the same, so one size serves every DFA
   // within the register budget (docs/tuning.md).
+  plan.chunk_size = options.chunk_size;
   if (options.chunk_size == 0) {
     size_t chunk = 4096;
     std::string why =
@@ -156,6 +133,17 @@ ParsePlan PlanParse(int64_t stream_bytes, const ParseOptions& options) {
     AppendReason(&plan.reason,
                  "chunk=" + std::to_string(chunk) + ": " + why);
   }
+
+  // Record tags keep every record under every column-count and error
+  // policy; the field gather is the fast transpose unless the process
+  // environment asks for the paper's symbol sort.
+  plan.tagging_mode = options.tagging_mode == TaggingMode::kAuto
+                          ? TaggingMode::kRecordTags
+                          : options.tagging_mode;
+  plan.transpose_mode =
+      options.transpose_mode == TransposeMode::kAuto
+          ? EnvTransposeMode().value_or(TransposeMode::kFieldGather)
+          : options.transpose_mode;
   return plan;
 }
 
@@ -164,16 +152,10 @@ void ApplyPlan(const ParsePlan& plan, ParseOptions* options) {
   options->chunk_size = plan.chunk_size;
   options->tagging_mode = plan.tagging_mode;
   options->transpose_mode = plan.transpose_mode;
-  options->partition_size = plan.partition_size;
-  // Plan once per stream: downstream entry points (the per-partition
-  // Parser::Parse of a streaming parse) see only pinned knobs.
-  options->planner = PlannerMode::kDisabled;
 }
 
 ParsePlan PlanStream(int64_t stream_bytes, ParseOptions* options) {
-  if (options->planner == PlannerMode::kDisabled || !AnyKnobAuto(*options)) {
-    return StaticPlan(*options);
-  }
+  if (!AnyKnobAuto(*options)) return PlanParse(stream_bytes, *options);
   obs::TraceSpan span(options->tracer, "plan", "plan");
   obs::AddCount(options->metrics, "plan.runs", 1);
   ParsePlan plan = PlanParse(stream_bytes, *options);

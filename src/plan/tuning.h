@@ -24,7 +24,7 @@ enum class TaggingMode : uint8_t {
   /// Field ends are marked in an auxiliary boolean vector; supports data
   /// containing the terminator byte, same consistency requirement.
   kVectorDelimited,
-  /// Resolves to kRecordTags, planned or not: the one mode that keeps
+  /// Resolves to kRecordTags (plan::PlanParse): the one mode that keeps
   /// every record under every column-count and error policy. Appended last
   /// so existing code addressing the concrete modes by value (0..2) is
   /// unaffected.
@@ -56,41 +56,27 @@ enum class TransposeMode : uint8_t {
   kSymbolSort,
 };
 
-/// Whether the runtime planner (src/plan) engages on a parse. The planner
-/// reads no input byte: it resolves every tuning knob still at its auto
-/// sentinel from the DFA and the stream's length, once per stream.
-enum class PlannerMode : uint8_t {
-  /// Default: knobs the caller pinned are respected, auto knobs are planned
-  /// (plan::PlanParse).
-  kAuto,
-  /// Every auto sentinel resolves to its static default (kernel -> best
-  /// vectorized level, chunk -> 31, tagging -> kRecordTags, transpose ->
-  /// kFieldGather). This is the pre-planner behaviour, and what
-  /// differential tests pin one side to.
-  kDisabled,
-};
-
 /// \brief The one place every performance-tuning knob of a parse lives.
 ///
-/// ParseOptions inherits from Tuning, so existing code reading or writing
-/// `options.kernel`, `options.chunk_size`, `options.tagging_mode` or
-/// `options.transpose_mode` compiles unchanged while the storage — and the
-/// planner that fills the auto sentinels — is consolidated here. Callers
-/// that carry tuning separately (Reader::WithTuning, LoadOptions::tuning)
-/// assign the whole struct at once.
+/// ParseOptions inherits from Tuning, so code reads and writes
+/// `options.kernel`, `options.chunk_size`, `options.tagging_mode` and
+/// `options.transpose_mode` directly. Each knob has this one home, and
+/// every auto sentinel resolves in one function, plan::PlanParse, once per
+/// stream. Callers that carry tuning separately (Reader::WithTuning,
+/// LoadOptions::tuning) assign the whole struct at once. Partition size is
+/// not a tuning knob: each entry point carries its own.
 struct Tuning {
   /// Inner-loop kernel for the context and bitmap passes (src/simd):
-  /// kAuto resolves to the best vectorized level, planned or not (a DFA
-  /// over the register budget runs the scalar level either way); kSimd
-  /// pins the best vectorized level, kScalar the byte-at-a-time reference.
-  /// The PARPARAW_FORCE_KERNEL environment variable overrides any of these
-  /// per process (see docs/simd.md and docs/tuning.md).
+  /// kAuto runs the best vectorized level (a DFA over the register budget
+  /// runs the scalar level), kScalar the byte-at-a-time reference. The
+  /// PARPARAW_FORCE_KERNEL environment variable overrides either per
+  /// process (see docs/simd.md and docs/tuning.md).
   simd::KernelKind kernel = simd::KernelKind::kAuto;
 
   /// Bytes per chunk / per logical GPU thread. 0 = auto: the planner picks
-  /// 4096, or 1024 for a DFA over the register budget, or 31 for a stream
-  /// shorter than 256 bytes; without planning it resolves to the paper's
-  /// 31 bytes (Fig. 9). Any non-zero value is a pin.
+  /// 4096, or 1024 for a DFA over the register budget, or the paper's 31
+  /// bytes (Fig. 9) for a stream shorter than 256 bytes. Any non-zero value
+  /// is a pin.
   size_t chunk_size = 0;
 
   /// How field boundaries are materialised; kAuto resolves to
@@ -102,15 +88,6 @@ struct Tuning {
   /// process via PARPARAW_TRANSPOSE_MODE); both modes produce bit-identical
   /// tables.
   TransposeMode transpose_mode = TransposeMode::kAuto;
-
-  /// Bytes per streaming partition. 0 = auto: the streaming parser, bulk
-  /// loader and executor use their documented 64 MB default (budget-
-  /// clamped); the plan passes the value through. A non-zero value
-  /// overrides the entry point's partition_size field.
-  size_t partition_size = 0;
-
-  /// Planner engagement; see PlannerMode.
-  PlannerMode planner = PlannerMode::kAuto;
 
   /// Bytes of head sample for a caller that reads one itself before it
   /// plans (perfbench hands it to the plan::PlanStream sample overload).
@@ -126,8 +103,8 @@ namespace plan {
 
 /// Centralized environment parsing (read once per process, cached — a
 /// per-parse getenv would be a race under TSan). These are the single
-/// source of truth: simd::ResolveKernelLevel and EffectiveTransposeMode
-/// delegate here.
+/// source of truth: simd::ResolveKernelLevel and plan::PlanParse delegate
+/// here.
 
 /// PARPARAW_FORCE_KERNEL=scalar|swar|simd|sse42|avx2|neon, or nullopt when
 /// unset/unrecognised. "simd" resolves to the best detected level.

@@ -43,7 +43,7 @@ struct QuarantineEntry {
   /// Byte span [begin, end) of the record in the caller-provided input
   /// (exclusive of the record delimiter; relative to the original buffer
   /// even when skip_rows trimmed a prefix, and to the logical stream for
-  /// the streaming parser).
+  /// the pipelined executor).
   int64_t begin = 0;
   int64_t end = 0;
   /// Copy of the record bytes — the quarantine outlives the input buffer.

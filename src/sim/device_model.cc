@@ -29,15 +29,13 @@ double DeviceModel::LaunchSeconds(int num_kernels) const {
 }
 
 StepTimings DeviceModel::ModelPipeline(const WorkCounters& work,
-                                       int num_columns,
-                                       int num_states) const {
+                                       int num_columns) const {
   StepTimings t;
   // Parse: read the input once, run |S| DFA instances per byte.
   const double parse_mem = MemorySeconds(work.parse_bytes_read);
   const double parse_compute =
       ComputeSeconds(work.dfa_transitions, spec_.cycles_per_transition);
   t.parse_ms = (std::max(parse_mem, parse_compute) + LaunchSeconds(1)) * 1e3;
-  (void)num_states;
 
   // Scans: tiny relative to the rest; modelled as reading/writing the
   // per-chunk descriptors plus one launch per scan.
@@ -66,9 +64,8 @@ StepTimings DeviceModel::ModelPipeline(const WorkCounters& work,
 }
 
 double DeviceModel::ModelParsingRateGbps(const WorkCounters& work,
-                                         int num_columns,
-                                         int num_states) const {
-  const StepTimings t = ModelPipeline(work, num_columns, num_states);
+                                         int num_columns) const {
+  const StepTimings t = ModelPipeline(work, num_columns);
   const double seconds = t.TotalMs() / 1e3;
   if (seconds <= 0) return 0;
   return static_cast<double>(work.input_bytes) / seconds / (1 << 30);

@@ -55,12 +55,12 @@ class DeviceModel {
 
   /// Models the full pipeline's per-step times (milliseconds, in the same
   /// buckets as StepTimings) from the work counters of a parse.
-  StepTimings ModelPipeline(const WorkCounters& work, int num_columns,
-                            int num_states) const;
+  StepTimings ModelPipeline(const WorkCounters& work,
+                            int num_columns) const;
 
   /// Modelled on-GPU parsing rate in GB/s for a parse described by `work`.
-  double ModelParsingRateGbps(const WorkCounters& work, int num_columns,
-                              int num_states) const;
+  double ModelParsingRateGbps(const WorkCounters& work,
+                              int num_columns) const;
 
  private:
   DeviceSpec spec_;

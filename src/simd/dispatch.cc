@@ -64,7 +64,7 @@ KernelLevel DetectBestKernelLevel() {
   static const KernelLevel best = [] {
     // PARPARAW_DISABLE_SIMD at runtime mirrors the -DPARPARAW_DISABLE_SIMD
     // build option: vector ISAs stay compiled in but are never detected,
-    // so every kAuto/kSimd request degrades to the portable SWAR fallback.
+    // so every kAuto request degrades to the portable SWAR fallback.
     if (plan::EnvSimdDisabled()) return KernelLevel::kSwar;
     if (CpuSupports(KernelLevel::kAvx2)) return KernelLevel::kAvx2;
     if (CpuSupports(KernelLevel::kSse42)) return KernelLevel::kSse42;
@@ -88,7 +88,6 @@ KernelLevel ResolveKernelLevel(KernelKind requested) {
     case KernelKind::kScalar:
       return KernelLevel::kScalar;
     case KernelKind::kAuto:
-    case KernelKind::kSimd:
       return DetectBestKernelLevel();
   }
   return KernelLevel::kScalar;

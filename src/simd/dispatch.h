@@ -17,10 +17,6 @@ enum class KernelKind : uint8_t {
   /// context pass, SWAR symbol matching in the bitmap pass). This is the
   /// ground truth every other level is differentially tested against.
   kScalar,
-  /// Explicitly request the vectorized path (same resolution as kAuto;
-  /// exists so call sites can express intent and future policies can make
-  /// kAuto heuristic without breaking them).
-  kSimd,
 };
 
 /// One concrete kernel implementation. Levels above kSwar require both
@@ -51,7 +47,7 @@ KernelLevel DetectBestKernelLevel();
 ///   1. SetForcedKernelLevel() test hook, when set;
 ///   2. PARPARAW_FORCE_KERNEL=scalar|swar|simd|sse42|avx2|neon (unavailable
 ///      arch names degrade to the best available level);
-///   3. `requested` (kScalar -> kScalar, kAuto/kSimd -> best available).
+///   3. `requested` (kScalar -> kScalar, kAuto -> best available).
 KernelLevel ResolveKernelLevel(KernelKind requested);
 
 /// Test hook: overrides every subsequent resolution with `level` (clamped

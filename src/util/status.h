@@ -22,7 +22,7 @@ enum class StatusCode {
   kIoError,
   kInternal,
   /// A resource limit was hit (memory budget, allocation failure). Callers
-  /// can often degrade — e.g. retry through the streaming parser with a
+  /// can often degrade — e.g. retry through the pipelined executor with a
   /// smaller partition size — where other codes are final.
   kResourceExhausted,
   /// The operation was cooperatively cancelled (exec::PipelineExecutor's

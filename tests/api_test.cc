@@ -7,8 +7,8 @@
 #include <vector>
 
 #include "core/parser.h"
+#include "exec/executor.h"
 #include "io/file.h"
-#include "stream/streaming_parser.h"
 
 namespace parparaw {
 namespace {
@@ -192,9 +192,10 @@ TEST(ValidateTest, EveryEntryPointRejectsInvalidOptionsUpFront) {
   EXPECT_EQ(Parser::Parse("a,b\n", bad).status().code(),
             StatusCode::kInvalidArgument);
 
-  StreamingOptions streaming;
-  streaming.base = bad;
-  EXPECT_EQ(StreamingParser::Parse("a,b\n", streaming).status().code(),
+  exec::ExecOptions pipelined;
+  pipelined.base = bad;
+  exec::PipelineExecutor executor;
+  EXPECT_EQ(executor.IngestBuffer("a,b\n", pipelined).status().code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -220,11 +221,10 @@ TEST(ReaderTest, WithTuningSurfacesContradictionsBeforeReading) {
 TEST(ReaderTest, ExplainReportsThePlanWithoutParsing) {
   auto plan = Reader::FromBuffer(kCsv).Explain();
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  EXPECT_TRUE(plan->planned);
   EXPECT_GT(plan->chunk_size, 0u);
   EXPECT_NE(plan->tagging_mode, TaggingMode::kAuto);
   EXPECT_NE(plan->transpose_mode, TransposeMode::kAuto);
-  EXPECT_NE(plan->Explain().find("[planned]"), std::string::npos)
+  EXPECT_NE(plan->Explain().find("reason: "), std::string::npos)
       << plan->Explain();
 }
 
@@ -243,15 +243,17 @@ TEST(ReaderTest, ExplainMatchesBetweenFileAndBuffer) {
   std::remove(path.c_str());
 }
 
-TEST(ReaderTest, ExplainReportsStaticResolutionWhenPlanningIsDisabled) {
+TEST(ReaderTest, ExplainPassesPinnedKnobsThrough) {
+  // A pinned chunk is reported as pinned: the plan carries it and gives
+  // no reason for it.
   Tuning tuning;
-  tuning.planner = PlannerMode::kDisabled;
+  tuning.chunk_size = 31;
   auto plan = Reader::FromBuffer(kCsv).WithTuning(tuning).Explain();
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  EXPECT_FALSE(plan->planned);
   EXPECT_EQ(plan->chunk_size, 31u);
-  EXPECT_NE(plan->Explain().find("[static]"), std::string::npos)
+  EXPECT_NE(plan->Explain().find("chunk=31"), std::string::npos)
       << plan->Explain();
+  EXPECT_EQ(plan->reason.find("chunk="), std::string::npos) << plan->reason;
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <iterator>
 #include <map>
@@ -13,12 +15,12 @@
 #include "core/parser.h"
 #include "dialect/dialect.h"
 #include "exec/executor.h"
+#include "io/file.h"
 #include "loader/bulk_loader.h"
 #include "robust/failpoint.h"
 #include "robust/reparse.h"
 #include "serve/client.h"
 #include "serve/server.h"
-#include "stream/streaming_parser.h"
 
 namespace parparaw {
 namespace {
@@ -115,6 +117,28 @@ std::string ChaosInput() {
   return csv;
 }
 
+// The chaos input in memory, and in a temp file written before any
+// failpoint is armed, so the file entry's opens, reads and tells run under
+// the schedule. The file is per process: ctest runs tests in parallel.
+class ChaosData {
+ public:
+  ChaosData()
+      : bytes_(ChaosInput()),
+        path_("/tmp/parparaw_chaos_" + std::to_string(getpid()) + ".csv") {
+    EXPECT_TRUE(WriteStringToFile(path_, bytes_).ok());
+  }
+  ~ChaosData() { std::remove(path_.c_str()); }
+  ChaosData(const ChaosData&) = delete;
+  ChaosData& operator=(const ChaosData&) = delete;
+
+  const std::string& bytes() const { return bytes_; }
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string bytes_;
+  std::string path_;
+};
+
 Schema ChaosSchema() {
   Schema schema;
   schema.AddField(Field("s", DataType::String()));
@@ -123,7 +147,7 @@ Schema ChaosSchema() {
   return schema;
 }
 
-enum class Entry { kParse, kStreaming, kLoader, kExec, kServe, kQuery };
+enum class Entry { kParse, kFile, kLoader, kExec, kServe, kQuery };
 
 struct Config {
   Entry entry;
@@ -185,19 +209,23 @@ ParseOptions BaseOptions(const Config& config) {
 
 // One run of the configured entry point. Returns the resulting table (and
 // rejected vector inside it) or the error.
-Result<Table> RunEntry(const Config& config, const std::string& input) {
+Result<Table> RunEntry(const Config& config, const ChaosData& data) {
+  const std::string& input = data.bytes();
   switch (config.entry) {
     case Entry::kParse: {
       PARPARAW_ASSIGN_OR_RETURN(ParseOutput out,
                                 Parser::Parse(input, BaseOptions(config)));
       return std::move(out.table);
     }
-    case Entry::kStreaming: {
-      StreamingOptions streaming;
-      streaming.base = BaseOptions(config);
-      streaming.partition_size = 700;  // several partitions per run
-      PARPARAW_ASSIGN_OR_RETURN(StreamingResult out,
-                                StreamingParser::Parse(input, streaming));
+    case Entry::kFile: {
+      // The executor's file path: FileChunkReader reads the partitions,
+      // and a partition with a carry-over copies it ahead of its read.
+      exec::PipelineExecutor executor;
+      exec::ExecOptions options;
+      options.base = BaseOptions(config);
+      options.partition_size = 700;  // several partitions per run
+      PARPARAW_ASSIGN_OR_RETURN(exec::IngestResult out,
+                                executor.IngestFile(data.path(), options));
       return std::move(out.table);
     }
     case Entry::kLoader: {
@@ -264,7 +292,7 @@ TEST(ChaosTest, EveryScheduleFailsCleanOrMatchesFaultFree) {
       static_cast<int>(EnvInt("PARPARAW_CHAOS_SCHEDULES", 1200));
   const uint64_t seed_base =
       static_cast<uint64_t>(EnvInt("PARPARAW_CHAOS_SEED_BASE", 20260806));
-  const std::string input = ChaosInput();
+  const ChaosData data;
   FailpointRegistry& registry = FailpointRegistry::Instance();
 
   // Fault-free references, one per configuration actually visited.
@@ -272,7 +300,7 @@ TEST(ChaosTest, EveryScheduleFailsCleanOrMatchesFaultFree) {
   const auto reference_for = [&](const Config& config) -> const Table& {
     auto it = references.find(config);
     if (it == references.end()) {
-      auto table = RunEntry(config, input);
+      auto table = RunEntry(config, data);
       EXPECT_TRUE(table.ok()) << table.status().ToString();
       it = references.emplace(config, std::move(table).ValueOrDie()).first;
     }
@@ -332,7 +360,7 @@ TEST(ChaosTest, EveryScheduleFailsCleanOrMatchesFaultFree) {
           kFailpoints[rng.Uniform(std::size(kFailpoints))], trigger);
     }
 
-    const Result<Table> run = RunEntry(config, input);
+    const Result<Table> run = RunEntry(config, data);
     registry.DisarmAll();
 
     if (run.ok()) {
@@ -354,6 +382,24 @@ TEST(ChaosTest, EveryScheduleFailsCleanOrMatchesFaultFree) {
   EXPECT_GT(identical, 0);
 
   StopChaosServerIfStarted();
+}
+
+// The file entry puts the I/O failpoints on the sweep's schedule: one
+// fault-free run reaches every one of them.
+TEST(ChaosTest, FileEntryReachesTheIoFailpoints) {
+  const ChaosData data;
+  FailpointRegistry& registry = FailpointRegistry::Instance();
+  const char* const sites[] = {"io.open", "io.read", "io.tell"};
+  for (const char* site : sites) {
+    registry.Arm(site, robust::CountTrigger(0));  // counts, never fires
+  }
+  const Result<Table> run =
+      RunEntry(Config{Entry::kFile, false, ErrorPolicy::kNull}, data);
+  std::map<std::string, int64_t> hits;
+  for (const char* site : sites) hits[site] = registry.hits(site);
+  registry.DisarmAll();
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  for (const char* site : sites) EXPECT_GT(hits[site], 0) << site;
 }
 
 // Every allocation and hand-off on a query's select path fails clean: the
@@ -451,16 +497,16 @@ TEST(ChaosTest, QuarantineRecoveryUnderCustomDialect) {
 // A fault inside the dialect compiler itself must surface as a clean error
 // from every entry point, and recompile cleanly once disarmed.
 TEST(ChaosTest, DialectCompileFaultsFailCleanAcrossEntryPoints) {
-  const std::string input = ChaosInput();
+  const ChaosData data;
   for (const char* site : {"dialect.compile", "dialect.minimise"}) {
     for (int e = 0; e < 4; ++e) {
       Config config{static_cast<Entry>(e), true, ErrorPolicy::kNull, true};
       FailpointRegistry::Instance().Arm(site, robust::CountTrigger(1));
-      const auto faulted = RunEntry(config, input);
+      const auto faulted = RunEntry(config, data);
       FailpointRegistry::Instance().DisarmAll();
       ASSERT_FALSE(faulted.ok()) << site << " entry " << e;
       EXPECT_FALSE(faulted.status().message().empty());
-      const auto clean = RunEntry(config, input);
+      const auto clean = RunEntry(config, data);
       ASSERT_TRUE(clean.ok()) << clean.status().ToString();
       EXPECT_GT(clean->num_rows, 0);
     }
@@ -470,14 +516,14 @@ TEST(ChaosTest, DialectCompileFaultsFailCleanAcrossEntryPoints) {
 // Faults must not linger: a process that saw injected errors parses
 // normally once every failpoint is disarmed.
 TEST(ChaosTest, DisarmRestoresNormalOperation) {
-  const std::string input = ChaosInput();
+  const ChaosData data;
   Config config{Entry::kParse, true, ErrorPolicy::kNull};
   FailpointRegistry::Instance().Arm("pool.task",
                                     robust::CountTrigger(1000000));
-  const auto faulted = RunEntry(config, input);
+  const auto faulted = RunEntry(config, data);
   EXPECT_FALSE(faulted.ok());
   FailpointRegistry::Instance().DisarmAll();
-  const auto clean = RunEntry(config, input);
+  const auto clean = RunEntry(config, data);
   ASSERT_TRUE(clean.ok()) << clean.status().ToString();
   EXPECT_GT(clean->num_rows, 0);
 }

@@ -42,7 +42,7 @@ TEST(DeviceModelTest, ModeledRateInPaperBallpark) {
   // land in the right order of magnitude for a 512 MB yelp-like parse.
   DeviceModel model;
   const WorkCounters work = YelpLikeWork(512ll << 20);
-  const double rate = model.ModelParsingRateGbps(work, 9, 6);
+  const double rate = model.ModelParsingRateGbps(work, 9);
   EXPECT_GT(rate, 3.0);
   EXPECT_LT(rate, 30.0);
 }
@@ -52,9 +52,9 @@ TEST(DeviceModelTest, SmallInputsPayKernelLaunchOverhead) {
   // rate collapses — the model must reproduce that shape.
   DeviceModel model;
   const double rate_1mb =
-      model.ModelParsingRateGbps(YelpLikeWork(1 << 20), 9, 6);
+      model.ModelParsingRateGbps(YelpLikeWork(1 << 20), 9);
   const double rate_512mb =
-      model.ModelParsingRateGbps(YelpLikeWork(512ll << 20), 9, 6);
+      model.ModelParsingRateGbps(YelpLikeWork(512ll << 20), 9);
   EXPECT_LT(rate_1mb, rate_512mb);
   EXPECT_LT(rate_1mb, 0.7 * rate_512mb);
 }
@@ -64,8 +64,8 @@ TEST(DeviceModelTest, MoreStatesMoreParseTime) {
   WorkCounters w6 = YelpLikeWork(256 << 20);
   WorkCounters w12 = w6;
   w12.dfa_transitions *= 2;
-  EXPECT_GT(model.ModelPipeline(w12, 9, 12).parse_ms,
-            model.ModelPipeline(w6, 9, 6).parse_ms * 1.2);
+  EXPECT_GT(model.ModelPipeline(w12, 9).parse_ms,
+            model.ModelPipeline(w6, 9).parse_ms * 1.2);
 }
 
 TEST(PcieModelTest, FullDuplexDirectionsIndependent) {

@@ -17,7 +17,6 @@
 #include "json/json_lines.h"
 #include "obs/metrics.h"
 #include "simd/dispatch.h"
-#include "stream/streaming_parser.h"
 #include "workload/generators.h"
 
 // The dialect compiler's correctness story (see docs/dialects.md): every
@@ -235,7 +234,7 @@ void ExpectAllPathsAgree(const DialectSpec& spec, const std::string& input,
 
   ParseOptions vectorized;
   vectorized.dialect = spec;
-  vectorized.kernel = simd::KernelKind::kSimd;
+  vectorized.kernel = simd::KernelKind::kAuto;
   auto simd_result = Parser::Parse(input, vectorized);
   ASSERT_TRUE(simd_result.ok()) << simd_result.status().ToString();
   ASSERT_TRUE(scalar_result->table.Equals(simd_result->table))
@@ -433,7 +432,6 @@ TEST(DialectEquivalenceTest, OverBudgetDialectParsesOnThePipeline) {
   ASSERT_TRUE(ingested.ok()) << ingested.status().ToString();
   EXPECT_EQ(ingested->stats.num_partitions, 2);
   EXPECT_TRUE(ingested->table.Equals(result->table));
-  EXPECT_EQ(ingested->kernel_level, simd::KernelLevel::kScalar);
   EXPECT_EQ(ingested->plan.kernel_level, simd::KernelLevel::kScalar);
 }
 
@@ -508,14 +506,13 @@ TEST(DialectEquivalenceTest, OverBudgetDialectMatchesAcrossEntryPoints) {
         << context << " Reader::ReadStream";
 
     for (robust::ErrorPolicy policy : kAllPolicies) {
-      StreamingOptions streaming;
-      streaming.base = options;
-      streaming.base.error_policy = policy;
-      streaming.partition_size = partition_size;
-      auto partitioned = StreamingParser::Parse(input, streaming);
+      pipelined.base.error_policy = policy;
+      auto partitioned = executor.IngestBuffer(input, pipelined);
       const std::string where =
-          context + " StreamingParser " + robust::ErrorPolicyToString(policy);
-      if (partitioned.ok()) EXPECT_GE(partitioned->num_partitions, 2) << where;
+          context + " IngestBuffer " + robust::ErrorPolicyToString(policy);
+      if (partitioned.ok()) {
+        EXPECT_GE(partitioned->stats.num_partitions, 2) << where;
+      }
       ASSERT_NO_FATAL_FAILURE(ExpectMatchesOracle(
           partitioned.status(),
           partitioned.ok() ? partitioned->table : Table(),
@@ -706,7 +703,7 @@ TEST(DialectEquivalenceTest, ForcedAvx2ParsesOverBudgetDialect) {
       parsed, want, robust::ErrorPolicy::kNull, input, "forced avx2"));
   ASSERT_TRUE(ingested.ok()) << ingested.status().ToString();
   EXPECT_TRUE(ingested->table.Equals(want.output.table));
-  EXPECT_EQ(ingested->kernel_level, simd::KernelLevel::kScalar);
+  EXPECT_EQ(ingested->plan.kernel_level, simd::KernelLevel::kScalar);
 }
 
 TEST(DialectEquivalenceTest, SnifferPicksRegisteredOverBudgetDialect) {

@@ -156,7 +156,7 @@ TEST(ExecTest, FileIngestOpensItsFileOnce) {
   registry.Disarm("io.open");
   std::remove(path.c_str());
   ASSERT_TRUE(ingested.ok()) << ingested.status().ToString();
-  EXPECT_TRUE(ingested->plan.planned);
+  EXPECT_GT(ingested->plan.chunk_size, 0u);
   EXPECT_EQ(opens, 1);
 }
 
@@ -284,7 +284,7 @@ TEST(ExecTest, QueryUnderOverBudgetDialectScansEachPartitionOnce) {
   ASSERT_GT(got->stats.num_partitions, 1);
   EXPECT_EQ(metrics.GetCounter("parse.runs")->Value(),
             got->stats.num_partitions);
-  EXPECT_EQ(got->kernel_level, simd::KernelLevel::kScalar);
+  EXPECT_EQ(got->plan.kernel_level, simd::KernelLevel::kScalar);
 }
 
 // A query scans each partition once: one staged parse and one context step

@@ -120,7 +120,7 @@ TEST(GpuSimTest, PipelineBucketsAllPopulated) {
   // (they are different abstractions of the same machine).
   const DeviceModel roofline;
   const double roofline_ms =
-      roofline.ModelPipeline(parsed->work, parsed->table.num_columns(), 6)
+      roofline.ModelPipeline(parsed->work, parsed->table.num_columns())
           .TotalMs();
   EXPECT_LT(t.TotalMs(), roofline_ms * 10);
   EXPECT_GT(t.TotalMs(), roofline_ms / 10);

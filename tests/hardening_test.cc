@@ -6,8 +6,8 @@
 #include "columnar/ipc.h"
 #include "convert/temporal.h"
 #include "core/parser.h"
+#include "exec/executor.h"
 #include "query/sql.h"
-#include "stream/streaming_parser.h"
 #include "workload/generators.h"
 
 namespace parparaw {
@@ -47,10 +47,11 @@ TEST(HardeningTest, StreamingEqualsOneShotOnAdversarialInputs) {
     auto one_shot = Parser::Parse(input, base);
     ASSERT_TRUE(one_shot.ok());
     for (size_t partition : {64u, 257u, 1024u}) {
-      StreamingOptions streaming;
+      exec::ExecOptions streaming;
       streaming.base = base;
       streaming.partition_size = partition;
-      auto streamed = StreamingParser::Parse(input, streaming);
+      exec::PipelineExecutor executor;
+      auto streamed = executor.IngestBuffer(input, streaming);
       ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
       EXPECT_TRUE(streamed->table.Equals(one_shot->table))
           << "seed " << seed << " partition " << partition;

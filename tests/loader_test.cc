@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "api/reader.h"
+#include "dfa/formats.h"
 #include "dialect/spec.h"
 #include "io/file.h"
 #include "loader/bulk_loader.h"
@@ -139,6 +140,57 @@ TEST(BulkLoaderTest, FixedWidthHeaderSplitsByWidths) {
   EXPECT_EQ(loaded->table.schema.field(0).name, "left......");
   EXPECT_EQ(loaded->table.schema.field(1).name, "right.....");
   EXPECT_EQ(loaded->rows_loaded, 1);
+}
+
+// Header names come from the format's own walk of the header line, so
+// they follow every rule the rows follow: a format without quotes, a
+// backslash escape, a multi-byte record delimiter.
+TEST(BulkLoaderTest, HeaderNamesFollowAQuotelessFormat) {
+  DsvOptions dsv;
+  dsv.field_delimiter = '|';
+  dsv.quote = 0;
+  auto format = DsvFormat(dsv);
+  ASSERT_TRUE(format.ok()) << format.status().ToString();
+  auto table = Reader::FromBuffer("x|\"y|z\n1|2|3\n4|5|6\n")
+                   .WithFormat(*format)
+                   .WithHeader(true)
+                   .Read();
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  ASSERT_EQ(table->num_columns(), 3);
+  EXPECT_EQ(table->schema.field(0).name, "x");
+  EXPECT_EQ(table->schema.field(1).name, "\"y");
+  EXPECT_EQ(table->schema.field(2).name, "z");
+  EXPECT_EQ(table->num_rows, 2);
+}
+
+TEST(BulkLoaderTest, HeaderNamesFollowABackslashEscape) {
+  dialect::DialectSpec spec;
+  spec.name = "backslash";
+  spec.escape_style = dialect::EscapeStyle::kBackslash;
+  auto table = Reader::FromBuffer("\"a\\\"b\",c\n1,2\n3,4\n")
+                   .WithDialect(spec)
+                   .WithHeader(true)
+                   .Read();
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  ASSERT_EQ(table->num_columns(), 2);
+  EXPECT_EQ(table->schema.field(0).name, "a\"b");
+  EXPECT_EQ(table->schema.field(1).name, "c");
+  EXPECT_EQ(table->num_rows, 2);
+}
+
+TEST(BulkLoaderTest, HeaderNamesFollowAMultiByteRecordDelimiter) {
+  dialect::DialectSpec spec;
+  spec.name = "tilde-newline";
+  spec.record_delimiter = "~\n";
+  auto table = Reader::FromBuffer("a,b~\n1,2~\n3,4~\n")
+                   .WithDialect(spec)
+                   .WithHeader(true)
+                   .Read();
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  ASSERT_EQ(table->num_columns(), 2);
+  EXPECT_EQ(table->schema.field(0).name, "a");
+  EXPECT_EQ(table->schema.field(1).name, "b");
+  EXPECT_EQ(table->num_rows, 2);
 }
 
 TEST(BulkLoaderTest, TsvSniffedEndToEnd) {

@@ -7,8 +7,10 @@
 #include <string>
 
 #include "core/parser.h"
+#include "core/staged_parse.h"
 #include "dfa/formats.h"
 #include "dialect/dialect.h"
+#include "exec/executor.h"
 #include "obs/metrics.h"
 #include "plan/tuning.h"
 #include "simd/dispatch.h"
@@ -16,10 +18,10 @@
 
 // The runtime planner (src/plan): knob resolution from the DFA, the pins
 // and the stream's length, the Tuning validation, and the centralized
-// environment-variable grammar. The planner's bit-identity with the static
-// configurations it replaces is covered by the planner axes of
-// simd_differential_test and transpose_differential_test; this file covers
-// the decision layer itself.
+// environment-variable grammar. The planner's bit-identity with pinned
+// 31-byte chunks is covered by the planner axes of simd_differential_test
+// and transpose_differential_test; this file covers the decision layer
+// itself.
 
 namespace parparaw {
 namespace {
@@ -51,7 +53,6 @@ void ExpectPlansEqual(const ParsePlan& a, const ParsePlan& b) {
   EXPECT_EQ(a.tagging_mode, b.tagging_mode);
   EXPECT_EQ(a.transpose_mode, b.transpose_mode);
   EXPECT_EQ(a.partition_size, b.partition_size);
-  EXPECT_EQ(a.planned, b.planned);
   EXPECT_EQ(a.reason, b.reason);
 }
 
@@ -65,7 +66,6 @@ TEST(PlannerTest, SameBytesSamePlan) {
   ParseOptions sampled;
   auto first = plan::PlanStream(input, /*sample_truncated=*/false, &sampled);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
-  EXPECT_TRUE(first->planned);
   ParseOptions sized;
   const ParsePlan second = plan::PlanStream(length, &sized);
   ExpectPlansEqual(*first, second);
@@ -124,7 +124,7 @@ TEST(PlannerTest, EveryCorpusPlansTheBestLevelAt4096) {
     ASSERT_TRUE(planned.ok()) << corpus.name << ": "
                               << planned.status().ToString();
     EXPECT_EQ(planned->chunk_size, 4096u) << corpus.name;
-    EXPECT_EQ(planned->kernel, simd::KernelKind::kSimd) << corpus.name;
+    EXPECT_EQ(planned->kernel, simd::KernelKind::kAuto) << corpus.name;
     EXPECT_EQ(planned->kernel_level, best) << corpus.name;
   }
 }
@@ -141,7 +141,7 @@ TEST(PlannerTest, ConvergentCorpusGetsLargeChunks) {
   auto planned = plan::PlanStream(input, /*sample_truncated=*/false, &options);
   ASSERT_TRUE(planned.ok()) << planned.status().ToString();
   EXPECT_EQ(planned->chunk_size, 4096u);
-  EXPECT_EQ(planned->kernel, simd::KernelKind::kSimd);
+  EXPECT_EQ(planned->kernel, simd::KernelKind::kAuto);
 }
 
 TEST(PlannerTest, NonConvergentBytesPlanLikeAnyBytes) {
@@ -209,7 +209,6 @@ TEST(PlannerTest, OverBudgetDfaPlansTheSequentialWalk) {
     EXPECT_NE(planned.reason.find("register budget"), std::string::npos)
         << planned.reason;
   }
-  EXPECT_EQ(plan::StaticPlan(options).kernel_level, KernelLevel::kScalar);
 }
 
 TEST(PlannerTest, PinnedKnobsAreRespected) {
@@ -261,7 +260,8 @@ TEST(PlannerTest, PlannedParseQuarantinesLateShortRecord) {
   // Under kReject with kQuarantine a short record stays as a rejected row,
   // which only the record-tag mode can carry. Its place past the first
   // 64 KiB once hid it from a sample that picked kVectorDelimited and
-  // failed the parse; the planned parse must equal the static one.
+  // failed the parse; the planned parse must equal one with the paper's
+  // 31-byte chunk pinned.
   std::string csv;
   int64_t records = 0;
   while (csv.size() < 80 * 1024) {
@@ -279,11 +279,11 @@ TEST(PlannerTest, PlannedParseQuarantinesLateShortRecord) {
   options.schema = schema;
   options.column_count_policy = ColumnCountPolicy::kReject;
   options.error_policy = robust::ErrorPolicy::kQuarantine;
-  ParseOptions disabled = options;
-  disabled.planner = PlannerMode::kDisabled;
+  ParseOptions pinned_chunk = options;
+  pinned_chunk.chunk_size = 31;
 
   auto planned = Parser::Parse(csv, options);
-  auto reference = Parser::Parse(csv, disabled);
+  auto reference = Parser::Parse(csv, pinned_chunk);
   ASSERT_TRUE(planned.ok()) << planned.status().ToString();
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   EXPECT_TRUE(planned->table.Equals(reference->table));
@@ -303,19 +303,20 @@ TEST(PlannerTest, PlannedParseQuarantinesLateShortRecord) {
       << failed.status().ToString();
 }
 
-// --- static resolution and plan application --------------------------------
+// --- resolution and plan application ---------------------------------------
 
-TEST(PlannerTest, StaticPlanResolvesEveryAutoSentinel) {
+TEST(PlannerTest, PlanParseResolvesEveryAutoSentinel) {
+  EXPECT_EQ(ParsePlan().chunk_size, 0u);  // only PlanParse fills a plan
   ParseOptions options;
-  ParsePlan plan = plan::StaticPlan(options);
-  EXPECT_EQ(plan.kernel, simd::KernelKind::kSimd);
-  EXPECT_EQ(plan.chunk_size, 31u);
+  const ParsePlan plan = plan::PlanParse(64 * 1024, options);
+  EXPECT_EQ(plan.kernel, simd::KernelKind::kAuto);
+  EXPECT_EQ(plan.chunk_size, 4096u);
   EXPECT_EQ(plan.tagging_mode, TaggingMode::kRecordTags);
   EXPECT_NE(plan.transpose_mode, TransposeMode::kAuto);
-  EXPECT_FALSE(plan.planned);
+  EXPECT_EQ(plan.partition_size, 0u);
 }
 
-TEST(PlannerTest, StaticPlanPassesPinsThrough) {
+TEST(PlannerTest, PlanParsePassesPinsThrough) {
   // A forced kernel level outranks the option; pin the one it asserts.
   ScopedKernelLevel force(KernelLevel::kScalar);
   ParseOptions options;
@@ -323,14 +324,13 @@ TEST(PlannerTest, StaticPlanPassesPinsThrough) {
   options.chunk_size = 77;
   options.tagging_mode = TaggingMode::kVectorDelimited;
   options.transpose_mode = TransposeMode::kSymbolSort;
-  options.partition_size = 1 << 20;
-  ParsePlan plan = plan::StaticPlan(options);
+  const ParsePlan plan = plan::PlanParse(64 * 1024, options);
   EXPECT_EQ(plan.kernel, simd::KernelKind::kScalar);
   EXPECT_EQ(plan.kernel_level, KernelLevel::kScalar);
   EXPECT_EQ(plan.chunk_size, 77u);
   EXPECT_EQ(plan.tagging_mode, TaggingMode::kVectorDelimited);
   EXPECT_EQ(plan.transpose_mode, TransposeMode::kSymbolSort);
-  EXPECT_EQ(plan.partition_size, size_t{1} << 20);
+  EXPECT_TRUE(plan.reason.empty()) << plan.reason;  // nothing was decided
 }
 
 TEST(PlannerTest, ApplyPlanPinsEveryKnobAndDisablesReplanning) {
@@ -339,26 +339,32 @@ TEST(PlannerTest, ApplyPlanPinsEveryKnobAndDisablesReplanning) {
   plan.chunk_size = 1024;
   plan.tagging_mode = TaggingMode::kVectorDelimited;
   plan.transpose_mode = TransposeMode::kSymbolSort;
-  plan.partition_size = 4096;
   ParseOptions options;
   plan::ApplyPlan(plan, &options);
   EXPECT_EQ(options.kernel, simd::KernelKind::kScalar);
   EXPECT_EQ(options.chunk_size, 1024u);
   EXPECT_EQ(options.tagging_mode, TaggingMode::kVectorDelimited);
   EXPECT_EQ(options.transpose_mode, TransposeMode::kSymbolSort);
-  EXPECT_EQ(options.partition_size, 4096u);
-  EXPECT_EQ(options.planner, PlannerMode::kDisabled);
+  // No sentinel is left, so a downstream PlanStream decides nothing.
+  obs::MetricsRegistry metrics;
+  options.metrics = &metrics;
+  plan::PlanStream(64 * 1024, &options);
+  EXPECT_EQ(metrics.GetCounter("plan.runs")->Value(), 0);
 }
 
-TEST(PlannerTest, PlanStreamDisabledLeavesOptionsUntouched) {
+TEST(PlannerTest, PlanStreamPlansAStreamOnce) {
+  // The second PlanStream of a planned stream (a downstream entry point)
+  // finds every knob pinned: it records nothing and reports the same plan.
   ParseOptions options;
-  options.planner = PlannerMode::kDisabled;
-  auto planned = plan::PlanStream("a,b\n", false, &options);
-  ASSERT_TRUE(planned.ok());
-  EXPECT_FALSE(planned->planned);
-  EXPECT_EQ(options.chunk_size, 0u);
-  EXPECT_EQ(options.kernel, simd::KernelKind::kAuto);
-  EXPECT_EQ(options.planner, PlannerMode::kDisabled);
+  obs::MetricsRegistry metrics;
+  options.metrics = &metrics;
+  const ParsePlan first = plan::PlanStream(64 * 1024, &options);
+  const ParsePlan second = plan::PlanStream(64 * 1024, &options);
+  EXPECT_EQ(metrics.GetCounter("plan.runs")->Value(), 1);
+  EXPECT_EQ(second.chunk_size, first.chunk_size);
+  EXPECT_EQ(second.kernel_level, first.kernel_level);
+  EXPECT_EQ(second.tagging_mode, first.tagging_mode);
+  EXPECT_EQ(second.transpose_mode, first.transpose_mode);
 }
 
 TEST(PlannerTest, PlanStreamSkipsSamplingWhenEverythingIsPinned) {
@@ -371,8 +377,14 @@ TEST(PlannerTest, PlanStreamSkipsSamplingWhenEverythingIsPinned) {
   options.metrics = &metrics;
   auto planned = plan::PlanStream(UniformCsv(16), false, &options);
   ASSERT_TRUE(planned.ok());
-  EXPECT_FALSE(planned->planned);
   EXPECT_EQ(metrics.GetCounter("plan.runs")->Value(), 0);
+  // The kernel's kAuto is a request for the best level, not a sentinel.
+  options.kernel = simd::KernelKind::kAuto;
+  planned = plan::PlanStream(UniformCsv(16), false, &options);
+  ASSERT_TRUE(planned.ok());
+  EXPECT_EQ(metrics.GetCounter("plan.runs")->Value(), 0);
+  EXPECT_EQ(planned->kernel_level,
+            simd::ResolveKernelLevel(simd::KernelKind::kAuto));
 }
 
 TEST(PlannerTest, PlanStreamAppliesThePlanAndCountsTheRun) {
@@ -383,10 +395,9 @@ TEST(PlannerTest, PlanStreamAppliesThePlanAndCountsTheRun) {
   options.metrics = &metrics;
   auto planned = plan::PlanStream(input, false, &options);
   ASSERT_TRUE(planned.ok());
-  EXPECT_TRUE(planned->planned);
   EXPECT_EQ(options.chunk_size, planned->chunk_size);
   EXPECT_EQ(options.tagging_mode, planned->tagging_mode);
-  EXPECT_EQ(options.planner, PlannerMode::kDisabled);
+  EXPECT_EQ(options.transpose_mode, planned->transpose_mode);
   EXPECT_EQ(metrics.GetCounter("plan.runs")->Value(), 1);
   EXPECT_EQ(metrics.GetGauge("plan.chunk_size")->Value(), 4096);
   EXPECT_EQ(metrics
@@ -401,9 +412,6 @@ TEST(PlannerTest, PlanStreamAppliesThePlanAndCountsTheRun) {
 
 TEST(PlannerTest, DefaultOptionsValidate) {
   EXPECT_TRUE(ParseOptions().Validate().ok());
-  ParseOptions disabled;
-  disabled.planner = PlannerMode::kDisabled;
-  EXPECT_TRUE(disabled.Validate().ok());
 }
 
 TEST(PlannerTest, AutoPlannerAcceptsPins) {
@@ -413,13 +421,11 @@ TEST(PlannerTest, AutoPlannerAcceptsPins) {
   options.chunk_size = 31;
   options.tagging_mode = TaggingMode::kRecordTags;
   options.transpose_mode = TransposeMode::kFieldGather;
-  options.partition_size = 1 << 20;
   EXPECT_TRUE(options.Validate().ok());
 }
 
 TEST(PlannerTest, ChunkSizeUpperBound) {
   ParseOptions options;
-  options.planner = PlannerMode::kDisabled;
   options.chunk_size = (size_t{1} << 24) + 1;
   EXPECT_EQ(options.Validate().code(), StatusCode::kInvalidArgument);
   options.chunk_size = size_t{1} << 24;
@@ -468,13 +474,46 @@ TEST(PlannerTest, ExplainRendersTheDecision) {
   options.format = PipeFormatNoQuotes();
   const ParsePlan planned = plan::PlanParse(64 * 1024, options);
   const std::string report = planned.Explain();
-  EXPECT_NE(report.find("[planned]"), std::string::npos) << report;
+  EXPECT_EQ(report.rfind("plan: kernel=auto(", 0), 0u) << report;
   EXPECT_NE(report.find("chunk=4096"), std::string::npos) << report;
   EXPECT_NE(report.find("reason:"), std::string::npos) << report;
+  // Partition size is the entry point's, not the plan's.
+  EXPECT_EQ(report.find("partition="), std::string::npos) << report;
+}
 
-  const std::string static_report = plan::StaticPlan(options).Explain();
-  EXPECT_NE(static_report.find("[static]"), std::string::npos)
-      << static_report;
+// --- one resolution --------------------------------------------------------
+
+TEST(PlannerTest, EveryEntryPointResolvesTheSameChunk) {
+  // All-auto options on one 4 KiB input: a direct StagedParse resolves its
+  // sentinels as Parser::Parse and the executor do, so all three scan the
+  // same number of chunks (three scan elements per chunk).
+  std::string input = GenerateTaxiLike(21, 4096);
+  input.resize(4096);
+  input.back() = '\n';
+  ParseOptions options;
+  options.schema = TaxiSchema();
+  const int64_t want_scan_elements = 3;  // one 4096-byte chunk
+
+  auto parsed = Parser::Parse(input, options);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->work.scan_elements, want_scan_elements);
+
+  StagedParse staged;
+  ASSERT_TRUE(staged.Scan(input, options).ok());
+  ASSERT_FALSE(staged.finished());
+  ASSERT_TRUE(staged.Partition().ok());
+  ASSERT_TRUE(staged.Convert().ok());
+  const ParseOutput direct = staged.TakeOutput();
+  EXPECT_EQ(direct.work.scan_elements, want_scan_elements);
+  EXPECT_TRUE(direct.table.Equals(parsed->table));
+
+  exec::PipelineExecutor executor;
+  exec::ExecOptions exec_options;
+  exec_options.base = options;
+  auto ingested = executor.IngestBuffer(input, exec_options);
+  ASSERT_TRUE(ingested.ok()) << ingested.status().ToString();
+  EXPECT_EQ(ingested->work.scan_elements, want_scan_elements);
+  EXPECT_EQ(ingested->plan.chunk_size, 4096u);
 }
 
 }  // namespace

@@ -268,7 +268,6 @@ TEST(PushdownTest, MatchesTwoParseOracle) {
                 options.tagging_mode = tagging;
                 options.kernel = kernel;
                 options.chunk_size = chunk;
-                options.planner = PlannerMode::kDisabled;
                 const std::string label =
                     c.name + " column=" + std::to_string(predicate.column) +
                     " op=" + std::to_string(static_cast<int>(predicate.op)) +

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/parser.h"
+#include "exec/executor.h"
 #include "io/file.h"
 #include "loader/bulk_loader.h"
 #include "obs/obs.h"
@@ -13,7 +14,6 @@
 #include "robust/quarantine.h"
 #include "robust/reparse.h"
 #include "robust/resource_guard.h"
-#include "stream/streaming_parser.h"
 
 namespace parparaw {
 namespace {
@@ -344,12 +344,13 @@ TEST_F(RobustTest, StreamingDegradesInsteadOfRefusing) {
   const auto reference = Parser::Parse(csv, base);
   ASSERT_TRUE(reference.ok());
 
-  StreamingOptions streaming;
+  exec::ExecOptions streaming;
   streaming.base = base;
   streaming.base.memory_budget = 16 * 1024;  // affords 1 KiB partitions
-  const auto result = StreamingParser::Parse(csv, streaming);
+  exec::PipelineExecutor executor;
+  const auto result = executor.IngestBuffer(csv, streaming);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_GT(result->num_partitions, 1);
+  EXPECT_GT(result->stats.num_partitions, 1);
   EXPECT_TRUE(result->table.Equals(reference->table));
 }
 
@@ -541,12 +542,13 @@ TEST_F(RobustTest, StreamingSkipsLeadingRowsOnlyOnce) {
   base.schema = ThreeColumnSchema();
   base.skip_rows = 1;
 
-  StreamingOptions streaming;
+  exec::ExecOptions streaming;
   streaming.base = base;
   streaming.partition_size = 64;  // many partitions
-  const auto result = StreamingParser::Parse(csv, streaming);
+  exec::PipelineExecutor executor;
+  const auto result = executor.IngestBuffer(csv, streaming);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ASSERT_GT(result->num_partitions, 2);
+  ASSERT_GT(result->stats.num_partitions, 2);
   // skip_rows prunes the stream head once, not one row per partition.
   EXPECT_EQ(result->table.num_rows, 50);
   EXPECT_EQ(result->table.columns[0].Value<int64_t>(0), 0);
@@ -567,12 +569,13 @@ TEST_F(RobustTest, StreamingQuarantineIsStreamRelative) {
   base.schema = ThreeColumnSchema();
   base.error_policy = ErrorPolicy::kQuarantine;
 
-  StreamingOptions streaming;
+  exec::ExecOptions streaming;
   streaming.base = base;
   streaming.partition_size = 48;
-  const auto result = StreamingParser::Parse(csv, streaming);
+  exec::PipelineExecutor executor;
+  const auto result = executor.IngestBuffer(csv, streaming);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ASSERT_GT(result->num_partitions, 2);
+  ASSERT_GT(result->stats.num_partitions, 2);
   EXPECT_EQ(result->table.num_rows, 40);
   ASSERT_EQ(result->quarantine.size(), 2);
   for (const robust::QuarantineEntry& entry : result->quarantine.entries()) {
@@ -591,13 +594,13 @@ TEST_F(RobustTest, StreamChunkFaultFailsCleanly) {
   const std::string csv = MakeCsv(50);
   ParseOptions base;
   base.schema = ThreeColumnSchema();
-  StreamingOptions streaming;
+  exec::ExecOptions streaming;
   streaming.base = base;
   streaming.partition_size = 128;
-  // exec.read fires at each partition boundary of the executor the
-  // streaming parser runs on.
+  // exec.read fires at each partition boundary of the executor.
   FailpointRegistry::Instance().Arm("exec.read", EveryNthTrigger(2));
-  const auto result = StreamingParser::Parse(csv, streaming);
+  exec::PipelineExecutor executor;
+  const auto result = executor.IngestBuffer(csv, streaming);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kIoError);
 }

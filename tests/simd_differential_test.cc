@@ -473,8 +473,8 @@ TEST(SimdDifferentialTest, GeneratedDialectsMatchScalarAcrossLevels) {
 
 // Planner axis: a planned parse (every knob at its auto sentinel, knobs
 // decided from the DFA and the input's length) must be bit-identical to
-// the planner-disabled static defaults on every seeded input — the plan is
-// a performance decision, never a semantic one.
+// the same options with the paper's 31-byte chunk pinned on every seeded
+// input — the plan is a performance decision, never a semantic one.
 TEST(SimdDifferentialTest, PlannedParsesMatchStaticDefaults) {
   std::vector<NamedFormat> formats;
   ASSERT_NO_FATAL_FAILURE(formats = RegisteredFormats());
@@ -484,15 +484,14 @@ TEST(SimdDifferentialTest, PlannedParsesMatchStaticDefaults) {
       ParseOptions options;
       options.format = format.format;
       // Alternate the reject policy: the planned tagging must keep every
-      // record the static defaults keep under both policies.
+      // record the pinned configuration keeps under both policies.
       options.column_count_policy = (seed % 2) != 0
                                         ? ColumnCountPolicy::kReject
                                         : ColumnCountPolicy::kRobust;
 
       ParseOptions unplanned = options;
-      unplanned.planner = PlannerMode::kDisabled;
-      ParseOptions planned = options;
-      planned.planner = PlannerMode::kAuto;
+      unplanned.chunk_size = 31;
+      const ParseOptions& planned = options;
 
       const Result<ParseOutput> want = Parser::Parse(input, unplanned);
       const Result<ParseOutput> got = Parser::Parse(input, planned);
@@ -518,7 +517,6 @@ TEST(SimdDifferentialTest, ForcedLevelsResolveExactly) {
   for (KernelLevel level : AvailableVectorLevels()) {
     ScopedKernelLevel force(level);
     EXPECT_EQ(simd::ResolveKernelLevel(simd::KernelKind::kAuto), level);
-    EXPECT_EQ(simd::ResolveKernelLevel(simd::KernelKind::kSimd), level);
     // The test hook outranks even an explicit scalar request.
     EXPECT_EQ(simd::ResolveKernelLevel(simd::KernelKind::kScalar), level);
   }

@@ -3,12 +3,23 @@
 #include <cstdio>
 
 #include "baseline/sequential_parser.h"
+#include "exec/executor.h"
 #include "io/file.h"
-#include "stream/streaming_parser.h"
+#include "stream/stream_model.h"
 #include "workload/generators.h"
+
+// The streaming schedule of §4.4: the executor's partitioned ingest and
+// its modelled Fig. 7 timeline (ModelStream).
 
 namespace parparaw {
 namespace {
+
+exec::ExecOptions Partitioned(ParseOptions base, size_t partition_size) {
+  exec::ExecOptions options;
+  options.base = std::move(base);
+  options.partition_size = partition_size;
+  return options;
+}
 
 TEST(StreamingTest, SmallPartitionsMatchOneShotParse) {
   const std::string input = GenerateYelpLike(3, 64 * 1024);
@@ -18,14 +29,12 @@ TEST(StreamingTest, SmallPartitionsMatchOneShotParse) {
   ASSERT_TRUE(expected.ok());
 
   for (size_t partition : {1024u, 4096u, 16384u, 1u << 20}) {
-    StreamingOptions options;
-    options.base = base;
-    options.partition_size = partition;
-    auto got = StreamingParser::Parse(input, options);
+    exec::PipelineExecutor executor;
+    auto got = executor.IngestBuffer(input, Partitioned(base, partition));
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     EXPECT_TRUE(got->table.Equals(expected->table))
         << "partition " << partition;
-    EXPECT_EQ(got->num_partitions,
+    EXPECT_EQ(got->stats.num_partitions,
               static_cast<int>((input.size() + partition - 1) / partition));
   }
 }
@@ -44,10 +53,9 @@ TEST(StreamingTest, CarryOverSpansPartitionBoundary) {
   auto expected = SequentialParser::Parse(input, base);
   ASSERT_TRUE(expected.ok());
 
-  StreamingOptions options;
-  options.base = base;
-  options.partition_size = 17;  // far below one record
-  auto got = StreamingParser::Parse(input, options);
+  exec::PipelineExecutor executor;
+  // far below one record
+  auto got = executor.IngestBuffer(input, Partitioned(base, 17));
   ASSERT_TRUE(got.ok());
   EXPECT_TRUE(got->table.Equals(expected->table));
 }
@@ -61,40 +69,41 @@ TEST(StreamingTest, GiantRecordLargerThanPartition) {
   auto expected = SequentialParser::Parse(input, base);
   ASSERT_TRUE(expected.ok());
 
-  StreamingOptions options;
-  options.base = base;
-  options.partition_size = 16 * 1024;  // the giant record spans many
-  auto got = StreamingParser::Parse(input, options);
+  exec::PipelineExecutor executor;
+  // the giant record spans many partitions
+  auto got = executor.IngestBuffer(input, Partitioned(base, 16 * 1024));
   ASSERT_TRUE(got.ok());
   EXPECT_TRUE(got->table.Equals(expected->table));
 }
 
 TEST(StreamingTest, ModeledOverlapBeatsSerialExecution) {
   const std::string input = GenerateTaxiLike(4, 256 * 1024);
-  StreamingOptions options;
-  options.base.schema = TaxiSchema();
-  options.partition_size = 32 * 1024;
-  auto got = StreamingParser::Parse(input, options);
+  ParseOptions base;
+  base.schema = TaxiSchema();
+  exec::PipelineExecutor executor;
+  auto got = executor.IngestBuffer(input, Partitioned(base, 32 * 1024));
   ASSERT_TRUE(got.ok());
-  ASSERT_GT(got->num_partitions, 2);
-  EXPECT_LT(got->modeled_end_to_end_seconds, got->modeled_serial_seconds);
-  EXPECT_GT(got->modeled_end_to_end_seconds, 0);
+  ASSERT_GT(got->stats.num_partitions, 2);
+  const StreamModel model = ModelStream(*got);
+  EXPECT_EQ(model.timeline.parses.size(), got->partitions.size());
+  EXPECT_LT(model.modeled_end_to_end_seconds, model.modeled_serial_seconds);
+  EXPECT_GT(model.modeled_end_to_end_seconds, 0);
+  EXPECT_EQ(model.modeled_end_to_end_seconds, model.timeline.makespan);
 }
 
 TEST(StreamingTest, SinglePartitionWhenInputFits) {
-  StreamingOptions options;
-  options.base.schema.AddField(Field("a", DataType::String()));
-  options.partition_size = 1 << 20;
-  auto got = StreamingParser::Parse("x\ny\n", options);
+  ParseOptions base;
+  base.schema.AddField(Field("a", DataType::String()));
+  exec::PipelineExecutor executor;
+  auto got = executor.IngestBuffer("x\ny\n", Partitioned(base, 1 << 20));
   ASSERT_TRUE(got.ok());
-  EXPECT_EQ(got->num_partitions, 1);
+  EXPECT_EQ(got->stats.num_partitions, 1);
   EXPECT_EQ(got->table.num_rows, 2);
 }
 
 TEST(StreamingTest, InvalidPartitionSize) {
-  StreamingOptions options;
-  options.partition_size = 0;
-  EXPECT_FALSE(StreamingParser::Parse("a\n", options).ok());
+  exec::PipelineExecutor executor;
+  EXPECT_FALSE(executor.IngestBuffer("a\n", Partitioned({}, 0)).ok());
 }
 
 TEST(StreamingTest, ParseFileMatchesInMemory) {
@@ -102,40 +111,44 @@ TEST(StreamingTest, ParseFileMatchesInMemory) {
   const std::string input = GenerateTaxiLike(12, 128 * 1024);
   ASSERT_TRUE(WriteStringToFile(path, input).ok());
 
-  StreamingOptions options;
-  options.base.schema = TaxiSchema();
-  options.partition_size = 16 * 1024;
-  auto in_memory = StreamingParser::Parse(input, options);
+  ParseOptions base;
+  base.schema = TaxiSchema();
+  const exec::ExecOptions options = Partitioned(base, 16 * 1024);
+  exec::PipelineExecutor executor;
+  auto in_memory = executor.IngestBuffer(input, options);
   ASSERT_TRUE(in_memory.ok());
-  auto from_file = StreamingParser::ParseFile(path, options);
+  auto from_file = executor.IngestFile(path, options);
   ASSERT_TRUE(from_file.ok()) << from_file.status().ToString();
   EXPECT_TRUE(from_file->table.Equals(in_memory->table));
-  EXPECT_EQ(from_file->num_partitions, in_memory->num_partitions);
+  EXPECT_EQ(from_file->stats.num_partitions, in_memory->stats.num_partitions);
   std::remove(path.c_str());
 }
 
 TEST(StreamingTest, ParseFileMissingAndEmpty) {
-  StreamingOptions options;
-  options.base.schema.AddField(Field("a", DataType::String()));
-  EXPECT_FALSE(
-      StreamingParser::ParseFile("/nonexistent/x.csv", options).ok());
+  ParseOptions base;
+  base.schema.AddField(Field("a", DataType::String()));
+  const exec::ExecOptions options = Partitioned(base, 64 * 1024 * 1024);
+  exec::PipelineExecutor executor;
+  EXPECT_FALSE(executor.IngestFile("/nonexistent/x.csv", options).ok());
 
   const std::string path = "/tmp/parparaw_stream_empty.csv";
   ASSERT_TRUE(WriteStringToFile(path, "").ok());
-  auto result = StreamingParser::ParseFile(path, options);
+  auto result = executor.IngestFile(path, options);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->table.num_rows, 0);
-  EXPECT_EQ(result->num_partitions, 0);
+  EXPECT_EQ(result->stats.num_partitions, 0);
+  EXPECT_EQ(ModelStream(*result).modeled_end_to_end_seconds, 0);
   std::remove(path.c_str());
 }
 
 TEST(StreamingTest, EmptyInput) {
-  StreamingOptions options;
-  options.base.schema.AddField(Field("a", DataType::String()));
-  auto got = StreamingParser::Parse("", options);
+  ParseOptions base;
+  base.schema.AddField(Field("a", DataType::String()));
+  exec::PipelineExecutor executor;
+  auto got = executor.IngestBuffer("", Partitioned(base, 64 * 1024 * 1024));
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got->table.num_rows, 0);
-  EXPECT_EQ(got->num_partitions, 0);
+  EXPECT_EQ(got->stats.num_partitions, 0);
 }
 
 }  // namespace

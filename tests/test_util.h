@@ -11,6 +11,7 @@
 #include "core/partition_step.h"
 #include "core/tag_step.h"
 #include "dfa/formats.h"
+#include "plan/planner.h"
 #include "util/bit_util.h"
 
 namespace parparaw {
@@ -62,10 +63,11 @@ struct StepHarness {
       h->options.format = *std::move(format);
     }
     if (h->options.pool == nullptr) h->options.pool = ThreadPool::Default();
-    // Step-level tests bypass StagedParse's auto-sentinel resolution, so
-    // resolve chunk/tagging the same way it does.
+    // Step-level tests bypass StagedParse, so they plan the rest of the
+    // knobs themselves; an auto chunk keeps the paper's 31 bytes, so short
+    // inputs still cross chunk boundaries.
     if (h->options.chunk_size == 0) h->options.chunk_size = 31;
-    h->options.tagging_mode = EffectiveTaggingMode(h->options);
+    plan::PlanStream(static_cast<int64_t>(h->input.size()), &h->options);
     h->state.data = reinterpret_cast<const uint8_t*>(h->input.data());
     h->state.size = h->input.size();
     h->state.options = &h->options;

@@ -10,9 +10,9 @@
 #include "dfa/formats.h"
 #include "dialect/dialect.h"
 #include "dialect_oracle.h"
+#include "exec/executor.h"
 #include "parallel/thread_pool.h"
 #include "robust/failpoint.h"
-#include "stream/streaming_parser.h"
 #include "test_util.h"
 #include "workload/generators.h"
 
@@ -744,7 +744,7 @@ TEST(TransposeDifferentialTest, ModesAgreeUnderScalarAndSimdKernels) {
   std::vector<NamedFormat> formats;
   ASSERT_NO_FATAL_FAILURE(formats = RegisteredFormats());
   for (simd::KernelKind kernel :
-       {simd::KernelKind::kScalar, simd::KernelKind::kSimd}) {
+       {simd::KernelKind::kScalar, simd::KernelKind::kAuto}) {
     for (const NamedFormat& format : formats) {
       for (uint64_t seed = 0; seed < 128; ++seed) {
         const std::string input = InputForSeed(format, seed * 17 + 3);
@@ -765,7 +765,7 @@ TEST(TransposeDifferentialTest, ModesAgreeUnderScalarAndSimdKernels) {
   }
 }
 
-// Partition-size axis: the streaming parser re-runs the transposition per
+// Partition-size axis: the executor re-runs the transposition per
 // partition with cross-partition carry; the modes must agree for partition
 // sizes from degenerate (every record its own partition) to several
 // records per partition.
@@ -777,16 +777,17 @@ TEST(TransposeDifferentialTest, StreamingPartitionsMatchAcrossModes) {
       if (format.name == "extended_log") continue;  // covered by the sweep
       for (uint64_t seed = 0; seed < 64; ++seed) {
         const std::string input = InputForSeed(format, seed * 13 + 5);
-        StreamingOptions streaming;
+        exec::PipelineExecutor executor;
+        exec::ExecOptions streaming;
         streaming.base = OptionsForSeed(format, seed);
         streaming.partition_size = partition_size;
 
         streaming.base.transpose_mode = TransposeMode::kSymbolSort;
-        const Result<StreamingResult> reference =
-            StreamingParser::Parse(input, streaming);
+        const Result<exec::IngestResult> reference =
+            executor.IngestBuffer(input, streaming);
         streaming.base.transpose_mode = TransposeMode::kFieldGather;
-        const Result<StreamingResult> got =
-            StreamingParser::Parse(input, streaming);
+        const Result<exec::IngestResult> got =
+            executor.IngestBuffer(input, streaming);
 
         const std::string context = format.name + " seed " +
                                     std::to_string(seed) + " partition " +
@@ -808,9 +809,9 @@ TEST(TransposeDifferentialTest, StreamingPartitionsMatchAcrossModes) {
 
 // Planner axis: the planner decides the per-stream tuning (kernel, chunk
 // size, tagging, transpose) from the DFA and the stream's length; whatever
-// it chooses must be bit-identical to the planner-disabled static
-// defaults — monolithically and across streaming partition seams, where a
-// planned chunk choice interacts with carry-over splitting.
+// it chooses must be bit-identical to the same options with the paper's
+// 31-byte chunk pinned — across streaming partition seams, where a planned
+// chunk choice interacts with carry-over splitting.
 TEST(TransposeDifferentialTest, PlannedStreamsMatchStaticDefaults) {
   std::vector<NamedFormat> formats;
   ASSERT_NO_FATAL_FAILURE(formats = RegisteredFormats());
@@ -818,7 +819,8 @@ TEST(TransposeDifferentialTest, PlannedStreamsMatchStaticDefaults) {
     if (format.name == "extended_log") continue;  // covered by the sweep
     for (uint64_t seed = 0; seed < 96; ++seed) {
       const std::string input = InputForSeed(format, seed * 19 + 11);
-      StreamingOptions streaming;
+      exec::PipelineExecutor executor;
+      exec::ExecOptions streaming;
       streaming.base.format = format.format;
       streaming.base.error_policy = static_cast<ErrorPolicy>(seed % 4);
       streaming.base.column_count_policy = (seed % 2) != 0
@@ -826,12 +828,12 @@ TEST(TransposeDifferentialTest, PlannedStreamsMatchStaticDefaults) {
                                                : ColumnCountPolicy::kRobust;
       streaming.partition_size = (seed % 3 == 0) ? 512 : 4096;
 
-      streaming.base.planner = PlannerMode::kDisabled;
-      const Result<StreamingResult> want =
-          StreamingParser::Parse(input, streaming);
-      streaming.base.planner = PlannerMode::kAuto;
-      const Result<StreamingResult> got =
-          StreamingParser::Parse(input, streaming);
+      streaming.base.chunk_size = 31;
+      const Result<exec::IngestResult> want =
+          executor.IngestBuffer(input, streaming);
+      streaming.base.chunk_size = 0;
+      const Result<exec::IngestResult> got =
+          executor.IngestBuffer(input, streaming);
 
       const std::string context =
           format.name + " seed " + std::to_string(seed);
