@@ -236,12 +236,16 @@ run_transpose() {
   # flips what TransposeMode::kAuto resolves to, so every test that does
   # not pin a mode runs both the field-gather default (which writes the
   # columns in its partition walk and builds no CSS) and the paper's
-  # symbol-sort path (CSS, then convert). Then the dedicated differential
-  # harness (10k+ seeded inputs comparing the two bit for bit, typed
-  # schemas included) with the default resolution, WriteOnce, whose
-  # reused-state parse must match a fresh one in both modes while fresh
-  # scratch storage is poisoned, SymbolIndex, the mask bits both modes
-  # read, and Validate, the option checks both modes rely on.
+  # symbol-sort path (CSS, then convert). Both modes convert every typed
+  # value through the one inline value rule (ParseSlot/ConvertFixed,
+  # core/column_plan.h). Then the dedicated differential harness (10k+
+  # seeded inputs comparing the two bit for bit, typed schemas included)
+  # with the default resolution, WriteOnce, whose reused-state parse must
+  # match a fresh one in both modes while fresh scratch storage is
+  # poisoned, SymbolIndex, the mask bits both modes read, Validate, the
+  # option checks both modes rely on, and ConvertOracle, which holds that
+  # rule's converters to the out-of-line ones they replaced, verdict and
+  # value bits.
   for mode in field_gather symbol_sort; do
     echo "=== transpose sweep: full suite, PARPARAW_TRANSPOSE_MODE=${mode} ==="
     PARPARAW_TRANSPOSE_MODE="${mode}" \
@@ -253,7 +257,7 @@ run_transpose() {
   ASAN_OPTIONS=detect_leaks=1:strict_string_checks=1 \
   UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1 \
     ctest --test-dir build-asan --output-on-failure -j "${JOBS}" \
-      -R 'TransposeDifferential|FieldGather|CssIndex|Tagging|WriteOnce|SymbolIndex|Validate'
+      -R 'TransposeDifferential|FieldGather|CssIndex|Tagging|WriteOnce|SymbolIndex|Validate|ConvertOracle'
 }
 
 run_dialects() {

@@ -1,11 +1,11 @@
 #include "baseline/row_buffer.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 
 #include "convert/inference.h"
-#include "convert/numeric.h"
-#include "convert/temporal.h"
+#include "core/column_plan.h"
 
 namespace parparaw {
 
@@ -56,61 +56,6 @@ ScanResult AppendParsedRange(const Format& format, const uint8_t* data,
   result.final_state = state;
   return result;
 }
-
-namespace {
-
-bool ConvertBufferedValue(const DataType& type, std::string_view sv,
-                          Column* column, int64_t row) {
-  switch (type.id) {
-    case TypeId::kBool: {
-      bool v;
-      if (!ParseBool(sv, &v)) return false;
-      column->SetValue<uint8_t>(row, v ? 1 : 0);
-      return true;
-    }
-    case TypeId::kInt32: {
-      int32_t v;
-      if (!ParseInt32(sv, &v)) return false;
-      column->SetValue<int32_t>(row, v);
-      return true;
-    }
-    case TypeId::kInt64: {
-      int64_t v;
-      if (!ParseInt64(sv, &v)) return false;
-      column->SetValue<int64_t>(row, v);
-      return true;
-    }
-    case TypeId::kFloat64: {
-      double v;
-      if (!ParseFloat64(sv, &v)) return false;
-      column->SetValue<double>(row, v);
-      return true;
-    }
-    case TypeId::kDecimal64: {
-      int64_t v;
-      if (!ParseDecimal64(sv, type.scale, &v)) return false;
-      column->SetValue<int64_t>(row, v);
-      return true;
-    }
-    case TypeId::kDate32: {
-      int32_t v;
-      if (!ParseDate32(sv, &v)) return false;
-      column->SetValue<int32_t>(row, v);
-      return true;
-    }
-    case TypeId::kTimestampMicros: {
-      int64_t v;
-      if (!ParseTimestampMicros(sv, &v)) return false;
-      column->SetValue<int64_t>(row, v);
-      return true;
-    }
-    case TypeId::kString:
-      return false;
-  }
-  return false;
-}
-
-}  // namespace
 
 Result<Table> BuildTableFromRecords(const RecordBuffer& records,
                                     const ParseOptions& options,
@@ -203,14 +148,11 @@ Result<Table> BuildTableFromRecords(const RecordBuffer& records,
     const bool has_default = field.default_value.has_value();
     Column column(field.type);
     column.Allocate(rows);
-    Column default_holder(field.type);
-    if (has_default && field.type.id != TypeId::kString) {
-      default_holder.Allocate(1);
-      if (!ConvertBufferedValue(field.type, *field.default_value,
-                                &default_holder, 0)) {
-        return Status::Invalid("default value '" + *field.default_value +
-                               "' is not a valid " + field.type.ToString());
-      }
+    std::array<uint8_t, 8> default_slot{};
+    if (has_default && field.type.id != TypeId::kString &&
+        !ParseSlot(field.type, *field.default_value, default_slot.data())) {
+      return Status::Invalid("default value '" + *field.default_value +
+                             "' is not a valid " + field.type.ToString());
     }
     const int width = FixedWidth(field.type.id);
     if (field.type.id == TypeId::kString) {
@@ -249,17 +191,18 @@ Result<Table> BuildTableFromRecords(const RecordBuffer& records,
         std::string_view sv =
             exists ? records.FieldValue(records.FirstField(r) + j)
                    : std::string_view();
+        uint8_t* slot = column.mutable_data()->data() + row * width;
         bool ok = false;
         if (!sv.empty()) {
-          ok = ConvertBufferedValue(field.type, sv, &column, row);
+          ok = ParseSlot(field.type, sv, slot);
           if (!ok) table.rejected[row] = 1;
         } else if (has_default) {
-          std::memcpy(column.mutable_data()->data() + row * width,
-                      default_holder.data().data(), width);
-          column.SetValid(row);
+          std::memcpy(slot, default_slot.data(), width);
           ok = true;
         }
-        if (!ok) {
+        if (ok) {
+          column.SetValid(row);
+        } else {
           column.SetNull(row);
           if (!field.nullable) table.rejected[row] = 1;
         }

@@ -2,9 +2,8 @@
 
 #include <cstdio>
 
-#include "util/string_util.h"
-
 namespace parparaw {
+namespace convert_internal {
 
 namespace {
 
@@ -24,8 +23,6 @@ bool FixedDigits(std::string_view s, size_t* pos, int n, int* out) {
   return true;
 }
 
-constexpr int kDaysInMonth[] = {31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31};
-
 bool ParseCivilDate(std::string_view s, size_t* pos, int* year, int* month,
                     int* day) {
   if (!FixedDigits(s, pos, 4, year)) return false;
@@ -44,19 +41,61 @@ bool ParseCivilDate(std::string_view s, size_t* pos, int* year, int* month,
 
 }  // namespace
 
-bool IsLeapYear(int64_t year) {
-  return year % 4 == 0 && (year % 100 != 0 || year % 400 == 0);
+bool ParseDate32General(std::string_view s, int32_t* out) {
+  size_t pos = 0;
+  int year, month, day;
+  if (!ParseCivilDate(s, &pos, &year, &month, &day)) return false;
+  if (pos != s.size()) return false;
+  *out = static_cast<int32_t>(
+      DaysFromCivil(year, static_cast<unsigned>(month),
+                    static_cast<unsigned>(day)));
+  return true;
 }
 
-int64_t DaysFromCivil(int64_t y, unsigned m, unsigned d) {
-  // Howard Hinnant's algorithm, shifting the year so March is month 0.
-  y -= m <= 2;
-  const int64_t era = (y >= 0 ? y : y - 399) / 400;
-  const unsigned yoe = static_cast<unsigned>(y - era * 400);
-  const unsigned doy = (153 * (m + (m > 2 ? -3 : 9)) + 2) / 5 + d - 1;
-  const unsigned doe = yoe * 365 + yoe / 4 - yoe / 100 + doy;
-  return era * 146097 + static_cast<int64_t>(doe) - 719468;
+bool ParseTimestampMicrosGeneral(std::string_view s, int64_t* out) {
+  size_t pos = 0;
+  int year, month, day;
+  if (!ParseCivilDate(s, &pos, &year, &month, &day)) return false;
+  int64_t micros = DaysFromCivil(year, static_cast<unsigned>(month),
+                                 static_cast<unsigned>(day)) *
+                   int64_t{86400} * 1000000;
+  if (pos == s.size()) {  // date-only timestamp
+    *out = micros;
+    return true;
+  }
+  if (s[pos] != ' ' && s[pos] != 'T') return false;
+  ++pos;
+  int hour, minute, second;
+  if (!FixedDigits(s, &pos, 2, &hour)) return false;
+  if (pos >= s.size() || s[pos] != ':') return false;
+  ++pos;
+  if (!FixedDigits(s, &pos, 2, &minute)) return false;
+  if (pos >= s.size() || s[pos] != ':') return false;
+  ++pos;
+  if (!FixedDigits(s, &pos, 2, &second)) return false;
+  if (hour > 23 || minute > 59 || second > 59) return false;
+  micros += (int64_t{hour} * 3600 + minute * 60 + second) * 1000000;
+  if (pos < s.size() && s[pos] == '.') {
+    ++pos;
+    int64_t frac = 0;
+    int digits = 0;
+    while (pos < s.size() && IsDigit(s[pos])) {
+      if (digits < 6) {
+        frac = frac * 10 + (s[pos] - '0');
+        ++digits;
+      }
+      ++pos;
+    }
+    if (digits == 0) return false;
+    for (int d = digits; d < 6; ++d) frac *= 10;
+    micros += frac;
+  }
+  if (pos != s.size()) return false;
+  *out = micros;
+  return true;
 }
+
+}  // namespace convert_internal
 
 void CivilFromDays(int64_t z, int64_t* year, unsigned* month, unsigned* day) {
   z += 719468;
@@ -111,62 +150,6 @@ std::string FormatTimestampMicros(int64_t micros) {
                   static_cast<long long>(frac));
   }
   return buf;
-}
-
-bool ParseDate32(std::string_view s, int32_t* out) {
-  s = TrimWhitespace(s);
-  size_t pos = 0;
-  int year, month, day;
-  if (!ParseCivilDate(s, &pos, &year, &month, &day)) return false;
-  if (pos != s.size()) return false;
-  *out = static_cast<int32_t>(
-      DaysFromCivil(year, static_cast<unsigned>(month),
-                    static_cast<unsigned>(day)));
-  return true;
-}
-
-bool ParseTimestampMicros(std::string_view s, int64_t* out) {
-  s = TrimWhitespace(s);
-  size_t pos = 0;
-  int year, month, day;
-  if (!ParseCivilDate(s, &pos, &year, &month, &day)) return false;
-  int64_t micros = DaysFromCivil(year, static_cast<unsigned>(month),
-                                 static_cast<unsigned>(day)) *
-                   int64_t{86400} * 1000000;
-  if (pos == s.size()) {  // date-only timestamp
-    *out = micros;
-    return true;
-  }
-  if (s[pos] != ' ' && s[pos] != 'T') return false;
-  ++pos;
-  int hour, minute, second;
-  if (!FixedDigits(s, &pos, 2, &hour)) return false;
-  if (pos >= s.size() || s[pos] != ':') return false;
-  ++pos;
-  if (!FixedDigits(s, &pos, 2, &minute)) return false;
-  if (pos >= s.size() || s[pos] != ':') return false;
-  ++pos;
-  if (!FixedDigits(s, &pos, 2, &second)) return false;
-  if (hour > 23 || minute > 59 || second > 59) return false;
-  micros += (int64_t{hour} * 3600 + minute * 60 + second) * 1000000;
-  if (pos < s.size() && s[pos] == '.') {
-    ++pos;
-    int64_t frac = 0;
-    int digits = 0;
-    while (pos < s.size() && IsDigit(s[pos])) {
-      if (digits < 6) {
-        frac = frac * 10 + (s[pos] - '0');
-        ++digits;
-      }
-      ++pos;
-    }
-    if (digits == 0) return false;
-    for (int d = digits; d < 6; ++d) frac *= 10;
-    micros += frac;
-  }
-  if (pos != s.size()) return false;
-  *out = micros;
-  return true;
 }
 
 }  // namespace parparaw

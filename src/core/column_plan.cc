@@ -3,90 +3,9 @@
 #include <algorithm>
 #include <string>
 
-#include "convert/numeric.h"
-#include "convert/temporal.h"
 #include "core/pipeline_state.h"
 
 namespace parparaw {
-
-namespace {
-
-template <typename T>
-void StoreSlot(uint8_t* slot, T value) {
-  std::memcpy(slot, &value, sizeof(T));
-}
-
-}  // namespace
-
-bool ParseSlot(const DataType& type, std::string_view value, uint8_t* slot) {
-  switch (type.id) {
-    case TypeId::kBool: {
-      bool v;
-      if (!ParseBool(value, &v)) return false;
-      StoreSlot<uint8_t>(slot, v ? 1 : 0);
-      return true;
-    }
-    case TypeId::kInt32: {
-      int32_t v;
-      if (!ParseInt32(value, &v)) return false;
-      StoreSlot(slot, v);
-      return true;
-    }
-    case TypeId::kInt64: {
-      int64_t v;
-      if (!ParseInt64(value, &v)) return false;
-      StoreSlot(slot, v);
-      return true;
-    }
-    case TypeId::kFloat64: {
-      double v;
-      if (!ParseFloat64(value, &v)) return false;
-      StoreSlot(slot, v);
-      return true;
-    }
-    case TypeId::kDecimal64: {
-      int64_t v;
-      if (!ParseDecimal64(value, type.scale, &v)) return false;
-      StoreSlot(slot, v);
-      return true;
-    }
-    case TypeId::kDate32: {
-      int32_t v;
-      if (!ParseDate32(value, &v)) return false;
-      StoreSlot(slot, v);
-      return true;
-    }
-    case TypeId::kTimestampMicros: {
-      int64_t v;
-      if (!ParseTimestampMicros(value, &v)) return false;
-      StoreSlot(slot, v);
-      return true;
-    }
-    case TypeId::kString:
-      return false;
-  }
-  return false;
-}
-
-ValueOutcome ConvertFixed(const ColumnPlan& plan, std::string_view value,
-                          uint8_t* slot) {
-  ValueOutcome outcome;
-  if (!value.empty()) {
-    if (!ParseSlot(plan.field.type, value, slot)) {
-      outcome.valid = false;
-      outcome.reject = kRejectMalformed;
-    }
-    return outcome;
-  }
-  if (plan.has_default()) {
-    std::memcpy(slot, plan.default_slot.data(),
-                static_cast<size_t>(FixedWidth(plan.field.type.id)));
-    return outcome;
-  }
-  outcome.valid = false;
-  if (!plan.field.nullable) outcome.reject = kRejectNull;
-  return outcome;
-}
 
 std::vector<ColumnPlan> SelectColumns(const PipelineState& state) {
   const ParseOptions& options = *state.options;

@@ -9,6 +9,8 @@
 #include <vector>
 
 #include "columnar/schema.h"
+#include "convert/numeric.h"
+#include "convert/temporal.h"
 #include "parallel/thread_pool.h"
 #include "util/status.h"
 
@@ -59,16 +61,79 @@ struct ValueOutcome {
   uint8_t reject = kNotRejected;
 };
 
-// --- The value rule. Both transpose modes apply these three functions, so
-// parse, default, NULL and reject agree by construction. ---
+// --- The value rule. Both transpose modes apply these functions, so parse,
+// default, NULL and reject agree by construction; the sequential baseline
+// and JSON Lines parse through ParseSlot too. ---
+
+/// Parses `value` as `type` into `slot` (the type's fixed width); false on
+/// malformed input, which leaves the slot as it was. String columns are not
+/// parsed. Inline with its converters (convert/numeric.h,
+/// convert/temporal.h), so each caller's loop compiles the parse in.
+inline bool ParseSlot(const DataType& type, std::string_view value,
+                      uint8_t* slot) {
+  const auto store = [slot](auto v) {
+    std::memcpy(slot, &v, sizeof(v));
+    return true;
+  };
+  switch (type.id) {
+    case TypeId::kBool: {
+      bool v = false;
+      return ParseBool(value, &v) && store(static_cast<uint8_t>(v ? 1 : 0));
+    }
+    case TypeId::kInt32: {
+      int32_t v = 0;
+      return ParseInt32(value, &v) && store(v);
+    }
+    case TypeId::kInt64: {
+      int64_t v = 0;
+      return ParseInt64(value, &v) && store(v);
+    }
+    case TypeId::kFloat64: {
+      double v = 0;
+      return ParseFloat64(value, &v) && store(v);
+    }
+    case TypeId::kDecimal64: {
+      int64_t v = 0;
+      return ParseDecimal64(value, type.scale, &v) && store(v);
+    }
+    case TypeId::kDate32: {
+      int32_t v = 0;
+      return ParseDate32(value, &v) && store(v);
+    }
+    case TypeId::kTimestampMicros: {
+      int64_t v = 0;
+      return ParseTimestampMicros(value, &v) && store(v);
+    }
+    case TypeId::kString:
+      return false;
+  }
+  return false;
+}
 
 /// Fixed-width columns. A non-empty `value` is parsed into `slot`; a
 /// malformed one leaves the slot as it was and is NULL with
 /// kRejectMalformed. An empty or missing field (an empty `value`) takes the
 /// default, else it is NULL, with kRejectNull when the column is not
 /// nullable.
-ValueOutcome ConvertFixed(const ColumnPlan& plan, std::string_view value,
-                          uint8_t* slot);
+inline ValueOutcome ConvertFixed(const ColumnPlan& plan,
+                                 std::string_view value, uint8_t* slot) {
+  ValueOutcome outcome;
+  if (!value.empty()) {
+    if (!ParseSlot(plan.field.type, value, slot)) {
+      outcome.valid = false;
+      outcome.reject = kRejectMalformed;
+    }
+    return outcome;
+  }
+  if (plan.has_default()) {
+    std::memcpy(slot, plan.default_slot.data(),
+                static_cast<size_t>(FixedWidth(plan.field.type.id)));
+    return outcome;
+  }
+  outcome.valid = false;
+  if (!plan.field.nullable) outcome.reject = kRejectNull;
+  return outcome;
+}
 
 /// String columns. A value is its own bytes; an empty field takes the
 /// default, else "" (valid); a missing field takes the default, else it is
@@ -91,9 +156,6 @@ inline int64_t StringLength(const ColumnPlan& plan, FieldPresence presence,
   return static_cast<int64_t>(plan.default_string().size());
 }
 
-/// Parses `value` as `type` into `slot` (the type's fixed width); false on
-/// malformed input. String columns are not parsed.
-bool ParseSlot(const DataType& type, std::string_view value, uint8_t* slot);
 
 /// Selects the output columns: the schema's fields (or one string column
 /// per observed column, up to the kept records' maximum) minus

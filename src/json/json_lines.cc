@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
-#include "convert/numeric.h"
-#include "convert/temporal.h"
+#include "core/column_plan.h"
 #include "core/parser.h"
 #include "text/unicode.h"
 
@@ -342,47 +341,19 @@ Result<ParseOutput> ParseJsonLines(std::string_view input,
       column = std::move(rebuilt);
       continue;
     }
+    const int width = FixedWidth(fields[f].type.id);
+    uint8_t* slots = column.mutable_data()->data();
     for (int64_t r = 0; r < rows; ++r) {
       bool ok = false;
       if (extracted[f][r].has_value()) {
-        const std::string& text = *extracted[f][r];
-        switch (fields[f].type.id) {
-          case TypeId::kBool: {
-            bool v;
-            ok = ParseBool(text, &v);
-            if (ok) column.SetValue<uint8_t>(r, v ? 1 : 0);
-            break;
-          }
-          case TypeId::kInt64: {
-            int64_t v;
-            ok = ParseInt64(text, &v);
-            if (ok) column.SetValue<int64_t>(r, v);
-            break;
-          }
-          case TypeId::kFloat64: {
-            double v;
-            ok = ParseFloat64(text, &v);
-            if (ok) column.SetValue<double>(r, v);
-            break;
-          }
-          case TypeId::kTimestampMicros: {
-            int64_t v;
-            ok = ParseTimestampMicros(text, &v);
-            if (ok) column.SetValue<int64_t>(r, v);
-            break;
-          }
-          case TypeId::kDate32: {
-            int32_t v;
-            ok = ParseDate32(text, &v);
-            if (ok) column.SetValue<int32_t>(r, v);
-            break;
-          }
-          default:
-            break;
-        }
+        ok = ParseSlot(fields[f].type, *extracted[f][r], slots + r * width);
         if (!ok) output.table.rejected[r] = 1;
       }
-      if (!ok) column.SetNull(r);
+      if (ok) {
+        column.SetValid(r);
+      } else {
+        column.SetNull(r);
+      }
     }
   }
   for (int64_t r = 0; r < rows; ++r) {

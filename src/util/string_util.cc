@@ -20,14 +20,6 @@ std::vector<std::string_view> SplitString(std::string_view s, char sep) {
   return out;
 }
 
-std::string_view TrimWhitespace(std::string_view s) {
-  size_t b = 0;
-  size_t e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
-}
-
 std::string FormatBytes(uint64_t bytes) {
   char buf[64];
   if (bytes >= (uint64_t{1} << 30)) {

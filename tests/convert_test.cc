@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "convert/numeric.h"
 #include "convert/temporal.h"
@@ -82,11 +83,49 @@ TEST(ParseFloat64Test, Exponents) {
 
 TEST(ParseFloat64Test, SlowPathPrecision) {
   double v;
-  // 19+ significant digits exercise the strtod fallback.
+  // 19+ significant digits take the general path (std::from_chars).
   EXPECT_TRUE(ParseFloat64("1234567890.12345678901", &v));
   EXPECT_DOUBLE_EQ(v, 1234567890.12345678901);
   EXPECT_TRUE(ParseFloat64("0.000000000000000000001", &v));
   EXPECT_DOUBLE_EQ(v, 1e-21);
+}
+
+TEST(ParseFloat64Test, LongNumeralsHaveNoLengthLimit) {
+  double v;
+  // 622 bytes: "1", 20 zeros, ".", 600 zeros.
+  const std::string long_integral =
+      "1" + std::string(20, '0') + "." + std::string(600, '0');
+  ASSERT_EQ(long_integral.size(), 622u);
+  ASSERT_TRUE(ParseFloat64(long_integral, &v));
+  EXPECT_EQ(v, 1e20);
+  // A 600-digit fraction whose 601st significant digit would round up.
+  const std::string long_fraction = "0." + std::string(599, '3') + "4";
+  ASSERT_TRUE(ParseFloat64(long_fraction, &v));
+  EXPECT_EQ(v, 1.0 / 3.0);
+  ASSERT_TRUE(ParseFloat64("-" + long_fraction, &v));
+  EXPECT_EQ(v, -1.0 / 3.0);
+  // Grammar errors still reject at any length.
+  EXPECT_FALSE(ParseFloat64(long_integral + "x", &v));
+  EXPECT_FALSE(ParseFloat64(long_integral + ".5", &v));
+}
+
+TEST(ParseFloat64Test, OutOfRange) {
+  double v = 1;
+  // Underflow reads as zero of its sign; overflow is rejected.
+  ASSERT_TRUE(ParseFloat64("1e-400", &v));
+  EXPECT_EQ(v, 0.0);
+  EXPECT_FALSE(std::signbit(v));
+  ASSERT_TRUE(ParseFloat64("-1e-400", &v));
+  EXPECT_EQ(v, 0.0);
+  EXPECT_TRUE(std::signbit(v));
+  ASSERT_TRUE(ParseFloat64("0." + std::string(400, '0') + "1", &v));
+  EXPECT_EQ(v, 0.0);
+  ASSERT_TRUE(ParseFloat64("4e-320", &v));
+  EXPECT_GT(v, 0.0);  // subnormal, not flushed
+  EXPECT_FALSE(ParseFloat64("1e309", &v));
+  EXPECT_FALSE(ParseFloat64("-1e309", &v));
+  EXPECT_FALSE(ParseFloat64("1" + std::string(400, '0'), &v));
+  EXPECT_FALSE(ParseFloat64("1e10001", &v));  // exponent past the grammar
 }
 
 TEST(ParseFloat64Test, Malformed) {

@@ -147,6 +147,30 @@ TEST(ParseJsonLinesTest, MalformedRecordsAreRejected) {
   EXPECT_EQ(result->table.columns[0].Value<int64_t>(2), 3);
 }
 
+TEST(ParseJsonLinesTest, Int32AndDecimal64ColumnsParse) {
+  // JSON Lines converts through the value rule's ParseSlot, so every
+  // fixed-width type parses, not only the ones a private switch listed.
+  const std::string input =
+      "{\"a\": 7, \"b\": \"1.25\", \"c\": 9}\n"
+      "{\"a\": -3, \"b\": 2.5, \"c\": 1}\n";
+  auto result = ParseJsonLines(input, {{"a", DataType::Int32()},
+                                       {"b", DataType::Decimal64(2)},
+                                       {"c", DataType::Int64()}});
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const Table& table = result->table;
+  ASSERT_EQ(table.num_rows, 2);
+  for (int64_t r = 0; r < 2; ++r) {
+    EXPECT_EQ(table.rejected[r], 0) << r;
+    for (int c = 0; c < 3; ++c) EXPECT_FALSE(table.columns[c].IsNull(r)) << r;
+  }
+  EXPECT_EQ(table.columns[0].Value<int32_t>(0), 7);
+  EXPECT_EQ(table.columns[0].Value<int32_t>(1), -3);
+  EXPECT_EQ(table.columns[1].Value<int64_t>(0), 125);
+  EXPECT_EQ(table.columns[1].Value<int64_t>(1), 250);
+  EXPECT_EQ(table.columns[2].Value<int64_t>(0), 9);
+  EXPECT_EQ(table.columns[2].Value<int64_t>(1), 1);
+}
+
 TEST(ParseJsonLinesTest, EmptyInput) {
   auto result = ParseJsonLines("", {{"a", DataType::Int64()}});
   ASSERT_TRUE(result.ok());

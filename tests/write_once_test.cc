@@ -215,7 +215,9 @@ TEST(WriteOnceTest, ReusedMappedStateMatchesFreshHarness) {
               huge_pages::kHugePageBytes)
         << context;
     EXPECT_TRUE(state.css.empty()) << context;
-    if (level != KernelLevel::kScalar) EXPECT_GT(corrupted, 0) << context;
+    if (level != KernelLevel::kScalar) {
+      EXPECT_GT(corrupted, 0) << context;
+    }
   }
 }
 
