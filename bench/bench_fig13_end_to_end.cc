@@ -15,9 +15,12 @@
 // << sequential; instant-loading unusable (wrong) for quoted yelp data in
 // unsafe mode.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <thread>
+#include <vector>
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -41,21 +44,57 @@ using namespace parparaw::bench;  // NOLINT
 // resolution).
 TransposeMode g_transpose_mode = TransposeMode::kAuto;
 
-void Row(const char* system, double seconds, int64_t rows, bool correct,
-         size_t bytes) {
-  std::printf("%-28s %10.1fms %10.3fGB/s %10lld %s\n", system,
-              seconds * 1e3, Gbps(bytes, seconds),
-              static_cast<long long>(rows), correct ? "" : "  (WRONG OUTPUT)");
+/// Timed calls per system of a dataset, after one untimed warm-up call.
+constexpr int kTimedCalls = 7;
+
+/// The median, min and max seconds of one system's timed calls.
+struct Timing {
+  double median = 0;
+  double min = 0;
+  double max = 0;
+};
+
+/// Runs `call` (one call of a system, returning its seconds, or a
+/// negative value when the system failed) once untimed, then kTimedCalls
+/// times. nullopt when any call failed.
+template <typename Call>
+std::optional<Timing> TimeCalls(const Call& call) {
+  std::vector<double> seconds;
+  for (int i = 0; i <= kTimedCalls; ++i) {
+    const double s = call();
+    if (s < 0) return std::nullopt;
+    if (i > 0) seconds.push_back(s);
+  }
+  std::sort(seconds.begin(), seconds.end());
+  return Timing{seconds[seconds.size() / 2], seconds.front(), seconds.back()};
 }
 
-/// Prints the row and records it into the --json-out report under
-/// "<key>/<system>".
+/// Prints a one-value row and records it into the --json-out report
+/// under "<key>/<system>".
 void Record(JsonReport* report, const char* key, const char* system,
             double seconds, int64_t rows, bool correct, size_t bytes) {
-  Row(system, seconds, rows, correct, bytes);
+  std::printf("%-28s %10.1fms %15s %8.3fGB/s %8lld %s\n", system,
+              seconds * 1e3, "", Gbps(bytes, seconds),
+              static_cast<long long>(rows), correct ? "" : "  (WRONG OUTPUT)");
   report->Add(std::string(key) + "/" + system,
               {{"seconds", seconds},
                {"gbps", Gbps(bytes, seconds)},
+               {"rows", static_cast<double>(rows)},
+               {"correct", correct ? 1.0 : 0.0}});
+}
+
+/// The same for timed calls: `seconds` and `gbps` are the median's, and
+/// `min_seconds` / `max_seconds` give the spread.
+void Record(JsonReport* report, const char* key, const char* system,
+            const Timing& t, int64_t rows, bool correct, size_t bytes) {
+  std::printf("%-28s %10.1fms [%6.1f-%6.1f] %8.3fGB/s %8lld %s\n", system,
+              t.median * 1e3, t.min * 1e3, t.max * 1e3, Gbps(bytes, t.median),
+              static_cast<long long>(rows), correct ? "" : "  (WRONG OUTPUT)");
+  report->Add(std::string(key) + "/" + system,
+              {{"seconds", t.median},
+               {"min_seconds", t.min},
+               {"max_seconds", t.max},
+               {"gbps", Gbps(bytes, t.median)},
                {"rows", static_cast<double>(rows)},
                {"correct", correct ? 1.0 : 0.0}});
 }
@@ -64,8 +103,8 @@ void RunDataset(const char* key, const char* name, const std::string& data,
                 const Schema& schema, bool quoted_text, JsonReport* report) {
   std::printf("\n--- Figure 13 (%s, %.1f MB) ---\n", name,
               static_cast<double>(data.size()) / (1 << 20));
-  std::printf("%-28s %12s %13s %10s\n", "system", "duration", "rate",
-              "rows");
+  std::printf("%-28s %12s %15s %12s %8s\n", "system", "median",
+              "[min-max] ms", "rate", "rows");
 
   ParseOptions base;
   base.schema = schema;
@@ -79,32 +118,67 @@ void RunDataset(const char* key, const char* name, const std::string& data,
     return;
   }
 
+  // Every system keeps its last call's table, which is checked against
+  // the ground truth after the timed calls.
+  Table table;
+  const auto record = [&](const char* system,
+                          const std::optional<Timing>& timing) {
+    if (!timing.has_value()) return;
+    Record(report, key, system, *timing, table.num_rows,
+           table.Equals(expected->table), data.size());
+  };
+  // Times a baseline parser's calls with a stopwatch around each.
+  const auto time_parser = [&](const auto& parse) {
+    return TimeCalls([&] {
+      Stopwatch watch;
+      auto result = parse();
+      if (!result.ok()) return -1.0;
+      const double seconds = watch.ElapsedSeconds();
+      table = std::move(result->table);
+      return seconds;
+    });
+  };
+
   // ParPaRaw, end-to-end streaming: modelled GPU + PCIe timeline plus the
-  // CPU-substrate wall time for transparency. The run feeds the metrics
-  // registry and tracer so the per-stage breakdown below comes from the
-  // observability subsystem, not ad-hoc stopwatches.
+  // CPU-substrate wall time for transparency. The timed calls run with
+  // observability off; one more, traced call feeds the metrics registry
+  // and tracer, so the per-stage breakdown comes from the observability
+  // subsystem, not ad-hoc stopwatches.
   {
     exec::ExecOptions options;
     options.base = base;
+    options.partition_size = 4 << 20;
+    double modeled = 0;
+    const std::optional<Timing> substrate = TimeCalls([&] {
+      exec::PipelineExecutor executor;
+      auto result = executor.IngestBuffer(data, options);
+      if (!result.ok()) return -1.0;
+      modeled = ModelStream(*result).modeled_end_to_end_seconds;
+      table = std::move(result->table);
+      return result->stats.wall_seconds;
+    });
+    // The model replays the partitions' work counters, which every call
+    // repeats exactly, so its row is one value.
+    if (substrate.has_value()) {
+      Record(report, key, "ParPaRaw (modeled GPU e2e)", modeled,
+             table.num_rows, table.Equals(expected->table), data.size());
+    }
+    record("ParPaRaw (CPU substrate)", substrate);
+
     EnableObservability(&options.base);
     obs::MetricsRegistry::Global().Reset();
     obs::Tracer::Global().Clear();
-    options.partition_size = 4 << 20;
     exec::PipelineExecutor executor;
-    auto result = executor.IngestBuffer(data, options);
-    if (result.ok()) {
-      const bool correct = result->table.Equals(expected->table);
-      Record(report, key, "ParPaRaw (modeled GPU e2e)",
-             ModelStream(*result).modeled_end_to_end_seconds,
-             result->table.num_rows, correct, data.size());
-      Record(report, key, "ParPaRaw (CPU substrate)",
-             result->stats.wall_seconds, result->table.num_rows, correct,
-             data.size());
-      std::printf("\nper-stage breakdown (CPU substrate, %d partitions):\n",
-                  result->stats.num_partitions);
+    auto traced = executor.IngestBuffer(data, options);
+    if (traced.ok()) {
+      std::printf("\nper-stage breakdown (CPU substrate, one traced call, "
+                  "%d partitions):\n",
+                  traced->stats.num_partitions);
       PrintStageBreakdown(&obs::MetricsRegistry::Global());
     }
     MaybeDumpTrace();
+    obs::MetricsRegistry::Global().SetEnabled(false);
+    obs::Tracer::Global().SetEnabled(false);
   }
 
   // Instant Loading: unsafe mode is only *correct* for formats whose
@@ -117,45 +191,22 @@ void RunDataset(const char* key, const char* name, const std::string& data,
     // logical chunk per core the unsafe mode's boundary mistakes on
     // quoted data become visible.
     options.num_workers = 32;
+    const auto parse = [&] {
+      return InstantLoadingParser::Parse(data, options);
+    };
     options.safe_mode = false;
-    Stopwatch watch;
-    auto result = InstantLoadingParser::Parse(data, options);
-    if (result.ok()) {
-      Record(report, key, "Inst. Loading (unsafe)", watch.ElapsedSeconds(),
-             result->table.num_rows, result->table.Equals(expected->table),
-             data.size());
-    }
+    record("Inst. Loading (unsafe)", time_parser(parse));
     options.safe_mode = true;
-    watch.Restart();
-    auto safe = InstantLoadingParser::Parse(data, options);
-    if (safe.ok()) {
-      Record(report, key, "Inst. Loading (safe)", watch.ElapsedSeconds(),
-             safe->table.num_rows, safe->table.Equals(expected->table),
-             data.size());
-    }
+    record("Inst. Loading (safe)", time_parser(parse));
   }
 
   // Speculative quote-count parser (format-specific exploit).
-  {
-    Stopwatch watch;
-    auto result = QuoteCountParser::Parse(data, base);
-    if (result.ok()) {
-      Record(report, key, "Quote-count (speculative)", watch.ElapsedSeconds(),
-             result->table.num_rows, result->table.Equals(expected->table),
-             data.size());
-    }
-  }
+  record("Quote-count (speculative)",
+         time_parser([&] { return QuoteCountParser::Parse(data, base); }));
 
   // Sequential FSM parser (the single-threaded CPU-system class).
-  {
-    Stopwatch watch;
-    auto result = SequentialParser::Parse(data, base);
-    if (result.ok()) {
-      Record(report, key, "Sequential FSM (CPU class)",
-             watch.ElapsedSeconds(), result->table.num_rows, true,
-             data.size());
-    }
-  }
+  record("Sequential FSM (CPU class)",
+         time_parser([&] { return SequentialParser::Parse(data, base); }));
   (void)quoted_text;
 }
 
@@ -190,8 +241,8 @@ void RunPipelineMode(JsonReport* report) {
   }
   ParseOptions base;
   base.schema = TaxiSchema();
-  std::printf("%-28s %12s %13s %10s\n", "schedule", "duration", "rate",
-              "rows");
+  std::printf("%-28s %12s %15s %12s %8s\n", "schedule", "duration", "",
+              "rate", "rows");
 
   // "Serial" is the same executor with one partition in flight: read,
   // scan, sort and convert of a partition run back to back.

@@ -385,23 +385,27 @@ run_serve() {
   echo "=== serve: build (TSan) ==="
   cmake --build build-tsan -j "${JOBS}"
   # The daemon's schedule-sensitive surface: N concurrent clients mixing
-  # ingest/query/disconnect against one shared admission controller, the
-  # BUSY shedding paths, cancel-on-disconnect slot return, graceful drain
-  # racing in-flight requests, deadline expiry racing completion, the
-  # retrying client's kill-and-restart soak, and clean shutdown with
-  # requests in flight. ServeFailpoint drives the one frame reader and
-  # writer (serve/protocol.h) on both ends at once, through one-byte
-  # writes, short reads, transient read faults and corrupted checksummed
-  # frames, while the connection thread sets its checksum flag and
-  # in_request as each header arrives. Queries run on the same executor
-  # path as parses: their budget-slice and cancel-on-disconnect cases sit
-  # in ServeConcurrency, the server-local file query in ServeConformance
-  # and the mid-ingest expiry in ServeDeadline, so the filter below
-  # already covers them.
+  # ingest/query/disconnect, every request running on the daemon's one
+  # executor and its one admission controller, the BUSY shedding paths,
+  # graceful drain racing in-flight requests, deadline expiry racing
+  # completion, the retrying client's kill-and-restart soak, and clean
+  # shutdown (one Cancel() on that executor) with requests in flight. A
+  # disconnect is seen at the executor's stage entries, where the
+  # daemon's stage hook runs on pool workers, so Exec runs here too: its
+  # stage-check test fails one of two concurrent ingests on one executor
+  # from its hook. ServeFailpoint drives the one frame reader and writer
+  # (serve/protocol.h) on both ends at once, through one-byte writes,
+  # short reads, transient read faults and corrupted checksummed frames,
+  # while the connection thread sets its checksum flag and in_request as
+  # each header arrives. Queries run on the same executor path as
+  # parses: their budget-slice and cancel-on-disconnect cases sit in
+  # ServeConcurrency, the server-local file query in ServeConformance and
+  # the mid-ingest expiry in ServeDeadline, so the filter below already
+  # covers them.
   echo "=== serve: concurrency soak under TSan ==="
   TSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \
-      -R 'ServeConcurrency|ServeConformance|ServeFailpoint|ServeDeadline|ServeDrain|ServeRetry|Admission'
+      -R 'ServeConcurrency|ServeConformance|ServeFailpoint|ServeDeadline|ServeDrain|ServeRetry|Admission|Exec'
 }
 
 case "${MODE}" in

@@ -13,12 +13,11 @@ namespace exec {
 ///
 /// Tracks how many memory-bearing units (partitions resident in the
 /// pipeline, requests in flight on the network daemon) exist at once and
-/// blocks producers once a limit is reached. Extracted from
-/// PipelineExecutor so that *several* executors — e.g. one per daemon
-/// connection, so cancel-on-disconnect stays per-client — can share one
-/// controller and therefore one global memory budget: whoever acquires
-/// counts against everyone's limit, which is exactly the multi-tenant
-/// backpressure the serving layer needs.
+/// blocks producers once a limit is reached. Every ingest on one
+/// PipelineExecutor draws from its controller, so concurrent ingests —
+/// every request of the serving daemon — share one global memory budget:
+/// whoever acquires counts against everyone's limit, which is exactly
+/// the multi-tenant backpressure the serving layer needs.
 ///
 /// The limit is a parameter of Acquire rather than controller state
 /// because each ingest derives its own limit from its options (and they

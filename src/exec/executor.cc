@@ -5,7 +5,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <thread>
 #include <utility>
 
 #include "core/staged_parse.h"
@@ -154,7 +153,7 @@ class BufferSource final : public ChunkSource {
 /// releases it, so at most admission_limit partitions exist across the
 /// whole graph. The exec.queue.{scan,sort,convert}.{push,pop} failpoints
 /// fire at the morsel hand-offs (push = submitting the next morsel, pop =
-/// entering it).
+/// entering it); the run stops only at a stage entry (EnterStage).
 class PipelineRun {
  public:
   PipelineRun(PipelineExecutor* executor, const ExecOptions& options,
@@ -272,8 +271,45 @@ class PipelineRun {
   }
 
  private:
-  void Hook(int stage, int64_t partition) {
-    if (options_.stage_hook) options_.stage_hook(stage, partition);
+  /// Where each stage's entry fails: its queue's pop failpoint and that
+  /// failure's context (the reader has neither), and the site a deadline
+  /// expiry names. Indexed by the stage_hook's stage number.
+  struct StageSites {
+    const char* pop;
+    const char* queue;
+    const char* site;
+  };
+  static constexpr StageSites kStageSites[] = {
+      {nullptr, nullptr, "exec.read"},
+      {"exec.queue.scan.pop", "exec.queue.scan", "exec.scan"},
+      {"exec.queue.sort.pop", "exec.queue.sort", "exec.sort"},
+      {"exec.queue.convert.pop", "exec.queue.convert", "exec.convert"},
+  };
+
+  /// The one stage-entry check, run by the reader before each partition's
+  /// slot wait and by every morsel before its work: the pop failpoint
+  /// first (chaos schedules hit the same sites in the same order), then
+  /// the abort flag, the deadline and the caller's stage_hook. False =
+  /// stop here; any failure was recorded as the run's first error.
+  bool EnterStage(int stage, int64_t partition) {
+    const StageSites& sites = kStageSites[stage];
+    if (sites.pop != nullptr) {
+      const Status injected = robust::CheckFailpoint(sites.pop);
+      if (!injected.ok()) {
+        Fail(injected.WithContext(sites.queue));
+        return false;
+      }
+    }
+    if (aborted()) return false;
+    if (DeadlineExpired(sites.site)) return false;
+    if (options_.stage_hook) {
+      Status checked = options_.stage_hook(stage, partition);
+      if (!checked.ok()) {
+        Fail(std::move(checked));
+        return false;
+      }
+    }
+    return true;
   }
 
   /// Records the first error and aborts the pipeline.
@@ -302,7 +338,7 @@ class PipelineRun {
     return options_.deadline != std::chrono::steady_clock::time_point::max();
   }
 
-  /// The cooperative deadline check, run at every morsel entry (plus the
+  /// The cooperative deadline check, run at every stage entry (plus the
   /// exec.deadline failpoint for deterministic expiry in the chaos
   /// sweep). True = the ingest is out of time; the pipeline aborts
   /// through the same seam as Cancel(), with kDeadlineExceeded recorded
@@ -360,10 +396,8 @@ class PipelineRun {
     int64_t index = 0;
     bool eof = false;
     while (!eof) {
-      if (aborted()) break;
-      if (DeadlineExpired("exec.read")) break;
+      if (!EnterStage(0, index)) break;
       if (!AcquireSlot()) break;
-      Hook(0, index);
       const Status injected = robust::CheckFailpoint("exec.read");
       if (!injected.ok()) {
         ReleaseSlot();
@@ -418,14 +452,7 @@ class PipelineRun {
 
   // --- scan morsel: carry-over assembly + context/bitmap/offset ---
   void ScanMorsel(const std::shared_ptr<RawChunk>& chunk) {
-    Status injected = robust::CheckFailpoint("exec.queue.scan.pop");
-    if (!injected.ok()) {
-      Fail(injected.WithContext("exec.queue.scan"));
-      return;
-    }
-    if (aborted()) return;
-    if (DeadlineExpired("exec.scan")) return;
-    Hook(1, chunk->index);
+    if (!EnterStage(1, chunk->index)) return;
     obs::TraceSpan probe(base_.tracer, "morsel.scan", "sched", metrics_,
                          "exec.scan_us", obs::Timing::kTimed,
                          static_cast<int64_t>(chunk->view.size()));
@@ -530,14 +557,7 @@ class PipelineRun {
 
   // --- sort morsel: a query's select, then tag + sort or gather ---
   void SortMorsel(const std::shared_ptr<PartitionTask>& task) {
-    Status injected = robust::CheckFailpoint("exec.queue.sort.pop");
-    if (!injected.ok()) {
-      Fail(injected.WithContext("exec.queue.sort"));
-      return;
-    }
-    if (aborted()) return;
-    if (DeadlineExpired("exec.sort")) return;
-    Hook(2, task->index);
+    if (!EnterStage(2, task->index)) return;
     obs::TraceSpan probe(base_.tracer, "morsel.sort", "sched", metrics_,
                          "exec.sort_us", obs::Timing::kTimed,
                          task->partition_bytes);
@@ -570,14 +590,7 @@ class PipelineRun {
 
   // --- convert morsel: value generation, then in-order delivery ---
   void ConvertMorsel(const std::shared_ptr<PartitionTask>& task) {
-    Status injected = robust::CheckFailpoint("exec.queue.convert.pop");
-    if (!injected.ok()) {
-      Fail(injected.WithContext("exec.queue.convert"));
-      return;
-    }
-    if (aborted()) return;
-    if (DeadlineExpired("exec.convert")) return;
-    Hook(3, task->index);
+    if (!EnterStage(3, task->index)) return;
     obs::TraceSpan probe(base_.tracer, "morsel.convert", "sched", metrics_,
                          "exec.convert_us", obs::Timing::kTimed,
                          task->partition_bytes);
@@ -772,39 +785,6 @@ Result<IngestResult> PipelineExecutor::StreamBuffer(
   BufferSource source(input);
   PipelineRun run(this, options, &sink);
   return run.Run(&source);
-}
-
-std::vector<Result<IngestResult>> PipelineExecutor::IngestFiles(
-    const std::vector<std::string>& paths, const ExecOptions& options,
-    int max_concurrent_files) {
-  std::vector<Result<IngestResult>> results(
-      paths.size(), Result<IngestResult>(Status::Internal("not run")));
-  if (paths.empty()) return results;
-  const int workers = std::max(
-      1, std::min<int>(max_concurrent_files,
-                       static_cast<int>(paths.size())));
-  std::atomic<size_t> next{0};
-  std::mutex results_mu;
-  const auto drain = [&] {
-    while (true) {
-      const size_t i = next.fetch_add(1);
-      if (i >= paths.size()) return;
-      Result<IngestResult> result = IngestFile(paths[i], options);
-      std::lock_guard<std::mutex> lock(results_mu);
-      results[i] = std::move(result);
-    }
-  };
-  // The calling thread ingests alongside the spawned workers; every file
-  // shares this executor's admission controller, so the memory budget
-  // holds across the whole fleet — and all files' morsels share one
-  // work-stealing pool, so an idle worker advances whichever file has
-  // work.
-  std::vector<std::thread> threads;
-  threads.reserve(workers - 1);
-  for (int w = 1; w < workers; ++w) threads.emplace_back(drain);
-  drain();
-  for (std::thread& t : threads) t.join();
-  return results;
 }
 
 void PipelineExecutor::Cancel() {

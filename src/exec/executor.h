@@ -43,11 +43,15 @@ struct ExecOptions {
   /// never refuses), otherwise one partition per stage (4).
   int max_inflight_partitions = 0;
 
-  /// Test hook invoked at each stage's entry for each partition:
-  /// stage 0 = read, 1 = scan, 2 = sort, 3 = convert. Used by the test
-  /// suite to throttle a stage (backpressure) or trigger cancellation at
-  /// a deterministic point. Must be thread-safe; null = no hook.
-  std::function<void(int stage, int64_t partition)> stage_hook;
+  /// The caller's per-run check, invoked at each stage's entry for each
+  /// partition: stage 0 = read (before the partition's slot wait), 1 =
+  /// scan, 2 = sort, 3 = convert. A non-OK status fails this run at that
+  /// entry, as an exec.queue.*.pop failpoint does, and the ingest returns
+  /// exactly that status; other runs on the executor go on. parparawd
+  /// returns kCancelled once its client has disconnected; the test suite
+  /// throttles a stage (backpressure) or fails a deterministic entry. Runs
+  /// on pool workers, so it must be thread-safe; null = no check.
+  std::function<Status(int stage, int64_t partition)> stage_hook;
 
   /// Cooperative wall-clock deadline for the whole ingest; time_point::max()
   /// = none. Checked at every partition hand-off (each stage's entry) and
@@ -145,8 +149,9 @@ using PartitionSink = std::function<Status(Table&&)>;
 /// across all stages so the total working set respects
 /// ParseOptions::memory_budget (clamp, not refuse — at worst the
 /// pipeline degrades to one partition in flight, the serial schedule).
-/// Several files can be ingested concurrently through one executor; they
-/// share the admission controller, so the budget holds globally.
+/// Several ingests can run concurrently through one executor (parparawd
+/// runs every request on one); they share its admission controller, so
+/// the budget holds globally.
 ///
 /// Every dialect runs this schedule, one over the SIMD register budget
 /// too: its scan morsel's context step walks the entry states
@@ -156,22 +161,18 @@ using PartitionSink = std::function<Status(Table&&)>;
 /// A parse error surfaces in stream order, so the ingest fails with the
 /// error of the first failing partition, as a monolithic parse would.
 ///
-/// Cancellation is cooperative: Cancel() aborts every in-flight ingest
-/// at its next stage boundary with StatusCode::kCancelled. Faults from
-/// the failpoint registry (exec.queue.*.push/pop, exec.read,
-/// exec.ingest) surface as clean errors; the chaos suite asserts
-/// clean-error-or-bit-identical against the fault-free run.
+/// Every ingest stops only at a stage entry (the reader's, before each
+/// partition's slot wait, and each morsel's), which checks in turn the
+/// stage's queue failpoint, the abort flag, ExecOptions::deadline and
+/// ExecOptions::stage_hook. Cancel() aborts every in-flight ingest there
+/// with StatusCode::kCancelled; an expired deadline or a failing hook
+/// fails only its own run. Faults from the failpoint registry
+/// (exec.queue.*.push/pop, exec.read, exec.ingest) surface as clean
+/// errors; the chaos suite asserts clean-error-or-bit-identical against
+/// the fault-free run.
 class PipelineExecutor {
  public:
   PipelineExecutor() = default;
-  /// Shares `admission` (not owned, must outlive the executor) instead of
-  /// the executor's private controller. Several executors bound to one
-  /// controller admit partitions against a single global inflight count —
-  /// the serving daemon binds one executor per request to the server's
-  /// controller so every client's ingest draws from the same memory
-  /// budget, while Cancel() stays per-request.
-  explicit PipelineExecutor(AdmissionController* admission)
-      : admission_(admission) {}
   PipelineExecutor(const PipelineExecutor&) = delete;
   PipelineExecutor& operator=(const PipelineExecutor&) = delete;
 
@@ -194,14 +195,6 @@ class PipelineExecutor {
                                     const ExecOptions& options,
                                     const PartitionSink& sink);
 
-  /// Ingests several files concurrently (bounded by
-  /// `max_concurrent_files`), sharing this executor's admission
-  /// controller so memory_budget is respected globally. Results are in
-  /// input order.
-  std::vector<Result<IngestResult>> IngestFiles(
-      const std::vector<std::string>& paths, const ExecOptions& options,
-      int max_concurrent_files = 2);
-
   /// Cooperatively cancels every in-flight (and future) ingest on this
   /// executor: stages stop at their next boundary, admission waits wake,
   /// and the ingest returns kCancelled. One-shot — construct a fresh
@@ -212,20 +205,14 @@ class PipelineExecutor {
     return cancelled_.load(std::memory_order_acquire);
   }
 
-  /// The admission controller this executor's ingests draw slots from:
-  /// the shared one when constructed with it, the private one otherwise.
-  AdmissionController* admission() {
-    return admission_ != nullptr ? admission_ : &owned_admission_;
-  }
+  /// The admission controller every ingest on this executor draws its
+  /// partition slots from.
+  AdmissionController* admission() { return &admission_; }
 
  private:
   friend class PipelineRun;
 
-  /// Admission book-keeping shared by every ingest on this executor (and,
-  /// when admission_ points at a shared controller, by every ingest on
-  /// every executor bound to it).
-  AdmissionController owned_admission_;
-  AdmissionController* admission_ = nullptr;
+  AdmissionController admission_;
 
   std::atomic<bool> cancelled_{false};
   /// Abort hooks of in-flight runs, fired by Cancel().

@@ -39,70 +39,27 @@ class SlotReturn {
   obs::MetricsRegistry* metrics_;
 };
 
-/// Polls the connection for a peer disconnect — and the request deadline
-/// for expiry — while a request is in flight; either event fires the
-/// request executor's cooperative Cancel() so the ingest aborts at its
-/// next stage boundary and its admission slots return to the shared
-/// controller. A disconnect closes the connection; an expired deadline
-/// is answered kError{kDeadlineExceeded} and the connection stays
-/// usable. (The executor also checks the deadline itself at partition
-/// hand-offs; the watchdog covers the stretches between them — a slow
-/// sink, serialization, a stuck file read.)
-class RequestWatchdog {
- public:
-  RequestWatchdog(int fd, exec::PipelineExecutor* executor, int interval_ms,
-                  std::chrono::steady_clock::time_point deadline)
-      : fd_(fd),
-        executor_(executor),
-        interval_ms_(interval_ms),
-        deadline_(deadline) {
-    thread_ = std::thread([this] { Loop(); });
-  }
+/// How long one attempt of a frame write may wait for the client to read
+/// when the request has no deadline. A client that stops reading gives
+/// its request slot back after this long without progress.
+constexpr int kSendStallMs = 10'000;
 
-  /// Joins the poll thread; poll the accessors afterwards.
-  void Finish() {
-    done_.store(true, std::memory_order_release);
-    thread_.join();
+/// The per-attempt bound of a daemon frame write: the time left before
+/// the request's deadline (none left = no wait), at most kSendStallMs.
+int SendTimeoutMs(std::chrono::steady_clock::time_point deadline) {
+  if (deadline == std::chrono::steady_clock::time_point::max()) {
+    return kSendStallMs;
   }
-
-  bool disconnected() const {
-    return disconnected_.load(std::memory_order_acquire);
-  }
-  bool deadline_fired() const {
-    return deadline_fired_.load(std::memory_order_acquire);
-  }
-
- private:
-  void Loop() {
-    while (!done_.load(std::memory_order_acquire)) {
-      if (PeerClosed(fd_)) {
-        disconnected_.store(true, std::memory_order_release);
-        executor_->Cancel();
-        return;
-      }
-      if (std::chrono::steady_clock::now() >= deadline_) {
-        deadline_fired_.store(true, std::memory_order_release);
-        executor_->Cancel();
-        return;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms_));
-    }
-  }
-
-  int fd_;
-  exec::PipelineExecutor* executor_;
-  int interval_ms_;
-  std::chrono::steady_clock::time_point deadline_;
-  std::atomic<bool> done_{false};
-  std::atomic<bool> disconnected_{false};
-  std::atomic<bool> deadline_fired_{false};
-  std::thread thread_;
-};
+  const int64_t left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                           deadline - std::chrono::steady_clock::now())
+                           .count();
+  return static_cast<int>(std::clamp<int64_t>(left, 0, kSendStallMs));
+}
 
 }  // namespace
 
-/// One accepted connection: its socket, its thread, and the executor of
-/// its in-flight request (if any) so Stop() can cancel it.
+/// One accepted connection: its socket, its thread and what the frame
+/// being answered asked of every response frame.
 struct Server::Connection {
   Socket sock;
   std::thread thread;
@@ -114,8 +71,11 @@ struct Server::Connection {
   /// response frame mirrors. Each decoded header sets it and a header that
   /// does not decode clears it (connection thread only).
   bool checksum = false;
-  std::mutex exec_mu;
-  exec::PipelineExecutor* active_exec = nullptr;  // guarded by exec_mu
+  /// The deadline of the request being answered (max() = none), which
+  /// bounds each attempt of its frame writes. Each decoded header resets
+  /// it and an admitted request sets it (connection thread only).
+  std::chrono::steady_clock::time_point deadline =
+      std::chrono::steady_clock::time_point::max();
 };
 
 Server::Server(ServeOptions options) : options_(options) {}
@@ -157,6 +117,8 @@ Result<uint16_t> Server::Start() {
     exec_partition_limit_ = 4 * options_.max_inflight_requests;
   }
 
+  // Cancel() is one-shot, so every start gets a fresh executor.
+  executor_ = std::make_unique<exec::PipelineExecutor>();
   stopping_.store(false, std::memory_order_release);
   draining_.store(false, std::memory_order_release);
   PARPARAW_ASSIGN_OR_RETURN(
@@ -187,19 +149,18 @@ void Server::Stop() {
   // stopping_ now, not at their deadline.
   request_slots_.Wake();
   StopAccepting();
-  // Cancel in-flight requests, then unblock and join every connection.
+  // Cancel every in-flight request at its next stage entry (each run's
+  // abort also wakes its partition-slot wait), then unblock and join
+  // every connection.
+  executor_->Cancel();
   std::vector<std::unique_ptr<Connection>> conns;
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
     conns.swap(conns_);
   }
   for (auto& conn : conns) {
-    {
-      std::lock_guard<std::mutex> lock(conn->exec_mu);
-      if (conn->active_exec != nullptr) conn->active_exec->Cancel();
-    }
-    // Wake a blocked recv without closing: the connection thread owns
-    // the fd's close (a concurrent close would race the recv).
+    // Wake a blocked recv or send without closing: the connection thread
+    // owns the fd's close (a concurrent close would race the recv).
     conn->sock.Shutdown();
   }
   for (auto& conn : conns) {
@@ -322,6 +283,7 @@ void Server::ConnectionLoop(Connection* conn) {
       break;  // mid-header truncation, or shutdown
     }
     conn->checksum = read.ok() && (header.flags & kFlagChecksum) != 0;
+    conn->deadline = std::chrono::steady_clock::time_point::max();
     if (read.ok() && !IsRequestOpcode(header.opcode)) {
       read = {FrameFault::kDecode,
               Status::Invalid("opcode " +
@@ -369,7 +331,8 @@ void Server::ConnectionLoop(Connection* conn) {
 
 bool Server::SendFrame(Connection* conn, Opcode opcode, uint8_t flags,
                        std::string_view payload) {
-  if (WriteFrame(conn->sock.fd(), opcode, flags, conn->checksum, payload)
+  if (WriteFrame(conn->sock.fd(), opcode, flags, conn->checksum, payload,
+                 SendTimeoutMs(conn->deadline))
           .ok()) {
     return true;
   }
@@ -430,8 +393,9 @@ struct Server::RequestConfig {
   /// (and, for queries, the predicate block).
   std::string_view body;
   /// v2 deadline: resolved to an absolute steady_clock point at decode
-  /// time so admission waits, the executor and the watchdog all race the
-  /// same instant. max() = no deadline (v1 requests, deadline_ms == 0).
+  /// time so the admission wait, the executor's stage entries and the
+  /// response's frame writes all race the same instant. max() = no
+  /// deadline (v1 requests, deadline_ms == 0).
   uint32_t deadline_ms = 0;
   std::chrono::steady_clock::time_point deadline =
       std::chrono::steady_clock::time_point::max();
@@ -504,6 +468,7 @@ bool Server::Admit(Connection* conn, const FrameHeader& header,
     (void)SendError(conn, request.status());
     return false;  // malformed request payload: close
   }
+  conn->deadline = request->deadline;
   // The serve.deadline failpoint makes a request behave as if its
   // deadline had already expired at admission, deterministically.
   if (!robust::CheckFailpoint("serve.deadline").ok()) {
@@ -591,25 +556,28 @@ bool Server::HandleRequest(Connection* conn, const FrameHeader& header,
   // All requests draw from ONE admission controller; this limit caps the
   // daemon-wide resident partitions, not this request's.
   exec_options.max_inflight_partitions = exec_partition_limit_;
-  // The executor races the same absolute deadline: expiry at any
-  // partition hand-off or admission wait fails the ingest with
-  // kDeadlineExceeded and returns the request's slots.
+  // The executor races the same absolute deadline: expiry at any stage
+  // entry or partition-slot wait fails the ingest with kDeadlineExceeded
+  // and returns the request's slots.
   exec_options.deadline = request.deadline;
-
-  exec::PipelineExecutor executor(&exec_admission_);
-  {
-    std::lock_guard<std::mutex> lock(conn->exec_mu);
-    conn->active_exec = &executor;
-  }
-  RequestWatchdog watchdog(conn->sock.fd(), &executor,
-                           options_.watchdog_interval_ms, request.deadline);
+  // A client that has gone fails the run at its next stage entry. The
+  // check runs on pool workers; the fd stays open until the ingest has
+  // returned, because only this thread closes it and Stop() only shuts
+  // it down.
+  std::atomic<bool> disconnected{false};
+  exec_options.stage_hook = [fd = conn->sock.fd(), &disconnected](
+                                int, int64_t) -> Status {
+    if (!PeerClosed(fd)) return Status::OK();
+    disconnected.store(true);
+    return Status::Cancelled("serve: client disconnected");
+  };
 
   bool send_failed = false;
   uint64_t parts = 0;
   Result<exec::IngestResult> ingested = [&]() -> Result<exec::IngestResult> {
     if (!stream) {
-      return from_file ? executor.IngestFile(path, exec_options)
-                       : executor.IngestBuffer(request.body, exec_options);
+      return from_file ? executor_->IngestFile(path, exec_options)
+                       : executor_->IngestBuffer(request.body, exec_options);
     }
     const exec::PartitionSink sink = [&](Table&& part) -> Status {
       PARPARAW_ASSIGN_OR_RETURN(const std::string ipc,
@@ -621,31 +589,22 @@ bool Server::HandleRequest(Connection* conn, const FrameHeader& header,
       ++parts;
       return Status::OK();
     };
-    return from_file ? executor.StreamFile(path, exec_options, sink)
-                     : executor.StreamBuffer(request.body, exec_options, sink);
+    return from_file ? executor_->StreamFile(path, exec_options, sink)
+                     : executor_->StreamBuffer(request.body, exec_options,
+                                               sink);
   }();
-
-  watchdog.Finish();
-  {
-    std::lock_guard<std::mutex> lock(conn->exec_mu);
-    conn->active_exec = nullptr;
-  }
   probe->Stop();
 
-  if (watchdog.disconnected() || send_failed) {
+  if (disconnected.load() || send_failed) {
     Tally(&ServerStats::cancelled_disconnects, "serve.cancelled_disconnects");
     return false;  // peer is gone; nothing to answer
   }
   if (!ingested.ok()) {
-    // Deadline expiry surfaces two ways: typed from the executor's own
-    // checks, or as kCancelled when the watchdog fired Cancel(). Both
-    // are the same event and answer the same typed error; the
-    // connection stays usable.
+    // An expired deadline is a request error: it answers its typed error
+    // and the connection stays usable.
     const Status failed = ingested.status().WithContext(
         query ? "serve.query" : "serve.parse");
-    const StatusCode code = failed.code();
-    if (code == StatusCode::kDeadlineExceeded ||
-        (watchdog.deadline_fired() && code == StatusCode::kCancelled)) {
+    if (failed.code() == StatusCode::kDeadlineExceeded) {
       return SendDeadlineExceeded(conn, failed.message());
     }
     return SendError(conn, failed);

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "exec/admission.h"
+#include "exec/executor.h"
 #include "obs/metrics.h"
 #include "parallel/thread_pool.h"
 #include "serve/protocol.h"
@@ -43,9 +44,9 @@ struct ServeOptions {
   /// ways, both derived from ParseOptions::memory_budget semantics:
   /// every admitted request parses under a per-connection slice
   /// (budget / max_inflight_requests, so partitions shrink to fit), and
-  /// the *sum* of resident partitions across all requests is capped by a
-  /// single exec::AdmissionController shared by every request's
-  /// PipelineExecutor.
+  /// the *sum* of resident partitions across all requests is capped by
+  /// the admission controller of the one PipelineExecutor every request
+  /// runs on.
   int64_t memory_budget = 0;
 
   /// Hard cap on a single frame payload; larger declared lengths are
@@ -60,9 +61,6 @@ struct ServeOptions {
 
   /// Metrics sink (serve.* taxonomy); nullptr = none.
   obs::MetricsRegistry* metrics = nullptr;
-
-  /// Cancel-on-disconnect poll interval for in-flight requests.
-  int watchdog_interval_ms = 2;
 };
 
 /// Occupancy counters for tests and the stats endpoint.
@@ -93,15 +91,16 @@ struct ServerStats {
 /// get back columnar results over the existing IPC framing, pushdown
 /// query answers, or a stream of per-partition tables.
 ///
-/// Multi-tenancy is real, not per-connection: every request runs a
-/// PipelineExecutor bound to ONE shared exec::AdmissionController, so
-/// the global number of resident partitions — and with it the working
-/// set — respects `memory_budget` no matter how many clients push at
-/// once. Above that sit the request slots (max_inflight_requests) and
-/// per-connection budget slices. A client that disconnects mid-request is
-/// detected by a watchdog poll; the request's executor is cancelled and
-/// its admission slots return to the pool
+/// Multi-tenancy is real, not per-connection: every request runs on ONE
+/// exec::PipelineExecutor, whose admission controller caps the global
+/// number of resident partitions — and with it the working set — to
+/// `memory_budget` no matter how many clients push at once. Above that
+/// sit the request slots (max_inflight_requests) and per-connection
+/// budget slices. A request stops only at its run's stage entries: there
+/// its deadline is checked, and a client that has disconnected fails the
+/// run, whose admission slots return to the pool
 /// (tests/serve_concurrency_test.cc asserts the gauge drains to zero).
+/// Stop() cancels every run at once through the executor's Cancel().
 class Server {
  public:
   // Out-of-line: Connection is incomplete here and the members need it.
@@ -134,9 +133,12 @@ class Server {
   uint16_t port() const { return port_; }
   bool running() const { return running_.load(std::memory_order_acquire); }
 
-  /// The shared partition-admission controller (tests assert its
-  /// inflight count returns to zero after disconnect storms).
-  exec::AdmissionController* exec_admission() { return &exec_admission_; }
+  /// The daemon executor's partition-admission controller (tests assert
+  /// its inflight count returns to zero after disconnect storms). Valid
+  /// from the first Start().
+  exec::AdmissionController* exec_admission() {
+    return executor_->admission();
+  }
 
   /// The queue-depth semaphore. Tests occupy slots through it to make
   /// BUSY shedding deterministic.
@@ -164,10 +166,15 @@ class Server {
   bool Admit(Connection* conn, const FrameHeader& header,
              std::string_view payload);
   /// The one handler of admitted parse and query requests: resolves the
-  /// input head, runs a PipelineExecutor bound to exec_admission_ under
-  /// the watchdog and the request deadline, and sends the response.
+  /// input head, runs the ingest on the daemon's executor under the
+  /// request deadline and a disconnect check at every stage entry, and
+  /// sends the response.
   bool HandleRequest(Connection* conn, const FrameHeader& header,
                      const RequestConfig& request, obs::TraceSpan* probe);
+  /// Writes one response frame. Each attempt waits at most the request's
+  /// remaining deadline, or a fixed no-progress bound without one, so a
+  /// client that stops reading cannot hold its request slot. A failed
+  /// write counts serve.write_errors; the caller closes the connection.
   bool SendFrame(Connection* conn, Opcode opcode, uint8_t flags,
                  std::string_view payload);
   bool SendError(Connection* conn, const Status& status);
@@ -196,8 +203,10 @@ class Server {
   std::atomic<bool> draining_{false};
   std::thread acceptor_;
 
-  /// Partition admission shared by every request's executor.
-  exec::AdmissionController exec_admission_;
+  /// The executor every request runs on; its admission controller holds
+  /// the partitions of all requests. Made by Start(): Cancel() is
+  /// one-shot and Stop() calls it.
+  std::unique_ptr<exec::PipelineExecutor> executor_;
   /// Per-request admission limit fed to every ExecOptions (derived from
   /// memory_budget at Start).
   int exec_partition_limit_ = 0;

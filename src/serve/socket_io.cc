@@ -125,13 +125,16 @@ Status SendAll(int fd, std::string_view data, int timeout_ms) {
     const size_t want =
         MaybeClampShort("serve.write.short", data.size() - sent);
     // MSG_NOSIGNAL: a dead peer yields EPIPE instead of killing the
-    // process with SIGPIPE — mandatory for a daemon.
-    const ssize_t n =
-        ::send(fd, data.data() + sent, want, MSG_NOSIGNAL);
+    // process with SIGPIPE — mandatory for a daemon. Under a timeout the
+    // send must not block either: a blocking send waits until all of
+    // `want` fits, so it takes what fits now and polls for the rest.
+    const int flags = MSG_NOSIGNAL | (timeout_ms >= 0 ? MSG_DONTWAIT : 0);
+    const ssize_t n = ::send(fd, data.data() + sent, want, flags);
     if (n > 0) {
       sent += static_cast<size_t>(n);
       continue;
     }
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) continue;
     if (n < 0 && errno == EINTR && retry.Next()) continue;
     return Status::IoError(ErrnoMessage("send failed"));
   }

@@ -73,9 +73,10 @@ class Socket {
 ///
 /// `timeout_ms` >= 0 bounds each *attempt* with a poll(2) wait: if the
 /// socket stays unwritable that long the call fails with
-/// kDeadlineExceeded instead of blocking forever on a hung peer. -1 =
-/// block indefinitely (the daemon side, which has the disconnect
-/// watchdog instead).
+/// kDeadlineExceeded instead of blocking forever on a peer that stopped
+/// reading. -1 = block indefinitely. The daemon bounds every frame it
+/// writes (Server::SendFrame), so a client that never reads its response
+/// cannot hold a request slot.
 Status SendAll(int fd, std::string_view data, int timeout_ms = -1);
 
 /// Reads exactly `n` bytes into `out` (resized). EOF before `n` bytes is
@@ -86,9 +87,9 @@ Status SendAll(int fd, std::string_view data, int timeout_ms = -1);
 Status RecvExact(int fd, size_t n, std::string* out, bool* eof = nullptr,
                  int timeout_ms = -1);
 
-/// True when the peer has closed: a non-blocking MSG_PEEK sees EOF. Used
-/// by the server's cancel-on-disconnect watchdog while a request is in
-/// flight.
+/// True when the peer has closed: a non-blocking MSG_PEEK sees EOF. The
+/// server's request runs check it at every executor stage entry
+/// (ExecOptions::stage_hook) and stop once their client has gone.
 bool PeerClosed(int fd);
 
 /// Creates a listening TCP socket on 127.0.0.1:`port` (0 = ephemeral).

@@ -340,6 +340,7 @@ TEST(ExecTest, BackpressureClampsResidentPartitionsUnderBudget) {
       ++convert_calls;
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
+    return Status::OK();
   };
   auto result = executor.IngestBuffer(input, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -387,6 +388,7 @@ TEST(ExecTest, CancellationMidPipelineReturnsCancelled) {
     if (stage == 1 && partition == 2 && !fired.exchange(true)) {
       executor.Cancel();
     }
+    return Status::OK();
   };
   auto result = executor.IngestBuffer(input, options);
   ASSERT_FALSE(result.ok());
@@ -462,6 +464,7 @@ TEST(ExecTest, ParseErrorsSurfaceInStreamOrder) {
     if (stage == 3 && partition == 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(100));
     }
+    return Status::OK();
   };
   auto result = executor.IngestBuffer(input, options);
   ASSERT_FALSE(result.ok());
@@ -471,9 +474,44 @@ TEST(ExecTest, ParseErrorsSurfaceInStreamOrder) {
       << result.status().ToString() << " vs " << want.status().ToString();
 }
 
-// Concurrent multi-file ingestion shares one admission controller, so the
-// budget holds across files; results come back in input order.
-TEST(ExecTest, IngestFilesConcurrentlyMatchesPerFileResults) {
+// A stage hook's failure stops only its own run: it fails at that stage
+// entry with exactly the hook's status, while a concurrent ingest on the
+// same executor completes and every partition slot comes back.
+TEST(ExecTest, StageHookFailureStopsOnlyItsRun) {
+  const std::string input = ExecInput(1200);
+  ThreadPool pool(4);
+  PipelineExecutor executor;
+  ExecOptions options;
+  options.base = BaseOptions(ErrorPolicy::kNull, simd::KernelKind::kScalar);
+  options.base.pool = &pool;
+  options.partition_size = 600;
+  options.max_inflight_partitions = 3;
+  ExecOptions failing = options;
+  const Status gone = Status::Cancelled("client gone");
+  failing.stage_hook = [&](int stage, int64_t partition) {
+    return stage == 1 && partition == 2 ? gone : Status::OK();
+  };
+
+  Result<IngestResult> failed(Status::Internal("not run"));
+  std::thread other([&] { failed = executor.IngestBuffer(input, failing); });
+  auto result = executor.IngestBuffer(input, options);
+  other.join();
+
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status(), gone) << failed.status().ToString();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  PipelineExecutor solo;
+  auto want = solo.IngestBuffer(input, options);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  EXPECT_TRUE(result->table.Equals(want->table));
+  EXPECT_FALSE(executor.cancelled());
+  EXPECT_EQ(executor.admission()->inflight(), 0);
+}
+
+// Concurrent file ingests on one executor share its admission controller,
+// so the partition limit holds across files, and each file's table is
+// the one it gets alone.
+TEST(ExecTest, ConcurrentFileIngestsShareOneAdmissionController) {
   std::vector<std::string> paths;
   std::vector<std::string> inputs;
   for (int f = 0; f < 3; ++f) {
@@ -487,8 +525,14 @@ TEST(ExecTest, IngestFilesConcurrentlyMatchesPerFileResults) {
   options.base = BaseOptions(ErrorPolicy::kNull, simd::KernelKind::kScalar);
   options.partition_size = 900;
   options.max_inflight_partitions = 3;
-  auto results = executor.IngestFiles(paths, options, /*max_concurrent=*/3);
-  ASSERT_EQ(results.size(), paths.size());
+  std::vector<Result<IngestResult>> results(
+      paths.size(), Result<IngestResult>(Status::Internal("not run")));
+  std::vector<std::thread> threads;
+  for (size_t f = 0; f < paths.size(); ++f) {
+    threads.emplace_back(
+        [&, f] { results[f] = executor.IngestFile(paths[f], options); });
+  }
+  for (std::thread& t : threads) t.join();
   for (size_t f = 0; f < paths.size(); ++f) {
     ASSERT_TRUE(results[f].ok()) << results[f].status().ToString();
     // Global admission: no single file may have exceeded the shared limit.
@@ -499,6 +543,7 @@ TEST(ExecTest, IngestFilesConcurrentlyMatchesPerFileResults) {
     ASSERT_TRUE(results[f]->table.Equals(want->table)) << "file " << f;
     std::remove(paths[f].c_str());
   }
+  EXPECT_EQ(executor.admission()->inflight(), 0);
 }
 
 // Queue hand-off failpoints surface as clean errors with the queue's name

@@ -5,7 +5,6 @@
 #include <random>
 
 #include "parallel/radix_sort.h"
-#include "parallel/rle.h"
 #include "parallel/scan.h"
 #include "parallel/thread_pool.h"
 
@@ -258,36 +257,6 @@ TEST(RadixSortTest, ApplyPermutationGathers) {
   std::vector<char> out;
   ApplyPermutation(&pool, perm, in, &out);
   EXPECT_EQ(out, (std::vector<char>{'c', 'a', 'b'}));
-}
-
-TEST(RleTest, EncodesRuns) {
-  ThreadPool pool(4);
-  std::vector<uint32_t> in = {7, 7, 7, 2, 2, 9, 7, 7};
-  std::vector<uint32_t> values;
-  std::vector<int64_t> lengths;
-  RunLengthEncode(&pool, in, &values, &lengths);
-  EXPECT_EQ(values, (std::vector<uint32_t>{7, 2, 9, 7}));
-  EXPECT_EQ(lengths, (std::vector<int64_t>{3, 2, 1, 2}));
-}
-
-TEST(RleTest, EmptyAndSingle) {
-  ThreadPool pool(2);
-  std::vector<uint32_t> values;
-  std::vector<int64_t> lengths;
-  RunLengthEncode(&pool, std::vector<uint32_t>{}, &values, &lengths);
-  EXPECT_TRUE(values.empty());
-  RunLengthEncode(&pool, std::vector<uint32_t>{42}, &values, &lengths);
-  EXPECT_EQ(values, std::vector<uint32_t>{42});
-  EXPECT_EQ(lengths, std::vector<int64_t>{1});
-}
-
-TEST(StreamCompactTest, KeepsFlagged) {
-  ThreadPool pool(2);
-  std::vector<int> in = {1, 2, 3, 4, 5};
-  std::vector<uint8_t> flags = {1, 0, 1, 0, 1};
-  std::vector<int> out;
-  StreamCompact(&pool, in, flags, &out);
-  EXPECT_EQ(out, (std::vector<int>{1, 3, 5}));
 }
 
 }  // namespace

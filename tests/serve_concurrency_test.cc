@@ -96,7 +96,6 @@ TEST(ServeConcurrencyTest, SoakMixedClientsBitIdentical) {
   options.memory_budget = 64 * 1024 * 1024;
   options.partition_size = 16 * 1024;
   options.metrics = &metrics;
-  options.watchdog_interval_ms = 1;
   Server server(options);
   auto port = server.Start();
   ASSERT_TRUE(port.ok()) << port.status().ToString();
@@ -290,7 +289,6 @@ TEST(ServeConcurrencyTest, CancelOnDisconnectReleasesAdmissionSlots) {
   obs::MetricsRegistry metrics;
   ServeOptions options;
   options.metrics = &metrics;
-  options.watchdog_interval_ms = 1;
   options.partition_size = 8 * 1024;  // long-running: many partitions
   Server server(options);
   auto port = server.Start();
@@ -309,7 +307,8 @@ TEST(ServeConcurrencyTest, CancelOnDisconnectReleasesAdmissionSlots) {
     sock->Close();  // vanish without reading a byte of the response
   }
 
-  // The watchdog must notice each disconnect and cancel the executor.
+  // Each request's next stage entry must notice its disconnect and fail
+  // the run.
   EXPECT_TRUE(WaitFor(
       [&] { return server.stats().cancelled_disconnects >= 3; }, 15000))
       << "cancelled " << server.stats().cancelled_disconnects << " of 3";
@@ -374,13 +373,12 @@ TEST(ServeConcurrencyTest, QueryDegradesUnderItsBudgetSlice) {
   server.Stop();
 }
 
-// A query's client that vanishes mid-ingest is noticed by the watchdog: the
-// executor is cancelled and every admission slot returns.
+// A query's client that vanishes mid-ingest is noticed at the run's next
+// stage entry: the run fails and every admission slot returns.
 TEST(ServeConcurrencyTest, QueryCancelOnDisconnectReleasesAdmissionSlots) {
   obs::MetricsRegistry metrics;
   ServeOptions options;
   options.metrics = &metrics;
-  options.watchdog_interval_ms = 1;
   options.partition_size = 8 * 1024;  // long-running: many partitions
   Server server(options);
   auto port = server.Start();

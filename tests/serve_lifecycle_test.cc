@@ -6,6 +6,7 @@
 // TSan soak.
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <atomic>
 #include <chrono>
@@ -31,7 +32,7 @@ std::string SmallCsv() {
 }
 
 /// Polls until both admission gauges are back to zero (slots released
-/// asynchronously by watchdog cancels) and then asserts it.
+/// asynchronously when a run fails at a stage entry) and then asserts it.
 void ExpectGaugesDrain(Server* server) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
@@ -93,7 +94,7 @@ TEST(ServeDeadlineTest, ExpiresMidIngestAndReturnsEverySlot) {
   auto client = Client::Connect(*port);
   ASSERT_TRUE(client.ok());
   // A parse that cannot finish in 1ms on any box: the deadline fires
-  // inside the pipeline (executor hand-off checks or the watchdog), and
+  // inside the pipeline (at a stage entry or a partition-slot wait), and
   // the answer must still be the typed error with the slots returned.
   const std::string csv = GenerateYelpLike(41, 4 * 1024 * 1024);
   RequestOptions request;
@@ -560,6 +561,61 @@ TEST(ServeTimeoutTest, IoTimeoutFiresAgainstAStalledServer) {
   stop.store(true, std::memory_order_release);
   acceptor.join();
   Socket(listen_fd).Close();
+}
+
+TEST(ServeTimeoutTest, StalledReaderGivesItsSlotBackByTheDeadline) {
+  // A client that sends a parse and never reads the reply: the daemon's
+  // response write must give up by the request's deadline and return the
+  // only request slot, instead of holding it until Stop().
+  obs::MetricsRegistry metrics;
+  ServeOptions options;
+  options.max_inflight_requests = 1;
+  options.metrics = &metrics;
+  Server server(options);
+  auto port = server.Start();
+  ASSERT_TRUE(port.ok());
+
+  // A table response far larger than the two socket buffers can park.
+  constexpr uint32_t kDeadlineMs = 3000;
+  RequestHeader header;
+  header.deadline_ms = kDeadlineMs;
+  std::string payload = EncodeRequestHeader(header);
+  payload.append(GenerateTaxiLike(81, 8 * 1024 * 1024));
+  std::string frame;
+  AppendFrame(Opcode::kParseBuffer, 0, payload, &frame);
+
+  auto stalled = ConnectLoopback(*port);
+  ASSERT_TRUE(stalled.ok());
+  const int rcvbuf = 4096;
+  ::setsockopt(stalled->fd(), SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(SendAll(stalled->fd(), frame).ok());
+
+  const auto write_errors = [&] {
+    obs::Counter* counter = metrics.GetCounter("serve.write_errors");
+    return counter != nullptr ? counter->Value() : 0;
+  };
+  const auto limit = start + std::chrono::milliseconds(kDeadlineMs) +
+                     std::chrono::seconds(3);
+  while ((write_errors() == 0 || server.inflight_requests() != 0) &&
+         std::chrono::steady_clock::now() < limit) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  // The response stalled and its write expired: no deadline error was
+  // answered, and the slot is back.
+  EXPECT_EQ(write_errors(), 1);
+  EXPECT_EQ(server.stats().deadline_exceeded, 0);
+  EXPECT_EQ(server.inflight_requests(), 0);
+
+  // The daemon serves the next client with its one slot.
+  auto client = Client::Connect(*port);
+  ASSERT_TRUE(client.ok());
+  auto reply = client->Parse(SmallCsv());
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_FALSE(reply->busy);
+  ExpectGaugesDrain(&server);
+  stalled->Close();
+  server.Stop();
 }
 
 // --- kill-and-restart soak through the retrying client ---

@@ -1004,7 +1004,7 @@ TEST(ServeFuzzTest, TenThousandMalformedFramesNeverKillTheDaemon) {
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_TRUE(reply->table.Equals(*expected));
   // A mutated frame can land as a *valid* parse whose client vanished;
-  // its slot returns once the disconnect watchdog cancels it, so poll
+  // its slot returns once a stage entry sees the disconnect, so poll
   // briefly instead of asserting the instant count.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "dfa/sniffer.h"
-#include "parallel/segmented.h"
 #include "workload/generators.h"
 
 namespace parparaw {
@@ -64,55 +63,6 @@ TEST(SnifferTest, SemicolonDialect) {
 
 TEST(SnifferTest, EmptySampleFails) {
   EXPECT_FALSE(SniffDsvFormat("").ok());
-}
-
-TEST(SegmentedTest, ExclusiveScanPerSegment) {
-  ThreadPool pool(4);
-  const std::vector<int64_t> in = {1, 2, 3, 4, 5, 6};
-  const std::vector<int64_t> offsets = {0, 2, 2, 6};
-  std::vector<int64_t> out;
-  SegmentedExclusiveScan(&pool, in, offsets,
-                         [](int64_t a, int64_t b) { return a + b; },
-                         int64_t{0}, &out);
-  EXPECT_EQ(out, (std::vector<int64_t>{0, 1, 0, 3, 7, 12}));
-}
-
-TEST(SegmentedTest, ReducePerSegmentWithEmpty) {
-  ThreadPool pool(4);
-  const std::vector<int64_t> in = {5, 1, 7, 2};
-  const std::vector<int64_t> offsets = {0, 1, 1, 4};
-  std::vector<int64_t> out;
-  SegmentedReduce(&pool, in, offsets,
-                  [](int64_t a, int64_t b) { return std::max(a, b); },
-                  int64_t{-1}, &out);
-  EXPECT_EQ(out, (std::vector<int64_t>{5, -1, 7}));
-}
-
-TEST(SegmentedTest, RunHeadsRestartAtSegmentBoundaries) {
-  ThreadPool pool(2);
-  const std::vector<uint32_t> in = {7, 7, 7, 7, 9, 9};
-  const std::vector<int64_t> offsets = {0, 2, 6};
-  std::vector<uint8_t> heads;
-  SegmentedRunHeads(&pool, in, offsets, &heads);
-  // Segment 0: [7,7] -> heads 1,0. Segment 1: [7,7,9,9] -> 1,0,1,0.
-  EXPECT_EQ(heads, (std::vector<uint8_t>{1, 0, 1, 0, 1, 0}));
-}
-
-TEST(SegmentedTest, MatchesUnsegmentedOnSingleSegment) {
-  ThreadPool pool(4);
-  std::vector<int64_t> in(1000);
-  for (size_t i = 0; i < in.size(); ++i) in[i] = static_cast<int64_t>(i % 7);
-  const std::vector<int64_t> offsets = {0,
-                                        static_cast<int64_t>(in.size())};
-  std::vector<int64_t> scanned;
-  SegmentedExclusiveScan(&pool, in, offsets,
-                         [](int64_t a, int64_t b) { return a + b; },
-                         int64_t{0}, &scanned);
-  int64_t running = 0;
-  for (size_t i = 0; i < in.size(); ++i) {
-    ASSERT_EQ(scanned[i], running);
-    running += in[i];
-  }
 }
 
 }  // namespace
