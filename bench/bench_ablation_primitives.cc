@@ -5,8 +5,10 @@
 //  * the composite-operator scan over state-transition vectors;
 //  * `--transpose-mode`: the symbol-sort vs field-gather transposition
 //    head-to-head on the yelp-like workload (wall time, transpose-phase
-//    time from tagging to the table, modelled peak bytes; --json-out= for
-//    BENCH_transpose.json);
+//    time from tagging to the table, modelled peak bytes), then the
+//    partition stage on taxi-like data by kept columns (17, 4, 1) and a
+//    one-column query's phase 1, read from the library's tracer
+//    (--json-out= and --commit= for BENCH_transpose.json);
 //  * `--dialect`: the runtime dialect compiler — compile+minimise+prove
 //    latency per spec shape, compiled-CSV-twin vs built-in RFC 4180 parse
 //    throughput, and two fixed-width layouts over the SIMD register budget
@@ -35,10 +37,12 @@
 #include "dfa/dfa.h"
 #include "dfa/formats.h"
 #include "dfa/state_vector.h"
+#include "obs/trace.h"
 #include "parallel/radix_sort.h"
 #include "parallel/scan.h"
 #include "parallel/thread_pool.h"
 #include "plan/planner.h"
+#include "query/pushdown.h"
 #include "simd/dispatch.h"
 #include "util/stopwatch.h"
 #include "workload/generators.h"
@@ -154,9 +158,148 @@ struct TransposeRun {
   int64_t peak_bytes = 0;
 };
 
+// The partition stage (the tag step and the field gather's walk) on
+// taxi-like data, by kept columns: the walks jump over the columns a pass
+// does not ask for. Every number comes from the library's tracer: the
+// step.tag and step.partition spans of one call, and for a query the
+// pushdown.probe span (phase 1) and the step spans inside it. Each row is
+// the median of kStageCalls calls after one warm-up, with min and max.
+constexpr int kStageCalls = 7;
+
+/// Milliseconds of the spans named `name` that open within [begin, end).
+double SpanMs(const std::vector<obs::TraceEvent>& events, const char* name,
+              int64_t begin, int64_t end) {
+  int64_t dur_ns = 0;
+  for (const obs::TraceEvent& e : events) {
+    if (std::strcmp(e.name, name) == 0 && e.ts_ns >= begin && e.ts_ns < end) {
+      dur_ns += e.dur_ns;
+    }
+  }
+  return static_cast<double>(dur_ns) * 1e-6;
+}
+
+/// One call's stage time: the tag and partition spans inside the window
+/// of the span named `window` (the call's `parse`, or its pushdown.probe).
+struct StageCall {
+  double window_ms = 0;
+  double tag_ms = 0;
+  double partition_ms = 0;
+};
+
+std::optional<StageCall> StageOf(const std::vector<obs::TraceEvent>& events,
+                                 const char* window) {
+  for (const obs::TraceEvent& e : events) {
+    if (std::strcmp(e.name, window) != 0) continue;
+    const int64_t end = e.ts_ns + e.dur_ns;
+    return StageCall{static_cast<double>(e.dur_ns) * 1e-6,
+                     SpanMs(events, "step.tag", e.ts_ns, end),
+                     SpanMs(events, "step.partition", e.ts_ns, end)};
+  }
+  return std::nullopt;
+}
+
+/// Runs `call` once untimed and kStageCalls times traced; one row.
+template <typename Call>
+bool RecordStageRow(bench::JsonReport* report, const std::string& name,
+                    const char* window, size_t bytes, const Call& call) {
+  obs::Tracer tracer;
+  std::vector<double> window_ms, tag_ms, partition_ms, stage_ms;
+  for (int i = 0; i <= kStageCalls; ++i) {
+    tracer.Clear();
+    const Status status = call(&tracer);
+    if (!status.ok()) {
+      std::printf("%-24s failed: %s\n", name.c_str(),
+                  status.ToString().c_str());
+      return false;
+    }
+    const std::optional<StageCall> stage = StageOf(tracer.Events(), window);
+    if (!stage.has_value()) {
+      std::printf("%-24s recorded no %s span\n", name.c_str(), window);
+      return false;
+    }
+    if (i == 0) continue;  // the warm-up
+    window_ms.push_back(stage->window_ms);
+    tag_ms.push_back(stage->tag_ms);
+    partition_ms.push_back(stage->partition_ms);
+    stage_ms.push_back(stage->tag_ms + stage->partition_ms);
+  }
+  const bench::Timing w = bench::TimingOf(window_ms);
+  const bench::Timing t = bench::TimingOf(tag_ms);
+  const bench::Timing p = bench::TimingOf(partition_ms);
+  const bench::Timing st = bench::TimingOf(stage_ms);
+  std::printf("%-24s %9.2f %9.2f %9.2f [%6.2f-%6.2f] %9.2f\n", name.c_str(),
+              t.median, p.median, st.median, st.min, st.max, w.median);
+  report->Add(name, {{"input_bytes", static_cast<double>(bytes)},
+                     {"tag_ms", t.median},
+                     {"tag_min_ms", t.min},
+                     {"tag_max_ms", t.max},
+                     {"partition_ms", p.median},
+                     {"partition_min_ms", p.min},
+                     {"partition_max_ms", p.max},
+                     {"stage_ms", st.median},
+                     {"stage_min_ms", st.min},
+                     {"stage_max_ms", st.max},
+                     {"window_ms", w.median}});
+  return true;
+}
+
+bool RunPartitionStageRows(bench::JsonReport* report) {
+  using namespace parparaw::bench;  // NOLINT
+  const size_t bytes = BenchBytes(8);
+  const std::string data = GenerateTaxiLike(42, bytes);
+  PrintHeader("partition stage by kept columns (taxi-like, 17 columns)");
+  std::printf("%zu MB input, tracer spans, median of %d calls after one "
+              "warm-up\n\n",
+              bytes >> 20, kStageCalls);
+  std::printf("%-24s %9s %9s %9s %15s %9s\n", "row", "tag ms", "part ms",
+              "stage ms", "[min-max]", "window ms");
+  struct Kept {
+    const char* name;
+    std::vector<int> columns;  // kept; empty = all
+  };
+  // Four columns: an integer, a timestamp, the one string column and a
+  // float; one column: the fare.
+  const Kept kKept[] = {{"partition/taxi_kept17", {}},
+                        {"partition/taxi_kept4", {0, 1, 6, 10}},
+                        {"partition/taxi_kept1", {10}}};
+  for (const Kept& kept : kKept) {
+    ParseOptions options;
+    options.schema = TaxiSchema();
+    for (int j = 0; j < options.schema.num_fields() && !kept.columns.empty();
+         ++j) {
+      if (std::find(kept.columns.begin(), kept.columns.end(), j) ==
+          kept.columns.end()) {
+        options.skip_columns.push_back(j);
+      }
+    }
+    const bool ok = RecordStageRow(
+        report, kept.name, "parse", bytes, [&](obs::Tracer* tracer) {
+          options.tracer = tracer;
+          return Parser::Parse(data, options).status();
+        });
+    if (!ok) return false;
+  }
+
+  // A query's phase 1 on 2 MiB: the predicate column (fare_amount) alone.
+  const size_t query_bytes = size_t{2} << 20;
+  const std::string query_data = GenerateTaxiLike(43, query_bytes);
+  ParseOptions query;
+  query.schema = TaxiSchema();
+  const Predicate predicate(10, CompareOp::kGt, "20");
+  return RecordStageRow(report, "pushdown/taxi_phase1", "pushdown.probe",
+                        query_bytes, [&](obs::Tracer* tracer) {
+                          query.tracer = tracer;
+                          return ParseWithPushdown(query_data, query,
+                                                   predicate)
+                              .status();
+                        });
+}
+
 int RunTransposeAblation(int argc, char** argv) {
   using namespace parparaw::bench;  // NOLINT
   JsonReport report(argc, argv);
+  report.Stamp(std::thread::hardware_concurrency(),
+               simd::KernelLevelName(simd::DetectBestKernelLevel()));
   const size_t bytes = BenchBytes(8);
   const std::string data = GenerateYelpLike(42, bytes);
   PrintHeader("transpose mode ablation (yelp-like)");
@@ -229,6 +372,7 @@ int RunTransposeAblation(int argc, char** argv) {
   report.Add("transpose/ratio", {{"peak_reduction", peak_reduction},
                                  {"transpose_speedup", transpose_speedup},
                                  {"wall_speedup", wall_speedup}});
+  if (!RunPartitionStageRows(&report)) return 1;
   report.Flush();
   return 0;
 }

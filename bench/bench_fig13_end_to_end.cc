@@ -47,13 +47,6 @@ TransposeMode g_transpose_mode = TransposeMode::kAuto;
 /// Timed calls per system of a dataset, after one untimed warm-up call.
 constexpr int kTimedCalls = 7;
 
-/// The median, min and max seconds of one system's timed calls.
-struct Timing {
-  double median = 0;
-  double min = 0;
-  double max = 0;
-};
-
 /// Runs `call` (one call of a system, returning its seconds, or a
 /// negative value when the system failed) once untimed, then kTimedCalls
 /// times. nullopt when any call failed.
@@ -65,8 +58,7 @@ std::optional<Timing> TimeCalls(const Call& call) {
     if (s < 0) return std::nullopt;
     if (i > 0) seconds.push_back(s);
   }
-  std::sort(seconds.begin(), seconds.end());
-  return Timing{seconds[seconds.size() / 2], seconds.front(), seconds.back()};
+  return TimingOf(std::move(seconds));
 }
 
 /// Prints a one-value row and records it into the --json-out report

@@ -1,6 +1,7 @@
 #ifndef PARPARAW_BENCH_BENCH_UTIL_H_
 #define PARPARAW_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <initializer_list>
@@ -31,6 +32,19 @@ inline size_t BenchBytes(size_t default_mb) {
 
 inline double Gbps(size_t bytes, double seconds) {
   return seconds > 0 ? static_cast<double>(bytes) / seconds / (1 << 30) : 0;
+}
+
+/// The median, min and max of a row's timed calls.
+struct Timing {
+  double median = 0;
+  double min = 0;
+  double max = 0;
+};
+
+/// The Timing of `values` (at least one).
+inline Timing TimingOf(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return Timing{values[values.size() / 2], values.front(), values.back()};
 }
 
 inline void PrintHeader(const char* title) {

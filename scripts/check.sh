@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 hardening driver: builds and runs the test suite under ASan+UBSan,
 # then rebuilds under TSan and runs the concurrency-sensitive tests
-# (thread pool, observability, streaming), then re-runs the suite once per
-# src/simd kernel variant (PARPARAW_FORCE_KERNEL) so every dispatch level —
+# (thread pool, observability, streaming, the core steps' walks), then
+# re-runs the suite once per src/simd kernel variant
+# (PARPARAW_FORCE_KERNEL) so every dispatch level —
 # not just the one this machine auto-selects — gets sanitizer coverage.
 # Usage:
 #
@@ -19,7 +20,8 @@
 #   scripts/check.sh transpose  # full suite per TransposeMode
 #                               # (PARPARAW_TRANSPOSE_MODE) plus the
 #                               # symbol-sort vs field-gather differential
-#                               # harness, under ASan+UBSan
+#                               # harness and the field walk's oracle
+#                               # sweep, under ASan+UBSan
 #   scripts/check.sh dialects   # dialect compiler suite (equivalence
 #                               # proofs, minimiser properties, widened
 #                               # generated-dialect differential sweeps,
@@ -106,11 +108,15 @@ run_tsan() {
   # std::allocator ones. ScratchAllocator checks the mapping path itself,
   # and WriteOnce's large case parses through mapped scratch.
   # Pushdown runs StagedParse::Select, which a query's sort morsel runs
-  # next to the following partition's scan morsel.
+  # next to the following partition's scan morsel; its phase 2 reads the
+  # column counts and open-field carries that phase 1's count pass wrote.
+  # FieldWalk drives the field walk over wanted columns, which the tag
+  # step's tally and the gather run in ParallelForEach tiles over the
+  # shared mask words.
   echo "=== TSan: concurrency-sensitive tests ==="
   TSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \
-      -R 'ThreadPool|ParallelFor|Scheduler|TaskGroup|Metrics|Tracer|ObsIntegration|Streaming|Exec|Reader|SymbolIndex|SimdDifferential|SimdSpeculation|WriteOnce|TransposeDifferential|ScratchAllocator|Validate|Pushdown'
+      -R 'ThreadPool|ParallelFor|Scheduler|TaskGroup|Metrics|Tracer|ObsIntegration|Streaming|Exec|Reader|SymbolIndex|SimdDifferential|SimdSpeculation|WriteOnce|TransposeDifferential|ScratchAllocator|Validate|Pushdown|FieldWalk'
 }
 
 run_scaling() {
@@ -243,9 +249,11 @@ run_transpose() {
   # with the default resolution, WriteOnce, whose reused-state parse must
   # match a fresh one in both modes while fresh scratch storage is
   # poisoned, SymbolIndex, the mask bits both modes read, Validate, the
-  # option checks both modes rely on, and ConvertOracle, which holds that
+  # option checks both modes rely on, ConvertOracle, which holds that
   # rule's converters to the out-of-line ones they replaced, verdict and
-  # value bits.
+  # value bits, and FieldWalk, which holds the field walk over any set of
+  # wanted columns (the tally's string columns, the gather's kept ones) to
+  # the one-step-per-field oracle, every span member and record end.
   for mode in field_gather symbol_sort; do
     echo "=== transpose sweep: full suite, PARPARAW_TRANSPOSE_MODE=${mode} ==="
     PARPARAW_TRANSPOSE_MODE="${mode}" \
@@ -257,7 +265,7 @@ run_transpose() {
   ASAN_OPTIONS=detect_leaks=1:strict_string_checks=1 \
   UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1 \
     ctest --test-dir build-asan --output-on-failure -j "${JOBS}" \
-      -R 'TransposeDifferential|FieldGather|CssIndex|Tagging|WriteOnce|SymbolIndex|Validate|ConvertOracle'
+      -R 'TransposeDifferential|FieldGather|CssIndex|Tagging|WriteOnce|SymbolIndex|Validate|ConvertOracle|FieldWalk'
 }
 
 run_dialects() {

@@ -116,11 +116,12 @@ struct ColumnWriter {
 // with value generation folded in. The tag step's per-(tile, column) byte
 // tallies are scanned column-major then tile-major into write cursors (the
 // same stability argument as the radix sort's), every output column is
-// allocated once, and each tile walks its fields again (ForEachField) and
-// writes every value straight into its column: a string value's bytes at
-// its column's cursor, which is the row's offset, a fixed-width value parsed
-// from its input window. Empty and missing fields take their default, NULL
-// or reject in the same walk (the value rule, core/column_plan.h).
+// allocated once, and each tile walks the kept columns' fields
+// (ForEachField) and writes every value straight into its column: a string
+// value's bytes at its column's cursor, which is the row's offset, a
+// fixed-width value parsed from its input window. Empty and missing fields
+// take their default, NULL or reject in the same walk (the value rule,
+// core/column_plan.h).
 Status RunFieldGather(PipelineState* state, WorkCounters* work) {
   const ParseOptions& options = *state->options;
   const std::vector<ColumnPlan>& plans = state->column_plans;
@@ -205,6 +206,10 @@ Status RunFieldGather(PipelineState* state, WorkCounters* work) {
   // disjoint byte ranges; only validity words are shared.
   const KeptFields kept(*state);
   const PlanIndex plan_index(plans);
+  // The kept columns, which a query's phase 1 or skip_columns make fewer
+  // than all: the walk jumps over the others.
+  const WantedColumns wanted = WantedColumns::OfPlans(
+      plans, [](const ColumnPlan&) { return true; });
   const uint8_t* data = state->data;
   const size_t block_threshold = options.block_collaboration_threshold;
   const int64_t device_threshold =
@@ -278,41 +283,47 @@ Status RunFieldGather(PipelineState* state, WorkCounters* work) {
                                  writer.slots + row * writer.width));
         };
 
+        // Moves the walk to `field_record`: whether it is kept, its row.
+        const auto enter = [&](int64_t field_record) {
+          if (field_record == record) return record_kept;
+          record = field_record;
+          record_kept = kept.record_kept(record);
+          if (record_kept) row = state->out_row_of_record[record];
+          return record_kept;
+        };
+        // The columns a short record lacks (ragged rows, a schema wider
+        // than the record).
+        const auto put_missing = [&](uint32_t last_column) {
+          for (int64_t q = static_cast<int64_t>(plan_index.After(last_column));
+               q < num_plans; ++q) {
+            if (plans[q].is_string()) {
+              put_string(q, FieldPresence::kMissing, nullptr);
+            } else {
+              put_fixed(q, std::string_view());
+            }
+          }
+        };
         for (int64_t c = state->gather_tiles[t];
              c < state->gather_tiles[t + 1]; ++c) {
-          ForEachField(*state, c, [&](const FieldSpan& field) {
-            if (field.record != record) {
-              record = field.record;
-              record_kept = kept.record_kept(record);
-              if (record_kept) row = state->out_row_of_record[record];
-            }
-            if (!record_kept) return;
-            const int32_t p = plan_index.Of(field.column);
-            if (p >= 0) {
-              value_bytes += field.length;
-              if (plans[p].is_string()) {
-                put_string(p,
-                           field.length > 0 ? FieldPresence::kValue
-                                            : FieldPresence::kEmpty,
-                           &field);
-              } else {
-                put_fixed(p, FieldValue(*state, field, &scratch));
-              }
-            }
-            // The columns a short record lacks (ragged rows, a schema wider
-            // than the record).
-            if (field.record_end) {
-              for (int64_t q = static_cast<int64_t>(
-                       plan_index.After(field.column));
-                   q < num_plans; ++q) {
-                if (plans[q].is_string()) {
-                  put_string(q, FieldPresence::kMissing, nullptr);
+          ForEachField(
+              *state, c, wanted,
+              [&](const FieldSpan& field) {
+                if (!enter(field.record)) return;
+                const int32_t p = plan_index.Of(field.column);
+                value_bytes += field.length;
+                if (plans[p].is_string()) {
+                  put_string(p,
+                             field.length > 0 ? FieldPresence::kValue
+                                              : FieldPresence::kEmpty,
+                             &field);
                 } else {
-                  put_fixed(q, std::string_view());
+                  put_fixed(p, FieldValue(*state, field, &scratch));
                 }
-              }
-            }
-          });
+                if (field.record_end) put_missing(field.column);
+              },
+              [&](int64_t missing_record, uint32_t last_column) {
+                if (enter(missing_record)) put_missing(last_column);
+              });
         }
         tile_value_bytes[t] = value_bytes;
       }));

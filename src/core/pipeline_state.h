@@ -227,6 +227,8 @@ struct PipelineState {
   // --- count pass (tag step, §4.3) ---
   /// Per-record column count (field delimiters + 1).
   std::vector<uint32_t> record_column_counts;
+  /// The largest column index of any record, dropped or not.
+  uint32_t max_column_index = 0;
   /// Per-record drop flag (reject policy or skip_records).
   std::vector<uint8_t> record_dropped;
   /// Output row of each kept record (exclusive prefix sum of keeps).
@@ -283,7 +285,7 @@ struct PipelineState {
   /// Per chunk: the first byte of the field still open at the chunk's
   /// start, and the value bytes it holds before the chunk (the chunk's
   /// first field end closes them). The carries of ForEachField
-  /// (core/field_walk.h).
+  /// (core/field_walk.h); the tag step's count pass computes them.
   std::vector<int64_t> open_field_begin;
   std::vector<int64_t> open_field_length;
   /// The gather's tiles, contiguous chunk ranges: tile t holds chunks

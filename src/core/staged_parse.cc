@@ -301,8 +301,12 @@ Status StagedParse::Scan(std::string_view input, const ParseOptions& options) {
 }
 
 Status StagedParse::TagAndPartition() {
-  PARPARAW_RETURN_NOT_OK_CTX(TagStep::Run(&state_, &output_.timings),
-                             "step.tag");
+  // A query's phase 2 reuses its phase 1's count pass.
+  PARPARAW_RETURN_NOT_OK_CTX(
+      tagged_ ? TagStep::RunAgain(&state_, &output_.timings)
+              : TagStep::Run(&state_, &output_.timings),
+      "step.tag");
+  tagged_ = true;
   // The field gather's tag step writes its per-record arrays and the
   // tile tallies; the symbol sort writes a tagged CSS slot per symbol.
   output_.work.tag_bytes_written +=

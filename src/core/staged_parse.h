@@ -61,8 +61,9 @@ class StagedParse {
   /// partitions and converts the predicate column alone from Scan's bitmap
   /// indexes, evaluates the predicate, and skips the records that do not
   /// match; its work and timings join the output, and `stats` (optional)
-  /// gets the counts. Refuses (InvalidArgument) the options the pushdown
-  /// cannot number records under, listed at ParseWithPushdown.
+  /// gets the counts. Partition then reuses the tag step's count pass.
+  /// Refuses (InvalidArgument) the options the pushdown cannot number
+  /// records under, listed at ParseWithPushdown.
   Status Select(const Predicate& predicate, PushdownStats* stats);
 
   /// Runs the partition stage (the tag step, then the radix sort by
@@ -91,6 +92,8 @@ class StagedParse {
   std::string_view input_;
   int64_t skip_offset_ = 0;
   bool finished_ = false;
+  /// The tag step has run once over state_'s bitmap indexes (Select).
+  bool tagged_ = false;
   PipelineState state_;
   ParseOutput output_;
 };

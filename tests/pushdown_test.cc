@@ -7,7 +7,9 @@
 #include "baseline/sequential_parser.h"
 #include "columnar/dictionary.h"
 #include "core/parser.h"
+#include "exec/executor.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "pushdown_oracle.h"
 #include "query/pushdown.h"
 #include "query/query.h"
@@ -298,6 +300,60 @@ TEST(PushdownTest, MatchesTwoParseOracle) {
   // kFail and the short records under the inline and vector modes fail
   // some runs; most must answer.
   EXPECT_GT(answered, compared / 2);
+}
+
+// The step.tag and step.tag.count spans `tracer` recorded.
+std::pair<int, int> TagSpans(const obs::Tracer& tracer) {
+  int tags = 0;
+  int counts = 0;
+  for (const obs::TraceEvent& e : tracer.Events()) {
+    tags += std::string(e.name) == "step.tag" ? 1 : 0;
+    counts += std::string(e.name) == "step.tag.count" ? 1 : 0;
+  }
+  return {tags, counts};
+}
+
+// A query's phase 2 reuses its phase 1's count pass: the tag step runs
+// twice, its count pass once, under both transpose modes, in one parse
+// and in every partition of an executor ingest. Both phases' tallies,
+// gathers and drop resolutions still run.
+TEST(PushdownTest, PhaseTwoReusesTheCountPass) {
+  const std::string csv = GenerateTaxiLike(71, 96 * 1024);
+  const Predicate predicate(10, CompareOp::kGt, "20");
+  for (TransposeMode mode :
+       {TransposeMode::kFieldGather, TransposeMode::kSymbolSort}) {
+    const bool gather = mode == TransposeMode::kFieldGather;
+    const std::string context = gather ? "gather" : "sort";
+    obs::Tracer tracer;
+    ParseOptions options;
+    options.schema = TaxiSchema();
+    options.tracer = &tracer;
+    options.transpose_mode = mode;
+    auto pushed = ParseWithPushdown(csv, options, predicate);
+    ASSERT_TRUE(pushed.ok()) << pushed.status().ToString();
+    ASSERT_GT(pushed->table.num_rows, 0);
+    const auto [tags, counts] = TagSpans(tracer);
+    EXPECT_EQ(tags, 2) << context;
+    // The symbol sort's counting phase also holds its sizing pass, which
+    // each phase runs.
+    EXPECT_EQ(counts, gather ? 1 : 2) << context;
+
+    obs::Tracer ingest_tracer;
+    exec::PipelineExecutor executor;
+    exec::ExecOptions ingest;
+    ingest.base = options;
+    ingest.base.tracer = &ingest_tracer;
+    ingest.predicate = predicate;
+    ingest.partition_size = 16 * 1024;
+    auto ingested = executor.IngestBuffer(csv, ingest);
+    ASSERT_TRUE(ingested.ok()) << ingested.status().ToString();
+    EXPECT_TRUE(ingested->table.Equals(pushed->table)) << context;
+    const int partitions = ingested->stats.num_partitions;
+    ASSERT_GE(partitions, 4) << context;
+    const auto [ingest_tags, ingest_counts] = TagSpans(ingest_tracer);
+    EXPECT_EQ(ingest_tags, 2 * partitions) << context;
+    EXPECT_EQ(ingest_counts, (gather ? 1 : 2) * partitions) << context;
+  }
 }
 
 TEST(DictionaryTest, EncodeDecodeRoundTrip) {

@@ -309,6 +309,67 @@ TEST(SimdDifferentialTest, FinalTablesMatchScalar) {
   }
 }
 
+// Projection axis: every level's field gather, with seeded skip sets
+// (exactly one kept column, only the last, a random set reaching past the
+// records' width), against the scalar level's symbol sort, the reference
+// of both harnesses. The gather's walks jump over the skipped columns in
+// the masks each level wrote.
+TEST(SimdDifferentialTest, ProjectionAxisMatchesScalarSymbolSort) {
+  const std::vector<KernelLevel> levels = AvailableVectorLevels();
+  std::vector<NamedFormat> formats;
+  ASSERT_NO_FATAL_FAILURE(formats = RegisteredFormats());
+  int projected = 0;
+  for (const NamedFormat& format : formats) {
+    for (uint64_t seed = 0; seed < 96; ++seed) {
+      const std::string input = InputForSeed(format, seed * 11 + 4);
+      ParseOptions options;
+      options.format = format.format;
+      options.chunk_size = ChunkSizeForSeed(seed);
+      options.tagging_mode = static_cast<TaggingMode>(seed % 3);
+      if (options.tagging_mode != TaggingMode::kRecordTags) {
+        options.column_count_policy = ColumnCountPolicy::kReject;
+      }
+      options.error_policy = static_cast<robust::ErrorPolicy>((seed / 3) % 4);
+      Rng rng(seed + 101);
+      const int width = 1 + static_cast<int>(seed % 7);
+      const int keep = static_cast<int>(rng.Next() % width);
+      for (int j = 0; j < width + 2; ++j) {
+        const bool skipped = (seed / 4) % 3 == 0   ? j != keep
+                             : (seed / 4) % 3 == 1 ? j + 1 != width
+                                                   : rng.Next() % 2 == 0;
+        if (skipped) options.skip_columns.push_back(j);
+      }
+
+      options.transpose_mode = TransposeMode::kSymbolSort;
+      Result<ParseOutput> reference = [&] {
+        ScopedKernelLevel force(KernelLevel::kScalar);
+        return Parser::Parse(input, options);
+      }();
+      options.transpose_mode = TransposeMode::kFieldGather;
+      for (KernelLevel level : levels) {
+        ScopedKernelLevel force(level);
+        Result<ParseOutput> got = Parser::Parse(input, options);
+        const std::string context = format.name + " seed " +
+                                    std::to_string(seed) + " level " +
+                                    simd::KernelLevelName(level);
+        ASSERT_EQ(reference.ok(), got.ok()) << context;
+        if (!reference.ok()) {
+          ASSERT_EQ(reference.status().ToString(), got.status().ToString())
+              << context;
+          continue;
+        }
+        ASSERT_TRUE(reference->table.Equals(got->table)) << context;
+        ASSERT_EQ(reference->records_dropped, got->records_dropped)
+            << context;
+        ASSERT_EQ(reference->quarantine.size(), got->quarantine.size())
+            << context;
+        projected += reference->table.num_rows > 0;
+      }
+    }
+  }
+  EXPECT_GT(projected, 200);
+}
+
 // Validation must fire identically: same ParseError offsets whether the
 // invalid transition is found by the scalar walk, the fused converged
 // phase, or the bitmap step's head walk.

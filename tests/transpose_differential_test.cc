@@ -555,8 +555,10 @@ struct TypedCase {
 /// schema), defaults (a string one longer than the device threshold, under
 /// small collaboration thresholds), non-nullable columns, skipped columns,
 /// ragged rows, the quoting rate, an invalid default, the chunk size and
-/// the pool.
-TypedCase TypedCaseForSeed(const NamedFormat& format, uint64_t seed) {
+/// the pool. With `sparse_strings` the records are wider (6-13 columns),
+/// and every fourth column is a string among fixed-width ones.
+TypedCase TypedCaseForSeed(const NamedFormat& format, uint64_t seed,
+                           bool sparse_strings = false) {
   Rng rng(seed * 131 + 7);
   TypedCase c;
   ParseOptions& options = c.options;
@@ -580,10 +582,17 @@ TypedCase TypedCaseForSeed(const NamedFormat& format, uint64_t seed) {
     options.device_collaboration_threshold = 16;
   }
 
-  const int num_columns = 2 + static_cast<int>(seed % 7);
+  const int num_columns = sparse_strings ? 6 + static_cast<int>(seed % 8)
+                                         : 2 + static_cast<int>(seed % 7);
   std::vector<DataType> types;
   for (int j = 0; j < num_columns; ++j) {
-    types.push_back(kAxisTypes[(seed + static_cast<uint64_t>(j) * 3) % 8]);
+    const uint64_t k = seed + static_cast<uint64_t>(j) * 3;
+    if (!sparse_strings) {
+      types.push_back(kAxisTypes[k % 8]);
+    } else {
+      // kAxisTypes ends with the string type.
+      types.push_back(j % 4 == 1 ? DataType::String() : kAxisTypes[k % 7]);
+    }
   }
   if (infer) {
     options.infer_types = true;
@@ -662,6 +671,103 @@ TEST(TransposeDifferentialTest, SchemaAxisMatchesSymbolSort) {
   // The axis reaches typed columns and the error paths alike.
   EXPECT_GT(typed_tables, 300);
   EXPECT_GT(failed_parses, 20);
+}
+
+// --- The projection axis: the gather's walks jump over the columns a pass
+// does not ask for (the tally asks for the string columns, the gather for
+// the kept ones), so seeded random skip sets ride the comparison: exactly
+// one kept column, only the last one, and skip sets reaching past the
+// records' width, over both the untyped gather axes and typed cases whose
+// schemas place a string column every fourth among fixed-width ones, so
+// the tally asks for a sparse set. Ragged records, the tagging modes and
+// all four error policies rotate with the seed. ---
+
+/// The widest record of `input` under `options` (8 when it does not
+/// parse).
+int RecordWidth(const std::string& input, ParseOptions options) {
+  options.skip_columns.clear();
+  options.skip_records.clear();
+  options.column_count_policy = ColumnCountPolicy::kRobust;
+  options.tagging_mode = TaggingMode::kRecordTags;
+  options.error_policy = ErrorPolicy::kNull;
+  const Result<ParseOutput> parsed = Parser::Parse(input, options);
+  return parsed.ok() ? std::max<int>(1, parsed->max_columns) : 8;
+}
+
+/// The seed's skip set over records of `width` columns.
+std::vector<int> ProjectionForSeed(uint64_t seed, int width) {
+  Rng rng(seed * 977 + 5);
+  std::vector<int> skip;
+  switch (seed % 4) {
+    case 0: {  // exactly one kept column
+      const int keep = static_cast<int>(rng.Next() % width);
+      for (int j = 0; j < width; ++j) {
+        if (j != keep) skip.push_back(j);
+      }
+      break;
+    }
+    case 1:  // only the last column
+      for (int j = 0; j + 1 < width; ++j) skip.push_back(j);
+      break;
+    case 2:  // a random set, past the records' width too
+      for (int j = 0; j < width + 3; ++j) {
+        if (rng.Next() % 3 == 0) skip.push_back(j);
+      }
+      break;
+    default:  // a random set
+      for (int j = 0; j < width; ++j) {
+        if (rng.Next() % 2 == 0) skip.push_back(j);
+      }
+      break;
+  }
+  return skip;
+}
+
+TEST(TransposeDifferentialTest, ProjectionAxisMatchesSymbolSort) {
+  std::vector<NamedFormat> formats;
+  ASSERT_NO_FATAL_FAILURE(formats = RegisteredFormats());
+  int projected = 0;
+  for (const NamedFormat& format : formats) {
+    for (uint64_t seed = 0; seed < 384; ++seed) {
+      const std::string input = GatherInputForSeed(format, seed * 5 + 1);
+      ParseOptions options = GatherOptionsForSeed(format, seed);
+      options.skip_columns =
+          ProjectionForSeed(seed, RecordWidth(input, options));
+
+      options.transpose_mode = TransposeMode::kSymbolSort;
+      const Result<ParseOutput> reference = Parser::Parse(input, options);
+      options.transpose_mode = TransposeMode::kFieldGather;
+      const Result<ParseOutput> got = Parser::Parse(input, options);
+
+      const std::string context = format.name + " seed " +
+                                  std::to_string(seed);
+      ASSERT_NO_FATAL_FAILURE(ExpectOutputsEqual(reference, got, context));
+      projected += reference.ok() && reference->table.num_rows > 0;
+    }
+  }
+  for (const NamedFormat& format : formats) {
+    if (format.name != "rfc4180" && format.name != "pipe") continue;
+    for (uint64_t seed = 0; seed < 384; ++seed) {
+      TypedCase c = TypedCaseForSeed(format, seed * 3 + 2,
+                                     /*sparse_strings=*/true);
+      const int width =
+          c.options.schema.num_fields() > 0
+              ? c.options.schema.num_fields()
+              : RecordWidth(c.input, c.options);
+      c.options.skip_columns = ProjectionForSeed(seed, width);
+
+      c.options.transpose_mode = TransposeMode::kSymbolSort;
+      const Result<ParseOutput> reference = Parser::Parse(c.input, c.options);
+      c.options.transpose_mode = TransposeMode::kFieldGather;
+      const Result<ParseOutput> got = Parser::Parse(c.input, c.options);
+
+      const std::string context = format.name + " typed seed " +
+                                  std::to_string(seed);
+      ASSERT_NO_FATAL_FAILURE(ExpectOutputsEqual(reference, got, context));
+      projected += reference.ok() && reference->table.num_rows > 0;
+    }
+  }
+  EXPECT_GT(projected, 1500);
 }
 
 // The first reject of a row is its lowest column's, in both modes, also
