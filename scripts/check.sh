@@ -164,7 +164,10 @@ run_pipeline() {
   # suite (a query's select stage runs inside sort morsels), and the chaos
   # sweep — whose schedule space includes faults at every morsel
   # hand-off — all under the thread sanitizer, since the executor is the
-  # most schedule-sensitive code in the repo. ObsIntegration adds the
+  # most schedule-sensitive code in the repo. The Chaos filter also runs
+  # ChaosTest.BudgetedIngestFaultsFailCleanOrMatchFaultFree: a budgeted
+  # ingest, small partitions with four in flight, under each I/O,
+  # executor, allocation and scheduler fault. ObsIntegration adds the
   # executor-trace tests: one interval per stage across every sink, and
   # spans that nest on their own thread.
   echo "=== pipeline: executor differential + chaos under TSan ==="
@@ -220,6 +223,10 @@ run_faults() {
   # chaos harness over a fixed matrix of seed bases so regressions replay
   # deterministically. Each base shifts the whole schedule space; together
   # with the in-test default this covers >4000 distinct seeded schedules.
+  # No seeded schedule runs under a memory budget, so the Chaos filter's
+  # ChaosTest.BudgetedIngestFaultsFailCleanOrMatchFaultFree arms each I/O,
+  # executor, allocation and scheduler failpoint against a budgeted
+  # ingest (small partitions, four in flight) as well.
   for seed_base in 20260806 1 981276341; do
     echo "=== faults: chaos/robustness suites, seed base ${seed_base} ==="
     PARPARAW_CHAOS_SEED_BASE="${seed_base}" \

@@ -57,8 +57,8 @@ class Reader {
   Reader&& WithHeader(bool has_header) &&;
   /// What to do with malformed records (kNull/kFail/kSkip/kQuarantine).
   Reader&& WithErrorPolicy(robust::ErrorPolicy policy) &&;
-  /// Soft cap on the parse working set; the executor degrades (smaller
-  /// partitions, fewer in flight) instead of refusing.
+  /// Soft cap on the parse working set; the executor degrades (partitions
+  /// shrink until robust::kPipelineDepth of them fit) instead of refusing.
   Reader&& WithMemoryBudget(int64_t bytes) &&;
   Reader&& WithPartitionSize(size_t bytes) &&;
   Reader&& WithThreadPool(ThreadPool* pool) &&;

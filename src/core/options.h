@@ -191,12 +191,13 @@ struct ParseOptions : public Tuning {
   robust::ErrorPolicy error_policy = robust::ErrorPolicy::kNull;
 
   /// Peak working-set budget in bytes; 0 means unlimited. A monolithic
-  /// Parse() whose estimated working set (~16x input, see
+  /// Parse() whose estimated working set (8x input under the field
+  /// gather, 16x under the symbol sort; see ParseWorkingSetFactor and
   /// robust::EstimateParseMemory) exceeds the budget fails with
   /// kResourceExhausted instead of attempting the allocations; the
   /// pipelined executor, which the bulk loader and Reader run on, degrades
-  /// instead — smaller partitions, fewer in flight — and never returns
-  /// kResourceExhausted for the budget alone.
+  /// instead — partitions shrink until robust::kPipelineDepth of them fit
+  /// — and never returns kResourceExhausted for the budget alone.
   int64_t memory_budget = 0;
 
   /// Validates the option *combination* without looking at any input.

@@ -229,9 +229,9 @@ Status StagedParse::Scan(std::string_view input, const ParseOptions& options) {
   }
 
   // Resource guard: refuse up front when the monolithic working set cannot
-  // fit the budget. The bulk loader and the executor degrade
-  // (smaller partitions / streaming / fewer in flight) instead of
-  // surfacing this.
+  // fit the budget. The bulk loader and the executor degrade instead of
+  // surfacing this: they cut partitions small enough that
+  // robust::kPipelineDepth of them fit.
   // The envelope depends on the transpose mode: the symbol sort carries
   // per-byte tag metadata (16x), the field gather O(fields) entries (8x).
   const int64_t working_set_factor = ParseWorkingSetFactor(resolved_);

@@ -183,9 +183,11 @@ class PipelineRun {
     // partition then parses under the pinned knobs.
     result_.plan = plan::PlanStream(source->total_bytes(), &base_);
 
-    // Degrade instead of refusing, in two independent ways: partitions
-    // shrink until one parse fits the budget, and the admission limit
-    // clamps how many of them may be resident at once.
+    // Degrade instead of refusing: partitions shrink until
+    // robust::kPipelineDepth parses fit the budget, and the admission limit
+    // clamps how many of them may be resident at once. When the clamp
+    // binds above its floor, that limit is kPipelineDepth again, so a
+    // budgeted ingest overlaps its stages like an unbudgeted one.
     const int64_t working_set_factor = ParseWorkingSetFactor(base_);
     partition_size_ = static_cast<size_t>(
         robust::ClampPartitionSizeForBudget(
@@ -201,7 +203,7 @@ class PipelineRun {
             1, options_.base.memory_budget / std::max<int64_t>(
                                                  1, per_partition)));
       } else {
-        admission_limit_ = 4;  // read + scan + sort + convert in flight
+        admission_limit_ = static_cast<int>(robust::kPipelineDepth);
       }
     }
     result_.stats.admission_limit = admission_limit_;

@@ -38,9 +38,12 @@ struct ExecOptions {
   size_t partition_size = 64 * 1024 * 1024;
 
   /// Hard cap on partitions resident across all stages of this ingest.
-  /// 0 = auto: derived from base.memory_budget when one is set (the
-  /// admission controller *clamps* concurrency to fit the budget, it
-  /// never refuses), otherwise one partition per stage (4).
+  /// 0 = auto: one partition per stage (robust::kPipelineDepth, 4). With
+  /// base.memory_budget set it is the budget over one partition's
+  /// estimated working set; the budget clamps partitions so that this
+  /// comes out at kPipelineDepth (more when the requested partition is
+  /// already small, fewer only at the 256-byte floor). The budget never
+  /// refuses an ingest.
   int max_inflight_partitions = 0;
 
   /// The caller's per-run check, invoked at each stage's entry for each
@@ -147,8 +150,11 @@ using PartitionSink = std::function<Status(Table&&)>;
 ///
 /// An admission controller clamps the number of partitions resident
 /// across all stages so the total working set respects
-/// ParseOptions::memory_budget (clamp, not refuse — at worst the
-/// pipeline degrades to one partition in flight, the serial schedule).
+/// ParseOptions::memory_budget (clamp, not refuse). A budget shrinks the
+/// partitions, not the pipeline: they are cut so that
+/// robust::kPipelineDepth of them fit, and the pipeline keeps one per
+/// stage in flight; only a budget below the partition floor's working
+/// set runs fewer.
 /// Several ingests can run concurrently through one executor (parparawd
 /// runs every request on one); they share its admission controller, so
 /// the budget holds globally.

@@ -36,8 +36,9 @@ struct LoadOptions {
   /// What to do with malformed records (see robust/quarantine.h).
   robust::ErrorPolicy error_policy = robust::ErrorPolicy::kNull;
   /// Soft cap on parse working-set bytes; 0 = unlimited. The executor
-  /// degrades instead of failing: partitions shrink to fit and fewer of
-  /// them are in flight. LoadFile never materialises the whole file.
+  /// degrades instead of failing: partitions shrink until
+  /// robust::kPipelineDepth of them fit, and that many stay in flight.
+  /// LoadFile never materialises the whole file.
   int64_t memory_budget = 0;
   ThreadPool* pool = nullptr;
 };

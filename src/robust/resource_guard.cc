@@ -12,7 +12,7 @@ int64_t ClampPartitionSizeForBudget(int64_t requested, int64_t memory_budget,
                                     int64_t floor_bytes, int64_t factor) {
   if (memory_budget <= 0 || requested <= 0) return requested;
   if (factor <= 0) factor = kParseMemoryFactor;
-  const int64_t affordable = memory_budget / factor;
+  const int64_t affordable = memory_budget / (factor * kPipelineDepth);
   if (affordable >= requested) return requested;
   const int64_t clamped = affordable < floor_bytes ? floor_bytes : affordable;
   obs::MetricsRegistry::Global().AddCounter("robust.budget_clamps", 1);

@@ -40,19 +40,25 @@ inline constexpr int64_t kParseMemoryFactor = 16;
 /// writes directly. On taxi-like data (~6-byte fields) the modelled
 /// transpose peak of an 8 MiB partition (the output columns and the
 /// tallies; perfbench's core.transpose_peak_mib on numeric_stream) is
-/// 11.2 MiB, 1.4x the input. 8x stays the envelope until the budgeted
-/// admission limit is re-derived from measured peaks (ROADMAP).
+/// 11.2 MiB, 1.4x the input. 8x stays the envelope: it sizes budgeted
+/// partitions, and the admission limit follows from kPipelineDepth.
 inline constexpr int64_t kParseMemoryFactorFieldGather = 8;
+
+/// Partitions in flight when nothing limits them: one each in read, scan,
+/// sort and convert. A memory budget shrinks partitions until this many
+/// fit, so a budgeted ingest keeps the unbudgeted pipeline's overlap.
+inline constexpr int64_t kPipelineDepth = 4;
 
 inline int64_t EstimateParseMemory(int64_t input_size,
                                    int64_t factor = kParseMemoryFactor) {
   return input_size * factor;
 }
 
-/// Largest partition size (bytes) whose estimated working set fits in
-/// `memory_budget`, clamped to [floor_bytes, requested]. Returns `requested`
-/// unchanged when the budget is 0 (unlimited). `factor` is the working-set
-/// multiplier of the parse the partitions feed — pass
+/// Largest partition size (bytes) of which kPipelineDepth estimated working
+/// sets fit in `memory_budget`, clamped to [floor_bytes, requested], so the
+/// budget leaves room for kPipelineDepth partitions in flight. Returns
+/// `requested` unchanged when the budget is 0 (unlimited). `factor` is the
+/// working-set multiplier of the parse the partitions feed — pass
 /// ParseWorkingSetFactor(options) when the transpose mode is known.
 int64_t ClampPartitionSizeForBudget(int64_t requested, int64_t memory_budget,
                                     int64_t floor_bytes = 256,

@@ -99,7 +99,9 @@ Result<uint16_t> Server::Start() {
   // Derive the shared partition-admission limit once: how many resident
   // partitions the whole daemon may hold. Each request's partitions are
   // already clamped to its per-connection budget slice, so the limit is
-  // the global budget divided by one sliced partition's working set.
+  // the global budget divided by one sliced partition's working set:
+  // robust::kPipelineDepth partitions per request slot once the clamp
+  // binds.
   ParseOptions probe;
   const int64_t factor = ParseWorkingSetFactor(probe);
   if (options_.memory_budget > 0) {
@@ -114,7 +116,8 @@ Result<uint16_t> Server::Start() {
         1, options_.memory_budget / per_partition));
   } else {
     // Unbudgeted: one pipeline's worth of slots per admissible request.
-    exec_partition_limit_ = 4 * options_.max_inflight_requests;
+    exec_partition_limit_ = static_cast<int>(robust::kPipelineDepth) *
+                            options_.max_inflight_requests;
   }
 
   // Cancel() is one-shot, so every start gets a fresh executor.

@@ -43,10 +43,11 @@ struct ServeOptions {
   /// Global parse working-set budget in bytes, 0 = unlimited. Split two
   /// ways, both derived from ParseOptions::memory_budget semantics:
   /// every admitted request parses under a per-connection slice
-  /// (budget / max_inflight_requests, so partitions shrink to fit), and
-  /// the *sum* of resident partitions across all requests is capped by
-  /// the admission controller of the one PipelineExecutor every request
-  /// runs on.
+  /// (budget / max_inflight_requests, so partitions shrink until
+  /// robust::kPipelineDepth of them fit the slice), and the *sum* of
+  /// resident partitions across all requests is capped by the admission
+  /// controller of the one PipelineExecutor every request runs on, at
+  /// kPipelineDepth partitions per request slot.
   int64_t memory_budget = 0;
 
   /// Hard cap on a single frame payload; larger declared lengths are

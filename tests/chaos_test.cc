@@ -122,8 +122,8 @@ std::string ChaosInput() {
 // the schedule. The file is per process: ctest runs tests in parallel.
 class ChaosData {
  public:
-  ChaosData()
-      : bytes_(ChaosInput()),
+  explicit ChaosData(std::string bytes = ChaosInput())
+      : bytes_(std::move(bytes)),
         path_("/tmp/parparaw_chaos_" + std::to_string(getpid()) + ".csv") {
     EXPECT_TRUE(WriteStringToFile(path_, bytes_).ok());
   }
@@ -449,6 +449,89 @@ TEST(ChaosTest, QuerySelectFaultsFailCleanOrMatchFaultFree) {
       }
     }
   }
+}
+
+// A budgeted ingest cuts small partitions and keeps robust::kPipelineDepth
+// of them in flight, a schedule the main sweep (no budget) never draws.
+// Every failpoint on the file and stream paths fails a budgeted run clean
+// or leaves its output equal to the fault-free run, and every admission
+// slot comes back. The chaos input twice over makes more partitions than
+// slots, so the reader also waits for slots to come back.
+TEST(ChaosTest, BudgetedIngestFaultsFailCleanOrMatchFaultFree) {
+  const ChaosData data(ChaosInput() + ChaosInput());
+  FailpointRegistry& registry = FailpointRegistry::Instance();
+  exec::ExecOptions options;
+  options.base.schema = ChaosSchema();
+  // The default mode, pinned against PARPARAW_TRANSPOSE_MODE so the
+  // alloc.gather site stays on the path.
+  options.base.transpose_mode = TransposeMode::kFieldGather;
+  options.base.memory_budget = 16 * 1024;  // 512-byte partitions, 4 in flight
+  options.partition_size = 1 << 20;
+  // One budgeted ingest: the file entry's table, or the stream entry's
+  // batches in delivery order.
+  const auto ingest = [&](bool stream, std::vector<Table>* tables)
+      -> Result<exec::IngestStats> {
+    exec::PipelineExecutor executor;
+    Result<exec::IngestResult> out =
+        stream ? executor.StreamBuffer(data.bytes(), options,
+                                       [&](Table&& batch) {
+                                         tables->push_back(std::move(batch));
+                                         return Status::OK();
+                                       })
+               : executor.IngestFile(data.path(), options);
+    EXPECT_EQ(executor.admission()->inflight(), 0);
+    PARPARAW_RETURN_NOT_OK(out.status());
+    if (!stream) tables->push_back(std::move(out->table));
+    return out->stats;
+  };
+  const char* const sites[] = {
+      "io.read",         "exec.read",
+      "exec.queue.scan.push",    "exec.queue.scan.pop",
+      "exec.queue.sort.push",    "exec.queue.sort.pop",
+      "exec.queue.convert.push", "exec.queue.convert.pop",
+      "exec.deadline",   "alloc.gather",  "alloc.convert",
+      "pool.task",       "sched.submit",  "sched.steal",
+  };
+  int clean_errors = 0;
+  int identical = 0;
+  for (bool stream : {false, true}) {
+    std::vector<Table> reference;
+    const auto stats = ingest(stream, &reference);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_GT(stats->num_partitions, 1);
+    EXPECT_LE(stats->max_inflight, stats->admission_limit);
+    for (const char* site : sites) {
+      for (const FailpointTrigger& trigger :
+           {robust::CountTrigger(2), robust::EveryNthTrigger(3)}) {
+        SCOPED_TRACE(std::string(site) + (stream ? " stream" : " file") +
+                     (trigger.kind == FailpointTrigger::Kind::kCount
+                          ? " count"
+                          : " every-nth"));
+        registry.Arm(site, trigger);
+        std::vector<Table> tables;
+        const auto faulted = ingest(stream, &tables);
+        const int64_t hits = registry.hits(site);
+        registry.DisarmAll();
+        const std::string name = site;
+        if (name != "sched.steal" && (name != "io.read" || !stream)) {
+          EXPECT_GT(hits, 0) << "never reached";
+        }
+        if (!faulted.ok()) {
+          ASSERT_FALSE(faulted.status().message().empty());
+          ++clean_errors;
+          continue;
+        }
+        ASSERT_EQ(tables.size(), reference.size());
+        for (size_t i = 0; i < tables.size(); ++i) {
+          ASSERT_TRUE(tables[i].Equals(reference[i])) << "table " << i;
+          ASSERT_EQ(tables[i].rejected, reference[i].rejected) << "table " << i;
+        }
+        ++identical;
+      }
+    }
+  }
+  EXPECT_GT(clean_errors, 0);
+  EXPECT_GT(identical, 0);
 }
 
 // Quarantine recovery must keep working when the file was parsed under a

@@ -1,6 +1,7 @@
 #include "exec/executor.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -15,6 +16,7 @@
 #include "obs/trace.h"
 #include "pushdown_oracle.h"
 #include "robust/failpoint.h"
+#include "robust/resource_guard.h"
 #include "workload/generators.h"
 
 namespace parparaw {
@@ -351,7 +353,8 @@ TEST(ExecTest, BackpressureClampsResidentPartitionsUnderBudget) {
 }
 
 // The auto admission limit derives from the memory budget: a budget that
-// fits one clamped partition serialises the pipeline (degrade, not refuse).
+// clamps the partitions still admits one per pipeline stage (degrade the
+// partition size, not the pipeline; never refuse).
 TEST(ExecTest, MemoryBudgetDerivesAdmissionLimit) {
   const std::string input = ExecInput(600);
   PipelineExecutor executor;
@@ -361,7 +364,7 @@ TEST(ExecTest, MemoryBudgetDerivesAdmissionLimit) {
   options.partition_size = 1 << 20;  // gets clamped to fit the budget
   auto result = executor.IngestBuffer(input, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_GE(result->stats.admission_limit, 1);
+  EXPECT_EQ(result->stats.admission_limit, robust::kPipelineDepth);
   EXPECT_LE(result->stats.max_inflight, result->stats.admission_limit);
   // The clamp shrank partitions: the input must have been split.
   EXPECT_GT(result->stats.num_partitions, 1);
@@ -373,6 +376,80 @@ TEST(ExecTest, MemoryBudgetDerivesAdmissionLimit) {
   auto want = Parser::Parse(input, monolithic);
   ASSERT_TRUE(want.ok()) << want.status().ToString();
   ASSERT_TRUE(result->table.Equals(want->table));
+}
+
+// A budgeted ingest overlaps like an unbudgeted one: with a stalled
+// convert stage the reader runs ahead to robust::kPipelineDepth resident
+// partitions, and their estimated working sets still fit the budget.
+TEST(ExecTest, MemoryBudgetKeepsPipelineDepth) {
+  const std::string input = ExecInput(1200);
+  constexpr int64_t kBudget = 64 * 1024;
+  PipelineExecutor executor;
+  ExecOptions options;
+  options.base = BaseOptions(ErrorPolicy::kNull, simd::KernelKind::kScalar);
+  options.base.memory_budget = kBudget;
+  options.partition_size = 1 << 20;  // clamps to 2 KiB at the 8x factor
+  options.stage_hook = [](int stage, int64_t) {
+    if (stage == 3) std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    return Status::OK();
+  };
+  auto result = executor.IngestBuffer(input, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const exec::IngestStats& stats = result->stats;
+  EXPECT_EQ(stats.admission_limit, robust::kPipelineDepth);
+  EXPECT_GT(stats.max_inflight, 1);
+  EXPECT_LE(stats.max_inflight, stats.admission_limit);
+  EXPECT_GT(stats.num_partitions, robust::kPipelineDepth);
+  const int64_t factor = ParseWorkingSetFactor(options.base);
+  const int64_t partition = robust::ClampPartitionSizeForBudget(
+      static_cast<int64_t>(options.partition_size), kBudget,
+      /*floor_bytes=*/256, factor);
+  EXPECT_LE(stats.admission_limit * factor * partition, kBudget);
+
+  ParseOptions monolithic = options.base;
+  monolithic.memory_budget = 0;
+  auto want = Parser::Parse(input, monolithic);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_TRUE(result->table.Equals(want->table));
+}
+
+// Budgeted partitions are small, so a record longer than four of them is
+// carried through several in-flight partitions; buffer and file ingests
+// must still equal one monolithic parse.
+TEST(ExecTest, MemoryBudgetParsesRecordLongerThanFourPartitions) {
+  constexpr int64_t kBudget = 64 * 1024;
+  const std::string path =
+      "/tmp/parparaw_exec_giant_" + std::to_string(::getpid()) + ".csv";
+  for (bool yelp_like : {false, true}) {
+    ParseOptions base;
+    base.schema = yelp_like ? YelpSchema() : TaxiSchema();
+    const int64_t partition = robust::ClampPartitionSizeForBudget(
+        1 << 20, kBudget, /*floor_bytes=*/256, ParseWorkingSetFactor(base));
+    const std::string input =
+        GenerateSkewed(7, 24 * 1024,
+                       /*giant_field_bytes=*/static_cast<size_t>(5 * partition),
+                       yelp_like);
+    auto want = Parser::Parse(input, base);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    ASSERT_TRUE(WriteStringToFile(path, input).ok());
+
+    ExecOptions options;
+    options.base = base;
+    options.base.memory_budget = kBudget;
+    options.partition_size = 1 << 20;
+    PipelineExecutor executor;
+    auto from_buffer = executor.IngestBuffer(input, options);
+    ASSERT_TRUE(from_buffer.ok()) << from_buffer.status().ToString();
+    EXPECT_TRUE(from_buffer->table.Equals(want->table))
+        << "buffer, yelp_like=" << yelp_like;
+    EXPECT_GT(from_buffer->stats.num_partitions, robust::kPipelineDepth);
+    auto from_file = executor.IngestFile(path, options);
+    ASSERT_TRUE(from_file.ok()) << from_file.status().ToString();
+    EXPECT_TRUE(from_file->table.Equals(want->table))
+        << "file, yelp_like=" << yelp_like;
+    EXPECT_EQ(executor.admission()->inflight(), 0);
+  }
+  std::remove(path.c_str());
 }
 
 TEST(ExecTest, CancellationMidPipelineReturnsCancelled) {

@@ -161,10 +161,11 @@ TEST_F(RobustTest, GuardedAssignMapsFailpointCode) {
 TEST_F(RobustTest, ClampPartitionSizeForBudget) {
   // No budget: untouched.
   EXPECT_EQ(robust::ClampPartitionSizeForBudget(1 << 20, 0), 1 << 20);
-  // Budget of 16 KiB affords a 1 KiB partition (16x working set).
-  EXPECT_EQ(robust::ClampPartitionSizeForBudget(1 << 20, 16 * 1024), 1024);
+  // Budget of 64 KiB affords kPipelineDepth (4) partitions of 1 KiB at the
+  // 16x working set.
+  EXPECT_EQ(robust::ClampPartitionSizeForBudget(1 << 20, 64 * 1024), 1024);
   // Already affordable: untouched.
-  EXPECT_EQ(robust::ClampPartitionSizeForBudget(512, 16 * 1024), 512);
+  EXPECT_EQ(robust::ClampPartitionSizeForBudget(512, 64 * 1024), 512);
   // Absurdly small budgets clamp to the floor rather than zero.
   EXPECT_EQ(robust::ClampPartitionSizeForBudget(1 << 20, 64), 256);
 }
@@ -346,7 +347,8 @@ TEST_F(RobustTest, StreamingDegradesInsteadOfRefusing) {
 
   exec::ExecOptions streaming;
   streaming.base = base;
-  streaming.base.memory_budget = 16 * 1024;  // affords 1 KiB partitions
+  // Affords four 512-byte partitions at the field gather's 8x.
+  streaming.base.memory_budget = 16 * 1024;
   exec::PipelineExecutor executor;
   const auto result = executor.IngestBuffer(csv, streaming);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -363,7 +365,9 @@ TEST_F(RobustTest, LoaderDegradesToDiskStreaming) {
   ASSERT_TRUE(full.ok()) << full.status().ToString();
 
   LoadOptions budgeted;
-  budgeted.memory_budget = 32 * 1024;  // file is ~8 KB; 16x won't fit
+  // The file is ~8 KB, and 8x of it won't fit: the budget affords four
+  // 1 KiB partitions at the field gather's 8x.
+  budgeted.memory_budget = 32 * 1024;
   const auto degraded = BulkLoader::LoadFile(file.path(), budgeted);
   ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
   EXPECT_EQ(degraded->rows_loaded, full->rows_loaded);
