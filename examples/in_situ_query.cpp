@@ -1,17 +1,16 @@
 // In-situ querying of raw data — the paper's §1 motivation: answer an
-// analytical query directly over a raw CSV, with no load phase. Shows the
-// full path: (optional) Sparser-style raw prefilter -> ParPaRaw parse ->
-// column statistics -> filter/group-by/aggregate.
+// analytical query directly over a raw CSV, with no load phase. The WHERE
+// clause is pushed into the parser (ParseWithPushdown): only the predicate
+// column is converted for every record, and full rows only for the
+// matches. A plain loop over the returned table then aggregates them.
 //
 //   ./build/examples/in_situ_query [MB]
 
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 
-#include "columnar/statistics.h"
-#include "core/parser.h"
-#include "query/query.h"
-#include "query/raw_filter.h"
+#include "query/pushdown.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
 #include "workload/generators.h"
@@ -24,62 +23,48 @@ int main(int argc, char** argv) {
   std::printf("raw input: %s of taxi CSV\n",
               FormatBytes(csv.size()).c_str());
 
-  // Query: for store-and-forward trips (rare), revenue stats per vendor.
-  // The 'Y' flag appears in ~5%% of records, so the raw prefilter drops
-  // most bytes before the parser ever sees them (taxi newlines are always
-  // record boundaries, the prefilter's applicability condition).
-  Stopwatch watch;
-  RawFilterStats raw_stats;
-  auto prefiltered = RawFilterLines(csv, ",Y,", &raw_stats);
-  if (!prefiltered.ok()) return 1;
-  std::printf("raw prefilter: kept %lld of %lld lines (%.1f%% of bytes) "
-              "in %.1f ms\n",
-              static_cast<long long>(raw_stats.kept_lines),
-              static_cast<long long>(raw_stats.input_lines),
-              raw_stats.Selectivity() * 100, watch.ElapsedMillis());
-
+  // Query: for store-and-forward trips (rare), revenue per vendor.
+  //   SELECT VendorID, count(*), sum(total_amount) WHERE store_and_fwd_flag
+  //   = 'Y' GROUP BY VendorID
   ParseOptions options;
   options.schema = TaxiSchema();
-  watch.Restart();
-  auto parsed = Parser::Parse(*prefiltered, options);
-  if (!parsed.ok()) {
-    std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
+  // The pushdown requires the robust column-count policy (the default).
+  options.column_count_policy = ColumnCountPolicy::kRobust;
+  const Predicate predicate{6 /*store_and_fwd_flag*/, CompareOp::kEq, "Y"};
+
+  Stopwatch watch;
+  PushdownStats stats;
+  auto selected = ParseWithPushdown(csv, options, predicate, &stats);
+  if (!selected.ok()) {
+    std::fprintf(stderr, "%s\n", selected.status().ToString().c_str());
     return 1;
   }
-  std::printf("parsed %lld candidate trips in %.1f ms\n",
-              static_cast<long long>(parsed->table.num_rows),
-              watch.ElapsedMillis());
+  std::printf("pushdown parse in %.1f ms: scanned %lld records, selected "
+              "%lld (selectivity %.2f%%)\n",
+              watch.ElapsedMillis(),
+              static_cast<long long>(stats.records_scanned),
+              static_cast<long long>(stats.records_selected),
+              stats.Selectivity() * 100);
 
-  // Post-parse statistics (what a query optimiser would keep).
-  auto stats = ComputeTableStatistics(parsed->table);
-  if (stats.ok()) {
-    std::printf("column stats: total_amount %s\n",
-                (*stats)[16].ToString().c_str());
+  // GROUP BY VendorID: trips and revenue per vendor.
+  struct Revenue {
+    int64_t trips = 0;
+    double total = 0;
+  };
+  std::map<int64_t, Revenue> per_vendor;
+  const Table& table = selected->table;
+  const Column& vendor = table.columns[0];
+  const Column& total_amount = table.columns[16];
+  for (int64_t r = 0; r < table.num_rows; ++r) {
+    if (vendor.IsNull(r)) continue;
+    Revenue& revenue = per_vendor[vendor.Value<int64_t>(r)];
+    ++revenue.trips;
+    if (!total_amount.IsNull(r)) revenue.total += total_amount.Value<double>(r);
   }
-
-  // Exact predicate resolves the prefilter's false positives.
-  QuerySpec spec;
-  spec.filter.conjuncts.push_back(
-      {6 /*store_and_fwd_flag*/, CompareOp::kEq, "Y"});
-  spec.group_by = 0;  // VendorID
-  spec.aggregates = {Aggregate(AggKind::kCountAll),
-                     Aggregate(AggKind::kMean, 16 /*total_amount*/),
-                     Aggregate(AggKind::kMax, 4 /*trip_distance*/)};
-  watch.Restart();
-  auto result = RunQuery(parsed->table, spec);
-  if (!result.ok()) {
-    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-    return 1;
-  }
-  std::printf("query in %.1f ms:\n", watch.ElapsedMillis());
-  std::printf("  %-8s %10s %18s %18s\n", "vendor", "trips", "mean(total)",
-              "max(distance)");
-  for (int64_t r = 0; r < result->num_rows; ++r) {
-    std::printf("  %-8s %10s %18s %18s\n",
-                result->columns[0].ValueToString(r).c_str(),
-                result->columns[1].ValueToString(r).c_str(),
-                result->columns[2].ValueToString(r).c_str(),
-                result->columns[3].ValueToString(r).c_str());
+  std::printf("  %-8s %10s %18s\n", "vendor", "trips", "sum(total)");
+  for (const auto& [id, revenue] : per_vendor) {
+    std::printf("  %-8lld %10lld %18.2f\n", static_cast<long long>(id),
+                static_cast<long long>(revenue.trips), revenue.total);
   }
   return 0;
 }

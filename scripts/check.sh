@@ -219,7 +219,7 @@ run_faults() {
   echo "=== faults: build ==="
   cmake --build build-asan -j "${JOBS}"
   # The robustness surface (see docs/robustness.md): failpoint semantics,
-  # quarantine capture/repair, IPC corruption sweeps, I/O retry — then the
+  # quarantine capture, IPC corruption sweeps, I/O retry — then the
   # chaos harness over a fixed matrix of seed bases so regressions replay
   # deterministically. Each base shifts the whole schedule space; together
   # with the in-test default this covers >4000 distinct seeded schedules.
@@ -234,7 +234,7 @@ run_faults() {
     ASAN_OPTIONS=detect_leaks=1:strict_string_checks=1 \
     UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1 \
       ctest --test-dir build-asan --output-on-failure -j "${JOBS}" \
-        -R 'Chaos|Robust|Failpoint|Quarantine|Reparse|Ipc'
+        -R 'Chaos|Robust|Failpoint|Quarantine|Ipc'
   done
 }
 

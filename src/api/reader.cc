@@ -67,19 +67,9 @@ Reader&& Reader::WithTuning(Tuning tuning) && {
   return std::move(*this);
 }
 
-Reader&& Reader::WithStatistics(bool enabled) && {
-  options_.collect_statistics = enabled;
-  return std::move(*this);
-}
-
 Result<Table> Reader::Read() && {
-  LoadOptions options = options_;
-  options.collect_statistics = false;  // Read() returns only the table
-  Result<LoadResult> loaded =
-      from_file_ ? BulkLoader::LoadFile(path_, options)
-                 : BulkLoader::LoadBuffer(buffer_, options);
-  PARPARAW_RETURN_NOT_OK(loaded.status());
-  return std::move(loaded->table);
+  PARPARAW_ASSIGN_OR_RETURN(LoadResult loaded, std::move(*this).ReadDetailed());
+  return std::move(loaded.table);
 }
 
 Result<LoadResult> Reader::ReadDetailed() && {

@@ -68,16 +68,13 @@ class Reader {
   /// from the DFA and the input's length. The partition size is this
   /// builder's own (WithPartitionSize).
   Reader&& WithTuning(Tuning tuning) &&;
-  /// Collect per-column statistics into LoadResult (Read() ignores them;
-  /// off by default — BulkLoader's default is on).
-  Reader&& WithStatistics(bool enabled) &&;
 
   // --- terminal operations ---
 
   /// The table, materialised.
   Result<Table> Read() &&;
 
-  /// The table plus dialect, quarantine, statistics and timings.
+  /// The table plus dialect, quarantine and timings.
   Result<LoadResult> ReadDetailed() &&;
 
   /// Bounded-memory streaming: `sink` receives each partition's table in

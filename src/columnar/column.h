@@ -50,9 +50,6 @@ class Column {
     validity_.Set(i);
   }
 
-  /// String columns only: sets the offsets entry i (the parallel path
-  /// computes all offsets with a prefix sum, then copies bytes).
-  void SetStringOffset(int64_t i, int64_t offset) { offsets_[i] = offset; }
   /// Raw string buffer access for parallel byte copies.
   std::vector<uint8_t>* mutable_string_data() { return &string_data_; }
   /// Raw fixed-width buffer access for parallel value writes.

@@ -42,16 +42,4 @@ int FixedWidth(TypeId id) {
   return 0;
 }
 
-bool IsNumeric(TypeId id) {
-  switch (id) {
-    case TypeId::kInt32:
-    case TypeId::kInt64:
-    case TypeId::kFloat64:
-    case TypeId::kDecimal64:
-      return true;
-    default:
-      return false;
-  }
-}
-
 }  // namespace parparaw

@@ -57,9 +57,6 @@ int FixedWidth(TypeId id);
 /// True for types whose values occupy a fixed-width data buffer.
 inline bool IsFixedWidth(TypeId id) { return FixedWidth(id) > 0; }
 
-/// True for the numeric types participating in type inference (§4.3).
-bool IsNumeric(TypeId id);
-
 }  // namespace parparaw
 
 #endif  // PARPARAW_COLUMNAR_TYPES_H_

@@ -63,7 +63,7 @@ struct ValueOutcome {
 
 // --- The value rule. Both transpose modes apply these functions, so parse,
 // default, NULL and reject agree by construction; the sequential baseline
-// and JSON Lines parse through ParseSlot too. ---
+// parses through ParseSlot too. ---
 
 /// Parses `value` as `type` into `slot` (the type's fixed width); false on
 /// malformed input, which leaves the slot as it was. String columns are not

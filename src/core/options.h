@@ -187,7 +187,7 @@ struct ParseOptions : public Tuning {
   /// non-nullable NULLs, wrong column counts under kReject). See
   /// robust::ErrorPolicy; kNull reproduces the historical behaviour
   /// (NULL value + rejected bit). kQuarantine additionally captures the
-  /// record in ParseOutput::quarantine for ReparseQuarantined().
+  /// record in ParseOutput::quarantine.
   robust::ErrorPolicy error_policy = robust::ErrorPolicy::kNull;
 
   /// Peak working-set budget in bytes; 0 means unlimited. A monolithic

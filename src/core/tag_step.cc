@@ -245,8 +245,8 @@ Status ResolveDrops(PipelineState* state) {
     }
     state->expected_columns = expected;
     // Under quarantine, kReject keeps mismatched records — as rejected rows
-    // with byte spans — so ReparseQuarantined() can repair them; dropping
-    // them would lose the bytes a repair needs.
+    // with byte spans — so a caller can repair them; dropping them would
+    // lose the bytes a repair needs.
     const bool keep_for_quarantine =
         options.column_count_policy == ColumnCountPolicy::kReject &&
         options.error_policy == robust::ErrorPolicy::kQuarantine;

@@ -53,19 +53,6 @@ inline uint32_t SwarHasZeroByte(uint32_t x) {
   return (x - 0x01010101u) & ~x & 0x80808080u;
 }
 
-/// 64-bit variant of H(x): eight symbols per probe. Used by the portable
-/// SWAR parsing kernels (src/simd) to scan for special symbols a word at a
-/// time without vector intrinsics.
-inline uint64_t SwarHasZeroByte64(uint64_t x) {
-  return (x - 0x0101010101010101ull) & ~x & 0x8080808080808080ull;
-}
-
-/// Broadcasts a symbol into every byte of a 64-bit word (the s-register of
-/// Table 2, widened).
-inline uint64_t SwarBroadcast64(uint8_t symbol) {
-  return 0x0101010101010101ull * symbol;
-}
-
 }  // namespace parparaw
 
 #endif  // PARPARAW_MFIRA_SWAR_H_

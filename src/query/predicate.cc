@@ -178,16 +178,4 @@ Result<std::vector<uint8_t>> EvaluatePredicate(const Table& table,
   return selection;
 }
 
-Result<std::vector<uint8_t>> EvaluateFilter(const Table& table,
-                                            const Filter& filter,
-                                            ThreadPool* pool) {
-  std::vector<uint8_t> selection(table.num_rows, 1);
-  for (const Predicate& predicate : filter.conjuncts) {
-    PARPARAW_ASSIGN_OR_RETURN(std::vector<uint8_t> one,
-                              EvaluatePredicate(table, predicate, pool));
-    for (int64_t r = 0; r < table.num_rows; ++r) selection[r] &= one[r];
-  }
-  return selection;
-}
-
 }  // namespace parparaw

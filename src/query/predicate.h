@@ -43,20 +43,10 @@ struct Predicate {
       : column(column_in), op(op_in), literal(std::move(literal_in)) {}
 };
 
-/// A conjunction of predicates (rows must satisfy all of them).
-struct Filter {
-  std::vector<Predicate> conjuncts;
-};
-
 /// Evaluates one predicate over a table into a 0/1 selection vector.
 Result<std::vector<uint8_t>> EvaluatePredicate(const Table& table,
                                                const Predicate& predicate,
                                                ThreadPool* pool = nullptr);
-
-/// Evaluates a conjunction into a selection vector (all-ones when empty).
-Result<std::vector<uint8_t>> EvaluateFilter(const Table& table,
-                                            const Filter& filter,
-                                            ThreadPool* pool = nullptr);
 
 }  // namespace parparaw
 

@@ -28,9 +28,8 @@ struct PushdownStats {
 /// predicate column from the parse's bitmap indexes and evaluates the
 /// predicate; phase 2, the same parse's Partition and Convert, builds full
 /// rows only for the matches. For selective predicates this avoids
-/// converting the bulk of the data — the same economics as the raw
-/// prefilter, but exact and format-agnostic (quoted fields, comments, any
-/// DFA).
+/// converting the bulk of the data, and the selection is exact under any
+/// format (quoted fields, comments, any DFA).
 ///
 /// Requirements: a schema, the robust column-count policy, and empty
 /// skip_records/skip_columns in `options` (they would change record

@@ -25,8 +25,8 @@ enum class ErrorPolicy : uint8_t {
   kSkip,
   /// Like kNull, but additionally capture each malformed record — raw
   /// bytes, byte-accurate source span, offending column, StatusCode and
-  /// pipeline stage — in ParseOutput::quarantine for later repair via
-  /// ReparseQuarantined(). Table::rejected becomes a view over the
+  /// pipeline stage — in ParseOutput::quarantine, so the caller can
+  /// inspect or repair it. Table::rejected becomes a view over the
   /// quarantine: bit r is set iff an entry with row == r exists.
   kQuarantine,
 };

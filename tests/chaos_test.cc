@@ -18,7 +18,6 @@
 #include "io/file.h"
 #include "loader/bulk_loader.h"
 #include "robust/failpoint.h"
-#include "robust/reparse.h"
 #include "serve/client.h"
 #include "serve/server.h"
 
@@ -534,13 +533,10 @@ TEST(ChaosTest, BudgetedIngestFaultsFailCleanOrMatchFaultFree) {
   EXPECT_GT(identical, 0);
 }
 
-// Quarantine recovery must keep working when the file was parsed under a
+// Quarantine capture must keep working when the file was parsed under a
 // runtime-compiled dialect: a ','-delimited row slips into a ';' European
-// CSV, is quarantined (one giant field fails int64 conversion), and
-// ReparseQuarantined splices it back by sniffing the row's own dialect.
-// The sniffed-format retry must disengage the custom dialect (format and
-// dialect are mutually exclusive) or the retry itself would be rejected.
-TEST(ChaosTest, QuarantineRecoveryUnderCustomDialect) {
+// CSV and is quarantined (one giant field fails int64 conversion).
+TEST(ChaosTest, QuarantineUnderCustomDialect) {
   dialect::DialectSpec euro;
   euro.name = "euro-semicolon";
   euro.field_delimiter = ';';
@@ -563,18 +559,6 @@ TEST(ChaosTest, QuarantineRecoveryUnderCustomDialect) {
   ASSERT_EQ(result->table.num_rows, 3);
   ASSERT_EQ(result->quarantine.size(), 1);
   EXPECT_EQ(result->table.rejected[1], 1);
-
-  const auto recovered = robust::ReparseQuarantined(options, &*result);
-  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  EXPECT_EQ(*recovered, 1);
-  EXPECT_TRUE(result->quarantine.empty());
-  EXPECT_EQ(result->table.NumRejected(), 0);
-  EXPECT_EQ(result->table.columns[0].Value<int64_t>(1), 7);
-  EXPECT_EQ(result->table.columns[1].Value<int64_t>(1), 70);
-  EXPECT_EQ(result->table.columns[2].StringValue(1), "delta");
-  // Rows parsed under the custom dialect stay untouched.
-  EXPECT_EQ(result->table.columns[0].Value<int64_t>(0), 1);
-  EXPECT_EQ(result->table.columns[2].StringValue(2), "gamma");
 }
 
 // A fault inside the dialect compiler itself must surface as a clean error

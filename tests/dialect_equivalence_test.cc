@@ -14,7 +14,7 @@
 #include "dialect_oracle.h"
 #include "exec/executor.h"
 #include "io/file.h"
-#include "json/json_lines.h"
+#include "json_lines_format.h"
 #include "obs/metrics.h"
 #include "simd/dispatch.h"
 #include "workload/generators.h"

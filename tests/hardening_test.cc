@@ -7,7 +7,6 @@
 #include "convert/temporal.h"
 #include "core/parser.h"
 #include "exec/executor.h"
-#include "query/sql.h"
 #include "workload/generators.h"
 
 namespace parparaw {
@@ -121,7 +120,7 @@ TEST(HardeningTest, PackedTransitionRowsMatchBuilderInput) {
   }
 }
 
-TEST(HardeningTest, SqlOverLineitemEndToEnd) {
+TEST(HardeningTest, LineitemParsesEndToEnd) {
   DsvOptions dsv;
   dsv.field_delimiter = '|';
   dsv.quote = 0;
@@ -131,18 +130,7 @@ TEST(HardeningTest, SqlOverLineitemEndToEnd) {
   options.format = *dsv_format;
   options.schema = LineitemSchema();
   auto parsed = Parser::Parse(GenerateLineitemLike(9, 64 * 1024), options);
-  ASSERT_TRUE(parsed.ok());
-  auto q1 = ExecuteSql(
-      "SELECT count(*), sum(l_quantity), mean(l_extendedprice) FROM "
-      "lineitem WHERE l_shipdate <= 2000-09-02 GROUP BY l_returnflag",
-      parsed->table);
-  ASSERT_TRUE(q1.ok()) << q1.status().ToString();
-  EXPECT_GE(q1->num_rows, 1);
-  EXPECT_LE(q1->num_rows, 3);
-  // All groups saw at least one row.
-  for (int64_t r = 0; r < q1->num_rows; ++r) {
-    EXPECT_GT(q1->columns[1].Value<int64_t>(r), 0);
-  }
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
 }
 
 TEST(HardeningTest, HugeColumnCountsAndSingleColumn) {

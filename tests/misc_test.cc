@@ -2,8 +2,6 @@
 
 #include <cstdio>
 
-#include "columnar/dictionary.h"
-#include "columnar/statistics.h"
 #include "core/parser.h"
 #include "dfa/sniffer.h"
 #include "io/csv_writer.h"
@@ -52,24 +50,6 @@ TEST(CsvWriterTest, BoolAndDecimalRoundTrip) {
   auto second = Parser::Parse(*rewritten, options);
   ASSERT_TRUE(second.ok());
   EXPECT_TRUE(second->table.Equals(first->table));
-}
-
-TEST(DictionaryTest, StatisticsAgreeAcrossEncodeDecode) {
-  Column column(DataType::String());
-  for (int i = 0; i < 1000; ++i) {
-    column.AppendString(i % 7 == 0 ? "rare" : "common");
-  }
-  auto stats_before = ComputeColumnStatistics(column);
-  ASSERT_TRUE(stats_before.ok());
-  auto encoded = DictionaryEncode(column);
-  ASSERT_TRUE(encoded.ok());
-  const Column decoded = encoded->Decode();
-  auto stats_after = ComputeColumnStatistics(decoded);
-  ASSERT_TRUE(stats_after.ok());
-  EXPECT_EQ(stats_before->distinct_estimate, stats_after->distinct_estimate);
-  EXPECT_EQ(*stats_before->string_min, *stats_after->string_min);
-  EXPECT_EQ(stats_before->string_bytes, stats_after->string_bytes);
-  EXPECT_EQ(encoded->cardinality(), 2);
 }
 
 TEST(SnifferTest, SpaceDelimitedLog) {

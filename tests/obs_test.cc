@@ -16,7 +16,6 @@
 #include "obs/obs.h"
 #include "parallel/thread_pool.h"
 #include "robust/failpoint.h"
-#include "robust/reparse.h"
 #include "robust/resource_guard.h"
 
 namespace parparaw {
@@ -781,7 +780,7 @@ TEST(ObsRobustTest, IoRetriesAndBudgetClampsAreCounted) {
   global.SetEnabled(was_enabled);
 }
 
-TEST(ObsRobustTest, QuarantineAndReparseAreCounted) {
+TEST(ObsRobustTest, QuarantinedRowsAreCounted) {
   obs::MetricsRegistry registry;  // private, enabled
   ParseOptions options;
   options.schema.AddField(Field("n", DataType::Int64()));
@@ -791,12 +790,6 @@ TEST(ObsRobustTest, QuarantineAndReparseAreCounted) {
   auto parsed = Parser::Parse("1,a\nbad,b\n3,c\n", options);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(registry.GetCounter("robust.quarantined_rows")->Value(), 1);
-
-  auto recovered = robust::ReparseQuarantined(options, &*parsed);
-  ASSERT_TRUE(recovered.ok());
-  EXPECT_EQ(registry.GetCounter("robust.reparse_attempted")->Value(), 1);
-  // 'bad' is unrecoverable; the attempt is counted, the recovery is not.
-  EXPECT_EQ(registry.GetCounter("robust.reparse_recovered")->Value(), 0);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #ifndef PARPARAW_TESTS_PUSHDOWN_ORACLE_H_
 #define PARPARAW_TESTS_PUSHDOWN_ORACLE_H_
 
+#include <cstring>
 #include <string_view>
 #include <vector>
 
@@ -9,6 +10,54 @@
 #include "query/pushdown.h"
 
 namespace parparaw {
+
+/// Materialises the rows selected by `selection` (0/1 per row): the
+/// parse-then-filter reference that a pushdown's output must equal.
+inline Result<Table> GatherRows(const Table& table,
+                                const std::vector<uint8_t>& selection) {
+  if (static_cast<int64_t>(selection.size()) != table.num_rows) {
+    return Status::Invalid("selection vector size mismatch");
+  }
+  std::vector<int64_t> rows;
+  for (int64_t r = 0; r < table.num_rows; ++r) {
+    if (selection[r]) rows.push_back(r);
+  }
+  const int64_t n = static_cast<int64_t>(rows.size());
+  Table out;
+  out.schema = table.schema;
+  out.num_rows = n;
+  out.rejected.resize(rows.size());
+  for (int64_t i = 0; i < n; ++i) {
+    out.rejected[i] = table.rejected.empty() ? 0 : table.rejected[rows[i]];
+  }
+  for (const Column& src : table.columns) {
+    Column dst(src.type());
+    if (src.type().id == TypeId::kString) {
+      for (int64_t r : rows) {
+        if (src.IsNull(r)) {
+          dst.AppendNull();
+        } else {
+          dst.AppendString(src.StringValue(r));
+        }
+      }
+      if (rows.empty()) dst.Allocate(0);
+    } else {
+      const int width = FixedWidth(src.type().id);
+      dst.Allocate(n);
+      for (int64_t i = 0; i < n; ++i) {
+        std::memcpy(dst.mutable_data()->data() + i * width,
+                    src.data().data() + rows[i] * width, width);
+        if (src.IsNull(rows[i])) {
+          dst.SetNull(i);
+        } else {
+          dst.SetValid(i);
+        }
+      }
+    }
+    out.columns.push_back(std::move(dst));
+  }
+  return out;
+}
 
 /// The selection pushdown as two whole parses, the oracle of
 /// StagedParse::Select: phase 1 parses only the predicate column and

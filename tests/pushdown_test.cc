@@ -5,14 +5,12 @@
 #include <vector>
 
 #include "baseline/sequential_parser.h"
-#include "columnar/dictionary.h"
 #include "core/parser.h"
 #include "exec/executor.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "pushdown_oracle.h"
 #include "query/pushdown.h"
-#include "query/query.h"
 #include "workload/generators.h"
 
 namespace parparaw {
@@ -356,55 +354,6 @@ TEST(PushdownTest, PhaseTwoReusesTheCountPass) {
   }
 }
 
-TEST(DictionaryTest, EncodeDecodeRoundTrip) {
-  Column column(DataType::String());
-  column.AppendString("red");
-  column.AppendString("green");
-  column.AppendString("red");
-  column.AppendNull();
-  column.AppendString("blue");
-  column.AppendString("green");
-  auto encoded = DictionaryEncode(column);
-  ASSERT_TRUE(encoded.ok());
-  EXPECT_EQ(encoded->cardinality(), 3);
-  EXPECT_EQ(encoded->codes,
-            (std::vector<int32_t>{0, 1, 0, -1, 2, 1}));
-  EXPECT_EQ(encoded->dictionary.StringValue(0), "red");
-  EXPECT_EQ(encoded->dictionary.StringValue(2), "blue");
-  const Column decoded = encoded->Decode();
-  EXPECT_TRUE(decoded.Equals(column));
-}
-
-TEST(DictionaryTest, CompressionOnLowCardinality) {
-  ParseOptions options;
-  options.schema = TaxiSchema();
-  const std::string csv = GenerateTaxiLike(5, 64 * 1024);
-  auto parsed = Parser::Parse(csv, options);
-  ASSERT_TRUE(parsed.ok());
-  const Column& flags = parsed->table.columns[6];  // Y/N column
-  auto encoded = DictionaryEncode(flags);
-  ASSERT_TRUE(encoded.ok());
-  EXPECT_EQ(encoded->cardinality(), 2);
-  // 4 bytes/row codes beat 8-byte offsets + data? Not necessarily for
-  // 1-char strings, but the dictionary itself must be tiny.
-  EXPECT_LE(encoded->dictionary.TotalBufferBytes(), 64);
-  EXPECT_TRUE(encoded->Decode().Equals(flags));
-}
-
-TEST(DictionaryTest, TypeAndEmptyEdgeCases) {
-  Column ints(DataType::Int64());
-  ints.AppendValue<int64_t>(1);
-  EXPECT_FALSE(DictionaryEncode(ints).ok());
-
-  Column empty(DataType::String());
-  empty.Allocate(0);
-  auto encoded = DictionaryEncode(empty);
-  ASSERT_TRUE(encoded.ok());
-  EXPECT_EQ(encoded->num_rows(), 0);
-  EXPECT_EQ(encoded->cardinality(), 0);
-  EXPECT_EQ(encoded->Decode().length(), 0);
-}
-
 TEST(LineitemTest, ParsesUnderPipeDsv) {
   DsvOptions dsv;
   dsv.field_delimiter = '|';
@@ -425,14 +374,6 @@ TEST(LineitemTest, ParsesUnderPipeDsv) {
   auto expected = SequentialParser::Parse(data, options);
   ASSERT_TRUE(expected.ok());
   EXPECT_TRUE(result->table.Equals(expected->table));
-  // TPC-H Q1-style sanity: aggregate by returnflag+linestatus.
-  QuerySpec spec;
-  spec.group_by = 8;
-  spec.aggregates = {Aggregate(AggKind::kCountAll),
-                     Aggregate(AggKind::kSum, 4)};
-  auto q1 = RunQuery(result->table, spec);
-  ASSERT_TRUE(q1.ok());
-  EXPECT_EQ(q1->num_rows, 3);  // R, N, A
 }
 
 }  // namespace

@@ -2,8 +2,6 @@
 
 #include "core/parser.h"
 #include "query/predicate.h"
-#include "query/query.h"
-#include "query/raw_filter.h"
 
 namespace parparaw {
 namespace {
@@ -78,133 +76,9 @@ TEST(PredicateTest, NullHandling) {
   EXPECT_EQ(*not_null, (std::vector<uint8_t>{1, 1, 1, 0, 1}));
 }
 
-TEST(PredicateTest, ConjunctionAndBounds) {
+TEST(PredicateTest, ColumnOutOfRange) {
   const Table table = MakeOrders();
-  Filter filter;
-  filter.conjuncts.push_back({1, CompareOp::kEq, "bob"});
-  filter.conjuncts.push_back({2, CompareOp::kGt, "5"});
-  auto selection = EvaluateFilter(table, filter);
-  ASSERT_TRUE(selection.ok());
-  EXPECT_EQ(*selection, (std::vector<uint8_t>{0, 0, 0, 0, 1}));
   EXPECT_FALSE(EvaluatePredicate(table, {9, CompareOp::kEq, "x"}).ok());
-}
-
-TEST(QueryTest, FilterAndProject) {
-  const Table table = MakeOrders();
-  QuerySpec spec;
-  spec.filter.conjuncts.push_back({2, CompareOp::kGe, "7"});
-  spec.projection = {1, 2};
-  auto result = RunQuery(table, spec);
-  ASSERT_TRUE(result.ok());
-  ASSERT_EQ(result->num_rows, 3);
-  EXPECT_EQ(result->num_columns(), 2);
-  EXPECT_EQ(result->columns[0].StringValue(0), "alice");
-  EXPECT_EQ(result->columns[0].StringValue(2), "bob");
-  EXPECT_DOUBLE_EQ(result->columns[1].Value<double>(2), 12.0);
-}
-
-TEST(QueryTest, GlobalAggregates) {
-  const Table table = MakeOrders();
-  QuerySpec spec;
-  spec.aggregates = {Aggregate(AggKind::kCountAll),
-                     Aggregate(AggKind::kCount, 2),
-                     Aggregate(AggKind::kSum, 2),
-                     Aggregate(AggKind::kMin, 2),
-                     Aggregate(AggKind::kMax, 2),
-                     Aggregate(AggKind::kMean, 2)};
-  auto result = RunQuery(table, spec);
-  ASSERT_TRUE(result.ok());
-  ASSERT_EQ(result->num_rows, 1);
-  EXPECT_EQ(result->columns[0].Value<int64_t>(0), 5);   // count(*)
-  EXPECT_EQ(result->columns[1].Value<int64_t>(0), 4);   // count(amount)
-  EXPECT_DOUBLE_EQ(result->columns[2].Value<double>(0), 32.75);
-  EXPECT_DOUBLE_EQ(result->columns[3].Value<double>(0), 3.25);
-  EXPECT_DOUBLE_EQ(result->columns[4].Value<double>(0), 12.0);
-  EXPECT_DOUBLE_EQ(result->columns[5].Value<double>(0), 32.75 / 4);
-  EXPECT_EQ(result->schema.field(0).name, "count(*)");
-  EXPECT_EQ(result->schema.field(2).name, "sum(amount)");
-}
-
-TEST(QueryTest, GroupByWithFilter) {
-  const Table table = MakeOrders();
-  QuerySpec spec;
-  spec.filter.conjuncts.push_back({2, CompareOp::kIsNotNull});
-  spec.group_by = 1;  // customer
-  spec.aggregates = {Aggregate(AggKind::kCountAll),
-                     Aggregate(AggKind::kSum, 2)};
-  auto result = RunQuery(table, spec);
-  ASSERT_TRUE(result.ok());
-  ASSERT_EQ(result->num_rows, 2);  // carol filtered out (NULL amount)
-  // std::map keys are sorted: alice, bob.
-  EXPECT_EQ(result->columns[0].StringValue(0), "alice");
-  EXPECT_EQ(result->columns[1].Value<int64_t>(0), 2);
-  EXPECT_DOUBLE_EQ(result->columns[2].Value<double>(0), 17.5);
-  EXPECT_EQ(result->columns[0].StringValue(1), "bob");
-  EXPECT_DOUBLE_EQ(result->columns[2].Value<double>(1), 15.25);
-}
-
-TEST(QueryTest, AggregateOverStringIsTypeError) {
-  const Table table = MakeOrders();
-  QuerySpec spec;
-  spec.aggregates = {Aggregate(AggKind::kSum, 1)};
-  EXPECT_FALSE(RunQuery(table, spec).ok());
-}
-
-TEST(QueryTest, EmptySelection) {
-  const Table table = MakeOrders();
-  QuerySpec spec;
-  spec.filter.conjuncts.push_back({0, CompareOp::kGt, "100"});
-  auto filtered = RunQuery(table, spec);
-  ASSERT_TRUE(filtered.ok());
-  EXPECT_EQ(filtered->num_rows, 0);
-  spec.aggregates = {Aggregate(AggKind::kCountAll)};
-  auto agg = RunQuery(table, spec);
-  ASSERT_TRUE(agg.ok());
-  EXPECT_EQ(agg->num_rows, 0);  // no groups at all
-}
-
-TEST(RawFilterTest, KeepsOnlyMatchingLines) {
-  RawFilterStats stats;
-  auto filtered = RawFilterLines(
-      "1,keep me\n2,drop\n3,also keep me\n4,nope\n", "keep", &stats);
-  ASSERT_TRUE(filtered.ok());
-  EXPECT_EQ(*filtered, "1,keep me\n3,also keep me\n");
-  EXPECT_EQ(stats.input_lines, 4);
-  EXPECT_EQ(stats.kept_lines, 2);
-  EXPECT_LT(stats.Selectivity(), 1.0);
-}
-
-TEST(RawFilterTest, NoTrailingNewlineAndEmpty) {
-  auto filtered = RawFilterLines("a match", "match", nullptr);
-  ASSERT_TRUE(filtered.ok());
-  EXPECT_EQ(*filtered, "a match");
-  auto none = RawFilterLines("x\ny\n", "match", nullptr);
-  ASSERT_TRUE(none.ok());
-  EXPECT_TRUE(none->empty());
-  EXPECT_FALSE(RawFilterLines("x\n", "", nullptr).ok());
-}
-
-TEST(RawFilterTest, FalsePositivesResolvedByExactPredicate) {
-  // The prefilter keeps any line containing "42"; the exact predicate then
-  // keeps only amount == 42.
-  const std::string csv = "1,42\n2,142\n3,9\n4,42\n";
-  RawFilterStats stats;
-  auto filtered = RawFilterLines(csv, "42", &stats);
-  ASSERT_TRUE(filtered.ok());
-  EXPECT_EQ(stats.kept_lines, 3);  // includes the 142 false positive
-
-  ParseOptions options;
-  options.schema.AddField(Field("id", DataType::Int64()));
-  options.schema.AddField(Field("amount", DataType::Int64()));
-  auto parsed = Parser::Parse(*filtered, options);
-  ASSERT_TRUE(parsed.ok());
-  QuerySpec spec;
-  spec.filter.conjuncts.push_back({1, CompareOp::kEq, "42"});
-  auto result = RunQuery(parsed->table, spec);
-  ASSERT_TRUE(result.ok());
-  ASSERT_EQ(result->num_rows, 2);
-  EXPECT_EQ(result->columns[0].Value<int64_t>(0), 1);
-  EXPECT_EQ(result->columns[0].Value<int64_t>(1), 4);
 }
 
 }  // namespace

@@ -12,7 +12,6 @@
 #include "obs/obs.h"
 #include "robust/failpoint.h"
 #include "robust/quarantine.h"
-#include "robust/reparse.h"
 #include "robust/resource_guard.h"
 
 namespace parparaw {
@@ -481,59 +480,6 @@ TEST_F(RobustTest, ErrorPolicySkipCompactsRows) {
   EXPECT_EQ(result->table.NumRejected(), 0);
   EXPECT_EQ(result->table.columns[0].Value<int64_t>(0), 1);
   EXPECT_EQ(result->table.columns[0].Value<int64_t>(1), 3);
-}
-
-// ---------------------------------------------------------------------------
-// Reparse recovery.
-// ---------------------------------------------------------------------------
-
-TEST_F(RobustTest, ReparseRecoversForeignDialectRows) {
-  // One row slipped in with ';' delimiters: under ',' it is a single field
-  // that fails int64 conversion.
-  const std::string csv =
-      "1,10,alpha\n"
-      "7;70;delta\n"
-      "3,30,gamma\n";
-  ParseOptions options;
-  options.schema = ThreeColumnSchema();
-  options.error_policy = ErrorPolicy::kQuarantine;
-  auto result = Parser::Parse(csv, options);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ASSERT_EQ(result->quarantine.size(), 1);
-
-  const auto recovered = robust::ReparseQuarantined(options, &*result);
-  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  EXPECT_EQ(*recovered, 1);
-  EXPECT_TRUE(result->quarantine.empty());
-  EXPECT_EQ(result->table.NumRejected(), 0);
-  EXPECT_EQ(result->table.columns[0].Value<int64_t>(1), 7);
-  EXPECT_EQ(result->table.columns[1].Value<int64_t>(1), 70);
-  EXPECT_EQ(result->table.columns[2].StringValue(1), "delta");
-  // Untouched rows stay untouched.
-  EXPECT_EQ(result->table.columns[0].Value<int64_t>(0), 1);
-  EXPECT_EQ(result->table.columns[2].StringValue(2), "gamma");
-}
-
-TEST_F(RobustTest, ReparseLeavesUnrecoverableEntriesBehind) {
-  const std::string csv =
-      "1,10,alpha\n"
-      "junk,20,beta\n";  // 'junk' is malformed under every dialect
-  ParseOptions options;
-  options.schema = ThreeColumnSchema();
-  options.error_policy = ErrorPolicy::kQuarantine;
-  auto result = Parser::Parse(csv, options);
-  ASSERT_TRUE(result.ok());
-  ASSERT_EQ(result->quarantine.size(), 1);
-
-  const auto recovered = robust::ReparseQuarantined(options, &*result);
-  ASSERT_TRUE(recovered.ok());
-  EXPECT_EQ(*recovered, 0);
-  ASSERT_EQ(result->quarantine.size(), 1);
-  EXPECT_EQ(result->table.rejected[1], 1);
-  // Idempotent: a second pass neither crashes nor double-splices.
-  const auto again = robust::ReparseQuarantined(options, &*result);
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(*again, 0);
 }
 
 // ---------------------------------------------------------------------------
