@@ -1,6 +1,6 @@
 // Ablations for the parallel primitives the pipeline is built from:
-//  * single-pass decoupled-lookback scan (Merrill & Garland, the paper's
-//    §2 building block) vs the classic two-pass reduce-then-scan;
+//  * the single-pass decoupled-lookback scan (Merrill & Garland, the
+//    paper's §2 building block);
 //  * radix-sort digit width (partitioning passes vs per-pass cost);
 //  * the composite-operator scan over state-transition vectors;
 //  * `--transpose-mode`: the symbol-sort vs field-gather transposition
@@ -56,30 +56,17 @@ ThreadPool* Pool() {
   return &pool;
 }
 
-void BM_ScanDecoupledLookback(benchmark::State& state) {
+void BM_InclusiveScan(benchmark::State& state) {
   const int64_t n = state.range(0);
   std::vector<int64_t> in(n, 1), out(n);
   for (auto _ : state) {
-    ScanDecoupledLookback(Pool(), in.data(), out.data(), n,
-                          [](int64_t a, int64_t b) { return a + b; },
-                          int64_t{0});
+    InclusiveScan(Pool(), in.data(), out.data(), n,
+                  [](int64_t a, int64_t b) { return a + b; }, int64_t{0});
     benchmark::DoNotOptimize(out.data());
   }
   state.SetBytesProcessed(state.iterations() * n * sizeof(int64_t));
 }
-BENCHMARK(BM_ScanDecoupledLookback)->Arg(1 << 16)->Arg(1 << 20)->Arg(1 << 23);
-
-void BM_ScanTwoPass(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  std::vector<int64_t> in(n, 1), out(n);
-  for (auto _ : state) {
-    ScanTwoPass(Pool(), in.data(), out.data(), n,
-                [](int64_t a, int64_t b) { return a + b; }, int64_t{0});
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetBytesProcessed(state.iterations() * n * sizeof(int64_t));
-}
-BENCHMARK(BM_ScanTwoPass)->Arg(1 << 16)->Arg(1 << 20)->Arg(1 << 23);
+BENCHMARK(BM_InclusiveScan)->Arg(1 << 16)->Arg(1 << 20)->Arg(1 << 23);
 
 void BM_CompositeScanStateVectors(benchmark::State& state) {
   // The context-resolution scan itself: 6-state vectors under ∘.
@@ -418,7 +405,7 @@ int RunDialectAblation(int argc, char** argv) {
     int original = 0, minimal = 0;
     for (int rep = 0; rep < 16; ++rep) {
       Stopwatch watch;
-      auto compiled = dialect::Compile(spec, Pool());
+      auto compiled = dialect::Compile(spec);
       const double us = watch.ElapsedSeconds() * 1e6;
       if (!compiled.ok()) {
         std::printf("%-24s failed: %s\n", spec.name.c_str(),
@@ -506,7 +493,7 @@ int RunDialectAblation(int argc, char** argv) {
     spec.name = layout.name;
     spec.fixed_widths = layout.widths;
     spec.quote = 0;
-    auto compiled = dialect::Compile(spec, Pool());
+    auto compiled = dialect::Compile(spec);
     if (!compiled.ok()) {
       std::printf("%-24s failed: %s\n", layout.name,
                   compiled.status().ToString().c_str());

@@ -38,12 +38,13 @@
 #                               # TSan; then the --planner ablation bench
 #                               # in the regular build tree (its build type
 #                               # untouched) emitting BENCH_autotune.json
-#   scripts/check.sh scaling    # morsel scheduler: forward-progress
+#   scripts/check.sh scaling    # work-stealing pool: forward-progress
 #                               # regressions (nested ParallelFor,
-#                               # concurrent decoupled-lookback scans on
-#                               # an occupied pool), task-group scoping,
-#                               # steal stress, and both differential
-#                               # harnesses under TSan, plus the chaos
+#                               # concurrent look-back scans on an
+#                               # occupied pool), task-group scoping and
+#                               # steal stress (repeated 10x), the one
+#                               # scan, and both differential harnesses
+#                               # under TSan, plus the chaos
 #                               # sweep with sched.submit/sched.steal
 #                               # schedule-perturbation failpoints armed
 #   scripts/check.sh serve      # parparawd daemon: protocol conformance,
@@ -126,13 +127,21 @@ run_scaling() {
     -DPARPARAW_SANITIZE=thread
   echo "=== scaling: build ==="
   cmake --build build-tsan -j "${JOBS}"
-  # The work-stealing scheduler's whole surface under the thread
-  # sanitizer: the forward-progress regressions (nested ParallelFor
-  # deadlock, decoupled-lookback scan livelock on an occupied shared
-  # pool), task-group scoping, the steal/injection stress suites, the
-  # scan/sort primitives that ride on the pool, and both differential
-  # harnesses — morsel output must stay bit-identical to the serial
-  # reference no matter the schedule.
+  # The work-stealing pool's whole surface under the thread sanitizer:
+  # the forward-progress regressions (nested ParallelFor deadlock, the
+  # decoupled look-back scan's livelock on an occupied shared pool),
+  # task-group scoping — a TaskGroup is the only way to hand the pool
+  # work — the steal/injection stress suites, the one inclusive scan and
+  # the radix sort that ride on the pool, and both differential
+  # harnesses: morsel output must stay bit-identical to the serial
+  # reference no matter the schedule. The schedule-sensitive suites run
+  # ten times first, so a hang or race that needs an unlucky interleaving
+  # shows up here rather than by chance.
+  echo "=== scaling: schedule-sensitive suites, repeated under TSan ==="
+  TSAN_OPTIONS=halt_on_error=1 \
+    ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \
+      --repeat until-fail:10 \
+      -R 'SchedulerForwardProgress|TaskGroup|SchedulerStress'
   echo "=== scaling: scheduler + scan stress + differential under TSan ==="
   TSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \

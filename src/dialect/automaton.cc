@@ -367,7 +367,7 @@ Result<Automaton> CompileDialect(const DialectSpec& spec) {
   return CompileDelimited(spec);
 }
 
-Result<Automaton> Minimize(const Automaton& automaton, ThreadPool* pool) {
+Result<Automaton> Minimize(const Automaton& automaton) {
   PARPARAW_FAILPOINT("dialect.minimise");
   if (automaton.num_states <= 0) {
     return Status::Invalid("cannot minimise an empty automaton");
@@ -376,7 +376,6 @@ Result<Automaton> Minimize(const Automaton& automaton, ThreadPool* pool) {
   const ByteClasses classes = ComputeByteClasses(a);
   const int num_classes = static_cast<int>(classes.representative.size());
   const int n = a.num_states;
-  if (pool == nullptr) pool = ThreadPool::Default();
 
   // Initial partition: acceptance, trailing-record semantics, and the flag
   // row over the compressed alphabet. Flags are per-transition outputs
@@ -395,26 +394,27 @@ Result<Automaton> Minimize(const Automaton& automaton, ThreadPool* pool) {
     return static_cast<int>(ids.size());
   };
 
-  PARPARAW_RETURN_NOT_OK(ParallelForEach(pool, 0, n, [&](int64_t s) {
+  for (int s = 0; s < n; ++s) {
     std::string key;
     key.reserve(2 + num_classes);
     key.push_back(a.accepting[s] ? 'A' : 'a');
     key.push_back(a.mid_record[s] ? 'M' : 'm');
     for (int c = 0; c < num_classes; ++c) {
-      key.push_back(static_cast<char>(
-          a.FlagsFor(static_cast<int>(s), classes.representative[c])));
+      key.push_back(
+          static_cast<char>(a.FlagsFor(s, classes.representative[c])));
     }
     keys[s] = std::move(key);
-  }));
+  }
   int num_blocks = renumber();
 
   // Refinement to a fixpoint: each round recomputes every state's
-  // signature — own block plus successor block per byte class — in
-  // parallel (the Martens & Wijs partition-refinement shape), then
+  // signature — own block plus successor block per byte class — then
   // renumbers. At most n rounds; each round strictly grows the partition
-  // or terminates.
+  // or terminates. The rounds run on the calling thread: a round's work
+  // per state is one short signature, too little to pay for handing it to
+  // a pool (a fan-out made compiles slower on 4 workers than on 1).
   while (true) {
-    PARPARAW_RETURN_NOT_OK(ParallelForEach(pool, 0, n, [&](int64_t s) {
+    for (int s = 0; s < n; ++s) {
       std::string key;
       key.reserve((num_classes + 1) * 4);
       const auto append_int = [&key](int value) {
@@ -424,11 +424,10 @@ Result<Automaton> Minimize(const Automaton& automaton, ThreadPool* pool) {
       };
       append_int(block[s]);
       for (int c = 0; c < num_classes; ++c) {
-        append_int(block[a.Next(static_cast<int>(s),
-                                classes.representative[c])]);
+        append_int(block[a.Next(s, classes.representative[c])]);
       }
       keys[s] = std::move(key);
-    }));
+    }
     const int next_blocks = renumber();
     if (next_blocks == num_blocks) break;
     num_blocks = next_blocks;

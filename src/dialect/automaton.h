@@ -7,7 +7,6 @@
 
 #include "dfa/formats.h"
 #include "dialect/spec.h"
-#include "parallel/thread_pool.h"
 #include "util/result.h"
 
 namespace parparaw::dialect {
@@ -49,15 +48,14 @@ struct Automaton {
 /// Faultable at "dialect.compile".
 Result<Automaton> CompileDialect(const DialectSpec& spec);
 
-/// Moore/Hopcroft-style partition-refinement minimisation, parallelised
-/// over `pool` following the Martens & Wijs evaluation: the alphabet is
-/// first compressed into byte-equivalence classes, then per-state
-/// signatures (block id + successor block per class + transition flags)
-/// are refined to a fixpoint, each round computing all signatures in
-/// parallel. Acceptance and mid-record/trailing semantics are part of the
-/// initial partition so minimisation preserves them exactly. Faultable at
-/// "dialect.minimise".
-Result<Automaton> Minimize(const Automaton& automaton, ThreadPool* pool);
+/// Moore/Hopcroft-style partition-refinement minimisation in the
+/// signature shape of the Martens & Wijs evaluation, run on the calling
+/// thread: the alphabet is first compressed into byte-equivalence
+/// classes, then per-state signatures (block id + successor block per
+/// class + transition flags) are refined to a fixpoint. Acceptance and
+/// mid-record/trailing semantics are part of the initial partition so
+/// minimisation preserves them exactly. Faultable at "dialect.minimise".
+Result<Automaton> Minimize(const Automaton& automaton);
 
 /// Outcome of a product-construction equivalence check.
 struct EquivalenceResult {

@@ -22,14 +22,14 @@ std::vector<DialectSpec>& Registry() {
 
 }  // namespace
 
-Result<CompiledDialect> Compile(const DialectSpec& spec, ThreadPool* pool,
+Result<CompiledDialect> Compile(const DialectSpec& spec,
                                 obs::MetricsRegistry* metrics) {
   PARPARAW_RETURN_NOT_OK(spec.Validate());
   CompiledDialect out;
   out.spec = spec;
   PARPARAW_ASSIGN_OR_RETURN(Automaton wide, CompileDialect(spec));
   out.original_states = wide.num_states;
-  PARPARAW_ASSIGN_OR_RETURN(out.automaton, Minimize(wide, pool));
+  PARPARAW_ASSIGN_OR_RETURN(out.automaton, Minimize(wide));
   out.minimized_states = out.automaton.num_states;
 
   // Machine-checked proof that minimisation preserved the language and
@@ -60,7 +60,7 @@ Result<std::optional<CompiledDialect>> ResolveParseDialect(
   }
   PARPARAW_ASSIGN_OR_RETURN(
       CompiledDialect compiled,
-      Compile(*options->dialect, options->pool, options->metrics));
+      Compile(*options->dialect, options->metrics));
   options->dialect.reset();
   options->format = std::move(compiled.format);
   return std::optional<CompiledDialect>();

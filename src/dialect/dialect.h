@@ -25,13 +25,12 @@ struct CompiledDialect {
 };
 
 /// Compiles a spec: Validate -> wide automaton ("dialect.compile"
-/// failpoint) -> parallel minimisation ("dialect.minimise" failpoint) ->
+/// failpoint) -> minimisation ("dialect.minimise" failpoint) ->
 /// product-construction equivalence proof that minimisation preserved the
 /// language and every SymbolFlags annotation (an Internal error would be a
 /// compiler bug, never user error) -> packing into the Dfa representation.
 /// Metrics (null-safe): "dialect.compiled" count, "dialect.states" gauge.
 Result<CompiledDialect> Compile(const DialectSpec& spec,
-                                ThreadPool* pool = nullptr,
                                 obs::MetricsRegistry* metrics = nullptr);
 
 /// Resolves ParseOptions::dialect in place for an entry point: with a

@@ -3,13 +3,6 @@
 namespace parparaw {
 namespace exec {
 
-int AdmissionController::Acquire(int limit, const std::function<bool()>& stop) {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [&] { return stop() || inflight_ < limit; });
-  if (stop()) return -1;
-  return ++inflight_;
-}
-
 int AdmissionController::AcquireFor(
     int limit, const std::function<bool()>& stop,
     std::chrono::steady_clock::time_point deadline) {
@@ -17,7 +10,9 @@ int AdmissionController::AcquireFor(
   while (true) {
     if (stop()) return kStopped;
     if (inflight_ < limit) return ++inflight_;
-    if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
+    if (deadline == std::chrono::steady_clock::time_point::max()) {
+      cv_.wait(lock);
+    } else if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
       // One last look under the mutex: a release (or stop) that raced
       // the timeout still wins, so a free slot is never refused just
       // because the clock ticked first.

@@ -11,7 +11,6 @@
 #include "dialect/dialect.h"
 #include "io/file.h"
 #include "obs/obs.h"
-#include "parallel/scheduler.h"
 #include "parallel/thread_pool.h"
 #include "plan/planner.h"
 #include "robust/failpoint.h"
@@ -224,7 +223,7 @@ class PipelineRun {
     if (source->total_bytes() > 0) {
       ThreadPool* pool =
           base_.pool != nullptr ? base_.pool : ThreadPool::Default();
-      TaskGroup group(pool->scheduler());
+      TaskGroup group(pool);
       group_ = &group;
       ReaderLoop(source);
       // Caller-runs: the reading thread joins the workers on whatever
@@ -359,19 +358,13 @@ class PipelineRun {
   /// Blocks until a partition may become resident (the backpressure that
   /// keeps the working set inside the memory budget). False on abort.
   bool AcquireSlot() {
-    int now;
-    if (has_deadline()) {
-      now = executor_->admission()->AcquireFor(
-          admission_limit_, [this] { return aborted(); }, options_.deadline);
-      if (now == AdmissionController::kTimedOut) {
-        Fail(Status::DeadlineExceeded(
-            "exec.admission: ingest deadline expired waiting for a "
-            "partition slot"));
-        return false;
-      }
-    } else {
-      now = executor_->admission()->Acquire(
-          admission_limit_, [this] { return aborted(); });
+    const int now = executor_->admission()->AcquireFor(
+        admission_limit_, [this] { return aborted(); }, options_.deadline);
+    if (now == AdmissionController::kTimedOut) {
+      Fail(Status::DeadlineExceeded(
+          "exec.admission: ingest deadline expired waiting for a "
+          "partition slot"));
+      return false;
     }
     if (now < 0) return false;
     slots_held_.fetch_add(1, std::memory_order_relaxed);

@@ -20,88 +20,35 @@ namespace parparaw {
 /// and the CSS index (prefix sum of field lengths). All scans here accept an
 /// arbitrary associative — not necessarily commutative — binary operator.
 ///
-/// Two implementations are provided:
-///  * ScanTwoPass: classic blocked reduce-then-scan (three phases, reads the
-///    input twice).
-///  * ScanDecoupledLookback: single-pass chained scan with decoupled
-///    look-back after Merrill & Garland [28], the algorithm the paper's GPU
-///    implementation uses. Each tile publishes its local aggregate, then
-///    resolves its exclusive prefix by inspecting predecessor descriptors
-///    (aggregate-available / prefix-available), so the input is read once.
-///
-/// Both are in-place capable (`out` may alias `in`) and stable with respect
-/// to operator associativity only.
+/// InclusiveScan is a single-pass chained scan with decoupled look-back
+/// after Merrill & Garland [28], the algorithm the paper's GPU
+/// implementation uses. Each tile publishes its local aggregate, then
+/// resolves its exclusive prefix by inspecting predecessor descriptors
+/// (aggregate-available / prefix-available), so the input is read once. It
+/// is in-place capable (`out` may alias `in`) and relies on operator
+/// associativity only.
 
 namespace internal {
 
-/// Sequential inclusive scan over [begin, end), seeded with `carry_in` if
-/// `has_carry`. Returns the final running value.
+/// Sequential inclusive scan of `n >= 1` elements.
 template <typename T, typename Op>
-T SequentialInclusiveScan(const T* in, T* out, int64_t n, Op op, T carry_in,
-                          bool has_carry) {
-  T running = carry_in;
-  for (int64_t i = 0; i < n; ++i) {
-    if (!has_carry && i == 0) {
-      running = in[0];
-    } else {
-      running = op(running, in[i]);
-    }
+void SequentialInclusiveScan(const T* in, T* out, int64_t n, Op op) {
+  T running = in[0];
+  out[0] = running;
+  for (int64_t i = 1; i < n; ++i) {
+    running = op(running, in[i]);
     out[i] = running;
   }
-  return running;
 }
 
 }  // namespace internal
 
-/// Tile status for the decoupled-lookback scan descriptor.
-enum class TileStatus : int { kInvalid = 0, kAggregate = 1, kPrefix = 2 };
-
-/// \brief Inclusive scan, two-pass (reduce then scan) blocked algorithm.
+/// \brief Inclusive scan, single-pass with decoupled look-back
+/// (Merrill & Garland): out[i] = op(in[0], ..., in[i]).
 ///
 /// `op` must be associative. `identity` is the operator's identity element.
-/// `out` may alias `in`. `n == 0` is a no-op.
-template <typename T, typename Op>
-void ScanTwoPass(ThreadPool* pool, const T* in, T* out, int64_t n, Op op,
-                 T identity) {
-  if (n <= 0) return;
-  const int num_workers = pool ? pool->num_threads() : 1;
-  const int64_t kMinTile = 1024;
-  int64_t num_tiles = std::min<int64_t>(num_workers * 4, (n + kMinTile - 1) / kMinTile);
-  if (num_tiles <= 1 || num_workers <= 1) {
-    internal::SequentialInclusiveScan(in, out, n, op, identity, false);
-    return;
-  }
-  const int64_t tile = (n + num_tiles - 1) / num_tiles;
-  num_tiles = (n + tile - 1) / tile;
-  std::vector<T> aggregates(num_tiles, identity);
-  // Phase 1: per-tile reduction.
-  ParallelForEach(pool, 0, num_tiles, [&](int64_t t) {
-    const int64_t b = t * tile;
-    const int64_t e = std::min<int64_t>(b + tile, n);
-    T agg = in[b];
-    for (int64_t i = b + 1; i < e; ++i) agg = op(agg, in[i]);
-    aggregates[t] = agg;
-  });
-  // Phase 2: exclusive scan of the tile aggregates (sequential; num_tiles is
-  // small).
-  std::vector<T> tile_prefix(num_tiles, identity);
-  T running = identity;
-  for (int64_t t = 0; t < num_tiles; ++t) {
-    tile_prefix[t] = running;
-    running = (t == 0) ? aggregates[0] : op(running, aggregates[t]);
-  }
-  // Phase 3: per-tile inclusive scan seeded with the tile's exclusive
-  // prefix.
-  ParallelForEach(pool, 0, num_tiles, [&](int64_t t) {
-    const int64_t b = t * tile;
-    const int64_t e = std::min<int64_t>(b + tile, n);
-    internal::SequentialInclusiveScan(in + b, out + b, e - b, op,
-                                      tile_prefix[t], t != 0);
-  });
-}
-
-/// \brief Inclusive scan, single-pass with decoupled look-back
-/// (Merrill & Garland). Semantics identical to ScanTwoPass.
+/// `out` may alias `in`. `n == 0` is a no-op. A null `pool` scans
+/// sequentially.
 ///
 /// Forward progress on a *shared* pool: a tile's look-back spin-waits on
 /// its predecessors' descriptors, so a naive static assignment (tile ->
@@ -117,19 +64,20 @@ void ScanTwoPass(ThreadPool* pool, const T* in, T* out, int64_t n, Op op,
 /// only one of the submitted tasks ever gets a worker, that task alone
 /// claims and finishes all tiles in order without spinning at all.
 template <typename T, typename Op>
-void ScanDecoupledLookback(ThreadPool* pool, const T* in, T* out, int64_t n,
-                           Op op, T identity) {
+void InclusiveScan(ThreadPool* pool, const T* in, T* out, int64_t n, Op op,
+                   T identity) {
   if (n <= 0) return;
   const int num_workers = pool ? pool->num_threads() : 1;
   const int64_t kMinTile = 1024;
   int64_t num_tiles = std::min<int64_t>(num_workers * 4, (n + kMinTile - 1) / kMinTile);
   if (num_tiles <= 1 || pool == nullptr) {
-    internal::SequentialInclusiveScan(in, out, n, op, identity, false);
+    internal::SequentialInclusiveScan(in, out, n, op);
     return;
   }
   const int64_t tile = (n + num_tiles - 1) / num_tiles;
   num_tiles = (n + tile - 1) / tile;
 
+  enum class TileStatus : int { kInvalid = 0, kAggregate = 1, kPrefix = 2 };
   struct TileDescriptor {
     std::atomic<int> status{static_cast<int>(TileStatus::kInvalid)};
     T aggregate;
@@ -143,8 +91,7 @@ void ScanDecoupledLookback(ThreadPool* pool, const T* in, T* out, int64_t n,
     const int64_t e = std::min<int64_t>(b + tile, n);
     TileDescriptor& desc = descriptors[t];
     // Local inclusive scan into the output (single pass over the input).
-    internal::SequentialInclusiveScan(in + b, out + b, e - b, op, identity,
-                                      false);
+    internal::SequentialInclusiveScan(in + b, out + b, e - b, op);
     desc.aggregate = out[e - 1];
     if (t == 0) {
       desc.inclusive_prefix = desc.aggregate;
@@ -196,13 +143,6 @@ void ScanDecoupledLookback(ThreadPool* pool, const T* in, T* out, int64_t n,
       process_tile(t);
     }
   });
-}
-
-/// \brief Inclusive scan with the default (single-pass) algorithm.
-template <typename T, typename Op>
-void InclusiveScan(ThreadPool* pool, const T* in, T* out, int64_t n, Op op,
-                   T identity) {
-  ScanDecoupledLookback(pool, in, out, n, op, identity);
 }
 
 /// \brief Exclusive scan: out[i] = op(in[0], ..., in[i-1]), out[0] =

@@ -98,7 +98,7 @@ TEST(AdmissionTest, ReleaseOfSeveralSlotsWakesSeveralWaiters) {
   std::vector<std::thread> waiters;
   for (int i = 0; i < 3; ++i) {
     waiters.emplace_back([&] {
-      if (admission.Acquire(3, kNeverStop) > 0) {
+      if (admission.AcquireFor(3, kNeverStop) > 0) {
         admitted.fetch_add(1, std::memory_order_acq_rel);
       }
     });

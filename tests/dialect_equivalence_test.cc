@@ -82,7 +82,7 @@ DialectSpec JsonLinesTwinSpec() {
 void ExpectTwinEquivalent(const DialectSpec& spec, const Format& builtin) {
   auto wide = CompileDialect(spec);
   ASSERT_TRUE(wide.ok()) << wide.status().ToString();
-  auto minimized = Minimize(*wide, nullptr);
+  auto minimized = Minimize(*wide);
   ASSERT_TRUE(minimized.ok()) << minimized.status().ToString();
   const EquivalenceResult proof =
       CheckEquivalent(*minimized, FromFormat(builtin));
@@ -123,11 +123,11 @@ TEST(DialectEquivalenceTest, JsonLinesTwinProvedEquivalentToBuiltin) {
 }
 
 TEST(DialectEquivalenceTest, InequivalentDialectsYieldConcreteWitness) {
-  auto csv = Minimize(*CompileDialect(CsvTwinSpec()), nullptr);
+  auto csv = Minimize(*CompileDialect(CsvTwinSpec()));
   DialectSpec semicolon = CsvTwinSpec();
   semicolon.name = "semicolon";
   semicolon.field_delimiter = ';';
-  auto other = Minimize(*CompileDialect(semicolon), nullptr);
+  auto other = Minimize(*CompileDialect(semicolon));
   ASSERT_TRUE(csv.ok() && other.ok());
 
   const EquivalenceResult verdict = CheckEquivalent(*csv, *other);
@@ -399,7 +399,7 @@ const robust::ErrorPolicy kAllPolicies[] = {
 TEST(DialectEquivalenceTest, OverBudgetDialectParsesOnThePipeline) {
   const DialectSpec spec = WideFixedSpec();
   obs::MetricsRegistry metrics;
-  auto compiled = dialect::Compile(spec, nullptr, &metrics);
+  auto compiled = dialect::Compile(spec, &metrics);
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
   EXPECT_FALSE(compiled->format.dfa.fits_register_budget());
   EXPECT_GT(compiled->minimized_states, kMaxDfaStates);

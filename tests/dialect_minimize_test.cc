@@ -107,7 +107,7 @@ TEST(DialectMinimizeTest, MinimizedProvedEquivalentToOriginal) {
     if (!spec.Validate().ok()) continue;
     auto wide = CompileDialect(spec);
     ASSERT_TRUE(wide.ok()) << spec.name << ": " << wide.status().ToString();
-    auto minimized = Minimize(*wide, nullptr);
+    auto minimized = Minimize(*wide);
     ASSERT_TRUE(minimized.ok()) << spec.name;
     EXPECT_LE(minimized->num_states, wide->num_states) << spec.name;
     const EquivalenceResult proof = CheckEquivalent(*wide, *minimized);
@@ -124,9 +124,9 @@ TEST(DialectMinimizeTest, MinimizeIsAFixpoint) {
   for (uint64_t seed = 0; seed < 100; ++seed) {
     const DialectSpec spec = RandomSpec(seed * 31 + 7);
     if (!spec.Validate().ok()) continue;
-    auto once = Minimize(*CompileDialect(spec), nullptr);
+    auto once = Minimize(*CompileDialect(spec));
     ASSERT_TRUE(once.ok());
-    auto twice = Minimize(*once, nullptr);
+    auto twice = Minimize(*once);
     ASSERT_TRUE(twice.ok());
     EXPECT_EQ(once->num_states, twice->num_states) << spec.name;
     EXPECT_TRUE(CheckEquivalent(*once, *twice).equivalent) << spec.name;
@@ -138,7 +138,7 @@ TEST(DialectMinimizeTest, SymbolFlagsPreservedAlongLockstepRuns) {
     const DialectSpec spec = RandomSpec(seed * 13 + 3);
     if (!spec.Validate().ok()) continue;
     auto wide = CompileDialect(spec);
-    auto minimized = Minimize(*wide, nullptr);
+    auto minimized = Minimize(*wide);
     ASSERT_TRUE(wide.ok() && minimized.ok());
     const std::string input = RandomInput(spec, seed, 96 + seed % 128);
     int sw = wide->start;
@@ -160,7 +160,7 @@ TEST(DialectMinimizeTest, SymbolFlagsPreservedAlongLockstepRuns) {
 TEST(DialectMinimizeTest, MergesDuplicatedStates) {
   auto wide = CompileDialect(DialectSpec{});
   ASSERT_TRUE(wide.ok());
-  auto minimal = Minimize(*wide, nullptr);
+  auto minimal = Minimize(*wide);
   ASSERT_TRUE(minimal.ok());
 
   // Clone one non-start state and reroute half its inbound edges to the
@@ -185,7 +185,7 @@ TEST(DialectMinimizeTest, MergesDuplicatedStates) {
     }
   }
 
-  auto collapsed = Minimize(bloated, nullptr);
+  auto collapsed = Minimize(bloated);
   ASSERT_TRUE(collapsed.ok());
   EXPECT_EQ(collapsed->num_states, minimal->num_states);
   EXPECT_TRUE(CheckEquivalent(*collapsed, *wide).equivalent);

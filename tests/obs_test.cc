@@ -136,22 +136,22 @@ TEST(MetricsTest, ResetZeroesInPlaceKeepingPointersValid) {
   EXPECT_EQ(counter->Value(), 2);
 }
 
-TEST(MetricsTest, PoolCountersRecordSubmittedTasks) {
+TEST(MetricsTest, SchedCountersRecordEveryMorsel) {
   obs::MetricsRegistry& global = obs::MetricsRegistry::Global();
   const bool was_enabled = global.enabled();
   global.SetEnabled(true);
-  obs::Counter* submitted = global.GetCounter("pool.tasks_submitted");
-  obs::Counter* executed = global.GetCounter("pool.tasks_executed");
+  obs::Counter* submitted = global.GetCounter("sched.submits");
+  obs::Counter* executed = global.GetCounter("sched.runs");
   const int64_t submitted_before = submitted->Value();
   const int64_t executed_before = executed->Value();
   {
     // An explicit 4-worker pool: ParallelForEach must fan out regardless
-    // of the machine's core count.
+    // of the machine's core count, and it returns only after every
+    // morsel ran.
     ThreadPool pool(4);
     std::atomic<int64_t> sum{0};
     ParallelForEach(&pool, 0, 1000,
                     [&](int64_t i) { sum.fetch_add(i); });
-    pool.WaitIdle();
     EXPECT_EQ(sum.load(), 999 * 1000 / 2);
   }
   EXPECT_GE(submitted->Value() - submitted_before, 4);

@@ -1,9 +1,8 @@
-#include "parallel/scheduler.h"
-
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <thread>
 #include <vector>
 
@@ -21,7 +20,7 @@ namespace {
 //     without ever executing queued slices itself, so a ParallelFor
 //     nested inside a pool task deadlocked once every worker was the
 //     caller of an inner ParallelFor (two workers were enough).
-//  2. ScanDecoupledLookback assigned tiles to tasks statically, so a
+//  2. The decoupled look-back scan assigned tiles to tasks statically, so a
 //     tile's look-back could spin on a predecessor that was still queued
 //     behind unrelated work — with no runnable owner, a livelock (two
 //     concurrent scans on a busy shared pool were enough).
@@ -38,12 +37,13 @@ TEST(SchedulerForwardProgressTest, NestedParallelForOnOneThreadPool) {
   ThreadPool pool(1);
   std::atomic<int64_t> sum{0};
   std::atomic<bool> done{false};
-  pool.Submit([&] {
+  TaskGroup group(&pool);
+  group.Run([&] {
     ParallelForEach(&pool, 0, 1000,
                     [&](int64_t i) { sum.fetch_add(i); });
     done.store(true);
   });
-  pool.WaitIdle();
+  group.Wait();
   EXPECT_TRUE(done.load());
   EXPECT_EQ(sum.load(), 499500);
 }
@@ -82,8 +82,9 @@ TEST(SchedulerForwardProgressTest, ConcurrentScansOnOccupiedSharedPool) {
   ThreadPool pool(2);
   std::atomic<int> blockers_running{0};
   std::atomic<bool> release{false};
+  TaskGroup blockers(&pool);
   for (int i = 0; i < 2; ++i) {
-    pool.Submit([&] {
+    blockers.Run([&] {
       blockers_running.fetch_add(1);
       while (!release.load(std::memory_order_acquire)) {
         std::this_thread::yield();
@@ -96,9 +97,8 @@ TEST(SchedulerForwardProgressTest, ConcurrentScansOnOccupiedSharedPool) {
   std::vector<int64_t> in(n, 1);
   const auto run_scan = [&] {
     std::vector<int64_t> out(n);
-    ScanDecoupledLookback(&pool, in.data(), out.data(), n,
-                          [](int64_t a, int64_t b) { return a + b; },
-                          int64_t{0});
+    InclusiveScan(&pool, in.data(), out.data(), n,
+                  [](int64_t a, int64_t b) { return a + b; }, int64_t{0});
     for (int64_t i = 0; i < n; ++i) {
       ASSERT_EQ(out[i], i + 1) << "at " << i;
     }
@@ -108,7 +108,7 @@ TEST(SchedulerForwardProgressTest, ConcurrentScansOnOccupiedSharedPool) {
   first.join();
   second.join();
   release.store(true, std::memory_order_release);
-  pool.WaitIdle();
+  blockers.Wait();
 }
 
 // --- task-group scoping ----------------------------------------------------
@@ -119,7 +119,7 @@ TEST(TaskGroupTest, WaitCoversTasksChainedFromInsideTasks) {
   // chain, not just the tasks submitted before it was called.
   ThreadPool pool(2);
   std::atomic<int> depth_reached{0};
-  TaskGroup group(pool.scheduler());
+  TaskGroup group(&pool);
   std::function<void(int)> chain = [&](int depth) {
     depth_reached.fetch_add(1);
     if (depth < 100) group.Run([&chain, depth] { chain(depth + 1); });
@@ -137,7 +137,7 @@ TEST(TaskGroupTest, GroupsAreIndependent) {
   std::atomic<bool> slow_started{false};
   std::atomic<bool> slow_done{false};
   std::atomic<bool> release_slow{false};
-  TaskGroup slow(pool.scheduler());
+  TaskGroup slow(&pool);
   slow.Run([&] {
     slow_started.store(true);
     while (!release_slow.load(std::memory_order_acquire)) {
@@ -148,7 +148,7 @@ TEST(TaskGroupTest, GroupsAreIndependent) {
   // Make sure a worker (not fast.Wait's caller-runs) owns the spinning
   // task before the fast group floods the queues.
   while (!slow_started.load()) std::this_thread::yield();
-  TaskGroup fast(pool.scheduler());
+  TaskGroup fast(&pool);
   std::atomic<int> fast_count{0};
   for (int i = 0; i < 64; ++i) {
     fast.Run([&] { fast_count.fetch_add(1); });
@@ -163,7 +163,7 @@ TEST(TaskGroupTest, GroupsAreIndependent) {
 
 TEST(TaskGroupTest, EmptyGroupWaitReturnsImmediately) {
   ThreadPool pool(1);
-  TaskGroup group(pool.scheduler());
+  TaskGroup group(&pool);
   group.Wait();
   group.Wait();  // idempotent
 }
@@ -171,17 +171,18 @@ TEST(TaskGroupTest, EmptyGroupWaitReturnsImmediately) {
 // --- work-stealing behaviour ----------------------------------------------
 
 TEST(SchedulerTest, SubmitFromOutsideAndInsideWorkers) {
-  Scheduler scheduler(3);
+  ThreadPool pool(3);
   std::atomic<int> count{0};
+  TaskGroup group(&pool);
   for (int i = 0; i < 50; ++i) {
-    // External submits land in the injection queue; each task then
-    // submits once more from a worker thread (local shard, LIFO side).
-    scheduler.Submit([&count, &scheduler] {
+    // External runs land in the injection deque; each task then runs
+    // once more from a worker thread (local shard, LIFO side).
+    group.Run([&count, &group] {
       count.fetch_add(1);
-      scheduler.Submit([&count] { count.fetch_add(1); });
+      group.Run([&count] { count.fetch_add(1); });
     });
   }
-  scheduler.WaitIdle();
+  group.Wait();
   EXPECT_EQ(count.load(), 100);
 }
 

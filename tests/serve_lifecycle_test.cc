@@ -74,8 +74,13 @@ TEST(ServeDeadlineTest, ExpiresWaitingForASlotWithTypedError) {
   EXPECT_TRUE(client->Ping().ok());
 
   server.request_admission()->Release();
-  // Slot freed: the same request now completes.
-  auto retry = client->Parse(SmallCsv(), request);
+  // Slot freed: a deadlined request now completes. It gets its own,
+  // generous deadline: it still takes the deadlined admission path, but
+  // the parse itself must not race 60 ms on a sanitizer-slowed, loaded
+  // host.
+  RequestOptions retry_request;
+  retry_request.deadline_ms = 10000;
+  auto retry = client->Parse(SmallCsv(), retry_request);
   ASSERT_TRUE(retry.ok()) << retry.status().ToString();
   EXPECT_FALSE(retry->busy);
 
